@@ -296,6 +296,9 @@ def cmd_sweep(args):
     except ValueError:
         print(f"error: bad k range {args.k_range!r}", file=sys.stderr)
         return EXIT_IO
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_IO
     p = _params_from_args(args)
     kb = pm.k_bar(p)
     bad = [k for k in ks if k <= kb]
@@ -431,7 +434,12 @@ def cmd_plot(args):
 
 # ------------------------------------------------------------------- driver
 
+_CONFIG_TYPES = {"q": float, "lambda_plus": float, "lambda_minus": float,
+                 "k": int, "n": int, "grid": int, "jobs": int, "seed": int}
+
+
 def _load_config(path):
+    """key=value lines; numeric keys are converted here, so a bad value is a ParseError."""
     doc = {}
     with open(path) as fh:
         for i, ln in enumerate(fh, start=1):
@@ -440,8 +448,14 @@ def _load_config(path):
                 continue
             if "=" not in ln:
                 raise fields.ParseError(f"line {i}: expected key=value, got {ln!r}")
-            key, val = ln.split("=", 1)
-            doc[key.strip().replace("-", "_")] = val.strip()
+            key, val = (s.strip() for s in ln.split("=", 1))
+            key = key.replace("-", "_")
+            kind = _CONFIG_TYPES.get(key, str)
+            try:
+                doc[key] = kind(val)
+            except ValueError:
+                raise fields.ParseError(
+                    f"line {i}: {key}={val!r} is not a valid {kind.__name__}") from None
     return doc
 
 
@@ -484,8 +498,7 @@ def _build_parser():
                     help="lo:hi inclusive, or comma list")
     sp.add_argument("--n", type=int, default=2048)
     sp.add_argument("--grid", type=int, default=256)
-    sp.add_argument("--jobs", type=int,
-                    default=int(os.environ.get("NODALLAB_JOBS", "1")))
+    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out", default="out")
     sp.set_defaults(func=cmd_sweep)
 
@@ -506,18 +519,10 @@ def main(argv=None):
     known, _ = pre.parse_known_args(argv)
     if known.config:
         try:
-            cfg = _load_config(known.config)
+            converted = _load_config(known.config)
         except (fields.ParseError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
-        converted = {}
-        for key, val in cfg.items():
-            if key in ("q", "lambda_plus", "lambda_minus"):
-                converted[key] = float(val)
-            elif key in ("k", "n", "grid", "jobs", "seed"):
-                converted[key] = int(val)
-            else:
-                converted[key] = val
         for action in parser._subparsers._group_actions[0].choices.values():
             action.set_defaults(**{k: v for k, v in converted.items()
                                    if any(a.dest == k for a in action._actions)})

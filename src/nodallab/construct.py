@@ -11,9 +11,10 @@ arc lives on (0, t), the negative one on (t, T), and the matching function
 
     Psi(t) = phi_+'(t-) - phi_-'(t+)
 
-changes sign across (0, T), so a bisection root t_bar yields a C^1 glued
-profile which tiles k times around the circle.  Energy constancy along theta
-and the 1-d Hamiltonian are the independent diagnostics.
+changes sign across (0, T); its root t_bar, found by Brent's method on that
+bracket, yields a C^1 glued profile which tiles k times around the circle.
+Energy constancy along theta and the 1-d Hamiltonian are the independent
+diagnostics.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq, golden
+from scipy.optimize import brentq
 
 from .fields import AngularProfile, HomogeneousField
 from .params import ProblemParams, gamma_q, k_bar
@@ -85,33 +86,29 @@ def _arc_energy(phi_padded, h, gamma2, lam, q):
 def _solve_positive_arc(q, lam, gamma2, length, n, tol=1e-10, max_iter=200):
     """Interior samples of the positive Dirichlet minimizer on (0, length)."""
     h = length / (n + 1)
-    theta = h * np.arange(1, n + 1)
-
-    # starting ray: the first Dirichlet eigenfunction, amplitude from a 1-d
-    # golden-section line search on the energy
-    psi = np.sin(np.pi * theta / length)
-    psi_pad = np.concatenate(([0.0], psi, [0.0]))
-
-    def ray_energy(logc):
-        return _arc_energy(np.exp(logc) * psi_pad, h, gamma2, lam, q)
-
-    grid = np.linspace(-90.0, 30.0, 241)
-    i = int(np.argmin([ray_energy(c) for c in grid]))
-    if i == 0 or i == len(grid) - 1:
-        raise SolverError("could not bracket the ray-energy minimum")
-    logc = golden(ray_energy, brack=(grid[i - 1], grid[i], grid[i + 1]), tol=1e-10)
-    phi = np.exp(logc) * psi
+    band = np.zeros((3, n))
+    band[0, 1:] = band[2, :-1] = -1.0 / h**2
+    diag = 2.0 / h**2 - gamma2
 
     if q == 1.0:
         # the Euler-Lagrange system is linear: (-D2 - gamma^2) phi = lam
-        band = np.zeros((3, n))
-        band[0, 1:] = -1.0 / h**2
-        band[1, :] = 2.0 / h**2 - gamma2
-        band[2, :-1] = -1.0 / h**2
+        band[1] = diag
         phi = solve_banded((1, 1), band, np.full(n, lam))
         if np.any(phi <= 0):
             raise SolverError("linear arc solve produced non-positive values")
         return phi
+
+    # starting ray: the first Dirichlet eigenfunction psi; the discrete energy
+    # along c*psi is c^2 A - c^q B, smallest at c = (qB/2A)^(1/(2-q))
+    psi = np.sin(np.pi * h * np.arange(1, n + 1) / length)
+    dpsi = np.diff(np.concatenate(([0.0], psi, [0.0]))) / h
+    A = 0.5 * h * (np.sum(dpsi * dpsi) - gamma2 * np.sum(psi * psi))
+    if A <= 0:
+        raise SolverError(
+            f"arc length {length} too close to pi/gamma_q for the grid (n={n}): "
+            "discrete energy not coercive")
+    B = h * lam / q * np.sum(psi**q)
+    phi = (q * B / (2.0 * A)) ** (1.0 / (2.0 - q)) * psi
 
     def residual(p):
         lap = (np.concatenate((p[1:], [0.0])) - 2 * p + np.concatenate(([0.0], p[:-1]))) / h**2
@@ -128,10 +125,7 @@ def _solve_positive_arc(q, lam, gamma2, length, n, tol=1e-10, max_iter=200):
         trace.append(rnorm)
         if rnorm < max(tol * scale, floor):
             return phi
-        band = np.zeros((3, n))
-        band[0, 1:] = -1.0 / h**2
-        band[1, :] = 2.0 / h**2 - gamma2 - lam * (q - 1.0) * phi ** (q - 2.0)
-        band[2, :-1] = -1.0 / h**2
+        band[1] = diag - lam * (q - 1.0) * phi ** (q - 2.0)
         delta = solve_banded((1, 1), band, -res)
         # damped update with sign projection: iterates must stay positive
         alpha = 1.0
@@ -235,18 +229,9 @@ def count_sign_changes(values) -> int:
     return int(np.sum(signs * np.roll(signs, -1) < 0))
 
 
-def _rhs_scalar(params, v):
-    q = params.q
-    if q == 1.0:
-        return params.lambda_plus * (v > 0).astype(float) - params.lambda_minus * (v < 0).astype(float)
-    vp = np.clip(v, 0.0, None)
-    vm = np.clip(-v, 0.0, None)
-    return params.lambda_plus * vp ** (q - 1.0) - params.lambda_minus * vm ** (q - 1.0)
-
-
-def construct_uk(params: ProblemParams, k: int, n: int = 2048, n_theta=None,
-                 psi_tol=1e-8, bracket_eps=1e-3) -> MatchingResult:
-    """Full pipeline: bisect Psi, glue the two arcs, tile k copies.
+def construct_uk(params: ProblemParams, k: int, n: int = 2048) -> MatchingResult:
+    """Full pipeline: root of Psi by Brent's method on the bracket, glue the
+    two arcs, tile k copies.
 
     Returns a MatchingResult whose profile has exactly 2k sign changes per
     period together with the residual diagnostics.
@@ -258,35 +243,21 @@ def construct_uk(params: ProblemParams, k: int, n: int = 2048, n_theta=None,
         raise ConstructionError("the negative arc needs lambda_minus > 0")
     T = 2.0 * np.pi / k
 
-    def f(t):
-        return psi(params, k, t, n)
-
-    a, b = bracket_eps * T, (1.0 - bracket_eps) * T
-    fa, fb = f(a), f(b)
+    a, b = 1e-3 * T, (1.0 - 1e-3) * T
+    fa, fb = psi(params, k, a, n), psi(params, k, b, n)
     if not (fa > 0 and fb < 0):
         raise ConstructionError(
             f"Psi has no sign change on the bracket: Psi({a})={fa}, Psi({b})={fb}; "
             "k may be too small or the arc solver failed")
-    while b - a > 1e-10 * T:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if abs(fm) < psi_tol and b - a < 1e-8 * T:
-            a = b = m
-            break
-        if fm > 0:
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    t_bar = 0.5 * (a + b)
-    psi_res = abs(f(t_bar))
+    t_bar = brentq(lambda t: psi(params, k, t, n), a, b, xtol=1e-10 * T)
 
     plus = minimize_arc(params, t_bar, T, "plus", n)
     minus = minimize_arc(params, t_bar, T, "minus", n)
     sp_plus = plus.spline(offset=0.0)
     sp_minus = minus.spline(offset=t_bar)
+    psi_res = abs(plus.slope_right - minus.slope_left)
 
-    if n_theta is None:
-        n_theta = k * max(64, int(np.ceil(4096.0 / k)))
+    n_theta = k * max(64, int(np.ceil(4096.0 / k)))
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     local = np.mod(theta, T)
     on_plus = local <= t_bar
@@ -345,17 +316,6 @@ def energy_function(params: ProblemParams, profile: AngularProfile):
 # ---------------------------------------------------------------------------
 # 1-d Hamiltonian dynamics
 # ---------------------------------------------------------------------------
-
-
-def _force(params: ProblemParams, w):
-    """-w'' = mu*(lambda_+ (w+)^(q-1) - lambda_- (w-)^(q-1)); value 0 at w=0."""
-    q = params.q
-    if q == 1.0:
-        f = params.lambda_plus * float(w > 0) - params.lambda_minus * float(w < 0)
-    else:
-        f = (params.lambda_plus * max(w, 0.0) ** (q - 1.0)
-             - params.lambda_minus * max(-w, 0.0) ** (q - 1.0))
-    return -params.mu * f
 
 
 def hamiltonian(params: ProblemParams, w, wp):

@@ -15,7 +15,6 @@ save/load round trip is bit exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

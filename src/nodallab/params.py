@@ -114,14 +114,8 @@ def beta_k_sequence(params: ProblemParams, K: int, deltas="auto") -> list[float]
                 raise ValueError(f"delta_{k}={d} outside [0, 2^-{k})")
 
     limit = gamma_q(params)
-    seq = []
-    beta = q + 1.0
-    if auto:
-        # delta_1 = 0; beta_1 = q+1 is non-integer for q in (1,2) and equals 2 for q=1.
-        pass
-    else:
-        beta = q + 1.0 - 0.0  # beta_1 never takes a delta in the recurrence
-    seq.append(beta)
+    # beta_1 = q+1 never takes a delta: non-integer for q in (1,2), 2 for q=1
+    seq = [q + 1.0]
     for k in range(2, K + 1):
         raw = (q - 1.0) * seq[-1] + 2.0
         if auto:

@@ -163,3 +163,21 @@ def test_config_file_bad(tmp_path):
     cfg.write_text("this is not key value\n")
     assert run("--config", str(cfg), "verify", "--suite", "recurrences",
                "--out", str(tmp_path)) == 3
+
+
+def test_config_file_bad_number(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q=1\nk=abc\n")
+    assert run("--config", str(cfg), "verify", "--suite", "recurrences",
+               "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "k='abc'" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_sweep_jobs_must_be_positive(tmp_path, capsys):
+    assert run("sweep", "--q", "1", "--k-range", "5", "--jobs", "0",
+               "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "sweep.csv").exists()

@@ -3,8 +3,8 @@ import pytest
 from scipy.optimize import brentq
 
 from nodallab.construct import (
-    ConstructionError, construct_uk, count_sign_changes, energy_function,
-    hamiltonian, hamiltonian_cauchy, minimize_arc, psi,
+    ConstructionError, SolverError, construct_uk, count_sign_changes,
+    energy_function, hamiltonian, hamiltonian_cauchy, minimize_arc, psi,
 )
 from nodallab.params import ProblemParams, gamma_q
 
@@ -46,6 +46,11 @@ def test_arc_validation():
     with pytest.raises(ConstructionError):
         # arc length at the coercivity threshold pi/gamma_q
         minimize_arc(p, np.pi / 2.0 + 0.05, np.pi / 2.0 + 0.1, "plus", 256)
+    # just below pi/gamma_q a coarse grid's Rayleigh quotient is below gamma^2
+    p = ProblemParams(q=1.5)
+    t = 0.999 * np.pi / gamma_q(p)
+    with pytest.raises(SolverError):
+        minimize_arc(p, t, t + 0.1, "plus", 16)
 
 
 def test_arc_smallness_scaling():
@@ -89,6 +94,16 @@ def test_construct_asymmetric_matching_oracle():
     assert abs(mr.t_bar - t_exact) < 1e-6
     # positive arcs get shorter when the negative phase is stronger
     assert mr.t_bar > T / 2
+    # the reported residual is Psi at the returned matching point
+    assert mr.psi_residual == abs(psi(p, 5, mr.t_bar, 2048))
+
+
+def test_construct_near_q2():
+    # near q = 2 the arc amplitude is tiny (about 1e-31 at k = 41) and the
+    # energy along the starting ray is nearly flat; Newton must still converge
+    mr = construct_uk(ProblemParams(q=1.9), 41)
+    assert mr.zero_count == 82
+    assert mr.psi_residual < 1e-6
 
 
 def test_construct_q15():
