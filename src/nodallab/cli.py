@@ -122,12 +122,7 @@ def _field_from_input(path):
 def cmd_analyze(args):
     outdir = _ensure_outdir(args)
     t0 = time.perf_counter()
-    try:
-        field, profile = _field_from_input(args.input)
-    except (fields.ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    field, profile = _field_from_input(args.input)
     radii = 0.5 * 2.0 ** (-np.arange(8.0))[::-1]
     report = {}
     est = orders.estimate_order(field, (0.0, 0.0), radii)
@@ -249,11 +244,7 @@ def cmd_verify(args):
     for name in names:
         SUITES[name](args, checks)
     if args.profile:
-        try:
-            _suite_profile(args, checks)
-        except (fields.ParseError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _suite_profile(args, checks)
     report = {"checks": [{"name": n, "pass": bool(ok)} for n, ok in checks],
               "all_pass": all(ok for _, ok in checks)}
     _write_json(os.path.join(outdir, "verify.json"), report)
@@ -397,13 +388,9 @@ def _plot_trace(radii, values, label, out):
 
 
 def cmd_plot(args):
-    try:
-        with open(args.input) as fh:
-            header = fh.readline().strip()
-            body = fh.read().strip()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.input) as fh:
+        header = fh.readline().strip()
+        body = fh.read().strip()
     try:
         if header == "x1,y1,x2,y2":
             segments = []
@@ -517,28 +504,25 @@ def main(argv=None):
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
-    if known.config:
-        try:
+    try:
+        if known.config:
             converted = _load_config(known.config)
-        except (fields.ParseError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        for action in parser._subparsers._group_actions[0].choices.values():
-            action.set_defaults(**{k: v for k, v in converted.items()
-                                   if any(a.dest == k for a in action._actions)})
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
-    try:
+            for action in parser._subparsers._group_actions[0].choices.values():
+                action.set_defaults(**{k: v for k, v in converted.items()
+                                       if any(a.dest == k for a in action._actions)})
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else EXIT_OK
         return args.func(args)
+    except (fields.ParseError, OSError) as exc:
+        # ParseError is a ValueError, so it is caught first
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (cons.ConstructionError, cons.SolverError, ValueError) as exc:
         # parameter validation and construction errors are precondition failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCT
-    except (fields.ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -36,13 +36,13 @@ class ParseError(ValueError):
 def _catmull_rom(values: np.ndarray, x: np.ndarray):
     """Periodic Catmull-Rom interpolation of uniform samples.
 
-    ``x`` is in sample units (sample j sits at x=j); returns the interpolant
-    and its derivative with respect to x.
+    ``x`` is in sample units (sample j sits at x=j).  ``values`` may carry
+    trailing columns, interpolated together with one gather of the stencil.
     """
     n = len(values)
     x = np.asarray(x, dtype=float)
     j = np.floor(x).astype(int)
-    s = x - j
+    s = (x - j).reshape(j.shape + (1,) * (values.ndim - 1))
     p0 = values[(j - 1) % n]
     p1 = values[j % n]
     p2 = values[(j + 1) % n]
@@ -52,9 +52,7 @@ def _catmull_rom(values: np.ndarray, x: np.ndarray):
     b = p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3
     c = 0.5 * (p2 - p0)
     d = p1
-    val = ((a * s + b) * s + c) * s + d
-    der = (3.0 * a * s + 2.0 * b) * s + c
-    return val, der
+    return ((a * s + b) * s + c) * s + d
 
 
 @dataclass
@@ -81,15 +79,19 @@ class AngularProfile:
     def theta(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
 
-    def __call__(self, theta):
+    def _interp(self, samples, theta):
         x = np.asarray(theta, dtype=float) * self.n_theta / (2.0 * np.pi)
-        val, _ = _catmull_rom(self.values, x % self.n_theta)
-        return val
+        return _catmull_rom(samples, x % self.n_theta)
+
+    def __call__(self, theta):
+        return self._interp(self.values, theta)
 
     def prime(self, theta):
-        x = np.asarray(theta, dtype=float) * self.n_theta / (2.0 * np.pi)
-        val, _ = _catmull_rom(self.derivative, x % self.n_theta)
-        return val
+        return self._interp(self.derivative, theta)
+
+    def value_and_prime(self, theta):
+        both = self._interp(np.column_stack((self.values, self.derivative)), theta)
+        return both[..., 0], both[..., 1]
 
     def scale(self) -> float:
         return float(np.max(np.abs(self.values))) or 1.0
@@ -110,6 +112,10 @@ class PlanarField:
 
     def grad(self, x, y):
         raise NotImplementedError
+
+    def value_and_grad(self, x, y):
+        """``(u, (u_x, u_y))`` at the points; subclasses may share work between them."""
+        return self(x, y), self.grad(x, y)
 
     def scale(self) -> float:
         """Crude magnitude estimate, used for relative tolerances."""
@@ -153,20 +159,23 @@ class HomogeneousField(PlanarField):
         return r**self.gamma * self.profile(th)
 
     def grad(self, x, y):
+        return self.value_and_grad(x, y)[1]
+
+    def value_and_grad(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         r = np.hypot(x, y)
         th = np.arctan2(y, x)
-        phi = self.profile(th)
-        dphi = self.profile.prime(th)
+        phi, dphi = self.profile.value_and_prime(th)
         with np.errstate(divide="ignore", invalid="ignore"):
-            u_r = self.gamma * r ** (self.gamma - 1.0) * phi
-            u_t_over_r = r ** (self.gamma - 1.0) * dphi
+            r_g1 = r ** (self.gamma - 1.0)
+            u_r = self.gamma * r_g1 * phi
+            u_t_over_r = r_g1 * dphi
         # gradient vanishes at the origin whenever gamma > 1
         u_r = np.where(r > 0, u_r, 0.0)
         u_t_over_r = np.where(r > 0, u_t_over_r, 0.0)
         ct, st = np.cos(th), np.sin(th)
-        return u_r * ct - u_t_over_r * st, u_r * st + u_t_over_r * ct
+        return r**self.gamma * phi, (u_r * ct - u_t_over_r * st, u_r * st + u_t_over_r * ct)
 
     def scale(self) -> float:
         return self.profile.scale()
@@ -183,6 +192,8 @@ class GridField(PlanarField):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("grid values must be a square 2-d array")
+        if values.shape[0] < 3:
+            raise ValueError("grid needs at least 3 samples per side")
         self.values = values
         self.n = values.shape[0]
         self.h = 2.0 / (self.n - 1)
@@ -323,6 +334,14 @@ def _parse_floats(line: str, lineno: int, expected: int) -> np.ndarray:
     return arr
 
 
+def _construct(cls, lineno, *args):
+    """``cls(*args)``, with a rejected value reported as a ParseError at ``lineno``."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+
+
 def load(path):
     """Read a NODALLAB v1 file back into a profile or field."""
     with open(path) as fh:
@@ -364,14 +383,14 @@ def load(path):
             raise ParseError(f"line {i + 1}: missing sample lines")
         values = _parse_floats(lines[i], i + 1, n_theta)
         deriv = _parse_floats(lines[i + 1], i + 2, n_theta)
-        profile = AngularProfile(values, deriv, params)
+        profile = _construct(AngularProfile, i + 1, values, deriv, params)
         if kind == "profile":
             return profile
         try:
             gamma = float(meta["gamma"])
         except (KeyError, ValueError):
             raise ParseError("header: missing gamma for homogeneous field")
-        return HomogeneousField(gamma, profile, params)
+        return _construct(HomogeneousField, i, gamma, profile, params)
     if kind == "grid":
         try:
             n = int(meta["n"])
@@ -380,7 +399,7 @@ def load(path):
         if len(lines) - i < n:
             raise ParseError(f"line {len(lines)}: expected {n} sample rows")
         rows = [_parse_floats(lines[i + j], i + j + 1, n) for j in range(n)]
-        return GridField(np.array(rows), params)
+        return _construct(GridField, i + 1, np.array(rows), params)
     raise ParseError(f"line 1: unknown kind {kind!r}")
 
 

@@ -1,9 +1,13 @@
 """Quadrature evaluation of the boundary/bulk functionals and their checkers.
 
 All integrals are over circles and disks centered at a point x0 of the unit
-disk: trapezoid rule in the angle (spectrally accurate for smooth periodic
-integrands, order 2 across nodal-line kinks) and composite Simpson in the
-radius.  The two-parameter rescaled energy
+disk, computed in one pass over a radius ladder r_1 < ... < r_m: trapezoid
+rule in the angle (spectrally accurate for smooth periodic integrands, order
+2 across nodal-line kinks) and one GL_NODES-point Gauss-Legendre panel in the
+radius on each annulus [r_(i-1), r_i] (r_0 = 0).  Cumulative sums of the
+panels give the disk integrals, and one ring at each r_i gives the circle
+integrals.  Every functional below is arithmetic over one such pass.  The
+two-parameter rescaled energy
 
     W(gamma, t; r) = r^(-(N-2+2 gamma)) * D_t(r) - gamma r^(-(N-1+2 gamma)) * H(r)
 
@@ -23,7 +27,12 @@ from .params import ProblemParams, gamma_q
 
 N_DIM = 2
 N_THETA = 1024
-N_RHO_PANELS = 512
+GL_NODES = 48
+# Gauss-Legendre nodes mapped to [0, 1], and weights summing to 1
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(GL_NODES)
+_GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W
+EPS_U = 1e-6  # |u(x0)| below EPS_U * scale makes x0 a nodal point
+SLOPE_TOL = 0.02  # log-log slope of |W| below -SLOPE_TOL counts as divergent
 
 
 class DegenerateSphereError(ValueError):
@@ -73,163 +82,175 @@ def eval_F(params: ProblemParams, s):
     return params.mu * (params.lambda_plus * sp**params.q + params.lambda_minus * sm**params.q)
 
 
-def _check_ball(x0, r):
-    x0 = np.asarray(x0, dtype=float)
-    if r <= 0:
-        raise DomainError(f"radius must be positive, got {r}")
-    if np.hypot(x0[0], x0[1]) + r > 1.0 + 1e-12:
-        raise DomainError(f"ball B_{r}({x0}) escapes the unit disk")
-    return x0
+def _require_nodal(field, x0):
+    u0 = float(np.abs(field(x0[0], x0[1])))
+    if u0 > EPS_U * field.scale():
+        raise PreconditionError(f"|u(x0)| = {u0} too large; x0 is not a nodal point")
 
 
-def _theta_nodes(n_theta):
-    return 2.0 * np.pi * np.arange(n_theta) / n_theta
-
-
-def eval_H(field: PlanarField, x0, r, n_theta=N_THETA) -> float:
-    """Integral of u^2 over the circle of radius r around x0."""
-    x0 = _check_ball(x0, r)
-    th = _theta_nodes(n_theta)
-    v = field(x0[0] + r * np.cos(th), x0[1] + r * np.sin(th))
-    return float(r * 2.0 * np.pi / n_theta * np.sum(v * v))
-
-
-def h_floor(field: PlanarField, r) -> float:
+def h_floor(field: PlanarField, r):
+    """Noise floor of H on the circle of radius r, relative to the field's scale."""
     s = field.scale()
-    return 1e-14 * max(1.0, s * s) * r ** (N_DIM - 1)
+    return 1e-14 * s * s * r ** (N_DIM - 1)
 
 
-def _bulk_integrals(field, x0, r, n_theta, n_rho):
-    """Disk integrals of |grad u|^2 and F(u) by polar quadrature.
+@dataclass
+class _Ladder:
+    """Circle and disk integrals on a radius ladder, shaped like the radii.
 
-    Simpson in rho over [0, r] with n_rho panels, trapezoid in theta.
+    H, unu2, uunu and f_circle integrate u^2, u_nu^2, u u_nu and F(u) over
+    the circle S_r; grad2 and f_bulk integrate |grad u|^2 and F(u) over the
+    disk B_r.  A circles-only pass fills H alone.
     """
-    th = _theta_nodes(n_theta)
-    ct, st = np.cos(th), np.sin(th)
-    rhos = np.linspace(0.0, r, n_rho + 1)
-    X = x0[0] + np.outer(rhos, ct)
-    Y = x0[1] + np.outer(rhos, st)
-    gx, gy = field.grad(X, Y)
-    grad2 = gx * gx + gy * gy
-    fval = eval_F(field.params, field(X, Y))
-    dth = 2.0 * np.pi / n_theta
-    ring_grad2 = rhos * np.sum(grad2, axis=1) * dth
-    ring_f = rhos * np.sum(fval, axis=1) * dth
-    # the rho=0 ring carries zero weight; its integrand is finite anyway
-    w = np.ones(n_rho + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    h = r / n_rho
-    return h / 3.0 * np.dot(w, ring_grad2), h / 3.0 * np.dot(w, ring_f)
+
+    field: PlanarField
+    r: np.ndarray
+    H: np.ndarray
+    grad2: np.ndarray | None = None
+    f_bulk: np.ndarray | None = None
+    unu2: np.ndarray | None = None
+    uunu: np.ndarray | None = None
+    f_circle: np.ndarray | None = None
+
+    def D(self, t):
+        return self.grad2 - t / self.field.params.q * self.f_bulk
+
+    def N(self, t):
+        low = self.H <= h_floor(self.field, self.r)
+        if np.any(low):
+            r, H = self.r[low].flat[0], self.H[low].flat[0]
+            raise DegenerateSphereError(f"H({r}) = {H} below floor; x0 is a high-order zero")
+        return self.r * self.D(t) / self.H
+
+    def W(self, gamma, t):
+        r = self.r
+        return r ** -(N_DIM - 2 + 2 * gamma) * self.D(t) - gamma * r ** -(N_DIM - 1 + 2 * gamma) * self.H
+
+    def Phi(self, gamma):
+        q = self.field.params.q
+        return (2 * N_DIM - (N_DIM - 2) * q) / (q * self.r ** (N_DIM - 1 + 2 * gamma)) * self.f_bulk
+
+    def h1(self):
+        return np.sqrt(self.r ** -(N_DIM - 2) * self.grad2 + self.r ** -(N_DIM - 1) * self.H)
+
+    def w_prime(self, gamma, t):
+        r, q = self.r, self.field.params.q
+        p = N_DIM - 2 + 2 * gamma
+        # circle integral of (u_nu - gamma u / r)^2
+        sq_term = self.unu2 - 2.0 * gamma / r * self.uunu + (gamma / r) ** 2 * self.H
+        return (
+            2.0 / r**p * sq_term
+            + (2.0 - t) / (q * r**p) * self.f_circle
+            + ((N_DIM - 2) * t - 2 * N_DIM + 2 * gamma * (t - q)) / (q * r ** (p + 1)) * self.f_bulk
+        )
 
 
-def eval_Dt(field: PlanarField, x0, r, t, n_theta=N_THETA, n_rho=N_RHO_PANELS) -> float:
-    """D_t = integral over B_r of |grad u|^2 - (t/q) F(u)."""
-    x0 = _check_ball(x0, r)
-    dgrad, df = _bulk_integrals(field, x0, r, n_theta, n_rho)
-    return float(dgrad - t / field.params.q * df)
+def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
+    """One quadrature pass over the radii (any shape and order, repeats allowed).
 
-
-def eval_Nt(field: PlanarField, x0, r, t, n_theta=N_THETA, n_rho=N_RHO_PANELS) -> float:
-    """Frequency-like quotient r * D_t / H; needs H above its noise floor."""
-    H = eval_H(field, x0, r, n_theta)
-    if H <= h_floor(field, r):
-        raise DegenerateSphereError(f"H({r}) = {H} below floor; x0 is a high-order zero")
-    D = eval_Dt(field, x0, r, t, n_theta, n_rho)
-    return float(r * D / H)
-
-
-def eval_W(field: PlanarField, x0, r, gamma, t, n_theta=N_THETA, n_rho=N_RHO_PANELS) -> float:
-    D = eval_Dt(field, x0, r, t, n_theta, n_rho)
-    H = eval_H(field, x0, r, n_theta)
-    return float(r ** -(N_DIM - 2 + 2 * gamma) * D - gamma * r ** -(N_DIM - 1 + 2 * gamma) * H)
-
-
-def w_vs_frequency_residual(field, x0, r, gamma, t, n_theta=N_THETA, n_rho=N_RHO_PANELS):
-    """Residual of W = H r^(-(N-1+2 gamma)) (N_t - gamma), relative."""
-    H = eval_H(field, x0, r, n_theta)
-    if H <= h_floor(field, r):
-        raise DegenerateSphereError(f"H({r}) below floor")
-    D = eval_Dt(field, x0, r, t, n_theta, n_rho)
-    W = r ** -(N_DIM - 2 + 2 * gamma) * D - gamma * r ** -(N_DIM - 1 + 2 * gamma) * H
-    rhs = H * r ** -(N_DIM - 1 + 2 * gamma) * (r * D / H - gamma)
-    return abs(W - rhs) / (1.0 + abs(W))
-
-
-def eval_Phi(field: PlanarField, x0, r, gamma, n_theta=N_THETA, n_rho=N_RHO_PANELS) -> float:
-    """Nonnegative bulk term (2N-(N-2)q)/(q r^(N-1+2 gamma)) * int_{B_r} F."""
-    x0 = _check_ball(x0, r)
-    _, df = _bulk_integrals(field, x0, r, n_theta, n_rho)
-    q = field.params.q
-    coeff = (2 * N_DIM - (N_DIM - 2) * q) / (q * r ** (N_DIM - 1 + 2 * gamma))
-    return float(coeff * df)
-
-
-def h1_norm(field: PlanarField, x0, r, n_theta=N_THETA, n_rho=N_RHO_PANELS) -> float:
-    """Scale-invariant H^1 norm: sqrt(r^(2-N) int |grad u|^2 + r^(1-N) int_S u^2)."""
-    x0 = _check_ball(x0, r)
-    dgrad, _ = _bulk_integrals(field, x0, r, n_theta, n_rho)
-    H = eval_H(field, x0, r, n_theta)
-    return float(np.sqrt(r ** -(N_DIM - 2) * dgrad + r ** -(N_DIM - 1) * H))
-
-
-def trace(field, functional, x0, radii, gamma=None, t=None, n_theta=N_THETA, n_rho=N_RHO_PANELS):
-    """Sample one functional on a radius ladder; returns a FunctionalTrace."""
+    Each distinct radius r_i costs one ring, plus GL_NODES rings on the
+    annulus below it when ``bulk`` is set; rings are evaluated one annulus
+    at a time.
+    """
+    x0 = np.asarray(x0, dtype=float)
     radii = np.asarray(radii, dtype=float)
-    vals = []
-    for r in radii:
-        if functional == "H":
-            vals.append(eval_H(field, x0, r, n_theta))
-        elif functional == "D":
-            vals.append(eval_Dt(field, x0, r, t, n_theta, n_rho))
-        elif functional == "N":
-            vals.append(eval_Nt(field, x0, r, t, n_theta, n_rho))
-        elif functional == "W":
-            vals.append(eval_W(field, x0, r, gamma, t, n_theta, n_rho))
-        elif functional == "Phi":
-            vals.append(eval_Phi(field, x0, r, gamma, n_theta, n_rho))
-        elif functional == "h1":
-            vals.append(h1_norm(field, x0, r, n_theta, n_rho))
-        else:
-            raise ValueError(f"unknown functional {functional!r}")
+    rs, back = np.unique(radii, return_inverse=True)
+    if np.any(rs <= 0):
+        raise DomainError(f"radius must be positive, got {rs[0]}")
+    if np.hypot(x0[0], x0[1]) + rs.max(initial=0.0) > 1.0 + 1e-12:
+        raise DomainError(f"ball B_{rs[-1]}({x0}) escapes the unit disk")
+    th = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
+    ct, st = np.cos(th), np.sin(th)
+    dth = 2.0 * np.pi / N_THETA
+    # rows: H, the annulus integrals of |grad u|^2 and F (summed into disk
+    # integrals below), the circle integrals of u_nu^2, u u_nu and F
+    sums = np.zeros((6 if bulk else 1, len(rs)))
+    lo = 0.0
+    for i, r in enumerate(rs):
+        rho = np.append(lo + (r - lo) * _GL_T, r) if bulk else np.array([r])
+        X, Y = x0[0] + np.outer(rho, ct), x0[1] + np.outer(rho, st)
+        if not bulk:
+            sums[0, i] = r * dth * np.sum(field(X, Y) ** 2)
+            continue
+        v, (gx, gy) = field.value_and_grad(X, Y)
+        f = np.sum(eval_F(field.params, v), axis=1)
+        g2 = np.sum(gx * gx + gy * gy, axis=1)
+        w = (r - lo) * _GL_W * rho[:-1] * dth
+        u, unu = v[-1], gx[-1] * ct + gy[-1] * st
+        sums[:, i] = (r * dth * np.sum(u * u), np.dot(w, g2[:-1]), np.dot(w, f[:-1]),
+                      r * dth * np.sum(unu * unu), r * dth * np.sum(u * unu), r * dth * f[-1])
+        lo = r
+    sums[1:3] = np.cumsum(sums[1:3], axis=1)
+    return _Ladder(field, radii, *(row[back].reshape(radii.shape) for row in sums))
+
+
+def eval_H(field: PlanarField, x0, r) -> float:
+    """Integral of u^2 over the circle of radius r around x0."""
+    return float(_ladder(field, x0, r, bulk=False).H)
+
+
+def eval_Dt(field: PlanarField, x0, r, t) -> float:
+    """D_t = integral over B_r of |grad u|^2 - (t/q) F(u)."""
+    return float(_ladder(field, x0, r).D(t))
+
+
+def eval_Nt(field: PlanarField, x0, r, t) -> float:
+    """Frequency-like quotient r * D_t / H; needs H above its noise floor."""
+    return float(_ladder(field, x0, r).N(t))
+
+
+def eval_W(field: PlanarField, x0, r, gamma, t) -> float:
+    return float(_ladder(field, x0, r).W(gamma, t))
+
+
+def w_vs_frequency_residual(field, x0, r, gamma, t):
+    """Residual of W = H r^(-(N-1+2 gamma)) (N_t - gamma), relative."""
+    lad = _ladder(field, x0, r)
+    W = lad.W(gamma, t)
+    rhs = lad.H * r ** -(N_DIM - 1 + 2 * gamma) * (lad.N(t) - gamma)
+    return float(abs(W - rhs) / (1.0 + abs(W)))
+
+
+def eval_Phi(field: PlanarField, x0, r, gamma) -> float:
+    """Nonnegative bulk term (2N-(N-2)q)/(q r^(N-1+2 gamma)) * int_{B_r} F."""
+    return float(_ladder(field, x0, r).Phi(gamma))
+
+
+def h1_norm(field: PlanarField, x0, r) -> float:
+    """Scale-invariant H^1 norm: sqrt(r^(2-N) int |grad u|^2 + r^(1-N) int_S u^2)."""
+    return float(_ladder(field, x0, r).h1())
+
+
+def w_prime_rhs(field, x0, r, gamma, t):
+    """Closed-form derivative of W(gamma, t) with respect to r."""
+    return float(_ladder(field, x0, r).w_prime(gamma, t))
+
+
+_VIEWS = {
+    "H": lambda lad, gamma, t: lad.H,
+    "D": lambda lad, gamma, t: lad.D(t),
+    "N": lambda lad, gamma, t: lad.N(t),
+    "W": lambda lad, gamma, t: lad.W(gamma, t),
+    "Phi": lambda lad, gamma, t: lad.Phi(gamma),
+    "h1": lambda lad, gamma, t: lad.h1(),
+}
+
+
+def trace(field, functional, x0, radii, gamma=None, t=None):
+    """Sample one functional on a radius ladder; returns a FunctionalTrace."""
+    if functional not in _VIEWS:
+        raise ValueError(f"unknown functional {functional!r}")
+    radii = np.asarray(radii, dtype=float)
+    lad = _ladder(field, x0, radii, bulk=functional != "H")
     label = functional
     if gamma is not None:
         label += f" gamma={gamma}"
     if t is not None:
         label += f" t={t}"
-    return FunctionalTrace(radii, np.array(vals), label)
+    return FunctionalTrace(radii, _VIEWS[functional](lad, gamma, t), label)
 
 
-def _sphere_terms(field, x0, r, gamma, n_theta):
-    """Circle integrals of (u_nu - gamma u / r)^2 and F(u)."""
-    th = _theta_nodes(n_theta)
-    ct, st = np.cos(th), np.sin(th)
-    x = x0[0] + r * ct
-    y = x0[1] + r * st
-    v = field(x, y)
-    gx, gy = field.grad(x, y)
-    vnu = gx * ct + gy * st
-    dth = 2.0 * np.pi / n_theta
-    term = r * np.sum((vnu - gamma / r * v) ** 2) * dth
-    fterm = r * np.sum(eval_F(field.params, v)) * dth
-    return term, fterm
-
-
-def w_prime_rhs(field, x0, r, gamma, t, n_theta=N_THETA, n_rho=N_RHO_PANELS):
-    """Closed-form derivative of W(gamma, t) with respect to r."""
-    x0 = _check_ball(x0, r)
-    q = field.params.q
-    sq_term, f_circle = _sphere_terms(field, x0, r, gamma, n_theta)
-    _, f_bulk = _bulk_integrals(field, x0, r, n_theta, n_rho)
-    p = N_DIM - 2 + 2 * gamma
-    return (
-        2.0 / r**p * sq_term
-        + (2.0 - t) / (q * r**p) * f_circle
-        + ((N_DIM - 2) * t - 2 * N_DIM + 2 * gamma * (t - q)) / (q * r ** (p + 1)) * f_bulk
-    )
-
-
-def check_derivative_identities(field, x0, radii, gamma, t, n_theta=N_THETA, n_rho=N_RHO_PANELS):
+def check_derivative_identities(field, x0, radii, gamma, t):
     """Compare centered finite differences of H and W against their closed forms.
 
     Returns a report dict with the max relative residuals over the ladder:
@@ -239,33 +260,24 @@ def check_derivative_identities(field, x0, radii, gamma, t, n_theta=N_THETA, n_r
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radius ladder must be strictly increasing")
-    q = field.params.q
-    res_h = []
-    res_w = []
-    for r in radii:
-        step = 1e-4 * r
-        hp = (eval_H(field, x0, r + step, n_theta) - eval_H(field, x0, r - step, n_theta)) / (2 * step)
-        H = eval_H(field, x0, r, n_theta)
-        Dq = eval_Dt(field, x0, r, q, n_theta, n_rho)
-        rhs = (N_DIM - 1) / r * H + 2.0 * Dq
-        res_h.append(abs(hp - rhs) / (1.0 + abs(hp)))
-
-        wp = (
-            eval_W(field, x0, r + step, gamma, t, n_theta, n_rho)
-            - eval_W(field, x0, r - step, gamma, t, n_theta, n_rho)
-        ) / (2 * step)
-        rhs_w = w_prime_rhs(field, x0, r, gamma, t, n_theta, n_rho)
-        res_w.append(abs(wp - rhs_w) / (1.0 + abs(wp)))
+    step = 1e-4 * radii
+    # rows r - step, r, r + step, so H[1] is H(r) and H[2] - H[0] its difference
+    lad = _ladder(field, x0, np.stack([radii - step, radii, radii + step]))
+    H, W = lad.H, lad.W(gamma, t)
+    hp = (H[2] - H[0]) / (2 * step)
+    rhs = (N_DIM - 1) / radii * H[1] + 2.0 * lad.D(field.params.q)[1]
+    wp = (W[2] - W[0]) / (2 * step)
+    rhs_w = lad.w_prime(gamma, t)[1]
     return {
-        "H_prime_max_residual": float(np.max(res_h)),
-        "W_prime_max_residual": float(np.max(res_w)),
+        "H_prime_max_residual": float(np.max(np.abs(hp - rhs) / (1.0 + np.abs(hp)))),
+        "W_prime_max_residual": float(np.max(np.abs(wp - rhs_w) / (1.0 + np.abs(wp)))),
         "radii": radii.tolist(),
         "gamma": gamma,
         "t": t,
     }
 
 
-def monotonicity_scan(field, x0, gamma, radii, n_theta=N_THETA, n_rho=N_RHO_PANELS):
+def monotonicity_scan(field, x0, gamma, radii):
     """Check that W(gamma, 2) is nondecreasing along the ladder.
 
     Only meaningful for gamma >= 2/(2-q); smaller gamma raises a
@@ -276,17 +288,16 @@ def monotonicity_scan(field, x0, gamma, radii, n_theta=N_THETA, n_rho=N_RHO_PANE
     if gamma < gq - 1e-12:
         raise PreconditionError(f"gamma={gamma} below critical homogeneity {gq}")
     radii = np.asarray(radii, dtype=float)
-    ws = [eval_W(field, x0, r, gamma, 2.0, n_theta, n_rho) for r in radii]
-    for j in range(len(ws) - 1):
-        tol = 1e-6 * (1.0 + abs(ws[j]))
-        if ws[j + 1] < ws[j] - tol:
-            return {"verdict": "violation", "radius": float(radii[j + 1]),
-                    "drop": float(ws[j] - ws[j + 1]), "values": ws}
-    return {"verdict": "monotone", "values": ws}
+    ws = _ladder(field, x0, radii).W(gamma, 2.0)
+    drops = np.flatnonzero(ws[1:] < ws[:-1] - 1e-6 * (1.0 + np.abs(ws[:-1])))
+    if len(drops):
+        j = drops[0]
+        return {"verdict": "violation", "radius": float(radii[j + 1]),
+                "drop": float(ws[j] - ws[j + 1]), "values": ws.tolist()}
+    return {"verdict": "monotone", "values": ws.tolist()}
 
 
-def transition_exponent(field, x0, gammas, radii, n_theta=N_THETA, n_rho=N_RHO_PANELS,
-                        eps_u=1e-6, slope_tol=0.02):
+def transition_exponent(field, x0, gammas, radii):
     """Bracket the exponent where W(gamma, 2; r -> 0) switches to -infinity.
 
     For each gamma on the grid the small-r trend of W is classified on the
@@ -297,19 +308,11 @@ def transition_exponent(field, x0, gammas, radii, n_theta=N_THETA, n_rho=N_RHO_P
     an ambiguous classification raises InconclusiveError with the bracket.
     """
     x0 = np.asarray(x0, dtype=float)
-    u0 = float(np.abs(field(x0[0], x0[1])))
-    if u0 > eps_u * field.scale():
-        raise PreconditionError(f"|u(x0)| = {u0} too large; x0 is not a nodal point")
+    _require_nodal(field, x0)
     gammas = np.sort(np.asarray(gammas, dtype=float))
     radii = np.sort(np.asarray(radii, dtype=float))
-    # D_2 and H once per radius; W for every gamma is then closed-form
-    DH = [(eval_Dt(field, x0, r, 2.0, n_theta, n_rho), eval_H(field, x0, r, n_theta))
-          for r in radii]
-    W = np.empty((len(gammas), len(radii)))
-    for i, g in enumerate(gammas):
-        for j, r in enumerate(radii):
-            D, H = DH[j]
-            W[i, j] = r ** -(2 * g) * D - g * r ** -(1 + 2 * g) * H
+    lad = _ladder(field, x0, radii)
+    W = np.array([lad.W(g, 2.0) for g in gammas])
     floor = 1e-10 * (1.0 + np.max(np.abs(W)))
     decade = radii <= radii[0] * 10.0 + 1e-300
     if np.count_nonzero(decade) < 3:
@@ -317,15 +320,11 @@ def transition_exponent(field, x0, gammas, radii, n_theta=N_THETA, n_rho=N_RHO_P
         decade[: max(3, len(radii) // 3)] = True
 
     def classify(row):
-        if row[0] > -floor:
-            return "bounded"
         mask = decade & (np.abs(row) > floor)
-        if np.count_nonzero(mask) < 2:
+        if row[0] > -floor or np.count_nonzero(mask) < 2:
             return "bounded"
         slope = np.polyfit(np.log(radii[mask]), np.log(np.abs(row[mask])), 1)[0]
-        if slope < -slope_tol:
-            return "divergent"
-        return "bounded"
+        return "divergent" if slope < -SLOPE_TOL else "bounded"
 
     kinds = [classify(W[i]) for i in range(len(gammas))]
     if "divergent" not in kinds:

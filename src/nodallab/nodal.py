@@ -153,8 +153,7 @@ def detect_singular(field: PlanarField, n: int = 256, radius: float = 1.0,
         raise ValueError("thresholds must be positive")
     xs = np.linspace(-radius, radius, n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    V = np.asarray(field(X, Y), dtype=float)
-    GX, GY = field.grad(X, Y)
+    V, (GX, GY) = field.value_and_grad(X, Y)
     G = np.hypot(np.asarray(GX, dtype=float), np.asarray(GY, dtype=float))
     inside = X * X + Y * Y <= radius * radius
     mask = inside & (np.abs(V) < eps_u) & (G < eps_g)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ClosedFormField, PlanarField
-from .functionals import N_DIM, eval_H, h1_norm, h_floor
+from .functionals import N_DIM, N_THETA, _ladder, _require_nodal, h1_norm, h_floor
 from .params import beta_q, gamma_q
 
 
@@ -24,6 +24,7 @@ class ZeroFieldError(ValueError):
 
 
 SNAP_TOL = 0.15
+FIT_TOL = 0.05  # max log-amplitude misfit, relative, of a leading harmonic
 
 
 @dataclass
@@ -50,19 +51,17 @@ def admissible_orders(params) -> list[float]:
     return [float(d) for d in range(1, beta_q(params) + 1)] + [gamma_q(params)]
 
 
-def estimate_order(field: PlanarField, x0, radii, eps_u=1e-6, n_theta=1024) -> OrderEstimate:
+def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
     """Regression order of the field at a nodal point x0 over a radius ladder."""
     x0 = np.asarray(x0, dtype=float)
     radii = np.sort(np.asarray(radii, dtype=float))
     if len(radii) < 8:
         raise ValueError("ladder needs at least 8 radii")
-    if abs(float(field(x0[0], x0[1]))) > eps_u * field.scale():
-        raise ValueError("x0 is not a nodal point at the requested tolerance")
+    _require_nodal(field, x0)
 
     def fit(rs):
-        hs = np.array([eval_H(field, x0, r, n_theta) for r in rs])
-        floors = np.array([h_floor(field, r) for r in rs])
-        ok = hs > floors
+        hs = _ladder(field, x0, rs, bulk=False).H
+        ok = hs > h_floor(field, rs)
         if not np.any(ok):
             raise ZeroFieldError("H below the noise floor on the whole ladder")
         logr = np.log(rs[ok])
@@ -82,7 +81,7 @@ def estimate_order(field: PlanarField, x0, radii, eps_u=1e-6, n_theta=1024) -> O
         radii = wide
     snapped = best if abs(best - raw) <= SNAP_TOL else "inconclusive"
 
-    norms = np.array([h1_norm(field, x0, r) for r in radii])
+    norms = _ladder(field, x0, radii).h1()
     h1_slope = float(np.polyfit(np.log(radii), np.log(norms + 1e-300), 1)[0])
 
     if snapped != "inconclusive":
@@ -122,18 +121,17 @@ def blow_up(field: PlanarField, x0, r) -> RescaledField:
     return RescaledField(field, x0, r, c)
 
 
-def fourier_on_circle(field, x0, r, max_degree, n_theta=1024):
+def fourier_on_circle(field, x0, r, max_degree):
     """Cosine/sine coefficients of u restricted to the circle of radius r."""
-    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    th = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
     v = field(x0[0] + r * np.cos(th), x0[1] + r * np.sin(th))
-    coeffs = np.fft.rfft(v) / n_theta
+    coeffs = np.fft.rfft(v) / N_THETA
     a = 2.0 * coeffs.real[1: max_degree + 1]
     b = -2.0 * coeffs.imag[1: max_degree + 1]
     return a, b
 
 
-def leading_harmonic(field: PlanarField, x0, radii, max_degree, eps_u=1e-6,
-                     fit_tol=0.05, n_theta=1024):
+def leading_harmonic(field: PlanarField, x0, radii, max_degree):
     """Smallest degree d whose circle Fourier amplitude scales like c * r^d.
 
     Returns {"degree": d, "cos": a, "sin": b, ...} or None when no degree up
@@ -143,12 +141,11 @@ def leading_harmonic(field: PlanarField, x0, radii, max_degree, eps_u=1e-6,
     """
     x0 = np.asarray(x0, dtype=float)
     radii = np.sort(np.asarray(radii, dtype=float))
-    if abs(float(field(x0[0], x0[1]))) > eps_u * field.scale():
-        raise ValueError("x0 is not a nodal point at the requested tolerance")
+    _require_nodal(field, x0)
     amp = np.empty((len(radii), max_degree))
     ab = []
     for i, r in enumerate(radii):
-        a, b = fourier_on_circle(field, x0, r, max_degree, n_theta)
+        a, b = fourier_on_circle(field, x0, r, max_degree)
         amp[i] = np.hypot(a, b)
         ab.append((a, b))
     noise = 1e-8 * field.scale()
@@ -163,7 +160,7 @@ def leading_harmonic(field: PlanarField, x0, radii, max_degree, eps_u=1e-6,
         slope, intercept = np.polyfit(logr, logm, 1)
         fit = slope * logr + intercept
         rel_err = float(np.max(np.abs(logm - fit))) / max(1.0, abs(float(np.mean(logm))))
-        if abs(slope - d) < 0.1 and rel_err < fit_tol:
+        if abs(slope - d) < 0.1 and rel_err < FIT_TOL:
             a_mid, b_mid = ab[len(radii) // 2]
             c = float(np.exp(intercept))
             return {

@@ -65,6 +65,20 @@ def test_analyze_missing_input(tmp_path):
                "--out", str(tmp_path)) == 3
 
 
+@pytest.mark.parametrize("body", [
+    "NODALLAB v1 profile\nq=1\nlambda_plus=1\nlambda_minus=1\nmu=1\n"
+    "n_theta=4\n0 1 0 -1\n1 0 -1 0\n",
+    "NODALLAB v1 grid\nn=2\n0 1\n1 0\n",
+])
+def test_analyze_rejected_values_exit_3(tmp_path, capsys, body):
+    # well-formed files whose values the field constructors reject
+    path = tmp_path / "in.txt"
+    path.write_text(body)
+    assert run("analyze", "--input", str(path), "--out", str(tmp_path / "an")) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: line ") and len(err.splitlines()) == 1
+
+
 def test_verify_recurrences(tmp_path):
     assert run("verify", "--suite", "recurrences", "--q", "1.5",
                "--out", str(tmp_path)) == 0

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nodallab.fields import (
     AngularProfile, ClosedFormField, DomainError, GridField, HomogeneousField,
     NodalSet, ParseError, load, monomial_field, save,
 )
+from nodallab.orders import RescaledField
 from nodallab.params import ProblemParams
 
 
@@ -79,6 +81,8 @@ def test_grid_field_eval_and_grad():
         f(1.5, 0.0)
     with pytest.raises(ValueError):
         GridField(np.zeros((4, 5)))
+    with pytest.raises(ValueError):
+        GridField(np.zeros((2, 2)))  # too small for the one-sided stencils
 
 
 def test_profile_roundtrip_bit_exact(tmp_path):
@@ -132,6 +136,13 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     bad.write_text("")
     with pytest.raises(ParseError):
         load(bad)
+    # well-formed lines whose values the constructors reject
+    bad.write_text("NODALLAB v1 profile\nn_theta=4\n1 2 3 4\n1 2 3 4\n")
+    with pytest.raises(ParseError, match="line 3: profile needs at least 16"):
+        load(bad)
+    bad.write_text("NODALLAB v1 grid\nn=2\n0 1\n1 0\n")
+    with pytest.raises(ParseError, match="line 3: grid needs at least 3"):
+        load(bad)
 
 
 def test_nodal_set_csv(tmp_path):
@@ -146,3 +157,45 @@ def test_nodal_set_csv(tmp_path):
 def test_closed_form_field_scale():
     f = ClosedFormField(lambda x, y: 3.0 * x, lambda x, y: (3.0, 0.0))
     assert abs(f.scale() - 2.1) < 1e-12  # max |3x| on the r=0.7 circle
+
+
+def _old_homogeneous_grad(f, x, y):
+    """Reference: the polar gradient with separate value and slope lookups."""
+    r, th = np.hypot(x, y), np.arctan2(y, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u_r = f.gamma * r ** (f.gamma - 1.0) * f.profile(th)
+        u_t_over_r = r ** (f.gamma - 1.0) * f.profile.prime(th)
+    u_r = np.where(r > 0, u_r, 0.0)
+    u_t_over_r = np.where(r > 0, u_t_over_r, 0.0)
+    ct, st_ = np.cos(th), np.sin(th)
+    return u_r * ct - u_t_over_r * st_, u_r * st_ + u_t_over_r * ct
+
+
+def _every_field_class():
+    homog = HomogeneousField(2.5, cos2_profile(64), ProblemParams(q=1.2))
+    return [monomial_field(3), homog, GridField.sample(monomial_field(2), 33),
+            RescaledField(homog, (0.1, 0.0), 0.5, 2.0)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(r=st.floats(0.0, 0.95), th=st.floats(-np.pi, np.pi), n=st.integers(1, 5))
+def test_value_and_grad_matches_separate_calls(r, th, n):
+    x = np.full(n, r * np.cos(th)) * np.linspace(0.5, 1.0, n)
+    y = np.full(n, r * np.sin(th)) * np.linspace(0.5, 1.0, n)
+    for f in _every_field_class():
+        v, (gx, gy) = f.value_and_grad(x, y)
+        assert np.array_equal(v, f(x, y))
+        assert all(np.array_equal(a, b) for a, b in zip((gx, gy), f.grad(x, y)))
+        if isinstance(f, HomogeneousField):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip((gx, gy), _old_homogeneous_grad(f, x, y)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(th=st.floats(-10.0, 10.0), seed=st.integers(0, 2**16))
+def test_catmull_rom_periodic(th, seed):
+    rng = np.random.default_rng(seed)
+    prof = AngularProfile(rng.standard_normal(64), rng.standard_normal(64))
+    # equal up to the rounding of theta + 2 pi itself
+    assert abs(prof(th + 2 * np.pi) - prof(th)) < 1e-11
+    assert abs(prof.prime(th + 2 * np.pi) - prof.prime(th)) < 1e-11

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nodallab.construct import construct_uk
 from nodallab.fields import ClosedFormField, DomainError, monomial_field
 from nodallab.functionals import (
     DegenerateSphereError, FunctionalTrace, InconclusiveError,
@@ -85,6 +87,14 @@ def test_degenerate_sphere():
         eval_Nt(zero, ORIGIN, 0.5, 2.0)
 
 
+def test_h_floor_scales_with_field():
+    # a tiny field is not a degenerate one: the floor moves with its scale
+    m = monomial_field(2)
+    tiny = ClosedFormField(lambda x, y: 1e-10 * m(x, y),
+                           lambda x, y: tuple(1e-10 * g for g in m.grad(x, y)))
+    assert abs(eval_Nt(tiny, ORIGIN, 0.7, 2.0) - 2.0) < 1e-9
+
+
 def test_w_frequency_consistency():
     f = monomial_field(2)
     assert w_vs_frequency_residual(f, ORIGIN, 0.6, 2.0, 2.0) < 1e-12
@@ -141,3 +151,24 @@ def test_transition_exponent_inconclusive():
     with pytest.raises(PreconditionError):
         # centered away from the nodal set
         transition_exponent(f, (0.5, 0.0), np.array([1.5, 2.5]), radii)
+
+
+@pytest.fixture(scope="module")
+def uk_q1():
+    return construct_uk(ProblemParams(q=1.0), 5).to_field()
+
+
+@settings(max_examples=20, deadline=None)
+@given(radii=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6, unique=True).map(sorted),
+       which=st.sampled_from(["uk", "mono2", "mono3"]))
+def test_ladder_matches_single_radii(uk_q1, radii, which):
+    # the radial integrands are polynomials here, so every Gauss-Legendre
+    # panel split integrates them exactly and only rounding differs
+    f = {"uk": uk_q1, "mono2": monomial_field(2), "mono3": monomial_field(3)}[which]
+    gamma = 2.5
+    for name, one in (("H", lambda r: eval_H(f, ORIGIN, r)),
+                      ("D", lambda r: eval_Dt(f, ORIGIN, r, 2.0)),
+                      ("W", lambda r: eval_W(f, ORIGIN, r, gamma, 2.0))):
+        ladder = trace(f, name, ORIGIN, radii, gamma=gamma, t=2.0).values
+        single = np.array([one(r) for r in radii])
+        assert np.allclose(ladder, single, rtol=1e-12, atol=0.0), name
