@@ -220,7 +220,8 @@ class GridField(PlanarField):
         g[tuple(s1)] = last
         return g
 
-    def _bilinear(self, arr, x, y):
+    def _weights(self, x, y):
+        """Lower-left cell indices and in-cell offsets of the points, for ``_blend``."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if np.any(np.abs(x) > 1 + 1e-12) or np.any(np.abs(y) > 1 + 1e-12):
@@ -229,8 +230,11 @@ class GridField(PlanarField):
         fy = np.clip((y + 1.0) / self.h, 0, self.n - 1 - 1e-12)
         i = fx.astype(int)
         j = fy.astype(int)
-        sx = fx - i
-        sy = fy - j
+        return i, j, fx - i, fy - j
+
+    @staticmethod
+    def _blend(arr, i, j, sx, sy):
+        # bilinear interpolation of the samples arr at the weighted points
         v00 = arr[i, j]
         v10 = arr[i + 1, j]
         v01 = arr[i, j + 1]
@@ -243,10 +247,15 @@ class GridField(PlanarField):
         )
 
     def __call__(self, x, y):
-        return self._bilinear(self.values, x, y)
+        return self._blend(self.values, *self._weights(x, y))
 
     def grad(self, x, y):
-        return self._bilinear(self._gx, x, y), self._bilinear(self._gy, x, y)
+        w = self._weights(x, y)
+        return self._blend(self._gx, *w), self._blend(self._gy, *w)
+
+    def value_and_grad(self, x, y):
+        w = self._weights(x, y)
+        return self._blend(self.values, *w), (self._blend(self._gx, *w), self._blend(self._gy, *w))
 
     @classmethod
     def sample(cls, f: PlanarField, n: int, params=None):

@@ -19,31 +19,41 @@ class DataError(ValueError):
     """Field produced non-finite samples on the extraction grid."""
 
 
-def _edge_zero(p1, p2, v1, v2):
-    # linear interpolation of the zero crossing between two corner samples
-    t = v1 / (v1 - v2)
-    return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
+# corner offsets (di, dj) of the cell edges b, t, l, r, in the order their
+# crossings are listed: bottom (0,0)-(1,0), top (0,1)-(1,1), left (0,0)-(0,1),
+# right (1,0)-(1,1)
+_EDGES = (((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 0), (0, 1)), ((1, 0), (1, 1)))
+_B, _T, _L, _R = range(4)
 
 
-def _clip_segment_to_disk(a, b, radius):
-    """Portion of segment ab inside the disk of the given radius, or None."""
-    ax, ay = a
-    dx, dy = b[0] - ax, b[1] - ay
-    # solve |a + t d|^2 = radius^2 for t in [0, 1]
+def _clip_to_disk(seg, radius):
+    """Portions inside the disk of the given radius of the rows (x1, y1, x2, y2).
+
+    Solves |a + t d|^2 = radius^2 for t in [0, 1] per segment. A segment with no
+    proper chord through the disk (zero length, a tangent or missing line, or
+    roots outside [0, 1]) is kept whole when its start lies inside and dropped
+    otherwise. Row order is kept.
+    """
+    ax, ay = seg[:, 0], seg[:, 1]
+    dx, dy = seg[:, 2] - ax, seg[:, 3] - ay
     A = dx * dx + dy * dy
     B = 2.0 * (ax * dx + ay * dy)
     C = ax * ax + ay * ay - radius * radius
-    if A == 0.0:
-        return (a, b) if C <= 0.0 else None
     disc = B * B - 4.0 * A * C
-    if disc <= 0.0:
-        return (a, b) if C <= 0.0 else None
-    s = np.sqrt(disc)
-    t0 = max(0.0, (-B - s) / (2.0 * A))
-    t1 = min(1.0, (-B + s) / (2.0 * A))
-    if t0 >= t1:
-        return (a, b) if C <= 0.0 else None
-    return ((ax + t0 * dx, ay + t0 * dy), (ax + t1 * dx, ay + t1 * dy))
+    cut = np.flatnonzero((A != 0.0) & (disc > 0.0))
+    s = np.sqrt(disc[cut])
+    t0 = (-B[cut] - s) / (2.0 * A[cut])
+    t1 = (-B[cut] + s) / (2.0 * A[cut])
+    t0 = np.where(t0 > 0.0, t0, 0.0)
+    t1 = np.where(t1 < 1.0, t1, 1.0)
+    chord = t0 < t1
+    cut, t0, t1 = cut[chord], t0[chord], t1[chord]
+    out = seg.copy()
+    out[cut] = np.column_stack((ax[cut] + t0 * dx[cut], ay[cut] + t0 * dy[cut],
+                                ax[cut] + t1 * dx[cut], ay[cut] + t1 * dy[cut]))
+    keep = C <= 0.0
+    keep[cut] = True
+    return out[keep]
 
 
 def extract_nodal_set(field: PlanarField, n: int, radius: float = 1.0) -> NodalSet:
@@ -57,68 +67,53 @@ def extract_nodal_set(field: PlanarField, n: int, radius: float = 1.0) -> NodalS
         raise DataError("field is non-finite on the extraction grid")
 
     h = xs[1] - xs[0]
-    segments = []
-    # walk cells whose four corners lie inside the disk
+    # cells whose four corners lie inside the disk and whose signs are mixed
     R2 = radius * radius
     inside = X * X + Y * Y <= R2 + 1e-15
-    for i in range(n - 1):
-        for j in range(n - 1):
-            if not (inside[i, j] and inside[i + 1, j]
-                    and inside[i, j + 1] and inside[i + 1, j + 1]):
-                continue
-            v00 = V[i, j]
-            v10 = V[i + 1, j]
-            v01 = V[i, j + 1]
-            v11 = V[i + 1, j + 1]
-            s00, s10, s01, s11 = v00 > 0, v10 > 0, v01 > 0, v11 > 0
-            if s00 == s10 == s01 == s11:
-                continue
-            p00 = (xs[i], xs[j])
-            p10 = (xs[i + 1], xs[j])
-            p01 = (xs[i], xs[j + 1])
-            p11 = (xs[i + 1], xs[j + 1])
-            crossings = []
-            if s00 != s10:
-                crossings.append(("b", _edge_zero(p00, p10, v00, v10)))
-            if s01 != s11:
-                crossings.append(("t", _edge_zero(p01, p11, v01, v11)))
-            if s00 != s01:
-                crossings.append(("l", _edge_zero(p00, p01, v00, v01)))
-            if s10 != s11:
-                crossings.append(("r", _edge_zero(p10, p11, v10, v11)))
-            if len(crossings) == 2:
-                segments.append((crossings[0][1], crossings[1][1]))
-            elif len(crossings) == 4:
-                # saddle cell: pair the crossings using the sign at the center
-                cx, cy = xs[i] + 0.5 * h, xs[j] + 0.5 * h
-                vc = float(field(cx, cy))
-                pts = dict(crossings)
-                if (vc > 0) == s00:
-                    # center agrees with the (0,0) corner: connect b-r and l-t
-                    segments.append((pts["b"], pts["r"]))
-                    segments.append((pts["l"], pts["t"]))
-                else:
-                    segments.append((pts["b"], pts["l"]))
-                    segments.append((pts["r"], pts["t"]))
+    S = V > 0
+    s00, s10, s01, s11 = S[:-1, :-1], S[1:, :-1], S[:-1, 1:], S[1:, 1:]
+    active = (inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
+              & ~((s00 == s10) & (s10 == s01) & (s01 == s11)))
+    i, j = np.nonzero(active)  # row-major cell order
 
-    clipped = []
-    for a, b in segments:
-        seg = _clip_segment_to_disk(a, b, radius)
-        if seg is not None:
-            clipped.append(seg)
-    return NodalSet(segments=clipped, singular_points=[])
+    # crossing flags and linearly interpolated zero crossings on edges b, t, l, r
+    cross = np.empty((len(i), 4), dtype=bool)
+    pts = np.full((len(i), 4, 2), np.nan)
+    for e, ((di1, dj1), (di2, dj2)) in enumerate(_EDGES):
+        cross[:, e] = S[i + di1, j + dj1] != S[i + di2, j + dj2]
+        c = np.flatnonzero(cross[:, e])
+        i1, j1, i2, j2 = i[c] + di1, j[c] + dj1, i[c] + di2, j[c] + dj2
+        v1 = V[i1, j1]
+        t = v1 / (v1 - V[i2, j2])
+        pts[c, e, 0] = xs[i1] + t * (xs[i2] - xs[i1])
+        pts[c, e, 1] = xs[j1] + t * (xs[j2] - xs[j1])
+
+    # up to two segments per cell, as (start edge, end edge) pairs, -1 where
+    # absent; a cell with two crossings joins them in b, t, l, r order
+    pairs = np.full((len(i), 2, 2), -1)
+    pairs[:, 0, 0] = np.argmax(cross, axis=1)
+    pairs[:, 0, 1] = 3 - np.argmax(cross[:, ::-1], axis=1)
+    saddle = np.flatnonzero(cross.all(axis=1))
+    if len(saddle):
+        # saddle cell: pair the crossings using the sign at the center
+        cx = xs[i[saddle]] + 0.5 * h
+        cy = xs[j[saddle]] + 0.5 * h
+        vc = np.asarray(field(cx, cy), dtype=float)
+        agree = (vc > 0) == s00[i[saddle], j[saddle]]
+        # center agrees with the (0,0) corner: connect b-r and l-t, else b-l and r-t
+        pairs[saddle] = np.where(agree[:, None, None], ((_B, _R), (_L, _T)), ((_B, _L), (_R, _T)))
+    cell, slot = np.nonzero(pairs[:, :, 0] >= 0)
+    e = pairs[cell, slot]
+    seg = np.concatenate((pts[cell, e[:, 0]], pts[cell, e[:, 1]]), axis=1)
+
+    x1, y1, x2, y2 = _clip_to_disk(seg, radius).T.tolist()
+    return NodalSet(segments=list(zip(zip(x1, y1), zip(x2, y2))), singular_points=[])
 
 
 def nodal_length(nodal: NodalSet, radius: float) -> float:
     """Total length of the segments clipped to the disk of the given radius."""
-    total = 0.0
-    for a, b in nodal.segments:
-        seg = _clip_segment_to_disk(a, b, radius)
-        if seg is None:
-            continue
-        (x1, y1), (x2, y2) = seg
-        total += float(np.hypot(x2 - x1, y2 - y1))
-    return total
+    seg = _clip_to_disk(np.asarray(nodal.segments, dtype=float).reshape(-1, 4), radius)
+    return float(np.sum(np.hypot(seg[:, 2] - seg[:, 0], seg[:, 3] - seg[:, 1])))
 
 
 def singular_thresholds(field: PlanarField, n: int, radius: float = 1.0):
@@ -163,15 +158,17 @@ def detect_singular(field: PlanarField, n: int = 256, radius: float = 1.0,
     labels, count = ndimage.label(ndimage.binary_dilation(mask, struct), struct)
     labels[~mask] = 0
     h = xs[1] - xs[0]
-    reps = []
     score = np.abs(V) + h * G
-    for lab in range(1, count + 1):
-        idx = np.argwhere(labels == lab)
-        best = idx[np.argmin(score[idx[:, 0], idx[:, 1]])]
-        i, j = int(best[0]), int(best[1])
-        reps.append((float(X[i, j]), float(Y[i, j]),
-                     float(abs(V[i, j])), float(G[i, j])))
-    return reps
+    # sort the labelled pixels by (label, score); the stable sort keeps row-major
+    # order among equal scores, so the first pixel of each label is its first minimum
+    i, j = np.nonzero(labels)
+    lab = labels[i, j]
+    order = np.lexsort((score[i, j], lab))
+    lab = lab[order]
+    best = order[np.flatnonzero(np.diff(lab, prepend=0))]
+    i, j = i[best], j[best]
+    return list(zip(X[i, j].tolist(), Y[i, j].tolist(),
+                    np.abs(V[i, j]).tolist(), G[i, j].tolist()))
 
 
 def profile_zero_structure(profile):

@@ -103,14 +103,19 @@ class RescaledField(ClosedFormField):
         self.c = float(c)
         self.params = base.params
 
+    def _base_points(self, x, y):
+        return self.x0[0] + self.r * np.asarray(x), self.x0[1] + self.r * np.asarray(y)
+
     def __call__(self, x, y):
-        return self.base(self.x0[0] + self.r * np.asarray(x),
-                         self.x0[1] + self.r * np.asarray(y)) / self.c
+        return self.base(*self._base_points(x, y)) / self.c
 
     def grad(self, x, y):
-        gx, gy = self.base.grad(self.x0[0] + self.r * np.asarray(x),
-                                self.x0[1] + self.r * np.asarray(y))
+        gx, gy = self.base.grad(*self._base_points(x, y))
         return self.r / self.c * gx, self.r / self.c * gy
+
+    def value_and_grad(self, x, y):
+        v, (gx, gy) = self.base.value_and_grad(*self._base_points(x, y))
+        return v / self.c, (self.r / self.c * gx, self.r / self.c * gy)
 
 
 def blow_up(field: PlanarField, x0, r) -> RescaledField:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from nodallab.construct import construct_uk
-from nodallab.fields import AngularProfile, ClosedFormField, NodalSet, monomial_field
+from nodallab.fields import (
+    AngularProfile, ClosedFormField, GridField, NodalSet, monomial_field,
+)
 from nodallab.nodal import (
-    DataError, detect_singular, extract_nodal_set, nodal_length,
-    profile_zero_structure,
+    DataError, _clip_to_disk, detect_singular, extract_nodal_set, nodal_length,
+    profile_zero_structure, singular_thresholds,
 )
 from nodallab.params import ProblemParams
 
@@ -13,6 +17,125 @@ from nodallab.params import ProblemParams
 @pytest.fixture(scope="module")
 def uk_q1():
     return construct_uk(ProblemParams(q=1.0), 5).to_field()
+
+
+# ---------------------------------------------------------------------------
+# references: the cell-by-cell marching squares, scalar disk clip and
+# per-cluster representative scan that the vectorised code replaced
+# ---------------------------------------------------------------------------
+
+
+def _edge_zero_ref(p1, p2, v1, v2):
+    t = v1 / (v1 - v2)
+    return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
+
+
+def _clip_ref(a, b, radius):
+    ax, ay = a
+    dx, dy = b[0] - ax, b[1] - ay
+    A = dx * dx + dy * dy
+    B = 2.0 * (ax * dx + ay * dy)
+    C = ax * ax + ay * ay - radius * radius
+    if A == 0.0:
+        return (a, b) if C <= 0.0 else None
+    disc = B * B - 4.0 * A * C
+    if disc <= 0.0:
+        return (a, b) if C <= 0.0 else None
+    s = np.sqrt(disc)
+    t0 = max(0.0, (-B - s) / (2.0 * A))
+    t1 = min(1.0, (-B + s) / (2.0 * A))
+    if t0 >= t1:
+        return (a, b) if C <= 0.0 else None
+    return ((ax + t0 * dx, ay + t0 * dy), (ax + t1 * dx, ay + t1 * dy))
+
+
+def _extract_ref(field, n, radius=1.0):
+    xs = np.linspace(-radius, radius, n)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    V = np.asarray(field(X, Y), dtype=float)
+    h = xs[1] - xs[0]
+    segments = []
+    inside = X * X + Y * Y <= radius * radius + 1e-15
+    for i in range(n - 1):
+        for j in range(n - 1):
+            if not (inside[i, j] and inside[i + 1, j]
+                    and inside[i, j + 1] and inside[i + 1, j + 1]):
+                continue
+            v00, v10, v01, v11 = V[i, j], V[i + 1, j], V[i, j + 1], V[i + 1, j + 1]
+            s00, s10, s01, s11 = v00 > 0, v10 > 0, v01 > 0, v11 > 0
+            if s00 == s10 == s01 == s11:
+                continue
+            p00, p10 = (xs[i], xs[j]), (xs[i + 1], xs[j])
+            p01, p11 = (xs[i], xs[j + 1]), (xs[i + 1], xs[j + 1])
+            crossings = []
+            if s00 != s10:
+                crossings.append(("b", _edge_zero_ref(p00, p10, v00, v10)))
+            if s01 != s11:
+                crossings.append(("t", _edge_zero_ref(p01, p11, v01, v11)))
+            if s00 != s01:
+                crossings.append(("l", _edge_zero_ref(p00, p01, v00, v01)))
+            if s10 != s11:
+                crossings.append(("r", _edge_zero_ref(p10, p11, v10, v11)))
+            if len(crossings) == 2:
+                segments.append((crossings[0][1], crossings[1][1]))
+            elif len(crossings) == 4:
+                vc = float(field(xs[i] + 0.5 * h, xs[j] + 0.5 * h))
+                pts = dict(crossings)
+                if (vc > 0) == s00:
+                    segments += [(pts["b"], pts["r"]), (pts["l"], pts["t"])]
+                else:
+                    segments += [(pts["b"], pts["l"]), (pts["r"], pts["t"])]
+    clipped = [_clip_ref(a, b, radius) for a, b in segments]
+    return [seg for seg in clipped if seg is not None]
+
+
+def _length_ref(segments, radius):
+    total = 0.0
+    for a, b in segments:
+        seg = _clip_ref(a, b, radius)
+        if seg is not None:
+            (x1, y1), (x2, y2) = seg
+            total += float(np.hypot(x2 - x1, y2 - y1))
+    return total
+
+
+def _detect_singular_ref(field, n):
+    eps_u, eps_g = singular_thresholds(field, n)
+    xs = np.linspace(-1.0, 1.0, n)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    V, (GX, GY) = field.value_and_grad(X, Y)
+    G = np.hypot(GX, GY)
+    mask = (X * X + Y * Y <= 1.0) & (np.abs(V) < eps_u) & (G < eps_g)
+    struct = np.ones((3, 3), dtype=int)
+    labels, count = ndimage.label(ndimage.binary_dilation(mask, struct), struct)
+    labels[~mask] = 0
+    score = np.abs(V) + (xs[1] - xs[0]) * G
+    reps = []
+    for lab in range(1, count + 1):
+        idx = np.argwhere(labels == lab)
+        i, j = idx[np.argmin(score[idx[:, 0], idx[:, 1]])]
+        reps.append((float(X[i, j]), float(Y[i, j]), float(abs(V[i, j])), float(G[i, j])))
+    return reps
+
+
+def _bits(segments):
+    return np.asarray(segments, dtype=float).tobytes()
+
+
+def _rotated_monomial(d, alpha):
+    rot = np.exp(-1j * alpha)
+    return ClosedFormField(lambda x, y: np.real(((x + 1j * y) * rot) ** d),
+                           lambda x, y: (0 * x, 0 * y))
+
+
+def _egg_crate(a, phase):
+    # products of sines: every crossing of the two line families is a saddle cell
+    return ClosedFormField(
+        lambda x, y: np.sin(a * np.pi * x + phase) * np.sin(a * np.pi * y + 2 * phase),
+        lambda x, y: (0 * x, 0 * y))
+
+
+CIRCLE = ClosedFormField(lambda x, y: x * x + y * y - 0.25, lambda x, y: (2 * x, 2 * y))
 
 
 def test_diameter_length():
@@ -103,3 +226,84 @@ def test_profile_zero_structure_degenerate():
     got = profile_zero_structure(AngularProfile(np.zeros(32), np.zeros(32)))
     assert got["zeros"] == []
     assert got["degenerate"]
+
+
+@pytest.mark.parametrize("case", ["monomial-1", "monomial-2", "circle", "egg-crate",
+                                  "uk-q1", "uk-q1-r0.6", "monomial-2-r0.45", "no-zero"])
+def test_extract_matches_cell_loop(case, uk_q1):
+    field, n, radius = {
+        "monomial-1": (monomial_field(1), 128, 1.0),
+        "monomial-2": (monomial_field(2), 129, 1.0),
+        "circle": (CIRCLE, 100, 1.0),
+        "egg-crate": (_egg_crate(6.0, 0.3), 256, 1.0),
+        "uk-q1": (uk_q1, 256, 1.0),
+        "uk-q1-r0.6": (uk_q1, 200, 0.6),
+        "monomial-2-r0.45": (monomial_field(2), 64, 0.45),
+        "no-zero": (ClosedFormField(lambda x, y: 1.0 + x * x, lambda x, y: (2 * x, 0 * y)), 64, 1.0),
+    }[case]
+    got = extract_nodal_set(field, n, radius).segments
+    want = _extract_ref(field, n, radius)
+    assert got == want
+    assert _bits(got) == _bits(want)  # also tells -0.0 from 0.0
+    assert all(type(v) is float for seg in got for p in seg for v in p)
+    for rho in (0.25, 0.5, 1.0):
+        assert nodal_length(NodalSet(got), rho) == pytest.approx(_length_ref(want, rho),
+                                                                 rel=1e-12, abs=0.0)
+
+
+def test_egg_crate_has_saddle_cells():
+    # the egg-crate case above exercises the vector saddle lookup on both pairings
+    n = 256
+    xs = np.linspace(-1.0, 1.0, n)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    S = _egg_crate(6.0, 0.3)(X, Y) > 0
+    saddle = (S[:-1, :-1] == S[1:, 1:]) & (S[1:, :-1] == S[:-1, 1:]) & (S[:-1, :-1] != S[1:, :-1])
+    assert np.count_nonzero(saddle) >= 100
+
+
+@pytest.mark.parametrize("a, b, radius", [
+    ((2.0, 2.0), (3.0, 1.0), 1.0),      # wholly outside: dropped
+    ((-1.0, 0.5), (1.0, 0.5), 0.5),     # tangent line, disc == 0, start outside: dropped
+    ((-0.5, 0.5), (0.5, 0.5), 0.5),     # tangent chord ending on the circle: dropped
+    ((0.1, 0.2), (0.1, 0.2), 0.5),      # zero length inside: kept whole
+    ((0.9, 0.0), (0.9, 0.0), 0.5),      # zero length outside: dropped
+    ((0.1, -0.1), (0.2, 0.3), 0.5),     # wholly inside: both roots outside [0, 1]
+    ((-2.0, 0.1), (2.0, 0.2), 1.0),     # crosses the disk: clipped at both ends
+    ((0.0, 0.0), (3.0, 0.0), 1.0),      # leaves the disk: clipped at the end
+    ((1.5, 0.0), (2.5, 0.0), 1.0),      # on a secant line, beyond the disk: t0 >= t1
+])
+def test_clip_to_disk_matches_scalar_clip(a, b, radius):
+    want = _clip_ref(a, b, radius)
+    got = _clip_to_disk(np.array([[*a, *b]]), radius)
+    if want is None:
+        assert got.shape == (0, 4)
+    else:
+        assert got.tolist() == [[*want[0], *want[1]]]
+    assert nodal_length(NodalSet([(a, b)]), radius) == _length_ref([(a, b)], radius)
+
+
+@settings(max_examples=25, deadline=None)
+@given(radius=st.floats(0.3, 1.0), n=st.integers(64, 160),
+       kind=st.sampled_from(["monomial", "egg-crate"]), d=st.integers(1, 5),
+       alpha=st.floats(0.0, 2 * np.pi))
+def test_segments_stay_in_disk(radius, n, kind, d, alpha):
+    field = _rotated_monomial(d, alpha) if kind == "monomial" else _egg_crate(d + 1.5, alpha)
+    seg = np.asarray(extract_nodal_set(field, n, radius).segments, dtype=float)
+    assert len(seg) > 0
+    assert np.all(np.hypot(seg[..., 0], seg[..., 1]) <= radius * (1 + 1e-12))
+
+
+def test_detect_singular_matches_cluster_scan(uk_q1):
+    bowl = ClosedFormField(lambda x, y: x * x + y * y, lambda x, y: (2 * x, 2 * y))
+    # four grid points tie for the minimum around the origin: the first in
+    # row-major order is the representative
+    got = detect_singular(bowl, 128)
+    assert got == _detect_singular_ref(bowl, 128)
+    xs = np.linspace(-1.0, 1.0, 128)
+    assert got[0][:2] == (xs[63], xs[63])
+    assert detect_singular(uk_q1, 256) == _detect_singular_ref(uk_q1, 256)
+    grid = GridField.sample(construct_uk(ProblemParams(q=1.5, lambda_minus=2.5), 10).to_field(),
+                            513)
+    got = detect_singular(grid, 256)
+    assert 8 <= len(got) <= 17  # spurious clusters along the flat nodal rays
+    assert got == _detect_singular_ref(grid, 256)
