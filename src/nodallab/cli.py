@@ -239,6 +239,9 @@ def cmd_verify(args):
         print(f"error: unknown suite {args.suite!r}; have "
               f"{sorted(SUITES)}", file=sys.stderr)
         return EXIT_IO
+    if args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_IO
     names = [args.suite] if args.suite else list(SUITES)
     checks = []
     for name in names:

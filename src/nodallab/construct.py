@@ -20,6 +20,7 @@ diagnostics.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,7 +250,12 @@ def construct_uk(params: ProblemParams, k: int, n: int = 2048) -> MatchingResult
         raise ConstructionError(
             f"Psi has no sign change on the bracket: Psi({a})={fa}, Psi({b})={fb}; "
             "k may be too small or the arc solver failed")
-    t_bar = brentq(lambda t: psi(params, k, t, n), a, b, xtol=1e-10 * T)
+    ends = {a: fa, b: fb}  # brentq starts by evaluating both bracket ends
+
+    def mismatch(t):
+        return ends[t] if t in ends else psi(params, k, t, n)
+
+    t_bar = brentq(mismatch, a, b, xtol=1e-10 * T)
 
     plus = minimize_arc(params, t_bar, T, "plus", n)
     minus = minimize_arc(params, t_bar, T, "minus", n)
@@ -327,48 +333,49 @@ def hamiltonian(params: ProblemParams, w, wp):
             + params.mu * params.lambda_minus / q * np.clip(-w, 0.0, None) ** q)
 
 
-def _region_force(params, w, s):
-    """Smooth extension of the force of the region with sign s (+1 or -1)."""
-    q = params.q
-    lam = params.lambda_plus if s > 0 else params.lambda_minus
-    if q == 1.0:
-        return -params.mu * s * lam
-    return -params.mu * s * lam * abs(w) ** (q - 1.0)
-
-
-def _rk4_step(params, w, v, h, s):
-    def acc(wi):
-        return _region_force(params, wi, s)
-
-    k1w, k1v = v, acc(w)
-    k2w, k2v = v + 0.5 * h * k1v, acc(w + 0.5 * h * k1w)
-    k3w, k3v = v + 0.5 * h * k2v, acc(w + 0.5 * h * k2w)
-    k4w, k4v = v + h * k3v, acc(w + h * k3w)
-    return (w + h / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w),
+def _rk4_step(w, v, h, c, e):
+    """One classical RK4 step of w'' = c |w|^e on Python floats (e = 0: the
+    constant force c).  The floating-point operations run in the textbook
+    order, so a trajectory does not depend on which caller takes the step."""
+    hh = 0.5 * h
+    if e:
+        k1v = c * abs(w) ** e
+        k2w = v + hh * k1v
+        k2v = c * abs(w + hh * v) ** e
+        k3w = v + hh * k2v
+        k3v = c * abs(w + hh * k2w) ** e
+        k4w = v + h * k3v
+        k4v = c * abs(w + h * k3w) ** e
+    else:
+        k1v = k2v = k3v = k4v = c
+        k2w = k3w = v + hh * c
+        k4w = v + h * c
+    return (w + h / 6.0 * (v + 2 * k2w + 2 * k3w + k4w),
             v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
 
 
-def _graded_flight(params, w, v, h, s, cluster_start):
-    """Integrate a flight of length h in the frozen region s with geometric
-    substeps clustering at the endpoint where w vanishes; the force is only
-    Holder there for q in (1,2), so uniform steps lose accuracy."""
+def _graded_flight(w, v, h, c, e, cluster_start):
+    """Integrate a flight of length h in the frozen region of coefficient c
+    with geometric substeps clustering at the endpoint where w vanishes; the
+    force is only Holder there for q in (1,2), so uniform steps lose accuracy."""
     m = 24
-    sizes = h * 2.0 ** -np.arange(1.0, m + 1)
-    sizes = np.append(sizes, sizes[-1])  # remainder closes the sum to h
+    sizes = (h * 2.0 ** -np.arange(1.0, m + 1)).tolist()
+    sizes.append(sizes[-1])  # remainder closes the sum to h
     if cluster_start:
-        sizes = sizes[::-1]
+        sizes.reverse()
     for dh in sizes:
-        w, v = _rk4_step(params, w, v, dh, s)
+        w, v = _rk4_step(w, v, dh, c, e)
     return w, v
 
 
-def _advance(params, w, v, h, depth=0):
+def _advance(params, w, v, h, forces, depth=0):
     """One step of size h split at sign changes of w.
 
     The force of the active region is frozen (its smooth extension) for the
     whole flight, the step lands exactly on w = 0 at a crossing, and the next
     region is chosen by the velocity there; each RK4 substep therefore sees a
-    smooth right hand side.
+    smooth right hand side.  `forces` is (c_plus, c_minus, e): the force of
+    the region with sign s, extended smoothly across w = 0, is c_s |w|^e.
     """
     if h <= 0.0:
         return w, v
@@ -378,50 +385,78 @@ def _advance(params, w, v, h, depth=0):
         s = 1.0 if v > 0.0 else -1.0
     else:
         return w, v
-    graded = params.q != 1.0
+    c_plus, c_minus, e = forces
+    c = c_plus if s > 0.0 else c_minus
+    graded = e != 0.0
     if graded and w != 0.0 and abs(w) < 8.0 * abs(v) * h and depth < 12:
         # starting close to the interface, where the force is only Holder:
         # subdivide so the singular neighborhood gets resolved
         for _ in range(16):
-            w, v = _advance(params, w, v, h / 16.0, depth + 1)
+            w, v = _advance(params, w, v, h / 16.0, forces, depth + 1)
         return w, v
     if w == 0.0 and graded:
-        wn, vn = _graded_flight(params, w, v, h, s, cluster_start=True)
+        wn, vn = _graded_flight(w, v, h, c, e, cluster_start=True)
     else:
-        wn, vn = _rk4_step(params, w, v, h, s)
+        wn, vn = _rk4_step(w, v, h, c, e)
     if s * wn >= 0.0 or depth >= 16:
         return wn, vn
 
     def signed(alpha):
-        return s * _rk4_step(params, w, v, alpha * h, s)[0]
+        return s * _rk4_step(w, v, alpha * h, c, e)[0]
 
     lo = 0.0 if w != 0.0 else 1e-9
     if signed(lo) <= 0.0:
         return wn, vn
     alpha = brentq(signed, lo, 1.0, xtol=1e-14)
     if graded:
-        wm, vm = _graded_flight(params, w, v, alpha * h, s, cluster_start=False)
+        wm, vm = _graded_flight(w, v, alpha * h, c, e, cluster_start=False)
     else:
-        wm, vm = _rk4_step(params, w, v, alpha * h, s)
+        wm, vm = _rk4_step(w, v, alpha * h, c, e)
     # land exactly on the interface with the energy of the located state
-    e = 0.5 * vm * vm + float(hamiltonian(params, wm, 0.0))
-    vm = np.copysign(np.sqrt(2.0 * e), vm)
-    return _advance(params, 0.0, vm, (1.0 - alpha) * h, depth + 1)
+    en = 0.5 * vm * vm + float(hamiltonian(params, wm, 0.0))
+    vm = math.copysign(math.sqrt(2.0 * en), vm)
+    return _advance(params, 0.0, vm, (1.0 - alpha) * h, forces, depth + 1)
 
 
 def hamiltonian_cauchy(params: ProblemParams, w0, w0prime, step, steps):
     """RK4 trajectory of the 1-d problem plus the relative energy drift.
 
     Steps that cross w = 0 are split at the crossing, so the piecewise-smooth
-    forcing never degrades the order.  Returns (t, w, w', drift).
+    forcing never degrades the order.  Returns (t, w, w', drift).  A steps
+    count that is not a non-negative integer, or a step or start that is not
+    finite, raises ValueError; steps = 0 returns the start point.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    w = np.empty(steps + 1)
-    v = np.empty(steps + 1)
-    w[0], v[0] = float(w0), float(w0prime)
-    for i in range(steps):
-        w[i + 1], v[i + 1] = _advance(params, w[i], v[i], step)
+    if not isinstance(steps, (int, np.integer)):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not (math.isfinite(w0) and math.isfinite(w0prime)):
+        raise ValueError(f"initial state must be finite, got ({w0}, {w0prime})")
+    # c_s = -mu s lambda_s and e = q - 1, taken once for the whole trajectory
+    forces = (-params.mu * params.lambda_plus, params.mu * params.lambda_minus,
+              params.q - 1.0)
+    c_plus, c_minus, e = forces
+    graded = e != 0.0
+    h = float(step)
+    w, v = float(w0), float(w0prime)
+    ws, vs = [w], [v]
+    for _ in range(steps):
+        # a step that starts away from the interface and stays on its side
+        # is exactly _advance's unsplit step; every other step goes through it
+        if w != 0.0 and not (graded and abs(w) < 8.0 * abs(v) * h):
+            s = 1.0 if w > 0.0 else -1.0
+            wn, vn = _rk4_step(w, v, h, c_plus if s > 0.0 else c_minus, e)
+            if s * wn >= 0.0:
+                w, v = wn, vn
+                ws.append(w)
+                vs.append(v)
+                continue
+        w, v = _advance(params, w, v, h, forces)
+        ws.append(w)
+        vs.append(v)
+    w, v = np.array(ws), np.array(vs)
     t = step * np.arange(steps + 1)
     H = hamiltonian(params, w, v)
     drift = float((np.max(H) - np.min(H)) / max(abs(float(H[0])), 1e-12))

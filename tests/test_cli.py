@@ -195,3 +195,20 @@ def test_sweep_jobs_must_be_positive(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_verify_negative_seed_exits_3(tmp_path, capsys):
+    assert run("verify", "--suite", "hamiltonian", "--seed", "-1",
+               "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == "error: --seed must be non-negative, got -1"
+    assert not (tmp_path / "verify.json").exists()
+
+
+def test_verify_hamiltonian(tmp_path):
+    assert run("verify", "--suite", "hamiltonian", "--seed", "0",
+               "--out", str(tmp_path)) == 0
+    doc = json.loads((tmp_path / "verify.json").read_text())
+    assert [c["name"] for c in doc["checks"]] == [
+        "hamiltonian drift q=1.0", "hamiltonian drift q=1.5"]
+    assert doc["all_pass"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from nodallab.construct import (
@@ -169,5 +170,156 @@ def test_hamiltonian_values():
 
 
 def test_hamiltonian_cauchy_validation():
-    with pytest.raises(ValueError):
-        hamiltonian_cauchy(ProblemParams(), 0.0, 1.0, -1e-3, 10)
+    for w0, w0prime, step, steps in [
+        (0.0, 1.0, -1e-3, 10),
+        (0.0, 1.0, 0.0, 10),
+        (0.0, 1.0, np.nan, 10),
+        (0.0, 1.0, np.inf, 10),
+        (np.nan, 1.0, 1e-3, 10),
+        (0.5, -np.inf, 1e-3, 10),
+        (0.0, 1.0, 1e-3, -1),
+        (0.0, 1.0, 1e-3, 2.5),
+        (0.0, 1.0, 1e-3, "10"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            hamiltonian_cauchy(ProblemParams(), w0, w0prime, step, steps)
+        assert len(str(info.value).splitlines()) == 1
+
+
+def test_hamiltonian_cauchy_zero_steps():
+    t, w, v, drift = hamiltonian_cauchy(ProblemParams(q=1.5), 0.3, -0.2, 1e-3, 0)
+    assert t.tolist() == [0.0] and w.tolist() == [0.3] and v.tolist() == [-0.2]
+    assert drift == 0.0
+    _, w, _, _ = hamiltonian_cauchy(ProblemParams(), 0.3, -0.2, 1e-3, np.int64(3))
+    assert len(w) == 4
+
+
+# ---------------------------------------------------------------------------
+# reference: the integrator the float-scalar loop replaced, with the force
+# looked up from params in every RK4 stage through a per-step closure
+# ---------------------------------------------------------------------------
+
+
+def _region_force_ref(params, w, s):
+    q = params.q
+    lam = params.lambda_plus if s > 0 else params.lambda_minus
+    if q == 1.0:
+        return -params.mu * s * lam
+    return -params.mu * s * lam * abs(w) ** (q - 1.0)
+
+
+def _rk4_step_ref(params, w, v, h, s):
+    def acc(wi):
+        return _region_force_ref(params, wi, s)
+
+    k1w, k1v = v, acc(w)
+    k2w, k2v = v + 0.5 * h * k1v, acc(w + 0.5 * h * k1w)
+    k3w, k3v = v + 0.5 * h * k2v, acc(w + 0.5 * h * k2w)
+    k4w, k4v = v + h * k3v, acc(w + h * k3w)
+    return (w + h / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w),
+            v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+
+def _graded_flight_ref(params, w, v, h, s, cluster_start):
+    m = 24
+    sizes = h * 2.0 ** -np.arange(1.0, m + 1)
+    sizes = np.append(sizes, sizes[-1])
+    if cluster_start:
+        sizes = sizes[::-1]
+    for dh in sizes:
+        w, v = _rk4_step_ref(params, w, v, dh, s)
+    return w, v
+
+
+def _advance_ref(params, w, v, h, depth=0):
+    if h <= 0.0:
+        return w, v
+    if w != 0.0:
+        s = 1.0 if w > 0.0 else -1.0
+    elif v != 0.0:
+        s = 1.0 if v > 0.0 else -1.0
+    else:
+        return w, v
+    graded = params.q != 1.0
+    if graded and w != 0.0 and abs(w) < 8.0 * abs(v) * h and depth < 12:
+        for _ in range(16):
+            w, v = _advance_ref(params, w, v, h / 16.0, depth + 1)
+        return w, v
+    if w == 0.0 and graded:
+        wn, vn = _graded_flight_ref(params, w, v, h, s, cluster_start=True)
+    else:
+        wn, vn = _rk4_step_ref(params, w, v, h, s)
+    if s * wn >= 0.0 or depth >= 16:
+        return wn, vn
+
+    def signed(alpha):
+        return s * _rk4_step_ref(params, w, v, alpha * h, s)[0]
+
+    lo = 0.0 if w != 0.0 else 1e-9
+    if signed(lo) <= 0.0:
+        return wn, vn
+    alpha = brentq(signed, lo, 1.0, xtol=1e-14)
+    if graded:
+        wm, vm = _graded_flight_ref(params, w, v, alpha * h, s, cluster_start=False)
+    else:
+        wm, vm = _rk4_step_ref(params, w, v, alpha * h, s)
+    e = 0.5 * vm * vm + float(hamiltonian(params, wm, 0.0))
+    vm = np.copysign(np.sqrt(2.0 * e), vm)
+    return _advance_ref(params, 0.0, vm, (1.0 - alpha) * h, depth + 1)
+
+
+def _hamiltonian_cauchy_ref(params, w0, w0prime, step, steps):
+    w = np.empty(steps + 1)
+    v = np.empty(steps + 1)
+    w[0], v[0] = float(w0), float(w0prime)
+    for i in range(steps):
+        w[i + 1], v[i + 1] = _advance_ref(params, w[i], v[i], step)
+    t = step * np.arange(steps + 1)
+    H = hamiltonian(params, w, v)
+    drift = float((np.max(H) - np.min(H)) / max(abs(float(H[0])), 1e-12))
+    if np.max(H) == np.min(H):
+        drift = 0.0
+    return t, w, v, drift
+
+
+def _assert_same_trajectory(params, w0, w0prime, step, steps):
+    got = hamiltonian_cauchy(params, w0, w0prime, step, steps)
+    want = _hamiltonian_cauchy_ref(params, w0, w0prime, step, steps)
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    assert got[3] == want[3]
+    return got
+
+
+@pytest.mark.parametrize("q", [1.0, 1.25, 1.5, 1.9])
+@pytest.mark.parametrize("coeffs", [(1.0, 1.0, 1.0), (2.0, 0.5, 3.0)])
+@pytest.mark.parametrize("w0, w0prime", [
+    (0.7, -0.3),     # generic start
+    (0.0, 0.8),      # on the interface, moving
+    (0.0, 0.0),      # at rest on the interface
+    (1e-9, -0.4),    # just above the interface, heading into it
+    (-1e-3, 0.0),    # below the interface, at rest: many short swings
+])
+def test_hamiltonian_cauchy_matches_reference(q, coeffs, w0, w0prime):
+    lp, lm, mu = coeffs
+    p = ProblemParams(q=q, lambda_plus=lp, lambda_minus=lm, mu=mu)
+    _assert_same_trajectory(p, w0, w0prime, 2e-3, 1500)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5])
+def test_hamiltonian_cauchy_matches_reference_many_crossings(q):
+    p = ProblemParams(q=q, lambda_plus=1.5, lambda_minus=0.75)
+    _, w, _, _ = _assert_same_trajectory(p, 0.0, 1.0, 1e-2, 3000)
+    assert count_sign_changes(w) >= 8
+
+
+# starts with an amplitude far below the step size swing many times per step,
+# and every such step recurses to the full subdivision depth: one of them
+# takes seconds in either integrator, so the property draws resolved starts
+_START = st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.floats(-1.0, -0.05))
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.floats(1.0, 1.95), w0=_START, w0prime=_START)
+def test_hamiltonian_cauchy_matches_reference_property(q, w0, w0prime):
+    _assert_same_trajectory(ProblemParams(q=q), w0, w0prime, 1e-2, 300)
