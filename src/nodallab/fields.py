@@ -8,7 +8,11 @@ Three kinds of evaluable scalar field on the unit disk:
 * raw grid samples on [-1, 1]^2 with finite-difference gradients.
 
 Profiles are interpolated with a periodic Catmull-Rom cubic so evaluation is
-C^1, which the glued circle profiles require.  Files use the versioned text
+C^1, which the glued circle profiles require.  The cubic coefficients of every
+sample interval, for values and derivative together, are built once when an
+:class:`AngularProfile` is made; an evaluation is then one gather of that
+table and one Horner step.  The profile keeps read-only copies of its sample
+arrays, so the table cannot go stale.  Files use the versioned text
 container ``NODALLAB v1`` with 17-significant-digit decimal samples, so a
 save/load round trip is bit exact.
 """
@@ -33,28 +37,6 @@ class ParseError(ValueError):
     """Malformed NODALLAB file; message carries the offending line number."""
 
 
-def _catmull_rom(values: np.ndarray, x: np.ndarray):
-    """Periodic Catmull-Rom interpolation of uniform samples.
-
-    ``x`` is in sample units (sample j sits at x=j).  ``values`` may carry
-    trailing columns, interpolated together with one gather of the stencil.
-    """
-    n = len(values)
-    x = np.asarray(x, dtype=float)
-    j = np.floor(x).astype(int)
-    s = (x - j).reshape(j.shape + (1,) * (values.ndim - 1))
-    p0 = values[(j - 1) % n]
-    p1 = values[j % n]
-    p2 = values[(j + 1) % n]
-    p3 = values[(j + 2) % n]
-    # Catmull-Rom basis (tension 1/2)
-    a = -0.5 * p0 + 1.5 * p1 - 1.5 * p2 + 0.5 * p3
-    b = p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3
-    c = 0.5 * (p2 - p0)
-    d = p1
-    return ((a * s + b) * s + c) * s + d
-
-
 @dataclass
 class AngularProfile:
     """2*pi-periodic function phi sampled on the uniform grid theta_j = 2*pi*j/n."""
@@ -64,12 +46,31 @@ class AngularProfile:
     params: ProblemParams | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.derivative = np.asarray(self.derivative, dtype=float)
+        # private read-only copies: the coefficient table below is built from
+        # them once, so an in-place write would leave it stale
+        self.values = np.array(self.values, dtype=float)
+        self.derivative = np.array(self.derivative, dtype=float)
         if self.values.ndim != 1 or self.values.shape != self.derivative.shape:
             raise ValueError("values and derivative must be 1-d arrays of equal length")
-        if len(self.values) < 16:
+        n = len(self.values)
+        if n < 16:
             raise ValueError("profile needs at least 16 samples")
+        self.values.flags.writeable = False
+        self.derivative.flags.writeable = False
+        # Catmull-Rom cubic (tension 1/2) of each interval [j, j+1], for values
+        # and derivative together; column j of p_i is sample j + i - 1 mod n,
+        # and j runs to n because x mod n can round up to n (theta = -1e-300)
+        p = np.stack((self.values, self.derivative))
+        p = np.concatenate((p[:, -1:], p, p[:, :3]), axis=1)
+        p0, p1, p2, p3 = (p[:, i:i + n + 1] for i in range(4))
+        a = -0.5 * p0 + 1.5 * p1 - 1.5 * p2 + 0.5 * p3
+        b = p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3
+        c = 0.5 * (p2 - p0)
+        d = p1
+        # shape (4, 2, n + 1): a gather along the last axis gives contiguous
+        # value and derivative planes
+        self._coef = np.stack((a, b, c, d))
+        self._coef.flags.writeable = False
 
     @property
     def n_theta(self) -> int:
@@ -79,19 +80,35 @@ class AngularProfile:
     def theta(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
 
-    def _interp(self, samples, theta):
-        x = np.asarray(theta, dtype=float) * self.n_theta / (2.0 * np.pi)
-        return _catmull_rom(samples, x % self.n_theta)
+    def _eval(self, coef, theta):
+        """The cubic of ``coef`` at ``theta``: one gather, one Horner step."""
+        n = self.n_theta
+        # x mod n as numpy's remainder rounds it, without its slower divmod
+        x = np.fmod(np.asarray(theta, dtype=float) * n / (2.0 * np.pi), n)
+        x += n * (x < 0)
+        j = np.floor(x)
+        s = x - j
+        # "clip" sends the index of a NaN x to an end column, where s = NaN
+        # gives NaN; every other index is already in range
+        a, b, c, d = coef.take(j.astype(np.intp), axis=-1, mode="clip")
+        # in place, so the step allocates one array
+        out = a * s
+        out += b
+        out *= s
+        out += c
+        out *= s
+        out += d
+        return out
 
     def __call__(self, theta):
-        return self._interp(self.values, theta)
+        return self._eval(self._coef[:, 0], theta)
 
     def prime(self, theta):
-        return self._interp(self.derivative, theta)
+        return self._eval(self._coef[:, 1], theta)
 
     def value_and_prime(self, theta):
-        both = self._interp(np.column_stack((self.values, self.derivative)), theta)
-        return both[..., 0], both[..., 1]
+        both = self._eval(self._coef, theta)
+        return both[0], both[1]
 
     def scale(self) -> float:
         return float(np.max(np.abs(self.values))) or 1.0

@@ -105,6 +105,15 @@ def test_construct_near_q2():
     mr = construct_uk(ProblemParams(q=1.9), 41)
     assert mr.zero_count == 82
     assert mr.psi_residual < 1e-6
+    assert mr.energy_drift < 1e-4  # 2.6e-2 with an absolute Newton stop
+
+
+def test_construct_q175_energy_drift():
+    # max phi is about 5e-10 here: an absolute Newton stop left the residual
+    # at 9e-2 of the force and the drift at 7e-2
+    mr = construct_uk(ProblemParams(q=1.75, lambda_minus=1.0), 17)
+    assert mr.zero_count == 34
+    assert mr.energy_drift < 1e-4
 
 
 def test_construct_q15():

@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,16 +162,54 @@ def test_closed_form_field_scale():
     assert abs(f.scale() - 2.1) < 1e-12  # max |3x| on the r=0.7 circle
 
 
-def _old_homogeneous_grad(f, x, y):
-    """Reference: the polar gradient with separate value and slope lookups."""
+def _catmull_rom_ref(values, x):
+    """Reference: the per-point stencil that the coefficient table replaced.
+
+    ``x`` is in sample units (sample j sits at x=j); ``values`` may carry
+    trailing columns, interpolated together with one gather of the stencil.
+    """
+    n = len(values)
+    x = np.asarray(x, dtype=float)
+    j = np.floor(x).astype(int)
+    s = (x - j).reshape(j.shape + (1,) * (values.ndim - 1))
+    p0 = values[(j - 1) % n]
+    p1 = values[j % n]
+    p2 = values[(j + 1) % n]
+    p3 = values[(j + 2) % n]
+    a = -0.5 * p0 + 1.5 * p1 - 1.5 * p2 + 0.5 * p3
+    b = p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3
+    c = 0.5 * (p2 - p0)
+    d = p1
+    return ((a * s + b) * s + c) * s + d
+
+
+def _profile_ref(prof, samples, theta):
+    x = np.asarray(theta, dtype=float) * prof.n_theta / (2.0 * np.pi)
+    return _catmull_rom_ref(samples, x % prof.n_theta)
+
+
+def _homogeneous_ref(f, x, y):
+    """Reference value and gradient of u = r^gamma phi through the stencil."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     r, th = np.hypot(x, y), np.arctan2(y, x)
+    prof = f.profile
+    both = _profile_ref(prof, np.column_stack((prof.values, prof.derivative)), th)
+    phi, dphi = both[..., 0], both[..., 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u_r = f.gamma * r ** (f.gamma - 1.0) * f.profile(th)
-        u_t_over_r = r ** (f.gamma - 1.0) * f.profile.prime(th)
+        r_g1 = r ** (f.gamma - 1.0)
+        u_r = f.gamma * r_g1 * phi
+        u_t_over_r = r_g1 * dphi
     u_r = np.where(r > 0, u_r, 0.0)
     u_t_over_r = np.where(r > 0, u_t_over_r, 0.0)
     ct, st_ = np.cos(th), np.sin(th)
-    return u_r * ct - u_t_over_r * st_, u_r * st_ + u_t_over_r * ct
+    return r**f.gamma * phi, (u_r * ct - u_t_over_r * st_, u_r * st_ + u_t_over_r * ct)
+
+
+def _same(a, b):
+    """Equal bit for bit: shape, values, NaN positions and signs of zeros."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 def _every_field_class():
@@ -188,7 +229,7 @@ def test_value_and_grad_matches_separate_calls(r, th, n):
         assert all(np.array_equal(a, b) for a, b in zip((gx, gy), f.grad(x, y)))
         if isinstance(f, HomogeneousField):
             assert all(np.array_equal(a, b)
-                       for a, b in zip((gx, gy), _old_homogeneous_grad(f, x, y)))
+                       for a, b in zip((gx, gy), _homogeneous_ref(f, x, y)[1]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -199,3 +240,80 @@ def test_catmull_rom_periodic(th, seed):
     # equal up to the rounding of theta + 2 pi itself
     assert abs(prof(th + 2 * np.pi) - prof(th)) < 1e-11
     assert abs(prof.prime(th + 2 * np.pi) - prof.prime(th)) < 1e-11
+
+
+# negative angles, +-pi, multiples of 2 pi, +-1e-300 (x mod n rounds to n for
+# -1e-300), signed zeros, the last double below 2 pi, and non-finite angles
+SPECIAL_THETA = [-1e-300, 1e-300, -0.0, 0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi,
+                 6 * np.pi, -4 * np.pi, -1.0, -7.5, -1e3, 1e5,
+                 np.nextafter(2 * np.pi, 0), np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("n", [16, 64, 4096])
+def test_profile_table_matches_stencil(n):
+    rng = np.random.default_rng(n)
+    prof = AngularProfile(rng.standard_normal(n), rng.standard_normal(n))
+    stacked = np.column_stack((prof.values, prof.derivative))
+    th1 = np.concatenate((SPECIAL_THETA, rng.uniform(-20.0, 20.0, 2000)))
+    thetas = [*SPECIAL_THETA, *map(np.array, SPECIAL_THETA), th1, th1.reshape(-1, 2)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for th in thetas:
+            assert _same(prof(th), _profile_ref(prof, prof.values, th))
+            assert _same(prof.prime(th), _profile_ref(prof, prof.derivative, th))
+            both = _profile_ref(prof, stacked, th)
+            v, dv = prof.value_and_prime(th)
+            assert _same(v, both[..., 0]) and _same(dv, both[..., 1])
+
+    f = HomogeneousField(1.7, prof)
+    x, y = rng.uniform(-1.0, 1.0, (2, 40, 50))
+    # the origin, and the negative x axis on both sides of the branch cut
+    x[0, :4], y[0, :4] = [0.0, -0.5, -0.5, -1e-3], [0.0, 0.0, -0.0, -0.0]
+    for px, py in [(x, y), (x[0], y[0]), (-0.5, -0.0), (0.3, 0.4), (0.0, 0.0)]:
+        want_v, want_g = _homogeneous_ref(f, px, py)
+        v, g = f.value_and_grad(px, py)
+        assert _same(f(px, py), want_v) and _same(v, want_v)
+        assert all(_same(a, b) for a, b in zip(g, want_g))
+
+
+def test_profile_arrays_read_only():
+    vals, der = np.cos(np.arange(32.0)), np.sin(np.arange(32.0))
+    prof = AngularProfile(vals, der)
+    vals[0] = 5.0  # the profile keeps its own copy
+    assert prof.values[0] == 1.0
+    with pytest.raises(ValueError):
+        prof.values[0] = 5.0
+    with pytest.raises(ValueError):
+        prof.derivative[:] = 0.0
+    assert prof(0.0) == 1.0
+
+
+_finite = st.floats(-1e100, 1e100, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(16, 40), data=st.data(),
+       gamma=st.floats(1e-3, 50.0), q=st.floats(1.0, 1.999),
+       lam=st.floats(0.0, 10.0), seed=st.integers(0, 2**16))
+def test_save_load_round_trip_property(n, data, gamma, q, lam, seed):
+    vals = np.array(data.draw(st.lists(_finite, min_size=n, max_size=n)))
+    der = np.array(data.draw(st.lists(_finite, min_size=n, max_size=n)))
+    prof = AngularProfile(vals, der, ProblemParams(q=q, lambda_minus=lam))
+    field_ = HomogeneousField(gamma, prof)
+    rng = np.random.default_rng(seed)
+    th = rng.uniform(-10.0, 10.0, 64)
+    x, y = rng.uniform(-1.0, 1.0, (2, 64))
+    with tempfile.TemporaryDirectory() as tmp:
+        for obj in (prof, field_):
+            path = os.path.join(tmp, "obj.txt")
+            save(obj, path)
+            back = load(path)
+            assert type(back) is type(obj) and back.params == obj.params
+            bp, op = (back, obj) if isinstance(obj, AngularProfile) else (back.profile, obj.profile)
+            assert _same(bp.values, op.values) and _same(bp.derivative, op.derivative)
+            assert all(_same(a, b) for a, b in zip(bp.value_and_prime(th), op.value_and_prime(th)))
+            if isinstance(obj, HomogeneousField):
+                assert back.gamma == obj.gamma
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = back.value_and_grad(x, y), obj.value_and_grad(x, y)
+                assert _same(got[0], want[0])
+                assert all(_same(a, b) for a, b in zip(got[1], want[1]))
