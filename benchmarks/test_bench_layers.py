@@ -12,9 +12,10 @@ its result, so a fast wrong answer does not count.
 import numpy as np
 import pytest
 
-from nodallab.construct import construct_uk, hamiltonian_cauchy
+from nodallab.construct import _solve_positive_arc, construct_uk, hamiltonian_cauchy
+from nodallab.fields import GridField
 from nodallab.functionals import trace
-from nodallab.nodal import extract_nodal_set, nodal_length
+from nodallab.nodal import detect_singular, extract_nodal_set, nodal_length
 from nodallab.params import ProblemParams
 
 
@@ -22,6 +23,23 @@ from nodallab.params import ProblemParams
 def uk15():
     """u_k at q = 1.5, k = 9: a homogeneous field of degree gamma_q = 4."""
     return construct_uk(ProblemParams(q=1.5), 9).to_field()
+
+
+@pytest.fixture(scope="module")
+def uk15_grid(uk15):
+    """The 513^2 grid sample of u_k at q = 1.5, k = 9."""
+    return GridField.sample(uk15, 513)
+
+
+def test_solve_positive_arc_q15_n2048(benchmark):
+    q, lam, gamma2, length, n = 1.5, 1.0, 16.0, 0.3, 2048
+    phi = benchmark(_solve_positive_arc, q, lam, gamma2, length, n)
+    # a positive, symmetric solution of -phi'' - gamma^2 phi = lam phi^(q-1)
+    h = length / (n + 1)
+    p = np.concatenate(([0.0], phi, [0.0]))
+    res = -(p[2:] - 2.0 * p[1:-1] + p[:-2]) / h**2 - gamma2 * phi - lam * phi ** (q - 1.0)
+    assert np.all(phi > 0) and np.max(np.abs(phi - phi[::-1])) < 1e-9 * phi.max()
+    assert np.max(np.abs(res)) < 1e-8 * lam * phi.max() ** (q - 1.0)
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5])
@@ -57,3 +75,15 @@ def test_extract_nodal_set_n512(benchmark, uk15):
     ns = benchmark(extract_nodal_set, uk15, 512)
     # the nodal set of u_k is 2k = 18 rays from the origin
     assert abs(nodal_length(ns, 1.0) - 18.0) < 0.05 * 18.0
+
+
+def test_extract_nodal_set_grid_sample_n512(benchmark, uk15_grid):
+    ns = benchmark(extract_nodal_set, uk15_grid, 512)
+    # bilinear samples of the 18 rays keep the length within a few per cent
+    assert abs(nodal_length(ns, 1.0) - 18.0) < 0.05 * 18.0
+
+
+def test_detect_singular_n256(benchmark, uk15):
+    reps = benchmark(detect_singular, uk15, 256)
+    # the singular set of u_k is the origin alone
+    assert len(reps) == 1 and np.hypot(reps[0][0], reps[0][1]) < 0.05

@@ -339,7 +339,7 @@ def _plot_nodal(segments, singular, out):
     half = (_SVG_SIZE - 2 * _MARGIN) / 2.0
     parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{half:.2f}" '
                  'fill="none" stroke="black" stroke-width="1"/>')
-    for (x1, y1), (x2, y2) in segments:
+    for x1, y1, x2, y2 in segments.reshape(-1, 4).tolist():
         a = _disk_to_svg(x1, y1)
         b = _disk_to_svg(x2, y2)
         parts.append(f'<line x1="{a[0]:.3f}" y1="{a[1]:.3f}" '
@@ -396,10 +396,11 @@ def cmd_plot(args):
         body = fh.read().strip()
     try:
         if header == "x1,y1,x2,y2":
-            segments = []
+            rows = []
             for ln in body.splitlines():
                 x1, y1, x2, y2 = (float(tok) for tok in ln.split(","))
-                segments.append(((x1, y1), (x2, y2)))
+                rows.append((x1, y1, x2, y2))
+            segments = np.array(rows, dtype=float).reshape(-1, 2, 2)
             singular = []
             if args.singular:
                 with open(args.singular) as fh:

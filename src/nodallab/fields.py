@@ -206,7 +206,8 @@ class GridField(PlanarField):
     """
 
     def __init__(self, values: np.ndarray, params=None):
-        values = np.asarray(values, dtype=float)
+        # C-ordered, so the flat gathers in ``_blend`` never copy
+        values = np.ascontiguousarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("grid values must be a square 2-d array")
         if values.shape[0] < 3:
@@ -238,7 +239,7 @@ class GridField(PlanarField):
         return g
 
     def _weights(self, x, y):
-        """Lower-left cell indices and in-cell offsets of the points, for ``_blend``."""
+        """Flat lower-left cell index and in-cell offsets of the points, for ``_blend``."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if np.any(np.abs(x) > 1 + 1e-12) or np.any(np.abs(y) > 1 + 1e-12):
@@ -247,15 +248,18 @@ class GridField(PlanarField):
         fy = np.clip((y + 1.0) / self.h, 0, self.n - 1 - 1e-12)
         i = fx.astype(int)
         j = fy.astype(int)
-        return i, j, fx - i, fy - j
+        return i * self.n + j, fx - i, fy - j
 
-    @staticmethod
-    def _blend(arr, i, j, sx, sy):
-        # bilinear interpolation of the samples arr at the weighted points
-        v00 = arr[i, j]
-        v10 = arr[i + 1, j]
-        v01 = arr[i, j + 1]
-        v11 = arr[i + 1, j + 1]
+    def _blend(self, arr, k, sx, sy):
+        # bilinear interpolation of the samples arr at the weighted points; the
+        # corners (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1) are the flat
+        # indices k, k + n, k + 1, k + n + 1 of the C-ordered samples
+        flat = arr.ravel()
+        n = self.n
+        v00 = flat.take(k)
+        v10 = flat.take(k + n)
+        v01 = flat.take(k + 1)
+        v11 = flat.take(k + n + 1)
         return (
             v00 * (1 - sx) * (1 - sy)
             + v10 * sx * (1 - sy)
@@ -433,15 +437,20 @@ def load(path):
 class NodalSet:
     """Zero-set polyline segments plus detected singular points.
 
-    Each segment is ((x1, y1), (x2, y2)); each singular point is
-    (x, y, abs_u, abs_grad_u).
+    ``segments`` is a float array of shape (m, 2, 2): ``segments[s, e]`` is the
+    point (x, y) of end e of segment s.  Any nested sequence of that layout,
+    such as a list of ((x1, y1), (x2, y2)) pairs, is converted on construction.
+    Each singular point is (x, y, abs_u, abs_grad_u).
     """
 
-    segments: list = field(default_factory=list)
+    segments: np.ndarray = field(default_factory=list)
     singular_points: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.segments = np.asarray(self.segments, dtype=float).reshape(-1, 2, 2)
 
     def save_csv(self, path):
         with open(path, "w") as fh:
             fh.write("x1,y1,x2,y2\n")
-            for (x1, y1), (x2, y2) in self.segments:
+            for x1, y1, x2, y2 in self.segments.reshape(-1, 4).tolist():
                 fh.write(f"{_fmt(x1)},{_fmt(y1)},{_fmt(x2)},{_fmt(y2)}\n")

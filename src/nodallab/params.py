@@ -20,9 +20,9 @@ class ProblemParams:
     """Coefficients of the sublinear equation.
 
     q            exponent in [1, 2)
-    lambda_plus  coefficient of the positive phase, > 0
-    lambda_minus coefficient of the negative phase, >= 0
-    mu           overall scale of the nonlinearity (1 for the base equation,
+    lambda_plus  coefficient of the positive phase, finite and > 0
+    lambda_minus coefficient of the negative phase, finite and >= 0
+    mu           finite overall scale of the nonlinearity (1 for the base equation,
                  0 turns the right hand side off, e.g. for harmonic test fields)
     """
 
@@ -32,14 +32,15 @@ class ProblemParams:
     mu: float = 1.0
 
     def __post_init__(self):
+        # written so that NaN fails every test
         if not (1.0 <= self.q < 2.0):
             raise ValueError(f"q must lie in [1, 2), got {self.q}")
-        if self.lambda_plus <= 0.0:
-            raise ValueError("lambda_plus must be > 0")
-        if self.lambda_minus < 0.0:
-            raise ValueError("lambda_minus must be >= 0")
-        if self.mu < 0.0:
-            raise ValueError("mu must be >= 0")
+        if not (0.0 < self.lambda_plus < math.inf):
+            raise ValueError("lambda_plus must be finite and > 0")
+        if not (0.0 <= self.lambda_minus < math.inf):
+            raise ValueError("lambda_minus must be finite and >= 0")
+        if not (0.0 <= self.mu < math.inf):
+            raise ValueError("mu must be finite and >= 0")
 
 
 def gamma_q(params: ProblemParams) -> float:

@@ -156,6 +156,19 @@ def test_count_sign_changes():
     assert count_sign_changes([2, 3, 1]) == 0
 
 
+@given(values=st.lists(st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_subnormal=False)),
+                       max_size=40),
+       scale=st.floats(1e-3, 1e3), shift=st.integers(0, 39))
+def test_count_sign_changes_property(values, scale, shift):
+    # a periodic sequence changes sign an even number of times, and the count
+    # depends only on the cyclic order of the signs
+    count = count_sign_changes(values)
+    assert count % 2 == 0
+    assert count_sign_changes([scale * v for v in values]) == count
+    k = shift % len(values) if values else 0
+    assert count_sign_changes(values[k:] + values[:k]) == count
+
+
 def test_hamiltonian_cauchy_oracle():
     # q=1, lambda=1: piecewise parabolic, period 4 from (w, w') = (0, 1)
     p = ProblemParams(q=1.0)

@@ -88,6 +88,42 @@ def test_grid_field_eval_and_grad():
         GridField(np.zeros((2, 2)))  # too small for the one-sided stencils
 
 
+def _grid_ref(f, x, y):
+    """Reference value and gradient of a GridField: the 2-d fancy-index blend
+    that the flat-index gathers replaced."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    fx = np.clip((x + 1.0) / f.h, 0, f.n - 1 - 1e-12)
+    fy = np.clip((y + 1.0) / f.h, 0, f.n - 1 - 1e-12)
+    i, j = fx.astype(int), fy.astype(int)
+    sx, sy = fx - i, fy - j
+
+    def blend(arr):
+        v00, v10 = arr[i, j], arr[i + 1, j]
+        v01, v11 = arr[i, j + 1], arr[i + 1, j + 1]
+        return (v00 * (1 - sx) * (1 - sy) + v10 * sx * (1 - sy)
+                + v01 * (1 - sx) * sy + v11 * sx * sy)
+
+    return blend(f.values), (blend(f._gx), blend(f._gy))
+
+
+def test_grid_field_matches_fancy_index_blend():
+    u = HomogeneousField(2.5, cos2_profile(64), ProblemParams(q=1.2))
+    xs = np.linspace(-1.0, 1.0, 512)
+    # Fortran-ordered samples are stored C-ordered, so the gathers see the same grid
+    f = GridField(np.asfortranarray(u(*np.meshgrid(xs, xs, indexing="ij"))))
+    assert f.values.flags.c_contiguous
+    rng = np.random.default_rng(7)
+    corners = np.array([-1.0, 1.0, -1.0 - 1e-13, 1.0 + 1e-13, 0.0])
+    points = [np.meshgrid(xs, xs, indexing="ij"),
+              rng.uniform(-1.0, 1.0, (2, 3, 1000)),
+              np.meshgrid(corners, corners, indexing="ij"),
+              (0.3, -1.0), (1.0, 1.0)]
+    for x, y in points:
+        v, (gx, gy) = _grid_ref(f, x, y)
+        for got_v, (got_gx, got_gy) in ((f(x, y), f.grad(x, y)), f.value_and_grad(x, y)):
+            assert _same(got_v, v) and _same(got_gx, gx) and _same(got_gy, gy)
+
+
 def test_profile_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     prof = AngularProfile(rng.standard_normal(64), rng.standard_normal(64),

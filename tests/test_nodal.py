@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
+from nodallab import nodal
 from nodallab.construct import construct_uk
 from nodallab.fields import (
-    AngularProfile, ClosedFormField, GridField, NodalSet, monomial_field,
+    AngularProfile, ClosedFormField, GridField, HomogeneousField, NodalSet, monomial_field,
 )
 from nodallab.nodal import (
-    DataError, _clip_to_disk, detect_singular, extract_nodal_set, nodal_length,
-    profile_zero_structure, singular_thresholds,
+    DataError, _clip_to_disk, _sample_disk, detect_singular, extract_nodal_set,
+    nodal_length, profile_zero_structure, singular_thresholds,
 )
+from nodallab.orders import RescaledField
 from nodallab.params import ProblemParams
 
 
@@ -118,6 +120,37 @@ def _detect_singular_ref(field, n):
     return reps
 
 
+def _zero_structure_ref(profile):
+    """Zeros and slopes by the scalar bisection, one interval at a time."""
+    vals = profile.values
+    n = len(vals)
+    zeros, slopes = [], []
+    two_pi = 2.0 * np.pi
+    for j in range(n):
+        v0, v1 = vals[j], vals[(j + 1) % n]
+        th0 = two_pi * j / n
+        if v0 == 0.0:
+            zeros.append(th0)
+            slopes.append(float(profile.prime(th0)))
+            continue
+        if v0 * v1 < 0.0:
+            a, b = th0, two_pi * (j + 1) / n
+            fa = profile(a)
+            for _ in range(60):
+                m = 0.5 * (a + b)
+                fm = profile(m)
+                if fa * fm <= 0.0:
+                    b = m
+                else:
+                    a, fa = m, fm
+                if b - a < 1e-14:
+                    break
+            z = 0.5 * (a + b)
+            zeros.append(z)
+            slopes.append(float(profile.prime(z)))
+    return zeros, slopes
+
+
 def _bits(segments):
     return np.asarray(segments, dtype=float).tobytes()
 
@@ -222,6 +255,36 @@ def test_profile_zero_structure_glued():
     assert got["antipodal"]  # 10 zeros of a T-periodic pattern, T = 2 pi / 5
 
 
+def _cos_profile(d, n, exact_zeros=False):
+    prof = AngularProfile.from_callable(lambda t: np.cos(d * t),
+                                        lambda t: -d * np.sin(d * t), n_theta=n)
+    if not exact_zeros:
+        return prof
+    vals = prof.values.copy()
+    vals[np.abs(vals) < 1e-12] = 0.0
+    return AngularProfile(vals, prof.derivative)
+
+
+@pytest.mark.parametrize("case", ["cos", "cos-exact-zeros", 1.0, 1.5, 1.9])
+def test_profile_zero_structure_matches_scalar_bisection(case):
+    if case == "cos":
+        prof, count = _cos_profile(2, 256), 4
+    elif case == "cos-exact-zeros":
+        # with 60 samples the six zeros of cos(3t) fall on samples
+        prof, count = _cos_profile(3, 60, exact_zeros=True), 6
+        assert np.count_nonzero(prof.values == 0.0) == 6
+    else:
+        # 2k zeros; at q = 1.9 max |phi| is about 3e-30
+        k = {1.0: 5, 1.5: 9, 1.9: 41}[case]
+        prof, count = construct_uk(ProblemParams(q=case, lambda_minus=2.0), k).profile, 2 * k
+    got = profile_zero_structure(prof)
+    zeros, slopes = _zero_structure_ref(prof)
+    assert len(zeros) == count and not got["degenerate"]
+    assert _bits(got["zeros"]) == _bits(zeros)
+    assert _bits(got["slopes"]) == _bits(slopes)
+    assert all(type(v) is float for v in got["zeros"] + got["slopes"])
+
+
 def test_profile_zero_structure_degenerate():
     got = profile_zero_structure(AngularProfile(np.zeros(32), np.zeros(32)))
     assert got["zeros"] == []
@@ -243,12 +306,40 @@ def test_extract_matches_cell_loop(case, uk_q1):
     }[case]
     got = extract_nodal_set(field, n, radius).segments
     want = _extract_ref(field, n, radius)
-    assert got == want
+    assert got.dtype == np.float64 and got.shape == (len(want), 2, 2)
+    assert got.tolist() == [[list(a), list(b)] for a, b in want]
     assert _bits(got) == _bits(want)  # also tells -0.0 from 0.0
-    assert all(type(v) is float for seg in got for p in seg for v in p)
     for rho in (0.25, 0.5, 1.0):
         assert nodal_length(NodalSet(got), rho) == pytest.approx(_length_ref(want, rho),
                                                                  rel=1e-12, abs=0.0)
+
+
+def _sample_disk_fields():
+    homog = HomogeneousField(2.5, AngularProfile.from_callable(
+        lambda t: np.cos(2 * t), lambda t: -2 * np.sin(2 * t), n_theta=64), ProblemParams(q=1.2))
+    return [monomial_field(3), homog, GridField.sample(homog, 129),
+            RescaledField(homog, (0.1, 0.0), 0.5, 2.0)]
+
+
+@pytest.mark.parametrize("band_points", [None, 1000])
+@pytest.mark.parametrize("n", [64, 97, 300, 512])
+@pytest.mark.parametrize("radius", [1.0, 0.45])
+def test_sample_disk_matches_full_grid(n, radius, band_points, monkeypatch):
+    # 97 and 300 are not multiples of the band height, so the last band is
+    # short; 1000 points per band makes many bands at every n
+    if band_points is not None:
+        monkeypatch.setattr(nodal, "_BAND_POINTS", band_points)
+    xs = np.linspace(-radius, radius, n)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    for inside in (X * X + Y * Y <= radius * radius + 1e-15, X * X + Y * Y <= radius * radius):
+        for field in _sample_disk_fields():
+            V = _sample_disk(field, X, Y, inside)
+            W, (WX, WY) = _sample_disk(field, X, Y, inside, grad=True)
+            U, (UX, UY) = field.value_and_grad(X, Y)
+            assert _bits(V[inside]) == _bits(np.asarray(field(X, Y))[inside])
+            assert _bits(W[inside]) == _bits(np.asarray(U)[inside])
+            assert _bits(WX[inside]) == _bits(np.asarray(UX)[inside])
+            assert _bits(WY[inside]) == _bits(np.asarray(UY)[inside])
 
 
 def test_egg_crate_has_saddle_cells():

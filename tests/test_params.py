@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from nodallab.params import (
     ProblemParams, beta_k_sequence, beta_q, derived_exponents, gamma_q,
@@ -49,6 +52,35 @@ def test_param_validation():
         ProblemParams(lambda_minus=-1.0)
     with pytest.raises(ValueError):
         ProblemParams(mu=-0.1)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(q=st.floats(1.0, 2.0, exclude_max=True),
+       lp=st.floats(0.0, 1e300, exclude_min=True), lm=st.floats(0.0, 1e300),
+       mu=st.floats(0.0, 1e300))
+def test_param_validation_accepts_range(q, lp, lm, mu):
+    p = ProblemParams(q=q, lambda_plus=lp, lambda_minus=lm, mu=mu)
+    assert (p.q, p.lambda_plus, p.lambda_minus, p.mu) == (q, lp, lm, mu)
+
+
+@given(bad=st.one_of(st.floats(max_value=1.0, exclude_max=True), st.floats(min_value=2.0),
+                     _NON_FINITE))
+def test_param_validation_rejects_q(bad):
+    with pytest.raises(ValueError):
+        ProblemParams(q=bad)
+
+
+@given(field=st.sampled_from(["lambda_plus", "lambda_minus", "mu"]),
+       bad=st.one_of(st.floats(max_value=0.0, exclude_max=True), _NON_FINITE),
+       zero=st.booleans())
+def test_param_validation_rejects_coefficients(field, bad, zero):
+    # lambda_plus must be positive; the other two may be 0 but not negative
+    if zero and field == "lambda_plus":
+        bad = 0.0
+    with pytest.raises(ValueError):
+        ProblemParams(**{field: bad})
 
 
 @pytest.mark.parametrize("q", [1.2, 1.5, 1.7])
