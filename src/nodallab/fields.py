@@ -449,6 +449,13 @@ class NodalSet:
     def __post_init__(self):
         self.segments = np.asarray(self.segments, dtype=float).reshape(-1, 2, 2)
 
+    def __eq__(self, other):
+        # the generated comparison would ask an array for its truth value
+        if not isinstance(other, NodalSet):
+            return NotImplemented
+        return (np.array_equal(self.segments, other.segments)
+                and self.singular_points == other.singular_points)
+
     def save_csv(self, path):
         with open(path, "w") as fh:
             fh.write("x1,y1,x2,y2\n")

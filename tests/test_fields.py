@@ -193,6 +193,16 @@ def test_nodal_set_csv(tmp_path):
     assert len(lines) == 2
 
 
+def test_nodal_set_array_layout():
+    pairs = [((0.0, 0.0), (0.5, 0.5)), ((-0.25, 0.1), (0.3, -0.2))]
+    ns = NodalSet(pairs)
+    assert ns.segments.dtype == np.float64 and ns.segments.shape == (2, 2, 2)
+    assert ns.segments.tolist() == [[list(a), list(b)] for a, b in pairs]
+    assert NodalSet([], []).segments.shape == (0, 2, 2)
+    assert ns == NodalSet(np.array(pairs)) and NodalSet() == NodalSet([], [])
+    assert ns != NodalSet(pairs[:1]) and ns != NodalSet(pairs, [(0.0, 0.0, 0.0, 0.0)])
+
+
 def test_closed_form_field_scale():
     f = ClosedFormField(lambda x, y: 3.0 * x, lambda x, y: (3.0, 0.0))
     assert abs(f.scale() - 2.1) < 1e-12  # max |3x| on the r=0.7 circle

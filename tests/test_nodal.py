@@ -321,12 +321,13 @@ def _sample_disk_fields():
             RescaledField(homog, (0.1, 0.0), 0.5, 2.0)]
 
 
-@pytest.mark.parametrize("band_points", [None, 1000])
-@pytest.mark.parametrize("n", [64, 97, 300, 512])
+@pytest.mark.parametrize("n, band_points", [(64, None), (97, None), (300, None), (512, None),
+                                            (64, 1000), (97, 1000), (300, 1000), (97, 50)])
 @pytest.mark.parametrize("radius", [1.0, 0.45])
 def test_sample_disk_matches_full_grid(n, radius, band_points, monkeypatch):
-    # 97 and 300 are not multiples of the band height, so the last band is
-    # short; 1000 points per band makes many bands at every n
+    # at the module's band size n = 512 makes 16 bands and 300 ends on a
+    # short band; 1000 points per band makes many bands, short last ones at
+    # 97 and 300, and 50 points per band makes one-row bands
     if band_points is not None:
         monkeypatch.setattr(nodal, "_BAND_POINTS", band_points)
     xs = np.linspace(-radius, radius, n)
