@@ -9,9 +9,15 @@ and add ``--benchmark-json=<file>`` to keep the numbers.  Each case checks
 its result, so a fast wrong answer does not count.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from nodallab import cli
 from nodallab.construct import _solve_positive_arc, construct_uk, hamiltonian_cauchy
 from nodallab.fields import GridField
 from nodallab.functionals import trace
@@ -87,3 +93,35 @@ def test_detect_singular_n256(benchmark, uk15):
     reps = benchmark(detect_singular, uk15, 256)
     # the singular set of u_k is the origin alone
     assert len(reps) == 1 and np.hypot(reps[0][0], reps[0][1]) < 0.05
+
+
+def test_cold_import_cli(benchmark):
+    # a fresh interpreter per round, as every nodallab command starts one
+    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.ndimage",
+             "concurrent.futures.process"]
+    code = ("import sys, nodallab.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+    def start():
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout
+
+    out = benchmark.pedantic(start, rounds=7, iterations=1, warmup_rounds=1)
+    assert out.strip() == "[]"
+
+
+def test_cli_construct_then_analyze(benchmark, tmp_path):
+    profile = tmp_path / "c" / "profile.txt"
+
+    def run():
+        assert cli.main(["construct", "--q", "1.5", "--lambda-minus", "2", "--k", "9",
+                         "--out", str(tmp_path / "c")]) == 0
+        assert cli.main(["analyze", "--input", str(profile), "--out", str(tmp_path / "a")]) == 0
+        return json.loads((tmp_path / "a" / "analysis.json").read_text())
+
+    report = benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
+    # frequency gamma_q = 4 at q = 1.5, and 2k = 18 nodal rays of length 1/2
+    assert abs(report["frequency_at_1"] - 4.0) < 1e-4
+    assert abs(report["nodal_length_half"] - 9.0) < 0.05 * 9.0
+    assert report["singular_clusters"] >= 1

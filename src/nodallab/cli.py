@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -303,6 +302,9 @@ def cmd_sweep(args):
     jobs = [(p.q, p.lambda_plus, p.lambda_minus, k, args.n, args.grid)
             for k in ks]
     if args.jobs > 1 and len(jobs) > 1:
+        # imported here: loading multiprocessing costs every other command
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_one, jobs))
     else:

@@ -24,9 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from .fields import AngularProfile, HomogeneousField
 from .params import ProblemParams, gamma_q, k_bar
@@ -67,13 +65,60 @@ class ArcMinimizer:
     def padded(self) -> np.ndarray:
         return np.concatenate(([0.0], self.values, [0.0]))
 
-    def spline(self, offset=0.0, sign=1.0) -> CubicSpline:
+    def spline(self, offset=0.0, sign=1.0) -> ClampedCubic:
         """Clamped cubic through the samples, shifted to start at `offset`."""
         theta = offset + self.h * np.arange(self.n + 2)
-        return CubicSpline(
-            theta, sign * self.padded(),
-            bc_type=((1, sign * self.slope_left), (1, sign * self.slope_right)),
-        )
+        return ClampedCubic(theta, sign * self.padded(),
+                            sign * self.slope_left, sign * self.slope_right)
+
+
+class ClampedCubic:
+    """C^2 cubic interpolant of (x, y) with prescribed end slopes.
+
+    It takes the floating-point steps of scipy's
+    ``CubicSpline(x, y, bc_type=((1, s0), (1, s1)))``, so its values are the
+    same floats: the knot slopes solve the same tridiagonal system with
+    ``solve_banded``, the coefficients are formed as ``CubicHermiteSpline``
+    forms them, and a call sums the local power basis in the order of
+    ``PPoly`` evaluation.  Points outside [x[0], x[-1]] take the end cubics.
+    """
+
+    def __init__(self, x, y, slope_left, slope_right):
+        self.x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        dx = np.diff(self.x)
+        slope = np.diff(y) / dx
+        # rows: upper, main and lower diagonal; the first and last rows fix
+        # the end slopes
+        ab = np.zeros((3, len(self.x)))
+        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        ab[0, 2:] = dx[:-1]
+        ab[2, :-2] = dx[1:]
+        ab[1, 0] = ab[1, -1] = 1.0
+        b = np.empty(len(self.x))
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        b[0], b[-1] = slope_left, slope_right
+        s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        # c0 s^3 + c1 s^2 + c2 s + c3 on [x[i], x[i+1]], s = v - x[i]
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, v, nu=0):
+        """Value (nu = 0) or derivative of order nu = 1, 2 at v."""
+        v = np.asarray(v, dtype=float)
+        i = np.clip(np.searchsorted(self.x, v, "right") - 1, 0, len(self.x) - 2)
+        s = v - self.x[i]
+        c0, c1, c2, c3 = self.c[:, i]
+        # the sums start from 0.0 and run from the constant term up, with the
+        # power of s built by repeated products, as PPoly evaluates them
+        if nu == 0:
+            return 0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+        if nu == 1:
+            return 0.0 + c2 + c1 * s * 2 + c0 * (s * s) * 3
+        if nu == 2:
+            return 0.0 + c1 * 2 + c0 * s * 6
+        raise ValueError(f"derivative order must be 0, 1 or 2, got {nu}")
 
 
 def _arc_energy(phi_padded, h, gamma2, lam, q):
@@ -231,6 +276,87 @@ def count_sign_changes(values) -> int:
     if len(signs) == 0:
         return 0
     return int(np.sum(signs * np.roll(signs, -1) < 0))
+
+
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # scipy's default rtol
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL, maxiter=100):
+    """Root of f on the bracket [a, b] by Brent's method.
+
+    Inverse quadratic and secant steps, safeguarded by bisection (R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4).  This is
+    a line-for-line port of scipy's ``optimize.brentq`` (``Zeros/brentq.c``)
+    with its defaults, so it evaluates f at the same points and returns the
+    same float.  A NaN value of f or a bracket without a sign change raises
+    ValueError; no convergence in `maxiter` steps raises RuntimeError.
+    """
+    xtol, rtol = float(xtol), float(rtol)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    def negative(x):
+        return math.copysign(1.0, x) < 0.0
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    # xcur is the best estimate, [xcur, xblk] brackets the root, xpre is the
+    # previous iterate; scur and spre are the last two steps
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # in C the step is then inf or NaN, which the test below rejects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 def construct_uk(params: ProblemParams, k: int, n: int = 2048) -> MatchingResult:

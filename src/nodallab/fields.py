@@ -313,6 +313,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_line(values) -> str:
+    """The samples as one line of space-separated ``_fmt`` decimals."""
+    vals = np.asarray(values, dtype=float).tolist()
+    return " ".join(["%.17g"] * len(vals)) % tuple(vals)
+
+
 def save(obj, path) -> None:
     """Write a profile or field to the NODALLAB v1 text container."""
     lines = []
@@ -320,21 +326,20 @@ def save(obj, path) -> None:
         lines.append(f"{FORMAT_MAGIC} {FORMAT_VERSION} profile")
         lines += _params_lines(obj.params)
         lines.append(f"n_theta={obj.n_theta}")
-        lines.append(" ".join(_fmt(v) for v in obj.values))
-        lines.append(" ".join(_fmt(v) for v in obj.derivative))
+        lines.append(_fmt_line(obj.values))
+        lines.append(_fmt_line(obj.derivative))
     elif isinstance(obj, HomogeneousField):
         lines.append(f"{FORMAT_MAGIC} {FORMAT_VERSION} homogeneous")
         lines += _params_lines(obj.params)
         lines.append(f"gamma={_fmt(obj.gamma)}")
         lines.append(f"n_theta={obj.profile.n_theta}")
-        lines.append(" ".join(_fmt(v) for v in obj.profile.values))
-        lines.append(" ".join(_fmt(v) for v in obj.profile.derivative))
+        lines.append(_fmt_line(obj.profile.values))
+        lines.append(_fmt_line(obj.profile.derivative))
     elif isinstance(obj, GridField):
         lines.append(f"{FORMAT_MAGIC} {FORMAT_VERSION} grid")
         lines += _params_lines(obj.params)
         lines.append(f"n={obj.n}")
-        for row in obj.values:
-            lines.append(" ".join(_fmt(v) for v in row))
+        lines += [_fmt_line(row) for row in obj.values]
     else:
         raise TypeError(f"cannot save object of type {type(obj).__name__}")
     with open(path, "w") as fh:

@@ -9,7 +9,6 @@ configuration is resolved by the sign at the cell center).
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .fields import NodalSet, PlanarField
 from .params import gamma_q
@@ -30,28 +29,93 @@ _B, _T, _L, _R = range(4)
 _BAND_POINTS = 16384
 
 
-def _sample_disk(field, X, Y, inside, grad=False):
-    """``field(X, Y)``, or ``field.value_and_grad(X, Y)`` when ``grad``, near the disk.
+def _disk_mask(xs, radius2):
+    """Grid points (xs[i], xs[j]) with xs[i]^2 + xs[j]^2 <= radius2."""
+    xx = xs * xs
+    return xx[:, None] + xx[None, :] <= radius2
+
+
+def _sample_disk(field, xs, inside, grad=False):
+    """The field, or ``field.value_and_grad`` when ``grad``, at (xs[i], xs[j]) near the disk.
 
     Rows are evaluated in bands of about ``_BAND_POINTS`` points; each band
     evaluates only the columns between the first and the last where it meets
     ``inside`` and leaves zeros elsewhere, so callers must not read values
-    outside ``inside``.
+    outside ``inside``.  The coordinates of a band are built from ``xs`` as
+    the band is reached.
     """
-    V = np.zeros(X.shape)
+    n = len(xs)
+    V = np.zeros((n, n))
     if grad:
-        GX, GY = np.zeros(X.shape), np.zeros(X.shape)
-    rows = max(1, _BAND_POINTS // X.shape[1])
-    for r0 in range(0, X.shape[0], rows):
+        GX, GY = np.zeros((n, n)), np.zeros((n, n))
+    rows = max(1, _BAND_POINTS // n)
+    for r0 in range(0, n, rows):
         cols = np.flatnonzero(inside[r0:r0 + rows].any(axis=0))
         if len(cols) == 0:
             continue
         band = np.s_[r0:r0 + rows, cols[0]:cols[-1] + 1]
+        X, Y = np.meshgrid(xs[band[0]], xs[band[1]], indexing="ij")
         if grad:
-            V[band], (GX[band], GY[band]) = field.value_and_grad(X[band], Y[band])
+            V[band], (GX[band], GY[band]) = field.value_and_grad(X, Y)
         else:
-            V[band] = field(X[band], Y[band])
+            V[band] = field(X, Y)
     return (V, (GX, GY)) if grad else V
+
+
+def _label_dilated(mask):
+    """8-connected components of the one-pixel 8-neighbour dilation of ``mask``.
+
+    The labels equal those of ``ndimage.label`` of
+    ``ndimage.binary_dilation(mask, s)`` with structure s the 3 x 3 block:
+    components numbered from 1 in raster order of their first pixel, 0 off
+    the dilation.  The work is confined to the mask's bounding box: the
+    dilation is an OR of shifted copies, the components come from union-find
+    (hook each root onto the smaller root, then pointer jumping).
+    """
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    rows = np.flatnonzero(mask.any(axis=1))
+    if len(rows) == 0:
+        return labels
+    cols = np.flatnonzero(mask.any(axis=0))
+    # the bounding box grown by the dilation's pixel, clipped to the grid
+    box = np.s_[max(rows[0] - 1, 0):rows[-1] + 2, max(cols[0] - 1, 0):cols[-1] + 2]
+    h, w = mask[box].shape
+    padded = np.pad(mask[box], 1)
+    dil = np.zeros((h, w), dtype=bool)
+    for di in range(3):
+        for dj in range(3):
+            dil |= padded[di:di + h, dj:dj + w]
+
+    # dilated pixels numbered in raster order; edges join each pixel to its
+    # right, lower-left, lower and lower-right neighbours
+    ids = np.full((h, w), -1)
+    count = np.count_nonzero(dil)
+    ids[dil] = np.arange(count)
+    ends = []
+    for a, b in ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, 1:], np.s_[1:, :-1]),
+                 (np.s_[:-1, :], np.s_[1:, :]), (np.s_[:-1, :-1], np.s_[1:, 1:])):
+        both = dil[a] & dil[b]
+        ends.append((ids[a][both], ids[b][both]))
+    u = np.concatenate([e[0] for e in ends])
+    v = np.concatenate([e[1] for e in ends])
+
+    # every pixel points at its root, the smallest id of its tree, which
+    # becomes the component's first pixel once all edges are inside trees
+    parent = np.arange(count)
+    while True:
+        ru, rv = parent[u], parent[v]
+        split = ru != rv
+        if not split.any():
+            break
+        ru, rv = ru[split], rv[split]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    labels[box][dil] = np.cumsum(parent == np.arange(count))[parent]
+    return labels
 
 
 def _clip_to_disk(seg, radius):
@@ -89,9 +153,8 @@ def extract_nodal_set(field: PlanarField, n: int, radius: float = 1.0) -> NodalS
     if n < 64:
         raise ValueError("grid must be at least 64 x 64")
     xs = np.linspace(-radius, radius, n)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    inside = X * X + Y * Y <= radius * radius + 1e-15
-    V = _sample_disk(field, X, Y, inside)
+    inside = _disk_mask(xs, radius * radius + 1e-15)
+    V = _sample_disk(field, xs, inside)
     if not np.all(np.isfinite(V)):
         raise DataError("field is non-finite on the extraction grid")
 
@@ -173,15 +236,13 @@ def detect_singular(field: PlanarField, n: int = 256, radius: float = 1.0,
     if eps_u <= 0 or eps_g <= 0:
         raise ValueError("thresholds must be positive")
     xs = np.linspace(-radius, radius, n)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    inside = X * X + Y * Y <= radius * radius
-    V, (GX, GY) = _sample_disk(field, X, Y, inside, grad=True)
+    inside = _disk_mask(xs, radius * radius)
+    V, (GX, GY) = _sample_disk(field, xs, inside, grad=True)
     G = np.hypot(GX, GY)
     mask = inside & (np.abs(V) < eps_u) & (G < eps_g)
     # label on a one-pixel dilation with 8-connectivity: sub-cell-wide bands
     # along flat nodal rays must not shed one-pixel satellite clusters
-    struct = np.ones((3, 3), dtype=int)
-    labels, count = ndimage.label(ndimage.binary_dilation(mask, struct), struct)
+    labels = _label_dilated(mask)
     labels[~mask] = 0
     h = xs[1] - xs[0]
     score = np.abs(V) + h * G
@@ -193,7 +254,7 @@ def detect_singular(field: PlanarField, n: int = 256, radius: float = 1.0,
     lab = lab[order]
     best = order[np.flatnonzero(np.diff(lab, prepend=0))]
     i, j = i[best], j[best]
-    return list(zip(X[i, j].tolist(), Y[i, j].tolist(),
+    return list(zip(xs[i].tolist(), xs[j].tolist(),
                     np.abs(V[i, j]).tolist(), G[i, j].tolist()))
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -212,3 +215,26 @@ def test_verify_hamiltonian(tmp_path):
     assert [c["name"] for c in doc["checks"]] == [
         "hamiltonian drift q=1.0", "hamiltonian drift q=1.5"]
     assert doc["all_pass"]
+
+
+def test_cli_import_loads_only_scipy_linalg():
+    # the heavy scipy subpackages and multiprocessing stay out of a CLI start
+    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.ndimage",
+             "concurrent.futures.process"]
+    code = ("import sys, nodallab.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(fields.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_sweep_jobs_match_serial(tmp_path):
+    rows = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert run("sweep", "--q", "1", "--k-range", "5:6", "--n", "512", "--grid", "128",
+                   "--jobs", jobs, "--out", str(out)) == 0
+        rows.append((out / "sweep.csv").read_text())
+    assert rows[0] == rows[1]

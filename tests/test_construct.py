@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
+from nodallab import construct
 from nodallab.construct import (
-    ConstructionError, SolverError, construct_uk, count_sign_changes,
+    ClampedCubic, ConstructionError, SolverError, construct_uk, count_sign_changes,
     energy_function, hamiltonian, hamiltonian_cauchy, minimize_arc, psi,
 )
 from nodallab.params import ProblemParams, gamma_q
@@ -345,3 +349,103 @@ _START = st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.floats(-1.0, -0.05))
 @given(q=st.floats(1.0, 1.95), w0=_START, w0prime=_START)
 def test_hamiltonian_cauchy_matches_reference_property(q, w0, w0prime):
     _assert_same_trajectory(ProblemParams(q=q), w0, w0prime, 1e-2, 300)
+
+
+# ---------------------------------------------------------------------------
+# the in-package Brent root finder and clamped cubic against scipy
+# ---------------------------------------------------------------------------
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _brent_run(solver, f, a, b, **kw):
+    """(points f was called at, root or exception type) of one solve."""
+    xs = []
+
+    def logged(x):
+        xs.append(x)
+        return f(x)
+
+    try:
+        out = solver(logged, a, b, **kw).hex()
+    except (ValueError, RuntimeError) as exc:
+        out = type(exc)
+    return [x.hex() for x in xs], out
+
+
+@settings(max_examples=300, deadline=None)
+@given(root=st.floats(-1.0, 1.0), left=st.floats(-0.5, 3.0), right=st.floats(1e-3, 3.0),
+       lin=st.floats(0.05, 5.0), cub=st.floats(-2.0, 2.0), wave=st.floats(-1.0, 1.0),
+       freq=st.floats(0.5, 6.0), decade=st.integers(-300, 300),
+       xtol=st.floats(1e-15, 1e-2), maxiter=st.sampled_from([100, 100, 100, 5]))
+def test_brentq_matches_scipy(root, left, right, lin, cub, wave, freq, decade, xtol, maxiter):
+    # a smooth function with a simple root; a negative `left` puts both bracket
+    # ends on one side, and scales from 1e-300 to 1e300 reach the underflow
+    # and overflow of the interpolation steps
+    scale = 10.0 ** decade
+
+    def f(x):
+        d = x - root
+        return scale * (d * (lin + cub * d * d) + wave * d * math.sin(freq * x))
+
+    a, b = root - left, root + right
+    kw = {"xtol": xtol, "maxiter": maxiter}
+    assert _brent_run(construct.brentq, f, a, b, **kw) == _brent_run(brentq, f, a, b, **kw)
+
+
+def test_brentq_errors_match_scipy():
+    cases = [
+        (lambda x: x - 0.3, 0.5, 2.0, {}),                      # same sign
+        (lambda x: math.nan if x > 0.9 else x - 0.3, 0.0, 1.0, {}),  # NaN at an end
+        (lambda x: math.nan if 0.2 < x < 0.6 else x - 0.3, 0.0, 1.0, {}),  # NaN inside
+        (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0, {"maxiter": 3}),
+        (lambda x: x - 0.3, 0.0, 1.0, {"xtol": 0.0}),
+        (lambda x: x - 0.3, 0.0, 1.0, {"rtol": 1e-17}),
+    ]
+    for f, a, b, kw in cases:
+        with pytest.raises((ValueError, RuntimeError)) as want:
+            brentq(f, a, b, **kw)
+        with pytest.raises(want.type):
+            construct.brentq(f, a, b, **kw)
+    # a zero at either end is returned as it is
+    for f in (lambda x: x, lambda x: x - 1.0, lambda x: -0.0 if x == 0 else 1.0):
+        assert construct.brentq(f, 0.0, 1.0) == brentq(f, 0.0, 1.0)
+
+
+def test_construct_t_bar_is_scipy_brentq_root():
+    p, k, n = ProblemParams(q=1.5, lambda_minus=2.0), 9, 2048
+    T = 2.0 * np.pi / k
+    want = brentq(lambda t: psi(p, k, t, n), 1e-3 * T, (1.0 - 1e-3) * T, xtol=1e-10 * T)
+    assert construct_uk(p, k, n).t_bar == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 80), decade=st.integers(-30, 5))
+def test_clamped_cubic_matches_scipy(seed, m, decade):
+    rng = np.random.default_rng(seed)
+    x = rng.normal() + np.cumsum(rng.uniform(1e-3, 1.0, m))
+    y = rng.normal(size=m) * 10.0 ** decade
+    if seed % 3 == 0:
+        y[0] = y[-1] = 0.0  # the arc samples vanish at both ends
+    elif seed % 3 == 1:
+        y[rng.uniform(size=m) < 0.5] = -0.0  # signed zeros show the order of the sums
+    s0, s1 = rng.normal(size=2) * 10.0 ** decade
+    want = CubicSpline(x, y, bc_type=((1, s0), (1, s1)))
+    got = ClampedCubic(x, y, s0, s1)
+    # random points inside and beyond both ends, the knots, and the ends
+    v = np.concatenate((rng.uniform(x[0] - 0.5, x[-1] + 0.5, 200), x,
+                        [x[0], x[-1], np.nextafter(x[-1], np.inf), np.nextafter(x[0], -np.inf)]))
+    for nu in (0, 1, 2):
+        assert _bits(got(v, nu)) == _bits(want(v, nu))
+
+
+def test_arc_spline_matches_scipy():
+    arc = minimize_arc(ProblemParams(q=1.5, lambda_minus=2.0), 0.4, 0.7, "minus", 512)
+    theta = 0.4 + arc.h * np.arange(arc.n + 2)
+    want = CubicSpline(theta, arc.padded(), bc_type=((1, arc.slope_left), (1, arc.slope_right)))
+    got = arc.spline(offset=0.4)
+    v = np.clip(np.linspace(0.35, 0.75, 1001), 0.4, 0.7)
+    for nu in (0, 1, 2):
+        assert _bits(got(v, nu)) == _bits(want(v, nu))

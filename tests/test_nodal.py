@@ -9,7 +9,7 @@ from nodallab.fields import (
     AngularProfile, ClosedFormField, GridField, HomogeneousField, NodalSet, monomial_field,
 )
 from nodallab.nodal import (
-    DataError, _clip_to_disk, _sample_disk, detect_singular, extract_nodal_set,
+    DataError, _clip_to_disk, _disk_mask, _label_dilated, _sample_disk, detect_singular, extract_nodal_set,
     nodal_length, profile_zero_structure, singular_thresholds,
 )
 from nodallab.orders import RescaledField
@@ -332,10 +332,12 @@ def test_sample_disk_matches_full_grid(n, radius, band_points, monkeypatch):
         monkeypatch.setattr(nodal, "_BAND_POINTS", band_points)
     xs = np.linspace(-radius, radius, n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    for inside in (X * X + Y * Y <= radius * radius + 1e-15, X * X + Y * Y <= radius * radius):
+    for r2 in (radius * radius + 1e-15, radius * radius):
+        inside = _disk_mask(xs, r2)
+        assert np.array_equal(inside, X * X + Y * Y <= r2)
         for field in _sample_disk_fields():
-            V = _sample_disk(field, X, Y, inside)
-            W, (WX, WY) = _sample_disk(field, X, Y, inside, grad=True)
+            V = _sample_disk(field, xs, inside)
+            W, (WX, WY) = _sample_disk(field, xs, inside, grad=True)
             U, (UX, UY) = field.value_and_grad(X, Y)
             assert _bits(V[inside]) == _bits(np.asarray(field(X, Y))[inside])
             assert _bits(W[inside]) == _bits(np.asarray(U)[inside])
@@ -399,3 +401,36 @@ def test_detect_singular_matches_cluster_scan(uk_q1):
     got = detect_singular(grid, 256)
     assert 8 <= len(got) <= 17  # spurious clusters along the flat nodal rays
     assert got == _detect_singular_ref(grid, 256)
+
+
+def _label_dilated_ref(mask):
+    struct = np.ones((3, 3), dtype=int)
+    return ndimage.label(ndimage.binary_dilation(mask, struct), struct)[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_label_dilated_matches_ndimage(seed):
+    rng = np.random.default_rng(seed)
+    for trial in range(100):
+        shape = tuple(rng.integers(1, 40, size=2))
+        mask = rng.uniform(size=shape) < rng.uniform(0.0, 0.4)
+        if trial % 5 == 0:
+            # sparse pixels on all four edges of the grid
+            mask[:] = False
+            mask[rng.integers(shape[0]), 0] = mask[rng.integers(shape[0]), -1] = True
+            mask[0, rng.integers(shape[1])] = mask[-1, rng.integers(shape[1])] = True
+        elif trial % 5 == 1:
+            mask[:] = trial % 2 == 0  # empty or full
+        assert _label_dilated(mask).tolist() == _label_dilated_ref(mask).tolist()
+
+
+def test_label_dilated_serpentine():
+    # one component whose raster-first pixel is reached only through a long
+    # winding path: union-find must still merge it into a single label
+    mask = np.zeros((41, 41), dtype=bool)
+    mask[::4, 1:-1] = True
+    mask[1::8, -2] = mask[2::8, -2] = mask[3::8, -2] = True
+    mask[5::8, 1] = mask[6::8, 1] = mask[7::8, 1] = True
+    labels = _label_dilated(mask)
+    assert labels.max() == 1
+    assert labels.tolist() == _label_dilated_ref(mask).tolist()
