@@ -279,23 +279,21 @@ def count_sign_changes(values) -> int:
 
 
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # scipy's default rtol
+_BRENT_MAXITER = 100  # scipy's default maxiter
 
 
-def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL, maxiter=100):
+def brentq(f, a, b, xtol):
     """Root of f on the bracket [a, b] by Brent's method.
 
     Inverse quadratic and secant steps, safeguarded by bisection (R. P. Brent,
     *Algorithms for Minimization without Derivatives*, 1973, ch. 4).  This is
     a line-for-line port of scipy's ``optimize.brentq`` (``Zeros/brentq.c``)
-    with its defaults, so it evaluates f at the same points and returns the
-    same float.  A NaN value of f or a bracket without a sign change raises
-    ValueError; no convergence in `maxiter` steps raises RuntimeError.
+    with its default rtol and maxiter, so it evaluates f at the same points
+    and returns the same float.  A NaN value of f or a bracket without a sign
+    change raises ValueError; no convergence in ``_BRENT_MAXITER`` steps
+    raises RuntimeError.
     """
-    xtol, rtol = float(xtol), float(rtol)
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _BRENT_RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+    xtol = float(xtol)
 
     def call(x):
         fx = float(f(x))
@@ -317,7 +315,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL, maxiter=100):
     # xcur is the best estimate, [xcur, xblk] brackets the root, xpre is the
     # previous iterate; scur and spre are the last two steps
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -325,7 +323,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL, maxiter=100):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -356,7 +354,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL, maxiter=100):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
-    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
+    raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
 
 
 def construct_uk(params: ProblemParams, k: int, n: int = 2048) -> MatchingResult:

@@ -309,14 +309,17 @@ def monomial_field(d: int, phase: str = "cos") -> ClosedFormField:
 # ---------------------------------------------------------------------------
 
 
+_FMT = "%.17g"  # round-trip decimal spelling of every float in the files
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return _FMT % float(x)
 
 
 def _fmt_line(values) -> str:
     """The samples as one line of space-separated ``_fmt`` decimals."""
     vals = np.asarray(values, dtype=float).tolist()
-    return " ".join(["%.17g"] * len(vals)) % tuple(vals)
+    return " ".join([_FMT] * len(vals)) % tuple(vals)
 
 
 def save(obj, path) -> None:

@@ -381,6 +381,8 @@ def _brent_run(solver, f, a, b, **kw):
        freq=st.floats(0.5, 6.0), decade=st.integers(-300, 300),
        xtol=st.floats(1e-15, 1e-2), maxiter=st.sampled_from([100, 100, 100, 5]))
 def test_brentq_matches_scipy(root, left, right, lin, cub, wave, freq, decade, xtol, maxiter):
+    # maxiter 5 reaches the non-convergence path; the port's step limit is a
+    # module constant, so it is patched for the duration of the solve
     # a smooth function with a simple root; a negative `left` puts both bracket
     # ends on one side, and scales from 1e-300 to 1e300 reach the underflow
     # and overflow of the interpolation steps
@@ -391,27 +393,28 @@ def test_brentq_matches_scipy(root, left, right, lin, cub, wave, freq, decade, x
         return scale * (d * (lin + cub * d * d) + wave * d * math.sin(freq * x))
 
     a, b = root - left, root + right
-    kw = {"xtol": xtol, "maxiter": maxiter}
-    assert _brent_run(construct.brentq, f, a, b, **kw) == _brent_run(brentq, f, a, b, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "_BRENT_MAXITER", maxiter)
+        ours = _brent_run(construct.brentq, f, a, b, xtol=xtol)
+    assert ours == _brent_run(brentq, f, a, b, xtol=xtol, maxiter=maxiter)
 
 
-def test_brentq_errors_match_scipy():
+def test_brentq_errors_match_scipy(monkeypatch):
+    monkeypatch.setattr(construct, "_BRENT_MAXITER", 3)
     cases = [
-        (lambda x: x - 0.3, 0.5, 2.0, {}),                      # same sign
-        (lambda x: math.nan if x > 0.9 else x - 0.3, 0.0, 1.0, {}),  # NaN at an end
-        (lambda x: math.nan if 0.2 < x < 0.6 else x - 0.3, 0.0, 1.0, {}),  # NaN inside
-        (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0, {"maxiter": 3}),
-        (lambda x: x - 0.3, 0.0, 1.0, {"xtol": 0.0}),
-        (lambda x: x - 0.3, 0.0, 1.0, {"rtol": 1e-17}),
+        (lambda x: x - 0.3, 0.5, 2.0),                          # same sign
+        (lambda x: math.nan if x > 0.9 else x - 0.3, 0.0, 1.0),  # NaN at an end
+        (lambda x: math.nan if 0.2 < x < 0.6 else x - 0.3, 0.0, 1.0),  # NaN inside
+        (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0),      # 3 steps are too few
     ]
-    for f, a, b, kw in cases:
+    for f, a, b in cases:
         with pytest.raises((ValueError, RuntimeError)) as want:
-            brentq(f, a, b, **kw)
+            brentq(f, a, b, xtol=2e-12, maxiter=3)
         with pytest.raises(want.type):
-            construct.brentq(f, a, b, **kw)
+            construct.brentq(f, a, b, xtol=2e-12)
     # a zero at either end is returned as it is
     for f in (lambda x: x, lambda x: x - 1.0, lambda x: -0.0 if x == 0 else 1.0):
-        assert construct.brentq(f, 0.0, 1.0) == brentq(f, 0.0, 1.0)
+        assert construct.brentq(f, 0.0, 1.0, xtol=2e-12) == brentq(f, 0.0, 1.0, xtol=2e-12)
 
 
 def test_construct_t_bar_is_scipy_brentq_root():
