@@ -51,14 +51,9 @@ def _params_from_args(args):
                             lambda_minus=args.lambda_minus)
 
 
-def _config_dict(args, command):
-    keys = ("q", "lambda_plus", "lambda_minus", "k", "k_range", "grid", "n",
-            "out", "seed", "jobs", "suite", "profile", "input", "singular")
-    doc = {"command": command}
-    for key in keys:
-        if hasattr(args, key):
-            doc[key] = getattr(args, key)
-    return doc
+def _config_dict(args):
+    """Every parsed option of the run, the subcommand name included."""
+    return {key: val for key, val in vars(args).items() if key not in ("func", "config")}
 
 
 def _ensure_outdir(args):
@@ -101,7 +96,7 @@ def cmd_construct(args):
     with open(os.path.join(outdir, "summary.txt"), "w") as fh:
         fh.write("\n".join(summary) + "\n")
     print("\n".join(summary))
-    _write_run_record(outdir, _config_dict(args, "construct"),
+    _write_run_record(outdir, _config_dict(args),
                       {"construct_s": round(t_construct, 3)})
     return EXIT_OK
 
@@ -144,7 +139,7 @@ def cmd_analyze(args):
                  for s in sing])
     report["singular_clusters"] = len(sing)
     _write_json(os.path.join(outdir, "analysis.json"), report)
-    _write_run_record(outdir, _config_dict(args, "analyze"),
+    _write_run_record(outdir, _config_dict(args),
                       {"analyze_s": round(time.perf_counter() - t0, 3)})
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
@@ -216,10 +211,7 @@ def _suite_profile(args, checks):
     if not isinstance(obj, fields.AngularProfile):
         raise fields.ParseError("verify --profile expects a profile file")
     p = obj.params or pm.ProblemParams()
-    tr = cons.energy_function(p, obj)
-    e = tr.values
-    mean = abs(float(np.mean(e))) or 1.0
-    drift = (float(np.max(e)) - float(np.min(e))) / mean
+    drift = cons.profile_energy_drift(p, obj)
     checks.append(("stored profile energy drift", drift < 1e-4))
 
 
@@ -252,7 +244,7 @@ def cmd_verify(args):
     _write_json(os.path.join(outdir, "verify.json"), report)
     for n, ok in checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {n}")
-    _write_run_record(outdir, _config_dict(args, "verify"),
+    _write_run_record(outdir, _config_dict(args),
                       {"verify_s": round(time.perf_counter() - t0, 3)})
     return EXIT_OK if report["all_pass"] else EXIT_VERIFY
 
@@ -316,7 +308,7 @@ def cmd_sweep(args):
         for row in rows:
             fh.write(",".join(str(c) for c in row) + "\n")
     print(f"wrote {path} ({len(rows)} rows)")
-    _write_run_record(outdir, _config_dict(args, "sweep"),
+    _write_run_record(outdir, _config_dict(args),
                       {"sweep_s": round(time.perf_counter() - t0, 3)})
     return EXIT_OK
 

@@ -65,11 +65,10 @@ class ArcMinimizer:
     def padded(self) -> np.ndarray:
         return np.concatenate(([0.0], self.values, [0.0]))
 
-    def spline(self, offset=0.0, sign=1.0) -> ClampedCubic:
+    def spline(self, offset=0.0) -> ClampedCubic:
         """Clamped cubic through the samples, shifted to start at `offset`."""
         theta = offset + self.h * np.arange(self.n + 2)
-        return ClampedCubic(theta, sign * self.padded(),
-                            sign * self.slope_left, sign * self.slope_right)
+        return ClampedCubic(theta, self.padded(), self.slope_left, self.slope_right)
 
 
 class ClampedCubic:
@@ -80,7 +79,8 @@ class ClampedCubic:
     same floats: the knot slopes solve the same tridiagonal system with
     ``solve_banded``, the coefficients are formed as ``CubicHermiteSpline``
     forms them, and a call sums the local power basis in the order of
-    ``PPoly`` evaluation.  Points outside [x[0], x[-1]] take the end cubics.
+    ``PPoly`` evaluation, for the value and the first two derivatives
+    together.  Points outside [x[0], x[-1]] take the end cubics.
     """
 
     def __init__(self, x, y, slope_left, slope_right):
@@ -104,21 +104,18 @@ class ClampedCubic:
         # c0 s^3 + c1 s^2 + c2 s + c3 on [x[i], x[i+1]], s = v - x[i]
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
-    def __call__(self, v, nu=0):
-        """Value (nu = 0) or derivative of order nu = 1, 2 at v."""
+    def __call__(self, v):
+        """(value, first derivative, second derivative) at v."""
         v = np.asarray(v, dtype=float)
         i = np.clip(np.searchsorted(self.x, v, "right") - 1, 0, len(self.x) - 2)
         s = v - self.x[i]
+        s2 = s * s
         c0, c1, c2, c3 = self.c[:, i]
         # the sums start from 0.0 and run from the constant term up, with the
         # power of s built by repeated products, as PPoly evaluates them
-        if nu == 0:
-            return 0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
-        if nu == 1:
-            return 0.0 + c2 + c1 * s * 2 + c0 * (s * s) * 3
-        if nu == 2:
-            return 0.0 + c1 * 2 + c0 * s * 6
-        raise ValueError(f"derivative order must be 0, 1 or 2, got {nu}")
+        return (0.0 + c3 + c2 * s + c1 * s2 + c0 * (s2 * s),
+                0.0 + c2 + c1 * s * 2 + c0 * s2 * 3,
+                0.0 + c1 * 2 + c0 * s * 6)
 
 
 def _arc_energy(phi_padded, h, gamma2, lam, q):
@@ -129,7 +126,11 @@ def _arc_energy(phi_padded, h, gamma2, lam, q):
     return kinetic - potential
 
 
-def _solve_positive_arc(q, lam, gamma2, length, n, tol=1e-10, max_iter=200):
+_NEWTON_TOL = 1e-10  # residual relative to the arc's force scale
+_NEWTON_MAXITER = 200
+
+
+def _solve_positive_arc(q, lam, gamma2, length, n):
     """Interior samples of the positive Dirichlet minimizer on (0, length)."""
     h = length / (n + 1)
     band = np.zeros((3, n))
@@ -167,12 +168,12 @@ def _solve_positive_arc(q, lam, gamma2, length, n, tol=1e-10, max_iter=200):
     trace = []
     res = residual(phi)
     eps = np.finfo(float).eps
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAXITER):
         rnorm = float(np.max(np.abs(res)))
         # rounding floor of the divided second difference
         floor = 32.0 * eps * float(np.max(np.abs(phi))) / h**2
         trace.append(rnorm)
-        if rnorm < max(tol * scale, floor):
+        if rnorm < max(_NEWTON_TOL * scale, floor):
             return phi
         band[1] = diag - lam * (q - 1.0) * phi ** (q - 2.0)
         delta = solve_banded((1, 1), band, -res)
@@ -190,7 +191,7 @@ def _solve_positive_arc(q, lam, gamma2, length, n, tol=1e-10, max_iter=200):
             if rnorm < 100.0 * floor:
                 return phi
             raise SolverError(f"Newton stalled at residual {rnorm}", trace)
-    raise SolverError(f"Newton did not converge in {max_iter} iterations", trace)
+    raise SolverError(f"Newton did not converge in {_NEWTON_MAXITER} iterations", trace)
 
 
 def minimize_arc(params: ProblemParams, t: float, T: float, side: str, n: int = 2048) -> ArcMinimizer:
@@ -386,40 +387,31 @@ def construct_uk(params: ProblemParams, k: int, n: int = 2048) -> MatchingResult
 
     plus = minimize_arc(params, t_bar, T, "plus", n)
     minus = minimize_arc(params, t_bar, T, "minus", n)
-    sp_plus = plus.spline(offset=0.0)
-    sp_minus = minus.spline(offset=t_bar)
     psi_res = abs(plus.slope_right - minus.slope_left)
 
     n_theta = k * max(64, int(np.ceil(4096.0 / k)))
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     local = np.mod(theta, T)
     on_plus = local <= t_bar
-    values = np.where(on_plus, sp_plus(np.clip(local, 0.0, t_bar)),
-                      sp_minus(np.clip(local, t_bar, T)))
-    deriv = np.where(on_plus, sp_plus(np.clip(local, 0.0, t_bar), 1),
-                     sp_minus(np.clip(local, t_bar, T), 1))
+    # value, first and second derivative of each arc's cubic on its own samples
+    cubic = np.empty((3, n_theta))
+    cubic[:, on_plus] = plus.spline(0.0)(local[on_plus])
+    cubic[:, ~on_plus] = minus.spline(t_bar)(local[~on_plus])
+    values, deriv, second = cubic
     profile = AngularProfile(values, deriv, params)
 
     g = gamma_q(params)
     scale = max(np.max(np.abs(values)) * g * g,
                 params.lambda_plus, params.lambda_minus)
-    second = np.where(on_plus, sp_plus(np.clip(local, 0.0, t_bar), 2),
-                      sp_minus(np.clip(local, t_bar, T), 2))
     # evaluate the nonlinearity on the branch the node's arc lives on: at the
-    # zeros the right hand side is only one-sidedly defined when q = 1
+    # zeros the right hand side is only one-sidedly defined when q = 1, where
+    # x ** 0.0 == 1.0 for every x, 0.0 included
     qm1 = params.q - 1.0
-    branch_plus = params.lambda_plus * (np.clip(values, 0.0, None) ** qm1 if qm1 > 0
-                                        else np.ones_like(values))
-    branch_minus = -params.lambda_minus * (np.clip(-values, 0.0, None) ** qm1 if qm1 > 0
-                                           else np.ones_like(values))
-    rhs = np.where(on_plus, branch_plus, branch_minus)
+    rhs = np.where(on_plus, params.lambda_plus * np.clip(values, 0.0, None) ** qm1,
+                   -params.lambda_minus * np.clip(-values, 0.0, None) ** qm1)
     ode_residual = float(np.max(np.abs(-second - g * g * values - rhs)) / scale)
 
-    energy = energy_function(params, profile)
-    emax, emin = float(np.max(energy.values)), float(np.min(energy.values))
-    emean = float(np.mean(energy.values))
-    energy_drift = (emax - emin) / abs(emean) if emean != 0 else 0.0
-
+    energy_drift = profile_energy_drift(params, profile)
     zero_count = count_sign_changes(values)
 
     return MatchingResult(k=k, T=T, t_bar=t_bar, profile=profile,
@@ -431,19 +423,24 @@ def construct_uk(params: ProblemParams, k: int, n: int = 2048) -> MatchingResult
 def energy_function(params: ProblemParams, profile: AngularProfile):
     """Pointwise arc energy (phi')^2/2 + g^2 phi^2/2 + sum lambda (phi^pm)^q / q.
 
-    Constant in theta exactly on solutions of the circle equation; the drift
-    (max - min)/|mean| is the diagnostic.
+    Returned at the sample angles ``profile.theta``.  Constant in theta exactly on
+    solutions of the circle equation; :func:`profile_energy_drift` is the
+    diagnostic.
     """
-    from .functionals import FunctionalTrace
-
     g = gamma_q(params)
     phi = profile.values
     dphi = profile.derivative
     q = params.q
-    e = (0.5 * dphi**2 + 0.5 * g * g * phi**2
-         + params.lambda_plus / q * np.clip(phi, 0.0, None) ** q
-         + params.lambda_minus / q * np.clip(-phi, 0.0, None) ** q)
-    return FunctionalTrace(profile.theta, e, label="arc-energy")
+    return (0.5 * dphi**2 + 0.5 * g * g * phi**2
+            + params.lambda_plus / q * np.clip(phi, 0.0, None) ** q
+            + params.lambda_minus / q * np.clip(-phi, 0.0, None) ** q)
+
+
+def profile_energy_drift(params: ProblemParams, profile: AngularProfile) -> float:
+    """Relative drift (max - min)/|mean| of the arc energy; 0 when the mean is 0."""
+    e = energy_function(params, profile)
+    emean = float(np.mean(e))
+    return (float(np.max(e)) - float(np.min(e))) / abs(emean) if emean != 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

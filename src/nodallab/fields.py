@@ -103,9 +103,6 @@ class AngularProfile:
     def __call__(self, theta):
         return self._eval(self._coef[:, 0], theta)
 
-    def prime(self, theta):
-        return self._eval(self._coef[:, 1], theta)
-
     def value_and_prime(self, theta):
         both = self._eval(self._coef, theta)
         return both[0], both[1]
@@ -120,19 +117,17 @@ class AngularProfile:
 
 
 class PlanarField:
-    """Base interface: scalar value and gradient at points of the unit disk."""
+    """Base interface: the value alone, or value and gradient together, at
+    points of the unit disk."""
 
     params: ProblemParams
 
     def __call__(self, x, y):
         raise NotImplementedError
 
-    def grad(self, x, y):
-        raise NotImplementedError
-
     def value_and_grad(self, x, y):
-        """``(u, (u_x, u_y))`` at the points; subclasses may share work between them."""
-        return self(x, y), self.grad(x, y)
+        """``(u, (u_x, u_y))`` at the points."""
+        raise NotImplementedError
 
     def scale(self) -> float:
         """Crude magnitude estimate, used for relative tolerances."""
@@ -154,8 +149,10 @@ class ClosedFormField(PlanarField):
     def __call__(self, x, y):
         return self.f(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
-    def grad(self, x, y):
-        return self.gradf(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    def value_and_grad(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        return self.f(x, y), self.gradf(x, y)
 
 
 class HomogeneousField(PlanarField):
@@ -174,9 +171,6 @@ class HomogeneousField(PlanarField):
         r = np.hypot(x, y)
         th = np.arctan2(y, x)
         return r**self.gamma * self.profile(th)
-
-    def grad(self, x, y):
-        return self.value_and_grad(x, y)[1]
 
     def value_and_grad(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -216,27 +210,8 @@ class GridField(PlanarField):
         self.n = values.shape[0]
         self.h = 2.0 / (self.n - 1)
         self.params = params or ProblemParams(q=1.0, mu=0.0)
-        self._gx = self._diff(values, axis=0)
-        self._gy = self._diff(values, axis=1)
-
-    def _diff(self, v, axis):
-        g = np.gradient(v, self.h, axis=axis)
-        # replace the first-order boundary rows with second-order one-sided stencils
-        sl = [slice(None), slice(None)]
-
-        def take(i):
-            s = list(sl)
-            s[axis] = i
-            return v[tuple(s)]
-
-        first = (-3.0 * take(0) + 4.0 * take(1) - take(2)) / (2.0 * self.h)
-        last = (3.0 * take(-1) - 4.0 * take(-2) + take(-3)) / (2.0 * self.h)
-        s0, s1 = list(sl), list(sl)
-        s0[axis] = 0
-        s1[axis] = -1
-        g[tuple(s0)] = first
-        g[tuple(s1)] = last
-        return g
+        self._gx = np.gradient(values, self.h, axis=0, edge_order=2)
+        self._gy = np.gradient(values, self.h, axis=1, edge_order=2)
 
     def _weights(self, x, y):
         """Flat lower-left cell index and in-cell offsets of the points, for ``_blend``."""
@@ -269,10 +244,6 @@ class GridField(PlanarField):
 
     def __call__(self, x, y):
         return self._blend(self.values, *self._weights(x, y))
-
-    def grad(self, x, y):
-        w = self._weights(x, y)
-        return self._blend(self._gx, *w), self._blend(self._gy, *w)
 
     def value_and_grad(self, x, y):
         w = self._weights(x, y)

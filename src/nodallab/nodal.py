@@ -216,7 +216,7 @@ def singular_thresholds(field: PlanarField, n: int, radius: float = 1.0):
     g = gamma_q(field.params)
     scale = field.scale()
     th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    gx, gy = field.grad(0.7 * radius * np.cos(th), 0.7 * radius * np.sin(th))
+    _, (gx, gy) = field.value_and_grad(0.7 * radius * np.cos(th), 0.7 * radius * np.sin(th))
     gscale = float(np.max(np.hypot(gx, gy))) or 1.0
     eps_u = 10.0 * h ** min(g, 2.0) * scale
     eps_g = 10.0 * h * gscale
@@ -295,7 +295,7 @@ def profile_zero_structure(profile):
     th[idx] = 0.5 * (a + b)
     zs = th[(vals == 0.0) | bracket]
     zeros = zs.tolist()
-    slopes = profile.prime(zs).tolist()
+    slopes = profile.value_and_prime(zs)[1].tolist()
 
     tol = max(1e-8, 1e-6 * two_pi / n)
     antipodal = True

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ClosedFormField, PlanarField
+from .fields import PlanarField
 from .functionals import N_DIM, N_THETA, _ladder, _require_nodal, h1_norm, h_floor
 from .params import beta_q, gamma_q
 
@@ -93,7 +93,7 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
                          nondegeneracy_ratio=ratio, h1_slope=h1_slope)
 
 
-class RescaledField(ClosedFormField):
+class RescaledField(PlanarField):
     """u(x0 + r x) / c with the gradient scaled accordingly."""
 
     def __init__(self, base: PlanarField, x0, r, c):
@@ -108,10 +108,6 @@ class RescaledField(ClosedFormField):
 
     def __call__(self, x, y):
         return self.base(*self._base_points(x, y)) / self.c
-
-    def grad(self, x, y):
-        gx, gy = self.base.grad(*self._base_points(x, y))
-        return self.r / self.c * gx, self.r / self.c * gy
 
     def value_and_grad(self, x, y):
         v, (gx, gy) = self.base.value_and_grad(*self._base_points(x, y))

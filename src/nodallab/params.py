@@ -70,23 +70,6 @@ def k_bar(params: ProblemParams) -> int:
     return int(math.ceil(2.0 * gamma_q(params) - 1e-12))
 
 
-@dataclass(frozen=True)
-class DerivedExponents:
-    gamma_q: float
-    beta_q: int
-    lambda_Nq: float
-    k_bar: int
-
-
-def derived_exponents(params: ProblemParams, N: int = 2) -> DerivedExponents:
-    return DerivedExponents(
-        gamma_q=gamma_q(params),
-        beta_q=beta_q(params),
-        lambda_Nq=lambda_Nq(params, N),
-        k_bar=k_bar(params),
-    )
-
-
 def _is_integer(x: float, tol: float = 1e-12) -> bool:
     return abs(x - round(x)) < tol
 

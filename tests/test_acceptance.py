@@ -57,8 +57,7 @@ def independent_quotient(field, p, n_r=800, n_th=1600):
     th = (np.arange(n_th) + 0.5) * 2 * np.pi / n_th
     R, TH = np.meshgrid(rs, th, indexing="ij")
     X, Y = R * np.cos(TH), R * np.sin(TH)
-    gx, gy = field.grad(X, Y)
-    u = field(X, Y)
+    u, (gx, gy) = field.value_and_grad(X, Y)
     F = p.mu * (p.lambda_plus * np.clip(u, 0, None) ** p.q
                 + p.lambda_minus * np.clip(-u, 0, None) ** p.q)
     w = R / n_r * (2 * np.pi / n_th)

@@ -22,7 +22,7 @@ def test_profile_interpolation_accuracy():
     prof = cos2_profile()
     th = np.linspace(0, 2 * np.pi, 1000)
     err = max(abs(prof(t) - np.cos(2 * t)) for t in th)
-    derr = max(abs(prof.prime(t) + 2 * np.sin(2 * t)) for t in th)
+    derr = max(abs(prof.value_and_prime(t)[1] + 2 * np.sin(2 * t)) for t in th)
     # cubic interpolation on 256 samples, error O(h^4) with h = 2 pi / 256
     assert err < 1e-5
     assert derr < 1e-3
@@ -59,11 +59,11 @@ def test_homogeneous_field_matches_closed_form():
     pts = rng.uniform(-0.7, 0.7, size=(50, 2))
     for x, y in pts:
         assert abs(f(x, y) - ref(x, y)) < 1e-6
-        gx, gy = f.grad(x, y)
-        rx, ry = ref.grad(x, y)
+        gx, gy = f.value_and_grad(x, y)[1]
+        rx, ry = ref.value_and_grad(x, y)[1]
         assert abs(gx - rx) < 1e-3 and abs(gy - ry) < 1e-3
     # gradient of r^gamma phi vanishes at the origin for gamma > 1
-    gx, gy = f.grad(0.0, 0.0)
+    gx, gy = f.value_and_grad(0.0, 0.0)[1]
     assert gx == 0.0 and gy == 0.0
 
 
@@ -77,8 +77,8 @@ def test_grid_field_eval_and_grad():
     ref = monomial_field(2)
     for x, y in [(0.3, 0.1), (-0.5, 0.4), (0.0, 0.0)]:
         assert abs(f(x, y) - ref(x, y)) < 1e-3
-        gx, gy = f.grad(x, y)
-        rx, ry = ref.grad(x, y)
+        gx, gy = f.value_and_grad(x, y)[1]
+        rx, ry = ref.value_and_grad(x, y)[1]
         assert abs(gx - rx) < 1e-2 and abs(gy - ry) < 1e-2
     with pytest.raises(DomainError):
         f(1.5, 0.0)
@@ -86,6 +86,18 @@ def test_grid_field_eval_and_grad():
         GridField(np.zeros((4, 5)))
     with pytest.raises(ValueError):
         GridField(np.zeros((2, 2)))  # too small for the one-sided stencils
+
+
+def test_grid_field_gradient_exact_on_quadratics():
+    # the central and the one-sided edge stencils are both second order, so
+    # they are exact up to rounding on a quadratic, edges and corners included
+    quad = ClosedFormField(lambda x, y: x * x + 3.0 * x * y - y * y + 2.0 * x,
+                           lambda x, y: (2.0 * x + 3.0 * y + 2.0, 3.0 * x - 2.0 * y))
+    f = GridField.sample(quad, 33)
+    xs = np.linspace(-1.0, 1.0, 33)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    gx, gy = quad.value_and_grad(X, Y)[1]
+    assert np.max(np.abs(f._gx - gx)) < 1e-12 and np.max(np.abs(f._gy - gy)) < 1e-12
 
 
 def _grid_ref(f, x, y):
@@ -120,8 +132,9 @@ def test_grid_field_matches_fancy_index_blend():
               (0.3, -1.0), (1.0, 1.0)]
     for x, y in points:
         v, (gx, gy) = _grid_ref(f, x, y)
-        for got_v, (got_gx, got_gy) in ((f(x, y), f.grad(x, y)), f.value_and_grad(x, y)):
-            assert _same(got_v, v) and _same(got_gx, gx) and _same(got_gy, gy)
+        got_v, (got_gx, got_gy) = f.value_and_grad(x, y)
+        assert _same(f(x, y), v) and _same(got_v, v)
+        assert _same(got_gx, gx) and _same(got_gy, gy)
 
 
 def test_profile_roundtrip_bit_exact(tmp_path):
@@ -272,7 +285,6 @@ def test_value_and_grad_matches_separate_calls(r, th, n):
     for f in _every_field_class():
         v, (gx, gy) = f.value_and_grad(x, y)
         assert np.array_equal(v, f(x, y))
-        assert all(np.array_equal(a, b) for a, b in zip((gx, gy), f.grad(x, y)))
         if isinstance(f, HomogeneousField):
             assert all(np.array_equal(a, b)
                        for a, b in zip((gx, gy), _homogeneous_ref(f, x, y)[1]))
@@ -285,7 +297,7 @@ def test_catmull_rom_periodic(th, seed):
     prof = AngularProfile(rng.standard_normal(64), rng.standard_normal(64))
     # equal up to the rounding of theta + 2 pi itself
     assert abs(prof(th + 2 * np.pi) - prof(th)) < 1e-11
-    assert abs(prof.prime(th + 2 * np.pi) - prof.prime(th)) < 1e-11
+    assert abs(prof.value_and_prime(th + 2 * np.pi)[1] - prof.value_and_prime(th)[1]) < 1e-11
 
 
 # negative angles, +-pi, multiples of 2 pi, +-1e-300 (x mod n rounds to n for
@@ -305,7 +317,7 @@ def test_profile_table_matches_stencil(n):
     with np.errstate(invalid="ignore", over="ignore"):
         for th in thetas:
             assert _same(prof(th), _profile_ref(prof, prof.values, th))
-            assert _same(prof.prime(th), _profile_ref(prof, prof.derivative, th))
+            assert _same(prof.value_and_prime(th)[1], _profile_ref(prof, prof.derivative, th))
             both = _profile_ref(prof, stacked, th)
             v, dv = prof.value_and_prime(th)
             assert _same(v, both[..., 0]) and _same(dv, both[..., 1])

@@ -8,7 +8,7 @@ from nodallab.functionals import (
     DegenerateSphereError, FunctionalTrace, InconclusiveError,
     PreconditionError, check_derivative_identities, eval_Dt, eval_F, eval_H,
     eval_Nt, eval_Phi, eval_W, h1_norm, monotonicity_scan, trace,
-    transition_exponent, w_vs_frequency_residual,
+    transition_exponent, w_prime_rhs, w_vs_frequency_residual,
 )
 from nodallab.params import ProblemParams
 
@@ -91,13 +91,31 @@ def test_h_floor_scales_with_field():
     # a tiny field is not a degenerate one: the floor moves with its scale
     m = monomial_field(2)
     tiny = ClosedFormField(lambda x, y: 1e-10 * m(x, y),
-                           lambda x, y: tuple(1e-10 * g for g in m.grad(x, y)))
+                           lambda x, y: tuple(1e-10 * g for g in m.value_and_grad(x, y)[1]))
     assert abs(eval_Nt(tiny, ORIGIN, 0.7, 2.0) - 2.0) < 1e-9
 
 
 def test_w_frequency_consistency():
     f = monomial_field(2)
     assert w_vs_frequency_residual(f, ORIGIN, 0.6, 2.0, 2.0) < 1e-12
+
+
+def _centred_w_prime(field, r, gamma, t, dr):
+    return (eval_W(field, ORIGIN, r + dr, gamma, t)
+            - eval_W(field, ORIGIN, r - dr, gamma, t)) / (2.0 * dr)
+
+
+def test_w_prime_rhs_matches_centred_difference():
+    # r^3 cos(3 theta) has W(5/2, t; r) = pi r / 2, whose centred difference is exact
+    m = monomial_field(3)
+    for r in (0.3, 0.6):
+        got = w_prime_rhs(m, ORIGIN, r, 2.5, 2.0)
+        assert abs(got - np.pi / 2) < 1e-6
+        assert abs(got - _centred_w_prime(m, r, 2.5, 2.0, 1e-4)) < 1e-6
+    # gamma != t: the swapped arguments give -1.9e-6 against W' = 3.5e-6
+    u = construct_uk(ProblemParams(q=1.5), 9).to_field()
+    got = w_prime_rhs(u, ORIGIN, 0.5, 4.5, 2.0)
+    assert abs(got - _centred_w_prime(u, 0.5, 4.5, 2.0, 1e-3)) < 1e-4 * abs(got)
 
 
 def test_trace_and_csv(tmp_path):

@@ -131,7 +131,7 @@ def _zero_structure_ref(profile):
         th0 = two_pi * j / n
         if v0 == 0.0:
             zeros.append(th0)
-            slopes.append(float(profile.prime(th0)))
+            slopes.append(float(profile.value_and_prime(th0)[1]))
             continue
         if v0 * v1 < 0.0:
             a, b = th0, two_pi * (j + 1) / n
@@ -147,7 +147,7 @@ def _zero_structure_ref(profile):
                     break
             z = 0.5 * (a + b)
             zeros.append(z)
-            slopes.append(float(profile.prime(z)))
+            slopes.append(float(profile.value_and_prime(z)[1]))
     return zeros, slopes
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nodallab.params import (
-    ProblemParams, beta_k_sequence, beta_q, derived_exponents, gamma_q,
+    ProblemParams, beta_k_sequence, beta_q, gamma_q,
     k_bar, lambda_Nq, sigma_k_sequence,
 )
 
@@ -34,11 +34,6 @@ def test_k_bar():
     assert k_bar(ProblemParams(q=1.0)) == 4
     assert k_bar(ProblemParams(q=1.5)) == 8
     assert k_bar(ProblemParams(q=1.2)) == 5  # 2*gamma = 5 exactly
-
-
-def test_derived_exponents_bundle():
-    d = derived_exponents(ProblemParams(q=1.5))
-    assert (d.gamma_q, d.beta_q, d.lambda_Nq, d.k_bar) == (4.0, 3, 16.0, 8)
 
 
 def test_param_validation():
