@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,22 @@ def test_extract_nodal_set_grid_sample_n512(benchmark, uk15_grid):
     ns = benchmark(extract_nodal_set, uk15_grid, 512)
     # bilinear samples of the 18 rays keep the length within a few per cent
     assert abs(nodal_length(ns, 1.0) - 18.0) < 0.05 * 18.0
+
+
+def test_grid_sample_513(benchmark, uk15):
+    grid = benchmark(GridField.sample, uk15, 513)
+    # the banded samples are the field's own values
+    xs = np.linspace(-1.0, 1.0, 513)
+    rows = [0, 97, 256, 400, 512]
+    X, Y = np.meshgrid(xs[rows], xs, indexing="ij")
+    assert np.array_equal(grid.values[rows], uk15(X, Y))
+    # bands keep one call's peak allocation near the grid's own arrays, with
+    # no full-square coordinates or temporaries
+    tracemalloc.start()
+    GridField.sample(uk15, 513)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_detect_singular_n256(benchmark, uk15):

@@ -226,10 +226,6 @@ SUITES = {
 def cmd_verify(args):
     outdir = _ensure_outdir(args)
     t0 = time.perf_counter()
-    if args.suite and args.suite not in SUITES:
-        print(f"error: unknown suite {args.suite!r}; have "
-              f"{sorted(SUITES)}", file=sys.stderr)
-        return EXIT_IO
     if args.seed < 0:
         print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_IO
@@ -444,8 +440,20 @@ def _load_config(path):
     return doc
 
 
+class _UsageError(Exception):
+    """Bad command line: unknown flag, missing or malformed value."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error by raising it, for ``main`` to print as one line
+    and exit with EXIT_IO; subcommand parsers are made of the same class."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="nodallab")
+    parser = _Parser(prog="nodallab")
     parser.add_argument("--config", help="key=value config file; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -469,7 +477,7 @@ def _build_parser():
 
     sp = sub.add_parser("verify", help="run verification suites")
     add_params(sp)
-    sp.add_argument("--suite", default=None)
+    sp.add_argument("--suite", default=None, choices=sorted(SUITES))
     sp.add_argument("--profile", default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--n", type=int, default=2048)
@@ -499,21 +507,27 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     # pre-pass: pull --config so its values become subcommand defaults
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(add_help=False)
     pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
     try:
+        known, _ = pre.parse_known_args(argv)
         if known.config:
             converted = _load_config(known.config)
-            for action in parser._subparsers._group_actions[0].choices.values():
-                action.set_defaults(**{k: v for k, v in converted.items()
-                                       if any(a.dest == k for a in action._actions)})
+            for sub in parser._subparsers._group_actions[0].choices.values():
+                for a in sub._actions:
+                    if a.dest not in converted:
+                        continue
+                    # argparse checks choices on the command line, not on defaults
+                    if a.choices is not None and converted[a.dest] not in a.choices:
+                        raise _UsageError(f"config {a.dest}={converted[a.dest]!r}: "
+                                          f"invalid choice (choose from {list(a.choices)})")
+                    sub.set_defaults(**{a.dest: converted[a.dest]})
         try:
             args = parser.parse_args(argv)
-        except SystemExit as exc:
+        except SystemExit as exc:  # --help
             return int(exc.code) if exc.code else EXIT_OK
         return args.func(args)
-    except (fields.ParseError, OSError) as exc:
+    except (fields.ParseError, _UsageError, OSError) as exc:
         # ParseError is a ValueError, so it is caught first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

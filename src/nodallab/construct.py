@@ -3,7 +3,7 @@
 A global homogeneous solution in the plane is u = r^g * phi(theta) with
 g = 2/(2-q) and phi a 2*pi-periodic solution of
 
-    -phi'' - g^2 phi = lambda_+ (phi^+)^(q-1) - lambda_- (phi^-)^(q-1).
+    -phi'' - g^2 phi = mu (lambda_+ (phi^+)^(q-1) - lambda_- (phi^-)^(q-1)).
 
 On each arc of length below pi/g the signed problem has a unique one-signed
 energy minimizer.  For a wave count k the period is T = 2*pi/k; the positive
@@ -27,6 +27,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .fields import AngularProfile, HomogeneousField
+from .functionals import eval_F
 from .params import ProblemParams, gamma_q, k_bar
 
 
@@ -53,7 +54,6 @@ class ArcMinimizer:
     length: float
     n: int
     values: np.ndarray
-    side: str
     energy: float
     slope_left: float
     slope_right: float
@@ -197,8 +197,8 @@ def _solve_positive_arc(q, lam, gamma2, length, n):
 def minimize_arc(params: ProblemParams, t: float, T: float, side: str, n: int = 2048) -> ArcMinimizer:
     """One-signed arc minimizer: side "plus" on (0, t), side "minus" on (t, T).
 
-    The minus arc is the negated plus solve with lambda_minus on an interval
-    of length T - t (the equation is odd and autonomous).
+    The minus arc is the negated plus solve with mu * lambda_minus on an
+    interval of length T - t (the equation is odd and autonomous).
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"unknown side {side!r}")
@@ -210,7 +210,7 @@ def minimize_arc(params: ProblemParams, t: float, T: float, side: str, n: int = 
         raise ConstructionError(
             f"arc length {length} >= pi/gamma_q = {np.pi / g}: energy not coercive "
             "(wave count k too small)")
-    lam = params.lambda_plus if side == "plus" else params.lambda_minus
+    lam = params.mu * (params.lambda_plus if side == "plus" else params.lambda_minus)
     if lam <= 0:
         raise ValueError(f"side {side} needs a positive coefficient")
 
@@ -225,8 +225,8 @@ def minimize_arc(params: ProblemParams, t: float, T: float, side: str, n: int = 
     if side == "minus":
         vals = -vals
         sl, sr = -sl, -sr
-    return ArcMinimizer(length=length, n=n, values=vals, side=side,
-                        energy=energy, slope_left=sl, slope_right=sr)
+    return ArcMinimizer(length=length, n=n, values=vals, energy=energy,
+                        slope_left=sl, slope_right=sr)
 
 
 def psi(params: ProblemParams, k: int, t: float, n: int = 2048) -> float:
@@ -368,8 +368,8 @@ def construct_uk(params: ProblemParams, k: int, n: int = 2048) -> MatchingResult
     kb = k_bar(params)
     if k <= kb:
         raise ConstructionError(f"k must exceed k_bar={kb}, got k={k}")
-    if params.lambda_minus <= 0:
-        raise ConstructionError("the negative arc needs lambda_minus > 0")
+    if params.mu * params.lambda_minus <= 0:
+        raise ConstructionError("the negative arc needs mu * lambda_minus > 0")
     T = 2.0 * np.pi / k
 
     a, b = 1e-3 * T, (1.0 - 1e-3) * T
@@ -401,14 +401,14 @@ def construct_uk(params: ProblemParams, k: int, n: int = 2048) -> MatchingResult
     profile = AngularProfile(values, deriv, params)
 
     g = gamma_q(params)
-    scale = max(np.max(np.abs(values)) * g * g,
-                params.lambda_plus, params.lambda_minus)
+    lam_plus, lam_minus = params.mu * params.lambda_plus, params.mu * params.lambda_minus
+    scale = max(np.max(np.abs(values)) * g * g, lam_plus, lam_minus)
     # evaluate the nonlinearity on the branch the node's arc lives on: at the
     # zeros the right hand side is only one-sidedly defined when q = 1, where
     # x ** 0.0 == 1.0 for every x, 0.0 included
     qm1 = params.q - 1.0
-    rhs = np.where(on_plus, params.lambda_plus * np.clip(values, 0.0, None) ** qm1,
-                   -params.lambda_minus * np.clip(-values, 0.0, None) ** qm1)
+    rhs = np.where(on_plus, lam_plus * np.clip(values, 0.0, None) ** qm1,
+                   -lam_minus * np.clip(-values, 0.0, None) ** qm1)
     ode_residual = float(np.max(np.abs(-second - g * g * values - rhs)) / scale)
 
     energy_drift = profile_energy_drift(params, profile)
@@ -421,7 +421,7 @@ def construct_uk(params: ProblemParams, k: int, n: int = 2048) -> MatchingResult
 
 
 def energy_function(params: ProblemParams, profile: AngularProfile):
-    """Pointwise arc energy (phi')^2/2 + g^2 phi^2/2 + sum lambda (phi^pm)^q / q.
+    """Pointwise arc energy (phi')^2/2 + F(phi)/q + g^2 phi^2/2.
 
     Returned at the sample angles ``profile.theta``.  Constant in theta exactly on
     solutions of the circle equation; :func:`profile_energy_drift` is the
@@ -429,11 +429,7 @@ def energy_function(params: ProblemParams, profile: AngularProfile):
     """
     g = gamma_q(params)
     phi = profile.values
-    dphi = profile.derivative
-    q = params.q
-    return (0.5 * dphi**2 + 0.5 * g * g * phi**2
-            + params.lambda_plus / q * np.clip(phi, 0.0, None) ** q
-            + params.lambda_minus / q * np.clip(-phi, 0.0, None) ** q)
+    return hamiltonian(params, phi, profile.derivative) + 0.5 * g * g * phi**2
 
 
 def profile_energy_drift(params: ProblemParams, profile: AngularProfile) -> float:
@@ -449,12 +445,9 @@ def profile_energy_drift(params: ProblemParams, profile: AngularProfile) -> floa
 
 
 def hamiltonian(params: ProblemParams, w, wp):
-    q = params.q
-    w = np.asarray(w, dtype=float)
-    wp = np.asarray(wp, dtype=float)
-    return (0.5 * wp**2
-            + params.mu * params.lambda_plus / q * np.clip(w, 0.0, None) ** q
-            + params.mu * params.lambda_minus / q * np.clip(-w, 0.0, None) ** q)
+    """First integral (w')^2/2 + F(w)/q of the 1-d problem, F the potential of
+    :func:`~nodallab.functionals.eval_F`."""
+    return 0.5 * np.asarray(wp, dtype=float) ** 2 + eval_F(params, w) / params.q
 
 
 def _rk4_step(w, v, h, c, e):

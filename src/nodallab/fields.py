@@ -7,6 +7,9 @@ Three kinds of evaluable scalar field on the unit disk:
   periodic :class:`AngularProfile`,
 * raw grid samples on [-1, 1]^2 with finite-difference gradients.
 
+Any field is sampled on a grid by ``_sample_grid``, in cache-sized bands of
+rows; ``GridField.sample`` and the nodal extraction and detection share it.
+
 Profiles are interpolated with a periodic Catmull-Rom cubic so evaluation is
 C^1, which the glued circle profiles require.  The cubic coefficients of every
 sample interval, for values and derivative together, are built once when an
@@ -140,11 +143,10 @@ class PlanarField:
 class ClosedFormField(PlanarField):
     """Test field from explicit value/gradient callables (vectorized over numpy arrays)."""
 
-    def __init__(self, f, gradf, params=None, name="closed-form"):
+    def __init__(self, f, gradf, params=None):
         self.f = f
         self.gradf = gradf
         self.params = params if params is not None else ProblemParams(q=1.0, mu=0.0)
-        self.name = name
 
     def __call__(self, x, y):
         return self.f(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -250,10 +252,42 @@ class GridField(PlanarField):
         return self._blend(self.values, *w), (self._blend(self._gx, *w), self._blend(self._gy, *w))
 
     @classmethod
-    def sample(cls, f: PlanarField, n: int, params=None):
+    def sample(cls, f: PlanarField, n: int):
+        """``f`` on the n x n grid over [-1, 1]^2, with ``f.params``."""
         xs = np.linspace(-1.0, 1.0, n)
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        return cls(f(X, Y), params or f.params)
+        return cls(_sample_grid(f, xs, np.ones((n, n), dtype=bool)), f.params)
+
+
+# points per field call when sampling a grid: the field's temporaries for one
+# band of rows stay cache-sized
+_BAND_POINTS = 16384
+
+
+def _sample_grid(field, xs, inside, grad=False):
+    """The field, or ``field.value_and_grad`` when ``grad``, at (xs[i], xs[j]) near ``inside``.
+
+    Rows are evaluated in bands of about ``_BAND_POINTS`` points; each band
+    evaluates only the columns between the first and the last where it meets
+    ``inside`` and leaves zeros elsewhere, so callers must not read values
+    outside ``inside``.  The coordinates of a band are built from ``xs`` as
+    the band is reached.
+    """
+    n = len(xs)
+    V = np.zeros((n, n))
+    if grad:
+        GX, GY = np.zeros((n, n)), np.zeros((n, n))
+    rows = max(1, _BAND_POINTS // n)
+    for r0 in range(0, n, rows):
+        cols = np.flatnonzero(inside[r0:r0 + rows].any(axis=0))
+        if len(cols) == 0:
+            continue
+        band = np.s_[r0:r0 + rows, cols[0]:cols[-1] + 1]
+        X, Y = np.meshgrid(xs[band[0]], xs[band[1]], indexing="ij")
+        if grad:
+            V[band], (GX[band], GY[band]) = field.value_and_grad(X, Y)
+        else:
+            V[band] = field(X, Y)
+    return (V, (GX, GY)) if grad else V
 
 
 def monomial_field(d: int, phase: str = "cos") -> ClosedFormField:
@@ -272,7 +306,7 @@ def monomial_field(d: int, phase: str = "cos") -> ClosedFormField:
             return np.real(dz), -np.imag(dz)
         return np.imag(dz), np.real(dz)
 
-    return ClosedFormField(f, gradf, ProblemParams(q=1.0, mu=0.0), name=f"monomial-{phase}-{d}")
+    return ClosedFormField(f, gradf, ProblemParams(q=1.0, mu=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +448,14 @@ def load(path):
 
 @dataclass
 class NodalSet:
-    """Zero-set polyline segments plus detected singular points.
+    """Zero-set polyline segments.
 
     ``segments`` is a float array of shape (m, 2, 2): ``segments[s, e]`` is the
     point (x, y) of end e of segment s.  Any nested sequence of that layout,
     such as a list of ((x1, y1), (x2, y2)) pairs, is converted on construction.
-    Each singular point is (x, y, abs_u, abs_grad_u).
     """
 
     segments: np.ndarray = field(default_factory=list)
-    singular_points: list = field(default_factory=list)
 
     def __post_init__(self):
         self.segments = np.asarray(self.segments, dtype=float).reshape(-1, 2, 2)
@@ -432,8 +464,7 @@ class NodalSet:
         # the generated comparison would ask an array for its truth value
         if not isinstance(other, NodalSet):
             return NotImplemented
-        return (np.array_equal(self.segments, other.segments)
-                and self.singular_points == other.singular_points)
+        return np.array_equal(self.segments, other.segments)
 
     def save_csv(self, path):
         with open(path, "w") as fh:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DomainError, PlanarField
+from .fields import DomainError, PlanarField, _fmt
 from .params import ProblemParams, gamma_q
 
 N_DIM = 2
@@ -57,7 +57,6 @@ class FunctionalTrace:
 
     radii: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=float)
@@ -71,7 +70,7 @@ class FunctionalTrace:
         with open(path, "w") as fh:
             fh.write("r,value\n")
             for r, v in zip(self.radii, self.values):
-                fh.write(f"{format(r, '.17g')},{format(v, '.17g')}\n")
+                fh.write(f"{_fmt(r)},{_fmt(v)}\n")
 
 
 def eval_F(params: ProblemParams, s):
@@ -242,12 +241,7 @@ def trace(field, functional, x0, radii, gamma=None, t=None):
         raise ValueError(f"unknown functional {functional!r}")
     radii = np.asarray(radii, dtype=float)
     lad = _ladder(field, x0, radii, bulk=functional != "H")
-    label = functional
-    if gamma is not None:
-        label += f" gamma={gamma}"
-    if t is not None:
-        label += f" t={t}"
-    return FunctionalTrace(radii, _VIEWS[functional](lad, gamma, t), label)
+    return FunctionalTrace(radii, _VIEWS[functional](lad, gamma, t))
 
 
 def check_derivative_identities(field, x0, radii, gamma, t):

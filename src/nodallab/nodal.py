@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import NodalSet, PlanarField
+from .fields import NodalSet, PlanarField, _sample_grid
 from .params import gamma_q
 
 
@@ -24,42 +24,11 @@ class DataError(ValueError):
 _EDGES = (((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 0), (0, 1)), ((1, 0), (1, 1)))
 _B, _T, _L, _R = range(4)
 
-# points per field call when sampling a grid: the field's temporaries for one
-# band of rows stay cache-sized
-_BAND_POINTS = 16384
-
 
 def _disk_mask(xs, radius2):
     """Grid points (xs[i], xs[j]) with xs[i]^2 + xs[j]^2 <= radius2."""
     xx = xs * xs
     return xx[:, None] + xx[None, :] <= radius2
-
-
-def _sample_disk(field, xs, inside, grad=False):
-    """The field, or ``field.value_and_grad`` when ``grad``, at (xs[i], xs[j]) near the disk.
-
-    Rows are evaluated in bands of about ``_BAND_POINTS`` points; each band
-    evaluates only the columns between the first and the last where it meets
-    ``inside`` and leaves zeros elsewhere, so callers must not read values
-    outside ``inside``.  The coordinates of a band are built from ``xs`` as
-    the band is reached.
-    """
-    n = len(xs)
-    V = np.zeros((n, n))
-    if grad:
-        GX, GY = np.zeros((n, n)), np.zeros((n, n))
-    rows = max(1, _BAND_POINTS // n)
-    for r0 in range(0, n, rows):
-        cols = np.flatnonzero(inside[r0:r0 + rows].any(axis=0))
-        if len(cols) == 0:
-            continue
-        band = np.s_[r0:r0 + rows, cols[0]:cols[-1] + 1]
-        X, Y = np.meshgrid(xs[band[0]], xs[band[1]], indexing="ij")
-        if grad:
-            V[band], (GX[band], GY[band]) = field.value_and_grad(X, Y)
-        else:
-            V[band] = field(X, Y)
-    return (V, (GX, GY)) if grad else V
 
 
 def _label_dilated(mask):
@@ -154,7 +123,7 @@ def extract_nodal_set(field: PlanarField, n: int, radius: float = 1.0) -> NodalS
         raise ValueError("grid must be at least 64 x 64")
     xs = np.linspace(-radius, radius, n)
     inside = _disk_mask(xs, radius * radius + 1e-15)
-    V = _sample_disk(field, xs, inside)
+    V = _sample_grid(field, xs, inside)
     if not np.all(np.isfinite(V)):
         raise DataError("field is non-finite on the extraction grid")
 
@@ -196,7 +165,7 @@ def extract_nodal_set(field: PlanarField, n: int, radius: float = 1.0) -> NodalS
     e = pairs[cell, slot]
     seg = np.concatenate((pts[cell, e[:, 0]], pts[cell, e[:, 1]]), axis=1)
 
-    return NodalSet(segments=_clip_to_disk(seg, radius).reshape(-1, 2, 2), singular_points=[])
+    return NodalSet(_clip_to_disk(seg, radius))
 
 
 def nodal_length(nodal: NodalSet, radius: float) -> float:
@@ -223,21 +192,17 @@ def singular_thresholds(field: PlanarField, n: int, radius: float = 1.0):
     return eps_u, eps_g
 
 
-def detect_singular(field: PlanarField, n: int = 256, radius: float = 1.0,
-                    eps_u=None, eps_g=None):
+def detect_singular(field: PlanarField, n: int = 256, radius: float = 1.0):
     """Points with |u| < eps_u and |grad u| < eps_g, one per connected cluster.
 
-    Returns a list of (x, y, abs_u, abs_grad) tuples, the representative being
-    the grid point of smallest |u| + h*|grad u| in its cluster.
+    The thresholds are those of :func:`singular_thresholds`.  Returns a list
+    of (x, y, abs_u, abs_grad) tuples, the representative being the grid
+    point of smallest |u| + h*|grad u| in its cluster.
     """
-    auto_u, auto_g = singular_thresholds(field, n, radius)
-    eps_u = auto_u if eps_u is None else eps_u
-    eps_g = auto_g if eps_g is None else eps_g
-    if eps_u <= 0 or eps_g <= 0:
-        raise ValueError("thresholds must be positive")
+    eps_u, eps_g = singular_thresholds(field, n, radius)
     xs = np.linspace(-radius, radius, n)
     inside = _disk_mask(xs, radius * radius)
-    V, (GX, GY) = _sample_disk(field, xs, inside, grad=True)
+    V, (GX, GY) = _sample_grid(field, xs, inside, grad=True)
     G = np.hypot(GX, GY)
     mask = inside & (np.abs(V) < eps_u) & (G < eps_g)
     # label on a one-pixel dilation with 8-connectivity: sub-cell-wide bands

@@ -93,6 +93,24 @@ def test_verify_unknown_suite(tmp_path):
     assert run("verify", "--suite", "nope", "--out", str(tmp_path)) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "--q", "1"),                 # missing --k
+    ("construct", "--q", "abc", "--k", "5"),   # malformed value
+    ("construct", "--k", "5", "--bogus"),      # unknown flag
+    ("--config",),                             # --config without its value
+])
+def test_usage_errors_exit_3(capsys, argv):
+    assert run(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_help_exits_0(capsys):
+    assert run("--help") == 0
+    assert "usage: nodallab" in capsys.readouterr().out
+
+
 def test_verify_perturbed_profile_fails(construct_dir, tmp_path):
     prof = fields.load(construct_dir / "profile.txt")
     rng = np.random.default_rng(7)
@@ -190,6 +208,17 @@ def test_config_file_bad_number(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "k='abc'" in err
     assert len(err.splitlines()) == 1
+
+
+def test_config_file_unknown_suite(tmp_path, capsys):
+    # a config value takes the same choices as its flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite=nope\n")
+    assert run("--config", str(cfg), "verify", "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "suite='nope'" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "verify.json").exists()
 
 
 def test_sweep_jobs_must_be_positive(tmp_path, capsys):

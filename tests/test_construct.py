@@ -11,6 +11,7 @@ from nodallab.construct import (
     ClampedCubic, ConstructionError, SolverError, construct_uk, count_sign_changes,
     hamiltonian, hamiltonian_cauchy, minimize_arc, profile_energy_drift, psi,
 )
+from nodallab.functionals import eval_Nt
 from nodallab.params import ProblemParams, gamma_q
 
 
@@ -136,6 +137,20 @@ def test_construct_preconditions():
         construct_uk(ProblemParams(q=1.0), 4)  # k_bar = 4
     with pytest.raises(ConstructionError):
         construct_uk(ProblemParams(q=1.0, lambda_minus=0.0), 5)
+
+
+def test_construct_honours_mu():
+    # mu scales both coefficients: mu = 1/2 with lambda_- = 2 is the equation
+    # with lambda_+ = 1/2, lambda_- = 1, and the products are exact
+    mr = construct_uk(ProblemParams(q=1.5, lambda_minus=2.0, mu=0.5), 9)
+    ref = construct_uk(ProblemParams(q=1.5, lambda_plus=0.5, lambda_minus=1.0), 9)
+    assert mr.t_bar == ref.t_bar
+    assert np.array_equal(mr.profile.values, ref.profile.values)
+    assert np.array_equal(mr.profile.derivative, ref.profile.derivative)
+    # the functionals apply mu too, so the frequency is gamma_q = 4
+    assert abs(eval_Nt(mr.to_field(), (0.0, 0.0), 1.0, 1.5) - 4.0) < 1e-3
+    with pytest.raises(ConstructionError):
+        construct_uk(ProblemParams(q=1.5, mu=0.0), 9)
 
 
 def test_energy_function_flags_perturbation():

@@ -198,7 +198,7 @@ def test_parse_errors_carry_line_numbers(tmp_path):
 
 
 def test_nodal_set_csv(tmp_path):
-    ns = NodalSet(segments=[((0.0, 0.0), (0.5, 0.5))], singular_points=[])
+    ns = NodalSet(segments=[((0.0, 0.0), (0.5, 0.5))])
     path = tmp_path / "ns.csv"
     ns.save_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -211,9 +211,9 @@ def test_nodal_set_array_layout():
     ns = NodalSet(pairs)
     assert ns.segments.dtype == np.float64 and ns.segments.shape == (2, 2, 2)
     assert ns.segments.tolist() == [[list(a), list(b)] for a, b in pairs]
-    assert NodalSet([], []).segments.shape == (0, 2, 2)
-    assert ns == NodalSet(np.array(pairs)) and NodalSet() == NodalSet([], [])
-    assert ns != NodalSet(pairs[:1]) and ns != NodalSet(pairs, [(0.0, 0.0, 0.0, 0.0)])
+    assert NodalSet([]).segments.shape == (0, 2, 2)
+    assert ns == NodalSet(np.array(pairs)) and NodalSet() == NodalSet([])
+    assert ns != NodalSet(pairs[:1])
 
 
 def test_closed_form_field_scale():

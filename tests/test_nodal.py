@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-from nodallab import nodal
+from nodallab import fields
 from nodallab.construct import construct_uk
 from nodallab.fields import (
-    AngularProfile, ClosedFormField, GridField, HomogeneousField, NodalSet, monomial_field,
+    AngularProfile, ClosedFormField, GridField, HomogeneousField, NodalSet, _sample_grid, monomial_field,
 )
 from nodallab.nodal import (
-    DataError, _clip_to_disk, _disk_mask, _label_dilated, _sample_disk, detect_singular, extract_nodal_set,
+    DataError, _clip_to_disk, _disk_mask, _label_dilated, detect_singular, extract_nodal_set,
     nodal_length, profile_zero_structure, singular_thresholds,
 )
 from nodallab.orders import RescaledField
@@ -202,7 +202,7 @@ def test_extract_validation():
 
 
 def test_empty_nodal_length():
-    assert nodal_length(NodalSet([], []), 0.5) == 0.0
+    assert nodal_length(NodalSet([]), 0.5) == 0.0
 
 
 def test_uk_ray_lengths(uk_q1):
@@ -228,11 +228,6 @@ def test_detect_singular_examples(uk_q1):
     got = detect_singular(uk_q1, 256)
     assert len(got) == 1
     assert np.hypot(got[0][0], got[0][1]) < 0.05
-
-
-def test_detect_singular_thresholds():
-    with pytest.raises(ValueError):
-        detect_singular(monomial_field(1), 128, eps_u=0.0, eps_g=1.0)
 
 
 def test_profile_zero_structure_cos():
@@ -329,15 +324,19 @@ def test_sample_disk_matches_full_grid(n, radius, band_points, monkeypatch):
     # short band; 1000 points per band makes many bands, short last ones at
     # 97 and 300, and 50 points per band makes one-row bands
     if band_points is not None:
-        monkeypatch.setattr(nodal, "_BAND_POINTS", band_points)
+        monkeypatch.setattr(fields, "_BAND_POINTS", band_points)
     xs = np.linspace(-radius, radius, n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
+    if radius == 1.0:
+        # GridField.sample bands the whole square
+        for field in _sample_disk_fields():
+            assert _bits(GridField.sample(field, n).values) == _bits(np.asarray(field(X, Y)))
     for r2 in (radius * radius + 1e-15, radius * radius):
         inside = _disk_mask(xs, r2)
         assert np.array_equal(inside, X * X + Y * Y <= r2)
         for field in _sample_disk_fields():
-            V = _sample_disk(field, xs, inside)
-            W, (WX, WY) = _sample_disk(field, xs, inside, grad=True)
+            V = _sample_grid(field, xs, inside)
+            W, (WX, WY) = _sample_grid(field, xs, inside, grad=True)
             U, (UX, UY) = field.value_and_grad(X, Y)
             assert _bits(V[inside]) == _bits(np.asarray(field(X, Y))[inside])
             assert _bits(W[inside]) == _bits(np.asarray(U)[inside])
