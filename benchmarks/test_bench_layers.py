@@ -19,7 +19,9 @@ import numpy as np
 import pytest
 
 from nodallab import cli
-from nodallab.construct import _solve_positive_arc, construct_uk, hamiltonian_cauchy
+from nodallab.construct import (
+    _solve_positive_arc, construct_uk, hamiltonian_cauchy, psi, time_map_t_bar,
+)
 from nodallab.fields import GridField
 from nodallab.functionals import trace
 from nodallab.nodal import detect_singular, extract_nodal_set, nodal_length
@@ -59,6 +61,20 @@ def test_hamiltonian_cauchy_1e4_steps(benchmark, q):
 def test_construct_uk_q1_k5(benchmark):
     mr = benchmark(construct_uk, ProblemParams(q=1.0), 5)
     assert mr.zero_count == 10 and mr.psi_residual < 1e-6
+
+
+def test_time_map_q15_k9(benchmark):
+    p, k = ProblemParams(q=1.5), 9
+    t = benchmark(time_map_t_bar, p, k)
+    # equal phases meet at T/2, and the grid root at n = 2048 is 1e-7 away
+    T = 2.0 * np.pi / k
+    assert abs(t - T / 2) < 1e-13
+    assert abs(psi(p, k, t)) < 1e-4 * abs(psi(p, k, 0.45 * T))
+
+
+def test_construct_uk_q15_lm2_k9(benchmark):
+    mr = benchmark(construct_uk, ProblemParams(q=1.5, lambda_minus=2.0), 9)
+    assert mr.zero_count == 18 and mr.psi_residual < 1e-6 and mr.psi_calls <= 6
 
 
 def test_trace_D_50_radii(benchmark, uk15):

@@ -11,10 +11,12 @@ arc lives on (0, t), the negative one on (t, T), and the matching function
 
     Psi(t) = phi_+'(t-) - phi_-'(t+)
 
-changes sign across (0, T); its root t_bar, found by Brent's method on that
-bracket, yields a C^1 glued profile which tiles k times around the circle.
-Energy constancy along theta and the 1-d Hamiltonian are the independent
-diagnostics.
+changes sign across (0, T).  Its root t_bar yields a C^1 glued profile which
+tiles k times around the circle.  The first integral of the arc equation gives
+the exact matching point in closed form up to one quadrature (the time map,
+:func:`time_map_t_bar`); Brent's method finds the grid's root on a narrow
+bracket around it, widened ten-fold until Psi changes sign.  Energy constancy
+along theta and the 1-d Hamiltonian are the independent diagnostics.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .fields import AngularProfile, HomogeneousField
-from .functionals import eval_F
+from .functionals import _GL_T, _GL_W, eval_F
 from .params import ProblemParams, gamma_q, k_bar
 
 
@@ -248,6 +250,9 @@ class MatchingResult:
     ode_residual: float
     zero_count: int
     params: ProblemParams
+    psi_calls: int
+    bracket: tuple[float, float]
+    t_bar_exact: float
 
     def to_field(self) -> HomogeneousField:
         return HomogeneousField(gamma_q(self.params), self.profile, self.params)
@@ -264,6 +269,10 @@ class MatchingResult:
             "q": self.params.q,
             "lambda_plus": self.params.lambda_plus,
             "lambda_minus": self.params.lambda_minus,
+            "mu": self.params.mu,
+            "psi_calls": self.psi_calls,
+            "bracket": list(self.bracket),
+            "t_bar_exact": self.t_bar_exact,
         }
         if profile_path is not None:
             doc["profile_path"] = str(profile_path)
@@ -358,12 +367,92 @@ def brentq(f, a, b, xtol):
     raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
 
 
-def construct_uk(params: ProblemParams, k: int, n: int = 2048) -> MatchingResult:
-    """Full pipeline: root of Psi by Brent's method on the bracket, glue the
-    two arcs, tile k copies.
+# the time map's theta rule on (0, pi/2): 12 panels halving toward theta = 0,
+# where sin^q is not smooth, each with the GL_NODES Gauss-Legendre nodes
+_TM_PANELS = 12
 
+
+def _time_map_rule():
+    """(weight * cos, cos^2, log sin) at the nodes of the time map's rule."""
+    edges = np.concatenate(([0.0], 0.5 * np.pi * 0.5 ** np.arange(_TM_PANELS - 1.0, -1.0, -1.0)))
+    width = np.diff(edges)
+    theta = (edges[:-1, None] + width[:, None] * _GL_T).ravel()
+    cos = np.cos(theta)
+    log_sin = np.log(np.sin(theta))
+    # toward pi/2, log1p keeps 1 - sin^q = -expm1(q log sin) accurate
+    upper = theta > 0.25 * np.pi
+    log_sin[upper] = 0.5 * np.log1p(-cos[upper] ** 2)
+    return (width[:, None] * _GL_W).ravel() * cos, cos * cos, log_sin
+
+
+_TM_WCOS, _TM_COS2, _TM_LOG_SIN = _time_map_rule()
+_LOG2 = math.log(2.0)
+
+
+def time_map_t_bar(params: ProblemParams, k: int) -> float:
+    """Exact matching point of the k-fold profile, from the first integral.
+
+    On an arc with coefficient lam = mu * lambda_(+-), phi'' + g^2 phi +
+    lam phi^(q-1) = 0 keeps E = phi'^2/2 + g^2 phi^2/2 + lam phi^q/q.  With
+    the amplitude m and rho = m^(2-q), the arc's half-length (its time map) is
+
+        l(rho) = int_0^(pi/2) sqrt(rho) cos(th) dth
+                 / sqrt(g^2 rho cos^2(th) + (2 lam/q)(1 - sin^q(th)))
+
+    and E = m^q (g^2 rho/2 + lam/q).  The glued profile is C^1 when the two
+    arcs have the same E (the end slopes are -+sqrt(2E)), and it has period
+    T = 2 pi/k when 2 l_+ + 2 l_- = T; then t_bar = 2 l_+ (R. Schaaf,
+    *Global Solution Branches of Two Point Boundary Value Problems*, LNM 1458,
+    1990).  Both equations are solved in s = log rho, so no amplitude
+    underflows: s_- from E_+ = E_- given s_+, then s_+ on [-600, 600].  Needs
+    k > gamma_q and mu * lambda_(+-) > 0.
+    """
+    q = params.q
+    g = gamma_q(params)
+    e = q / (2.0 - q)  # log E = e s + log(g^2 rho/2 + lam/q)
+    a = math.log(0.5 * g * g)
+    g2cos2 = g * g * _TM_COS2
+    one_minus_sin_q = -np.expm1(q * _TM_LOG_SIN)
+    lam = (params.mu * params.lambda_plus, params.mu * params.lambda_minus)
+    c_plus, c_minus = ((2.0 * x / q) * one_minus_sin_q for x in lam)
+    b_plus, b_minus = (math.log(x / q) for x in lam)
+
+    def half_length(c, s):
+        if s >= 0.0:
+            return float(_TM_WCOS @ (g2cos2 + c * math.exp(-s)) ** -0.5)
+        rho = math.exp(s)
+        return math.sqrt(rho) * float(_TM_WCOS @ (rho * g2cos2 + c) ** -0.5)
+
+    def log_energy(s, b):
+        return e * s + float(np.logaddexp(s + a, b))
+
+    def s_minus(s_plus):
+        y = log_energy(s_plus, b_plus)
+        # logaddexp lies between the larger term and it plus log 2, which
+        # brackets the root; the margin covers the rounding of y
+        hi = min((y - a) / (e + 1.0), (y - b_minus) / e)
+        lo = min((y - a - _LOG2) / (e + 1.0), (y - b_minus - _LOG2) / e)
+        return brentq(lambda s: log_energy(s, b_minus) - y,
+                      lo - 1e-9 * (1.0 + abs(lo)), hi + 1e-9 * (1.0 + abs(hi)), xtol=1e-15)
+
+    T = 2.0 * math.pi / k
+
+    def period_gap(s_plus):
+        return 2.0 * half_length(c_plus, s_plus) + 2.0 * half_length(c_minus, s_minus(s_plus)) - T
+
+    return 2.0 * half_length(c_plus, brentq(period_gap, -600.0, 600.0, xtol=1e-14))
+
+
+def construct_uk(params: ProblemParams, k: int, n: int = 2048) -> MatchingResult:
+    """Full pipeline: root of Psi by Brent's method on a bracket around the
+    time map's exact root, glue the two arcs, tile k copies.
+
+    The bracket is t_bar_exact -+ 1e-5 T, clipped to [1e-3 T, (1 - 1e-3) T];
+    while Psi has the same sign at both ends its half-width grows ten-fold,
+    and no sign change on the clipped full bracket raises ConstructionError.
     Returns a MatchingResult whose profile has exactly 2k sign changes per
-    period together with the residual diagnostics.
+    period together with the residual diagnostics, the number of Psi
+    evaluations and the bracket Brent's method used.
     """
     kb = k_bar(params)
     if k <= kb:
@@ -372,16 +461,26 @@ def construct_uk(params: ProblemParams, k: int, n: int = 2048) -> MatchingResult
         raise ConstructionError("the negative arc needs mu * lambda_minus > 0")
     T = 2.0 * np.pi / k
 
-    a, b = 1e-3 * T, (1.0 - 1e-3) * T
-    fa, fb = psi(params, k, a, n), psi(params, k, b, n)
-    if not (fa > 0 and fb < 0):
-        raise ConstructionError(
-            f"Psi has no sign change on the bracket: Psi({a})={fa}, Psi({b})={fb}; "
-            "k may be too small or the arc solver failed")
-    ends = {a: fa, b: fb}  # brentq starts by evaluating both bracket ends
+    t_exact = time_map_t_bar(params, k)
+    seen = {}  # Psi at each point, so brentq's calls at the bracket ends are free
 
     def mismatch(t):
-        return ends[t] if t in ends else psi(params, k, t, n)
+        if t not in seen:
+            seen[t] = psi(params, k, t, n)
+        return seen[t]
+
+    lo, hi = 1e-3 * T, (1.0 - 1e-3) * T
+    delta = 1e-5 * T
+    while True:
+        a, b = max(t_exact - delta, lo), min(t_exact + delta, hi)
+        fa, fb = mismatch(a), mismatch(b)
+        if fa > 0 and fb < 0:
+            break
+        if a == lo and b == hi:
+            raise ConstructionError(
+                f"Psi has no sign change on the bracket: Psi({a})={fa}, Psi({b})={fb}; "
+                "k may be too small or the arc solver failed")
+        delta *= 10.0
 
     t_bar = brentq(mismatch, a, b, xtol=1e-10 * T)
 
@@ -417,7 +516,8 @@ def construct_uk(params: ProblemParams, k: int, n: int = 2048) -> MatchingResult
     return MatchingResult(k=k, T=T, t_bar=t_bar, profile=profile,
                           psi_residual=psi_res, energy_drift=energy_drift,
                           ode_residual=ode_residual, zero_count=zero_count,
-                          params=params)
+                          params=params, psi_calls=len(seen), bracket=(a, b),
+                          t_bar_exact=t_exact)
 
 
 def energy_function(params: ProblemParams, profile: AngularProfile):

@@ -35,6 +35,19 @@ def test_construct_outputs(construct_dir):
     assert "N_q" in summary
 
 
+def test_construct_records_matching(construct_dir):
+    # result.json says how the matching point was found: mu, the Psi
+    # evaluations, the bracket Brent's method used and the time map's root
+    doc = json.loads((construct_dir / "result.json").read_text())
+    a, b = doc["bracket"]
+    assert a < doc["t_bar"] < b and b - a < 1e-4 * doc["T"]
+    assert 2 <= doc["psi_calls"] <= 6
+    # symmetric coefficients: both roots are T/2
+    assert abs(doc["t_bar_exact"] - doc["T"] / 2) < 1e-13
+    assert abs(doc["t_bar"] - doc["t_bar_exact"]) < 1e-6
+    assert doc["mu"] == 1.0
+
+
 def test_construct_small_k_exits_2(tmp_path):
     code = run("construct", "--q", "1", "--k", "4", "--out", str(tmp_path))
     assert code == 2

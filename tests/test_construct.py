@@ -1,18 +1,20 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from nodallab import construct
 from nodallab.construct import (
     ClampedCubic, ConstructionError, SolverError, construct_uk, count_sign_changes,
-    hamiltonian, hamiltonian_cauchy, minimize_arc, profile_energy_drift, psi,
+    hamiltonian, hamiltonian_cauchy, minimize_arc, profile_energy_drift, psi, time_map_t_bar,
 )
 from nodallab.functionals import eval_Nt
-from nodallab.params import ProblemParams, gamma_q
+from nodallab.params import ProblemParams, gamma_q, k_bar
 
 
 def q1_arc_oracle(lam, t, theta):
@@ -430,10 +432,166 @@ def test_brentq_errors_match_scipy(monkeypatch):
 
 
 def test_construct_t_bar_is_scipy_brentq_root():
+    # on the bracket the build records, its root is scipy's root bit for bit
+    p, k, n = ProblemParams(q=1.5, lambda_minus=2.0), 9, 2048
+    mr = construct_uk(p, k, n)
+    a, b = mr.bracket
+    want = brentq(lambda t: psi(p, k, t, n), a, b, xtol=1e-10 * mr.T)
+    assert mr.t_bar == want
+
+
+def test_construct_counts_psi_calls(monkeypatch):
+    # psi_calls is every Psi evaluation; each makes one arc pair, and the
+    # glued profile takes one more pair at t_bar
+    calls = {"psi": 0, "arc": 0}
+    real_psi, real_arc = construct.psi, construct.minimize_arc
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(construct, "psi", counted("psi", real_psi))
+    monkeypatch.setattr(construct, "minimize_arc", counted("arc", real_arc))
+    mr = construct_uk(ProblemParams(q=1.5, lambda_minus=2.0), 9)
+    assert mr.psi_calls == calls["psi"] <= 6
+    assert calls["arc"] == 2 * calls["psi"] + 2
+    a, b = mr.bracket
+    assert a < mr.t_bar < b and b - a == pytest.approx(2e-5 * mr.T, rel=1e-9)
+
+
+def test_construct_widens_an_off_bracket(monkeypatch):
+    # an exact root 1e-3 T off: the bracket grows ten-fold until Psi changes
+    # sign, and the build lands on the root of the full-bracket search
     p, k, n = ProblemParams(q=1.5, lambda_minus=2.0), 9, 2048
     T = 2.0 * np.pi / k
-    want = brentq(lambda t: psi(p, k, t, n), 1e-3 * T, (1.0 - 1e-3) * T, xtol=1e-10 * T)
-    assert construct_uk(p, k, n).t_bar == want
+    full = brentq(lambda t: psi(p, k, t, n), 1e-3 * T, (1.0 - 1e-3) * T, xtol=1e-10 * T)
+    near = construct_uk(p, k, n)
+    exact = construct.time_map_t_bar
+    monkeypatch.setattr(construct, "time_map_t_bar", lambda params, k: exact(params, k) + 1e-3 * T)
+    far = construct_uk(p, k, n)
+    assert abs(far.t_bar - full) <= 1e-10 * T
+    assert abs(near.t_bar - full) <= 1e-10 * T
+    assert far.psi_calls > near.psi_calls
+    a, b = far.bracket
+    assert b - a >= 2e-3 * T * (1 - 1e-9)
+
+
+def test_result_json_records_mu_and_matching():
+    mr = construct_uk(ProblemParams(q=1.5, lambda_minus=2.0, mu=0.5), 9)
+    doc = json.loads(mr.to_json())
+    assert doc["mu"] == 0.5
+    assert doc["psi_calls"] == mr.psi_calls
+    assert doc["bracket"] == list(mr.bracket)
+    assert doc["t_bar_exact"] == mr.t_bar_exact
+
+
+@pytest.mark.parametrize("lam_plus, lam_minus, k, mu", [
+    (1.0, 1.0, 5, 1.0), (1.0, 0.4, 5, 1.0), (1.0, 3.0, 6, 1.0), (1.0, 4.0, 7, 0.5),
+    (2.0, 2.5, 9, 2.0), (0.3, 5.0, 12, 0.7),
+])
+def test_time_map_matches_q1_closed_form(lam_plus, lam_minus, k, mu):
+    # q = 1, g = 2: an arc of length L ends with slope (lam/g) tan(g L/2), so
+    # matching is lambda_+ tan(g t/2) = lambda_- tan(g (T - t)/2); mu cancels
+    p = ProblemParams(q=1.0, lambda_plus=lam_plus, lambda_minus=lam_minus, mu=mu)
+    T = 2.0 * np.pi / k
+    want = brentq(lambda t: lam_plus * np.tan(t) - lam_minus * np.tan(T - t),
+                  1e-9, T - 1e-9, xtol=1e-16)
+    assert abs(time_map_t_bar(p, k) - want) <= 1e-13 * want
+
+
+def _adaptive_t_bar(p, k):
+    """The time map's matching point with scipy's adaptive quadrature."""
+    q, lp, lm = p.q, p.mu * p.lambda_plus, p.mu * p.lambda_minus
+    g = gamma_q(p)
+
+    def one_minus_sin_q(th):
+        # log sin from log1p near pi/2, where 1 - sin^q cancels
+        ls = math.log(math.sin(th)) if th < math.pi / 4 else 0.5 * math.log1p(-math.cos(th) ** 2)
+        return -math.expm1(q * ls)
+
+    def half_length(lam, s):
+        rho = math.exp(s)
+
+        def f(th):
+            c = math.cos(th)
+            return c / math.sqrt(g * g * rho * c * c + 2 * lam / q * one_minus_sin_q(th))
+
+        return math.sqrt(rho) * quad(f, 0.0, math.pi / 2, points=[1e-6, 1e-4, 1e-2, 0.1],
+                                     epsabs=0.0, epsrel=1.2e-14, limit=200)[0]
+
+    def log_energy(lam, s):
+        return q / (2 - q) * s + math.log(g * g * math.exp(s) / 2 + lam / q)
+
+    def s_minus(sp):
+        y = log_energy(lp, sp)
+        return brentq(lambda s: log_energy(lm, s) - y, -200.0, 200.0, xtol=1e-15)
+
+    T = 2.0 * np.pi / k
+    sp = brentq(lambda sp: 2 * half_length(lp, sp) + 2 * half_length(lm, s_minus(sp)) - T,
+                -40.0, 40.0, xtol=1e-15)
+    return 2 * half_length(lp, sp)
+
+
+@pytest.mark.parametrize("q, lam_plus, lam_minus, extra", [
+    (1.05, 1.0, 3.0, 1), (1.3, 2.0, 0.5, 2), (1.5, 1.0, 4.0, 1), (1.9, 1.0, 2.0, 1),
+])
+def test_time_map_matches_adaptive_quadrature(q, lam_plus, lam_minus, extra):
+    # the fixed panel rule against scipy's adaptive quadrature, where no
+    # closed form exists (q > 1)
+    p = ProblemParams(q=q, lambda_plus=lam_plus, lambda_minus=lam_minus)
+    k = k_bar(p) + extra
+    want = _adaptive_t_bar(p, k)
+    assert abs(time_map_t_bar(p, k) - want) <= 1e-13 * want
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.floats(1.0, 1.99), lam_plus=st.floats(0.2, 5.0), lam_minus=st.floats(0.2, 5.0),
+       extra=st.integers(1, 5))
+def test_time_map_swap_symmetry(q, lam_plus, lam_minus, extra):
+    # swapping the phases swaps the arcs, and the stronger phase gets the
+    # shorter arc; equal phases meet at T/2
+    p = ProblemParams(q=q, lambda_plus=lam_plus, lambda_minus=lam_minus)
+    k = k_bar(p) + extra
+    T = 2.0 * np.pi / k
+    t = time_map_t_bar(p, k)
+    swapped = time_map_t_bar(ProblemParams(q=q, lambda_plus=lam_minus, lambda_minus=lam_plus), k)
+    assert 0.0 < t < T
+    assert abs(t + swapped - T) <= 1e-12 * T
+    if lam_plus == lam_minus:
+        assert abs(t - T / 2) <= 1e-12 * T
+    else:
+        assert (t > T / 2) == (lam_minus > lam_plus)
+
+
+# ROADMAP accuracy table: t_bar_grid - t_bar_exact at n = 256 and n = 4096,
+# and the range of the ratios per doubling over n = 256 ... 4096
+ACCURACY_TABLE = [
+    ((1.0, 3.0, 5), -3.5e-6, -1.4e-8, (4.0, 4.0)),
+    ((1.1, 4.0, 7), 7.8e-6, 4.5e-7, (1.9, 2.1)),
+    ((1.25, 4.0, 7), 9.6e-6, 3.5e-7, (2.2, 2.4)),
+    ((1.5, 4.0, 9), 2.4e-6, 5.0e-8, (2.5, 2.7)),
+    ((1.75, 4.0, 17), 1.0e-8, 1.5e-9, (0.5, 2.8)),
+    ((1.9, 2.0, 41), -3.7e-8, -1.2e-10, (4.1, 4.2)),
+]
+
+
+@pytest.mark.parametrize("row", ACCURACY_TABLE, ids=lambda r: "q={}".format(r[0][0]))
+def test_grid_error_reproduces_accuracy_table(row):
+    (q, lam_minus, k), first, last, (rlo, rhi) = row
+    p = ProblemParams(q=q, lambda_minus=lam_minus)
+    T = 2.0 * np.pi / k
+    err = []
+    for n in (256, 512, 1024, 2048, 4096):
+        mr = construct_uk(p, k, n)
+        err.append(mr.t_bar - mr.t_bar_exact)
+    # the table gives two digits; the bracket moves t_bar by up to xtol
+    for got, want in ((err[0], first), (err[-1], last)):
+        half_digit = 0.5 * 10.0 ** (math.floor(math.log10(abs(want))) - 1)
+        assert abs(got - want) <= half_digit + 1e-10 * T
+    ratios = [round(x / y, 1) for x, y in zip(err, err[1:])]
+    assert rlo <= min(ratios) and max(ratios) <= rhi
 
 
 @settings(max_examples=60, deadline=None)
