@@ -23,7 +23,7 @@ from nodallab.construct import (
     _solve_positive_arc, construct_uk, hamiltonian_cauchy, psi, time_map_t_bar,
 )
 from nodallab.fields import GridField
-from nodallab.functionals import trace
+from nodallab.functionals import eval_Dt, eval_F, eval_Nt, trace
 from nodallab.nodal import detect_singular, extract_nodal_set, nodal_length
 from nodallab.params import ProblemParams
 
@@ -83,6 +83,35 @@ def test_trace_D_50_radii(benchmark, uk15):
     # every term of D_t scales as r^(2 gamma) on a homogeneous solution
     c = tr.values / radii ** (2.0 * uk15.gamma)
     assert np.ptp(c) < 1e-10 * abs(np.mean(c))
+
+
+def test_trace_D_off_origin(benchmark, uk15):
+    # off the origin every ring is evaluated at its Cartesian points
+    x0, radii = (0.05, 0.0), np.linspace(0.1, 0.9, 10)
+    tr = benchmark(trace, uk15, "D", x0, radii, t=2.0)
+    # one panel per radius integrates the same D to quadrature accuracy
+    single = np.array([eval_Dt(uk15, x0, r, 2.0) for r in radii])
+    assert np.all(np.abs(tr.values - single) < 1e-5 * np.abs(single))
+
+
+def test_eval_Nt_uk_r1(benchmark, uk15):
+    # the frequency of a gamma_q-homogeneous solution is gamma_q = 4
+    nq = benchmark(eval_Nt, uk15, (0.0, 0.0), 1.0, 1.5)
+    assert abs(nq - 4.0) < 1e-4
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5])
+def test_eval_F_49x1024(benchmark, uk15, q):
+    # the values of one bulk-ladder annulus: signs come in runs between the
+    # 18 nodal rays, as on every ring the quadrature evaluates
+    r = np.linspace(0.02, 1.0, 49)[:, None]
+    th = 2.0 * np.pi * np.arange(1024) / 1024
+    s = uk15(r * np.cos(th), r * np.sin(th))
+    p = ProblemParams(q=q, lambda_minus=2.5, mu=0.5)
+    f = benchmark(eval_F, p, s)
+    # mu lambda_(+-) |s|^q on each side of 0
+    want = 0.5 * np.where(s > 0, 1.0, 2.5) * np.abs(s) ** q
+    assert f.shape == s.shape and np.allclose(f, want, rtol=1e-15, atol=0.0)
 
 
 def test_value_and_grad_annulus_49x1024(benchmark, uk15):

@@ -204,6 +204,8 @@ def minimize_arc(params: ProblemParams, t: float, T: float, side: str, n: int = 
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"unknown side {side!r}")
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
     if not (0.0 < t < T):
         raise ValueError(f"need 0 < t < T, got t={t}, T={T}")
     g = gamma_q(params)

@@ -9,6 +9,9 @@ Three kinds of evaluable scalar field on the unit disk:
 
 Any field is sampled on a grid by ``_sample_grid``, in cache-sized bands of
 rows; ``GridField.sample`` and the nodal extraction and detection share it.
+Every circle of points, such as the rings of the quadrature ladder, is
+sampled by ``_sample_rings``, which evaluates a homogeneous field centred at
+the origin in separated form.
 
 Profiles are interpolated with a periodic Catmull-Rom cubic so evaluation is
 C^1, which the glued circle profiles require.  The cubic coefficients of every
@@ -135,7 +138,7 @@ class PlanarField:
     def scale(self) -> float:
         """Crude magnitude estimate, used for relative tolerances."""
         th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        v = self(0.7 * np.cos(th), 0.7 * np.sin(th))
+        v = _sample_rings(self, (0.0, 0.0), [0.7], th)
         m = float(np.max(np.abs(v)))
         return m if m > 0 else 1.0
 
@@ -288,6 +291,33 @@ def _sample_grid(field, xs, inside, grad=False):
         else:
             V[band] = field(X, Y)
     return (V, (GX, GY)) if grad else V
+
+
+def _sample_rings(field, x0, rho, theta, grad=False):
+    """The field, or ``field.value_and_grad`` when ``grad``, at
+    x0 + rho[i] (cos theta[j], sin theta[j]), shaped (len rho, len theta).
+
+    A homogeneous field centred at the origin is separable: its profile is
+    evaluated on ``theta`` once, and each ring is an outer product with
+    rho^gamma (rho^(gamma - 1) for the gradient).  This agrees with the
+    Cartesian evaluation to rounding; every other field or centre is
+    evaluated at the Cartesian points.
+    """
+    rho = np.asarray(rho, dtype=float)
+    if isinstance(field, HomogeneousField) and x0[0] == 0.0 and x0[1] == 0.0:
+        g = field.gamma
+        if not grad:
+            return np.outer(rho**g, field.profile(theta))
+        phi, dphi = field.profile.value_and_prime(theta)
+        ct, st = np.cos(theta), np.sin(theta)
+        # rho^(gamma - 1) with the gradient set to 0 at the origin, as in
+        # ``HomogeneousField.value_and_grad``
+        with np.errstate(divide="ignore"):
+            rg1 = np.where(rho > 0, rho ** (g - 1.0), 0.0)
+        return np.outer(rho**g, phi), (np.outer(rg1, g * phi * ct - dphi * st),
+                                       np.outer(rg1, g * phi * st + dphi * ct))
+    X, Y = x0[0] + np.outer(rho, np.cos(theta)), x0[1] + np.outer(rho, np.sin(theta))
+    return field.value_and_grad(X, Y) if grad else field(X, Y)
 
 
 def monomial_field(d: int, phase: str = "cos") -> ClosedFormField:

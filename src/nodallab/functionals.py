@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DomainError, PlanarField, _fmt
+from .fields import DomainError, PlanarField, _fmt, _sample_rings
 from .params import ProblemParams, gamma_q
 
 N_DIM = 2
@@ -76,9 +76,9 @@ class FunctionalTrace:
 def eval_F(params: ProblemParams, s):
     """mu * (lambda_+ (s^+)^q + lambda_- (s^-)^q); nonnegative, F(0)=0."""
     s = np.asarray(s, dtype=float)
-    sp = np.clip(s, 0.0, None)
-    sm = np.clip(-s, 0.0, None)
-    return params.mu * (params.lambda_plus * sp**params.q + params.lambda_minus * sm**params.q)
+    # one power: |s|^q takes lambda_+ where s > 0 and lambda_- elsewhere
+    lam = np.where(s > 0, params.lambda_plus, params.lambda_minus)
+    return np.abs(s) ** params.q * lam * params.mu
 
 
 def _require_nodal(field, x0):
@@ -148,8 +148,9 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
     """One quadrature pass over the radii (any shape and order, repeats allowed).
 
     Each distinct radius r_i costs one ring, plus GL_NODES rings on the
-    annulus below it when ``bulk`` is set; rings are evaluated one annulus
-    at a time.
+    annulus below it when ``bulk`` is set.  Rings come from
+    ``fields._sample_rings``: all circles in one call without ``bulk``, one
+    annulus per call with it.
     """
     x0 = np.asarray(x0, dtype=float)
     radii = np.asarray(radii, dtype=float)
@@ -159,19 +160,18 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
     if np.hypot(x0[0], x0[1]) + rs.max(initial=0.0) > 1.0 + 1e-12:
         raise DomainError(f"ball B_{rs[-1]}({x0}) escapes the unit disk")
     th = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
-    ct, st = np.cos(th), np.sin(th)
     dth = 2.0 * np.pi / N_THETA
+    if not bulk:
+        H = rs * dth * np.sum(_sample_rings(field, x0, rs, th) ** 2, axis=1)
+        return _Ladder(field, radii, H[back].reshape(radii.shape))
+    ct, st = np.cos(th), np.sin(th)
     # rows: H, the annulus integrals of |grad u|^2 and F (summed into disk
     # integrals below), the circle integrals of u_nu^2, u u_nu and F
-    sums = np.zeros((6 if bulk else 1, len(rs)))
+    sums = np.zeros((6, len(rs)))
     lo = 0.0
     for i, r in enumerate(rs):
-        rho = np.append(lo + (r - lo) * _GL_T, r) if bulk else np.array([r])
-        X, Y = x0[0] + np.outer(rho, ct), x0[1] + np.outer(rho, st)
-        if not bulk:
-            sums[0, i] = r * dth * np.sum(field(X, Y) ** 2)
-            continue
-        v, (gx, gy) = field.value_and_grad(X, Y)
+        rho = np.append(lo + (r - lo) * _GL_T, r)
+        v, (gx, gy) = _sample_rings(field, x0, rho, th, grad=True)
         f = np.sum(eval_F(field.params, v), axis=1)
         g2 = np.sum(gx * gx + gy * gy, axis=1)
         w = (r - lo) * _GL_W * rho[:-1] * dth
@@ -233,12 +233,17 @@ _VIEWS = {
     "Phi": lambda lad, gamma, t: lad.Phi(gamma),
     "h1": lambda lad, gamma, t: lad.h1(),
 }
+# the views that read each optional argument of ``trace``
+_NEEDS = {"gamma": ("W", "Phi"), "t": ("D", "N", "W")}
 
 
 def trace(field, functional, x0, radii, gamma=None, t=None):
     """Sample one functional on a radius ladder; returns a FunctionalTrace."""
     if functional not in _VIEWS:
         raise ValueError(f"unknown functional {functional!r}")
+    for name, value in (("gamma", gamma), ("t", t)):
+        if value is None and functional in _NEEDS[name]:
+            raise ValueError(f"trace of {functional!r} needs {name}")
     radii = np.asarray(radii, dtype=float)
     lad = _ladder(field, x0, radii, bulk=functional != "H")
     return FunctionalTrace(radii, _VIEWS[functional](lad, gamma, t))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import NodalSet, PlanarField, _sample_grid
+from .fields import NodalSet, PlanarField, _sample_grid, _sample_rings
 from .params import gamma_q
 
 
@@ -185,7 +185,7 @@ def singular_thresholds(field: PlanarField, n: int, radius: float = 1.0):
     g = gamma_q(field.params)
     scale = field.scale()
     th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    _, (gx, gy) = field.value_and_grad(0.7 * radius * np.cos(th), 0.7 * radius * np.sin(th))
+    _, (gx, gy) = _sample_rings(field, (0.0, 0.0), [0.7 * radius], th, grad=True)
     gscale = float(np.max(np.hypot(gx, gy))) or 1.0
     eps_u = 10.0 * h ** min(g, 2.0) * scale
     eps_g = 10.0 * h * gscale

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PlanarField
+from .fields import PlanarField, _sample_rings
 from .functionals import N_DIM, N_THETA, _ladder, _require_nodal, h1_norm, h_floor
 from .params import beta_q, gamma_q
 
@@ -125,7 +125,7 @@ def blow_up(field: PlanarField, x0, r) -> RescaledField:
 def fourier_on_circle(field, x0, r, max_degree):
     """Cosine/sine coefficients of u restricted to the circle of radius r."""
     th = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
-    v = field(x0[0] + r * np.cos(th), x0[1] + r * np.sin(th))
+    v = _sample_rings(field, x0, [r], th)[0]
     coeffs = np.fft.rfft(v) / N_THETA
     a = 2.0 * coeffs.real[1: max_degree + 1]
     b = -2.0 * coeffs.imag[1: max_degree + 1]

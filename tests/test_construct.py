@@ -139,6 +139,12 @@ def test_construct_preconditions():
         construct_uk(ProblemParams(q=1.0), 4)  # k_bar = 4
     with pytest.raises(ConstructionError):
         construct_uk(ProblemParams(q=1.0, lambda_minus=0.0), 5)
+    # an arc grid needs two interior points for its end slopes
+    for n in (0, 1, -5):
+        with pytest.raises(ValueError, match=f"^n must be at least 2, got {n}$"):
+            construct_uk(ProblemParams(q=1.5), 9, n=n)
+        with pytest.raises(ValueError, match=f"^n must be at least 2, got {n}$"):
+            minimize_arc(ProblemParams(q=1.5), 0.3, 0.7, "minus", n)
 
 
 def test_construct_honours_mu():

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from nodallab.fields import (
     AngularProfile, ClosedFormField, DomainError, GridField, HomogeneousField,
-    NodalSet, ParseError, load, monomial_field, save,
+    NodalSet, ParseError, _sample_rings, load, monomial_field, save,
 )
+from nodallab.construct import construct_uk
 from nodallab.orders import RescaledField
 from nodallab.params import ProblemParams
 
@@ -375,3 +376,64 @@ def test_save_load_round_trip_property(n, data, gamma, q, lam, seed):
                     got, want = back.value_and_grad(x, y), obj.value_and_grad(x, y)
                 assert _same(got[0], want[0])
                 assert all(_same(a, b) for a, b in zip(got[1], want[1]))
+
+
+# the ladder's angles, then angles off [0, 2 pi) that the profile wraps
+_RING_THETA = np.concatenate((2.0 * np.pi * np.arange(1024) / 1024, [-3.0, -1e-300, 7.5, 40.0]))
+_RING_RHO = np.array([0.0, 1e-9, 0.02, 0.3, 0.77, 1.0])
+
+
+@pytest.fixture(scope="module")
+def uk_by_q():
+    cache = {}
+
+    def get(q):
+        if q not in cache:
+            p = ProblemParams(q=q, lambda_minus=2.0)
+            cache[q] = construct_uk(p, {1.0: 5, 1.5: 9, 1.75: 17}[q]).to_field()
+        return cache[q]
+
+    return get
+
+
+def _cartesian_rings(f, x0, rho, theta, grad):
+    X = x0[0] + np.outer(rho, np.cos(theta))
+    Y = x0[1] + np.outer(rho, np.sin(theta))
+    return f.value_and_grad(X, Y) if grad else f(X, Y)
+
+
+@pytest.mark.parametrize("grad", [False, True])
+@pytest.mark.parametrize("q", [1.0, 1.5, 1.75])
+def test_sample_rings_separable_matches_cartesian(uk_by_q, q, grad):
+    # u_k at the origin: r^gamma phi(theta) in outer-product form agrees with
+    # the Cartesian evaluation to rounding, the origin ring included; the
+    # value and each gradient component are held to their own maximum
+    f = uk_by_q(q)
+    got = _sample_rings(f, (0.0, 0.0), _RING_RHO, _RING_THETA, grad=grad)
+    want = _cartesian_rings(f, (0.0, 0.0), _RING_RHO, _RING_THETA, grad)
+    if not grad:
+        got, want = (got, ()), (want, ())
+    for a, b in zip((got[0], *got[1]), (want[0], *want[1])):
+        assert a.shape == (len(_RING_RHO), len(_RING_THETA))
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+    if grad:
+        # the gradient is 0 at the origin, as in value_and_grad
+        assert not np.any(got[1][0][0]) and not np.any(got[1][1][0])
+
+
+@pytest.mark.parametrize("grad", [False, True])
+def test_sample_rings_cartesian_fields_bit_identical(uk_by_q, grad):
+    # off-origin centres, closed-form and grid fields keep the Cartesian path
+    homog = uk_by_q(1.5)
+    rho = _RING_RHO[1:] * 0.6
+    cases = [(homog, (0.05, 0.0)), (homog, (0.0, -0.2)), (monomial_field(3), (0.0, 0.0)),
+             (monomial_field(2, "sin"), (0.1, 0.2)), (GridField.sample(homog, 65), (0.0, 0.0)),
+             (GridField.sample(monomial_field(2), 33), (-0.1, 0.3)),
+             (RescaledField(homog, (0.0, 0.0), 0.5, 2.0), (0.0, 0.0))]
+    for f, x0 in cases:
+        got = _sample_rings(f, x0, rho, _RING_THETA, grad=grad)
+        want = _cartesian_rings(f, x0, rho, _RING_THETA, grad)
+        if grad:
+            assert _same(got[0], want[0]) and all(map(_same, got[1], want[1]))
+        else:
+            assert _same(got, want)

@@ -24,6 +24,32 @@ def test_eval_F_values():
     assert eval_F(off, 5.0) == 0.0
 
 
+def _eval_F_two_clips(params, s):
+    """The potential as written before one power: both signs clipped and powered."""
+    s = np.asarray(s, dtype=float)
+    sp = np.clip(s, 0.0, None)
+    sm = np.clip(-s, 0.0, None)
+    return params.mu * (params.lambda_plus * sp**params.q + params.lambda_minus * sm**params.q)
+
+
+_coef = st.floats(0.0, 1e3) | st.sampled_from([0.0, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.floats(1.0, 2.0, exclude_max=True) | st.sampled_from([1.0, 1.25, 1.5, 1.9]),
+       lam_plus=_coef.filter(lambda v: v > 0), lam_minus=_coef, mu=_coef,
+       s=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), min_size=1, max_size=20))
+def test_eval_F_one_power_is_two_clips(q, lam_plus, lam_minus, mu, s):
+    # one power of |s| times the side's coefficient gives the same bits as
+    # the two-clip form, signs of zero included
+    p = ProblemParams(q=q, lambda_plus=lam_plus, lambda_minus=lam_minus, mu=mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = eval_F(p, s), _eval_F_two_clips(p, s)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_H_oracle():
     # int over S_r of (r cos)^2 * r dtheta = pi r^3
     f = monomial_field(1)
@@ -133,6 +159,15 @@ def test_trace_and_csv(tmp_path):
         trace(f, "bogus", ORIGIN, radii)
     with pytest.raises(ValueError):
         FunctionalTrace(np.array([0.5, 0.2]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("view, missing", [("D", "t"), ("N", "t"), ("W", "gamma"),
+                                           ("W", "t"), ("Phi", "gamma")])
+def test_trace_names_a_missing_argument(view, missing):
+    given_args = {"gamma": 2.0, "t": 2.0}
+    del given_args[missing]
+    with pytest.raises(ValueError, match=f"needs {missing}$"):
+        trace(monomial_field(2), view, ORIGIN, [0.5, 1.0], **given_args)
 
 
 def test_derivative_identities_on_harmonic():
