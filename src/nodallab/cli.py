@@ -48,7 +48,7 @@ def _write_run_record(outdir, config, timings):
 
 def _params_from_args(args):
     return pm.ProblemParams(q=args.q, lambda_plus=args.lambda_plus,
-                            lambda_minus=args.lambda_minus, mu=args.mu)
+                            lambda_minus=args.lambda_minus)
 
 
 def _config_dict(args):
@@ -248,8 +248,8 @@ def cmd_verify(args):
 # -------------------------------------------------------------------- sweep
 
 def _sweep_one(job):
-    qq, lp, lm, mu, k, n, grid = job
-    p = pm.ProblemParams(q=qq, lambda_plus=lp, lambda_minus=lm, mu=mu)
+    qq, lp, lm, k, n, grid = job
+    p = pm.ProblemParams(q=qq, lambda_plus=lp, lambda_minus=lm)
     try:
         mr = cons.construct_uk(p, k, n=n)
         field = mr.to_field()
@@ -286,12 +286,10 @@ def cmd_sweep(args):
     if bad:
         print(f"error: k values {bad} do not exceed k_bar={kb}", file=sys.stderr)
         return EXIT_CONSTRUCT
-    if args.n < 2:
-        # every row would fail alike: refuse the sweep as construct does
-        print(f"error: n must be at least 2, got {args.n}", file=sys.stderr)
-        return EXIT_CONSTRUCT
+    # every row would fail alike: refuse the sweep as construct does
+    cons.check_arc_grid(args.n)
 
-    jobs = [(p.q, p.lambda_plus, p.lambda_minus, p.mu, k, args.n, args.grid)
+    jobs = [(p.q, p.lambda_plus, p.lambda_minus, k, args.n, args.grid)
             for k in ks]
     if args.jobs > 1 and len(jobs) > 1:
         # imported here: loading multiprocessing costs every other command
@@ -419,7 +417,7 @@ def cmd_plot(args):
 
 # ------------------------------------------------------------------- driver
 
-_CONFIG_TYPES = {"q": float, "lambda_plus": float, "lambda_minus": float, "mu": float,
+_CONFIG_TYPES = {"q": float, "lambda_plus": float, "lambda_minus": float,
                  "k": int, "n": int, "grid": int, "jobs": int, "seed": int}
 
 
@@ -465,7 +463,6 @@ def _build_parser():
         sp.add_argument("--q", type=float, default=1.0)
         sp.add_argument("--lambda-plus", type=float, default=1.0)
         sp.add_argument("--lambda-minus", type=float, default=1.0)
-        sp.add_argument("--mu", type=float, default=1.0)
 
     sp = sub.add_parser("construct", help="build a homogeneous profile")
     add_params(sp)

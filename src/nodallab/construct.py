@@ -196,6 +196,12 @@ def _solve_positive_arc(q, lam, gamma2, length, n):
     raise SolverError(f"Newton did not converge in {_NEWTON_MAXITER} iterations", trace)
 
 
+def check_arc_grid(n: int) -> None:
+    """An arc grid needs two interior points for its one-sided end slopes."""
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+
+
 def minimize_arc(params: ProblemParams, t: float, T: float, side: str, n: int = 2048) -> ArcMinimizer:
     """One-signed arc minimizer: side "plus" on (0, t), side "minus" on (t, T).
 
@@ -204,8 +210,7 @@ def minimize_arc(params: ProblemParams, t: float, T: float, side: str, n: int = 
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"unknown side {side!r}")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    check_arc_grid(n)
     if not (0.0 < t < T):
         raise ValueError(f"need 0 < t < T, got t={t}, T={T}")
     g = gamma_q(params)

@@ -9,9 +9,9 @@ Three kinds of evaluable scalar field on the unit disk:
 
 Any field is sampled on a grid by ``_sample_grid``, in cache-sized bands of
 rows; ``GridField.sample`` and the nodal extraction and detection share it.
-Every circle of points, such as the rings of the quadrature ladder, is
-sampled by ``_sample_rings``, which evaluates a homogeneous field centred at
-the origin in separated form.
+The rings of the quadrature ladder, the Fourier circle and the threshold
+probe are sampled by ``_sample_rings``, which evaluates a homogeneous field
+centred at the origin in separated form.
 
 Profiles are interpolated with a periodic Catmull-Rom cubic so evaluation is
 C^1, which the glued circle profiles require.  The cubic coefficients of every
@@ -138,7 +138,7 @@ class PlanarField:
     def scale(self) -> float:
         """Crude magnitude estimate, used for relative tolerances."""
         th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        v = _sample_rings(self, (0.0, 0.0), [0.7], th)
+        v = self(0.7 * np.cos(th), 0.7 * np.sin(th))
         m = float(np.max(np.abs(v)))
         return m if m > 0 else 1.0
 

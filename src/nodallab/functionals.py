@@ -225,28 +225,29 @@ def w_prime_rhs(field, x0, r, gamma, t):
     return float(_ladder(field, x0, r).w_prime(gamma, t))
 
 
+# each view: the optional arguments of ``trace`` it reads, and the view
 _VIEWS = {
-    "H": lambda lad, gamma, t: lad.H,
-    "D": lambda lad, gamma, t: lad.D(t),
-    "N": lambda lad, gamma, t: lad.N(t),
-    "W": lambda lad, gamma, t: lad.W(gamma, t),
-    "Phi": lambda lad, gamma, t: lad.Phi(gamma),
-    "h1": lambda lad, gamma, t: lad.h1(),
+    "H": ((), lambda lad, gamma, t: lad.H),
+    "D": (("t",), lambda lad, gamma, t: lad.D(t)),
+    "N": (("t",), lambda lad, gamma, t: lad.N(t)),
+    "W": (("gamma", "t"), lambda lad, gamma, t: lad.W(gamma, t)),
+    "Phi": (("gamma",), lambda lad, gamma, t: lad.Phi(gamma)),
+    "h1": ((), lambda lad, gamma, t: lad.h1()),
 }
-# the views that read each optional argument of ``trace``
-_NEEDS = {"gamma": ("W", "Phi"), "t": ("D", "N", "W")}
 
 
 def trace(field, functional, x0, radii, gamma=None, t=None):
     """Sample one functional on a radius ladder; returns a FunctionalTrace."""
     if functional not in _VIEWS:
         raise ValueError(f"unknown functional {functional!r}")
-    for name, value in (("gamma", gamma), ("t", t)):
-        if value is None and functional in _NEEDS[name]:
+    needs, view = _VIEWS[functional]
+    given = {"gamma": gamma, "t": t}
+    for name in needs:
+        if given[name] is None:
             raise ValueError(f"trace of {functional!r} needs {name}")
     radii = np.asarray(radii, dtype=float)
     lad = _ladder(field, x0, radii, bulk=functional != "H")
-    return FunctionalTrace(radii, _VIEWS[functional](lad, gamma, t))
+    return FunctionalTrace(radii, view(lad, gamma, t))
 
 
 def check_derivative_identities(field, x0, radii, gamma, t):

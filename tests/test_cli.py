@@ -68,32 +68,6 @@ def test_arc_grid_below_2_exits_2(tmp_path, capsys, n):
     assert not any(tmp_path.iterdir())
 
 
-def test_mu_scales_both_coefficients(tmp_path):
-    # mu = 1/2 with lambda_- = 2 is the equation of lambda_+ = 1/2, lambda_- = 1
-    a, b = tmp_path / "mu", tmp_path / "lam"
-    assert run("construct", "--q", "1.5", "--mu", "0.5", "--lambda-minus", "2",
-               "--k", "9", "--n", "512", "--out", str(a)) == 0
-    assert run("construct", "--q", "1.5", "--lambda-plus", "0.5", "--lambda-minus", "1",
-               "--k", "9", "--n", "512", "--out", str(b)) == 0
-    doc_a = json.loads((a / "result.json").read_text())
-    doc_b = json.loads((b / "result.json").read_text())
-    assert doc_a["mu"] == 0.5 and doc_b["mu"] == 1.0
-    assert doc_a["t_bar"] == doc_b["t_bar"]
-    # the header lines carry the parameters; the two sample lines are the profile
-    prof_a = (a / "profile.txt").read_text().splitlines()
-    prof_b = (b / "profile.txt").read_text().splitlines()
-    assert "mu=0.5" in prof_a and prof_a[-2:] == prof_b[-2:]
-
-
-def test_config_file_mu(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("q=1\nmu=0.25\nn=512\n")
-    assert run("--config", str(cfg), "construct", "--k", "5", "--out", str(tmp_path)) == 0
-    assert json.loads((tmp_path / "result.json").read_text())["mu"] == 0.25
-    cfg.write_text("mu=abc\n")
-    assert run("--config", str(cfg), "construct", "--k", "5", "--out", str(tmp_path)) == 3
-
-
 def test_construct_deterministic(tmp_path, construct_dir):
     out2 = tmp_path / "again"
     assert run("construct", "--q", "1", "--lambda-plus", "1",
