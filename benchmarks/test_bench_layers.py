@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ def test_hamiltonian_cauchy_1e4_steps(benchmark, q):
     p = ProblemParams(q=q)
     _, w, _, drift = benchmark(hamiltonian_cauchy, p, 0.7, -0.3, 1e-3, 10000)
     assert len(w) == 10001 and drift < 1e-6
+
+
+def test_hamiltonian_suite_seed0(benchmark):
+    # the ten trajectories of `nodallab verify --suite hamiltonian --seed 0`
+    def suite():
+        checks = []
+        cli._suite_hamiltonian(SimpleNamespace(seed=0), checks)
+        return checks
+
+    checks = benchmark(suite)
+    assert [ok for _, ok in checks] == [True, True]
 
 
 def test_construct_uk_q1_k5(benchmark):

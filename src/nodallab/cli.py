@@ -9,6 +9,7 @@ configuration and seed (run.json timings excepted).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -198,12 +199,10 @@ def _suite_hamiltonian(args, checks):
     rng = np.random.default_rng(args.seed)
     for q in (1.0, 1.5):
         p = pm.ProblemParams(q=q)
-        worst = 0.0
-        for _ in range(5):
-            w0, v0 = rng.uniform(-1.0, 1.0, size=2)
-            _, _, _, drift = cons.hamiltonian_cauchy(p, w0, v0, 1e-3, 10000)
-            worst = max(worst, drift)
-        checks.append((f"hamiltonian drift q={q}", worst < 1e-6))
+        drifts = [cons.hamiltonian_cauchy(p, *rng.uniform(-1.0, 1.0, size=2), 1e-3, 10000)[3]
+                  for _ in range(5)]
+        # each drift on its own: a max fold drops NaN, max(0.0, nan) is 0.0
+        checks.append((f"hamiltonian drift q={q}", all(d < 1e-6 for d in drifts)))
 
 
 def _suite_profile(args, checks):
@@ -301,10 +300,11 @@ def cmd_sweep(args):
         rows = [_sweep_one(j) for j in jobs]
 
     path = os.path.join(outdir, "sweep.csv")
-    with open(path, "w") as fh:
-        fh.write("k,t_bar,N_q,nodal_length_half,energy_drift,status\n")
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+    with open(path, "w", newline="") as fh:
+        # quoted where needed: an error message may hold commas
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("k", "t_bar", "N_q", "nodal_length_half", "energy_drift", "status"))
+        writer.writerows(rows)
     print(f"wrote {path} ({len(rows)} rows)")
     _write_run_record(outdir, _config_dict(args),
                       {"sweep_s": round(time.perf_counter() - t0, 3)})

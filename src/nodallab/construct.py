@@ -560,7 +560,8 @@ def hamiltonian(params: ProblemParams, w, wp):
 def _rk4_step(w, v, h, c, e):
     """One classical RK4 step of w'' = c |w|^e on Python floats (e = 0: the
     constant force c).  The floating-point operations run in the textbook
-    order, so a trajectory does not depend on which caller takes the step."""
+    order, so a trajectory does not depend on which caller takes the step;
+    :func:`_steps` spells the same operations out inline."""
     hh = 0.5 * h
     if e:
         k1v = c * abs(w) ** e
@@ -574,16 +575,15 @@ def _rk4_step(w, v, h, c, e):
         k1v = k2v = k3v = k4v = c
         k2w = k3w = v + hh * c
         k4w = v + h * c
-    return (w + h / 6.0 * (v + 2 * k2w + 2 * k3w + k4w),
-            v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
+    return (w + h / 6.0 * (v + 2.0 * k2w + 2.0 * k3w + k4w),
+            v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
 
 
 def _graded_flight(w, v, h, c, e, cluster_start):
     """Integrate a flight of length h in the frozen region of coefficient c
     with geometric substeps clustering at the endpoint where w vanishes; the
     force is only Holder there for q in (1,2), so uniform steps lose accuracy."""
-    m = 24
-    sizes = (h * 2.0 ** -np.arange(1.0, m + 1)).tolist()
+    sizes = [h * 2.0 ** -k for k in range(1, 25)]  # exact powers of two
     sizes.append(sizes[-1])  # remainder closes the sum to h
     if cluster_start:
         sizes.reverse()
@@ -592,7 +592,47 @@ def _graded_flight(w, v, h, c, e, cluster_start):
     return w, v
 
 
-def _advance(params, w, v, h, forces, depth=0):
+def _steps(params, w, v, h, n, forces, depth, ws=None, vs=None):
+    """n steps of size h at subdivision depth `depth`; returns the last state.
+
+    A plain step (w != 0, not close enough to the interface to subdivide, and
+    landing on its own side) is :func:`_rk4_step` written out inline; every
+    other step goes through :func:`_advance`, so both take the same floats.
+    With lists `ws`, `vs` the state after each step is appended to them.
+    """
+    c_plus, c_minus, e = forces
+    split = e != 0.0 and depth < 12
+    hh = 0.5 * h
+    h6 = h / 6.0
+    for _ in range(n):
+        if w != 0.0 and not (split and abs(w) < 8.0 * abs(v) * h):
+            c = c_plus if w > 0.0 else c_minus
+            if e:
+                k1v = c * abs(w) ** e
+                k2w = v + hh * k1v
+                k2v = c * abs(w + hh * v) ** e
+                k3w = v + hh * k2v
+                k3v = c * abs(w + hh * k2w) ** e
+                k4w = v + h * k3v
+                k4v = c * abs(w + h * k3w) ** e
+            else:
+                k1v = k2v = k3v = k4v = c
+                k2w = k3w = v + hh * c
+                k4w = v + h * c
+            wn = w + h6 * (v + 2.0 * k2w + 2.0 * k3w + k4w)
+            if (wn >= 0.0) if w > 0.0 else (wn <= 0.0):
+                w, v = wn, v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            else:
+                w, v = _advance(params, w, v, h, forces, depth)
+        else:
+            w, v = _advance(params, w, v, h, forces, depth)
+        if ws is not None:
+            ws.append(w)
+            vs.append(v)
+    return w, v
+
+
+def _advance(params, w, v, h, forces, depth):
     """One step of size h split at sign changes of w.
 
     The force of the active region is frozen (its smooth extension) for the
@@ -615,9 +655,7 @@ def _advance(params, w, v, h, forces, depth=0):
     if graded and w != 0.0 and abs(w) < 8.0 * abs(v) * h and depth < 12:
         # starting close to the interface, where the force is only Holder:
         # subdivide so the singular neighborhood gets resolved
-        for _ in range(16):
-            w, v = _advance(params, w, v, h / 16.0, forces, depth + 1)
-        return w, v
+        return _steps(params, w, v, h / 16.0, 16, forces, depth + 1)
     if w == 0.0 and graded:
         wn, vn = _graded_flight(w, v, h, c, e, cluster_start=True)
     else:
@@ -661,25 +699,8 @@ def hamiltonian_cauchy(params: ProblemParams, w0, w0prime, step, steps):
     # c_s = -mu s lambda_s and e = q - 1, taken once for the whole trajectory
     forces = (-params.mu * params.lambda_plus, params.mu * params.lambda_minus,
               params.q - 1.0)
-    c_plus, c_minus, e = forces
-    graded = e != 0.0
-    h = float(step)
-    w, v = float(w0), float(w0prime)
-    ws, vs = [w], [v]
-    for _ in range(steps):
-        # a step that starts away from the interface and stays on its side
-        # is exactly _advance's unsplit step; every other step goes through it
-        if w != 0.0 and not (graded and abs(w) < 8.0 * abs(v) * h):
-            s = 1.0 if w > 0.0 else -1.0
-            wn, vn = _rk4_step(w, v, h, c_plus if s > 0.0 else c_minus, e)
-            if s * wn >= 0.0:
-                w, v = wn, vn
-                ws.append(w)
-                vs.append(v)
-                continue
-        w, v = _advance(params, w, v, h, forces)
-        ws.append(w)
-        vs.append(v)
+    ws, vs = [float(w0)], [float(w0prime)]
+    _steps(params, ws[0], vs[0], float(step), int(steps), forces, 0, ws, vs)
     w, v = np.array(ws), np.array(vs)
     t = step * np.arange(steps + 1)
     H = hamiltonian(params, w, v)

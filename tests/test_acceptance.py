@@ -96,19 +96,18 @@ def test_criterion_02_nodal_count_and_length(q1_ladder):
 
 def test_criterion_03_energy_conservation(family):
     # glued profiles: the q=1 two-phase configurations at the default n=2048
-    worst_glue = max(mr.energy_drift for (q, lm, k), mr in family.items()
-                     if q == 1.0)
-    worst_rk = 0.0
+    glue = [mr.energy_drift for (q, lm, k), mr in family.items() if q == 1.0]
+    rk = []
     rng = np.random.default_rng(0)
     for q in (1.0, 1.5):
         p = ProblemParams(q=q)
         for _ in range(5):
             w0, v0 = rng.uniform(-1.0, 1.0, size=2)
-            _, _, _, drift = hamiltonian_cauchy(p, w0, v0, 1e-3, 10000)
-            worst_rk = max(worst_rk, drift)
+            rk.append(hamiltonian_cauchy(p, w0, v0, 1e-3, 10000)[3])
+    # every drift is held to the bound: a max fold would let a NaN through
     report(3, "glued-profile and RK4 Hamiltonian energy drift below 1e-6",
-           worst_glue < 1e-6 and worst_rk < 1e-6,
-           f"glue {worst_glue:.1e}, rk4 {worst_rk:.1e}")
+           all(d < 1e-6 for d in glue + rk),
+           f"glue {max(glue):.1e}, rk4 {max(rk):.1e}")
 
 
 def _w_over_ladder(field, radii, gammas):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from nodallab import fields
+from nodallab import construct, fields
 from nodallab.cli import main
 
 
@@ -156,14 +157,31 @@ def test_sweep(tmp_path):
     code = run("sweep", "--q", "1", "--k-range", "5:6", "--n", "512",
                "--grid", "128", "--out", str(tmp_path))
     assert code == 0
-    lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
-    assert lines[0] == "k,t_bar,N_q,nodal_length_half,energy_drift,status"
-    assert len(lines) == 3
-    rows = [ln.split(",") for ln in lines[1:]]
+    text = (tmp_path / "sweep.csv").read_text()
+    assert text.splitlines()[0] == "k,t_bar,N_q,nodal_length_half,energy_drift,status"
+    rows = _csv_rows(tmp_path / "sweep.csv")
+    assert len(rows) == 2 and all(len(r) == 6 for r in rows)
     assert [r[0] for r in rows] == ["5", "6"]
     assert all(r[-1] == "ok" for r in rows)
     # nodal length grows with k
     assert float(rows[1][3]) > float(rows[0][3])
+
+
+def _csv_rows(path):
+    """The data rows of a CSV file, header dropped."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_sweep_error_row_keeps_its_commas(tmp_path, monkeypatch):
+    message = "Psi has no sign change on the bracket: Psi(a)=1, Psi(b)=2"
+
+    def fail(params, k, n=2048):
+        raise construct.ConstructionError(message)
+
+    monkeypatch.setattr(construct, "construct_uk", fail)
+    assert run("sweep", "--q", "1", "--k-range", "5", "--out", str(tmp_path)) == 0
+    assert _csv_rows(tmp_path / "sweep.csv") == [["5", "", "", "", "", f"error: {message}"]]
 
 
 def test_sweep_empty_range(tmp_path):
@@ -270,6 +288,24 @@ def test_verify_hamiltonian(tmp_path):
     assert [c["name"] for c in doc["checks"]] == [
         "hamiltonian drift q=1.0", "hamiltonian drift q=1.5"]
     assert doc["all_pass"]
+
+
+def test_verify_hamiltonian_nan_drift_fails(tmp_path, monkeypatch):
+    # one NaN drift among finite ones fails its check
+    real = construct.hamiltonian_cauchy
+    calls = []
+
+    def nan_on_third(*args):
+        calls.append(args)
+        t, w, v, _ = real(*args[:4], 10)
+        return t, w, v, float("nan") if len(calls) == 3 else 0.0
+
+    monkeypatch.setattr(construct, "hamiltonian_cauchy", nan_on_third)
+    assert run("verify", "--suite", "hamiltonian", "--seed", "0",
+               "--out", str(tmp_path)) == 1
+    doc = json.loads((tmp_path / "verify.json").read_text())
+    assert [c["pass"] for c in doc["checks"]] == [False, True]
+    assert len(calls) == 10
 
 
 def test_cli_import_loads_only_scipy_linalg():

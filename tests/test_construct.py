@@ -362,13 +362,21 @@ def test_hamiltonian_cauchy_matches_reference_many_crossings(q):
 # starts with an amplitude far below the step size swing many times per step,
 # and every such step recurses to the full subdivision depth: one of them
 # takes seconds in either integrator, so the property draws resolved starts
-_START = st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.floats(-1.0, -0.05))
+# (|w| or |w'| at least 0.05 and mu lambda_(+-) <= 4 keep a swing longer
+# than a step)
+_SPEED = st.one_of(st.floats(0.05, 1.0), st.floats(-1.0, -0.05))
+_START = st.one_of(st.just(0.0), _SPEED)
+# just off the interface: 1e-9 subdivides to depth 6, 1e-300 to depth 12
+_NEAR = st.sampled_from([1e-9, -1e-9, 1e-300, -1e-300])
 
 
 @settings(max_examples=30, deadline=None)
-@given(q=st.floats(1.0, 1.95), w0=_START, w0prime=_START)
-def test_hamiltonian_cauchy_matches_reference_property(q, w0, w0prime):
-    _assert_same_trajectory(ProblemParams(q=q), w0, w0prime, 1e-2, 300)
+@given(q=st.floats(1.0, 1.95), coeffs=st.tuples(*[st.floats(0.5, 2.0)] * 3),
+       start=st.one_of(st.tuples(_START, _START), st.tuples(_NEAR, _SPEED)))
+def test_hamiltonian_cauchy_matches_reference_property(q, coeffs, start):
+    lp, lm, mu = coeffs
+    p = ProblemParams(q=q, lambda_plus=lp, lambda_minus=lm, mu=mu)
+    _assert_same_trajectory(p, *start, 1e-2, 300)
 
 
 # ---------------------------------------------------------------------------
