@@ -700,7 +700,7 @@ def hamiltonian_cauchy(params: ProblemParams, w0, w0prime, step, steps):
     forces = (-params.mu * params.lambda_plus, params.mu * params.lambda_minus,
               params.q - 1.0)
     ws, vs = [float(w0)], [float(w0prime)]
-    _steps(params, ws[0], vs[0], float(step), int(steps), forces, 0, ws, vs)
+    _steps(params, ws[0], vs[0], float(step), steps, forces, 0, ws, vs)
     w, v = np.array(ws), np.array(vs)
     t = step * np.arange(steps + 1)
     H = hamiltonian(params, w, v)

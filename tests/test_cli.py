@@ -157,8 +157,8 @@ def test_sweep(tmp_path):
     code = run("sweep", "--q", "1", "--k-range", "5:6", "--n", "512",
                "--grid", "128", "--out", str(tmp_path))
     assert code == 0
-    text = (tmp_path / "sweep.csv").read_text()
-    assert text.splitlines()[0] == "k,t_bar,N_q,nodal_length_half,energy_drift,status"
+    header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
+    assert header == "k,t_bar,N_q,nodal_length_half,energy_drift,status"
     rows = _csv_rows(tmp_path / "sweep.csv")
     assert len(rows) == 2 and all(len(r) == 6 for r in rows)
     assert [r[0] for r in rows] == ["5", "6"]
