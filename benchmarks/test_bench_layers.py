@@ -106,6 +106,20 @@ def test_trace_D_off_origin(benchmark, uk15):
     assert np.all(np.abs(tr.values - single) < 1e-5 * np.abs(single))
 
 
+def test_trace_D_50_radii_off_origin_nodal(benchmark, uk15):
+    # about a nodal point off the origin the field is not separated there,
+    # so every ring is Gauss-Legendre panel rings at their Cartesian points
+    x0, radii = (0.3, 0.0), np.linspace(0.01, 0.7, 50)
+    assert uk15(*x0) == 0.0
+    tr = benchmark(trace, uk15, "D", x0, radii, t=2.0)
+    # one panel per radius integrates the same D to quadrature accuracy; the
+    # glued profile has kinks on the nodal rays that cross these rings, so the
+    # two panel splits differ by about 2e-5 at r = 0.25 and 0.43
+    picks = [0, 17, 30, 49]
+    single = np.array([eval_Dt(uk15, x0, r, 2.0) for r in radii[picks]])
+    assert np.all(np.abs(tr.values[picks] - single) < 1e-4 * np.abs(single))
+
+
 def test_eval_Nt_uk_r1(benchmark, uk15):
     # the frequency of a gamma_q-homogeneous solution is gamma_q = 4
     nq = benchmark(eval_Nt, uk15, (0.0, 0.0), 1.0, 1.5)

@@ -6,8 +6,19 @@ rule in the angle (spectrally accurate for smooth periodic integrands, order
 2 across nodal-line kinks) and one GL_NODES-point Gauss-Legendre panel in the
 radius on each annulus [r_(i-1), r_i] (r_0 = 0).  Cumulative sums of the
 panels give the disk integrals, and one ring at each r_i gives the circle
-integrals.  Every functional below is arithmetic over one such pass.  The
-two-parameter rescaled energy
+integrals.  Every functional below is arithmetic over one such pass.
+
+The sums over the angles of each ring come from ``_ring_sums``.  A field
+that is r^gamma phi(theta) about x0 = (0, 0) (a ``HomogeneousField`` or a
+harmonic monomial, which declare it through ``separated``) is summed in
+separated form: phi and phi' are evaluated once per ladder and every ring is
+an angular sum times a power of rho.  The nodes and weights are the same, so
+only the order of summation changes: every ladder row agreed with the
+Cartesian rings to 4.1e-16 of its largest magnitude on u_k at q = 1 to 1.75
+and the monomials of degree 1 to 5.  Every other field or centre is sampled
+on Cartesian rings, one annulus per field call.
+
+The two-parameter rescaled energy
 
     W(gamma, t; r) = r^(-(N-2+2 gamma)) * D_t(r) - gamma r^(-(N-1+2 gamma)) * H(r)
 
@@ -144,13 +155,62 @@ class _Ladder:
         )
 
 
+def _ring_sums(field, x0, rho, theta, grad=True):
+    """Sums over theta on the rings x0 + rho (cos theta, sin theta), rho > 0.
+
+    Without ``grad``: the sums of u^2, shaped like rho.  With it, each row of
+    the 2-d rho is the panel rings of one annulus followed by its outer
+    circle, and the result is (u2, g2, f, unu2, uunu): the sums of |grad u|^2
+    and F(u) on every ring (g2, f, shaped like rho) and of u^2, u_nu^2 and
+    u u_nu on each circle (u2, unu2, uunu, one per row).
+
+    A field that is r^gamma phi(theta) about x0 = (0, 0) (``field.separated``)
+    is summed in separated form: phi and phi' are evaluated on theta once,
+    and each ring's sum is an angular sum times a power of rho,
+
+        u^2:        sum phi^2                        * rho^(2 gamma)
+        |grad u|^2: sum (gamma^2 phi^2 + phi'^2)     * rho^(2 gamma - 2)
+        F(u):       sum F(phi)                       * rho^(gamma q)
+        u_nu^2:     gamma^2 sum phi^2                * rho^(2 gamma - 2)
+        u u_nu:     gamma sum phi^2                  * rho^(2 gamma - 1)
+
+    (F(rho^gamma phi) = rho^(gamma q) F(phi) holds exactly for rho > 0).
+    Every other field or centre is sampled at its Cartesian points by
+    ``fields._sample_rings``: all rings in one call without ``grad``, one
+    row per call with it.
+    """
+    rho = np.asarray(rho, dtype=float)
+    sep = field.separated(theta) if x0[0] == 0.0 and x0[1] == 0.0 else None
+    if sep is not None:
+        g, phi, dphi = sep
+        p2 = np.sum(phi * phi)
+        if not grad:
+            return p2 * rho ** (2 * g)
+        r = rho[:, -1]
+        return (p2 * r ** (2 * g), np.sum(g * g * phi * phi + dphi * dphi) * rho ** (2 * g - 2),
+                np.sum(eval_F(field.params, phi)) * rho ** (g * field.params.q),
+                g * g * p2 * r ** (2 * g - 2), g * p2 * r ** (2 * g - 1))
+    if not grad:
+        return np.sum(_sample_rings(field, x0, rho, theta) ** 2, axis=1)
+    ct, st = np.cos(theta), np.sin(theta)
+    u2, unu2, uunu = np.empty((3, len(rho)))
+    g2, f = np.empty((2,) + rho.shape)
+    for i, row in enumerate(rho):
+        v, (gx, gy) = _sample_rings(field, x0, row, theta, grad=True)
+        g2[i] = np.sum(gx * gx + gy * gy, axis=1)
+        f[i] = np.sum(eval_F(field.params, v), axis=1)
+        u, unu = v[-1], gx[-1] * ct + gy[-1] * st
+        u2[i], unu2[i], uunu[i] = np.sum(u * u), np.sum(unu * unu), np.sum(u * unu)
+    return u2, g2, f, unu2, uunu
+
+
 def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
     """One quadrature pass over the radii (any shape and order, repeats allowed).
 
     Each distinct radius r_i costs one ring, plus GL_NODES rings on the
-    annulus below it when ``bulk`` is set.  Rings come from
-    ``fields._sample_rings``: all circles in one call without ``bulk``, one
-    annulus per call with it.
+    annulus below it when ``bulk`` is set.  The ring sums come from
+    ``_ring_sums``: all circles in one row without ``bulk``, one annulus (its
+    panel rings, then the circle) per row with it.
     """
     x0 = np.asarray(x0, dtype=float)
     radii = np.asarray(radii, dtype=float)
@@ -162,24 +222,19 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
     th = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
     dth = 2.0 * np.pi / N_THETA
     if not bulk:
-        H = rs * dth * np.sum(_sample_rings(field, x0, rs, th) ** 2, axis=1)
+        H = rs * dth * _ring_sums(field, x0, rs, th, grad=False)
         return _Ladder(field, radii, H[back].reshape(radii.shape))
-    ct, st = np.cos(th), np.sin(th)
-    # rows: H, the annulus integrals of |grad u|^2 and F (summed into disk
-    # integrals below), the circle integrals of u_nu^2, u u_nu and F
-    sums = np.zeros((6, len(rs)))
-    lo = 0.0
-    for i, r in enumerate(rs):
-        rho = np.append(lo + (r - lo) * _GL_T, r)
-        v, (gx, gy) = _sample_rings(field, x0, rho, th, grad=True)
-        f = np.sum(eval_F(field.params, v), axis=1)
-        g2 = np.sum(gx * gx + gy * gy, axis=1)
-        w = (r - lo) * _GL_W * rho[:-1] * dth
-        u, unu = v[-1], gx[-1] * ct + gy[-1] * st
-        sums[:, i] = (r * dth * np.sum(u * u), np.dot(w, g2[:-1]), np.dot(w, f[:-1]),
-                      r * dth * np.sum(unu * unu), r * dth * np.sum(u * unu), r * dth * f[-1])
-        lo = r
-    sums[1:3] = np.cumsum(sums[1:3], axis=1)
+    lo = np.concatenate(([0.0], rs))[:-1]
+    rho = np.column_stack((lo[:, None] + (rs - lo)[:, None] * _GL_T, rs))
+    u2, g2, f, unu2, uunu = _ring_sums(field, x0, rho, th)
+    w = (rs - lo)[:, None] * _GL_W * rho[:, :-1] * dth
+    c = rs * dth
+    # rows: H, the disk integrals of |grad u|^2 and F (cumulative sums of the
+    # annulus integrals), the circle integrals of u_nu^2, u u_nu and F
+    sums = (c * u2,
+            np.cumsum([np.dot(wi, gi[:-1]) for wi, gi in zip(w, g2)]),
+            np.cumsum([np.dot(wi, fi[:-1]) for wi, fi in zip(w, f)]),
+            c * unu2, c * uunu, c * f[:, -1])
     return _Ladder(field, radii, *(row[back].reshape(radii.shape) for row in sums))
 
 

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from nodallab.fields import (
     AngularProfile, ClosedFormField, DomainError, GridField, HomogeneousField,
-    NodalSet, ParseError, _sample_rings, load, monomial_field, save,
+    NodalSet, ParseError, PlanarField, _sample_rings, load, monomial_field, save,
 )
 from nodallab.construct import construct_uk
+from nodallab.functionals import _ladder
 from nodallab.orders import RescaledField
 from nodallab.params import ProblemParams
 
@@ -390,7 +391,7 @@ def uk_by_q():
     def get(q):
         if q not in cache:
             p = ProblemParams(q=q, lambda_minus=2.0)
-            cache[q] = construct_uk(p, {1.0: 5, 1.5: 9, 1.75: 17}[q]).to_field()
+            cache[q] = construct_uk(p, {1.0: 5, 1.25: 7, 1.5: 9, 1.75: 17}[q]).to_field()
         return cache[q]
 
     return get
@@ -402,34 +403,67 @@ def _cartesian_rings(f, x0, rho, theta, grad):
     return f.value_and_grad(X, Y) if grad else f(X, Y)
 
 
+class _Undeclared(PlanarField):
+    """The field with no separated form declared, so every ring is Cartesian."""
+
+    def __init__(self, field):
+        self.field, self.params = field, field.params
+
+    def __call__(self, x, y):
+        return self.field(x, y)
+
+    def value_and_grad(self, x, y):
+        return self.field.value_and_grad(x, y)
+
+    def scale(self):
+        return self.field.scale()
+
+
+# radii in drawn order with the first two repeated
+_LADDER_RADII = st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5).map(
+    lambda rs: np.array(rs + rs[:2]))
+
+
+def _assert_separated_ladder_matches(f, radii, bulk):
+    # every _Ladder row held to 1e-13 of its largest magnitude
+    got = _ladder(f, (0.0, 0.0), radii, bulk)
+    want = _ladder(_Undeclared(f), (0.0, 0.0), radii, bulk)
+    for name in ("H", "grad2", "f_bulk", "unu2", "uunu", "f_circle") if bulk else ("H",):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == radii.shape, name
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+
+
 @pytest.mark.parametrize("grad", [False, True])
-@pytest.mark.parametrize("q", [1.0, 1.5, 1.75])
-def test_sample_rings_separable_matches_cartesian(uk_by_q, q, grad):
-    # u_k at the origin: r^gamma phi(theta) in outer-product form agrees with
-    # the Cartesian evaluation to rounding, the origin ring included; the
-    # value is held to max |u| and both gradient components to max |grad u|
-    f = uk_by_q(q)
-    got = _sample_rings(f, (0.0, 0.0), _RING_RHO, _RING_THETA, grad=grad)
-    want = _cartesian_rings(f, (0.0, 0.0), _RING_RHO, _RING_THETA, grad)
-    if not grad:
-        got, want = (got, ()), (want, ())
-    for a in (got[0], *got[1]):
-        assert a.shape == (len(_RING_RHO), len(_RING_THETA))
-    assert np.max(np.abs(got[0] - want[0])) <= 1e-13 * np.max(np.abs(want[0]))
-    if grad:
-        gmax = np.max(np.hypot(*want[1]))
-        for a, b in zip(got[1], want[1]):
-            assert np.max(np.abs(a - b)) <= 1e-13 * gmax
-        # the gradient is 0 at the origin, as in value_and_grad
-        assert not np.any(got[1][0][0]) and not np.any(got[1][1][0])
+@pytest.mark.parametrize("q", [1.0, 1.25, 1.5, 1.75])
+@settings(max_examples=8, deadline=None)
+@given(radii=_LADDER_RADII)
+def test_sample_rings_separable_matches_cartesian(uk_by_q, q, grad, radii):
+    # u_k at the origin: the ladder summed in separated form (with ``grad``
+    # the bulk ladder, without it the circles alone) agrees with the same
+    # field sampled on Cartesian rings
+    _assert_separated_ladder_matches(uk_by_q(q), radii, grad)
+
+
+@pytest.mark.parametrize("bulk", [False, True])
+@pytest.mark.parametrize("phase", ["cos", "sin"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@settings(max_examples=4, deadline=None)
+@given(radii=_LADDER_RADII)
+def test_monomial_separated_ladder_matches_cartesian(d, phase, bulk, radii):
+    f = monomial_field(d, phase)
+    f.params = ProblemParams(q=1.5, lambda_minus=2.0)  # a nonzero F
+    _assert_separated_ladder_matches(f, radii, bulk)
 
 
 @pytest.mark.parametrize("grad", [False, True])
 def test_sample_rings_cartesian_fields_bit_identical(uk_by_q, grad):
-    # off-origin centres, closed-form and grid fields keep the Cartesian path
+    # every field and centre is sampled at its Cartesian points, a
+    # homogeneous field or a monomial at the origin included
     homog = uk_by_q(1.5)
     rho = _RING_RHO[1:] * 0.6
-    cases = [(homog, (0.05, 0.0)), (homog, (0.0, -0.2)), (monomial_field(3), (0.0, 0.0)),
+    cases = [(homog, (0.0, 0.0)), (homog, (0.05, 0.0)), (homog, (0.0, -0.2)),
+             (monomial_field(3), (0.0, 0.0)),
              (monomial_field(2, "sin"), (0.1, 0.2)), (GridField.sample(homog, 65), (0.0, 0.0)),
              (GridField.sample(monomial_field(2), 33), (-0.1, 0.3)),
              (RescaledField(homog, (0.0, 0.0), 0.5, 2.0), (0.0, 0.0))]

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodallab.construct import construct_uk
-from nodallab.fields import ClosedFormField, DomainError, monomial_field
+from nodallab.fields import ClosedFormField, DomainError, GridField, _sample_rings, monomial_field
 from nodallab.functionals import (
-    DegenerateSphereError, FunctionalTrace, InconclusiveError,
-    PreconditionError, check_derivative_identities, eval_Dt, eval_F, eval_H,
+    _GL_T, _GL_W, N_THETA, DegenerateSphereError, FunctionalTrace, InconclusiveError,
+    PreconditionError, _ladder, check_derivative_identities, eval_Dt, eval_F, eval_H,
     eval_Nt, eval_Phi, eval_W, h1_norm, monotonicity_scan, trace,
     transition_exponent, w_prime_rhs, w_vs_frequency_residual,
 )
@@ -225,3 +225,57 @@ def test_ladder_matches_single_radii(uk_q1, radii, which):
         ladder = trace(f, name, ORIGIN, radii, gamma=gamma, t=2.0).values
         single = np.array([one(r) for r in radii])
         assert np.allclose(ladder, single, rtol=1e-12, atol=0.0), name
+
+
+def _annulus_loop_ladder(field, x0, radii, bulk):
+    """The six ladder rows as the earlier loop made them: every ring sampled
+    at its Cartesian points, one annulus at a time."""
+    x0 = np.asarray(x0, dtype=float)
+    rs, back = np.unique(radii, return_inverse=True)
+    th = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
+    dth = 2.0 * np.pi / N_THETA
+    if not bulk:
+        H = rs * dth * np.sum(_sample_rings(field, x0, rs, th) ** 2, axis=1)
+        return [H[back].reshape(radii.shape)]
+    ct, st = np.cos(th), np.sin(th)
+    sums = np.zeros((6, len(rs)))
+    lo = 0.0
+    for i, r in enumerate(rs):
+        rho = np.append(lo + (r - lo) * _GL_T, r)
+        v, (gx, gy) = _sample_rings(field, x0, rho, th, grad=True)
+        f = np.sum(eval_F(field.params, v), axis=1)
+        g2 = np.sum(gx * gx + gy * gy, axis=1)
+        w = (r - lo) * _GL_W * rho[:-1] * dth
+        u, unu = v[-1], gx[-1] * ct + gy[-1] * st
+        sums[:, i] = (r * dth * np.sum(u * u), np.dot(w, g2[:-1]), np.dot(w, f[:-1]),
+                      r * dth * np.sum(unu * unu), r * dth * np.sum(u * unu), r * dth * f[-1])
+        lo = r
+    sums[1:3] = np.cumsum(sums[1:3], axis=1)
+    return [row[back].reshape(radii.shape) for row in sums]
+
+
+@pytest.fixture(scope="module")
+def cartesian_cases():
+    u = construct_uk(ProblemParams(q=1.5, lambda_minus=2.0), 9).to_field()
+    # phi(0) = 0, so (0.3, 0) lies on a nodal ray of u_k
+    assert u(0.3, 0.0) == 0.0
+    bumpy = ClosedFormField(lambda x, y: np.sin(3.0 * x) + x * y - 0.2,
+                            lambda x, y: (3.0 * np.cos(3.0 * x) + y, x),
+                            ProblemParams(q=1.25, lambda_minus=3.0))
+    grid = GridField.sample(u, 513)
+    return [(u, (0.3, 0.0)), (grid, (0.0, 0.0)), (grid, (0.1, -0.2)),
+            (monomial_field(3), (0.1, 0.2)), (monomial_field(2, "sin"), (-0.3, 0.0)),
+            (bumpy, (0.0, 0.0)), (bumpy, (0.2, 0.1))]
+
+
+@pytest.mark.parametrize("bulk", [False, True])
+def test_cartesian_ladder_bit_identical_to_annulus_loop(cartesian_cases, bulk):
+    # fields that declare no separated form, and centres off the origin, give
+    # the bits of the annulus loop on unsorted radii with repeats
+    for f, x0 in cartesian_cases:
+        top = 1.0 - np.hypot(*x0)
+        radii = top * np.array([0.9, 0.05, 0.5, 0.05, 1.0, 0.3, 0.9])
+        lad = _ladder(f, x0, radii, bulk)
+        got = [lad.H, lad.grad2, lad.f_bulk, lad.unu2, lad.uunu, lad.f_circle] if bulk else [lad.H]
+        for a, b in zip(got, _annulus_loop_ladder(f, x0, radii, bulk)):
+            assert np.array_equal(a, b)
