@@ -24,8 +24,9 @@ from nodallab.construct import (
     _solve_positive_arc, construct_uk, hamiltonian_cauchy, psi, time_map_t_bar,
 )
 from nodallab.fields import GridField
-from nodallab.functionals import eval_Dt, eval_F, eval_Nt, trace
+from nodallab.functionals import eval_Dt, eval_F, eval_Nt, trace, transition_exponent
 from nodallab.nodal import detect_singular, extract_nodal_set, nodal_length
+from nodallab.orders import estimate_order
 from nodallab.params import ProblemParams
 
 
@@ -147,6 +148,24 @@ def test_value_and_grad_annulus_49x1024(benchmark, uk15):
     v, (gx, gy) = benchmark(uk15.value_and_grad, x, y)
     # Euler's identity for a field homogeneous of degree gamma
     assert np.max(np.abs(x * gx + y * gy - uk15.gamma * v)) < 1e-12 * np.max(np.abs(v))
+
+
+# the gamma grid and ladders of the weiss-ladder perfbench workload at order 4
+WEISS_GAMMAS = np.arange(3.5, 4.5001, 0.05)
+WEISS_GEOMETRIC_LADDER = np.geomspace(0.02, 0.8, 6)
+WEISS_DYADIC_LADDER = 0.5 * 2.0 ** -np.arange(8.0)[::-1]
+
+
+def test_transition_exponent_uk15(benchmark, uk15):
+    est = benchmark(transition_exponent, uk15, (0.0, 0.0), WEISS_GAMMAS, WEISS_GEOMETRIC_LADDER)
+    # W(gamma, 2) diverges as r -> 0 exactly for gamma above the order gamma_q = 4
+    assert abs(est - 4.0) <= 0.05 + 1e-12
+
+
+def test_estimate_order_uk15(benchmark, uk15):
+    est = benchmark(estimate_order, uk15, (0.0, 0.0), WEISS_DYADIC_LADDER)
+    assert est.snapped == 4.0 and abs(est.raw_slope - 4.0) < 0.05
+    assert abs(est.h1_slope - 4.0) < 0.05 and est.nondegeneracy_ratio > 0
 
 
 def test_extract_nodal_set_n512(benchmark, uk15):

@@ -287,6 +287,7 @@ def cmd_sweep(args):
         return EXIT_CONSTRUCT
     # every row would fail alike: refuse the sweep as construct does
     cons.check_arc_grid(args.n)
+    nodal.check_grid(args.grid)
 
     jobs = [(p.q, p.lambda_plus, p.lambda_minus, k, args.n, args.grid)
             for k in ks]

@@ -104,6 +104,19 @@ def h_floor(field: PlanarField, r):
     return 1e-14 * s * s * r ** (N_DIM - 1)
 
 
+def _power_fit(r, v, keep):
+    """Least-squares slope and intercept of log v against log r for each row
+    of v, over the points where ``keep`` (shaped like v) holds; the others are
+    dropped, and a row with fewer than two kept points gets a NaN slope."""
+    x, y = np.where(keep, np.log(r), 0.0), np.log(np.where(keep, v, 1.0))  # 0 where dropped
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 on short rows
+        n = np.count_nonzero(keep, axis=-1)
+        xm, ym = np.sum(x, axis=-1) / n, np.sum(y, axis=-1) / n
+        dx = np.where(keep, x - xm[..., None], 0.0)
+        slope = np.sum(dx * (y - ym[..., None]), axis=-1) / np.sum(dx * dx, axis=-1)
+    return slope, ym - slope * xm
+
+
 @dataclass
 class _Ladder:
     """Circle and disk integrals on a radius ladder, shaped like the radii.
@@ -365,33 +378,26 @@ def transition_exponent(field, x0, gammas, radii):
     x0 = np.asarray(x0, dtype=float)
     _require_nodal(field, x0)
     gammas = np.sort(np.asarray(gammas, dtype=float))
+    if gammas.size == 0:
+        raise ValueError("gammas is empty: the transition needs at least one gamma")
     radii = np.sort(np.asarray(radii, dtype=float))
-    lad = _ladder(field, x0, radii)
-    W = np.array([lad.W(g, 2.0) for g in gammas])
+    W = _ladder(field, x0, radii).W(gammas[:, None], 2.0)
     floor = 1e-10 * (1.0 + np.max(np.abs(W)))
-    decade = radii <= radii[0] * 10.0 + 1e-300
+    decade = radii <= radii[0] * 10.0
     if np.count_nonzero(decade) < 3:
-        decade = np.zeros_like(decade)
-        decade[: max(3, len(radii) // 3)] = True
-
-    def classify(row):
-        mask = decade & (np.abs(row) > floor)
-        if row[0] > -floor or np.count_nonzero(mask) < 2:
-            return "bounded"
-        slope = np.polyfit(np.log(radii[mask]), np.log(np.abs(row[mask])), 1)[0]
-        return "divergent" if slope < -SLOPE_TOL else "bounded"
-
-    kinds = [classify(W[i]) for i in range(len(gammas))]
-    if "divergent" not in kinds:
+        decade = np.arange(len(radii)) < max(3, len(radii) // 3)
+    slope = _power_fit(radii, np.abs(W), decade & (np.abs(W) > floor))[0]
+    # a NaN slope (fewer than two points above the floor) counts as bounded
+    divergent = (W[:, 0] <= -floor) & (slope < -SLOPE_TOL)
+    if not divergent.any():
         raise InconclusiveError("no divergent gamma on the grid", bracket=(gammas[-1], None))
-    first_div = kinds.index("divergent")
-    if first_div == 0:
+    first = int(np.argmax(divergent))
+    if first == 0:
         raise InconclusiveError("every gamma diverges", bracket=(None, gammas[0]))
-    if "bounded" in kinds[first_div:]:
-        bad = first_div + kinds[first_div:].index("bounded")
+    if not divergent[first:].all():
+        bad = first + int(np.argmin(divergent[first:]))
         raise InconclusiveError(
             f"non-monotone classification near gamma={gammas[bad]}",
-            bracket=(float(gammas[first_div - 1]), float(gammas[first_div])),
+            bracket=(float(gammas[first - 1]), float(gammas[first])),
         )
-    lo, hi = gammas[first_div - 1], gammas[first_div]
-    return float(0.5 * (lo + hi))
+    return float(0.5 * (gammas[first - 1] + gammas[first]))

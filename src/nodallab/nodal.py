@@ -117,10 +117,15 @@ def _clip_to_disk(seg, radius):
     return out[keep]
 
 
-def extract_nodal_set(field: PlanarField, n: int, radius: float = 1.0) -> NodalSet:
-    """Marching-squares zero set of the field inside the disk of given radius."""
+def check_grid(n: int) -> None:
+    """An extraction grid needs at least 64 x 64 points."""
     if n < 64:
         raise ValueError("grid must be at least 64 x 64")
+
+
+def extract_nodal_set(field: PlanarField, n: int, radius: float = 1.0) -> NodalSet:
+    """Marching-squares zero set of the field inside the disk of given radius."""
+    check_grid(n)
     xs = np.linspace(-radius, radius, n)
     inside = _disk_mask(xs, radius * radius + 1e-15)
     V = _sample_grid(field, xs, inside)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PlanarField, _sample_rings
-from .functionals import N_DIM, N_THETA, _ladder, _require_nodal, h1_norm, h_floor
+from .functionals import N_DIM, N_THETA, _ladder, _power_fit, _require_nodal, h1_norm, h_floor
 from .params import beta_q, gamma_q
 
 
@@ -64,14 +64,12 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
         ok = hs > h_floor(field, rs)
         if not np.any(ok):
             raise ZeroFieldError("H below the noise floor on the whole ladder")
-        logr = np.log(rs[ok])
-        y = 0.5 * np.log(hs[ok] / rs[ok] ** (N_DIM - 1))
-        return float(np.polyfit(logr, y, 1)[0])
+        return 0.5 * float(_power_fit(rs, hs / rs ** (N_DIM - 1), ok)[0])
 
     raw = fit(radii)
     cands = admissible_orders(field.params)
     best = min(cands, key=lambda c: abs(c - raw))
-    if abs(best - raw) > SNAP_TOL:
+    if not abs(best - raw) <= SNAP_TOL:  # a NaN slope widens the window too
         # widen the window (double the decade span downward) before giving up;
         # the admissible orders cluster near 2/(2-q) as q approaches 2.
         span = radii[-1] / radii[0]
@@ -82,7 +80,7 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
     snapped = best if abs(best - raw) <= SNAP_TOL else "inconclusive"
 
     norms = _ladder(field, x0, radii).h1()
-    h1_slope = float(np.polyfit(np.log(radii), np.log(norms + 1e-300), 1)[0])
+    h1_slope = float(_power_fit(radii, norms, norms > 0)[0])
 
     if snapped != "inconclusive":
         ratio = float(np.min(norms**2 / radii ** (2.0 * best)))
@@ -122,14 +120,19 @@ def blow_up(field: PlanarField, x0, r) -> RescaledField:
     return RescaledField(field, x0, r, c)
 
 
+def _fourier_rings(field, x0, radii, max_degree):
+    """Cosine/sine coefficients of degrees 1..max_degree, one row per radius."""
+    if not 1 <= max_degree <= N_THETA // 2 - 1:
+        raise ValueError(f"max_degree must be in 1..{N_THETA // 2 - 1}, got {max_degree}")
+    th = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
+    coeffs = np.fft.rfft(_sample_rings(field, x0, radii, th), axis=1) / N_THETA
+    return 2.0 * coeffs.real[:, 1: max_degree + 1], -2.0 * coeffs.imag[:, 1: max_degree + 1]
+
+
 def fourier_on_circle(field, x0, r, max_degree):
     """Cosine/sine coefficients of u restricted to the circle of radius r."""
-    th = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
-    v = _sample_rings(field, x0, [r], th)[0]
-    coeffs = np.fft.rfft(v) / N_THETA
-    a = 2.0 * coeffs.real[1: max_degree + 1]
-    b = -2.0 * coeffs.imag[1: max_degree + 1]
-    return a, b
+    a, b = _fourier_rings(field, x0, [r], max_degree)
+    return a[0], b[0]
 
 
 def leading_harmonic(field: PlanarField, x0, radii, max_degree):
@@ -143,34 +146,28 @@ def leading_harmonic(field: PlanarField, x0, radii, max_degree):
     x0 = np.asarray(x0, dtype=float)
     radii = np.sort(np.asarray(radii, dtype=float))
     _require_nodal(field, x0)
-    amp = np.empty((len(radii), max_degree))
-    ab = []
-    for i, r in enumerate(radii):
-        a, b = fourier_on_circle(field, x0, r, max_degree)
-        amp[i] = np.hypot(a, b)
-        ab.append((a, b))
-    noise = 1e-8 * field.scale()
+    a, b = _fourier_rings(field, x0, radii, max_degree)
+    amp = np.hypot(a, b).T  # one row per degree
+    keep = amp > 0
+    slope, intercept = _power_fit(radii, amp, keep)
+    logm = np.log(np.where(keep, amp, 1.0))  # 0 where dropped; misfit and mean skip it
+    misfit = np.abs(logm - (slope[:, None] * np.log(radii) + intercept[:, None]))
+    misfit = np.max(misfit, axis=1, where=keep, initial=0.0)
+    mean = np.sum(logm, axis=1) / np.maximum(np.count_nonzero(keep, axis=1), 1)
+    degrees = np.arange(1, max_degree + 1)
+    fits = ((np.max(amp, axis=1) >= 1e-8 * field.scale()) & (np.abs(slope - degrees) < 0.1)
+            & (misfit / np.maximum(1.0, np.abs(mean)) < FIT_TOL))
     g = gamma_q(field.params)
     ambiguous = abs(g - round(g)) < 1e-12
-    for d in range(1, max_degree + 1):
-        m = amp[:, d - 1]
-        if np.max(m) < noise:
-            continue
-        logr = np.log(radii)
-        logm = np.log(m + 1e-300)
-        slope, intercept = np.polyfit(logr, logm, 1)
-        fit = slope * logr + intercept
-        rel_err = float(np.max(np.abs(logm - fit))) / max(1.0, abs(float(np.mean(logm))))
-        if abs(slope - d) < 0.1 and rel_err < FIT_TOL:
-            a_mid, b_mid = ab[len(radii) // 2]
-            c = float(np.exp(intercept))
-            return {
-                "degree": d,
-                "cos": float(a_mid[d - 1] / radii[len(radii) // 2] ** d),
-                "sin": float(b_mid[d - 1] / radii[len(radii) // 2] ** d),
-                "amplitude": c,
-                "gamma_q_ambiguous": ambiguous and abs(d - g) < 1e-9,
-            }
+    if fits.any():
+        d, mid = int(np.argmax(fits)) + 1, len(radii) // 2
+        return {
+            "degree": d,
+            "cos": float(a[mid, d - 1] / radii[mid] ** d),
+            "sin": float(b[mid, d - 1] / radii[mid] ** d),
+            "amplitude": float(np.exp(intercept[d - 1])),
+            "gamma_q_ambiguous": ambiguous and abs(d - g) < 1e-9,
+        }
     if ambiguous:
         return {"degree": None, "gamma_q_ambiguous": True}
     return None

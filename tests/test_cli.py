@@ -69,6 +69,17 @@ def test_arc_grid_below_2_exits_2(tmp_path, capsys, n):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("grid", ["10", "63"])
+def test_sweep_grid_below_64_exits_2(tmp_path, capsys, grid):
+    # refused before any k is built: exactly one error line and no sweep.csv
+    assert run("sweep", "--q", "1", "--k-range", "5:6", "--n", "512", "--grid", grid,
+               "--out", str(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: grid must be at least 64 x 64\n"
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
 def test_construct_deterministic(tmp_path, construct_dir):
     out2 = tmp_path / "again"
     assert run("construct", "--q", "1", "--lambda-plus", "1",

@@ -6,8 +6,8 @@ from nodallab.construct import construct_uk
 from nodallab.fields import ClosedFormField, DomainError, GridField, _sample_rings, monomial_field
 from nodallab.functionals import (
     _GL_T, _GL_W, N_THETA, DegenerateSphereError, FunctionalTrace, InconclusiveError,
-    PreconditionError, _ladder, check_derivative_identities, eval_Dt, eval_F, eval_H,
-    eval_Nt, eval_Phi, eval_W, h1_norm, monotonicity_scan, trace,
+    PreconditionError, _ladder, _power_fit, _require_nodal, check_derivative_identities,
+    eval_Dt, eval_F, eval_H, eval_Nt, eval_Phi, eval_W, h1_norm, monotonicity_scan, trace,
     transition_exponent, w_prime_rhs, w_vs_frequency_residual,
 )
 from nodallab.params import ProblemParams
@@ -204,6 +204,113 @@ def test_transition_exponent_inconclusive():
     with pytest.raises(PreconditionError):
         # centered away from the nodal set
         transition_exponent(f, (0.5, 0.0), np.array([1.5, 2.5]), radii)
+
+
+def test_transition_exponent_empty_gammas():
+    with pytest.raises(ValueError, match="^gammas is empty"):
+        transition_exponent(monomial_field(2), ORIGIN, [], np.geomspace(0.02, 0.8, 25))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(2, 30), r0=st.floats(1e-2, 0.2), span=st.floats(4.0, 100.0),
+       rows=st.lists(st.tuples(st.floats(0.5, 4.0), st.booleans(), st.floats(0.1, 10.0)),
+                     min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_power_fit_matches_polyfit(m, r0, span, rows, seed):
+    # a ladder in random order and rows c r^p with a small misfit, each row
+    # under its own random mask with at least two kept points
+    rng = np.random.default_rng(seed)
+    r = rng.permutation(np.geomspace(r0, r0 * span, m))
+    p = np.array([e if up else -e for e, up, _ in rows])[:, None]
+    c = np.array([c for _, _, c in rows])[:, None]
+    v = c * r**p * np.exp(rng.uniform(-1e-3, 1e-3, (len(rows), m)))
+    keep = rng.random((len(rows), m)) < rng.random()
+    for row in keep:
+        row[rng.choice(m, 2, replace=False)] = True
+    slope, intercept = _power_fit(r, v, keep)
+    for i, k in enumerate(keep):
+        x, y = np.log(r[k]), np.log(v[i, k])
+        want_slope, want_intercept = np.polyfit(x, y, 1)
+        assert abs(slope[i] - want_slope) <= 1e-12 * abs(want_slope)
+        assert abs(intercept[i] - want_intercept) <= 1e-12 * max(abs(want_intercept),
+                                                                  np.max(np.abs(y)))
+
+
+def test_power_fit_rows_with_fewer_than_two_points_are_nan():
+    r = np.geomspace(0.1, 1.0, 5)
+    v = np.stack([3.0 * r**2, r**3, -r])  # the negative row is never kept
+    keep = np.array([[True] * 5, [False, False, True, False, False], [False] * 5])
+    with np.errstate(all="raise"):
+        slope, intercept = _power_fit(r, v, keep)
+    assert abs(slope[0] - 2.0) < 1e-14 and abs(intercept[0] - np.log(3.0)) < 1e-14
+    assert np.all(np.isnan(slope[1:])) and np.all(np.isnan(intercept[1:]))
+
+
+def _transition_exponent_per_gamma(field, x0, gammas, radii):
+    """The estimator as first written: one W row and one np.polyfit per gamma."""
+    x0 = np.asarray(x0, dtype=float)
+    _require_nodal(field, x0)
+    gammas = np.sort(np.asarray(gammas, dtype=float))
+    radii = np.sort(np.asarray(radii, dtype=float))
+    lad = _ladder(field, x0, radii)
+    W = np.array([lad.W(g, 2.0) for g in gammas])
+    floor = 1e-10 * (1.0 + np.max(np.abs(W)))
+    decade = radii <= radii[0] * 10.0 + 1e-300
+    if np.count_nonzero(decade) < 3:
+        decade = np.zeros_like(decade)
+        decade[: max(3, len(radii) // 3)] = True
+
+    def classify(row):
+        mask = decade & (np.abs(row) > floor)
+        if row[0] > -floor or np.count_nonzero(mask) < 2:
+            return "bounded"
+        slope = np.polyfit(np.log(radii[mask]), np.log(np.abs(row[mask])), 1)[0]
+        return "divergent" if slope < -0.02 else "bounded"
+
+    kinds = [classify(W[i]) for i in range(len(gammas))]
+    if "divergent" not in kinds:
+        raise InconclusiveError("no divergent gamma on the grid", bracket=(gammas[-1], None))
+    first_div = kinds.index("divergent")
+    if first_div == 0:
+        raise InconclusiveError("every gamma diverges", bracket=(None, gammas[0]))
+    if "bounded" in kinds[first_div:]:
+        raise InconclusiveError("non-monotone classification",
+                                bracket=(float(gammas[first_div - 1]), float(gammas[first_div])))
+    return float(0.5 * (gammas[first_div - 1] + gammas[first_div]))
+
+
+def _outcome(estimator, *args):
+    try:
+        return "value", estimator(*args)
+    except InconclusiveError as exc:
+        return "inconclusive", exc.bracket
+    except PreconditionError:
+        return ("not nodal",)
+
+
+def test_transition_exponent_matches_per_gamma_classification():
+    # the criterion-07 fields, monomials up to degree 5, and a centre off the
+    # nodal set; grids around, below and above the order and a coarse one
+    cases = [(construct_uk(ProblemParams(q=1.0), 5).to_field(), 2.0),
+             (construct_uk(ProblemParams(q=1.5), 9).to_field(), 4.0)]
+    for q, top in ((1.0, 5), (1.5, 3)):
+        for d in range(1, top + 1):
+            f = monomial_field(d)
+            f.params = ProblemParams(q=q, mu=0.0)
+            cases.append((f, float(d)))
+    kinds = set()
+    for f, order in cases:
+        grids = (np.arange(order - 0.5, order + 0.5001, 0.05),
+                 np.arange(order - 1.5, order - 0.55, 0.05),
+                 np.arange(order + 0.55, order + 1.5, 0.05),
+                 np.array([0.5, 1.0, 1.5, 2.5, 3.5, 4.5]))
+        runs = [(ORIGIN, g) for g in grids] + [((0.5, 0.1), grids[0])]
+        for radii in (np.geomspace(0.02, 0.8, 6), np.geomspace(0.02, 0.8, 25)):
+            for x0, gammas in runs:
+                got = _outcome(transition_exponent, f, x0, gammas, radii)
+                assert got == _outcome(_transition_exponent_per_gamma, f, x0, gammas, radii)
+                kinds.add(got[0])
+    assert kinds == {"value", "inconclusive", "not nodal"}
 
 
 @pytest.fixture(scope="module")
