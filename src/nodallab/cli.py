@@ -72,7 +72,8 @@ def cmd_construct(args):
         mr = cons.construct_uk(p, args.k, n=args.n)
     except (cons.ConstructionError, cons.SolverError) as exc:
         _write_json(os.path.join(outdir, "error.json"),
-                    {"error": type(exc).__name__, "message": str(exc)})
+                    {"error": type(exc).__name__, "message": str(exc),
+                     "trace": getattr(exc, "trace", [])})
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCT
     t_construct = time.perf_counter() - t0

@@ -163,9 +163,12 @@ def _solve_positive_arc(q, lam, gamma2, length, n):
         lap = (np.concatenate((p[1:], [0.0])) - 2 * p + np.concatenate(([0.0], p[:-1]))) / h**2
         return -lap - gamma2 * p - lam * p ** (q - 1.0)
 
+    amp = float(np.max(phi))
+    if amp * amp < np.finfo(float).tiny:
+        raise SolverError(f"arc amplitude {amp:.3g} at q = {q}: its energy (~ amplitude^2) "
+                          "underflows double precision")
     # relative stop: near q = 2 the minimizer is tiny (max phi ~ 5e-10 at
     # q = 1.75, k = 17), so the residual is measured against its own force
-    amp = float(np.max(phi))
     scale = max(lam * amp ** (q - 1.0), gamma2 * amp)
     trace = []
     res = residual(phi)

@@ -14,10 +14,11 @@ probe are sampled at their Cartesian points by ``_sample_rings``.  A field
 that is r^gamma phi(theta) about the origin says so through ``separated``:
 a :class:`HomogeneousField` and the harmonic monomials of
 :func:`monomial_field` do, every other field returns None.  The quadrature
-ladder (``functionals._ring_sums``) is the one reader of that form: centred
-at the origin, such a field is integrated from angular sums on the ladder's
-angles (every ladder row agreed with the Cartesian rings to 4.1e-16 of its
-largest magnitude on u_k and the monomials of degree 1 to 5).
+ladder (``functionals._ladder``) is the one reader of that form: centred at
+the origin, such a field is integrated in closed form, from angular sums on
+the ladder's angles times powers of r (every ladder row agreed with the
+Cartesian rings to 6.7e-16 of its largest magnitude on u_k and the
+monomials of degree 1 to 5).
 
 Profiles are interpolated with a periodic Catmull-Rom cubic so evaluation is
 C^1, which the glued circle profiles require.  The cubic coefficients of every

@@ -73,7 +73,8 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
         # widen the window (double the decade span downward) before giving up;
         # the admissible orders cluster near 2/(2-q) as q approaches 2.
         span = radii[-1] / radii[0]
-        wide = np.sort(np.concatenate([radii, radii / span]))
+        # radii[-1] / span is radii[0]: unique keeps it once in the fit
+        wide = np.unique(np.concatenate([radii, radii / span]))
         raw = fit(wide)
         best = min(cands, key=lambda c: abs(c - raw))
         radii = wide

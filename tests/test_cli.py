@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,26 @@ def test_construct_small_k_exits_2(tmp_path):
     assert code == 2
     err = json.loads((tmp_path / "error.json").read_text())
     assert "k_bar" in err["message"]
+
+
+@pytest.mark.parametrize("q, k", [("1.975", "161"), ("1.99", "401")])
+def test_construct_amplitude_underflow_exits_2(tmp_path, capsys, q, k):
+    # near q = 2 the arc amplitude squared is below the smallest normal
+    # double: one error line, no numpy warning, and an error.json
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("construct", "--q", q, "--lambda-minus", "2", "--k", k, "--out", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2 and not caught
+    assert err.count("\n") == 1 and "Warning" not in err and "underflows" in err
+    assert json.loads((tmp_path / "error.json").read_text())["error"] == "SolverError"
+
+
+def test_construct_error_json_keeps_residual_trace(tmp_path, monkeypatch):
+    monkeypatch.setattr(construct, "_NEWTON_MAXITER", 1)
+    assert run("construct", "--q", "1.5", "--k", "9", "--out", str(tmp_path)) == 2
+    err = json.loads((tmp_path / "error.json").read_text())
+    assert err["error"] == "SolverError" and len(err["trace"]) > 0
 
 
 @pytest.mark.parametrize("n", ["0", "1", "-5"])

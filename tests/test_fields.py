@@ -10,7 +10,7 @@ from nodallab.fields import (
     NodalSet, ParseError, PlanarField, _sample_rings, load, monomial_field, save,
 )
 from nodallab.construct import construct_uk
-from nodallab.functionals import _ladder
+from nodallab.functionals import _GL_T, _GL_W, _ladder
 from nodallab.orders import RescaledField
 from nodallab.params import ProblemParams
 
@@ -424,14 +424,22 @@ _LADDER_RADII = st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5).map(
     lambda rs: np.array(rs + rs[:2]))
 
 
-def _assert_separated_ladder_matches(f, radii, bulk):
-    # every _Ladder row held to 1e-13 of its largest magnitude
+def _assert_separated_ladder_matches(f, radii, bulk, f_bulk_tol=1e-13):
+    # every _Ladder row held to 1e-13 of its largest magnitude, f_bulk to
+    # f_bulk_tol
     got = _ladder(f, (0.0, 0.0), radii, bulk)
     want = _ladder(_Undeclared(f), (0.0, 0.0), radii, bulk)
     for name in ("H", "grad2", "f_bulk", "unu2", "uunu", "f_circle") if bulk else ("H",):
         a, b = getattr(got, name), getattr(want, name)
+        tol = f_bulk_tol if name == "f_bulk" else 1e-13
         assert a.shape == radii.shape, name
-        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+        assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b)), name
+
+
+def _gl_error(p):
+    """Relative error of the Cartesian ladder's Gauss-Legendre panel on the
+    integral of rho^p over [0, 1], the first annulus scaled to unit width."""
+    return abs((p + 1) * np.dot(_GL_W, _GL_T**p) - 1.0)
 
 
 @pytest.mark.parametrize("grad", [False, True])
@@ -453,7 +461,21 @@ def test_sample_rings_separable_matches_cartesian(uk_by_q, q, grad, radii):
 def test_monomial_separated_ladder_matches_cartesian(d, phase, bulk, radii):
     f = monomial_field(d, phase)
     f.params = ProblemParams(q=1.5, lambda_minus=2.0)  # a nonzero F
-    _assert_separated_ladder_matches(f, radii, bulk)
+    # the separated f_bulk is the exact integral of rho^(d q + 1); at d = 1
+    # the Cartesian reference misses it on the first annulus by 9e-13
+    _assert_separated_ladder_matches(f, radii, bulk, 1e-13 + _gl_error(d * 1.5 + 1))
+
+
+@pytest.mark.parametrize("phase", ["cos", "sin"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_monomial_separated_ladder_exact(d, phase):
+    # Re/Im z^d at its vertex: the closed-form circle and disk integrals
+    r = np.geomspace(0.01, 1.0, 50)
+    lad = _ladder(monomial_field(d, phase), (0.0, 0.0), r)
+    for name, want in (("H", np.pi * r ** (2 * d + 1)), ("grad2", np.pi * d * r ** (2 * d)),
+                       ("unu2", np.pi * d * d * r ** (2 * d - 1)),
+                       ("uunu", np.pi * d * r ** (2 * d))):
+        assert np.all(np.abs(getattr(lad, name) - want) <= 1e-15 * want), name
 
 
 @pytest.mark.parametrize("grad", [False, True])

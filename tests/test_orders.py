@@ -3,6 +3,7 @@ import pytest
 
 from nodallab.construct import construct_uk
 from nodallab.fields import ClosedFormField, monomial_field
+from nodallab.functionals import _ladder, _power_fit, h_floor
 from nodallab.orders import (
     ZeroFieldError, admissible_orders, blow_up, estimate_order,
     fourier_on_circle, leading_harmonic,
@@ -51,6 +52,22 @@ def test_estimate_order_preconditions():
                            lambda x, y: (0.0 * x, 0.0 * y))
     with pytest.raises(ZeroFieldError):
         estimate_order(zero, ORIGIN, LADDER)
+
+
+def test_estimate_order_widened_window_counts_each_radius_once():
+    # Re z^3 + Re z^4 under q = 1 grows like r^3, far from the admissible
+    # orders 1 and 2, so the window widens by the ladder's span; the widened
+    # fit counts each radius once, LADDER[0] (= LADDER[-1] / span) included
+    m3, m4 = monomial_field(3), monomial_field(4)
+    f = ClosedFormField(lambda x, y: m3(x, y) + m4(x, y),
+                        lambda x, y: tuple(a + b for a, b in zip(m3.gradf(x, y), m4.gradf(x, y))))
+    est = estimate_order(f, ORIGIN, LADDER)
+    wide = np.concatenate((LADDER / LADDER[-1] * LADDER[0], LADDER[1:]))
+    H = _ladder(f, ORIGIN, wide, bulk=False).H
+    want = 0.5 * _power_fit(wide, H / wide, H > h_floor(f, wide))[0]
+    assert est.snapped == "inconclusive"
+    assert est.r_window == (wide[0], wide[-1])
+    assert abs(est.raw_slope - want) <= 1e-13
 
 
 def test_blow_up_normalization():
