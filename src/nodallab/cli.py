@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -203,7 +204,8 @@ def _suite_hamiltonian(args, checks):
         drifts = [cons.hamiltonian_cauchy(p, *rng.uniform(-1.0, 1.0, size=2), 1e-3, 10000)[3]
                   for _ in range(5)]
         # each drift on its own: a max fold drops NaN, max(0.0, nan) is 0.0
-        checks.append((f"hamiltonian drift q={q}", all(d < 1e-6 for d in drifts)))
+        checks.append((f"hamiltonian drift q={q}", all(d < 1e-6 for d in drifts),
+                       {"drifts": [d if math.isfinite(d) else None for d in drifts]}))
 
 
 def _suite_profile(args, checks):
@@ -235,10 +237,12 @@ def cmd_verify(args):
         SUITES[name](args, checks)
     if args.profile:
         _suite_profile(args, checks)
-    report = {"checks": [{"name": n, "pass": bool(ok)} for n, ok in checks],
-              "all_pass": all(ok for _, ok in checks)}
+    # a check is (name, ok) or (name, ok, extra keys for verify.json)
+    report = {"checks": [{"name": n, "pass": bool(ok), **dict(*extra)}
+                         for n, ok, *extra in checks],
+              "all_pass": all(c[1] for c in checks)}
     _write_json(os.path.join(outdir, "verify.json"), report)
-    for n, ok in checks:
+    for n, ok, *_ in checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {n}")
     _write_run_record(outdir, _config_dict(args),
                       {"verify_s": round(time.perf_counter() - t0, 3)})

@@ -42,8 +42,35 @@ from .params import ProblemParams, gamma_q
 N_DIM = 2
 N_THETA = 1024
 GL_NODES = 48
+
+
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
+def _gauss_legendre(n):
+    """The n-point Gauss-Legendre rule on [-1, 1].
+
+    numpy's ``leggauss`` weights are off by up to 1.3e-12 relative at n = 48.
+    One Newton step on P_n, by the three-term recurrence, moves each of its
+    nodes by at most one ulp (further steps alternate between neighbouring
+    doubles), and the weights are 2 / ((1 - x^2) P_n'(x)^2).  Mapped to
+    [0, 1], the rule integrates rho^p for every p <= 2n - 1 = 95 to 3.8e-15
+    relative, against 1.8e-13 with the ``leggauss`` weights.
+    """
+    x = np.polynomial.legendre.leggauss(n)[0]
+    p, dp = _legendre(n, x)
+    x = x - p / dp
+    dp = _legendre(n, x)[1]
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
 # Gauss-Legendre nodes mapped to [0, 1], and weights summing to 1
-_GL_T, _GL_W = np.polynomial.legendre.leggauss(GL_NODES)
+_GL_T, _GL_W = _gauss_legendre(GL_NODES)
 _GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W
 EPS_U = 1e-6  # |u(x0)| below EPS_U * scale makes x0 a nodal point
 SLOPE_TOL = 0.02  # log-log slope of |W| below -SLOPE_TOL counts as divergent

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -320,6 +321,14 @@ def test_verify_hamiltonian(tmp_path):
     assert [c["name"] for c in doc["checks"]] == [
         "hamiltonian drift q=1.0", "hamiltonian drift q=1.5"]
     assert doc["all_pass"]
+    # each check records the drifts of its five trajectories
+    for c in doc["checks"]:
+        assert len(c["drifts"]) == 5
+        assert all(math.isfinite(d) and 0.0 <= d < 1e-6 for d in c["drifts"])
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not strict JSON")
 
 
 def test_verify_hamiltonian_nan_drift_fails(tmp_path, monkeypatch):
@@ -335,8 +344,10 @@ def test_verify_hamiltonian_nan_drift_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(construct, "hamiltonian_cauchy", nan_on_third)
     assert run("verify", "--suite", "hamiltonian", "--seed", "0",
                "--out", str(tmp_path)) == 1
-    doc = json.loads((tmp_path / "verify.json").read_text())
+    # verify.json stays strict JSON: the NaN drift is written as null
+    doc = json.loads((tmp_path / "verify.json").read_text(), parse_constant=_reject)
     assert [c["pass"] for c in doc["checks"]] == [False, True]
+    assert [c["drifts"] for c in doc["checks"]] == [[0.0, 0.0, None, 0.0, 0.0], [0.0] * 5]
     assert len(calls) == 10
 
 

@@ -277,7 +277,7 @@ def _graded_flight_ref(params, w, v, h, s, cluster_start):
     return w, v
 
 
-def _advance_ref(params, w, v, h, depth=0):
+def _advance_ref(params, w, v, h, depth=0, cap=6):
     if h <= 0.0:
         return w, v
     if w != 0.0:
@@ -287,9 +287,9 @@ def _advance_ref(params, w, v, h, depth=0):
     else:
         return w, v
     graded = params.q != 1.0
-    if graded and w != 0.0 and abs(w) < 8.0 * abs(v) * h and depth < 12:
+    if graded and w != 0.0 and abs(w) < 8.0 * abs(v) * h and depth < cap:
         for _ in range(16):
-            w, v = _advance_ref(params, w, v, h / 16.0, depth + 1)
+            w, v = _advance_ref(params, w, v, h / 16.0, depth + 1, cap)
         return w, v
     if w == 0.0 and graded:
         wn, vn = _graded_flight_ref(params, w, v, h, s, cluster_start=True)
@@ -311,15 +311,15 @@ def _advance_ref(params, w, v, h, depth=0):
         wm, vm = _rk4_step_ref(params, w, v, alpha * h, s)
     e = 0.5 * vm * vm + float(hamiltonian(params, wm, 0.0))
     vm = np.copysign(np.sqrt(2.0 * e), vm)
-    return _advance_ref(params, 0.0, vm, (1.0 - alpha) * h, depth + 1)
+    return _advance_ref(params, 0.0, vm, (1.0 - alpha) * h, depth + 1, cap)
 
 
-def _hamiltonian_cauchy_ref(params, w0, w0prime, step, steps):
+def _hamiltonian_cauchy_ref(params, w0, w0prime, step, steps, cap=6):
     w = np.empty(steps + 1)
     v = np.empty(steps + 1)
     w[0], v[0] = float(w0), float(w0prime)
     for i in range(steps):
-        w[i + 1], v[i + 1] = _advance_ref(params, w[i], v[i], step)
+        w[i + 1], v[i + 1] = _advance_ref(params, w[i], v[i], step, 0, cap)
     t = step * np.arange(steps + 1)
     H = hamiltonian(params, w, v)
     drift = float((np.max(H) - np.min(H)) / max(abs(float(H[0])), 1e-12))
@@ -361,12 +361,12 @@ def test_hamiltonian_cauchy_matches_reference_many_crossings(q):
 
 # starts with an amplitude far below the step size swing many times per step,
 # and every such step recurses to the full subdivision depth: one of them
-# takes seconds in either integrator, so the property draws resolved starts
-# (|w| or |w'| at least 0.05 and mu lambda_(+-) <= 4 keep a swing longer
-# than a step)
+# takes a second or more in either integrator, so the property draws resolved
+# starts (|w| or |w'| at least 0.05 and mu lambda_(+-) <= 4 keep a swing
+# longer than a step)
 _SPEED = st.one_of(st.floats(0.05, 1.0), st.floats(-1.0, -0.05))
 _START = st.one_of(st.just(0.0), _SPEED)
-# just off the interface: 1e-9 subdivides to depth 6, 1e-300 to depth 12
+# just off the interface: 1e-9 and 1e-300 both subdivide to the cap, depth 6
 _NEAR = st.sampled_from([1e-9, -1e-9, 1e-300, -1e-300])
 
 
@@ -377,6 +377,24 @@ def test_hamiltonian_cauchy_matches_reference_property(q, coeffs, start):
     lp, lm, mu = coeffs
     p = ProblemParams(q=q, lambda_plus=lp, lambda_minus=lm, mu=mu)
     _assert_same_trajectory(p, *start, 1e-2, 300)
+
+
+@pytest.mark.parametrize("q", [1.01, 1.05, 1.5, 1.9])
+@pytest.mark.parametrize("coeffs", [(1.0, 1.0, 1.0), (2.0, 0.5, 3.0)])
+@pytest.mark.parametrize("w0, w0prime", [(0.7, -0.3), (1e-9, -0.4)])
+def test_hamiltonian_cauchy_split_depth_keeps_accuracy(monkeypatch, q, coeffs, w0, w0prime):
+    # subdividing to depth 6 is as accurate as to depth 12: both are measured
+    # against a depth-12 run at a tenth of the step (with depth 5 the case
+    # q = 1.01, (1, 1, 1), (1e-9, -0.4) fails, with depth 4 five cases do)
+    lp, lm, mu = coeffs
+    p = ProblemParams(q=q, lambda_plus=lp, lambda_minus=lm, mu=mu)
+    _, w, _, drift = hamiltonian_cauchy(p, w0, w0prime, 2e-3, 1500)
+    _, w12, _, drift12 = _hamiltonian_cauchy_ref(p, w0, w0prime, 2e-3, 1500, cap=12)
+    monkeypatch.setattr(construct, "_SPLIT_DEPTH", 12)
+    _, fine, _, _ = hamiltonian_cauchy(p, w0, w0prime, 2e-4, 15000)
+    assert count_sign_changes(w12) >= 2
+    assert drift <= 1.02 * drift12
+    assert np.max(np.abs(w - fine[::10])) <= 1.02 * np.max(np.abs(w12 - fine[::10]))
 
 
 # ---------------------------------------------------------------------------

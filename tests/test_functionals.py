@@ -15,6 +15,15 @@ from nodallab.params import ProblemParams
 ORIGIN = (0.0, 0.0)
 
 
+def test_gauss_legendre_panel_exact_to_degree_95():
+    # the 48-node rule on [0, 1] integrates every rho^p it is exact for to
+    # 1e-14 relative (numpy's leggauss weights alone miss by up to 1.8e-13)
+    assert _GL_T.shape == _GL_W.shape == (48,)
+    assert np.all(np.diff(_GL_T) > 0.0) and 0.0 < _GL_T[0] and _GL_T[-1] < 1.0
+    for p in range(96):
+        assert abs((p + 1) * np.dot(_GL_W, _GL_T**p) - 1.0) <= 1e-14, p
+
+
 def test_eval_F_values():
     p = ProblemParams(q=1.5, lambda_plus=2.0, lambda_minus=3.0)
     assert eval_F(p, 0.0) == 0.0
