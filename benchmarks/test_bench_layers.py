@@ -21,7 +21,8 @@ import pytest
 
 from nodallab import cli
 from nodallab.construct import (
-    _solve_positive_arc, construct_uk, hamiltonian_cauchy, psi, time_map_t_bar,
+    _solve_positive_arc, construct_uk, count_sign_changes, hamiltonian_cauchy, psi,
+    time_map_t_bar,
 )
 from nodallab.fields import GridField
 from nodallab.functionals import eval_Dt, eval_F, eval_Nt, trace, transition_exponent
@@ -58,6 +59,13 @@ def test_hamiltonian_cauchy_1e4_steps(benchmark, q):
     p = ProblemParams(q=q)
     _, w, _, drift = benchmark(hamiltonian_cauchy, p, 0.7, -0.3, 1e-3, 10000)
     assert len(w) == 10001 and drift < 1e-6
+
+
+def test_hamiltonian_cauchy_crossings(benchmark):
+    # a fast swing at q = 1.5: many steps cross w = 0 and are split there
+    p = ProblemParams(q=1.5, lambda_plus=4.0, lambda_minus=4.0)
+    _, w, _, drift = benchmark(hamiltonian_cauchy, p, 0.0, 1.0, 1e-2, 3000)
+    assert count_sign_changes(w) >= 20 and drift < 1e-6
 
 
 def test_hamiltonian_suite_seed0(benchmark):

@@ -1,9 +1,10 @@
 """Command-line front end: construct, analyze, verify, sweep, plot.
 
 Exit codes: 0 success, 1 verification failure, 2 construction or precondition
-error, 3 I/O or parse error.  Every command writes a run.json provenance
-record into the output directory.  Outputs are deterministic for a fixed
-configuration and seed (run.json timings excepted).
+error, 3 I/O or parse error.  Every command but plot writes a run.json
+provenance record into its output directory, and a construction or solver
+error leaves an error.json there instead.  Outputs are deterministic for a
+fixed configuration and seed (run.json timings excepted).
 """
 
 from __future__ import annotations
@@ -69,14 +70,7 @@ def cmd_construct(args):
     outdir = _ensure_outdir(args)
     p = _params_from_args(args)
     t0 = time.perf_counter()
-    try:
-        mr = cons.construct_uk(p, args.k, n=args.n)
-    except (cons.ConstructionError, cons.SolverError) as exc:
-        _write_json(os.path.join(outdir, "error.json"),
-                    {"error": type(exc).__name__, "message": str(exc),
-                     "trace": getattr(exc, "trace", [])})
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCT
+    mr = cons.construct_uk(p, args.k, n=args.n)
     t_construct = time.perf_counter() - t0
 
     profile_path = os.path.join(outdir, "profile.txt")
@@ -534,7 +528,14 @@ def main(argv=None):
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help
             return int(exc.code) if exc.code else EXIT_OK
-        return args.func(args)
+        try:
+            return args.func(args)
+        except (cons.ConstructionError, cons.SolverError) as exc:
+            # a failed solve leaves its message and residual trace behind
+            _write_json(os.path.join(args.out, "error.json"),
+                        {"error": type(exc).__name__, "message": str(exc),
+                         "trace": getattr(exc, "trace", [])})
+            raise
     except (fields.ParseError, _UsageError, OSError) as exc:
         # ParseError is a ValueError, so it is caught first
         print(f"error: {exc}", file=sys.stderr)

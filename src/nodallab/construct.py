@@ -610,103 +610,88 @@ _SPLIT_DEPTH = 6
 def _steps(params, w, v, h, n, forces, depth, ws=None, vs=None):
     """n steps of size h at subdivision depth `depth`; returns the last state.
 
-    A plain step (w != 0, landing on its own side, and not subdivided: q = 1,
-    depth at _SPLIT_DEPTH, or a start farther than 8|w'|h from w = 0) is
-    :func:`_rk4_step` written out inline; every other step goes through
-    :func:`_advance`, so both take the same floats.  With lists `ws`, `vs`
-    the state after each step is appended to them.
+    Every step is decided here.  `forces` is (c_plus, c_minus, e): the force
+    of the region with sign s, extended smoothly across w = 0, is c_s |w|^e,
+    and it stays frozen for the whole step.  For q > 1 a step that starts
+    within 8|w'|h of w = 0, where the force is only Holder, is taken as 16
+    substeps at depth + 1 while depth < _SPLIT_DEPTH.  A state at rest on
+    w = 0 stays there; a step that takes off from w = 0 enters the region its
+    velocity points to, by a graded flight for q > 1; any other step is
+    :func:`_rk4_step` written out inline.  A step that lands on the other side
+    of w = 0 goes to :func:`_cross`, unless it is the 16th nested crossing.
+    With lists `ws`, `vs` the state after each step is appended to them.
     """
     c_plus, c_minus, e = forces
     split = e != 0.0 and depth < _SPLIT_DEPTH
     hh = 0.5 * h
     h6 = h / 6.0
     for _ in range(n):
-        if w != 0.0 and not (split and abs(w) < 8.0 * abs(v) * h):
-            c = c_plus if w > 0.0 else c_minus
-            if e:
-                k1v = c * abs(w) ** e
-                k2w = v + hh * k1v
-                k2v = c * abs(w + hh * v) ** e
-                k3w = v + hh * k2v
-                k3v = c * abs(w + hh * k2w) ** e
-                k4w = v + h * k3v
-                k4v = c * abs(w + h * k3w) ** e
+        if split and w != 0.0 and abs(w) < 8.0 * abs(v) * h:
+            w, v = _steps(params, w, v, h / 16.0, 16, forces, depth + 1)
+        elif w != 0.0 or v != 0.0:
+            s = 1.0 if (w if w != 0.0 else v) > 0.0 else -1.0
+            c = c_plus if s > 0.0 else c_minus
+            if e and w == 0.0:
+                wn, vn = _graded_flight(w, v, h, c, e, cluster_start=True)
             else:
-                k1v = k2v = k3v = k4v = c
-                k2w = k3w = v + hh * c
-                k4w = v + h * c
-            wn = w + h6 * (v + 2.0 * k2w + 2.0 * k3w + k4w)
-            if (wn >= 0.0) if w > 0.0 else (wn <= 0.0):
-                w, v = wn, v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+                if e:
+                    k1v = c * abs(w) ** e
+                    k2w = v + hh * k1v
+                    k2v = c * abs(w + hh * v) ** e
+                    k3w = v + hh * k2v
+                    k3v = c * abs(w + hh * k2w) ** e
+                    k4w = v + h * k3v
+                    k4v = c * abs(w + h * k3w) ** e
+                else:
+                    k1v = k2v = k3v = k4v = c
+                    k2w = k3w = v + hh * c
+                    k4w = v + h * c
+                wn = w + h6 * (v + 2.0 * k2w + 2.0 * k3w + k4w)
+                vn = v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            if s * wn >= 0.0 or depth >= 16:
+                w, v = wn, vn
             else:
-                w, v = _advance(params, w, v, h, forces, depth)
-        else:
-            w, v = _advance(params, w, v, h, forces, depth)
+                w, v = _cross(params, w, v, h, s, c, forces, depth, (wn, vn))
         if ws is not None:
             ws.append(w)
             vs.append(v)
     return w, v
 
 
-def _advance(params, w, v, h, forces, depth):
-    """One step of size h split at sign changes of w.
-
-    The force of the active region is frozen (its smooth extension) for the
-    whole flight, the step lands exactly on w = 0 at a crossing, and the next
-    region is chosen by the velocity there; each RK4 substep therefore sees a
-    smooth right hand side.  `forces` is (c_plus, c_minus, e): the force of
-    the region with sign s, extended smoothly across w = 0, is c_s |w|^e.
-    For q > 1 a step that starts within 8|w'|h of w = 0 at a depth below
-    _SPLIT_DEPTH is taken as 16 substeps at depth + 1 instead, and a flight
-    that starts on w = 0 uses graded substeps; after 16 nested crossings the
-    step is taken unsplit.
+def _cross(params, w, v, h, s, c, forces, depth, landing):
+    """The step of size h from (w, v) in the region of sign s and force
+    coefficient c, which :func:`_steps` found to land at `landing` across
+    w = 0: fly to the crossing, land exactly on w = 0 with the energy of the
+    located state, and take the rest of the step at depth + 1, in the region
+    the velocity there points to.  A take-off whose first 1e-9 of the step
+    does not leave w = 0 keeps `landing`.
     """
-    if h <= 0.0:
-        return w, v
-    if w != 0.0:
-        s = 1.0 if w > 0.0 else -1.0
-    elif v != 0.0:
-        s = 1.0 if v > 0.0 else -1.0
-    else:
-        return w, v
-    c_plus, c_minus, e = forces
-    c = c_plus if s > 0.0 else c_minus
-    graded = e != 0.0
-    if graded and w != 0.0 and abs(w) < 8.0 * abs(v) * h and depth < _SPLIT_DEPTH:
-        # starting close to the interface, where the force is only Holder:
-        # subdivide so the singular neighborhood gets resolved
-        return _steps(params, w, v, h / 16.0, 16, forces, depth + 1)
-    if w == 0.0 and graded:
-        wn, vn = _graded_flight(w, v, h, c, e, cluster_start=True)
-    else:
-        wn, vn = _rk4_step(w, v, h, c, e)
-    if s * wn >= 0.0 or depth >= 16:
-        return wn, vn
+    e = forces[2]
 
     def signed(alpha):
         return s * _rk4_step(w, v, alpha * h, c, e)[0]
 
     lo = 0.0 if w != 0.0 else 1e-9
     if signed(lo) <= 0.0:
-        return wn, vn
+        return landing
     alpha = brentq(signed, lo, 1.0, xtol=1e-14)
-    if graded:
+    if e:
         wm, vm = _graded_flight(w, v, alpha * h, c, e, cluster_start=False)
     else:
         wm, vm = _rk4_step(w, v, alpha * h, c, e)
-    # land exactly on the interface with the energy of the located state
     en = 0.5 * vm * vm + float(hamiltonian(params, wm, 0.0))
     vm = math.copysign(math.sqrt(2.0 * en), vm)
-    return _advance(params, 0.0, vm, (1.0 - alpha) * h, forces, depth + 1)
+    return _steps(params, 0.0, vm, (1.0 - alpha) * h, 1, forces, depth + 1)
 
 
 def hamiltonian_cauchy(params: ProblemParams, w0, w0prime, step, steps):
     """RK4 trajectory of the 1-d problem plus the relative energy drift.
 
     Steps that cross w = 0 are split at the crossing, so the piecewise-smooth
-    forcing never degrades the order.  Returns (t, w, w', drift).  A steps
-    count that is not a non-negative integer, or a step or start that is not
-    finite, raises ValueError; steps = 0 returns the start point.
+    forcing never degrades the order.  Returns (t, w, w', drift), the drift
+    being (max H - min H) / max(|H(0)|, 1e-12), so NaN when H overflows.  A
+    steps count that is not a non-negative integer, or a step or start that is
+    not finite, raises ValueError; steps = 0 returns the start point.
     """
     if not isinstance(steps, (int, np.integer)):
         raise ValueError(f"steps must be an integer, got {steps!r}")
@@ -725,6 +710,4 @@ def hamiltonian_cauchy(params: ProblemParams, w0, w0prime, step, steps):
     t = step * np.arange(steps + 1)
     H = hamiltonian(params, w, v)
     drift = float((np.max(H) - np.min(H)) / max(abs(float(H[0])), 1e-12))
-    if np.max(H) == np.min(H):
-        drift = 0.0
     return t, w, v, drift

@@ -13,7 +13,9 @@ from nodallab.functionals import (
     check_derivative_identities, eval_Dt, eval_H, eval_Nt,
     transition_exponent,
 )
-from nodallab.nodal import detect_singular, extract_nodal_set, nodal_length
+from nodallab.nodal import (
+    detect_singular, extract_nodal_set, nodal_length, profile_zero_structure,
+)
 from nodallab.orders import estimate_order
 from nodallab.params import ProblemParams, beta_k_sequence, beta_q, gamma_q, k_bar, sigma_k_sequence
 from nodallab.functionals import h1_norm
@@ -252,13 +254,9 @@ def test_criterion_10_singular_set(family):
         sing = detect_singular(mr.to_field(), 256)
         ok &= len(sing) == 1
         ok &= np.hypot(sing[0][0], sing[0][1]) < 0.05
-        # profile zeros are nondegenerate: slope bounded away from zero
-        vals = mr.profile.values
-        der = mr.profile.derivative
-        n = len(vals)
-        zero_slopes = [abs(der[(j + 1) % n]) for j in range(n)
-                       if vals[j] * vals[(j + 1) % n] < 0]
-        m = min(zero_slopes) / mr.profile.scale()
+        # profile zeros are nondegenerate: slope at each zero bounded away from 0
+        slopes = profile_zero_structure(mr.profile)["slopes"]
+        m = min(abs(s) for s in slopes) / mr.profile.scale()
         details.append(f"{m:.2f}")
         ok &= m > 1e-3
     report(10, "singular set is exactly the origin; profile slopes nonzero",

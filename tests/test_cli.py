@@ -78,6 +78,16 @@ def test_construct_error_json_keeps_residual_trace(tmp_path, monkeypatch):
     assert err["error"] == "SolverError" and len(err["trace"]) > 0
 
 
+def test_verify_error_json_keeps_residual_trace(tmp_path, monkeypatch, capsys):
+    # every command that solves leaves error.json, not only construct
+    monkeypatch.setattr(construct, "_NEWTON_MAXITER", 1)
+    code = run("verify", "--suite", "construction", "--q", "1.5", "--k", "9",
+               "--out", str(tmp_path))
+    assert code == 2 and capsys.readouterr().err.count("\n") == 1
+    err = json.loads((tmp_path / "error.json").read_text())
+    assert err["error"] == "SolverError" and len(err["trace"]) > 0
+
+
 @pytest.mark.parametrize("n", ["0", "1", "-5"])
 def test_arc_grid_below_2_exits_2(tmp_path, capsys, n):
     # exactly one error line (so no traceback), before any output file
