@@ -240,3 +240,18 @@ def test_cli_construct_then_analyze(benchmark, tmp_path):
     assert abs(report["frequency_at_1"] - 4.0) < 1e-4
     assert abs(report["nodal_length_half"] - 9.0) < 0.05 * 9.0
     assert report["singular_clusters"] >= 1
+
+
+def test_cli_verify_recurrences(benchmark, tmp_path):
+    # a command with little numerical work: parsing, the output directory and
+    # run.json are most of its time
+    out = tmp_path / "v"
+
+    def run():
+        assert cli.main(["verify", "--suite", "recurrences", "--q", "1.5",
+                         "--out", str(out)]) == 0
+        return json.loads((out / "verify.json").read_text())
+
+    report = benchmark.pedantic(run, rounds=20, iterations=1, warmup_rounds=1)
+    assert report["all_pass"] and len(report["checks"]) == 6
+    assert json.loads((out / "run.json").read_text())["config"]["q"] == 1.5

@@ -1,10 +1,14 @@
 """Command-line front end: construct, analyze, verify, sweep, plot.
 
 Exit codes: 0 success, 1 verification failure, 2 construction or precondition
-error, 3 I/O or parse error.  Every command but plot writes a run.json
-provenance record into its output directory, and a construction or solver
-error leaves an error.json there instead.  Outputs are deterministic for a
-fixed configuration and seed (run.json timings excepted).
+error, 3 I/O or parse error.  One parser, built at import and never changed,
+checks every flag; a ``--config`` file's ``key=value`` lines enter it as
+``--key=value`` flags right after the command name, so the user's own flags
+win.  ``main`` owns the output directory of every command but plot: it
+creates it, writes the run.json provenance record on exit 0 or 1, with the
+whole command's time, and error.json on a failed construction or solve.
+Outputs are deterministic for a fixed configuration and seed (run.json
+timings excepted).
 """
 
 from __future__ import annotations
@@ -44,38 +48,20 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _write_run_record(outdir, config, timings):
-    _write_json(os.path.join(outdir, "run.json"),
-                {"config": config, "versions": _versions(), "timings": timings})
-
-
 def _params_from_args(args):
     return pm.ProblemParams(q=args.q, lambda_plus=args.lambda_plus,
                             lambda_minus=args.lambda_minus)
 
 
-def _config_dict(args):
-    """Every parsed option of the run, the subcommand name included."""
-    return {key: val for key, val in vars(args).items() if key not in ("func", "config")}
-
-
-def _ensure_outdir(args):
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 # ---------------------------------------------------------------- construct
 
 def cmd_construct(args):
-    outdir = _ensure_outdir(args)
     p = _params_from_args(args)
-    t0 = time.perf_counter()
     mr = cons.construct_uk(p, args.k, n=args.n)
-    t_construct = time.perf_counter() - t0
 
-    profile_path = os.path.join(outdir, "profile.txt")
+    profile_path = os.path.join(args.out, "profile.txt")
     fields.save(mr.profile, profile_path)
-    with open(os.path.join(outdir, "result.json"), "w") as fh:
+    with open(os.path.join(args.out, "result.json"), "w") as fh:
         fh.write(mr.to_json(profile_path="profile.txt"))
         fh.write("\n")
 
@@ -90,11 +76,9 @@ def cmd_construct(args):
         f"profile zeros per period = {mr.zero_count}",
         f"N_q(u_k, 0, 1) = {nq:.9g}   target 2/(2-q) = {gq:.9g}",
     ]
-    with open(os.path.join(outdir, "summary.txt"), "w") as fh:
+    with open(os.path.join(args.out, "summary.txt"), "w") as fh:
         fh.write("\n".join(summary) + "\n")
     print("\n".join(summary))
-    _write_run_record(outdir, _config_dict(args),
-                      {"construct_s": round(t_construct, 3)})
     return EXIT_OK
 
 
@@ -111,8 +95,6 @@ def _field_from_input(path):
 
 
 def cmd_analyze(args):
-    outdir = _ensure_outdir(args)
-    t0 = time.perf_counter()
     field, profile = _field_from_input(args.input)
     radii = 0.5 * 2.0 ** (-np.arange(8.0))[::-1]
     report = {}
@@ -128,16 +110,14 @@ def cmd_analyze(args):
                                                      if zs["slopes"] else None)}
 
     ns = nodal.extract_nodal_set(field, args.grid)
-    ns.save_csv(os.path.join(outdir, "nodal.csv"))
+    ns.save_csv(os.path.join(args.out, "nodal.csv"))
     report["nodal_length_half"] = nodal.nodal_length(ns, 0.5)
     sing = nodal.detect_singular(field, args.grid)
-    _write_json(os.path.join(outdir, "singular.json"),
+    _write_json(os.path.join(args.out, "singular.json"),
                 [{"x": s[0], "y": s[1], "abs_u": s[2], "abs_grad": s[3]}
                  for s in sing])
     report["singular_clusters"] = len(sing)
-    _write_json(os.path.join(outdir, "analysis.json"), report)
-    _write_run_record(outdir, _config_dict(args),
-                      {"analyze_s": round(time.perf_counter() - t0, 3)})
+    _write_json(os.path.join(args.out, "analysis.json"), report)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -219,28 +199,31 @@ SUITES = {
 }
 
 
-def cmd_verify(args):
-    outdir = _ensure_outdir(args)
-    t0 = time.perf_counter()
-    if args.seed < 0:
-        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return EXIT_IO
-    names = [args.suite] if args.suite else list(SUITES)
-    checks = []
-    for name in names:
-        SUITES[name](args, checks)
-    if args.profile:
-        _suite_profile(args, checks)
+def _verify_report(outdir, checks, all_pass):
     # a check is (name, ok) or (name, ok, extra keys for verify.json)
-    report = {"checks": [{"name": n, "pass": bool(ok), **dict(*extra)}
-                         for n, ok, *extra in checks],
-              "all_pass": all(c[1] for c in checks)}
-    _write_json(os.path.join(outdir, "verify.json"), report)
+    _write_json(os.path.join(outdir, "verify.json"),
+                {"checks": [{"name": n, "pass": bool(ok), **dict(*extra)}
+                            for n, ok, *extra in checks],
+                 "all_pass": all_pass})
     for n, ok, *_ in checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {n}")
-    _write_run_record(outdir, _config_dict(args),
-                      {"verify_s": round(time.perf_counter() - t0, 3)})
-    return EXIT_OK if report["all_pass"] else EXIT_VERIFY
+
+
+def cmd_verify(args):
+    names = [args.suite] if args.suite else list(SUITES)
+    checks = []
+    try:
+        for name in names:
+            SUITES[name](args, checks)
+        if args.profile:
+            _suite_profile(args, checks)
+    except (cons.ConstructionError, cons.SolverError):
+        # keep the checks that ran; main reports the failed solve
+        _verify_report(args.out, checks, False)
+        raise
+    all_pass = all(c[1] for c in checks)
+    _verify_report(args.out, checks, all_pass)
+    return EXIT_OK if all_pass else EXIT_VERIFY
 
 
 # -------------------------------------------------------------------- sweep
@@ -260,27 +243,10 @@ def _sweep_one(job):
         return (k, "", "", "", "", f"error: {exc}")
 
 
-def _parse_k_range(spec):
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
-
-
 def cmd_sweep(args):
-    outdir = _ensure_outdir(args)
-    t0 = time.perf_counter()
-    try:
-        ks = _parse_k_range(args.k_range)
-    except ValueError:
-        print(f"error: bad k range {args.k_range!r}", file=sys.stderr)
-        return EXIT_IO
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_IO
     p = _params_from_args(args)
     kb = pm.k_bar(p)
-    bad = [k for k in ks if k <= kb]
+    bad = [k for k in args.k_range if k <= kb]
     if bad:
         print(f"error: k values {bad} do not exceed k_bar={kb}", file=sys.stderr)
         return EXIT_CONSTRUCT
@@ -289,7 +255,7 @@ def cmd_sweep(args):
     nodal.check_grid(args.grid)
 
     jobs = [(p.q, p.lambda_plus, p.lambda_minus, k, args.n, args.grid)
-            for k in ks]
+            for k in args.k_range]
     if args.jobs > 1 and len(jobs) > 1:
         # imported here: loading multiprocessing costs every other command
         from concurrent.futures import ProcessPoolExecutor
@@ -299,15 +265,13 @@ def cmd_sweep(args):
     else:
         rows = [_sweep_one(j) for j in jobs]
 
-    path = os.path.join(outdir, "sweep.csv")
+    path = os.path.join(args.out, "sweep.csv")
     with open(path, "w", newline="") as fh:
         # quoted where needed: an error message may hold commas
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("k", "t_bar", "N_q", "nodal_length_half", "energy_drift", "status"))
         writer.writerows(rows)
     print(f"wrote {path} ({len(rows)} rows)")
-    _write_run_record(outdir, _config_dict(args),
-                      {"sweep_s": round(time.perf_counter() - t0, 3)})
     return EXIT_OK
 
 
@@ -397,7 +361,7 @@ def cmd_plot(args):
             if args.singular:
                 with open(args.singular) as fh:
                     singular = json.load(fh)
-            _plot_nodal(segments, singular, args.out)
+            _plot_nodal(segments, singular, args.svg)
         elif header == "r,value":
             rows = [tuple(float(tok) for tok in ln.split(","))
                     for ln in body.splitlines()]
@@ -405,25 +369,43 @@ def cmd_plot(args):
                 raise ValueError("empty trace")
             radii = np.array([r for r, _ in rows])
             values = np.array([v for _, v in rows])
-            _plot_trace(radii, values, "value", args.out)
+            _plot_trace(radii, values, "value", args.svg)
         else:
             raise ValueError(f"unrecognized header {header!r}")
     except (ValueError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {args.out}")
+    print(f"wrote {args.svg}")
     return EXIT_OK
 
 
 # ------------------------------------------------------------------- driver
 
-_CONFIG_TYPES = {"q": float, "lambda_plus": float, "lambda_minus": float,
-                 "k": int, "n": int, "grid": int, "jobs": int, "seed": int}
+def _int_at_least(low):
+    """argparse type: an int of at least `low`."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
 
 
-def _load_config(path):
-    """key=value lines; numeric keys are converted here, so a bad value is a ParseError."""
-    doc = {}
+def _k_range(spec):
+    """argparse type: the ks of 'lo:hi' (inclusive) or of a comma list."""
+    try:
+        if ":" in spec:
+            lo, hi = spec.split(":", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad k range {spec!r}") from None
+
+
+def _config_flags(path):
+    """A config file's key=value lines as --key=value flags."""
+    flags = []
     with open(path) as fh:
         for i, ln in enumerate(fh, start=1):
             ln = ln.strip()
@@ -432,14 +414,8 @@ def _load_config(path):
             if "=" not in ln:
                 raise fields.ParseError(f"line {i}: expected key=value, got {ln!r}")
             key, val = (s.strip() for s in ln.split("=", 1))
-            key = key.replace("-", "_")
-            kind = _CONFIG_TYPES.get(key, str)
-            try:
-                doc[key] = kind(val)
-            except ValueError:
-                raise fields.ParseError(
-                    f"line {i}: {key}={val!r} is not a valid {kind.__name__}") from None
-    return doc
+            flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
 
 
 class _UsageError(Exception):
@@ -448,15 +424,22 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error by raising it, for ``main`` to print as one line
-    and exit with EXIT_IO; subcommand parsers are made of the same class."""
+    and exit with EXIT_IO; subcommand parsers are made of the same class.
+    Takes no abbreviations, so a config key ``k`` cannot become ``--k-range``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise _UsageError(message)
 
 
-def _build_parser():
-    parser = _Parser(prog="nodallab")
-    parser.add_argument("--config", help="key=value config file; flags override")
+def _build_parsers():
+    """The ``--config`` pre-parser and the full parser, built once and never
+    changed: a config file enters as flags."""
+    config = _Parser(add_help=False)
+    config.add_argument("--config", help="key=value config file; flags override")
+    parser = _Parser(prog="nodallab", parents=[config])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_params(sp):
@@ -469,13 +452,11 @@ def _build_parser():
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, default=2048)
     sp.add_argument("--out", default="out")
-    sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("analyze", help="order / nodal analysis of a stored field")
     sp.add_argument("--input", required=True)
     sp.add_argument("--grid", type=int, default=256)
     sp.add_argument("--out", default="out")
-    sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("verify", help="run verification suites")
     add_params(sp)
@@ -483,59 +464,74 @@ def _build_parser():
     sp.add_argument("--profile", default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--n", type=int, default=2048)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--out", default="out")
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("sweep", help="construct over a range of k")
     add_params(sp)
-    sp.add_argument("--k-range", required=True,
+    sp.add_argument("--k-range", type=_k_range, required=True,
                     help="lo:hi inclusive, or comma list")
     sp.add_argument("--n", type=int, default=2048)
     sp.add_argument("--grid", type=int, default=256)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_int_at_least(1), default=1)
     sp.add_argument("--out", default="out")
-    sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("plot", help="render nodal CSV or trace CSV to SVG")
     sp.add_argument("--input", required=True)
     sp.add_argument("--singular", default=None)
-    sp.add_argument("--out", default="plot.svg")
-    sp.set_defaults(func=cmd_plot)
-    return parser
+    # a file, not a run directory: plot writes no run.json
+    sp.add_argument("--out", dest="svg", default="plot.svg")
+    return config, parser
+
+
+_CONFIG, _PARSER = _build_parsers()
+
+
+def _parse(argv):
+    """The parsed command line; ``None`` after ``--help``."""
+    known, argv = _CONFIG.parse_known_args(argv)
+    # right after the command name, so the user's own flags come later and win
+    flags = _config_flags(known.config) if known.config else []
+    try:
+        args, extra = _PARSER.parse_known_args(argv[:1] + flags + argv[1:])
+    except SystemExit:  # --help
+        return None
+    # a config key the command does not take is dropped; an unknown flag on
+    # the command line is an error
+    for flag in flags:
+        if flag in extra:
+            extra.remove(flag)
+    if extra:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    # pre-pass: pull --config so its values become subcommand defaults
-    pre = _Parser(add_help=False)
-    pre.add_argument("--config")
     try:
-        known, _ = pre.parse_known_args(argv)
-        if known.config:
-            converted = _load_config(known.config)
-            for sub in parser._subparsers._group_actions[0].choices.values():
-                for a in sub._actions:
-                    if a.dest not in converted:
-                        continue
-                    # argparse checks choices on the command line, not on defaults
-                    if a.choices is not None and converted[a.dest] not in a.choices:
-                        raise _UsageError(f"config {a.dest}={converted[a.dest]!r}: "
-                                          f"invalid choice (choose from {list(a.choices)})")
-                    sub.set_defaults(**{a.dest: converted[a.dest]})
+        args = _parse(argv)
+        if args is None:
+            return EXIT_OK
+        # looked up per call, so a wrapper set on a cmd_* after import is the one run
+        command = globals()[f"cmd_{args.command}"]
+        out = getattr(args, "out", None)  # plot's --out is a file, args.svg
+        if out is not None:
+            os.makedirs(out, exist_ok=True)
+        t0 = time.perf_counter()
         try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:  # --help
-            return int(exc.code) if exc.code else EXIT_OK
-        try:
-            return args.func(args)
+            code = command(args)
         except (cons.ConstructionError, cons.SolverError) as exc:
             # a failed solve leaves its message and residual trace behind
-            _write_json(os.path.join(args.out, "error.json"),
+            _write_json(os.path.join(out, "error.json"),
                         {"error": type(exc).__name__, "message": str(exc),
                          "trace": getattr(exc, "trace", [])})
             raise
+        if out is not None and code in (EXIT_OK, EXIT_VERIFY):
+            config = {key: val for key, val in vars(args).items() if key != "config"}
+            _write_json(os.path.join(out, "run.json"),
+                        {"config": config, "versions": _versions(),
+                         "timings": {f"{args.command}_s": round(time.perf_counter() - t0, 3)}})
+        return code
     except (fields.ParseError, _UsageError, OSError) as exc:
         # ParseError is a ValueError, so it is caught first
         print(f"error: {exc}", file=sys.stderr)

@@ -533,9 +533,9 @@ def construct_uk(params: ProblemParams, k: int, n: int = 2048) -> MatchingResult
 def energy_function(params: ProblemParams, profile: AngularProfile):
     """Pointwise arc energy (phi')^2/2 + F(phi)/q + g^2 phi^2/2.
 
-    Returned at the sample angles ``profile.theta``.  Constant in theta exactly on
-    solutions of the circle equation; :func:`profile_energy_drift` is the
-    diagnostic.
+    Returned at the profile's sample angles 2 pi j / n.  Constant in theta
+    exactly on solutions of the circle equation; :func:`profile_energy_drift`
+    is the diagnostic.
     """
     g = gamma_q(params)
     phi = profile.values
@@ -561,23 +561,19 @@ def hamiltonian(params: ProblemParams, w, wp):
 
 
 def _rk4_step(w, v, h, c, e):
-    """One classical RK4 step of w'' = c |w|^e on Python floats (e = 0: the
-    constant force c).  The floating-point operations run in the textbook
-    order, so a trajectory does not depend on which caller takes the step;
-    :func:`_steps` spells the same operations out inline."""
+    """One classical RK4 step of w'' = c |w|^e on Python floats.  At e = 0
+    every force is c bit for bit, since x ** 0.0 is 1.0 for every float x.
+    The floating-point operations run in the textbook order, so a trajectory
+    does not depend on which caller takes the step; :func:`_steps` spells the
+    same operations out inline, with a fast path for e = 0."""
     hh = 0.5 * h
-    if e:
-        k1v = c * abs(w) ** e
-        k2w = v + hh * k1v
-        k2v = c * abs(w + hh * v) ** e
-        k3w = v + hh * k2v
-        k3v = c * abs(w + hh * k2w) ** e
-        k4w = v + h * k3v
-        k4v = c * abs(w + h * k3w) ** e
-    else:
-        k1v = k2v = k3v = k4v = c
-        k2w = k3w = v + hh * c
-        k4w = v + h * c
+    k1v = c * abs(w) ** e
+    k2w = v + hh * k1v
+    k2v = c * abs(w + hh * v) ** e
+    k3w = v + hh * k2v
+    k3v = c * abs(w + hh * k2w) ** e
+    k4w = v + h * k3v
+    k4v = c * abs(w + h * k3w) ** e
     return (w + h / 6.0 * (v + 2.0 * k2w + 2.0 * k3w + k4w),
             v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
 

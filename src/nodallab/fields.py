@@ -89,10 +89,6 @@ class AngularProfile:
     def n_theta(self) -> int:
         return len(self.values)
 
-    @property
-    def theta(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
-
     def _eval(self, coef, theta):
         """The cubic of ``coef`` at ``theta``: one gather, one Horner step."""
         n = self.n_theta

@@ -267,13 +267,10 @@ def profile_zero_structure(profile):
     zeros = zs.tolist()
     slopes = profile.value_and_prime(zs)[1].tolist()
 
-    tol = max(1e-8, 1e-6 * two_pi / n)
-    antipodal = True
-    for z in zs:
-        shifted = (z + np.pi) % two_pi
-        d = np.min(np.abs((zs - shifted + np.pi) % two_pi - np.pi)) if len(zs) else np.inf
-        if d > max(tol, 1e-6):
-            antipodal = False
-            break
+    # antipodal: every zero has a zero within 1e-6 of its opposite angle
+    shifted = (zs + np.pi) % two_pi
+    d = np.min(np.abs((zs - shifted[:, None] + np.pi) % two_pi - np.pi), axis=1,
+               initial=np.inf)
+    antipodal = not np.any(d > 1e-6)
     return {"zeros": zeros, "slopes": slopes, "antipodal": antipodal,
             "degenerate": False}

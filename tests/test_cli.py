@@ -88,6 +88,20 @@ def test_verify_error_json_keeps_residual_trace(tmp_path, monkeypatch, capsys):
     assert err["error"] == "SolverError" and len(err["trace"]) > 0
 
 
+def test_verify_keeps_checks_before_failed_solve(tmp_path, monkeypatch, capsys):
+    # the suites that ran before the failed construction stay in verify.json
+    monkeypatch.setattr(construct, "_NEWTON_MAXITER", 1)
+    assert run("verify", "--q", "1.5", "--k", "9", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    doc = json.loads((tmp_path / "verify.json").read_text())
+    assert not doc["all_pass"]
+    names = [c["name"] for c in doc["checks"]]
+    assert names[0] == "beta_k increasing" and "W' identity on harmonic" in names
+    assert all(c["pass"] for c in doc["checks"])
+    assert json.loads((tmp_path / "error.json").read_text())["error"] == "SolverError"
+    assert not (tmp_path / "run.json").exists()
+
+
 @pytest.mark.parametrize("n", ["0", "1", "-5"])
 def test_arc_grid_below_2_exits_2(tmp_path, capsys, n):
     # exactly one error line (so no traceback), before any output file
@@ -167,6 +181,7 @@ def test_verify_unknown_suite(tmp_path):
     ("construct", "--q", "1"),                 # missing --k
     ("construct", "--q", "abc", "--k", "5"),   # malformed value
     ("construct", "--k", "5", "--bogus"),      # unknown flag
+    ("construct", "--k", "5", "--lambda-m", "2"),  # abbreviation
     ("--config",),                             # --config without its value
 ])
 def test_usage_errors_exit_3(capsys, argv):
@@ -194,6 +209,8 @@ def test_verify_perturbed_profile_fails(construct_dir, tmp_path):
     assert code == 1
     doc = json.loads((tmp_path / "verify.json").read_text())
     assert not doc["all_pass"]
+    # a failed check is a finished run: it keeps its provenance record
+    assert (tmp_path / "run.json").exists()
 
 
 def test_sweep(tmp_path):
@@ -272,12 +289,86 @@ def test_plot_bad_input(tmp_path):
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "out"
-    cfg.write_text(f"q=1\nlambda-minus=4\nn=512\nout={out}\n")
+    # grid is analyze's key: construct ignores it, so one file serves both
+    cfg.write_text(f"q=1\nlambda-minus=4\nn=512\ngrid=128\nout={out}\n")
     assert run("--config", str(cfg), "construct", "--k", "5") == 0
     doc = json.loads((out / "result.json").read_text())
     assert doc["lambda_minus"] == 4.0
     # the matching point moves off T/2 for asymmetric coefficients
     assert doc["t_bar"] / doc["T"] > 0.7
+
+
+def test_config_file_supplies_required_flag(tmp_path):
+    # keys may be spelled with _ or -, as the flag's dest or its name
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k=5\nn=512\nlambda_minus=2\n")
+    out = tmp_path / "out"
+    assert run("--config", str(cfg), "construct", "--out", str(out)) == 0
+    doc = json.loads((out / "result.json").read_text())
+    assert doc["k"] == 5 and doc["lambda_minus"] == 2.0
+
+
+def test_config_file_after_command_and_flags_win(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k=5\nn=512\n")
+    out = tmp_path / "out"
+    assert run("construct", "--config", str(cfg), "--k", "6", "--out", str(out)) == 0
+    assert json.loads((out / "result.json").read_text())["k"] == 6
+
+
+def test_unknown_flag_on_command_line_rejected_with_config(tmp_path, capsys):
+    # only config keys are dropped; the same flag typed by the user is an error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid=128\n")
+    assert run("--config", str(cfg), "construct", "--k", "5", "--grid=128",
+               "--out", str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err == "error: unrecognized arguments: --grid=128\n"
+
+
+def test_config_key_is_not_an_abbreviation(tmp_path, capsys):
+    # k=5 must not be read as --k-range=5
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k=5\n")
+    assert run("--config", str(cfg), "sweep", "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err == "error: the following arguments are required: --k-range\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_does_not_leak_into_next_call(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda-minus=4\n")
+    base = ("construct", "--k", "5", "--n", "512")
+    assert run("--config", str(cfg), *base, "--out", str(tmp_path / "a")) == 0
+    assert run(*base, "--out", str(tmp_path / "b")) == 0
+    lams = [json.loads((tmp_path / d / "result.json").read_text())["lambda_minus"]
+            for d in "ab"]
+    assert lams == [4.0, 1.0]
+
+
+def test_run_record_written_by_main(tmp_path, construct_dir):
+    # every command with an output directory gets run.json with the whole
+    # command's time; plot writes one file and no run.json
+    cmds = {
+        "construct": ("--k", "5", "--n", "512"),
+        "analyze": ("--input", str(construct_dir / "profile.txt"), "--grid", "64"),
+        "verify": ("--suite", "recurrences"),
+        "sweep": ("--k-range", "5", "--n", "512", "--grid", "64"),
+    }
+    for name, flags in cmds.items():
+        out = tmp_path / name
+        assert run(name, *flags, "--out", str(out)) == 0
+        doc = json.loads((out / "run.json").read_text())
+        assert doc["config"]["command"] == name and "config" not in doc["config"]
+        assert list(doc["timings"]) == [f"{name}_s"]
+    assert json.loads((tmp_path / "sweep" / "run.json").read_text())["config"]["k_range"] == [5]
+    plot_dir = tmp_path / "plot"
+    plot_dir.mkdir()
+    assert run("plot", "--input", str(tmp_path / "analyze" / "nodal.csv"),
+               "--out", str(plot_dir / "n.svg")) == 0
+    assert [p.name for p in plot_dir.iterdir()] == ["n.svg"]
+    assert run("sweep", "--k-range", "3:4", "--out", str(tmp_path / "bad")) == 2
+    assert not (tmp_path / "bad" / "run.json").exists()
 
 
 def test_config_file_bad(tmp_path):
@@ -292,9 +383,10 @@ def test_config_file_bad_number(tmp_path, capsys):
     cfg.write_text("q=1\nk=abc\n")
     assert run("--config", str(cfg), "verify", "--suite", "recurrences",
                "--out", str(tmp_path)) == 3
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("error: ") and "k='abc'" in err
-    assert len(err.splitlines()) == 1
+    # a config value is checked by its flag's type, as on the command line
+    assert capsys.readouterr().err == "error: argument --k: invalid int value: 'abc'\n"
+    assert not (tmp_path / "verify.json").exists()
+    assert not (tmp_path / "run.json").exists()
 
 
 def test_config_file_unknown_suite(tmp_path, capsys):
@@ -302,9 +394,9 @@ def test_config_file_unknown_suite(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("suite=nope\n")
     assert run("--config", str(cfg), "verify", "--out", str(tmp_path)) == 3
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("error: ") and "suite='nope'" in err
-    assert len(err.splitlines()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --suite: invalid choice: 'nope'")
+    assert err.count("\n") == 1
     assert not (tmp_path / "verify.json").exists()
 
 
@@ -319,8 +411,7 @@ def test_sweep_jobs_must_be_positive(tmp_path, capsys):
 def test_verify_negative_seed_exits_3(tmp_path, capsys):
     assert run("verify", "--suite", "hamiltonian", "--seed", "-1",
                "--out", str(tmp_path)) == 3
-    err = capsys.readouterr().err.strip()
-    assert err == "error: --seed must be non-negative, got -1"
+    assert capsys.readouterr().err == "error: argument --seed: must be at least 0, got -1\n"
     assert not (tmp_path / "verify.json").exists()
 
 
