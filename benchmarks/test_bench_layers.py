@@ -182,6 +182,11 @@ def test_extract_nodal_set_n512(benchmark, uk15):
     assert abs(nodal_length(ns, 1.0) - 18.0) < 0.05 * 18.0
 
 
+def test_extract_nodal_set_n256(benchmark, uk15):
+    ns = benchmark(extract_nodal_set, uk15, 256)
+    assert abs(nodal_length(ns, 1.0) - 18.0) < 0.05 * 18.0
+
+
 def test_extract_nodal_set_grid_sample_n512(benchmark, uk15_grid):
     ns = benchmark(extract_nodal_set, uk15_grid, 512)
     # bilinear samples of the 18 rays keep the length within a few per cent
@@ -208,6 +213,14 @@ def test_detect_singular_n256(benchmark, uk15):
     reps = benchmark(detect_singular, uk15, 256)
     # the singular set of u_k is the origin alone
     assert len(reps) == 1 and np.hypot(reps[0][0], reps[0][1]) < 0.05
+
+
+def test_detect_singular_grid_sample_n256(benchmark, uk15_grid):
+    reps = benchmark(detect_singular, uk15_grid, 256)
+    # the origin is found; the bilinear sample also leaves spurious clusters
+    # along the flat nodal rays, none of them within 0.2 of the origin
+    dist = sorted(np.hypot(x, y) for x, y, _, _ in reps)
+    assert dist[0] < 0.05 and dist[1] > 0.2
 
 
 def test_cold_import_cli(benchmark):

@@ -435,8 +435,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parsers():
-    """The ``--config`` pre-parser and the full parser, built once and never
-    changed: a config file enters as flags."""
+    """The ``--config`` pre-parser, the full parser and every subcommand's
+    option strings, built once and never changed: a config file enters as
+    flags."""
     config = _Parser(add_help=False)
     config.add_argument("--config", help="key=value config file; flags override")
     parser = _Parser(prog="nodallab", parents=[config])
@@ -481,10 +482,12 @@ def _build_parsers():
     sp.add_argument("--singular", default=None)
     # a file, not a run directory: plot writes no run.json
     sp.add_argument("--out", dest="svg", default="plot.svg")
-    return config, parser
+    known = {opt for sp in sub.choices.values() for action in sp._actions
+             for opt in action.option_strings}
+    return config, parser, known
 
 
-_CONFIG, _PARSER = _build_parsers()
+_CONFIG, _PARSER, _COMMAND_FLAGS = _build_parsers()
 
 
 def _parse(argv):
@@ -496,10 +499,13 @@ def _parse(argv):
         args, extra = _PARSER.parse_known_args(argv[:1] + flags + argv[1:])
     except SystemExit:  # --help
         return None
-    # a config key the command does not take is dropped; an unknown flag on
-    # the command line is an error
+    # a config key another command takes is dropped; a key no command takes
+    # (a misspelling) and an unknown flag on the command line are errors
     for flag in flags:
         if flag in extra:
+            key = flag.partition("=")[0]
+            if key not in _COMMAND_FLAGS:
+                raise _UsageError(f"unknown config key {key[2:]!r}")
             extra.remove(flag)
     if extra:
         raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")

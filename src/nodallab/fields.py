@@ -9,6 +9,13 @@ Three kinds of evaluable scalar field on the unit disk:
 
 Any field is sampled on a grid by ``_sample_grid``, in cache-sized bands of
 rows; ``GridField.sample`` and the nodal extraction and detection share it.
+It asks for values alone, one ``_tensor`` call per band on the band's row and
+column coordinates: the base class evaluates the meshgrid, a
+:class:`GridField` computes its interpolation weights once per axis and
+broadcasts them, with the pointwise operations in their order, so the values
+are the same to the bit.  Gradients are never sampled on a grid; detection
+asks ``value_and_grad`` only at its candidate pixels, which relies on every
+field's ``value_and_grad`` returning the value of its ``__call__``.
 The rings of the quadrature ladder, the Fourier circle and the threshold
 probe are sampled at their Cartesian points by ``_sample_rings``.  A field
 that is r^gamma phi(theta) about the origin says so through ``separated``:
@@ -23,11 +30,12 @@ monomials of degree 1 to 5).
 Profiles are interpolated with a periodic Catmull-Rom cubic so evaluation is
 C^1, which the glued circle profiles require.  The cubic coefficients of every
 sample interval, for values and derivative together, are built once when an
-:class:`AngularProfile` is made; an evaluation is then one gather of that
-table and one Horner step.  The profile keeps read-only copies of its sample
-arrays, so the table cannot go stale.  Files use the versioned text
-container ``NODALLAB v1`` with 17-significant-digit decimal samples, so a
-save/load round trip is bit exact.
+:class:`AngularProfile` is made, as rows (a, b, c, d); an evaluation is then
+one gather of whole rows and one Horner step, and ``value_and_prime`` finds
+each angle's interval once for both planes.  The profile keeps read-only
+copies of its sample arrays, so the table cannot go stale.  Files use the
+versioned text container ``NODALLAB v1`` with 17-significant-digit decimal
+samples, so a save/load round trip is bit exact.
 """
 
 from __future__ import annotations
@@ -52,7 +60,13 @@ class ParseError(ValueError):
 
 @dataclass
 class AngularProfile:
-    """2*pi-periodic function phi sampled on the uniform grid theta_j = 2*pi*j/n."""
+    """2*pi-periodic function phi sampled on the uniform grid theta_j = 2*pi*j/n.
+
+    Evaluated by the periodic Catmull-Rom cubic of its samples: the table
+    ``_coef`` of shape (2, n + 1, 4) holds the cubic's coefficients a, b, c, d
+    of every interval as one row, for the values (plane 0) and the derivative
+    samples (plane 1), so an evaluation gathers one row per angle.
+    """
 
     values: np.ndarray
     derivative: np.ndarray
@@ -80,26 +94,31 @@ class AngularProfile:
         b = p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3
         c = 0.5 * (p2 - p0)
         d = p1
-        # shape (4, 2, n + 1): a gather along the last axis gives contiguous
-        # value and derivative planes
-        self._coef = np.stack((a, b, c, d))
+        # shape (2, n + 1, 4): row j of the value or derivative plane holds the
+        # interval's a, b, c, d, so one gather along the rows fetches all four
+        self._coef = np.stack((a, b, c, d), axis=-1)
         self._coef.flags.writeable = False
 
     @property
     def n_theta(self) -> int:
         return len(self.values)
 
-    def _eval(self, coef, theta):
-        """The cubic of ``coef`` at ``theta``: one gather, one Horner step."""
+    def _locate(self, theta):
+        """Interval index and in-interval offset of each angle."""
         n = self.n_theta
-        # x mod n as numpy's remainder rounds it, without its slower divmod
-        x = np.fmod(np.asarray(theta, dtype=float) * n / (2.0 * np.pi), n)
+        x = np.asarray(theta, dtype=float) * n / (2.0 * np.pi)
+        # x mod n as numpy's remainder rounds it, without its slower divmod;
+        # fmod is exact, so where every |x| < n (arctan2 angles) it is skipped
+        if not (np.abs(x) < n).all():
+            x = np.fmod(x, n)
         x += n * (x < 0)
         j = np.floor(x)
-        s = x - j
-        # "clip" sends the index of a NaN x to an end column, where s = NaN
-        # gives NaN; every other index is already in range
-        a, b, c, d = coef.take(j.astype(np.intp), axis=-1, mode="clip")
+        return j.astype(np.intp), x - j
+
+    @staticmethod
+    def _horner(rows, s):
+        """The cubics of the gathered ``rows`` (a, b, c, d last) at offsets ``s``."""
+        a, b, c, d = rows[..., 0], rows[..., 1], rows[..., 2], rows[..., 3]
         # in place, so the step allocates one array
         out = a * s
         out += b
@@ -110,10 +129,14 @@ class AngularProfile:
         return out
 
     def __call__(self, theta):
-        return self._eval(self._coef[:, 0], theta)
+        j, s = self._locate(theta)
+        # "clip" sends the index of a NaN angle to an end row, where s = NaN
+        # gives NaN; every other index is already in range
+        return self._horner(self._coef[0].take(j, axis=0, mode="clip"), s)
 
     def value_and_prime(self, theta):
-        both = self._eval(self._coef, theta)
+        j, s = self._locate(theta)
+        both = self._horner(self._coef.take(j, axis=1, mode="clip"), s)
         return both[0], both[1]
 
     def scale(self) -> float:
@@ -142,6 +165,12 @@ class PlanarField:
         """``(gamma, phi, phi')`` on ``theta`` when the field is r^gamma phi(theta)
         about the origin; None for a field that declares no such form."""
         return None
+
+    def _tensor(self, x, y):
+        """The value alone at (x[i], y[j]), shaped (len x, len y); the grid
+        sampler's one call per band.  Here the points of the meshgrid."""
+        X, Y = np.meshgrid(x, y, indexing="ij")
+        return self(X, Y)
 
     def scale(self) -> float:
         """Crude magnitude estimate, used for relative tolerances."""
@@ -229,34 +258,41 @@ class GridField(PlanarField):
         self._gx = np.gradient(values, self.h, axis=0, edge_order=2)
         self._gy = np.gradient(values, self.h, axis=1, edge_order=2)
 
+    def _axis_weights(self, x):
+        """Lower node index and offset of each coordinate on one grid axis."""
+        x = np.asarray(x, dtype=float)
+        if np.any(np.abs(x) > 1 + 1e-12):
+            raise DomainError("point outside the grid hull [-1,1]^2")
+        f = np.clip((x + 1.0) / self.h, 0, self.n - 1 - 1e-12)
+        i = f.astype(int)
+        return i, f - i
+
     def _weights(self, x, y):
         """Flat lower-left cell index and in-cell offsets of the points, for ``_blend``."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if np.any(np.abs(x) > 1 + 1e-12) or np.any(np.abs(y) > 1 + 1e-12):
-            raise DomainError("point outside the grid hull [-1,1]^2")
-        fx = np.clip((x + 1.0) / self.h, 0, self.n - 1 - 1e-12)
-        fy = np.clip((y + 1.0) / self.h, 0, self.n - 1 - 1e-12)
-        i = fx.astype(int)
-        j = fy.astype(int)
-        return i * self.n + j, fx - i, fy - j
+        i, sx = self._axis_weights(x)
+        j, sy = self._axis_weights(y)
+        return i * self.n + j, sx, sy
 
     def _blend(self, arr, k, sx, sy):
-        # bilinear interpolation of the samples arr at the weighted points; the
-        # corners (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1) are the flat
-        # indices k, k + n, k + 1, k + n + 1 of the C-ordered samples
+        # bilinear interpolation of the samples arr at the weighted points:
+        # v00 (1 - sx)(1 - sy) + v10 sx (1 - sy) + v01 (1 - sx) sy + v11 sx sy,
+        # multiplied and summed left to right, in place so each corner term
+        # allocates one array.  The corners (i, j), (i + 1, j), (i, j + 1),
+        # (i + 1, j + 1) are the flat indices k, k + n, k + 1, k + n + 1 of
+        # the C-ordered samples, taken as k from views that start n, 1 and
+        # n + 1 samples later
         flat = arr.ravel()
         n = self.n
-        v00 = flat.take(k)
-        v10 = flat.take(k + n)
-        v01 = flat.take(k + 1)
-        v11 = flat.take(k + n + 1)
-        return (
-            v00 * (1 - sx) * (1 - sy)
-            + v10 * sx * (1 - sy)
-            + v01 * (1 - sx) * sy
-            + v11 * sx * sy
-        )
+        tx, ty = 1 - sx, 1 - sy
+        out = flat.take(k)
+        out *= tx
+        out *= ty
+        for start, wx, wy in ((n, sx, ty), (1, tx, sy), (n + 1, sx, sy)):
+            term = flat[start:].take(k)
+            term *= wx
+            term *= wy
+            out += term
+        return out
 
     def __call__(self, x, y):
         return self._blend(self.values, *self._weights(x, y))
@@ -264,6 +300,13 @@ class GridField(PlanarField):
     def value_and_grad(self, x, y):
         w = self._weights(x, y)
         return self._blend(self.values, *w), (self._blend(self._gx, *w), self._blend(self._gy, *w))
+
+    def _tensor(self, x, y):
+        # the weights of each axis once, broadcast over the band: the same
+        # operations in the same order as ``__call__`` on the meshgrid
+        i, sx = self._axis_weights(x)
+        j, sy = self._axis_weights(y)
+        return self._blend(self.values, i[:, None] * self.n + j, sx[:, None], sy)
 
     @classmethod
     def sample(cls, f: PlanarField, n: int):
@@ -277,31 +320,26 @@ class GridField(PlanarField):
 _BAND_POINTS = 16384
 
 
-def _sample_grid(field, xs, inside, grad=False):
-    """The field, or ``field.value_and_grad`` when ``grad``, at (xs[i], xs[j]) near ``inside``.
+def _sample_grid(field, xs, inside):
+    """The field's value at (xs[i], xs[j]) near ``inside``.
 
     Rows are evaluated in bands of about ``_BAND_POINTS`` points; each band
     evaluates only the columns between the first and the last where it meets
     ``inside`` and leaves zeros elsewhere, so callers must not read values
-    outside ``inside``.  The coordinates of a band are built from ``xs`` as
-    the band is reached.
+    outside ``inside``.  A band is one ``field._tensor`` call on its row and
+    column coordinates, so no n x n coordinate arrays are built; a
+    :class:`GridField` computes its interpolation weights once per axis there.
     """
     n = len(xs)
     V = np.zeros((n, n))
-    if grad:
-        GX, GY = np.zeros((n, n)), np.zeros((n, n))
     rows = max(1, _BAND_POINTS // n)
     for r0 in range(0, n, rows):
         cols = np.flatnonzero(inside[r0:r0 + rows].any(axis=0))
         if len(cols) == 0:
             continue
         band = np.s_[r0:r0 + rows, cols[0]:cols[-1] + 1]
-        X, Y = np.meshgrid(xs[band[0]], xs[band[1]], indexing="ij")
-        if grad:
-            V[band], (GX[band], GY[band]) = field.value_and_grad(X, Y)
-        else:
-            V[band] = field(X, Y)
-    return (V, (GX, GY)) if grad else V
+        V[band] = field._tensor(xs[band[0]], xs[band[1]])
+    return V
 
 
 def _sample_rings(field, x0, rho, theta, grad=False):

@@ -197,30 +197,46 @@ def singular_thresholds(field: PlanarField, n: int, radius: float = 1.0):
     return eps_u, eps_g
 
 
+def _grad_norm_at(field, xs, mask):
+    """|grad u| at the grid points (xs[i], xs[j]) where ``mask`` holds, from
+    one ``value_and_grad`` call on those points alone; inf elsewhere."""
+    i, j = np.nonzero(mask)
+    _, (gx, gy) = field.value_and_grad(xs[i], xs[j])
+    G = np.full(mask.shape, np.inf)
+    G[i, j] = np.hypot(gx, gy)
+    return G
+
+
 def detect_singular(field: PlanarField, n: int = 256, radius: float = 1.0):
     """Points with |u| < eps_u and |grad u| < eps_g, one per connected cluster.
 
     The thresholds are those of :func:`singular_thresholds`.  Returns a list
     of (x, y, abs_u, abs_grad) tuples, the representative being the grid
-    point of smallest |u| + h*|grad u| in its cluster.
+    point of smallest |u| + h*|grad u| in its cluster.  The grid is sampled
+    for the value alone; the gradient is evaluated only at the candidates,
+    the disk's pixels with |u| < eps_u (a few per cent of them on u_k), and
+    |grad u| is left infinite elsewhere.  A field's ``value_and_grad`` returns
+    the same values as its ``__call__``, so the candidates are those a full
+    value-and-gradient grid would give.
     """
     eps_u, eps_g = singular_thresholds(field, n, radius)
     xs = np.linspace(-radius, radius, n)
     inside = _disk_mask(xs, radius * radius)
-    V, (GX, GY) = _sample_grid(field, xs, inside, grad=True)
-    G = np.hypot(GX, GY)
-    mask = inside & (np.abs(V) < eps_u) & (G < eps_g)
+    V = _sample_grid(field, xs, inside)
+    cand = inside & (np.abs(V) < eps_u)
+    G = _grad_norm_at(field, xs, cand)
+    mask = cand & (G < eps_g)
     # label on a one-pixel dilation with 8-connectivity: sub-cell-wide bands
     # along flat nodal rays must not shed one-pixel satellite clusters
     labels = _label_dilated(mask)
     labels[~mask] = 0
     h = xs[1] - xs[0]
-    score = np.abs(V) + h * G
     # sort the labelled pixels by (label, score); the stable sort keeps row-major
     # order among equal scores, so the first pixel of each label is its first minimum
     i, j = np.nonzero(labels)
     lab = labels[i, j]
-    order = np.lexsort((score[i, j], lab))
+    score = np.abs(V[i, j]) + h * G[i, j]
+    order = np.lexsort((score, lab))
     lab = lab[order]
     best = order[np.flatnonzero(np.diff(lab, prepend=0))]
     i, j = i[best], j[best]

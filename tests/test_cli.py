@@ -325,6 +325,17 @@ def test_unknown_flag_on_command_line_rejected_with_config(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unrecognized arguments: --grid=128\n"
 
 
+def test_config_key_no_command_takes_rejected(tmp_path, capsys):
+    # a misspelt key is named and nothing runs; a key of another command
+    # (grid, taken by analyze and sweep) is still dropped
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid=128\nlambda_minsu=4\n")
+    out = tmp_path / "out"
+    assert run("--config", str(cfg), "construct", "--k", "5", "--out", str(out)) == 3
+    assert capsys.readouterr().err == "error: unknown config key 'lambda-minsu'\n"
+    assert not out.exists()
+
+
 def test_config_key_is_not_an_abbreviation(tmp_path, capsys):
     # k=5 must not be read as --k-range=5
     cfg = tmp_path / "run.cfg"

@@ -11,6 +11,7 @@ from nodallab.fields import (
 )
 from nodallab.construct import construct_uk
 from nodallab.functionals import _GL_T, _GL_W, _ladder
+from nodallab.nodal import extract_nodal_set
 from nodallab.orders import RescaledField
 from nodallab.params import ProblemParams
 
@@ -290,6 +291,49 @@ def test_value_and_grad_matches_separate_calls(r, th, n):
         if isinstance(f, HomogeneousField):
             assert all(np.array_equal(a, b)
                        for a, b in zip((gx, gy), _homogeneous_ref(f, x, y)[1]))
+
+
+def _subclasses(cls):
+    return {sub for c in cls.__subclasses__() for sub in {c} | _subclasses(c)}
+
+
+def test_value_and_grad_value_is_call_bit_for_bit():
+    # detection samples the grid with __call__ and asks value_and_grad only at
+    # its candidates, so the two must agree to the bit for every field class
+    fields = _every_field_class() + [
+        ClosedFormField(lambda x, y: x * y - 0.1, lambda x, y: (y, x))]
+    own = {c for c in _subclasses(PlanarField) if c.__module__.startswith("nodallab.")}
+    assert own <= {type(f) for f in fields}
+    xs = np.concatenate((np.linspace(-0.95, 0.95, 61), [0.0, -0.0, 1e-300]))
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    for f in fields:
+        for x, y in ((X, Y), (X.ravel()[::7], Y.ravel()[::7]), (0.0, 0.0), (0.3, -0.2)):
+            assert _same(f.value_and_grad(x, y)[0], f(x, y))
+
+
+@pytest.mark.parametrize("m, lo, hi", [(33, -1.0, 1.0), (20, -0.45, 0.45), (7, -1.0, 0.3)])
+def test_grid_field_tensor_matches_pointwise(m, lo, hi):
+    # the per-axis weights broadcast over a band give the pointwise blend bit
+    # for bit; m = 33 puts the points on the field's own nodes, where the
+    # last one is clipped to n - 1 - 1e-12
+    f = GridField.sample(HomogeneousField(2.5, cos2_profile(64), ProblemParams(q=1.2)), 33)
+    x, y = np.linspace(lo, hi, m), np.linspace(-hi, -lo, m + 3)
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    got = f._tensor(x, y)
+    assert got.shape == (m, m + 3)
+    assert _same(got, f(X, Y)) and _same(got, _grid_ref(f, X, Y)[0])
+    assert _same(got, PlanarField._tensor(f, x, y))
+
+
+def test_grid_field_tensor_outside_hull():
+    f = GridField.sample(monomial_field(2), 33)
+    inside = np.linspace(-1.0, 1.0, 5)
+    for x, y in ((np.linspace(-1.2, 1.2, 5), inside), (inside, np.linspace(-1.2, 1.2, 5))):
+        with pytest.raises(DomainError):
+            f._tensor(x, y)
+    # a grid field sampled on a disk wider than its hull
+    with pytest.raises(DomainError):
+        extract_nodal_set(f, 64, radius=1.2)
 
 
 @settings(max_examples=50, deadline=None)

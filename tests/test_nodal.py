@@ -6,11 +6,12 @@ from scipy import ndimage
 from nodallab import fields
 from nodallab.construct import construct_uk
 from nodallab.fields import (
-    AngularProfile, ClosedFormField, GridField, HomogeneousField, NodalSet, _sample_grid, monomial_field,
+    AngularProfile, ClosedFormField, GridField, HomogeneousField, NodalSet, PlanarField, _sample_grid,
+    monomial_field,
 )
 from nodallab.nodal import (
-    DataError, _clip_to_disk, _disk_mask, _label_dilated, detect_singular, extract_nodal_set,
-    nodal_length, profile_zero_structure, singular_thresholds,
+    DataError, _clip_to_disk, _disk_mask, _grad_norm_at, _label_dilated, detect_singular,
+    extract_nodal_set, nodal_length, profile_zero_structure, singular_thresholds,
 )
 from nodallab.orders import RescaledField
 from nodallab.params import ProblemParams
@@ -336,12 +337,25 @@ def test_sample_disk_matches_full_grid(n, radius, band_points, monkeypatch):
         assert np.array_equal(inside, X * X + Y * Y <= r2)
         for field in _sample_disk_fields():
             V = _sample_grid(field, xs, inside)
-            W, (WX, WY) = _sample_grid(field, xs, inside, grad=True)
-            U, (UX, UY) = field.value_and_grad(X, Y)
             assert _bits(V[inside]) == _bits(np.asarray(field(X, Y))[inside])
-            assert _bits(W[inside]) == _bits(np.asarray(U)[inside])
-            assert _bits(WX[inside]) == _bits(np.asarray(UX)[inside])
-            assert _bits(WY[inside]) == _bits(np.asarray(UY)[inside])
+
+
+@pytest.mark.parametrize("n", [64, 97, 300])
+@pytest.mark.parametrize("radius", [1.0, 0.45])
+def test_candidate_gradients_match_full_grid(n, radius):
+    # detection evaluates the gradient only at its candidates, the disk's
+    # pixels of small |u|: on those points alone it is the full grid's, bit
+    # for bit, and inf everywhere else
+    xs = np.linspace(-radius, radius, n)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    inside = _disk_mask(xs, radius * radius)
+    for field in _sample_disk_fields():
+        U, (UX, UY) = field.value_and_grad(X, Y)
+        for cand in (inside & (np.abs(U) < np.quantile(np.abs(U), 0.05)), inside,
+                     np.zeros_like(inside)):
+            G = _grad_norm_at(field, xs, cand)
+            assert _bits(G[cand]) == _bits(np.hypot(UX, UY)[cand])
+            assert np.all(G[~cand] == np.inf)
 
 
 def test_egg_crate_has_saddle_cells():
@@ -400,6 +414,36 @@ def test_detect_singular_matches_cluster_scan(uk_q1):
     got = detect_singular(grid, 256)
     assert 8 <= len(got) <= 17  # spurious clusters along the flat nodal rays
     assert got == _detect_singular_ref(grid, 256)
+
+
+class _CountingField(PlanarField):
+    """A field that records the number of points of every ``value_and_grad`` call."""
+
+    def __init__(self, base):
+        self.base, self.params, self.grad_points = base, base.params, []
+
+    def __call__(self, x, y):
+        return self.base(x, y)
+
+    def value_and_grad(self, x, y):
+        self.grad_points.append(np.size(x))
+        return self.base.value_and_grad(x, y)
+
+    def scale(self):
+        return self.base.scale()
+
+
+def test_detect_singular_grads_only_candidates():
+    # the grid is sampled for the value alone; the gradient is asked for the
+    # candidates of small |u|, a few per cent of the disk, in one call after
+    # the 64-point threshold ring
+    uk = construct_uk(ProblemParams(q=1.5, lambda_minus=2.5), 10).to_field()
+    field = _CountingField(uk)
+    got = detect_singular(field, 256)
+    assert got == _detect_singular_ref(uk, 256)
+    disk = np.count_nonzero(_disk_mask(np.linspace(-1.0, 1.0, 256), 1.0))
+    assert field.grad_points[0] == 64 and len(field.grad_points) == 2
+    assert 0 < field.grad_points[1] <= 0.05 * disk
 
 
 def _label_dilated_ref(mask):
