@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nodallab import cli
+from nodallab import cli, fields
 from nodallab.construct import (
     _solve_positive_arc, construct_uk, count_sign_changes, hamiltonian_cauchy, psi,
     time_map_t_bar,
@@ -221,6 +221,17 @@ def test_detect_singular_grid_sample_n256(benchmark, uk15_grid):
     # along the flat nodal rays, none of them within 0.2 of the origin
     dist = sorted(np.hypot(x, y) for x, y, _, _ in reps)
     assert dist[0] < 0.05 and dist[1] > 0.2
+
+
+def test_save_uk_profile(benchmark, uk15, tmp_path):
+    # the profile file `nodallab construct` writes: two lines of about 4100
+    # %.17g decimals each
+    path = tmp_path / "profile.txt"
+    benchmark(fields.save, uk15.profile, path)
+    # the text round trip is bit exact
+    back = fields.load(path)
+    assert back.values.tobytes() == uk15.profile.values.tobytes()
+    assert back.derivative.tobytes() == uk15.profile.derivative.tobytes()
 
 
 def test_cold_import_cli(benchmark):

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .fields import AngularProfile, HomogeneousField
 from .functionals import _GL_T, _GL_W, eval_F
@@ -78,11 +78,12 @@ class ClampedCubic:
 
     It takes the floating-point steps of scipy's
     ``CubicSpline(x, y, bc_type=((1, s0), (1, s1)))``, so its values are the
-    same floats: the knot slopes solve the same tridiagonal system with
-    ``solve_banded``, the coefficients are formed as ``CubicHermiteSpline``
-    forms them, and a call sums the local power basis in the order of
-    ``PPoly`` evaluation, for the value and the first two derivatives
-    together.  Points outside [x[0], x[-1]] take the end cubics.
+    same floats: the knot slopes solve the same tridiagonal system with the
+    LAPACK routine that ``solve_banded`` calls (:func:`_solve_tridiagonal`),
+    the coefficients are formed as ``CubicHermiteSpline`` forms them, and a
+    call sums the local power basis in the order of ``PPoly`` evaluation, for
+    the value and the first two derivatives together.  Points outside
+    [x[0], x[-1]] take the end cubics.
     """
 
     def __init__(self, x, y, slope_left, slope_right):
@@ -90,18 +91,15 @@ class ClampedCubic:
         y = np.asarray(y, dtype=float)
         dx = np.diff(self.x)
         slope = np.diff(y) / dx
-        # rows: upper, main and lower diagonal; the first and last rows fix
-        # the end slopes
-        ab = np.zeros((3, len(self.x)))
-        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        ab[0, 2:] = dx[:-1]
-        ab[2, :-2] = dx[1:]
-        ab[1, 0] = ab[1, -1] = 1.0
+        # the first and last rows fix the end slopes
+        diag = np.empty(len(self.x))
+        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+        diag[0] = diag[-1] = 1.0
         b = np.empty(len(self.x))
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         b[0], b[-1] = slope_left, slope_right
-        s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
+        s = _solve_tridiagonal(np.concatenate((dx[1:], [0.0])), diag,
+                               np.concatenate(([0.0], dx[:-1])), b, check_finite=False)
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         # c0 s^3 + c1 s^2 + c2 s + c3 on [x[i], x[i+1]], s = v - x[i]
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
@@ -120,6 +118,26 @@ class ClampedCubic:
                 0.0 + c1 * 2 + c0 * s * 6)
 
 
+def _solve_tridiagonal(lower, diag, upper, b, check_finite=True):
+    """Solution of the tridiagonal system with sub-, main and super-diagonal
+    `lower`, `diag`, `upper` and right-hand side `b`.
+
+    It calls LAPACK ``dgtsv``, the routine ``solve_banded((1, 1), ...)``
+    dispatches to, with the same arrays, so the solution is the same floats,
+    without scipy's argument handling around it.  The arguments are not
+    overwritten.  The errors are ``solve_banded``'s: with `check_finite` a
+    non-finite entry raises ValueError, and a singular system raises
+    LinAlgError.
+    """
+    if check_finite:
+        for a in (lower, diag, upper, b):
+            np.asarray_chkfinite(a)
+    x, info = dgtsv(lower, diag, upper, b)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
+
+
 def _arc_energy(phi_padded, h, gamma2, lam, q):
     dphi = np.diff(phi_padded) / h
     kinetic = 0.5 * h * np.sum(dphi * dphi)
@@ -135,14 +153,12 @@ _NEWTON_MAXITER = 200
 def _solve_positive_arc(q, lam, gamma2, length, n):
     """Interior samples of the positive Dirichlet minimizer on (0, length)."""
     h = length / (n + 1)
-    band = np.zeros((3, n))
-    band[0, 1:] = band[2, :-1] = -1.0 / h**2
+    off = np.full(n - 1, -1.0 / h**2)
     diag = 2.0 / h**2 - gamma2
 
     if q == 1.0:
         # the Euler-Lagrange system is linear: (-D2 - gamma^2) phi = lam
-        band[1] = diag
-        phi = solve_banded((1, 1), band, np.full(n, lam))
+        phi = _solve_tridiagonal(off, np.full(n, diag), off, np.full(n, lam))
         if np.any(phi <= 0):
             raise SolverError("linear arc solve produced non-positive values")
         return phi
@@ -180,8 +196,7 @@ def _solve_positive_arc(q, lam, gamma2, length, n):
         trace.append(rnorm)
         if rnorm < max(_NEWTON_TOL * scale, floor):
             return phi
-        band[1] = diag - lam * (q - 1.0) * phi ** (q - 2.0)
-        delta = solve_banded((1, 1), band, -res)
+        delta = _solve_tridiagonal(off, diag - lam * (q - 1.0) * phi ** (q - 2.0), off, -res)
         # damped update with sign projection: iterates must stay positive
         alpha = 1.0
         for _ in range(60):
@@ -603,21 +618,97 @@ def _graded_flight(w, v, h, c, e, cluster_start):
 _SPLIT_DEPTH = 6
 
 
-def _steps(params, w, v, h, n, forces, depth, ws=None, vs=None):
+# A run of e = 0 steps (below) is computed in chunks of this many steps, each
+# chunk twice as long as the one before, so a run that stops early discards
+# at most 64 steps more than it took.
+_RUN_CHUNK = 64
+
+
+def _linear_run(w, v, h, c, s, n):
+    """Up to n steps of w'' = c from (w, v), s w > 0, as arrays of w and w'.
+
+    At e = 0 the inline RK4 step of :func:`_steps` adds the constant
+    D = h/6 (((c + 2c) + 2c) + c) to w', and h/6 (((w' + 2k) + 2k) + (w' + h c)),
+    k = w' + (h/2) c, to w.  So w' is the prefix sum of [w', D, D, ...] and w
+    that of [w, increments...]; ``np.add.accumulate`` adds left to right, one
+    term at a time, so the states are the scalar loop's floats.  The run stops
+    before the first step whose landing has s w <= 0 or is NaN, which may be
+    the first: the arrays hold the states after the steps taken.
+    """
+    hh = 0.5 * h
+    h6 = h / 6.0
+    dv = h6 * (c + 2.0 * c + 2.0 * c + c)
+    kc, fc = hh * c, h * c
+    wparts, vparts = [], []
+    size = _RUN_CHUNK
+    # the scalar loop overflows to inf without a word, and so does the run
+    with np.errstate(all="ignore"):
+        while n:
+            m = min(size, n)
+            vv = np.full(m + 1, dv)
+            vv[0] = v
+            np.add.accumulate(vv, out=vv)
+            vk = vv[:-1]
+            k = vk + kc
+            ww = np.empty(m + 1)
+            ww[0] = w
+            np.multiply(h6, vk + 2.0 * k + 2.0 * k + (vk + fc), out=ww[1:])
+            np.add.accumulate(ww, out=ww)
+            stays = s * ww[1:] > 0.0
+            if not stays.all():
+                taken = int(stays.argmin())
+                wparts.append(ww[1:taken + 1])
+                vparts.append(vv[1:taken + 1])
+                break
+            wparts.append(ww[1:])
+            vparts.append(vv[1:])
+            w, v = ww[-1], vv[-1]
+            n -= m
+            size *= 2
+    return np.concatenate(wparts), np.concatenate(vparts)
+
+
+def _steps(params, w, v, h, n, forces, depth, parts=None):
     """n steps of size h at subdivision depth `depth`; returns the last state.
 
     Every step is decided here.  `forces` is (c_plus, c_minus, e): the force
     of the region with sign s, extended smoothly across w = 0, is c_s |w|^e,
-    and it stays frozen for the whole step.  For q > 1 a step that starts
-    within 8|w'|h of w = 0, where the force is only Holder, is taken as 16
-    substeps at depth + 1 while depth < _SPLIT_DEPTH.  A state at rest on
-    w = 0 stays there; a step that takes off from w = 0 enters the region its
-    velocity points to, by a graded flight for q > 1; any other step is
-    :func:`_rk4_step` written out inline.  A step that lands on the other side
-    of w = 0 goes to :func:`_cross`, unless it is the 16th nested crossing.
-    With lists `ws`, `vs` the state after each step is appended to them.
+    and it stays frozen for the whole step.  At e = 0 (q = 1) the steps from
+    a state off w = 0 up to the next crossing are one :func:`_linear_run` of
+    prefix sums; the step a run stops before, a take-off from w = 0 and a
+    state at rest are taken alone, by this function with n = 1.  For q > 1 a
+    step that starts within 8|w'|h of w = 0, where the force is only Holder,
+    is taken as 16 substeps at depth + 1 while depth < _SPLIT_DEPTH.  A state
+    at rest on w = 0 stays there; a step that takes off from w = 0 enters the
+    region its velocity points to, by a graded flight for q > 1; any other
+    step is :func:`_rk4_step` written out inline.  A step that lands on the
+    other side of w = 0 goes to :func:`_cross`, unless it is the 16th nested
+    crossing.  With `parts`, a pair of lists, the values of w and w' after
+    the steps are appended to them in order, as lists of floats and arrays.
     """
     c_plus, c_minus, e = forces
+    if not e and n > 1:
+        while n:
+            if w > 0.0 or w < 0.0:
+                s = 1.0 if w > 0.0 else -1.0
+                rw, rv = _linear_run(w, v, h, c_plus if s > 0.0 else c_minus, s, n)
+                if len(rw):
+                    if parts is not None:
+                        parts[0].append(rw)
+                        parts[1].append(rv)
+                    w, v = float(rw[-1]), float(rv[-1])
+                    n -= len(rw)
+                    if not n:
+                        break
+            w, v = _steps(params, w, v, h, 1, forces, depth, parts)
+            n -= 1
+        return w, v
+
+    ws = vs = None
+    if parts is not None:
+        ws, vs = [], []
+        parts[0].append(ws)
+        parts[1].append(vs)
     split = e != 0.0 and depth < _SPLIT_DEPTH
     hh = 0.5 * h
     h6 = h / 6.0
@@ -684,7 +775,10 @@ def hamiltonian_cauchy(params: ProblemParams, w0, w0prime, step, steps):
     """RK4 trajectory of the 1-d problem plus the relative energy drift.
 
     Steps that cross w = 0 are split at the crossing, so the piecewise-smooth
-    forcing never degrades the order.  Returns (t, w, w', drift), the drift
+    forcing never degrades the order.  :func:`_steps` hands back the states
+    as chunks, lists of floats from single steps and, at q = 1, the arrays of
+    its prefix-sum runs, the same floats as one step at a time; they are
+    joined once at the end.  Returns (t, w, w', drift), the drift
     being (max H - min H) / max(|H(0)|, 1e-12), so NaN when H overflows.  A
     steps count that is not a non-negative integer, or a step or start that is
     not finite, raises ValueError; steps = 0 returns the start point.
@@ -700,9 +794,10 @@ def hamiltonian_cauchy(params: ProblemParams, w0, w0prime, step, steps):
     # c_s = -mu s lambda_s and e = q - 1, taken once for the whole trajectory
     forces = (-params.mu * params.lambda_plus, params.mu * params.lambda_minus,
               params.q - 1.0)
-    ws, vs = [float(w0)], [float(w0prime)]
-    _steps(params, ws[0], vs[0], float(step), steps, forces, 0, ws, vs)
-    w, v = np.array(ws), np.array(vs)
+    w0, v0 = float(w0), float(w0prime)
+    parts = ([[w0]], [[v0]])
+    _steps(params, w0, v0, float(step), steps, forces, 0, parts)
+    w, v = np.concatenate(parts[0]), np.concatenate(parts[1])
     t = step * np.arange(steps + 1)
     H = hamiltonian(params, w, v)
     drift = float((np.max(H) - np.min(H)) / max(abs(float(H[0])), 1e-12))

@@ -41,6 +41,7 @@ samples, so a save/load round trip is bit exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -255,8 +256,16 @@ class GridField(PlanarField):
         self.n = values.shape[0]
         self.h = 2.0 / (self.n - 1)
         self.params = params or ProblemParams(q=1.0, mu=0.0)
-        self._gx = np.gradient(values, self.h, axis=0, edge_order=2)
-        self._gy = np.gradient(values, self.h, axis=1, edge_order=2)
+
+    # the full-grid gradients are built on the first ``value_and_grad``, the
+    # only reader, so a grid that is only sampled or extracted never pays them
+    @cached_property
+    def _gx(self):
+        return np.gradient(self.values, self.h, axis=0, edge_order=2)
+
+    @cached_property
+    def _gy(self):
+        return np.gradient(self.values, self.h, axis=1, edge_order=2)
 
     def _axis_weights(self, x):
         """Lower node index and offset of each coordinate on one grid axis."""

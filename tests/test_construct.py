@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.linalg import LinAlgError, solve_banded
 from scipy.optimize import brentq
 
 from nodallab import construct
@@ -406,6 +407,68 @@ def test_hamiltonian_cauchy_split_depth_keeps_accuracy(monkeypatch, q, coeffs, w
     assert np.max(np.abs(w - fine[::10])) <= 1.02 * np.max(np.abs(w12 - fine[::10]))
 
 
+# at q = 1 the steps between crossings are prefix sums over arrays: the
+# cases below pin them to the step-by-step reference bit for bit
+
+
+def test_hamiltonian_cauchy_q1_long_run():
+    # no force below the interface: one run of 10,000 steps, longer than
+    # every chunk, with no crossing
+    p = ProblemParams(q=1.0, lambda_plus=1.0, lambda_minus=0.0, mu=1.0)
+    _, w, _, _ = _assert_same_trajectory(p, -0.5, -1.0, 1e-3, 10000)
+    assert np.all(w < 0)
+
+
+def test_hamiltonian_cauchy_q1_exact_landing():
+    # no force and exact binary steps: w falls by 2^-10 per step and reaches
+    # 0.0 exactly at step 512, where the run stops and the walk takes off
+    p = ProblemParams(q=1.0, mu=0.0)
+    _, w, v, _ = _assert_same_trajectory(p, 0.5, -1.0, 2.0**-10, 1024)
+    assert w[512] == 0.0 and w[511] > 0.0 > w[513]
+    assert np.all(v == -1.0)
+
+
+def test_hamiltonian_cauchy_q1_at_rest():
+    _, w, v, drift = _assert_same_trajectory(ProblemParams(q=1.0), 0.0, 0.0, 1e-3, 100)
+    assert not np.any(w) and not np.any(v) and drift == 0.0
+
+
+_COEFF_OR_ZERO = st.one_of(st.just(0.0), st.floats(0.5, 2.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.tuples(st.floats(0.5, 2.0), _COEFF_OR_ZERO, _COEFF_OR_ZERO),
+       start=st.one_of(st.tuples(_START, _START), st.tuples(_NEAR, _SPEED)),
+       step=st.sampled_from([1e-2, 2.0**-7]))
+def test_hamiltonian_cauchy_matches_reference_property_q1(coeffs, start, step):
+    lp, lm, mu = coeffs
+    p = ProblemParams(q=1.0, lambda_plus=lp, lambda_minus=lm, mu=mu)
+    _assert_same_trajectory(p, *start, step, 600)
+
+
+def test_hamiltonian_cauchy_q1_steps_singly_only_at_crossings(monkeypatch):
+    # of 10,000 steps at q = 1 only the crossing steps are taken one at a
+    # time; every other step is part of a prefix-sum run
+    ran, crossed = [], []
+    real_run, real_cross = construct._linear_run, construct._cross
+
+    def run(*args):
+        out = real_run(*args)
+        ran.append(len(out[0]))
+        return out
+
+    def cross(*args):
+        crossed.append(args[1])
+        return real_cross(*args)
+
+    monkeypatch.setattr(construct, "_linear_run", run)
+    monkeypatch.setattr(construct, "_cross", cross)
+    _, w, _, _ = hamiltonian_cauchy(ProblemParams(q=1.0), 0.7, -0.3, 1e-3, 10000)
+    assert 2 <= len(crossed) == count_sign_changes(w) <= 10
+    assert 10000 - sum(ran) == len(crossed)
+    assert len(ran) <= len(crossed) + 1
+
+
 # ---------------------------------------------------------------------------
 # the in-package Brent root finder and clamped cubic against scipy
 # ---------------------------------------------------------------------------
@@ -663,3 +726,58 @@ def test_arc_spline_matches_scipy():
     v = np.clip(np.linspace(0.35, 0.75, 1001), 0.4, 0.7)
     for nu in (0, 1, 2):
         assert _bits(got(v)[nu]) == _bits(want(v, nu))
+
+
+# the arc and cubic systems are solved by LAPACK dgtsv directly, the routine
+# solve_banded((1, 1), ...) calls: same floats, same errors
+
+
+def _banded(lower, diag, upper):
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+    return ab
+
+
+def _arc_system(n=2048, length=0.3, gamma2=16.0):
+    h = length / (n + 1)
+    off = np.full(n - 1, -1.0 / h**2)
+    phi = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+    return off, 2.0 / h**2 - gamma2 - 0.5 * phi ** -0.5, off, -np.cos(phi)
+
+
+def _cubic_system(seed=3, m=200):
+    rng = np.random.default_rng(seed)
+    dx = rng.uniform(1e-3, 1.0, m - 1)
+    diag = np.concatenate(([1.0], 2 * (dx[:-1] + dx[1:]), [1.0]))
+    return np.append(dx[1:], 0.0), diag, np.insert(dx[:-1], 0, 0.0), rng.normal(size=m)
+
+
+@pytest.mark.parametrize("system", [_arc_system, _cubic_system])
+def test_solve_tridiagonal_matches_solve_banded(system):
+    lower, diag, upper, b = system()
+    args = [a.copy() for a in (lower, diag, upper, b)]
+    x = construct._solve_tridiagonal(*args)
+    assert _bits(x) == _bits(solve_banded((1, 1), _banded(lower, diag, upper), b))
+    # the arguments are left as they were
+    assert all(_bits(a) == _bits(o) for a, o in zip(args, (lower, diag, upper, b)))
+
+
+@pytest.mark.parametrize("where", [0, 1, 2, 3])
+def test_solve_tridiagonal_non_finite_error(where):
+    args = list(_cubic_system())
+    args[where] = args[where].copy()
+    args[where][5] = np.nan
+    with pytest.raises(ValueError) as want:
+        solve_banded((1, 1), _banded(*args[:3]), args[3])
+    with pytest.raises(ValueError) as got:
+        construct._solve_tridiagonal(*args)
+    assert str(got.value) == str(want.value)
+
+
+def test_solve_tridiagonal_singular_error():
+    zero = np.zeros(3)
+    diag, b = np.array([1.0, 0.0, 1.0, 1.0]), np.ones(4)
+    with pytest.raises(LinAlgError, match="singular matrix"):
+        solve_banded((1, 1), _banded(zero, diag, zero), b)
+    with pytest.raises(LinAlgError, match="singular matrix"):
+        construct._solve_tridiagonal(zero, diag, zero, b)
