@@ -61,9 +61,8 @@ def cmd_construct(args):
 
     profile_path = os.path.join(args.out, "profile.txt")
     fields.save(mr.profile, profile_path)
-    with open(os.path.join(args.out, "result.json"), "w") as fh:
-        fh.write(mr.to_json(profile_path="profile.txt"))
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "result.json"),
+                {**mr.to_dict(), "profile_path": "profile.txt"})
 
     nq = functionals.eval_Nt(mr.to_field(), (0.0, 0.0), 1.0, p.q)
     gq = pm.gamma_q(p)
@@ -260,7 +259,8 @@ def cmd_sweep(args):
         # imported here: loading multiprocessing costs every other command
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a pool forks all its workers at the first submit: no more than rows
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             rows = list(pool.map(_sweep_one, jobs))
     else:
         rows = [_sweep_one(j) for j in jobs]
@@ -357,6 +357,8 @@ def cmd_plot(args):
                 x1, y1, x2, y2 = (float(tok) for tok in ln.split(","))
                 rows.append((x1, y1, x2, y2))
             segments = np.array(rows, dtype=float).reshape(-1, 2, 2)
+            if not np.isfinite(segments).all():
+                raise ValueError("non-finite nodal coordinate")
             singular = []
             if args.singular:
                 with open(args.singular) as fh:
@@ -367,9 +369,13 @@ def cmd_plot(args):
                     for ln in body.splitlines()]
             if not rows:
                 raise ValueError("empty trace")
-            radii = np.array([r for r, _ in rows])
-            values = np.array([v for _, v in rows])
-            _plot_trace(radii, values, "value", args.svg)
+            tr = functionals.FunctionalTrace([r for r, _ in rows], [v for _, v in rows])
+            # the plot takes log10 of r and |value|
+            if not (np.isfinite(tr.radii).all() and np.isfinite(tr.values).all()):
+                raise ValueError("non-finite trace entry")
+            if tr.radii[0] <= 0:
+                raise ValueError("radii must be positive")
+            _plot_trace(tr.radii, tr.values, "value", args.svg)
         else:
             raise ValueError(f"unrecognized header {header!r}")
     except (ValueError, json.JSONDecodeError, OSError) as exc:
@@ -397,10 +403,14 @@ def _k_range(spec):
     try:
         if ":" in spec:
             lo, hi = spec.split(":", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(tok) for tok in spec.split(",") if tok.strip()]
+            ks = list(range(int(lo), int(hi) + 1))
+        else:
+            ks = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad k range {spec!r}") from None
+    if not ks:
+        raise argparse.ArgumentTypeError(f"empty k range {spec!r}")
+    return ks
 
 
 def _config_flags(path):
@@ -451,7 +461,7 @@ def _build_parsers():
     sp = sub.add_parser("construct", help="build a homogeneous profile")
     add_params(sp)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, default=2048)
+    sp.add_argument("--n", type=int, default=cons.ARC_N)
     sp.add_argument("--out", default="out")
 
     sp = sub.add_parser("analyze", help="order / nodal analysis of a stored field")
@@ -464,7 +474,7 @@ def _build_parsers():
     sp.add_argument("--suite", default=None, choices=sorted(SUITES))
     sp.add_argument("--profile", default=None)
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--n", type=int, default=2048)
+    sp.add_argument("--n", type=int, default=cons.ARC_N)
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--out", default="out")
 
@@ -472,7 +482,7 @@ def _build_parsers():
     add_params(sp)
     sp.add_argument("--k-range", type=_k_range, required=True,
                     help="lo:hi inclusive, or comma list")
-    sp.add_argument("--n", type=int, default=2048)
+    sp.add_argument("--n", type=int, default=cons.ARC_N)
     sp.add_argument("--grid", type=int, default=256)
     sp.add_argument("--jobs", type=_int_at_least(1), default=1)
     sp.add_argument("--out", default="out")

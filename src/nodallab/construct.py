@@ -21,9 +21,8 @@ along theta and the 1-d Hamiltonian are the independent diagnostics.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -214,13 +213,18 @@ def _solve_positive_arc(q, lam, gamma2, length, n):
     raise SolverError(f"Newton did not converge in {_NEWTON_MAXITER} iterations", trace)
 
 
+# interior points of the default arc grid
+ARC_N = 2048
+
+
 def check_arc_grid(n: int) -> None:
     """An arc grid needs two interior points for its one-sided end slopes."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
 
 
-def minimize_arc(params: ProblemParams, t: float, T: float, side: str, n: int = 2048) -> ArcMinimizer:
+def minimize_arc(params: ProblemParams, t: float, T: float, side: str,
+                 n: int = ARC_N) -> ArcMinimizer:
     """One-signed arc minimizer: side "plus" on (0, t), side "minus" on (t, T).
 
     The minus arc is the negated plus solve with mu * lambda_minus on an
@@ -256,7 +260,7 @@ def minimize_arc(params: ProblemParams, t: float, T: float, side: str, n: int = 
                         slope_left=sl, slope_right=sr)
 
 
-def psi(params: ProblemParams, k: int, t: float, n: int = 2048) -> float:
+def psi(params: ProblemParams, k: int, t: float, n: int = ARC_N) -> float:
     """Slope mismatch phi_+'(t-) - phi_-'(t+) at the interior matching point."""
     T = 2.0 * np.pi / k
     plus = minimize_arc(params, t, T, "plus", n)
@@ -282,26 +286,13 @@ class MatchingResult:
     def to_field(self) -> HomogeneousField:
         return HomogeneousField(gamma_q(self.params), self.profile, self.params)
 
-    def to_json(self, profile_path=None) -> str:
-        doc = {
-            "k": self.k,
-            "T": self.T,
-            "t_bar": self.t_bar,
-            "psi_residual": self.psi_residual,
-            "energy_drift": self.energy_drift,
-            "ode_residual": self.ode_residual,
-            "zero_count": self.zero_count,
-            "q": self.params.q,
-            "lambda_plus": self.params.lambda_plus,
-            "lambda_minus": self.params.lambda_minus,
-            "mu": self.params.mu,
-            "psi_calls": self.psi_calls,
-            "bracket": list(self.bracket),
-            "t_bar_exact": self.t_bar_exact,
-        }
-        if profile_path is not None:
-            doc["profile_path"] = str(profile_path)
-        return json.dumps(doc, indent=2, sort_keys=True)
+    def to_dict(self) -> dict:
+        """The construction record: every field but the profile, with the four
+        coefficients of ``params`` in place of it."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("profile", "params")}
+        doc.update(asdict(self.params))
+        return doc
 
 
 def count_sign_changes(values) -> int:
@@ -468,7 +459,7 @@ def time_map_t_bar(params: ProblemParams, k: int) -> float:
     return 2.0 * half_length(c_plus, brentq(period_gap, -600.0, 600.0, xtol=1e-14))
 
 
-def construct_uk(params: ProblemParams, k: int, n: int = 2048) -> MatchingResult:
+def construct_uk(params: ProblemParams, k: int, n: int = ARC_N) -> MatchingResult:
     """Full pipeline: root of Psi by Brent's method on a bracket around the
     time map's exact root, glue the two arcs, tile k copies.
 
@@ -580,7 +571,7 @@ def _rk4_step(w, v, h, c, e):
     every force is c bit for bit, since x ** 0.0 is 1.0 for every float x.
     The floating-point operations run in the textbook order, so a trajectory
     does not depend on which caller takes the step; :func:`_steps` spells the
-    same operations out inline, with a fast path for e = 0."""
+    same operations out inline."""
     hh = 0.5 * h
     k1v = c * abs(w) ** e
     k2w = v + hh * k1v
@@ -721,18 +712,13 @@ def _steps(params, w, v, h, n, forces, depth, parts=None):
             if e and w == 0.0:
                 wn, vn = _graded_flight(w, v, h, c, e, cluster_start=True)
             else:
-                if e:
-                    k1v = c * abs(w) ** e
-                    k2w = v + hh * k1v
-                    k2v = c * abs(w + hh * v) ** e
-                    k3w = v + hh * k2v
-                    k3v = c * abs(w + hh * k2w) ** e
-                    k4w = v + h * k3v
-                    k4v = c * abs(w + h * k3w) ** e
-                else:
-                    k1v = k2v = k3v = k4v = c
-                    k2w = k3w = v + hh * c
-                    k4w = v + h * c
+                k1v = c * abs(w) ** e
+                k2w = v + hh * k1v
+                k2v = c * abs(w + hh * v) ** e
+                k3w = v + hh * k2v
+                k3v = c * abs(w + hh * k2w) ** e
+                k4w = v + h * k3v
+                k4v = c * abs(w + h * k3w) ** e
                 wn = w + h6 * (v + 2.0 * k2w + 2.0 * k3w + k4w)
                 vn = v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             if s * wn >= 0.0 or depth >= 16:
@@ -750,8 +736,8 @@ def _cross(params, w, v, h, s, c, forces, depth, landing):
     coefficient c, which :func:`_steps` found to land at `landing` across
     w = 0: fly to the crossing, land exactly on w = 0 with the energy of the
     located state, and take the rest of the step at depth + 1, in the region
-    the velocity there points to.  A take-off whose first 1e-9 of the step
-    does not leave w = 0 keeps `landing`.
+    the velocity there points to.  A take-off from w = 0 whose plain RK4
+    flight has no sign change between 1e-9 and 1 of the step keeps `landing`.
     """
     e = forces[2]
 
@@ -759,7 +745,7 @@ def _cross(params, w, v, h, s, c, forces, depth, landing):
         return s * _rk4_step(w, v, alpha * h, c, e)[0]
 
     lo = 0.0 if w != 0.0 else 1e-9
-    if signed(lo) <= 0.0:
+    if signed(lo) <= 0.0 or signed(1.0) > 0.0:
         return landing
     alpha = brentq(signed, lo, 1.0, xtol=1e-14)
     if e:

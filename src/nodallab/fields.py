@@ -16,9 +16,9 @@ broadcasts them, with the pointwise operations in their order, so the values
 are the same to the bit.  Gradients are never sampled on a grid; detection
 asks ``value_and_grad`` only at its candidate pixels, which relies on every
 field's ``value_and_grad`` returning the value of its ``__call__``.
-The rings of the quadrature ladder, the Fourier circle and the threshold
-probe are sampled at their Cartesian points by ``_sample_rings``.  A field
-that is r^gamma phi(theta) about the origin says so through ``separated``:
+The rings of the quadrature ladder, the Fourier circle and the probe ring
+(``_probe_ring``) are sampled at their Cartesian points by ``_sample_rings``.
+A field that is r^gamma phi(theta) about the origin says so through ``separated``:
 a :class:`HomogeneousField` and the harmonic monomials of
 :func:`monomial_field` do, every other field returns None.  The quadrature
 ladder (``functionals._ladder``) is the one reader of that form: centred at
@@ -175,9 +175,7 @@ class PlanarField:
 
     def scale(self) -> float:
         """Crude magnitude estimate, used for relative tolerances."""
-        th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        v = self(0.7 * np.cos(th), 0.7 * np.sin(th))
-        m = float(np.max(np.abs(v)))
+        m = float(np.max(np.abs(_probe_ring(self))))
         return m if m > 0 else 1.0
 
 
@@ -359,13 +357,28 @@ def _sample_rings(field, x0, rho, theta, grad=False):
     return field.value_and_grad(X, Y) if grad else field(X, Y)
 
 
+def _probe_ring(field, grad=False):
+    """``_sample_rings`` on the ring r = 0.7 about the origin, at 64 angles,
+    which sets a field's ``scale`` and the gradient scale of detection."""
+    th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    return _sample_rings(field, (0.0, 0.0), [0.7], th, grad)
+
+
 class _HarmonicMonomial(ClosedFormField):
     """Re or Im of z^d, which declares its separated form r^d cos(d theta)
     or r^d sin(d theta)."""
 
-    def __init__(self, f, gradf, d, cos):
-        super().__init__(f, gradf, ProblemParams(q=1.0, mu=0.0))
+    def __init__(self, d, cos):
+        super().__init__(self._value, self._grad)
         self.d, self.cos = d, cos
+
+    def _value(self, x, y):
+        z = (x + 1j * y) ** self.d
+        return np.real(z) if self.cos else np.imag(z)
+
+    def _grad(self, x, y):
+        dz = self.d * (x + 1j * y) ** (self.d - 1)
+        return (np.real(dz), -np.imag(dz)) if self.cos else (np.imag(dz), np.real(dz))
 
     def separated(self, theta):
         c, s = np.cos(self.d * theta), np.sin(self.d * theta)
@@ -373,22 +386,12 @@ class _HarmonicMonomial(ClosedFormField):
 
 
 def monomial_field(d: int, phase: str = "cos") -> ClosedFormField:
-    """Harmonic r^d cos(d theta) (the real part of z^d) or its sine companion."""
+    """Harmonic r^d cos(d theta) (the real part of z^d) or, for phase "sin", its sine companion."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-
-    if phase == "cos":
-        f = lambda x, y: np.real((x + 1j * y) ** d)
-    else:
-        f = lambda x, y: np.imag((x + 1j * y) ** d)
-
-    def gradf(x, y):
-        dz = d * (x + 1j * y) ** (d - 1)
-        if phase == "cos":
-            return np.real(dz), -np.imag(dz)
-        return np.imag(dz), np.real(dz)
-
-    return _HarmonicMonomial(f, gradf, d, phase == "cos")
+    if phase not in ("cos", "sin"):
+        raise ValueError(f"phase must be 'cos' or 'sin', got {phase!r}")
+    return _HarmonicMonomial(d, phase == "cos")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import NodalSet, PlanarField, _sample_grid, _sample_rings
+from .fields import NodalSet, PlanarField, _probe_ring, _sample_grid
 from .params import gamma_q
 
 
@@ -179,18 +179,18 @@ def nodal_length(nodal: NodalSet, radius: float) -> float:
     return float(np.sum(np.hypot(seg[:, 2] - seg[:, 0], seg[:, 3] - seg[:, 1])))
 
 
-def singular_thresholds(field: PlanarField, n: int, radius: float = 1.0):
-    """Resolution-tracking thresholds (eps_u, eps_g) for singular detection.
+def singular_thresholds(field: PlanarField, n: int):
+    """Resolution-tracking thresholds (eps_u, eps_g) for singular detection
+    on the n x n grid over [-1, 1]^2.
 
     Both shrink with the grid spacing h so flat nodal crossings are not
     misreported: eps_u tracks the local growth rate min(gamma_q, 2), eps_g is
-    linear in h against the gradient scale.
+    linear in h against the gradient scale on the probe ring.
     """
-    h = 2.0 * radius / (n - 1)
+    h = 2.0 / (n - 1)
     g = gamma_q(field.params)
     scale = field.scale()
-    th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    _, (gx, gy) = _sample_rings(field, (0.0, 0.0), [0.7 * radius], th, grad=True)
+    _, (gx, gy) = _probe_ring(field, grad=True)
     gscale = float(np.max(np.hypot(gx, gy))) or 1.0
     eps_u = 10.0 * h ** min(g, 2.0) * scale
     eps_g = 10.0 * h * gscale
@@ -207,8 +207,8 @@ def _grad_norm_at(field, xs, mask):
     return G
 
 
-def detect_singular(field: PlanarField, n: int = 256, radius: float = 1.0):
-    """Points with |u| < eps_u and |grad u| < eps_g, one per connected cluster.
+def detect_singular(field: PlanarField, n: int = 256):
+    """Points of the unit disk with |u| < eps_u and |grad u| < eps_g, one per cluster.
 
     The thresholds are those of :func:`singular_thresholds`.  Returns a list
     of (x, y, abs_u, abs_grad) tuples, the representative being the grid
@@ -219,9 +219,9 @@ def detect_singular(field: PlanarField, n: int = 256, radius: float = 1.0):
     the same values as its ``__call__``, so the candidates are those a full
     value-and-gradient grid would give.
     """
-    eps_u, eps_g = singular_thresholds(field, n, radius)
-    xs = np.linspace(-radius, radius, n)
-    inside = _disk_mask(xs, radius * radius)
+    eps_u, eps_g = singular_thresholds(field, n)
+    xs = np.linspace(-1.0, 1.0, n)
+    inside = _disk_mask(xs, 1.0)
     V = _sample_grid(field, xs, inside)
     cand = inside & (np.abs(V) < eps_u)
     G = _grad_norm_at(field, xs, cand)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import PlanarField, _sample_rings
 from .functionals import N_DIM, N_THETA, _ladder, _power_fit, _require_nodal, h1_norm, h_floor
-from .params import beta_q, gamma_q
+from .params import _is_integer, beta_q, gamma_q
 
 
 class ZeroFieldError(ValueError):
@@ -159,7 +159,7 @@ def leading_harmonic(field: PlanarField, x0, radii, max_degree):
     fits = ((np.max(amp, axis=1) >= 1e-8 * field.scale()) & (np.abs(slope - degrees) < 0.1)
             & (misfit / np.maximum(1.0, np.abs(mean)) < FIT_TOL))
     g = gamma_q(field.params)
-    ambiguous = abs(g - round(g)) < 1e-12
+    ambiguous = _is_integer(g)
     if fits.any():
         d, mid = int(np.argmax(fits)) + 1, len(radii) // 2
         return {

@@ -51,11 +51,9 @@ def gamma_q(params: ProblemParams) -> float:
 def beta_q(params: ProblemParams) -> int:
     """Largest positive integer strictly smaller than 2/(2-q)."""
     g = gamma_q(params)
-    # g is an integer iff 2/(2-q) hits an integer exactly in floating point;
-    # the admissible orders below the threshold are 1..beta_q.
-    gi = round(g)
-    if abs(g - gi) < 1e-12:
-        return int(gi) - 1
+    # the admissible orders below the threshold are 1..beta_q
+    if _is_integer(g):
+        return round(g) - 1
     return int(math.floor(g))
 
 

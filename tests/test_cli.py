@@ -244,9 +244,41 @@ def test_sweep_error_row_keeps_its_commas(tmp_path, monkeypatch):
     assert _csv_rows(tmp_path / "sweep.csv") == [["5", "", "", "", "", f"error: {message}"]]
 
 
-def test_sweep_empty_range(tmp_path):
-    assert run("sweep", "--q", "1", "--k-range", "", "--out", str(tmp_path)) == 0
-    assert (tmp_path / "sweep.csv").read_text().strip().count("\n") == 0
+def test_sweep_empty_range(tmp_path, capsys):
+    # a range that names no k is a usage error, not a header-only sweep.csv
+    for spec in ("", "10:5", ","):
+        out = tmp_path / "out"
+        assert run("sweep", "--q", "1", "--k-range", spec, "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: argument --k-range: empty k range {spec!r}\n"
+        assert not out.exists()
+
+
+def test_sweep_jobs_capped_at_rows(tmp_path, monkeypatch):
+    # a pool forks all max_workers processes at its first submit, so --jobs
+    # must not exceed the rows; the fake pool runs the jobs inline
+    import concurrent.futures
+
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert run("sweep", "--q", "1", "--k-range", "5:6", "--n", "512", "--grid", "64",
+               "--jobs", "5000", "--out", str(tmp_path)) == 0
+    assert workers == [2]
+    assert [(row[0], row[-1]) for row in _csv_rows(tmp_path / "sweep.csv")] == [
+        ("5", "ok"), ("6", "ok")]
 
 
 def test_sweep_bad_k(tmp_path):
@@ -284,6 +316,30 @@ def test_plot_bad_input(tmp_path):
     assert run("plot", "--input", str(bad), "--out", str(tmp_path / "x.svg")) == 3
     assert run("plot", "--input", str(tmp_path / "missing.csv"),
                "--out", str(tmp_path / "y.svg")) == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("r,value\n0.1,1\n0.1,2\n", "radii must be strictly increasing", id="equal-r"),
+    pytest.param("r,value\n0.5,1\n0.2,2\n", "radii must be strictly increasing", id="falling-r"),
+    pytest.param("r,value\n0,1\n0.5,2\n", "radii must be positive", id="zero-r"),
+    pytest.param("r,value\n-0.5,1\n0.5,2\n", "radii must be positive", id="negative-r"),
+    pytest.param("r,value\nnan,1\n0.5,2\n", "non-finite trace entry", id="nan-r"),
+    pytest.param("r,value\n0.1,1\ninf,2\n", "non-finite trace entry", id="inf-r"),
+    pytest.param("r,value\n0.1,1\n0.5,nan\n", "non-finite trace entry", id="nan-value"),
+    pytest.param("r,value\n0.1,-inf\n0.5,2\n", "non-finite trace entry", id="inf-value"),
+    pytest.param("x1,y1,x2,y2\n0,0,0.5,nan\n", "non-finite nodal coordinate", id="nan-segment"),
+    pytest.param("x1,y1,x2,y2\n0,0,0.5,0.5\ninf,0,0,0\n", "non-finite nodal coordinate",
+                 id="inf-segment"),
+])
+def test_plot_rejects_bad_numbers(tmp_path, capsys, text, message):
+    # a log-axis trace needs increasing positive radii, and no number may be
+    # NaN or infinite: each exits 3 with one line and writes no SVG
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    svg = tmp_path / "out.svg"
+    assert run("plot", "--input", str(src), "--out", str(svg)) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not svg.exists()
 
 
 def test_config_file_defaults(tmp_path):

@@ -312,7 +312,7 @@ def _advance_ref(params, w, v, h, depth=0, cap=6):
         return s * _rk4_step_ref(params, w, v, alpha * h, s)[0]
 
     lo = 0.0 if w != 0.0 else 1e-9
-    if signed(lo) <= 0.0:
+    if signed(lo) <= 0.0 or signed(1.0) > 0.0:
         return wn, vn
     alpha = brentq(signed, lo, 1.0, xtol=1e-14)
     if graded:
@@ -409,6 +409,18 @@ def test_hamiltonian_cauchy_split_depth_keeps_accuracy(monkeypatch, q, coeffs, w
 
 # at q = 1 the steps between crossings are prefix sums over arrays: the
 # cases below pin them to the step-by-step reference bit for bit
+
+
+def test_hamiltonian_cauchy_takeoff_landing_across_zero():
+    # step 235 crosses w = 0, and the rest of it takes off from w = 0 by a
+    # graded flight that lands across w = 0 again, where the plain RK4 step
+    # that would bracket that crossing stays on its side: the take-off keeps
+    # the graded landing instead of raising
+    p = ProblemParams(q=1.25)
+    _, w, v, drift = _assert_same_trajectory(p, 1e-9, 0.0, 2e-3, 235)
+    _, w_short, v_short, _ = hamiltonian_cauchy(p, 1e-9, 0.0, 2e-3, 234)
+    assert np.array_equal(w[:-1], w_short) and np.array_equal(v[:-1], v_short)
+    assert np.isfinite(w).all() and np.isfinite(v).all() and math.isfinite(drift)
 
 
 def test_hamiltonian_cauchy_q1_long_run():
@@ -584,7 +596,7 @@ def test_construct_widens_an_off_bracket(monkeypatch):
 
 def test_result_json_records_mu_and_matching():
     mr = construct_uk(ProblemParams(q=1.5, lambda_minus=2.0, mu=0.5), 9)
-    doc = json.loads(mr.to_json())
+    doc = json.loads(json.dumps(mr.to_dict()))
     assert doc["mu"] == 0.5
     assert doc["psi_calls"] == mr.psi_calls
     assert doc["bracket"] == list(mr.bracket)

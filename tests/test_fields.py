@@ -53,6 +53,9 @@ def test_monomial_field_values():
     assert abs(g(1.0, 1.0) - 2.0) < 1e-15  # Im (x+iy)^2 = 2xy
     with pytest.raises(ValueError):
         monomial_field(0)
+    # a misspelt phase is refused, not read as the sine companion
+    with pytest.raises(ValueError, match="phase must be 'cos' or 'sin', got 'cosine'"):
+        monomial_field(2, "cosine")
 
 
 def test_homogeneous_field_matches_closed_form():
