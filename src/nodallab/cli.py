@@ -53,6 +53,18 @@ def _params_from_args(args):
                             lambda_minus=args.lambda_minus)
 
 
+def _profile_params(profile):
+    """A stored profile's parameters: the CLI guesses none."""
+    if profile.params is None:
+        raise fields.ParseError("the profile has no parameter block")
+    return profile.params
+
+
+def _frequency(field):
+    """N_q(u, 0, 1): the frequency of the field on the unit circle about the origin."""
+    return functionals.eval_Nt(field, (0.0, 0.0), 1.0, field.params.q)
+
+
 # ---------------------------------------------------------------- construct
 
 def cmd_construct(args):
@@ -64,7 +76,7 @@ def cmd_construct(args):
     _write_json(os.path.join(args.out, "result.json"),
                 {**mr.to_dict(), "profile_path": "profile.txt"})
 
-    nq = functionals.eval_Nt(mr.to_field(), (0.0, 0.0), 1.0, p.q)
+    nq = _frequency(mr.to_field())
     gq = pm.gamma_q(p)
     summary = [
         f"k = {mr.k}   period T = {mr.T:.12g}",
@@ -86,7 +98,7 @@ def cmd_construct(args):
 def _field_from_input(path):
     obj = fields.load(path)
     if isinstance(obj, fields.AngularProfile):
-        p = obj.params or pm.ProblemParams()
+        p = _profile_params(obj)
         return fields.HomogeneousField(pm.gamma_q(p), obj, p), obj
     if isinstance(obj, fields.HomogeneousField):
         return obj, obj.profile
@@ -99,8 +111,7 @@ def cmd_analyze(args):
     report = {}
     est = orders.estimate_order(field, (0.0, 0.0), radii)
     report["order"] = est.to_dict()
-    report["frequency_at_1"] = functionals.eval_Nt(field, (0.0, 0.0), 1.0,
-                                                   field.params.q)
+    report["frequency_at_1"] = _frequency(field)
     if profile is not None:
         zs = nodal.profile_zero_structure(profile)
         report["profile_zeros"] = {"count": len(zs["zeros"]),
@@ -165,7 +176,7 @@ def _suite_construction(args, checks):
     drift_tol = 1e-6 if p.q == 1.0 else 1e-4
     checks.append(("energy drift", mr.energy_drift < drift_tol))
     checks.append(("matching residual", abs(mr.psi_residual) < 1e-6))
-    nq = functionals.eval_Nt(mr.to_field(), (0.0, 0.0), 1.0, p.q)
+    nq = _frequency(mr.to_field())
     checks.append(("frequency identity",
                    abs(nq - pm.gamma_q(p)) < 1e-3 * pm.gamma_q(p)))
 
@@ -185,8 +196,7 @@ def _suite_profile(args, checks):
     obj = fields.load(args.profile)
     if not isinstance(obj, fields.AngularProfile):
         raise fields.ParseError("verify --profile expects a profile file")
-    p = obj.params or pm.ProblemParams()
-    drift = cons.profile_energy_drift(p, obj)
+    drift = cons.profile_energy_drift(_profile_params(obj), obj)
     checks.append(("stored profile energy drift", drift < 1e-4))
 
 
@@ -233,7 +243,7 @@ def _sweep_one(job):
     try:
         mr = cons.construct_uk(p, k, n=n)
         field = mr.to_field()
-        nq = functionals.eval_Nt(field, (0.0, 0.0), 1.0, p.q)
+        nq = _frequency(field)
         ns = nodal.extract_nodal_set(field, grid)
         length = nodal.nodal_length(ns, 0.5)
         return (k, f"{mr.t_bar:.12g}", f"{nq:.12g}", f"{length:.12g}",
@@ -244,12 +254,9 @@ def _sweep_one(job):
 
 def cmd_sweep(args):
     p = _params_from_args(args)
-    kb = pm.k_bar(p)
-    bad = [k for k in args.k_range if k <= kb]
-    if bad:
-        print(f"error: k values {bad} do not exceed k_bar={kb}", file=sys.stderr)
-        return EXIT_CONSTRUCT
     # every row would fail alike: refuse the sweep as construct does
+    for k in args.k_range:
+        cons.check_k(p, k)
     cons.check_arc_grid(args.n)
     nodal.check_grid(args.grid)
 
@@ -288,26 +295,29 @@ def _disk_to_svg(x, y):
     return (cx + x * half, cx - y * half)
 
 
+def _write_svg(out, w, h, parts):
+    """Write the SVG document of width w and height h that holds `parts`."""
+    with open(out, "w") as fh:
+        fh.write("\n".join([f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
+                            f'height="{h}" viewBox="0 0 {w} {h}">', *parts, "</svg>"]) + "\n")
+
+
 def _plot_nodal(segments, singular, out):
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '
-             f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">']
     cx, cy = _disk_to_svg(0.0, 0.0)
     half = (_SVG_SIZE - 2 * _MARGIN) / 2.0
-    parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{half:.2f}" '
-                 'fill="none" stroke="black" stroke-width="1"/>')
+    parts = [f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{half:.2f}" '
+             'fill="none" stroke="black" stroke-width="1"/>']
     for x1, y1, x2, y2 in segments.reshape(-1, 4).tolist():
         a = _disk_to_svg(x1, y1)
         b = _disk_to_svg(x2, y2)
         parts.append(f'<line x1="{a[0]:.3f}" y1="{a[1]:.3f}" '
                      f'x2="{b[0]:.3f}" y2="{b[1]:.3f}" '
                      'stroke="#cc0000" stroke-width="1.2"/>')
-    for s in singular:
-        cxy = _disk_to_svg(s["x"], s["y"])
+    for x, y in singular:
+        cxy = _disk_to_svg(x, y)
         parts.append(f'<circle cx="{cxy[0]:.3f}" cy="{cxy[1]:.3f}" r="4" '
                      'fill="none" stroke="#0000cc" stroke-width="1.5"/>')
-    parts.append("</svg>")
-    with open(out, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(out, _SVG_SIZE, _SVG_SIZE, parts)
 
 
 def _plot_trace(radii, values, label, out):
@@ -330,9 +340,7 @@ def _plot_trace(radii, values, label, out):
         return h - _MARGIN - (v - y0) / (y1 - y0) * (h - 2 * _MARGIN)
 
     pts = " ".join(f"{sx(a):.3f},{sy(b):.3f}" for a, b in zip(lx, ly))
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-             f'viewBox="0 0 {w} {h}">',
-             f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{w - 2 * _MARGIN}" '
+    parts = [f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{w - 2 * _MARGIN}" '
              f'height="{h - 2 * _MARGIN}" fill="none" stroke="black"/>',
              f'<polyline points="{pts}" fill="none" stroke="#cc0000" '
              'stroke-width="1.5"/>',
@@ -340,10 +348,24 @@ def _plot_trace(radii, values, label, out):
              f'font-size="12">log10 r  [{x0:.2f}, {x1:.2f}]</text>',
              f'<text x="12" y="{h // 2}" font-size="12" '
              f'transform="rotate(-90 12 {h // 2})" text-anchor="middle">'
-             f'log10 |{label}|  [{y0:.2f}, {y1:.2f}]</text>',
-             "</svg>"]
-    with open(out, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+             f'log10 |{label}|  [{y0:.2f}, {y1:.2f}]</text>']
+    _write_svg(out, w, h, parts)
+
+
+def _singular_points(path):
+    """The (x, y) of each point of a singular.json: a list of objects whose x
+    and y are finite numbers."""
+    with open(path) as fh:
+        doc = json.load(fh)
+
+    def finite(v):
+        # a bool is no number; the bound also rejects NaN, inf and huge ints
+        return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+    if not (isinstance(doc, list) and all(
+            isinstance(s, dict) and finite(s.get("x")) and finite(s.get("y")) for s in doc)):
+        raise ValueError("singular points must be a list of objects with finite x and y")
+    return [(s["x"], s["y"]) for s in doc]
 
 
 def cmd_plot(args):
@@ -359,10 +381,7 @@ def cmd_plot(args):
             segments = np.array(rows, dtype=float).reshape(-1, 2, 2)
             if not np.isfinite(segments).all():
                 raise ValueError("non-finite nodal coordinate")
-            singular = []
-            if args.singular:
-                with open(args.singular) as fh:
-                    singular = json.load(fh)
+            singular = _singular_points(args.singular) if args.singular else []
             _plot_nodal(segments, singular, args.svg)
         elif header == "r,value":
             rows = [tuple(float(tok) for tok in ln.split(","))

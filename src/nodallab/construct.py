@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .fields import AngularProfile, HomogeneousField
+from .fields import AngularProfile, HomogeneousField, _angles
 from .functionals import _GL_T, _GL_W, eval_F
 from .params import ProblemParams, gamma_q, k_bar
 
@@ -241,7 +241,7 @@ def minimize_arc(params: ProblemParams, t: float, T: float, side: str,
         raise ConstructionError(
             f"arc length {length} >= pi/gamma_q = {np.pi / g}: energy not coercive "
             "(wave count k too small)")
-    lam = params.mu * (params.lambda_plus if side == "plus" else params.lambda_minus)
+    lam = params.coefficients[0 if side == "plus" else 1]
     if lam <= 0:
         raise ValueError(f"side {side} needs a positive coefficient")
 
@@ -266,6 +266,12 @@ def psi(params: ProblemParams, k: int, t: float, n: int = ARC_N) -> float:
     plus = minimize_arc(params, t, T, "plus", n)
     minus = minimize_arc(params, t, T, "minus", n)
     return plus.slope_right - minus.slope_left
+
+
+def check_k(params: ProblemParams, k: int) -> None:
+    """A k-fold profile needs k > k_bar: shorter arcs keep the energy coercive."""
+    if k <= k_bar(params):
+        raise ConstructionError(f"k must exceed k_bar={k_bar(params)}, got k={k}")
 
 
 @dataclass
@@ -429,9 +435,8 @@ def time_map_t_bar(params: ProblemParams, k: int) -> float:
     a = math.log(0.5 * g * g)
     g2cos2 = g * g * _TM_COS2
     one_minus_sin_q = -np.expm1(q * _TM_LOG_SIN)
-    lam = (params.mu * params.lambda_plus, params.mu * params.lambda_minus)
-    c_plus, c_minus = ((2.0 * x / q) * one_minus_sin_q for x in lam)
-    b_plus, b_minus = (math.log(x / q) for x in lam)
+    c_plus, c_minus = ((2.0 * x / q) * one_minus_sin_q for x in params.coefficients)
+    b_plus, b_minus = (math.log(x / q) for x in params.coefficients)
 
     def half_length(c, s):
         if s >= 0.0:
@@ -470,10 +475,9 @@ def construct_uk(params: ProblemParams, k: int, n: int = ARC_N) -> MatchingResul
     period together with the residual diagnostics, the number of Psi
     evaluations and the bracket Brent's method used.
     """
-    kb = k_bar(params)
-    if k <= kb:
-        raise ConstructionError(f"k must exceed k_bar={kb}, got k={k}")
-    if params.mu * params.lambda_minus <= 0:
+    check_k(params, k)
+    lam_plus, lam_minus = params.coefficients
+    if lam_minus <= 0:
         raise ConstructionError("the negative arc needs mu * lambda_minus > 0")
     T = 2.0 * np.pi / k
 
@@ -502,10 +506,9 @@ def construct_uk(params: ProblemParams, k: int, n: int = ARC_N) -> MatchingResul
 
     plus = minimize_arc(params, t_bar, T, "plus", n)
     minus = minimize_arc(params, t_bar, T, "minus", n)
-    psi_res = abs(plus.slope_right - minus.slope_left)
 
     n_theta = k * max(64, int(np.ceil(4096.0 / k)))
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    theta = _angles(n_theta)
     local = np.mod(theta, T)
     on_plus = local <= t_bar
     # value, first and second derivative of each arc's cubic on its own samples
@@ -516,7 +519,6 @@ def construct_uk(params: ProblemParams, k: int, n: int = ARC_N) -> MatchingResul
     profile = AngularProfile(values, deriv, params)
 
     g = gamma_q(params)
-    lam_plus, lam_minus = params.mu * params.lambda_plus, params.mu * params.lambda_minus
     scale = max(np.max(np.abs(values)) * g * g, lam_plus, lam_minus)
     # evaluate the nonlinearity on the branch the node's arc lives on: at the
     # zeros the right hand side is only one-sidedly defined when q = 1, where
@@ -530,7 +532,7 @@ def construct_uk(params: ProblemParams, k: int, n: int = ARC_N) -> MatchingResul
     zero_count = count_sign_changes(values)
 
     return MatchingResult(k=k, T=T, t_bar=t_bar, profile=profile,
-                          psi_residual=psi_res, energy_drift=energy_drift,
+                          psi_residual=abs(seen[t_bar]), energy_drift=energy_drift,
                           ode_residual=ode_residual, zero_count=zero_count,
                           params=params, psi_calls=len(seen), bracket=(a, b),
                           t_bar_exact=t_exact)
@@ -778,8 +780,7 @@ def hamiltonian_cauchy(params: ProblemParams, w0, w0prime, step, steps):
     if not (math.isfinite(w0) and math.isfinite(w0prime)):
         raise ValueError(f"initial state must be finite, got ({w0}, {w0prime})")
     # c_s = -mu s lambda_s and e = q - 1, taken once for the whole trajectory
-    forces = (-params.mu * params.lambda_plus, params.mu * params.lambda_minus,
-              params.q - 1.0)
+    forces = (-params.coefficients[0], params.coefficients[1], params.q - 1.0)
     w0, v0 = float(w0), float(w0prime)
     parts = ([[w0]], [[v0]])
     _steps(params, w0, v0, float(step), steps, forces, 0, parts)

@@ -145,7 +145,7 @@ class AngularProfile:
 
     @classmethod
     def from_callable(cls, f, fprime, n_theta=256, params=None):
-        th = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        th = _angles(n_theta)
         return cls(np.array([f(t) for t in th]), np.array([fprime(t) for t in th]), params)
 
 
@@ -206,18 +206,18 @@ class HomogeneousField(PlanarField):
         self.profile = profile
         self.params = params or profile.params or ProblemParams(q=1.0, mu=0.0)
 
+    @staticmethod
+    def _polar(x, y):
+        """The radius and angle of the points."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return np.hypot(x, y), np.arctan2(y, x)
+
     def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        r = np.hypot(x, y)
-        th = np.arctan2(y, x)
+        r, th = self._polar(x, y)
         return r**self.gamma * self.profile(th)
 
     def value_and_grad(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        r = np.hypot(x, y)
-        th = np.arctan2(y, x)
+        r, th = self._polar(x, y)
         phi, dphi = self.profile.value_and_prime(th)
         with np.errstate(divide="ignore", invalid="ignore"):
             r_g1 = r ** (self.gamma - 1.0)
@@ -349,6 +349,11 @@ def _sample_grid(field, xs, inside):
     return V
 
 
+def _angles(n):
+    """The n uniform angles 2 pi j / n, j = 0..n-1."""
+    return 2.0 * np.pi * np.arange(n) / n
+
+
 def _sample_rings(field, x0, rho, theta, grad=False):
     """The field, or ``field.value_and_grad`` when ``grad``, at
     x0 + rho[i] (cos theta[j], sin theta[j]), shaped (len rho, len theta)."""
@@ -360,8 +365,7 @@ def _sample_rings(field, x0, rho, theta, grad=False):
 def _probe_ring(field, grad=False):
     """``_sample_rings`` on the ring r = 0.7 about the origin, at 64 angles,
     which sets a field's ``scale`` and the gradient scale of detection."""
-    th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    return _sample_rings(field, (0.0, 0.0), [0.7], th, grad)
+    return _sample_rings(field, (0.0, 0.0), [0.7], _angles(64), grad)
 
 
 class _HarmonicMonomial(ClosedFormField):
@@ -415,19 +419,15 @@ def _fmt_line(values) -> str:
 def save(obj, path) -> None:
     """Write a profile or field to the NODALLAB v1 text container."""
     lines = []
-    if isinstance(obj, AngularProfile):
-        lines.append(f"{FORMAT_MAGIC} {FORMAT_VERSION} profile")
+    if isinstance(obj, (AngularProfile, HomogeneousField)):
+        homogeneous = isinstance(obj, HomogeneousField)
+        kind, profile = ("homogeneous", obj.profile) if homogeneous else ("profile", obj)
+        lines.append(f"{FORMAT_MAGIC} {FORMAT_VERSION} {kind}")
         lines += _params_lines(obj.params)
-        lines.append(f"n_theta={obj.n_theta}")
-        lines.append(_fmt_line(obj.values))
-        lines.append(_fmt_line(obj.derivative))
-    elif isinstance(obj, HomogeneousField):
-        lines.append(f"{FORMAT_MAGIC} {FORMAT_VERSION} homogeneous")
-        lines += _params_lines(obj.params)
-        lines.append(f"gamma={_fmt(obj.gamma)}")
-        lines.append(f"n_theta={obj.profile.n_theta}")
-        lines.append(_fmt_line(obj.profile.values))
-        lines.append(_fmt_line(obj.profile.derivative))
+        if homogeneous:
+            lines.append(f"gamma={_fmt(obj.gamma)}")
+        lines += [f"n_theta={profile.n_theta}", _fmt_line(profile.values),
+                  _fmt_line(profile.derivative)]
     elif isinstance(obj, GridField):
         lines.append(f"{FORMAT_MAGIC} {FORMAT_VERSION} grid")
         lines += _params_lines(obj.params)

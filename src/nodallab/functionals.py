@@ -36,11 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DomainError, PlanarField, _fmt, _sample_rings
+from .fields import DomainError, PlanarField, _angles, _fmt, _sample_rings
 from .params import ProblemParams, gamma_q
 
 N_DIM = 2
 N_THETA = 1024
+_THETA = _angles(N_THETA)  # the angles of every ladder ring and Fourier circle
 GL_NODES = 48
 
 
@@ -225,9 +226,8 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
         raise DomainError(f"radius must be positive, got {rs[0]}")
     if np.hypot(x0[0], x0[1]) + rs.max(initial=0.0) > 1.0 + 1e-12:
         raise DomainError(f"ball B_{rs[-1]}({x0}) escapes the unit disk")
-    th = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
     dth = 2.0 * np.pi / N_THETA
-    sep = field.separated(th) if x0[0] == 0.0 and x0[1] == 0.0 else None
+    sep = field.separated(_THETA) if x0[0] == 0.0 and x0[1] == 0.0 else None
     if sep is not None:
         g, phi, dphi = sep
         p2 = dth * np.sum(phi * phi)
@@ -239,16 +239,16 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
                      f / (gq + 2) * rs ** (gq + 2), g * g * p2 * rs ** (2 * g - 1),
                      g * p2 * rs ** (2 * g), f * rs ** (gq + 1))
     elif not bulk:
-        sums = (rs * dth * np.sum(_sample_rings(field, x0, rs, th) ** 2, axis=1),)
+        sums = (rs * dth * np.sum(_sample_rings(field, x0, rs, _THETA) ** 2, axis=1),)
     else:
         # each row of rho: the panel rings of one annulus, then its circle
         lo = np.concatenate(([0.0], rs))[:-1]
         rho = np.column_stack((lo[:, None] + (rs - lo)[:, None] * _GL_T, rs))
         w = (rs - lo)[:, None] * _GL_W * rho[:, :-1] * dth
-        ct, st = np.cos(th), np.sin(th)
+        ct, st = np.cos(_THETA), np.sin(_THETA)
         u2, g2, fb, unu2, uunu, fc = np.empty((6, len(rs)))
         for i, row in enumerate(rho):
-            v, (gx, gy) = _sample_rings(field, x0, row, th, grad=True)
+            v, (gx, gy) = _sample_rings(field, x0, row, _THETA, grad=True)
             f = np.sum(eval_F(field.params, v), axis=1)
             u, unu = v[-1], gx[-1] * ct + gy[-1] * st
             g2[i] = np.dot(w[i], np.sum(gx * gx + gy * gy, axis=1)[:-1])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import NodalSet, PlanarField, _probe_ring, _sample_grid
+from .fields import NodalSet, PlanarField, _angles, _probe_ring, _sample_grid
 from .params import gamma_q
 
 
@@ -259,7 +259,7 @@ def profile_zero_structure(profile):
         return {"zeros": [], "slopes": [], "antipodal": False, "degenerate": True}
 
     two_pi = 2.0 * np.pi
-    th = two_pi * np.arange(n) / n
+    th = _angles(n)
     # bisect the interpolant inside every sample interval with a sign change at
     # once, one array call per step; an interval freezes once it is shorter
     # than 1e-14

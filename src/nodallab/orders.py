@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PlanarField, _sample_rings
-from .functionals import N_DIM, N_THETA, _ladder, _power_fit, _require_nodal, h1_norm, h_floor
+from .functionals import N_DIM, N_THETA, _THETA, _ladder, _power_fit, _require_nodal, h1_norm, h_floor
 from .params import _is_integer, beta_q, gamma_q
 
 
@@ -125,8 +125,7 @@ def _fourier_rings(field, x0, radii, max_degree):
     """Cosine/sine coefficients of degrees 1..max_degree, one row per radius."""
     if not 1 <= max_degree <= N_THETA // 2 - 1:
         raise ValueError(f"max_degree must be in 1..{N_THETA // 2 - 1}, got {max_degree}")
-    th = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
-    coeffs = np.fft.rfft(_sample_rings(field, x0, radii, th), axis=1) / N_THETA
+    coeffs = np.fft.rfft(_sample_rings(field, x0, radii, _THETA), axis=1) / N_THETA
     return 2.0 * coeffs.real[:, 1: max_degree + 1], -2.0 * coeffs.imag[:, 1: max_degree + 1]
 
 

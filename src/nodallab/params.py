@@ -42,6 +42,11 @@ class ProblemParams:
         if not (0.0 <= self.mu < math.inf):
             raise ValueError("mu must be finite and >= 0")
 
+    @property
+    def coefficients(self) -> tuple[float, float]:
+        """(mu * lambda_plus, mu * lambda_minus), the only way mu enters the equation."""
+        return self.mu * self.lambda_plus, self.mu * self.lambda_minus
+
 
 def gamma_q(params: ProblemParams) -> float:
     """Critical homogeneity 2/(2-q); equals 2 for q=1 and grows to infinity as q -> 2."""

@@ -281,9 +281,15 @@ def test_sweep_jobs_capped_at_rows(tmp_path, monkeypatch):
         ("5", "ok"), ("6", "ok")]
 
 
-def test_sweep_bad_k(tmp_path):
-    assert run("sweep", "--q", "1", "--k-range", "3:4",
+def test_sweep_bad_k(tmp_path, capsys):
+    # refused before any row is built, with construct's message and error.json
+    assert run("sweep", "--q", "1", "--k-range", "3:5",
                "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: k must exceed k_bar=4, got k=3\n"
+    err = json.loads((tmp_path / "error.json").read_text())
+    assert err["error"] == "ConstructionError"
+    assert err["message"] == "k must exceed k_bar=4, got k=3"
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_plot_nodal(construct_dir, tmp_path):
@@ -340,6 +346,61 @@ def test_plot_rejects_bad_numbers(tmp_path, capsys, text, message):
     assert run("plot", "--input", str(src), "--out", str(svg)) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("singular", [
+    pytest.param('{"a": 1}', id="object"),
+    pytest.param("[1, 2]", id="numbers"),
+    pytest.param('[{"x": 0.1}]', id="missing-y"),
+    pytest.param('[{"x": NaN, "y": 0}]', id="nan-x"),
+    pytest.param('[{"x": 0, "y": Infinity}]', id="inf-y"),
+    pytest.param('[{"x": "0.1", "y": 0}]', id="string-x"),
+    pytest.param('[{"x": true, "y": 0}]', id="bool-x"),
+    pytest.param('[{"x": 1' + "0" * 400 + ', "y": 0}]', id="huge-x"),
+])
+def test_plot_rejects_bad_singular(tmp_path, capsys, singular):
+    # singular points are a list of objects with finite numbers x and y
+    src = tmp_path / "in.csv"
+    src.write_text("x1,y1,x2,y2\n0,0,0.5,0.5\n")
+    sing = tmp_path / "singular.json"
+    sing.write_text(singular)
+    svg = tmp_path / "out.svg"
+    assert run("plot", "--input", str(src), "--singular", str(sing), "--out", str(svg)) == 3
+    assert capsys.readouterr().err == (
+        "error: singular points must be a list of objects with finite x and y\n")
+    assert not svg.exists()
+
+
+def test_plot_takes_integer_singular_points(tmp_path):
+    src = tmp_path / "in.csv"
+    src.write_text("x1,y1,x2,y2\n0,0,0.5,0.5\n")
+    sing = tmp_path / "singular.json"
+    sing.write_text('[{"x": 0, "y": 0.5, "abs_u": 1}]')
+    svg = tmp_path / "out.svg"
+    assert run("plot", "--input", str(src), "--singular", str(sing), "--out", str(svg)) == 0
+    assert '<circle cx="320.000" cy="180.000" r="4"' in svg.read_text()
+
+
+@pytest.fixture()
+def bare_profile(construct_dir, tmp_path):
+    # a valid u_k profile (q = 1, k = 5) saved without its parameter block
+    prof = fields.load(construct_dir / "profile.txt")
+    path = tmp_path / "bare.txt"
+    fields.save(fields.AngularProfile(prof.values, prof.derivative), path)
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("analyze", "--input", "{profile}"), id="analyze"),
+    pytest.param(("verify", "--suite", "recurrences", "--profile", "{profile}"), id="verify"),
+])
+def test_profile_without_params_exits_3(bare_profile, tmp_path, capsys, argv):
+    # the CLI guesses no parameters for a profile file that has none
+    out = tmp_path / "out"
+    argv = [a.replace("{profile}", str(bare_profile)) for a in argv]
+    assert run(*argv, "--out", str(out)) == 3
+    assert capsys.readouterr().err == "error: the profile has no parameter block\n"
+    assert not (out / "run.json").exists()
 
 
 def test_config_file_defaults(tmp_path):

@@ -148,6 +148,20 @@ def test_construct_preconditions():
             minimize_arc(ProblemParams(q=1.5), 0.3, 0.7, "minus", n)
 
 
+@pytest.mark.parametrize("q, lam_minus, k", [(1.0, 3.0, 5), (1.5, 2.0, 9)])
+def test_psi_residual_is_psi_at_t_bar(q, lam_minus, k):
+    # brentq returns a point it evaluated, so the residual is that Psi value
+    p = ProblemParams(q=q, lambda_minus=lam_minus)
+    mr = construct_uk(p, k)
+    assert mr.psi_residual == abs(psi(p, k, mr.t_bar))
+
+
+def test_check_k():
+    construct.check_k(ProblemParams(q=1.0), 5)
+    with pytest.raises(ConstructionError, match=r"^k must exceed k_bar=4, got k=4$"):
+        construct.check_k(ProblemParams(q=1.0), 4)
+
+
 def test_construct_honours_mu():
     # mu scales both coefficients: mu = 1/2 with lambda_- = 2 is the equation
     # with lambda_+ = 1/2, lambda_- = 1, and the products are exact

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nodallab.fields import (
     AngularProfile, ClosedFormField, DomainError, GridField, HomogeneousField,
-    NodalSet, ParseError, PlanarField, _sample_rings, load, monomial_field, save,
+    NodalSet, ParseError, PlanarField, _angles, _sample_rings, load, monomial_field, save,
 )
 from nodallab.construct import construct_uk
 from nodallab.functionals import _GL_T, _GL_W, _ladder
@@ -19,6 +19,12 @@ from nodallab.params import ProblemParams
 def cos2_profile(n=256):
     return AngularProfile.from_callable(
         lambda t: np.cos(2 * t), lambda t: -2.0 * np.sin(2 * t), n_theta=n)
+
+
+def test_angles_are_uniform():
+    # 2 pi / 64 is exact, so the two spellings give the same floats
+    assert np.array_equal(_angles(64), np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+    assert np.array_equal(_angles(7), 2.0 * np.pi * np.arange(7) / 7)
 
 
 def test_profile_interpolation_accuracy():

@@ -24,6 +24,13 @@ def test_beta_q_values():
     assert beta_q(ProblemParams(q=1.9)) == 19
 
 
+def test_coefficients_are_the_products():
+    # mu enters the equation only through mu * lambda_(+-)
+    p = ProblemParams(q=1.5, lambda_plus=1.3, lambda_minus=2.1, mu=0.7)
+    assert p.coefficients == (0.7 * 1.3, 0.7 * 2.1)
+    assert ProblemParams(lambda_minus=0.0).coefficients == (1.0, 0.0)
+
+
 def test_lambda_Nq():
     p = ProblemParams(q=1.5)
     assert lambda_Nq(p) == 16.0  # gamma^2 in the plane
