@@ -238,8 +238,7 @@ def cmd_verify(args):
 # -------------------------------------------------------------------- sweep
 
 def _sweep_one(job):
-    qq, lp, lm, k, n, grid = job
-    p = pm.ProblemParams(q=qq, lambda_plus=lp, lambda_minus=lm)
+    p, k, n, grid = job
     try:
         mr = cons.construct_uk(p, k, n=n)
         field = mr.to_field()
@@ -260,8 +259,7 @@ def cmd_sweep(args):
     cons.check_arc_grid(args.n)
     nodal.check_grid(args.grid)
 
-    jobs = [(p.q, p.lambda_plus, p.lambda_minus, k, args.n, args.grid)
-            for k in args.k_range]
+    jobs = [(p, k, args.n, args.grid) for k in args.k_range]
     if args.jobs > 1 and len(jobs) > 1:
         # imported here: loading multiprocessing costs every other command
         from concurrent.futures import ProcessPoolExecutor
@@ -397,9 +395,8 @@ def cmd_plot(args):
             _plot_trace(tr.radii, tr.values, "value", args.svg)
         else:
             raise ValueError(f"unrecognized header {header!r}")
-    except (ValueError, json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except ValueError as exc:  # a JSONDecodeError is one
+        raise fields.ParseError(str(exc)) from exc
     print(f"wrote {args.svg}")
     return EXIT_OK
 

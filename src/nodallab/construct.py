@@ -98,7 +98,7 @@ class ClampedCubic:
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         b[0], b[-1] = slope_left, slope_right
         s = _solve_tridiagonal(np.concatenate((dx[1:], [0.0])), diag,
-                               np.concatenate(([0.0], dx[:-1])), b, check_finite=False)
+                               np.concatenate(([0.0], dx[:-1])), b)
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         # c0 s^3 + c1 s^2 + c2 s + c3 on [x[i], x[i+1]], s = v - x[i]
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
@@ -117,20 +117,18 @@ class ClampedCubic:
                 0.0 + c1 * 2 + c0 * s * 6)
 
 
-def _solve_tridiagonal(lower, diag, upper, b, check_finite=True):
+def _solve_tridiagonal(lower, diag, upper, b):
     """Solution of the tridiagonal system with sub-, main and super-diagonal
     `lower`, `diag`, `upper` and right-hand side `b`.
 
     It calls LAPACK ``dgtsv``, the routine ``solve_banded((1, 1), ...)``
     dispatches to, with the same arrays, so the solution is the same floats,
     without scipy's argument handling around it.  The arguments are not
-    overwritten.  The errors are ``solve_banded``'s: with `check_finite` a
-    non-finite entry raises ValueError, and a singular system raises
-    LinAlgError.
+    overwritten.  The errors are ``solve_banded``'s: a non-finite entry
+    raises ValueError, and a singular system raises LinAlgError.
     """
-    if check_finite:
-        for a in (lower, diag, upper, b):
-            np.asarray_chkfinite(a)
+    for a in (lower, diag, upper, b):
+        np.asarray_chkfinite(a)
     x, info = dgtsv(lower, diag, upper, b)[3:]
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")

@@ -56,7 +56,7 @@ class DomainError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed NODALLAB file; message carries the offending line number."""
+    """Malformed input file (NODALLAB, config, or plot's CSV or JSON); the message says what is wrong."""
 
 
 @dataclass

@@ -93,6 +93,15 @@ class InconclusiveError(ValueError):
         self.bracket = bracket
 
 
+def _ladder_radii(radii):
+    """The radii of a ladder as a float array.  Every reader of a ladder takes
+    it strictly increasing, as given: none sorts it."""
+    radii = np.asarray(radii, dtype=float)
+    if np.any(np.diff(radii) <= 0):
+        raise ValueError("radii must be strictly increasing")
+    return radii
+
+
 @dataclass
 class FunctionalTrace:
     """A functional sampled on a strictly increasing radius ladder."""
@@ -101,10 +110,8 @@ class FunctionalTrace:
     values: np.ndarray
 
     def __post_init__(self):
-        self.radii = np.asarray(self.radii, dtype=float)
+        self.radii = _ladder_radii(self.radii)
         self.values = np.asarray(self.values, dtype=float)
-        if np.any(np.diff(self.radii) <= 0):
-            raise ValueError("radii must be strictly increasing")
         if self.radii.shape != self.values.shape:
             raise ValueError("radii and values must have equal length")
 
@@ -323,7 +330,7 @@ def trace(field, functional, x0, radii, gamma=None, t=None):
     for name in needs:
         if given[name] is None:
             raise ValueError(f"trace of {functional!r} needs {name}")
-    radii = np.asarray(radii, dtype=float)
+    radii = _ladder_radii(radii)
     lad = _ladder(field, x0, radii, bulk=functional != "H")
     return FunctionalTrace(radii, view(lad, gamma, t))
 
@@ -335,9 +342,7 @@ def check_derivative_identities(field, x0, radii, gamma, t):
     the H' identity  H' = ((N-1)/r) H + 2 D_q,  and the W' expression built
     from circle and bulk integrals.
     """
-    radii = np.asarray(radii, dtype=float)
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("radius ladder must be strictly increasing")
+    radii = _ladder_radii(radii)
     step = 1e-4 * radii
     # rows r - step, r, r + step, so H[1] is H(r) and H[2] - H[0] its difference
     lad = _ladder(field, x0, np.stack([radii - step, radii, radii + step]))
@@ -365,7 +370,7 @@ def monotonicity_scan(field, x0, gamma, radii):
     gq = gamma_q(field.params)
     if gamma < gq - 1e-12:
         raise PreconditionError(f"gamma={gamma} below critical homogeneity {gq}")
-    radii = np.asarray(radii, dtype=float)
+    radii = _ladder_radii(radii)
     ws = _ladder(field, x0, radii).W(gamma, 2.0)
     drops = np.flatnonzero(ws[1:] < ws[:-1] - 1e-6 * (1.0 + np.abs(ws[:-1])))
     if len(drops):
@@ -385,12 +390,11 @@ def transition_exponent(field, x0, gammas, radii):
     as r shrinks).  The estimate is the midpoint of the bracketing pair;
     an ambiguous classification raises InconclusiveError with the bracket.
     """
-    x0 = np.asarray(x0, dtype=float)
     _require_nodal(field, x0)
     gammas = np.sort(np.asarray(gammas, dtype=float))
     if gammas.size == 0:
         raise ValueError("gammas is empty: the transition needs at least one gamma")
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = _ladder_radii(radii)
     W = _ladder(field, x0, radii).W(gammas[:, None], 2.0)
     floor = 1e-10 * (1.0 + np.max(np.abs(W)))
     decade = radii <= radii[0] * 10.0

@@ -185,8 +185,10 @@ def singular_thresholds(field: PlanarField, n: int):
 
     Both shrink with the grid spacing h so flat nodal crossings are not
     misreported: eps_u tracks the local growth rate min(gamma_q, 2), eps_g is
-    linear in h against the gradient scale on the probe ring.
+    linear in h against the gradient scale on the probe ring.  The grid
+    follows extraction's rule (:func:`check_grid`).
     """
+    check_grid(n)
     h = 2.0 / (n - 1)
     g = gamma_q(field.params)
     scale = field.scale()

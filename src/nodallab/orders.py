@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PlanarField, _sample_rings
-from .functionals import N_DIM, N_THETA, _THETA, _ladder, _power_fit, _require_nodal, h1_norm, h_floor
+from .functionals import (N_DIM, N_THETA, _THETA, _ladder, _ladder_radii, _power_fit, _require_nodal,
+                          h1_norm, h_floor)
 from .params import _is_integer, beta_q, gamma_q
 
 
@@ -34,7 +35,6 @@ class OrderEstimate:
     r_window: tuple
     nondegeneracy_ratio: float
     h1_slope: float
-    fourier: dict | None = None
 
     def to_dict(self):
         return {
@@ -43,7 +43,6 @@ class OrderEstimate:
             "window": list(self.r_window),
             "nondeg_ratio": self.nondegeneracy_ratio,
             "h1_slope": self.h1_slope,
-            "fourier": self.fourier,
         }
 
 
@@ -53,8 +52,7 @@ def admissible_orders(params) -> list[float]:
 
 def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
     """Regression order of the field at a nodal point x0 over a radius ladder."""
-    x0 = np.asarray(x0, dtype=float)
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = _ladder_radii(radii)
     if len(radii) < 8:
         raise ValueError("ladder needs at least 8 radii")
     _require_nodal(field, x0)
@@ -143,8 +141,7 @@ def leading_harmonic(field: PlanarField, x0, radii, max_degree):
     carries "gamma_q_ambiguous" when the critical exponent is an integer that
     the harmonic scan cannot separate from a genuine harmonic leading term.
     """
-    x0 = np.asarray(x0, dtype=float)
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = _ladder_radii(radii)
     _require_nodal(field, x0)
     a, b = _fourier_rings(field, x0, radii, max_degree)
     amp = np.hypot(a, b).T  # one row per degree

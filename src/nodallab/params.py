@@ -73,8 +73,8 @@ def k_bar(params: ProblemParams) -> int:
     return int(math.ceil(2.0 * gamma_q(params) - 1e-12))
 
 
-def _is_integer(x: float, tol: float = 1e-12) -> bool:
-    return abs(x - round(x)) < tol
+def _is_integer(x: float) -> bool:
+    return abs(x - round(x)) < 1e-12
 
 
 def beta_k_sequence(params: ProblemParams, K: int, deltas="auto") -> list[float]:

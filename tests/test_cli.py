@@ -142,6 +142,7 @@ def test_analyze(construct_dir, tmp_path):
     assert code == 0
     doc = json.loads((out / "analysis.json").read_text())
     assert doc["order"]["snapped"] == 2.0
+    assert set(doc["order"]) == {"raw_slope", "snapped", "window", "nondeg_ratio", "h1_slope"}
     assert doc["profile_zeros"]["count"] == 10
     assert doc["singular_clusters"] == 1
     assert (out / "nodal.csv").exists()

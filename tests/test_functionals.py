@@ -10,6 +10,7 @@ from nodallab.functionals import (
     eval_Dt, eval_F, eval_H, eval_Nt, eval_Phi, eval_W, h1_norm, monotonicity_scan, trace,
     transition_exponent, w_prime_rhs, w_vs_frequency_residual,
 )
+from nodallab.orders import estimate_order, leading_harmonic
 from nodallab.params import ProblemParams
 
 ORIGIN = (0.0, 0.0)
@@ -194,6 +195,47 @@ def test_monotonicity_scan():
     assert monotonicity_scan(f, ORIGIN, 3.0, radii)["verdict"] == "monotone"
     with pytest.raises(PreconditionError):
         monotonicity_scan(f, ORIGIN, 1.0, radii)
+    # read backwards, a rising W would look like a violation
+    radii = np.linspace(0.1, 1.0, 20)
+    assert monotonicity_scan(f, ORIGIN, 2.5, radii)["verdict"] == "monotone"
+    with pytest.raises(ValueError, match="^radii must be strictly increasing$"):
+        monotonicity_scan(f, ORIGIN, 2.5, radii[::-1])
+
+
+_LADDER_READERS = {
+    "trace": lambda f, r: trace(f, "W", ORIGIN, r, gamma=2.5, t=2.0),
+    "monotonicity_scan": lambda f, r: monotonicity_scan(f, ORIGIN, 2.5, r),
+    "check_derivative_identities": lambda f, r: check_derivative_identities(f, ORIGIN, r, 2.5, 2.0),
+    "transition_exponent": lambda f, r: transition_exponent(f, ORIGIN, [1.5, 2.5], r),
+    "estimate_order": lambda f, r: estimate_order(f, ORIGIN, r),
+    "leading_harmonic": lambda f, r: leading_harmonic(f, ORIGIN, r, 4),
+    "FunctionalTrace": lambda f, r: FunctionalTrace(r, np.ones_like(r)),
+}
+
+
+@pytest.mark.parametrize("reader", list(_LADDER_READERS))
+@pytest.mark.parametrize("order", ["descending", "repeat"])
+def test_every_ladder_reader_rejects_an_unordered_ladder(reader, order):
+    # a ladder is taken strictly increasing, as given: no reader sorts it
+    read, f = _LADDER_READERS[reader], monomial_field(2)
+    r = np.linspace(0.1, 0.9, 20)
+    read(f, r)
+    bad = r[::-1] if order == "descending" else np.insert(r, 5, r[5])
+    with pytest.raises(ValueError, match="^radii must be strictly increasing$"):
+        read(f, bad)
+
+
+def test_trace_checks_the_ladder_before_sampling():
+    calls = []
+
+    def value(x, y):
+        calls.append(np.size(x))
+        return x * y
+
+    f = ClosedFormField(value, lambda x, y: (y, x))
+    with pytest.raises(ValueError, match="^radii must be strictly increasing$"):
+        trace(f, "h1", (0.1, 0.0), [0.5, 0.2])
+    assert calls == []
 
 
 def test_transition_exponent_on_monomials():

@@ -221,6 +221,17 @@ def test_refinement_improves_length(uk_q1):
     assert e2 < e1
 
 
+@pytest.mark.parametrize("n", [1, 3, 63])
+def test_detection_takes_the_extraction_grid_rule(n):
+    # a coarse grid divides by zero (n = 1) or reports a cluster off the
+    # singular point (n = 10), so detection refuses what extraction refuses
+    f = monomial_field(2)
+    with pytest.raises(ValueError, match="^grid must be at least 64 x 64$"):
+        singular_thresholds(f, n)
+    with pytest.raises(ValueError, match="^grid must be at least 64 x 64$"):
+        detect_singular(f, n)
+
+
 def test_detect_singular_examples(uk_q1):
     assert detect_singular(monomial_field(1), 128) == []
     got = detect_singular(monomial_field(2), 128)
