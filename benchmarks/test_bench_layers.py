@@ -176,6 +176,14 @@ def test_estimate_order_uk15(benchmark, uk15):
     assert abs(est.h1_slope - 4.0) < 0.05 and est.nondegeneracy_ratio > 0
 
 
+def test_estimate_order_grid_sample(benchmark, uk15_grid):
+    # a fresh GridField per round, so each pays for its bilinear noise bound
+    est = benchmark(lambda: estimate_order(GridField(uk15_grid.values, uk15_grid.params),
+                                           (0.0, 0.0), WEISS_DYADIC_LADDER))
+    # the bound drops the circles where bilinear error swamps H
+    assert est.snapped == 4.0 and abs(est.raw_slope - 4.0) < 0.05 and est.nondegeneracy_ratio > 0
+
+
 def test_extract_nodal_set_n512(benchmark, uk15):
     ns = benchmark(extract_nodal_set, uk15, 512)
     # the nodal set of u_k is 2k = 18 rays from the origin

@@ -386,10 +386,11 @@ def cmd_plot(args):
                     for ln in body.splitlines()]
             if not rows:
                 raise ValueError("empty trace")
-            tr = functionals.FunctionalTrace([r for r, _ in rows], [v for _, v in rows])
+            rs, vs = [r for r, _ in rows], [v for _, v in rows]
             # the plot takes log10 of r and |value|
-            if not (np.isfinite(tr.radii).all() and np.isfinite(tr.values).all()):
+            if not np.isfinite(rs + vs).all():
                 raise ValueError("non-finite trace entry")
+            tr = functionals.FunctionalTrace(rs, vs)
             if tr.radii[0] <= 0:
                 raise ValueError("radii must be positive")
             _plot_trace(tr.radii, tr.values, "value", args.svg)

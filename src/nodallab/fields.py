@@ -178,6 +178,11 @@ class PlanarField:
         m = float(np.max(np.abs(_probe_ring(self))))
         return m if m > 0 else 1.0
 
+    @property
+    def noise(self) -> float:
+        """Bound on the error of u for the quadrature ladder: 2 pi r noise^2 is 1e-14 scale^2 r."""
+        return self.scale() * np.sqrt(1e-14 / (2.0 * np.pi))
+
 
 class ClosedFormField(PlanarField):
     """Test field from explicit value/gradient callables (vectorized over numpy arrays)."""
@@ -264,6 +269,12 @@ class GridField(PlanarField):
     @cached_property
     def _gy(self):
         return np.gradient(self.values, self.h, axis=1, edge_order=2)
+
+    @cached_property
+    def noise(self):
+        """The bilinear bound (max|d2x| + max|d2y|) / 8 on the samples' second
+        differences; only the quadrature ladder reads it."""
+        return sum(float(np.abs(np.diff(self.values, 2, axis=a)).max()) for a in (0, 1)) / 8.0
 
     def _axis_weights(self, x):
         """Lower node index and offset of each coordinate on one grid axis."""

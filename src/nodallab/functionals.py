@@ -40,8 +40,10 @@ from .fields import DomainError, PlanarField, _angles, _fmt, _sample_rings
 from .params import ProblemParams, gamma_q
 
 N_DIM = 2
-N_THETA = 1024
-_THETA = _angles(N_THETA)  # the angles of every ladder ring and Fourier circle
+# the angles of every ladder ring, a prime count: no zero of a k-fold profile but theta = 0
+# is a node (at 1024, u_8's 16 kinks near q = 1 all were, and N_q missed gamma_q by 4.7e-3)
+N_THETA = 1021
+_THETA = _angles(N_THETA)
 GL_NODES = 48
 
 
@@ -73,7 +75,8 @@ def _gauss_legendre(n):
 # Gauss-Legendre nodes mapped to [0, 1], and weights summing to 1
 _GL_T, _GL_W = _gauss_legendre(GL_NODES)
 _GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W
-EPS_U = 1e-6  # |u(x0)| below EPS_U * scale makes x0 a nodal point
+EPS_U = 1e-6  # |u(x0)| below EPS_U * scale makes x0 nodal: a tolerance on x0, not a noise floor
+ROUNDING = 1e-12  # relative error of u on a closed-form circle: rounding, with room
 SLOPE_TOL = 0.02  # log-log slope of |W| below -SLOPE_TOL counts as divergent
 
 
@@ -95,9 +98,11 @@ class InconclusiveError(ValueError):
 
 def _ladder_radii(radii):
     """The radii of a ladder as a float array.  Every reader of a ladder takes
-    it strictly increasing, as given: none sorts it."""
-    radii = np.asarray(radii, dtype=float)
-    if np.any(np.diff(radii) <= 0):
+    it finite and strictly increasing, as given: none sorts it."""
+    radii = np.array(radii, dtype=float, ndmin=1)
+    if not np.isfinite(radii).all():
+        raise ValueError("radii must be finite")
+    if not (radii[1:] > radii[:-1]).all():
         raise ValueError("radii must be strictly increasing")
     return radii
 
@@ -136,10 +141,12 @@ def _require_nodal(field, x0):
         raise PreconditionError(f"|u(x0)| = {u0} too large; x0 is not a nodal point")
 
 
-def h_floor(field: PlanarField, r):
-    """Noise floor of H on the circle of radius r, relative to the field's scale."""
-    s = field.scale()
-    return 1e-14 * s * s * r ** (N_DIM - 1)
+def _scaled(x, r, p):
+    """x r^-p as (x r^(-p/2)) r^(-p/2), for every power of r in the ladder's
+    views: r^-p alone overflows where the product is a normal double (u_k at
+    q = 1.97, gamma = 135, r = 0.02)."""
+    a = r ** (-p / 2)
+    return x * a * a
 
 
 def _power_fit(r, v, keep):
@@ -161,12 +168,15 @@ class _Ladder:
 
     H, unu2, uunu and f_circle integrate u^2, u_nu^2, u u_nu and F(u) over
     the circle S_r; grad2 and f_bulk integrate |grad u|^2 and F(u) over the
-    disk B_r.  A circles-only pass fills H alone.
+    disk B_r.  A circles-only pass fills H and noise alone.  noise bounds the
+    error of u on each circle (ROUNDING times its RMS sqrt(H / (2 pi r)) in
+    closed form, else ``field.noise``); every floor on H and W is read from it.
     """
 
     field: PlanarField
     r: np.ndarray
     H: np.ndarray
+    noise: np.ndarray
     grad2: np.ndarray | None = None
     f_bulk: np.ndarray | None = None
     unu2: np.ndarray | None = None
@@ -176,33 +186,52 @@ class _Ladder:
     def D(self, t):
         return self.grad2 - t / self.field.params.q * self.f_bulk
 
+    @property
+    def h_ok(self):
+        """Where H clears its floor 2 pi r noise^2, the mass of the error alone."""
+        return self.H > 2.0 * np.pi * self.r * self.noise**2
+
     def N(self, t):
-        low = self.H <= h_floor(self.field, self.r)
+        low = ~self.h_ok
         if np.any(low):
             r, H = self.r[low].flat[0], self.H[low].flat[0]
             raise DegenerateSphereError(f"H({r}) = {H} below floor; x0 is a high-order zero")
         return self.r * self.D(t) / self.H
 
     def W(self, gamma, t):
-        r = self.r
-        return r ** -(N_DIM - 2 + 2 * gamma) * self.D(t) - gamma * r ** -(N_DIM - 1 + 2 * gamma) * self.H
+        return _scaled(self.D(t) - gamma / self.r * self.H, self.r, N_DIM - 2 + 2 * gamma)
+
+    def size(self, gamma, t):
+        """The magnitude of W's own terms, r^-p (int |grad u|^2 + |t/q int F|)
+        + gamma r^-(p+1) H with p = N - 2 + 2 gamma."""
+        q = self.field.params.q
+        return _scaled(self.grad2 + np.abs(t / q * self.f_bulk) + gamma / self.r * self.H,
+                       self.r, N_DIM - 2 + 2 * gamma)
+
+    def w_floor(self, gamma, t):
+        """What W(gamma, t) may be off by: its size times the relative error of
+        u on the circle; NaN where H = 0, which every comparison reads as false."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return self.size(gamma, t) * (self.noise / np.sqrt(self.H / (2.0 * np.pi * self.r)))
 
     def Phi(self, gamma):
+        """Nonnegative bulk term (2N-(N-2)q)/(q r^(N-1+2 gamma)) * int_{B_r} F."""
         q = self.field.params.q
-        return (2 * N_DIM - (N_DIM - 2) * q) / (q * self.r ** (N_DIM - 1 + 2 * gamma)) * self.f_bulk
+        return (2 * N_DIM - (N_DIM - 2) * q) / q * _scaled(self.f_bulk, self.r, N_DIM - 1 + 2 * gamma)
 
     def h1(self):
         return np.sqrt(self.r ** -(N_DIM - 2) * self.grad2 + self.r ** -(N_DIM - 1) * self.H)
 
     def w_prime(self, gamma, t):
+        """Closed-form derivative of W(gamma, t) with respect to r."""
         r, q = self.r, self.field.params.q
         p = N_DIM - 2 + 2 * gamma
         # circle integral of (u_nu - gamma u / r)^2
         sq_term = self.unu2 - 2.0 * gamma / r * self.uunu + (gamma / r) ** 2 * self.H
         return (
-            2.0 / r**p * sq_term
-            + (2.0 - t) / (q * r**p) * self.f_circle
-            + ((N_DIM - 2) * t - 2 * N_DIM + 2 * gamma * (t - q)) / (q * r ** (p + 1)) * self.f_bulk
+            2.0 * _scaled(sq_term, r, p)
+            + (2.0 - t) / q * _scaled(self.f_circle, r, p)
+            + ((N_DIM - 2) * t - 2 * N_DIM + 2 * gamma * (t - q)) / q * _scaled(self.f_bulk, r, p + 1)
         )
 
 
@@ -265,7 +294,8 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
         # rows: H, the disk integrals of |grad u|^2 and F (cumulative sums of
         # the annulus integrals), the circle integrals of u_nu^2, u u_nu and F
         sums = (c * u2, np.cumsum(g2), np.cumsum(fb), c * unu2, c * uunu, c * fc)
-    return _Ladder(field, radii, *(row[back].reshape(radii.shape) for row in sums))
+    noise = ROUNDING * np.sqrt(sums[0] / (2.0 * np.pi * rs)) if sep is not None else np.full_like(rs, field.noise)
+    return _Ladder(field, radii, *(row[back].reshape(radii.shape) for row in (sums[0], noise, *sums[1:])))
 
 
 def eval_H(field: PlanarField, x0, r) -> float:
@@ -283,31 +313,9 @@ def eval_Nt(field: PlanarField, x0, r, t) -> float:
     return float(_ladder(field, x0, r).N(t))
 
 
-def eval_W(field: PlanarField, x0, r, gamma, t) -> float:
-    return float(_ladder(field, x0, r).W(gamma, t))
-
-
-def w_vs_frequency_residual(field, x0, r, gamma, t):
-    """Residual of W = H r^(-(N-1+2 gamma)) (N_t - gamma), relative."""
-    lad = _ladder(field, x0, r)
-    W = lad.W(gamma, t)
-    rhs = lad.H * r ** -(N_DIM - 1 + 2 * gamma) * (lad.N(t) - gamma)
-    return float(abs(W - rhs) / (1.0 + abs(W)))
-
-
-def eval_Phi(field: PlanarField, x0, r, gamma) -> float:
-    """Nonnegative bulk term (2N-(N-2)q)/(q r^(N-1+2 gamma)) * int_{B_r} F."""
-    return float(_ladder(field, x0, r).Phi(gamma))
-
-
 def h1_norm(field: PlanarField, x0, r) -> float:
     """Scale-invariant H^1 norm: sqrt(r^(2-N) int |grad u|^2 + r^(1-N) int_S u^2)."""
     return float(_ladder(field, x0, r).h1())
-
-
-def w_prime_rhs(field, x0, r, gamma, t):
-    """Closed-form derivative of W(gamma, t) with respect to r."""
-    return float(_ladder(field, x0, r).w_prime(gamma, t))
 
 
 # each view: the optional arguments of ``trace`` it reads, and the view
@@ -330,17 +338,18 @@ def trace(field, functional, x0, radii, gamma=None, t=None):
     for name in needs:
         if given[name] is None:
             raise ValueError(f"trace of {functional!r} needs {name}")
-    radii = _ladder_radii(radii)
-    lad = _ladder(field, x0, radii, bulk=functional != "H")
-    return FunctionalTrace(radii, view(lad, gamma, t))
+    tr = FunctionalTrace(radii, np.zeros(np.size(radii)))  # the ladder rule, before any sampling
+    tr.values = view(_ladder(field, x0, tr.radii, bulk=functional != "H"), gamma, t)
+    return tr
 
 
 def check_derivative_identities(field, x0, radii, gamma, t):
     """Compare centered finite differences of H and W against their closed forms.
 
     Returns a report dict with the max relative residuals over the ladder:
-    the H' identity  H' = ((N-1)/r) H + 2 D_q,  and the W' expression built
-    from circle and bulk integrals.
+    the H' identity  H' = ((N-1)/r) H + 2 D_q, relative to |H'|, and the W'
+    expression built from circle and bulk integrals, relative to the size of
+    W's terms over r (W' itself vanishes on a gamma-homogeneous field).
     """
     radii = _ladder_radii(radii)
     step = 1e-4 * radii
@@ -351,9 +360,11 @@ def check_derivative_identities(field, x0, radii, gamma, t):
     rhs = (N_DIM - 1) / radii * H[1] + 2.0 * lad.D(field.params.q)[1]
     wp = (W[2] - W[0]) / (2 * step)
     rhs_w = lad.w_prime(gamma, t)[1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN where H vanishes: nothing to compare
+        res_h, res_w = np.abs(hp - rhs) / np.abs(hp), np.abs(wp - rhs_w) * radii / lad.size(gamma, t)[1]
     return {
-        "H_prime_max_residual": float(np.max(np.abs(hp - rhs) / (1.0 + np.abs(hp)))),
-        "W_prime_max_residual": float(np.max(np.abs(wp - rhs_w) / (1.0 + np.abs(wp)))),
+        "H_prime_max_residual": float(np.max(res_h)),
+        "W_prime_max_residual": float(np.max(res_w)),
         "radii": radii.tolist(),
         "gamma": gamma,
         "t": t,
@@ -371,8 +382,10 @@ def monotonicity_scan(field, x0, gamma, radii):
     if gamma < gq - 1e-12:
         raise PreconditionError(f"gamma={gamma} below critical homogeneity {gq}")
     radii = _ladder_radii(radii)
-    ws = _ladder(field, x0, radii).W(gamma, 2.0)
-    drops = np.flatnonzero(ws[1:] < ws[:-1] - 1e-6 * (1.0 + np.abs(ws[:-1])))
+    lad = _ladder(field, x0, radii)
+    ws, floor = lad.W(gamma, 2.0), lad.w_floor(gamma, 2.0)
+    # a drop counts when it exceeds what the two values may be off by together
+    drops = np.flatnonzero(ws[:-1] - ws[1:] > floor[:-1] + floor[1:])
     if len(drops):
         j = drops[0]
         return {"verdict": "violation", "radius": float(radii[j + 1]),
@@ -395,14 +408,14 @@ def transition_exponent(field, x0, gammas, radii):
     if gammas.size == 0:
         raise ValueError("gammas is empty: the transition needs at least one gamma")
     radii = _ladder_radii(radii)
-    W = _ladder(field, x0, radii).W(gammas[:, None], 2.0)
-    floor = 1e-10 * (1.0 + np.max(np.abs(W)))
+    lad = _ladder(field, x0, radii)
+    W, floor = lad.W(gammas[:, None], 2.0), lad.w_floor(gammas[:, None], 2.0)
     decade = radii <= radii[0] * 10.0
     if np.count_nonzero(decade) < 3:
         decade = np.arange(len(radii)) < max(3, len(radii) // 3)
     slope = _power_fit(radii, np.abs(W), decade & (np.abs(W) > floor))[0]
     # a NaN slope (fewer than two points above the floor) counts as bounded
-    divergent = (W[:, 0] <= -floor) & (slope < -SLOPE_TOL)
+    divergent = (W[:, 0] <= -floor[:, 0]) & (slope < -SLOPE_TOL)
     if not divergent.any():
         raise InconclusiveError("no divergent gamma on the grid", bracket=(gammas[-1], None))
     first = int(np.argmax(divergent))

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PlanarField, _sample_rings
-from .functionals import (N_DIM, N_THETA, _THETA, _ladder, _ladder_radii, _power_fit, _require_nodal,
-                          h1_norm, h_floor)
+from .fields import PlanarField, _angles, _sample_rings
+from .functionals import N_DIM, _ladder, _ladder_radii, _power_fit, _require_nodal, h1_norm
 from .params import _is_integer, beta_q, gamma_q
 
 
@@ -26,6 +25,7 @@ class ZeroFieldError(ValueError):
 
 SNAP_TOL = 0.15
 FIT_TOL = 0.05  # max log-amplitude misfit, relative, of a leading harmonic
+N_FOURIER = 1024  # the angles of the Fourier circle, a power of two for the FFT
 
 
 @dataclass
@@ -58,13 +58,13 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
     _require_nodal(field, x0)
 
     def fit(rs):
-        hs = _ladder(field, x0, rs, bulk=False).H
-        ok = hs > h_floor(field, rs)
-        if not np.any(ok):
+        """Half the slope of H / r^(N-1) over the radii whose H clears its floor, those radii, the ladder."""
+        lad = _ladder(field, x0, rs)
+        if not np.any(lad.h_ok):
             raise ZeroFieldError("H below the noise floor on the whole ladder")
-        return 0.5 * float(_power_fit(rs, hs / rs ** (N_DIM - 1), ok)[0])
+        return 0.5 * float(_power_fit(rs, lad.H / rs ** (N_DIM - 1), lad.h_ok)[0]), lad.h_ok, lad
 
-    raw = fit(radii)
+    raw, kept, lad = fit(radii)
     cands = admissible_orders(field.params)
     best = min(cands, key=lambda c: abs(c - raw))
     if not abs(best - raw) <= SNAP_TOL:  # a NaN slope widens the window too
@@ -73,16 +73,16 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
         span = radii[-1] / radii[0]
         # radii[-1] / span is radii[0]: unique keeps it once in the fit
         wide = np.unique(np.concatenate([radii, radii / span]))
-        raw = fit(wide)
+        raw, kept, lad = fit(wide)
         best = min(cands, key=lambda c: abs(c - raw))
         radii = wide
     snapped = best if abs(best - raw) <= SNAP_TOL else "inconclusive"
 
-    norms = _ladder(field, x0, radii).h1()
-    h1_slope = float(_power_fit(radii, norms, norms > 0)[0])
+    norms = lad.h1()
+    h1_slope = float(_power_fit(radii, norms, kept)[0])
 
     if snapped != "inconclusive":
-        ratio = float(np.min(norms**2 / radii ** (2.0 * best)))
+        ratio = float(np.min(norms[kept] ** 2 / radii[kept] ** (2.0 * best)))
     else:
         ratio = float("nan")
     return OrderEstimate(raw_slope=raw, snapped=snapped,
@@ -121,9 +121,9 @@ def blow_up(field: PlanarField, x0, r) -> RescaledField:
 
 def _fourier_rings(field, x0, radii, max_degree):
     """Cosine/sine coefficients of degrees 1..max_degree, one row per radius."""
-    if not 1 <= max_degree <= N_THETA // 2 - 1:
-        raise ValueError(f"max_degree must be in 1..{N_THETA // 2 - 1}, got {max_degree}")
-    coeffs = np.fft.rfft(_sample_rings(field, x0, radii, _THETA), axis=1) / N_THETA
+    if not 1 <= max_degree <= N_FOURIER // 2 - 1:
+        raise ValueError(f"max_degree must be in 1..{N_FOURIER // 2 - 1}, got {max_degree}")
+    coeffs = np.fft.rfft(_sample_rings(field, x0, radii, _angles(N_FOURIER)), axis=1) / N_FOURIER
     return 2.0 * coeffs.real[:, 1: max_degree + 1], -2.0 * coeffs.imag[:, 1: max_degree + 1]
 
 
@@ -152,6 +152,7 @@ def leading_harmonic(field: PlanarField, x0, radii, max_degree):
     misfit = np.max(misfit, axis=1, where=keep, initial=0.0)
     mean = np.sum(logm, axis=1) / np.maximum(np.count_nonzero(keep, axis=1), 1)
     degrees = np.arange(1, max_degree + 1)
+    # not a noise floor: rounding scales like r^gamma in every harmonic of a homogeneous field
     fits = ((np.max(amp, axis=1) >= 1e-8 * field.scale()) & (np.abs(slope - degrees) < 0.1)
             & (misfit / np.maximum(1.0, np.abs(mean)) < FIT_TOL))
     g = gamma_q(field.params)

@@ -148,6 +148,19 @@ def test_analyze(construct_dir, tmp_path):
     assert (out / "nodal.csv").exists()
 
 
+@pytest.mark.parametrize("q, k", [(1.85, 28), (1.95, 81)])
+def test_analyze_snaps_near_q_2(tmp_path, q, k):
+    # u_k is tiny here (scale 4e-18 and 1e-71), and at q = 1.95 H(2^-8)
+    # underflows: the order still snaps to gamma_q on the radii that remain
+    code = run("construct", "--q", str(q), "--lambda-minus", "2", "--k", str(k),
+               "--out", str(tmp_path / "c"))
+    assert code == 0
+    assert run("analyze", "--input", str(tmp_path / "c" / "profile.txt"), "--grid", "64",
+               "--out", str(tmp_path / "an")) == 0
+    order = json.loads((tmp_path / "an" / "analysis.json").read_text())["order"]
+    assert order["snapped"] == 2.0 / (2.0 - q) and order["nondeg_ratio"] > 0
+
+
 def test_analyze_missing_input(tmp_path):
     assert run("analyze", "--input", str(tmp_path / "nope.txt"),
                "--out", str(tmp_path)) == 3

@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodallab.construct import construct_uk
-from nodallab.fields import ClosedFormField, DomainError, GridField, _sample_rings, monomial_field
+from nodallab.fields import (ClosedFormField, DomainError, GridField, PlanarField, _sample_rings,
+                             monomial_field)
 from nodallab.functionals import (
     _GL_T, _GL_W, N_THETA, DegenerateSphereError, FunctionalTrace, InconclusiveError,
     PreconditionError, _ladder, _power_fit, _require_nodal, check_derivative_identities,
-    eval_Dt, eval_F, eval_H, eval_Nt, eval_Phi, eval_W, h1_norm, monotonicity_scan, trace,
-    transition_exponent, w_prime_rhs, w_vs_frequency_residual,
+    eval_Dt, eval_F, eval_H, eval_Nt, h1_norm, monotonicity_scan, trace, transition_exponent,
 )
+from nodallab.nodal import profile_zero_structure
 from nodallab.orders import estimate_order, leading_harmonic
-from nodallab.params import ProblemParams
+from nodallab.params import ProblemParams, gamma_q, k_bar
 
 ORIGIN = (0.0, 0.0)
 
@@ -75,12 +76,16 @@ def test_D_N_oracle():
     assert abs(eval_Nt(g, ORIGIN, 0.7, 2.0) - 2.0) < 1e-9
 
 
+def _W(field, r, gamma, t):
+    return float(_ladder(field, ORIGIN, r).W(gamma, t))
+
+
 def test_W_oracle():
     f = monomial_field(1)
     # gamma matching the homogeneity makes W vanish identically
     for r in (0.3, 1.0):
-        assert abs(eval_W(f, ORIGIN, r, 1.0, 2.0)) < 1e-10
-    assert abs(eval_W(f, ORIGIN, 1.0, 2.0, 2.0) + np.pi) < 1e-9
+        assert abs(_W(f, r, 1.0, 2.0)) < 1e-10
+    assert abs(_W(f, 1.0, 2.0, 2.0) + np.pi) < 1e-9
 
 
 def test_W_homogeneous_scaling():
@@ -88,7 +93,7 @@ def test_W_homogeneous_scaling():
     f = monomial_field(3)
     for r in (0.4, 0.8):
         want = np.pi * (3.0 - 2.0) * r ** (2 * (3.0 - 2.0))
-        assert abs(eval_W(f, ORIGIN, r, 2.0, 2.0) - want) < 1e-8
+        assert abs(_W(f, r, 2.0, 2.0) - want) < 1e-8
 
 
 def test_Phi_oracle():
@@ -99,7 +104,7 @@ def test_Phi_oracle():
                         lambda x, y: (0.0 * x, 0.0 * y), p)
     r, gamma = 0.5, 1.0
     want = 4.0 * 3.0 * c**1.5 * np.pi * r**2 / (1.5 * r ** (1 + 2 * gamma))
-    assert abs(eval_Phi(f, ORIGIN, r, gamma) - want) < 1e-8 * want
+    assert abs(float(_ladder(f, ORIGIN, r).Phi(gamma)) - want) < 1e-8 * want
 
 
 def test_h1_norm_oracle():
@@ -131,26 +136,24 @@ def test_h_floor_scales_with_field():
     assert abs(eval_Nt(tiny, ORIGIN, 0.7, 2.0) - 2.0) < 1e-9
 
 
-def test_w_frequency_consistency():
-    f = monomial_field(2)
-    assert w_vs_frequency_residual(f, ORIGIN, 0.6, 2.0, 2.0) < 1e-12
-
-
 def _centred_w_prime(field, r, gamma, t, dr):
-    return (eval_W(field, ORIGIN, r + dr, gamma, t)
-            - eval_W(field, ORIGIN, r - dr, gamma, t)) / (2.0 * dr)
+    return (_W(field, r + dr, gamma, t) - _W(field, r - dr, gamma, t)) / (2.0 * dr)
 
 
-def test_w_prime_rhs_matches_centred_difference():
+def _w_prime(field, r, gamma, t):
+    return float(_ladder(field, ORIGIN, r).w_prime(gamma, t))
+
+
+def test_w_prime_matches_centred_difference():
     # r^3 cos(3 theta) has W(5/2, t; r) = pi r / 2, whose centred difference is exact
     m = monomial_field(3)
     for r in (0.3, 0.6):
-        got = w_prime_rhs(m, ORIGIN, r, 2.5, 2.0)
+        got = _w_prime(m, r, 2.5, 2.0)
         assert abs(got - np.pi / 2) < 1e-6
         assert abs(got - _centred_w_prime(m, r, 2.5, 2.0, 1e-4)) < 1e-6
     # gamma != t: the swapped arguments give -1.9e-6 against W' = 3.5e-6
     u = construct_uk(ProblemParams(q=1.5), 9).to_field()
-    got = w_prime_rhs(u, ORIGIN, 0.5, 4.5, 2.0)
+    got = _w_prime(u, 0.5, 4.5, 2.0)
     assert abs(got - _centred_w_prime(u, 0.5, 4.5, 2.0, 1e-3)) < 1e-4 * abs(got)
 
 
@@ -225,6 +228,18 @@ def test_every_ladder_reader_rejects_an_unordered_ladder(reader, order):
         read(f, bad)
 
 
+@pytest.mark.parametrize("reader", list(_LADDER_READERS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_every_ladder_reader_rejects_a_non_finite_radius(reader, bad):
+    # a NaN passes every order comparison and the disk bound, so it is
+    # refused on its own
+    read, f = _LADDER_READERS[reader], monomial_field(2)
+    r = np.linspace(0.1, 0.9, 20)
+    r[7] = bad
+    with pytest.raises(ValueError, match="^radii must be finite$"):
+        read(f, r)
+
+
 def test_trace_checks_the_ladder_before_sampling():
     calls = []
 
@@ -245,6 +260,17 @@ def test_transition_exponent_on_monomials():
         gammas = np.arange(d - 0.5, d + 0.5001, 0.05)
         est = transition_exponent(f, ORIGIN, gammas, radii)
         assert abs(est - d) <= 0.05
+
+
+def test_transition_exponent_does_not_move_with_the_grid_top():
+    # each gamma row is held to its own floor, so rows far above the order
+    # do not swallow the ones that diverge just above it
+    radii = np.geomspace(0.02, 0.8, 25)
+    for f, o in ((construct_uk(ProblemParams(q=1.0), 5).to_field(), 2.0),
+                 (construct_uk(ProblemParams(q=1.5), 9).to_field(), 4.0), (monomial_field(2), 2.0)):
+        for top in (0.5, 2.0, 3.0, 4.0):
+            est = transition_exponent(f, ORIGIN, np.arange(o - 0.5, o + top + 1e-9, 0.05), radii)
+            assert abs(est - (o + 0.025)) < 1e-9, (o, top)
 
 
 def test_transition_exponent_inconclusive():
@@ -304,21 +330,21 @@ def _transition_exponent_per_gamma(field, x0, gammas, radii):
     gammas = np.sort(np.asarray(gammas, dtype=float))
     radii = np.sort(np.asarray(radii, dtype=float))
     lad = _ladder(field, x0, radii)
-    W = np.array([lad.W(g, 2.0) for g in gammas])
-    floor = 1e-10 * (1.0 + np.max(np.abs(W)))
     decade = radii <= radii[0] * 10.0 + 1e-300
     if np.count_nonzero(decade) < 3:
         decade = np.zeros_like(decade)
         decade[: max(3, len(radii) // 3)] = True
 
-    def classify(row):
+    def classify(g):
+        # each row against its own floor
+        row, floor = lad.W(g, 2.0), lad.w_floor(g, 2.0)
         mask = decade & (np.abs(row) > floor)
-        if row[0] > -floor or np.count_nonzero(mask) < 2:
+        if not row[0] <= -floor[0] or np.count_nonzero(mask) < 2:
             return "bounded"
         slope = np.polyfit(np.log(radii[mask]), np.log(np.abs(row[mask])), 1)[0]
         return "divergent" if slope < -0.02 else "bounded"
 
-    kinds = [classify(W[i]) for i in range(len(gammas))]
+    kinds = [classify(g) for g in gammas]
     if "divergent" not in kinds:
         raise InconclusiveError("no divergent gamma on the grid", bracket=(gammas[-1], None))
     first_div = kinds.index("divergent")
@@ -379,7 +405,7 @@ def test_ladder_matches_single_radii(uk_q1, radii, which):
     gamma = 2.5
     for name, one in (("H", lambda r: eval_H(f, ORIGIN, r)),
                       ("D", lambda r: eval_Dt(f, ORIGIN, r, 2.0)),
-                      ("W", lambda r: eval_W(f, ORIGIN, r, gamma, 2.0))):
+                      ("W", lambda r: _W(f, r, gamma, 2.0))):
         ladder = trace(f, name, ORIGIN, radii, gamma=gamma, t=2.0).values
         single = np.array([one(r) for r in radii])
         assert np.allclose(ladder, single, rtol=1e-12, atol=0.0), name
@@ -437,3 +463,110 @@ def test_cartesian_ladder_bit_identical_to_annulus_loop(cartesian_cases, bulk):
         got = [lad.H, lad.grad2, lad.f_bulk, lad.unu2, lad.uunu, lad.f_circle] if bulk else [lad.H]
         for a, b in zip(got, _annulus_loop_ladder(f, x0, radii, bulk)):
             assert np.array_equal(a, b)
+
+
+def test_transition_exponent_q197_no_overflow():
+    # gamma up to 2 gamma_q + 2 = 135 at r = 0.02: r^-(2 gamma) alone
+    # overflows, W does not.  H has underflowed on the smallest decade, so
+    # no gamma can be seen to diverge there
+    p = ProblemParams(q=1.97, lambda_minus=2.0)
+    u = construct_uk(p, k_bar(p) + 1).to_field()
+    g, radii = gamma_q(p), np.geomspace(0.02, 0.8, 25)
+    gammas = np.arange(g - 0.5, 2 * g + 2, 0.5)
+    assert np.isfinite(_ladder(u, ORIGIN, radii).W(gammas[:, None], 2.0)).all()
+    with pytest.raises(InconclusiveError, match="^no divergent gamma"):
+        transition_exponent(u, ORIGIN, gammas, radii)
+
+
+def _verdict(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _outcomes(field, d):
+    """Every analysis's verdict on a degree-d harmonic about the origin."""
+    est = estimate_order(field, ORIGIN, 0.5 * 2.0 ** -np.arange(8.0)[::-1])
+    scan = lambda g: monotonicity_scan(field, ORIGIN, g, np.linspace(0.1, 1.0, 20))["verdict"]
+    return {
+        "N": round(eval_Nt(field, ORIGIN, 0.5, 2.0), 9),
+        "order": (est.snapped, round(est.raw_slope, 9)),
+        "scan": [_verdict(scan, g) for g in (d, d + 0.5)],
+        "transition": _verdict(transition_exponent, field, ORIGIN,
+                               np.arange(d - 0.5, d + 0.5001, 0.05), np.geomspace(0.02, 0.8, 25)),
+    }
+
+
+def _identity_residuals(field):
+    rep = check_derivative_identities(field, ORIGIN, np.linspace(0.3, 0.9, 5), 2.0, 2.0)
+    return rep["H_prime_max_residual"], rep["W_prime_max_residual"]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_scaled_harmonic_on_cartesian_rings_keeps_its_verdicts(d):
+    # c Re z^d as a plain closed-form field, so every ladder is Cartesian:
+    # each floor scales with the field, and no c moves a verdict
+    m = monomial_field(d)
+    scaled = {c: ClosedFormField(lambda x, y, c=c: c * m(x, y),
+                                 lambda x, y, c=c: tuple(c * g for g in m.gradf(x, y)))
+              for c in (1.0, 1e-12, 1e6)}
+    want = _outcomes(scaled[1.0], d)
+    for c in (1e-12, 1e6):
+        assert _outcomes(scaled[c], d) == want, c
+        assert max(_identity_residuals(scaled[c])) < 1e-6, c
+
+
+class _RotatedMonomial(PlanarField):
+    """c Re((e^(-i alpha) z)^d), or its Im part: a harmonic r^d phi(theta)
+    that declares its separated form, so every ladder about the origin is
+    in closed form."""
+
+    def __init__(self, d, alpha, phase, c):
+        self.d, self.alpha, self.c, self.cos = d, alpha, c, phase == "cos"
+        self.params = ProblemParams(q=1.0, mu=0.0)
+
+    def separated(self, theta):
+        a = self.d * (theta - self.alpha)
+        if self.cos:
+            return self.d, self.c * np.cos(a), -self.d * self.c * np.sin(a)
+        return self.d, self.c * np.sin(a), self.d * self.c * np.cos(a)
+
+    def __call__(self, x, y):
+        w = self.c * (np.exp(-1j * self.alpha) * (np.asarray(x) + 1j * np.asarray(y))) ** self.d
+        return w.real if self.cos else w.imag
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 6), alpha=st.floats(0.0, 2.0 * np.pi), phase=st.sampled_from(["cos", "sin"]),
+       log_c=st.floats(-12.0, 6.0))
+def test_scaled_rotated_monomial_keeps_the_verdicts_of_c_1(d, alpha, phase, log_c):
+    c = 10.0**log_c
+    f = _RotatedMonomial(d, alpha, phase, c)
+    assert _outcomes(f, d) == _outcomes(_RotatedMonomial(d, alpha, phase, 1.0), d)
+    assert max(_identity_residuals(f)) < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=st.floats(1.0, 1.95), lam_plus=st.floats(0.2, 5.0), lam_minus=st.floats(0.2, 5.0),
+       dk=st.integers(1, 3))
+def test_uk_claims_over_the_range(q, lam_plus, lam_minus, dk):
+    # the paper's statements on u_k, for q up to 1.95: 2k zeros, frequency
+    # gamma_q at every radius, W(gamma_q, 2) constant, order gamma_q
+    p = ProblemParams(q=q, lambda_plus=lam_plus, lambda_minus=lam_minus)
+    k = k_bar(p) + dk
+    mr = construct_uk(p, k)
+    assert mr.zero_count == 2 * k
+    assert len(profile_zero_structure(mr.profile)["zeros"]) == 2 * k
+    u, g = mr.to_field(), gamma_q(p)
+    for r in (1.0, 0.5, 0.05):
+        assert abs(eval_Nt(u, ORIGIN, r, q) - g) < 1e-3 * g
+    scan = monotonicity_scan(u, ORIGIN, g, np.linspace(0.1, 1.0, 50))
+    w = np.asarray(scan["values"])
+    assert scan["verdict"] == "monotone" and (w.max() - w.min()) < 1e-4 * abs(w.mean())
+    est = estimate_order(u, ORIGIN, 0.5 * 2.0 ** -np.arange(8.0)[::-1])
+    assert est.snapped == g and est.nondegeneracy_ratio > 0
+    radii = np.geomspace(0.02, 0.8, 25)
+    for lo, hi in ((0.5, 0.5), (1.0, 0.5), (0.5, 2.0)):
+        gammas = np.arange(g - lo, g + hi + 1e-9, 0.05)
+        assert abs(transition_exponent(u, ORIGIN, gammas, radii) - g) <= 0.05

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nodallab.construct import construct_uk
-from nodallab.fields import ClosedFormField, monomial_field
-from nodallab.functionals import _ladder, _power_fit, h_floor
+from nodallab.fields import ClosedFormField, GridField, monomial_field
+from nodallab.functionals import _ladder, _power_fit
 from nodallab.orders import (
     ZeroFieldError, admissible_orders, blow_up, estimate_order,
     fourier_on_circle, leading_harmonic,
@@ -54,6 +54,16 @@ def test_estimate_order_preconditions():
         estimate_order(zero, ORIGIN, LADDER)
 
 
+@pytest.mark.parametrize("q, lam_minus, k, n", [(1.0, 3.0, 5, 129), (1.25, 2.0, 7, 129),
+                                                 (1.25, 2.0, 7, 257)])
+def test_estimate_order_on_grid_samples(q, lam_minus, k, n):
+    # H on small circles of a coarse grid is off by far more than rounding;
+    # the grid's bilinear bound drops those circles, and the rest snap
+    p = ProblemParams(q=q, lambda_minus=lam_minus)
+    est = estimate_order(GridField.sample(construct_uk(p, k).to_field(), n), ORIGIN, LADDER)
+    assert est.snapped == gamma_q(p) and est.nondegeneracy_ratio > 0
+
+
 def test_estimate_order_widened_window_counts_each_radius_once():
     # Re z^3 + Re z^4 under q = 1 grows like r^3, far from the admissible
     # orders 1 and 2, so the window widens by the ladder's span; the widened
@@ -63,8 +73,8 @@ def test_estimate_order_widened_window_counts_each_radius_once():
                         lambda x, y: tuple(a + b for a, b in zip(m3.gradf(x, y), m4.gradf(x, y))))
     est = estimate_order(f, ORIGIN, LADDER)
     wide = np.concatenate((LADDER / LADDER[-1] * LADDER[0], LADDER[1:]))
-    H = _ladder(f, ORIGIN, wide, bulk=False).H
-    want = 0.5 * _power_fit(wide, H / wide, H > h_floor(f, wide))[0]
+    lad = _ladder(f, ORIGIN, wide, bulk=False)
+    want = 0.5 * _power_fit(wide, lad.H / wide, lad.h_ok)[0]
     assert est.snapped == "inconclusive"
     assert est.r_window == (wide[0], wide[-1])
     assert abs(est.raw_slope - want) <= 1e-13
