@@ -42,10 +42,25 @@ def _versions():
     return {"nodallab": own, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
+def _strict(doc):
+    """``doc`` with every non-finite float as None, so its JSON is strict."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {key: _strict(val) for key, val in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_strict(val) for val in doc]
+    return doc
+
+
+def _json_text(doc):
+    """The one JSON spelling of a document, for its file and for stdout."""
+    return json.dumps(_strict(doc), indent=2, sort_keys=True, allow_nan=False)
+
+
 def _write_json(path, doc):
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(doc) + "\n")
 
 
 def _params_from_args(args):
@@ -128,7 +143,7 @@ def cmd_analyze(args):
                  for s in sing])
     report["singular_clusters"] = len(sing)
     _write_json(os.path.join(args.out, "analysis.json"), report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_json_text(report))
     return EXIT_OK
 
 
@@ -189,7 +204,7 @@ def _suite_hamiltonian(args, checks):
                   for _ in range(5)]
         # each drift on its own: a max fold drops NaN, max(0.0, nan) is 0.0
         checks.append((f"hamiltonian drift q={q}", all(d < 1e-6 for d in drifts),
-                       {"drifts": [d if math.isfinite(d) else None for d in drifts]}))
+                       {"drifts": drifts}))
 
 
 def _suite_profile(args, checks):

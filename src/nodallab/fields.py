@@ -143,11 +143,6 @@ class AngularProfile:
     def scale(self) -> float:
         return float(np.max(np.abs(self.values))) or 1.0
 
-    @classmethod
-    def from_callable(cls, f, fprime, n_theta=256, params=None):
-        th = _angles(n_theta)
-        return cls(np.array([f(t) for t in th]), np.array([fprime(t) for t in th]), params)
-
 
 class PlanarField:
     """Base interface: the value alone, or value and gradient together, at
@@ -205,8 +200,9 @@ class HomogeneousField(PlanarField):
     """Homogeneous lift u = r^gamma * phi(theta) of an angular profile."""
 
     def __init__(self, gamma: float, profile: AngularProfile, params=None):
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        # written so that NaN fails the test
+        if not 0.0 < gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
         self.gamma = float(gamma)
         self.profile = profile
         self.params = params or profile.params or ProblemParams(q=1.0, mu=0.0)

@@ -123,11 +123,11 @@ def check_grid(n: int) -> None:
         raise ValueError("grid must be at least 64 x 64")
 
 
-def extract_nodal_set(field: PlanarField, n: int, radius: float = 1.0) -> NodalSet:
-    """Marching-squares zero set of the field inside the disk of given radius."""
+def extract_nodal_set(field: PlanarField, n: int) -> NodalSet:
+    """Marching-squares zero set of the field inside the unit disk."""
     check_grid(n)
-    xs = np.linspace(-radius, radius, n)
-    inside = _disk_mask(xs, radius * radius + 1e-15)
+    xs = np.linspace(-1.0, 1.0, n)
+    inside = _disk_mask(xs, 1.0 + 1e-15)
     V = _sample_grid(field, xs, inside)
     if not np.all(np.isfinite(V)):
         raise DataError("field is non-finite on the extraction grid")
@@ -170,7 +170,7 @@ def extract_nodal_set(field: PlanarField, n: int, radius: float = 1.0) -> NodalS
     e = pairs[cell, slot]
     seg = np.concatenate((pts[cell, e[:, 0]], pts[cell, e[:, 1]]), axis=1)
 
-    return NodalSet(_clip_to_disk(seg, radius))
+    return NodalSet(_clip_to_disk(seg, 1.0))
 
 
 def nodal_length(nodal: NodalSet, radius: float) -> float:

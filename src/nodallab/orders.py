@@ -127,12 +127,6 @@ def _fourier_rings(field, x0, radii, max_degree):
     return 2.0 * coeffs.real[:, 1: max_degree + 1], -2.0 * coeffs.imag[:, 1: max_degree + 1]
 
 
-def fourier_on_circle(field, x0, r, max_degree):
-    """Cosine/sine coefficients of u restricted to the circle of radius r."""
-    a, b = _fourier_rings(field, x0, [r], max_degree)
-    return a[0], b[0]
-
-
 def leading_harmonic(field: PlanarField, x0, radii, max_degree):
     """Smallest degree d whose circle Fourier amplitude scales like c * r^d.
 

@@ -62,12 +62,6 @@ def beta_q(params: ProblemParams) -> int:
     return int(math.floor(g))
 
 
-def lambda_Nq(params: ProblemParams, N: int = 2) -> float:
-    """Eigenvalue gamma_q*(N-2+gamma_q) of the angular equation; gamma_q^2 when N=2."""
-    g = gamma_q(params)
-    return g * (N - 2 + g)
-
-
 def k_bar(params: ProblemParams) -> int:
     """Minimum positive integer >= 2*gamma_q; constructions need wave count k > k_bar."""
     return int(math.ceil(2.0 * gamma_q(params) - 1e-12))
@@ -77,44 +71,29 @@ def _is_integer(x: float) -> bool:
     return abs(x - round(x)) < 1e-12
 
 
-def beta_k_sequence(params: ProblemParams, K: int, deltas="auto") -> list[float]:
+def beta_k_sequence(params: ProblemParams, K: int) -> list[float]:
     """Iterate beta_1 = q+1, beta_k = (q-1)*beta_{k-1} + 2 - delta_k.
 
-    With deltas="auto" the perturbations are chosen deterministically so the
+    The perturbations are chosen deterministically so the
     sequence is strictly increasing, never an integer, and stays below
     2/(2-q):  delta_k = 0 when the unperturbed value is non-integer, else the
     smaller of 2^(-k-1) and half the remaining gap to the limit.
-
-    Explicit deltas must satisfy 0 <= deltas[k] < 2^(-k-1-...): the k-th entry
-    (1-based index k) must lie in [0, 2^-k).
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     q = params.q
-    auto = isinstance(deltas, str) and deltas == "auto"
-    if not auto:
-        deltas = list(deltas)
-        if len(deltas) < K:
-            raise ValueError(f"need {K} deltas, got {len(deltas)}")
-        for k, d in enumerate(deltas[:K], start=1):
-            if not (0.0 <= d < 2.0 ** (-k)):
-                raise ValueError(f"delta_{k}={d} outside [0, 2^-{k})")
-
     limit = gamma_q(params)
     # beta_1 = q+1 never takes a delta: non-integer for q in (1,2), 2 for q=1
     seq = [q + 1.0]
     for k in range(2, K + 1):
         raw = (q - 1.0) * seq[-1] + 2.0
-        if auto:
-            if _is_integer(raw):
-                gap = (2.0 - (2.0 - q) * seq[-1]) / 2.0
-                delta = min(2.0 ** (-k - 1), gap) if gap > 0 else 0.0
-            else:
-                delta = 0.0
+        if _is_integer(raw):
+            gap = (2.0 - (2.0 - q) * seq[-1]) / 2.0
+            delta = min(2.0 ** (-k - 1), gap) if gap > 0 else 0.0
         else:
-            delta = deltas[k - 1]
+            delta = 0.0
         val = raw - delta
-        if auto and q > 1.0:
+        if q > 1.0:
             # double precision saturates near the limit; keep the value one
             # ulp below it so it never lands on the limit or an integer
             val = min(val, math.nextafter(limit, 0.0))

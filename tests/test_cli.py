@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,6 +12,7 @@ import pytest
 
 from nodallab import construct, fields
 from nodallab.cli import main
+from nodallab.params import ProblemParams
 
 
 def run(*argv):
@@ -159,6 +161,39 @@ def test_analyze_snaps_near_q_2(tmp_path, q, k):
                "--out", str(tmp_path / "an")) == 0
     order = json.loads((tmp_path / "an" / "analysis.json").read_text())["order"]
     assert order["snapped"] == 2.0 / (2.0 - q) and order["nondeg_ratio"] > 0
+
+
+def _homogeneous_file(path, gamma):
+    """A cos 2theta lift of degree 2 at q = 1, saved with its gamma line set to ``gamma``."""
+    th = fields._angles(64)
+    prof = fields.AngularProfile(np.cos(2 * th), -2 * np.sin(2 * th), ProblemParams())
+    fields.save(fields.HomogeneousField(2.0, prof), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(f"gamma={gamma}" if ln.startswith("gamma=") else ln
+                              for ln in lines) + "\n")
+
+
+def test_analyze_inconclusive_order_is_strict_json(tmp_path, capsys):
+    # r^0.5 cos 2theta has no admissible order: the undefined ratio is null,
+    # in analysis.json and on stdout alike
+    _homogeneous_file(tmp_path / "h.txt", "0.5")
+    assert run("analyze", "--input", str(tmp_path / "h.txt"), "--grid", "64",
+               "--out", str(tmp_path / "an")) == 0
+    text = (tmp_path / "an" / "analysis.json").read_text()
+    assert capsys.readouterr().out == text
+    order = json.loads(text, parse_constant=_reject)["order"]
+    assert order["snapped"] == "inconclusive" and order["nondeg_ratio"] is None
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "1e400", "-inf"])
+def test_analyze_nonfinite_gamma_exits_3(tmp_path, capsys, gamma):
+    _homogeneous_file(tmp_path / "h.txt", gamma)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("analyze", "--input", str(tmp_path / "h.txt"), "--out", str(tmp_path / "an"))
+    err = capsys.readouterr().err
+    assert code == 3 and not caught
+    assert re.fullmatch(r"error: line \d+: gamma must be positive and finite\n", err)
 
 
 def test_analyze_missing_input(tmp_path):

@@ -6,8 +6,8 @@ from scipy import ndimage
 from nodallab import fields
 from nodallab.construct import construct_uk
 from nodallab.fields import (
-    AngularProfile, ClosedFormField, GridField, HomogeneousField, NodalSet, PlanarField, _sample_grid,
-    monomial_field,
+    AngularProfile, ClosedFormField, GridField, HomogeneousField, NodalSet, PlanarField, _angles,
+    _sample_grid, monomial_field,
 )
 from nodallab.nodal import (
     DataError, _clip_to_disk, _disk_mask, _grad_norm_at, _label_dilated, detect_singular,
@@ -52,13 +52,13 @@ def _clip_ref(a, b, radius):
     return ((ax + t0 * dx, ay + t0 * dy), (ax + t1 * dx, ay + t1 * dy))
 
 
-def _extract_ref(field, n, radius=1.0):
-    xs = np.linspace(-radius, radius, n)
+def _extract_ref(field, n):
+    xs = np.linspace(-1.0, 1.0, n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     V = np.asarray(field(X, Y), dtype=float)
     h = xs[1] - xs[0]
     segments = []
-    inside = X * X + Y * Y <= radius * radius + 1e-15
+    inside = X * X + Y * Y <= 1.0 + 1e-15
     for i in range(n - 1):
         for j in range(n - 1):
             if not (inside[i, j] and inside[i + 1, j]
@@ -88,7 +88,7 @@ def _extract_ref(field, n, radius=1.0):
                     segments += [(pts["b"], pts["r"]), (pts["l"], pts["t"])]
                 else:
                     segments += [(pts["b"], pts["l"]), (pts["r"], pts["t"])]
-    clipped = [_clip_ref(a, b, radius) for a, b in segments]
+    clipped = [_clip_ref(a, b, 1.0) for a, b in segments]
     return [seg for seg in clipped if seg is not None]
 
 
@@ -243,9 +243,8 @@ def test_detect_singular_examples(uk_q1):
 
 
 def test_profile_zero_structure_cos():
-    prof = AngularProfile.from_callable(
-        lambda t: np.cos(2 * t), lambda t: -2 * np.sin(2 * t))
-    got = profile_zero_structure(prof)
+    th = _angles(256)
+    got = profile_zero_structure(AngularProfile(np.cos(2 * th), -2 * np.sin(2 * th)))
     assert len(got["zeros"]) == 4
     assert got["antipodal"]
     assert not got["degenerate"]
@@ -263,8 +262,8 @@ def test_profile_zero_structure_glued():
 
 
 def _cos_profile(d, n, exact_zeros=False):
-    prof = AngularProfile.from_callable(lambda t: np.cos(d * t),
-                                        lambda t: -d * np.sin(d * t), n_theta=n)
+    th = _angles(n)
+    prof = AngularProfile(np.cos(d * th), -d * np.sin(d * th))
     if not exact_zeros:
         return prof
     vals = prof.values.copy()
@@ -299,20 +298,18 @@ def test_profile_zero_structure_degenerate():
 
 
 @pytest.mark.parametrize("case", ["monomial-1", "monomial-2", "circle", "egg-crate",
-                                  "uk-q1", "uk-q1-r0.6", "monomial-2-r0.45", "no-zero"])
+                                  "uk-q1", "no-zero"])
 def test_extract_matches_cell_loop(case, uk_q1):
-    field, n, radius = {
-        "monomial-1": (monomial_field(1), 128, 1.0),
-        "monomial-2": (monomial_field(2), 129, 1.0),
-        "circle": (CIRCLE, 100, 1.0),
-        "egg-crate": (_egg_crate(6.0, 0.3), 256, 1.0),
-        "uk-q1": (uk_q1, 256, 1.0),
-        "uk-q1-r0.6": (uk_q1, 200, 0.6),
-        "monomial-2-r0.45": (monomial_field(2), 64, 0.45),
-        "no-zero": (ClosedFormField(lambda x, y: 1.0 + x * x, lambda x, y: (2 * x, 0 * y)), 64, 1.0),
+    field, n = {
+        "monomial-1": (monomial_field(1), 128),
+        "monomial-2": (monomial_field(2), 129),
+        "circle": (CIRCLE, 100),
+        "egg-crate": (_egg_crate(6.0, 0.3), 256),
+        "uk-q1": (uk_q1, 256),
+        "no-zero": (ClosedFormField(lambda x, y: 1.0 + x * x, lambda x, y: (2 * x, 0 * y)), 64),
     }[case]
-    got = extract_nodal_set(field, n, radius).segments
-    want = _extract_ref(field, n, radius)
+    got = extract_nodal_set(field, n).segments
+    want = _extract_ref(field, n)
     assert got.dtype == np.float64 and got.shape == (len(want), 2, 2)
     assert got.tolist() == [[list(a), list(b)] for a, b in want]
     assert _bits(got) == _bits(want)  # also tells -0.0 from 0.0
@@ -322,8 +319,9 @@ def test_extract_matches_cell_loop(case, uk_q1):
 
 
 def _sample_disk_fields():
-    homog = HomogeneousField(2.5, AngularProfile.from_callable(
-        lambda t: np.cos(2 * t), lambda t: -2 * np.sin(2 * t), n_theta=64), ProblemParams(q=1.2))
+    th = _angles(64)
+    homog = HomogeneousField(2.5, AngularProfile(np.cos(2 * th), -2 * np.sin(2 * th)),
+                             ProblemParams(q=1.2))
     return [monomial_field(3), homog, GridField.sample(homog, 129),
             RescaledField(homog, (0.1, 0.0), 0.5, 2.0)]
 
@@ -401,14 +399,13 @@ def test_clip_to_disk_matches_scalar_clip(a, b, radius):
 
 
 @settings(max_examples=25, deadline=None)
-@given(radius=st.floats(0.3, 1.0), n=st.integers(64, 160),
-       kind=st.sampled_from(["monomial", "egg-crate"]), d=st.integers(1, 5),
-       alpha=st.floats(0.0, 2 * np.pi))
-def test_segments_stay_in_disk(radius, n, kind, d, alpha):
+@given(n=st.integers(64, 160), kind=st.sampled_from(["monomial", "egg-crate"]),
+       d=st.integers(1, 5), alpha=st.floats(0.0, 2 * np.pi))
+def test_segments_stay_in_disk(n, kind, d, alpha):
     field = _rotated_monomial(d, alpha) if kind == "monomial" else _egg_crate(d + 1.5, alpha)
-    seg = np.asarray(extract_nodal_set(field, n, radius).segments, dtype=float)
+    seg = np.asarray(extract_nodal_set(field, n).segments, dtype=float)
     assert len(seg) > 0
-    assert np.all(np.hypot(seg[..., 0], seg[..., 1]) <= radius * (1 + 1e-12))
+    assert np.all(np.hypot(seg[..., 0], seg[..., 1]) <= 1 + 1e-12)
 
 
 def test_detect_singular_matches_cluster_scan(uk_q1):

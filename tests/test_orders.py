@@ -6,7 +6,7 @@ from nodallab.fields import ClosedFormField, GridField, monomial_field
 from nodallab.functionals import _ladder, _power_fit
 from nodallab.orders import (
     ZeroFieldError, admissible_orders, blow_up, estimate_order,
-    fourier_on_circle, leading_harmonic,
+    _fourier_rings, leading_harmonic,
 )
 from nodallab.params import ProblemParams, gamma_q
 
@@ -122,12 +122,12 @@ def test_blow_up_zero_norm():
 
 def test_fourier_on_circle():
     f = monomial_field(2)
-    a, b = fourier_on_circle(f, ORIGIN, 0.5, 3)
+    (a,), (b,) = _fourier_rings(f, ORIGIN, [0.5], 3)
     assert abs(a[1] - 0.25) < 1e-12  # cos 2theta coefficient = r^2
     assert abs(b[1]) < 1e-12
     assert abs(a[0]) < 1e-12 and abs(a[2]) < 1e-12
     # every degree below the Nyquist term 512 of the 1024 angles
-    a, b = fourier_on_circle(f, ORIGIN, 0.5, 511)
+    (a,), (b,) = _fourier_rings(f, ORIGIN, [0.5], 511)
     assert a.shape == b.shape == (511,) and np.max(np.abs(np.delete(a, 1))) < 1e-12
 
 
@@ -165,7 +165,7 @@ def test_max_degree_out_of_range(max_degree):
     with pytest.raises(ValueError, match=msg):
         leading_harmonic(f, ORIGIN, LADDER, max_degree)
     with pytest.raises(ValueError, match=msg):
-        fourier_on_circle(f, ORIGIN, 0.5, max_degree)
+        _fourier_rings(f, ORIGIN, [0.5], max_degree)
 
 
 def _leading_harmonic_per_degree(field, x0, radii, max_degree):
@@ -174,7 +174,7 @@ def _leading_harmonic_per_degree(field, x0, radii, max_degree):
     amp = np.empty((len(radii), max_degree))
     ab = []
     for i, r in enumerate(radii):
-        a, b = fourier_on_circle(field, x0, r, max_degree)
+        (a,), (b,) = _fourier_rings(field, x0, [r], max_degree)
         amp[i] = np.hypot(a, b)
         ab.append((a, b))
     g = gamma_q(field.params)

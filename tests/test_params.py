@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from nodallab.params import (
     ProblemParams, beta_k_sequence, beta_q, gamma_q,
-    k_bar, lambda_Nq, sigma_k_sequence,
+    k_bar, sigma_k_sequence,
 )
 
 
@@ -29,12 +29,6 @@ def test_coefficients_are_the_products():
     p = ProblemParams(q=1.5, lambda_plus=1.3, lambda_minus=2.1, mu=0.7)
     assert p.coefficients == (0.7 * 1.3, 0.7 * 2.1)
     assert ProblemParams(lambda_minus=0.0).coefficients == (1.0, 0.0)
-
-
-def test_lambda_Nq():
-    p = ProblemParams(q=1.5)
-    assert lambda_Nq(p) == 16.0  # gamma^2 in the plane
-    assert lambda_Nq(p, N=3) == 4.0 * 5.0
 
 
 def test_k_bar():
@@ -108,17 +102,6 @@ def test_beta_sequence_q1_is_constant():
     # move it: the sequence is constant
     seq = beta_k_sequence(ProblemParams(q=1.0), 10)
     assert seq == [2.0] * 10
-
-
-def test_beta_sequence_explicit_deltas():
-    p = ProblemParams(q=1.5)
-    seq = beta_k_sequence(p, 3, deltas=[0.0, 0.1, 0.05])
-    assert seq[0] == 2.5
-    assert abs(seq[1] - (0.5 * 2.5 + 2.0 - 0.1)) < 1e-15
-    with pytest.raises(ValueError):
-        beta_k_sequence(p, 3, deltas=[0.0, 0.6, 0.0])  # delta_2 >= 2^-2
-    with pytest.raises(ValueError):
-        beta_k_sequence(p, 3, deltas=[0.0])
 
 
 # the iteration contracts with factor q/4 + 1/2, so the 1e-3 window at K=60
