@@ -580,8 +580,9 @@ def main(argv=None):
                         {"config": config, "versions": _versions(),
                          "timings": {f"{args.command}_s": round(time.perf_counter() - t0, 3)}})
         return code
-    except (fields.ParseError, _UsageError, OSError) as exc:
-        # ParseError is a ValueError, so it is caught first
+    except (fields.ParseError, UnicodeDecodeError, _UsageError, OSError) as exc:
+        # ParseError and a file that is not UTF-8 text are ValueErrors, so
+        # they are caught first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (cons.ConstructionError, cons.SolverError, ValueError) as exc:

@@ -193,21 +193,11 @@ def _solve_positive_arc(q, lam, gamma2, length, n):
         trace.append(rnorm)
         if rnorm < max(_NEWTON_TOL * scale, floor):
             return phi
-        delta = _solve_tridiagonal(off, diag - lam * (q - 1.0) * phi ** (q - 2.0), off, -res)
-        # damped update with sign projection: iterates must stay positive
-        alpha = 1.0
-        for _ in range(60):
-            cand = phi + alpha * delta
-            if np.all(cand > 0):
-                cres = residual(cand)
-                if np.max(np.abs(cres)) < rnorm:
-                    phi, res = cand, cres
-                    break
-            alpha *= 0.5
-        else:
-            if rnorm < 100.0 * floor:
-                return phi
-            raise SolverError(f"Newton stalled at residual {rnorm}", trace)
+        phi = phi + _solve_tridiagonal(off, diag - lam * (q - 1.0) * phi ** (q - 2.0), off, -res)
+        # phi ** (q - 1) is real only on the positive cone
+        if np.any(phi <= 0):
+            raise SolverError("Newton step left the positive cone", trace)
+        res = residual(phi)
     raise SolverError(f"Newton did not converge in {_NEWTON_MAXITER} iterations", trace)
 
 

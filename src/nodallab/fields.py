@@ -524,7 +524,7 @@ def load(path):
         try:
             gamma = float(meta["gamma"])
         except (KeyError, ValueError):
-            raise ParseError("header: missing gamma for homogeneous field")
+            raise ParseError(f"line {i}: missing gamma")
         return _construct(HomogeneousField, i, gamma, profile, params)
     if kind == "grid":
         try:

@@ -90,6 +90,18 @@ def test_verify_error_json_keeps_residual_trace(tmp_path, monkeypatch, capsys):
     assert err["error"] == "SolverError" and len(err["trace"]) > 0
 
 
+def test_newton_step_out_of_the_positive_cone_exits_2(tmp_path, monkeypatch, capsys):
+    # a step that takes the arc below zero is refused before phi ** (q - 1)
+    # turns NaN: one error line, no RuntimeWarning, the trace in error.json
+    monkeypatch.setattr(construct, "_solve_tridiagonal",
+                        lambda lower, diag, upper, b: np.full(len(b), -1.0))
+    assert run("construct", "--q", "1.5", "--k", "9", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: Newton step left the positive cone\n"
+    err = json.loads((tmp_path / "error.json").read_text())
+    assert err["error"] == "SolverError"
+    assert len(err["trace"]) == 1 and err["trace"][0] > 0
+
+
 def test_verify_keeps_checks_before_failed_solve(tmp_path, monkeypatch, capsys):
     # the suites that ran before the failed construction stay in verify.json
     monkeypatch.setattr(construct, "_NEWTON_MAXITER", 1)
@@ -148,6 +160,19 @@ def test_analyze(construct_dir, tmp_path):
     assert doc["profile_zeros"]["count"] == 10
     assert doc["singular_clusters"] == 1
     assert (out / "nodal.csv").exists()
+
+
+def test_analyze_grid_file(tmp_path):
+    # a NODALLAB grid file is analysed as the GridField it holds
+    xs = np.linspace(-1.0, 1.0, 65)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    fields.save(fields.GridField(X**2 - Y**2), tmp_path / "grid.txt")
+    out = tmp_path / "an"
+    assert run("analyze", "--input", str(tmp_path / "grid.txt"), "--out", str(out)) == 0
+    doc = json.loads((out / "analysis.json").read_text())
+    assert doc["order"]["snapped"] == 2.0
+    assert doc["singular_clusters"] == 1
+    assert "profile_zeros" not in doc
 
 
 @pytest.mark.parametrize("q, k", [(1.85, 28), (1.95, 81)])
@@ -215,11 +240,72 @@ def test_analyze_rejected_values_exit_3(tmp_path, capsys, body):
     assert err.startswith("error: line ") and len(err.splitlines()) == 1
 
 
+_PARAMS = "q=1\nlambda_plus=1\nlambda_minus=1\nmu=1\n"
+_TH16 = fields._angles(16)
+_COS2 = f"{fields._fmt_line(np.cos(2 * _TH16))}\n{fields._fmt_line(-2 * np.sin(2 * _TH16))}\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    pytest.param("NODALLAB v1 profile\n" + _PARAMS + "n_theta=4\n0 1 x -1\n1 0 -1 0\n",
+                 "line 7: malformed number", id="malformed-number"),
+    pytest.param("NODALLAB v1 profile\n" + _PARAMS + "n_theta=4\n0 1 0 -1\n1 inf -1 0\n",
+                 "line 8: non-finite sample", id="non-finite-sample"),
+    pytest.param("NODALLAB v1 profile\nq=1\nlambda_plus=one\nlambda_minus=1\nmu=1\n"
+                 "n_theta=4\n0 1 0 -1\n1 0 -1 0\n",
+                 "line 6: bad parameter block (could not convert string to float: 'one')",
+                 id="bad-parameter-block"),
+    pytest.param("NODALLAB v1 profile\n" + _PARAMS + "0 1 0 -1\n1 0 -1 0\n",
+                 "line 5: missing n_theta", id="missing-n_theta"),
+    pytest.param("NODALLAB v1 profile\n" + _PARAMS + "n_theta=4\n0 1 0 -1\n",
+                 "line 7: missing sample lines", id="missing-sample-lines"),
+    pytest.param("NODALLAB v1 homogeneous\n" + _PARAMS + "n_theta=16\n" + _COS2,
+                 "line 6: missing gamma", id="missing-gamma"),
+    pytest.param("NODALLAB v1 grid\n" + _PARAMS + "0 1 0\n1 0 1\n0 1 0\n",
+                 "line 5: missing n", id="missing-n"),
+    pytest.param("NODALLAB v1 grid\n" + _PARAMS + "n=3\n0 1 0\n1 0 1\n",
+                 "line 8: expected 3 sample rows", id="too-few-grid-rows"),
+    pytest.param("NODALLAB v1 blob\n" + _PARAMS, "line 1: unknown kind 'blob'",
+                 id="unknown-kind"),
+])
+def test_analyze_malformed_file_exits_3(tmp_path, capsys, body, message):
+    # each malformed NODALLAB file is refused with its line number
+    path = tmp_path / "in.txt"
+    path.write_text(body)
+    assert run("analyze", "--input", str(path), "--out", str(tmp_path / "an")) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("analyze", "--input", "{bad}"), id="analyze"),
+    pytest.param(("verify", "--suite", "recurrences", "--profile", "{bad}"), id="verify"),
+    pytest.param(("construct", "--config", "{bad}"), id="config"),
+    pytest.param(("plot", "--input", "{bad}"), id="plot"),
+])
+def test_non_utf8_input_exits_3(tmp_path, capsys, argv):
+    # a file that is not UTF-8 text is an input-file error like any other
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfeNODALLAB v1 profile\n")
+    argv = [a.replace("{bad}", str(bad)) for a in argv]
+    assert run(*argv, "--out", str(tmp_path / "out")) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def test_verify_recurrences(tmp_path):
     assert run("verify", "--suite", "recurrences", "--q", "1.5",
                "--out", str(tmp_path)) == 0
     doc = json.loads((tmp_path / "verify.json").read_text())
     assert doc["all_pass"]
+
+
+def test_verify_construction(tmp_path, capsys):
+    assert run("verify", "--suite", "construction", "--q", "1.5", "--k", "9",
+               "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out == (
+        "[PASS] zero count 2k\n[PASS] energy drift\n"
+        "[PASS] matching residual\n[PASS] frequency identity\n")
+    assert json.loads((tmp_path / "verify.json").read_text())["all_pass"]
 
 
 def test_verify_unknown_suite(tmp_path):

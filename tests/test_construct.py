@@ -60,6 +60,18 @@ def test_arc_validation():
     t = 0.999 * np.pi / gamma_q(p)
     with pytest.raises(SolverError):
         minimize_arc(p, t, t + 0.1, "plus", 16)
+    # at n = 2 the discrete -D2 - 4 is indefinite on lengths in (1.5, pi/2),
+    # below the continuous threshold pi/2: the q = 1 linear solve turns negative
+    with pytest.raises(SolverError, match="^linear arc solve produced non-positive values$"):
+        minimize_arc(ProblemParams(q=1.0), 1.55, 3.0, "plus", 2)
+    for t, T in ((0.0, 0.5), (0.5, 0.5), (-0.1, 0.5)):
+        with pytest.raises(ValueError, match="^need 0 < t < T"):
+            minimize_arc(p, t, T, "plus", 256)
+    # mu * lambda_minus = 0: the minus arc has no force
+    with pytest.raises(ValueError, match="^side minus needs a positive coefficient$"):
+        minimize_arc(ProblemParams(q=1.5, lambda_minus=0.0), 0.3, 0.6, "minus", 256)
+    with pytest.raises(ValueError, match="^side plus needs a positive coefficient$"):
+        minimize_arc(ProblemParams(q=1.5, mu=0.0), 0.3, 0.6, "plus", 256)
 
 
 def test_arc_smallness_scaling():
@@ -606,6 +618,22 @@ def test_construct_widens_an_off_bracket(monkeypatch):
     assert far.psi_calls > near.psi_calls
     a, b = far.bracket
     assert b - a >= 2e-3 * T * (1 - 1e-9)
+
+
+def test_construct_without_a_sign_change_raises(monkeypatch):
+    # Psi of one sign everywhere: the bracket widens to the clipped full
+    # period and the build is refused
+    calls = []
+
+    def positive(params, k, t, n):
+        calls.append(t)
+        return 1.0
+
+    monkeypatch.setattr(construct, "psi", positive)
+    with pytest.raises(ConstructionError, match="^Psi has no sign change on the bracket"):
+        construct_uk(ProblemParams(q=1.5), 9, 256)
+    T = 2.0 * np.pi / 9
+    assert min(calls) == 1e-3 * T and max(calls) == (1.0 - 1e-3) * T
 
 
 def test_result_json_records_mu_and_matching():

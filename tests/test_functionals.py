@@ -204,6 +204,18 @@ def test_monotonicity_scan():
     with pytest.raises(ValueError, match="^radii must be strictly increasing$"):
         monotonicity_scan(f, ORIGIN, 2.5, radii[::-1])
 
+    # u = r^3 with mu = 0 has W(2, 2) = -pi r^2, which falls as r grows
+    def grad(x, y):
+        r = np.hypot(x, y)
+        return 3 * r * x, 3 * r * y
+
+    f = ClosedFormField(lambda x, y: np.hypot(x, y) ** 3, grad)
+    scan = monotonicity_scan(f, ORIGIN, 2.0, [0.1, 0.2, 0.4])
+    assert scan["verdict"] == "violation" and scan["radius"] == 0.2
+    assert scan["drop"] == pytest.approx(0.03 * np.pi, rel=1e-12)
+    assert scan["values"] == pytest.approx([-0.01 * np.pi, -0.04 * np.pi, -0.16 * np.pi],
+                                           rel=1e-12)
+
 
 _LADDER_READERS = {
     "trace": lambda f, r: trace(f, "W", ORIGIN, r, gamma=2.5, t=2.0),
@@ -281,6 +293,28 @@ def test_transition_exponent_inconclusive():
     with pytest.raises(PreconditionError):
         # centered away from the nodal set
         transition_exponent(f, (0.5, 0.0), np.array([1.5, 2.5]), radii)
+
+    # Re z^3 with the q = 1 force on: the bulk term of order r^5 outweighs the
+    # Dirichlet term of order r^6 near 0, so for gamma below 3 W changes sign
+    # inside the smallest decade, and gamma = 2 reads bounded after 1.75
+    # read divergent
+    def grad(x, y):
+        dz = 3 * (x + 1j * y) ** 2
+        return np.real(dz), -np.imag(dz)
+
+    f = ClosedFormField(lambda x, y: np.real((x + 1j * y) ** 3), grad, ProblemParams(q=1.0))
+    msg = "^non-monotone classification near gamma=2.0$"
+    with pytest.raises(InconclusiveError, match=msg) as err:
+        transition_exponent(f, ORIGIN, [1.0, 1.75, 2.0, 3.0], np.geomspace(0.05, 0.9, 12))
+    assert err.value.bracket == (1.0, 1.75)
+
+
+def test_transition_exponent_short_ladder_reads_its_first_third():
+    # four radii over two decades put two in the smallest decade: the trend
+    # is read on the first three instead
+    gammas = np.arange(1.5, 2.5001, 0.05)
+    est = transition_exponent(monomial_field(2), ORIGIN, gammas, np.geomspace(0.01, 0.9, 4))
+    assert est == pytest.approx(2.025, abs=1e-12)
 
 
 def test_transition_exponent_empty_gammas():

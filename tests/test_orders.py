@@ -157,6 +157,13 @@ def test_leading_harmonic_uk_ambiguity(uk_q1):
     assert got["gamma_q_ambiguous"]
 
 
+def test_leading_harmonic_none_below_a_non_integer_order():
+    # u_k at q = 1.25 is homogeneous of order 8/3 with no degree-1 or -2
+    # term; gamma_q is no integer, so nothing is ambiguous and no degree fits
+    uk = construct_uk(ProblemParams(q=1.25), 7).to_field()
+    assert leading_harmonic(uk, ORIGIN, np.geomspace(0.05, 0.4, 8), 2) is None
+
+
 @pytest.mark.parametrize("max_degree", [0, 512, 600])
 def test_max_degree_out_of_range(max_degree):
     # degree 512 is the Nyquist term of the 1024 angles, which has no sine
