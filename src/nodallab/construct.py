@@ -21,11 +21,14 @@ along theta and the 1-d Hamiltonian are the independent diagnostics.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .fields import AngularProfile, HomogeneousField, _angles
 from .functionals import _GL_T, _GL_W, eval_F
@@ -115,6 +118,35 @@ class ClampedCubic:
         return (0.0 + c3 + c2 * s + c1 * s2 + c0 * (s2 * s),
                 0.0 + c2 + c1 * s * 2 + c0 * s2 * 3,
                 0.0 + c1 * 2 + c0 * s * 6)
+
+
+def _load_dgtsv():
+    """LAPACK ``dgtsv`` from scipy's compiled ``_flapack`` extension, loaded
+    from its file: importing ``scipy.linalg`` for this one routine was most of
+    the time of every start.  The module is registered under its own name, so
+    a later ``import scipy.linalg`` reuses it.  If the file is missing or does
+    not load, the routine comes from ``scipy.linalg.lapack``, the same one."""
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        base = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+        try:
+            path = next(base + s for s in importlib.machinery.EXTENSION_SUFFIXES
+                        if os.path.isfile(base + s))
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except (StopIteration, ImportError):
+            from scipy.linalg.lapack import dgtsv
+            return dgtsv
+        # an extension with single-phase init, as f2py builds them, is there
+        # already; one with multi-phase init is not
+        sys.modules[name] = module
+    return sys.modules[name].dgtsv
+
+
+dgtsv = _load_dgtsv()
 
 
 def _solve_tridiagonal(lower, diag, upper, b):

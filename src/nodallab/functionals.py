@@ -198,21 +198,35 @@ class _Ladder:
             raise DegenerateSphereError(f"H({r}) = {H} below floor; x0 is a high-order zero")
         return self.r * self.D(t) / self.H
 
+    def rp_W(self, gamma, t):
+        """r^p W(gamma, t) with p = N - 2 + 2 gamma: W without its factor r^-p."""
+        return self.D(t) - gamma / self.r * self.H
+
+    def rp_size(self, gamma, t):
+        """r^p size(gamma, t): the magnitude of the terms of r^p W."""
+        q = self.field.params.q
+        return self.grad2 + np.abs(t / q * self.f_bulk) + gamma / self.r * self.H
+
     def W(self, gamma, t):
-        return _scaled(self.D(t) - gamma / self.r * self.H, self.r, N_DIM - 2 + 2 * gamma)
+        return _scaled(self.rp_W(gamma, t), self.r, N_DIM - 2 + 2 * gamma)
 
     def size(self, gamma, t):
         """The magnitude of W's own terms, r^-p (int |grad u|^2 + |t/q int F|)
         + gamma r^-(p+1) H with p = N - 2 + 2 gamma."""
-        q = self.field.params.q
-        return _scaled(self.grad2 + np.abs(t / q * self.f_bulk) + gamma / self.r * self.H,
-                       self.r, N_DIM - 2 + 2 * gamma)
+        return _scaled(self.rp_size(gamma, t), self.r, N_DIM - 2 + 2 * gamma)
+
+    @property
+    def rel_noise(self):
+        """The relative error of u on each circle; NaN where H = 0, which
+        every comparison reads as false."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.noise / np.sqrt(self.H / (2.0 * np.pi * self.r))
 
     def w_floor(self, gamma, t):
         """What W(gamma, t) may be off by: its size times the relative error of
-        u on the circle; NaN where H = 0, which every comparison reads as false."""
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return self.size(gamma, t) * (self.noise / np.sqrt(self.H / (2.0 * np.pi * self.r)))
+        u on the circle."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self.size(gamma, t) * self.rel_noise
 
     def Phi(self, gamma):
         """Nonnegative bulk term (2N-(N-2)q)/(q r^(N-1+2 gamma)) * int_{B_r} F."""
@@ -409,13 +423,18 @@ def transition_exponent(field, x0, gammas, radii):
         raise ValueError("gammas is empty: the transition needs at least one gamma")
     radii = _ladder_radii(radii)
     lad = _ladder(field, x0, radii)
-    W, floor = lad.W(gammas[:, None], 2.0), lad.w_floor(gammas[:, None], 2.0)
+    # W and its floor share the factor r^-(2 gamma), which overflows at large
+    # gamma (0.02^-400) where the verdict is plain: classify r^(2 gamma) W,
+    # whose log-log slope is 2 gamma more than W's
+    g = gammas[:, None]
+    rpW, floor = lad.rp_W(g, 2.0), lad.rp_size(g, 2.0) * lad.rel_noise
     decade = radii <= radii[0] * 10.0
     if np.count_nonzero(decade) < 3:
         decade = np.arange(len(radii)) < max(3, len(radii) // 3)
-    slope = _power_fit(radii, np.abs(W), decade & (np.abs(W) > floor))[0]
+    slope = _power_fit(radii, np.abs(rpW), decade & (np.abs(rpW) > floor))[0]
+    slope -= N_DIM - 2 + 2 * gammas
     # a NaN slope (fewer than two points above the floor) counts as bounded
-    divergent = (W[:, 0] <= -floor[:, 0]) & (slope < -SLOPE_TOL)
+    divergent = (rpW[:, 0] <= -floor[:, 0]) & (slope < -SLOPE_TOL)
     if not divergent.any():
         raise InconclusiveError("no divergent gamma on the grid", bracket=(gammas[-1], None))
     first = int(np.argmax(divergent))

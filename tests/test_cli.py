@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy
 
 from nodallab import construct, fields
 from nodallab.cli import main
@@ -27,6 +28,12 @@ def construct_dir(tmp_path_factory):
                "--out", str(out))
     assert code == 0
     return out
+
+
+def test_run_json_reports_versions(construct_dir):
+    versions = json.loads((construct_dir / "run.json").read_text())["versions"]
+    assert versions["scipy"] == scipy.__version__
+    assert versions["numpy"] == np.__version__
 
 
 def test_construct_outputs(construct_dir):
@@ -715,9 +722,10 @@ def test_verify_hamiltonian_nan_drift_fails(tmp_path, monkeypatch):
     assert len(calls) == 10
 
 
-def test_cli_import_loads_only_scipy_linalg():
-    # the heavy scipy subpackages and multiprocessing stay out of a CLI start
-    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.ndimage",
+def test_cli_import_loads_no_scipy_subpackage():
+    # the scipy subpackages and multiprocessing stay out of a CLI start;
+    # dgtsv comes from the _flapack extension alone
+    heavy = ["scipy.linalg", "scipy.interpolate", "scipy.optimize", "scipy.ndimage",
              "concurrent.futures.process"]
     code = ("import sys, nodallab.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules])")

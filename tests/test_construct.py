@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -826,6 +829,59 @@ def test_solve_tridiagonal_non_finite_error(where):
     with pytest.raises(ValueError) as got:
         construct._solve_tridiagonal(*args)
     assert str(got.value) == str(want.value)
+
+
+def _python(code, *args):
+    """Standard output of ``code`` run by a fresh interpreter on this nodallab."""
+    src = os.path.dirname(os.path.dirname(construct.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+@pytest.mark.parametrize("failure", [
+    "importlib.machinery.EXTENSION_SUFFIXES = []",  # no _flapack file found
+    "importlib.util.spec_from_file_location = refuse",  # the file does not load
+])
+def test_solve_tridiagonal_fallback_matches_solve_banded(failure, tmp_path):
+    # when _flapack cannot be loaded from its file, dgtsv comes from
+    # scipy.linalg.lapack: the same routine, so the same floats
+    systems = {s.__name__: s() for s in (_arc_system, _cubic_system)}
+    np.savez(tmp_path / "systems.npz", **{f"{name}{i}": a for name, system in systems.items()
+                                          for i, a in enumerate(system)})
+    code = (
+        "import importlib.machinery, importlib.util, sys\n"
+        "import numpy as np\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise ImportError('refused')\n"
+        f"{failure}\n"
+        "from nodallab import construct\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "a = np.load(sys.argv[1])\n"
+        "np.savez(sys.argv[2], **{name: construct._solve_tridiagonal(*(a[f'{name}{i}'] for i in range(4)))\n"
+        f"                        for name in {list(systems)!r}}})\n"
+    )
+    out = _python(code, tmp_path / "systems.npz", tmp_path / "x.npz")
+    assert out.strip() == "True"
+    x = np.load(tmp_path / "x.npz")
+    for name, (lower, diag, upper, b) in systems.items():
+        assert _bits(x[name]) == _bits(solve_banded((1, 1), _banded(lower, diag, upper), b))
+
+
+def test_dgtsv_module_is_shared_with_scipy_linalg():
+    # _flapack loaded from its file before scipy.linalg is the module that
+    # a later import of scipy.linalg uses
+    code = (
+        "import sys, nodallab.cli\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "flapack = sys.modules['scipy.linalg._flapack']\n"
+        "import numpy as np, scipy.linalg\n"
+        "from nodallab import construct\n"
+        "x = scipy.linalg.solve_banded((1, 1), np.array([[0, 1.0], [2, 2], [1, 0]]), np.ones(2))\n"
+        "print(scipy.linalg.lapack._flapack is flapack, scipy.linalg.lapack.dgtsv is construct.dgtsv,\n"
+        "      np.allclose(x, 1 / 3))\n"
+    )
+    assert _python(code).split() == ["True", "True", "True"]
 
 
 def test_solve_tridiagonal_singular_error():

@@ -499,6 +499,14 @@ def test_cartesian_ladder_bit_identical_to_annulus_loop(cartesian_cases, bulk):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("top", [100.0, 200.0])
+def test_transition_exponent_large_gamma_diverges_without_overflow(top):
+    # r^-(2 gamma) overflows at r = 0.02 (and W with it at gamma = 200), yet
+    # every gamma above the order 2 diverges; Tier-1 turns a warning into an error
+    radii = np.geomspace(0.02, 0.8, 25)
+    assert transition_exponent(monomial_field(2), ORIGIN, [1.5, 2.5, top], radii) == 2.0
+
+
 def test_transition_exponent_q197_no_overflow():
     # gamma up to 2 gamma_q + 2 = 135 at r = 0.02: r^-(2 gamma) alone
     # overflows, W does not.  H has underflowed on the smallest decade, so
