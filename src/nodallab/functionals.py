@@ -222,12 +222,6 @@ class _Ladder:
         with np.errstate(divide="ignore", invalid="ignore"):
             return self.noise / np.sqrt(self.H / (2.0 * np.pi * self.r))
 
-    def w_floor(self, gamma, t):
-        """What W(gamma, t) may be off by: its size times the relative error of
-        u on the circle."""
-        with np.errstate(invalid="ignore", over="ignore"):
-            return self.size(gamma, t) * self.rel_noise
-
     def Phi(self, gamma):
         """Nonnegative bulk term (2N-(N-2)q)/(q r^(N-1+2 gamma)) * int_{B_r} F."""
         q = self.field.params.q
@@ -390,20 +384,31 @@ def monotonicity_scan(field, x0, gamma, radii):
 
     Only meaningful for gamma >= 2/(2-q); smaller gamma raises a
     PreconditionError.  Returns {"verdict": "monotone"} or the first
-    violating radius.
+    violating radius, with the W values of the ladder under "values".  The
+    verdict never overflows; a value W = r^-p (r^p W) whose factor r^-p
+    overflows (large gamma at small r) reads +-inf, as does such a drop.
     """
     gq = gamma_q(field.params)
     if gamma < gq - 1e-12:
         raise PreconditionError(f"gamma={gamma} below critical homogeneity {gq}")
     radii = _ladder_radii(radii)
     lad = _ladder(field, x0, radii)
-    ws, floor = lad.W(gamma, 2.0), lad.w_floor(gamma, 2.0)
-    # a drop counts when it exceeds what the two values may be off by together
-    drops = np.flatnonzero(ws[:-1] - ws[1:] > floor[:-1] + floor[1:])
-    if len(drops):
-        j = drops[0]
-        return {"verdict": "violation", "radius": float(radii[j + 1]),
-                "drop": float(ws[j] - ws[j + 1]), "values": ws.tolist()}
+    # a drop counts when it exceeds what the two values may be off by
+    # together.  W and its floor are r^-p times r^p W and its floor, so the
+    # test is made on those times r_j^p: the factor s = (r_j / r_(j+1))^p on
+    # the larger radius lies in (0, 1] and cannot overflow
+    p = N_DIM - 2 + 2 * gamma
+    rpw = lad.rp_W(gamma, 2.0)
+    with np.errstate(invalid="ignore"):  # 0 * inf where H = 0: a NaN floor, never a drop
+        floor = lad.rp_size(gamma, 2.0) * lad.rel_noise
+    s = (radii[:-1] / radii[1:]) ** p
+    drops = np.flatnonzero(rpw[:-1] - s * rpw[1:] > floor[:-1] + s * floor[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ws = _scaled(rpw, radii, p)
+        if len(drops):
+            j = drops[0]
+            return {"verdict": "violation", "radius": float(radii[j + 1]),
+                    "drop": float(ws[j] - ws[j + 1]), "values": ws.tolist()}
     return {"verdict": "monotone", "values": ws.tolist()}
 
 

@@ -167,6 +167,10 @@ def test_analyze(construct_dir, tmp_path):
     assert doc["profile_zeros"]["count"] == 10
     assert doc["singular_clusters"] == 1
     assert (out / "nodal.csv").exists()
+    # the point at the origin, with its growth rate
+    (point,) = json.loads((out / "singular.json").read_text())
+    assert set(point) == {"x", "y", "abs_u", "abs_grad", "growth"}
+    assert np.hypot(point["x"], point["y"]) < 0.05 and point["growth"] >= 1.5
 
 
 def test_analyze_grid_file(tmp_path):
@@ -395,6 +399,13 @@ def test_sweep_empty_range(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_sweep_malformed_range(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("sweep", "--q", "1", "--k-range", "5:x", "--out", str(out)) == 3
+    assert capsys.readouterr().err == "error: argument --k-range: bad k range '5:x'\n"
+    assert not out.exists()
+
+
 def test_sweep_jobs_capped_at_rows(tmp_path, monkeypatch):
     # a pool forks all max_workers processes at its first submit, so --jobs
     # must not exceed the rows; the fake pool runs the jobs inline
@@ -458,6 +469,25 @@ def test_plot_trace(tmp_path):
     assert "polyline" in svg.read_text()
 
 
+def test_plot_trace_pads_flat_axes(tmp_path):
+    # one point spans neither axis: each is padded by one decade on both sides
+    src = tmp_path / "trace.csv"
+    src.write_text("r,value\n0.5,2\n")
+    svg = tmp_path / "trace.svg"
+    assert run("plot", "--input", str(src), "--out", str(svg)) == 0
+    body = svg.read_text()
+    assert "log10 r  [-1.30, 0.70]" in body and "log10 |value|  [-0.70, 1.30]" in body
+
+
+def test_plot_empty_trace(tmp_path, capsys):
+    src = tmp_path / "trace.csv"
+    src.write_text("r,value\n")
+    svg = tmp_path / "trace.svg"
+    assert run("plot", "--input", str(src), "--out", str(svg)) == 3
+    assert capsys.readouterr().err == "error: empty trace\n"
+    assert not svg.exists()
+
+
 def test_plot_bad_input(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope,nope\n1,2\n")
@@ -517,7 +547,8 @@ def test_plot_takes_integer_singular_points(tmp_path):
     src = tmp_path / "in.csv"
     src.write_text("x1,y1,x2,y2\n0,0,0.5,0.5\n")
     sing = tmp_path / "singular.json"
-    sing.write_text('[{"x": 0, "y": 0.5, "abs_u": 1}]')
+    # keys other than x and y, such as analyze's growth, are ignored
+    sing.write_text('[{"x": 0, "y": 0.5, "abs_u": 1, "growth": 3.5}]')
     svg = tmp_path / "out.svg"
     assert run("plot", "--input", str(src), "--singular", str(sing), "--out", str(svg)) == 0
     assert '<circle cx="320.000" cy="180.000" r="4"' in svg.read_text()
@@ -555,6 +586,15 @@ def test_config_file_defaults(tmp_path):
     assert doc["lambda_minus"] == 4.0
     # the matching point moves off T/2 for asymmetric coefficients
     assert doc["t_bar"] / doc["T"] > 0.7
+
+
+def test_config_file_skips_blank_and_comment_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a u_k at q = 1\n\nk=5\n   \n  # n=64 is not read\nn=512\n")
+    out = tmp_path / "out"
+    assert run("--config", str(cfg), "construct", "--out", str(out)) == 0
+    config = json.loads((out / "run.json").read_text())["config"]
+    assert config["k"] == 5 and config["n"] == 512
 
 
 def test_config_file_supplies_required_flag(tmp_path):

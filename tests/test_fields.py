@@ -185,6 +185,14 @@ def test_grid_roundtrip(tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
+def test_save_refuses_other_objects(tmp_path):
+    # a closed-form field has no text form; nothing is written
+    path = tmp_path / "f.txt"
+    with pytest.raises(TypeError, match="^cannot save object of type _HarmonicMonomial$"):
+        save(monomial_field(2), path)
+    assert not path.exists()
+
+
 def test_parse_errors_carry_line_numbers(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("NODALLAB v1 profile\nq=1\nlambda_plus=1\n"

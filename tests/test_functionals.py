@@ -172,6 +172,8 @@ def test_trace_and_csv(tmp_path):
         trace(f, "bogus", ORIGIN, radii)
     with pytest.raises(ValueError):
         FunctionalTrace(np.array([0.5, 0.2]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="^radii and values must have equal length$"):
+        FunctionalTrace(np.array([0.2, 0.5]), np.array([1.0]))
 
 
 @pytest.mark.parametrize("view, missing", [("D", "t"), ("N", "t"), ("W", "gamma"),
@@ -215,6 +217,18 @@ def test_monotonicity_scan():
     assert scan["drop"] == pytest.approx(0.03 * np.pi, rel=1e-12)
     assert scan["values"] == pytest.approx([-0.01 * np.pi, -0.04 * np.pi, -0.16 * np.pi],
                                            rel=1e-12)
+
+
+def test_monotonicity_scan_large_gamma_does_not_overflow():
+    # W(200, 2) of Re z^2 is -C r^-396: its factor r^-400 overflows below
+    # r = 0.17, so the verdict is decided without it, and only the values
+    # read -inf there
+    radii = np.geomspace(0.02, 0.8, 25)
+    scan = monotonicity_scan(monomial_field(2), ORIGIN, 200.0, radii)
+    assert scan["verdict"] == "monotone"
+    w = np.asarray(scan["values"])
+    assert np.all(np.isneginf(w[radii < 0.15])) and np.all(np.isfinite(w[radii > 0.17]))
+    assert np.all(np.diff(w[np.isfinite(w)]) > 0)
 
 
 _LADDER_READERS = {
@@ -370,8 +384,10 @@ def _transition_exponent_per_gamma(field, x0, gammas, radii):
         decade[: max(3, len(radii) // 3)] = True
 
     def classify(g):
-        # each row against its own floor
-        row, floor = lad.W(g, 2.0), lad.w_floor(g, 2.0)
+        # each row against its own floor: W's size times the relative error
+        # of u on the circle
+        with np.errstate(invalid="ignore", over="ignore"):
+            row, floor = lad.W(g, 2.0), lad.size(g, 2.0) * lad.rel_noise
         mask = decade & (np.abs(row) > floor)
         if not row[0] <= -floor[0] or np.count_nonzero(mask) < 2:
             return "bounded"

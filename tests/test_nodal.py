@@ -102,13 +102,30 @@ def _length_ref(segments, radius):
     return total
 
 
-def _detect_singular_ref(field, n):
+def _growth_ref(V, inside, i0, j0):
+    """Slope of log max |V| on the disk pixels at rounded distance d from
+    (i0, j0) against log d, d = 4 ... 16, rings without |V| > 0 dropped."""
+    I, J = np.indices(V.shape)
+    dist = np.rint(np.hypot(I - i0, J - j0))
+    rs, ms = [], []
+    for d in range(4, 17):
+        ring = inside & (dist == d)
+        m = np.abs(V[ring]).max() if ring.any() else 0.0
+        if m > 0.0:
+            rs.append(d)
+            ms.append(m)
+    return np.polyfit(np.log(rs), np.log(ms), 1)[0] if len(rs) >= 2 else np.nan
+
+
+def _clusters_ref(field, n):
+    """Every cluster of small |u| and |grad u|, before the growth rule."""
     eps_u, eps_g = singular_thresholds(field, n)
     xs = np.linspace(-1.0, 1.0, n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     V, (GX, GY) = field.value_and_grad(X, Y)
     G = np.hypot(GX, GY)
-    mask = (X * X + Y * Y <= 1.0) & (np.abs(V) < eps_u) & (G < eps_g)
+    inside = X * X + Y * Y <= 1.0
+    mask = inside & (np.abs(V) < eps_u) & (G < eps_g)
     struct = np.ones((3, 3), dtype=int)
     labels, count = ndimage.label(ndimage.binary_dilation(mask, struct), struct)
     labels[~mask] = 0
@@ -117,8 +134,19 @@ def _detect_singular_ref(field, n):
     for lab in range(1, count + 1):
         idx = np.argwhere(labels == lab)
         i, j = idx[np.argmin(score[idx[:, 0], idx[:, 1]])]
-        reps.append((float(X[i, j]), float(Y[i, j]), float(abs(V[i, j])), float(G[i, j])))
+        reps.append((float(X[i, j]), float(Y[i, j]), float(abs(V[i, j])), float(G[i, j]),
+                     float(_growth_ref(V, inside, i, j))))
     return reps
+
+
+def _detect_singular_ref(field, n):
+    return [p for p in _clusters_ref(field, n) if p[4] >= 1.5]
+
+
+def _assert_matches_ref(got, ref):
+    # the kept points exactly, their growth rates to rounding
+    assert [p[:4] for p in got] == [p[:4] for p in ref]
+    np.testing.assert_allclose([p[4] for p in got], [p[4] for p in ref], rtol=1e-12, atol=0.0)
 
 
 def _zero_structure_ref(profile):
@@ -156,10 +184,17 @@ def _bits(segments):
     return np.asarray(segments, dtype=float).tobytes()
 
 
-def _rotated_monomial(d, alpha):
+def _rotated_monomial(d, alpha, phase="cos", c=1.0):
+    """c Re((e^(-i alpha) z)^d), or its Im part, with its gradient: the
+    derivatives of Re/Im f(z) are Re/Im f'(z) and Re/Im i f'(z)."""
     rot = np.exp(-1j * alpha)
-    return ClosedFormField(lambda x, y: np.real(((x + 1j * y) * rot) ** d),
-                           lambda x, y: (0 * x, 0 * y))
+    part = np.real if phase == "cos" else np.imag
+
+    def grad(x, y):
+        w = d * rot * ((x + 1j * y) * rot) ** (d - 1)
+        return c * part(w), c * part(1j * w)
+
+    return ClosedFormField(lambda x, y: c * part(((x + 1j * y) * rot) ** d), grad)
 
 
 def _egg_crate(a, phase):
@@ -240,6 +275,21 @@ def test_detect_singular_examples(uk_q1):
     got = detect_singular(uk_q1, 256)
     assert len(got) == 1
     assert np.hypot(got[0][0], got[0][1]) < 0.05
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(2, 6), alpha=st.floats(0.0, 2.0 * np.pi),
+       phase=st.sampled_from(["cos", "sin"]), log_c=st.floats(-12.0, 6.0))
+def test_detect_singular_finds_the_monomials_one_point(d, alpha, phase, log_c):
+    # Re/Im z^d, d >= 2, vanishes to order d at the origin alone: exact and as
+    # a 513^2 bilinear sample, at any angle and scale, detection keeps exactly
+    # one point, within one pixel spacing of the origin (the n = 256 grid has
+    # no pixel there); the clusters along the nodal rays are dropped
+    f = _rotated_monomial(d, alpha, phase, 10.0**log_c)
+    for field in (f, GridField.sample(f, 513)):
+        got = detect_singular(field, 256)
+        assert len(got) == 1
+        assert np.hypot(got[0][0], got[0][1]) < 2.0 / 255 and got[0][4] >= 1.5
 
 
 def test_profile_zero_structure_cos():
@@ -413,15 +463,20 @@ def test_detect_singular_matches_cluster_scan(uk_q1):
     # four grid points tie for the minimum around the origin: the first in
     # row-major order is the representative
     got = detect_singular(bowl, 128)
-    assert got == _detect_singular_ref(bowl, 128)
+    _assert_matches_ref(got, _detect_singular_ref(bowl, 128))
     xs = np.linspace(-1.0, 1.0, 128)
     assert got[0][:2] == (xs[63], xs[63])
-    assert detect_singular(uk_q1, 256) == _detect_singular_ref(uk_q1, 256)
+    _assert_matches_ref(detect_singular(uk_q1, 256), _detect_singular_ref(uk_q1, 256))
+    # the bilinear sample has 8 to 17 clusters of small |u| and |grad u|, all
+    # but one along the flat nodal rays, where |u| grows like the distance;
+    # only the origin is kept
     grid = GridField.sample(construct_uk(ProblemParams(q=1.5, lambda_minus=2.5), 10).to_field(),
                             513)
+    growth = sorted(p[4] for p in _clusters_ref(grid, 256))
+    assert 8 <= len(growth) <= 17 and growth[-2] < 1.25 < 3.0 < growth[-1]
     got = detect_singular(grid, 256)
-    assert 8 <= len(got) <= 17  # spurious clusters along the flat nodal rays
-    assert got == _detect_singular_ref(grid, 256)
+    assert len(got) == 1 and np.hypot(got[0][0], got[0][1]) < 0.05
+    _assert_matches_ref(got, _detect_singular_ref(grid, 256))
 
 
 class _CountingField(PlanarField):
@@ -448,7 +503,7 @@ def test_detect_singular_grads_only_candidates():
     uk = construct_uk(ProblemParams(q=1.5, lambda_minus=2.5), 10).to_field()
     field = _CountingField(uk)
     got = detect_singular(field, 256)
-    assert got == _detect_singular_ref(uk, 256)
+    _assert_matches_ref(got, _detect_singular_ref(uk, 256))
     disk = np.count_nonzero(_disk_mask(np.linspace(-1.0, 1.0, 256), 1.0))
     assert field.grad_points[0] == 64 and len(field.grad_points) == 2
     assert 0 < field.grad_points[1] <= 0.05 * disk
