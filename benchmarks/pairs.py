@@ -10,7 +10,12 @@ so that a slow phase of the machine does not always land on the same side.
 Each tree runs its own ``perfbench/run.py`` against its own ``src/``.  The
 output file gets, per workload and metric, the value of every run, the
 medians, the parent's quartiles, the number of pairs the change wins and the
-median gain in the metric's better direction.  The run length, the workloads
+median gain in the metric's better direction.  Next to the calibrated
+metrics it summarises ``raw_wall_s``, read from each run's
+``perfbench/out`` file: the median over the passes of the measured seconds,
+before the speed calibration, of the untraced ops (the calibration rescales
+every latency by the box's speed at the time, so it can turn a gain measured
+in raw seconds into a loss, or back).  The run length, the workloads
 and each metric's better direction come from the change tree's
 ``BENCHMARK.json``.  The results go under one key of the output file
 (``end_to_end``, or ``traced`` for ``--trace 1``); other keys of an existing
@@ -68,6 +73,16 @@ def summarize(parent, change, better):
     }
 
 
+def raw_pass_wall(doc):
+    """The median over the passes of a perfbench out file ``doc`` of the
+    per-pass sum of ``raw_latency_s`` over its untraced op records."""
+    walls = {}
+    for r in doc["ops"]:
+        if not r["traced"]:
+            walls[r["pass"]] = walls.get(r["pass"], 0.0) + r["raw_latency_s"]
+    return statistics.median(walls.values())
+
+
 def _describe(tree):
     try:
         return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
@@ -77,7 +92,7 @@ def _describe(tree):
 
 
 def run_once(tree, workload, seed, seconds, trace):
-    """One perfbench run in `tree`: (result line, environment of its out file)."""
+    """One perfbench run in `tree`: (result line, its out file)."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=600)
@@ -87,8 +102,7 @@ def run_once(tree, workload, seed, seconds, trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     out = os.path.join(tree, "perfbench", "out", f"{workload}-seed{seed}-trace{trace}.json")
     with open(out) as fh:
-        environment = json.load(fh)["environment"]
-    return result, environment
+        return result, json.load(fh)
 
 
 def main(argv=None):
@@ -106,6 +120,7 @@ def main(argv=None):
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    better["raw_wall_s"] = "lower"
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
     seeds = parse_seeds(args.seeds)
@@ -124,9 +139,11 @@ def main(argv=None):
             order = SIDES if seed % 2 == 0 else SIDES[::-1]
             run = {"seed": seed, "first": order[0]}
             for side in order:
-                result, environment = run_once(trees[side], workload, seed, seconds, args.trace)
+                result, doc = run_once(trees[side], workload, seed, seconds, args.trace)
+                environment = doc["environment"]
                 run[side] = {k: result[k] for k in ("correct", "failed", "attempted")}
-                values[side].append({k: v["value"] for k, v in result["metrics"].items()})
+                values[side].append({**{k: v["value"] for k, v in result["metrics"].items()},
+                                     "raw_wall_s": raw_pass_wall(doc)})
                 print(f"{workload} seed {seed} {side}: correct={result['correct']}",
                       file=sys.stderr)
             runs.append(run)

@@ -201,6 +201,11 @@ def test_extract_nodal_set_grid_sample_n512(benchmark, uk15_grid):
     assert abs(nodal_length(ns, 1.0) - 18.0) < 0.05 * 18.0
 
 
+def test_extract_nodal_set_grid_sample_n256(benchmark, uk15_grid):
+    ns = benchmark(extract_nodal_set, uk15_grid, 256)
+    assert abs(nodal_length(ns, 1.0) - 18.0) < 0.05 * 18.0
+
+
 def test_grid_sample_513(benchmark, uk15):
     grid = benchmark(GridField.sample, uk15, 513)
     # the banded samples are the field's own values

@@ -4,6 +4,14 @@ Marching squares with linear edge interpolation is enough here: away from the
 singular set the zero level lines of these fields are C^1 curves, so each grid
 cell meets the zero set in at most two straight chords (the ambiguous saddle
 configuration is resolved by the sign at the cell center).
+
+Extraction samples the field once on the grid, then works where the zero set
+is: it lists the active cells (four corners in the disk, mixed signs) by
+flat index, gathers their corner signs, and interpolates only on the crossed
+edges.  A cell's crossings are consecutive, in b, t, l, r order, so a plain
+cell joins its two and a saddle cell pairs its four by the centre sign.  The
+segments come out in the order of a cell-by-cell loop over the grid, with
+the same floats.
 """
 
 from __future__ import annotations
@@ -19,11 +27,10 @@ class DataError(ValueError):
     """Field produced non-finite samples on the extraction grid."""
 
 
-# corner offsets (di, dj) of the cell edges b, t, l, r, in the order their
-# crossings are listed: bottom (0,0)-(1,0), top (0,1)-(1,1), left (0,0)-(0,1),
-# right (1,0)-(1,1)
-_EDGES = (((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 0), (0, 1)), ((1, 0), (1, 1)))
-_B, _T, _L, _R = range(4)
+# the corners (from, to) of a cell's edges b, t, l, r, corner (di, dj) as
+# number di + 2 dj: (0,0)-(1,0), (0,1)-(1,1), (0,0)-(0,1), (1,0)-(1,1)
+_EDGE_FROM = np.array([0, 2, 0, 1])
+_EDGE_TO = np.array([1, 3, 2, 3])
 
 
 def _ring_offsets(radii):
@@ -152,46 +159,62 @@ def extract_nodal_set(field: PlanarField, n: int) -> NodalSet:
     V = _sample_grid(field, xs, inside)
     if not np.all(np.isfinite(V)):
         raise DataError("field is non-finite on the extraction grid")
+    # the cell pass returns before the clip, so their temporaries never coexist
+    return NodalSet(_clip_to_disk(_cell_segments(field, xs, V, inside), 1.0))
 
-    h = xs[1] - xs[0]
-    # cells whose four corners lie inside the disk and whose signs are mixed
+
+def _cell_segments(field, xs, V, inside):
+    """Marching-squares segments, rows (x1, y1, x2, y2), of the grid cells
+    whose four corners lie ``inside`` and whose samples ``V`` change sign,
+    in row-major cell order.
+
+    The pass works on flat indices of the active cells alone, and on the
+    crossed edges alone: a crossing's point is interpolated linearly between
+    the samples at the ends of its edge.  A saddle cell's crossings are paired
+    by the sign of ``field`` at the cell centre.
+    """
+    n = len(xs)
     S = V > 0
     s00, s10, s01, s11 = S[:-1, :-1], S[1:, :-1], S[:-1, 1:], S[1:, 1:]
-    active = (inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
-              & ~((s00 == s10) & (s10 == s01) & (s01 == s11)))
-    i, j = np.nonzero(active)  # row-major cell order
+    # active cell c = i (n - 1) + j, in row-major order; its (0, 0) corner is
+    # the flat sample c + i = i n + j
+    c = np.flatnonzero(inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
+                       & ~((s00 == s10) & (s10 == s01) & (s01 == s11)))
+    i, j = np.divmod(c, n - 1)
+    # each cell's corner signs, corner (di, dj) in column di + 2 dj
+    sign = S.ravel().take((c + i)[:, None] + (0, n, 1, n + 1))
+    cross = sign[:, _EDGE_FROM] != sign[:, _EDGE_TO]
 
-    # crossing flags and linearly interpolated zero crossings on edges b, t, l, r
-    cross = np.empty((len(i), 4), dtype=bool)
-    pts = np.full((len(i), 4, 2), np.nan)
-    for e, ((di1, dj1), (di2, dj2)) in enumerate(_EDGES):
-        cross[:, e] = S[i + di1, j + dj1] != S[i + di2, j + dj2]
-        c = np.flatnonzero(cross[:, e])
-        i1, j1, i2, j2 = i[c] + di1, j[c] + dj1, i[c] + di2, j[c] + dj2
-        v1 = V[i1, j1]
-        t = v1 / (v1 - V[i2, j2])
-        pts[c, e, 0] = xs[i1] + t * (xs[i2] - xs[i1])
-        pts[c, e, 1] = xs[j1] + t * (xs[j2] - xs[j1])
+    # the zero crossings, cell by cell and within a cell in b, t, l, r order
+    cell, e = np.nonzero(cross)
+    ic, jc = i[cell], j[cell]
+    a, b = _EDGE_FROM[e], _EDGE_TO[e]
+    i1, j1, i2, j2 = ic + (a & 1), jc + (a >> 1), ic + (b & 1), jc + (b >> 1)
+    flat = V.ravel()
+    v1 = flat.take(i1 * n + j1)
+    t = v1 / (v1 - flat.take(i2 * n + j2))
+    x1, y1 = xs.take(i1), xs.take(j1)
+    x = x1 + t * (xs.take(i2) - x1)
+    y = y1 + t * (xs.take(j2) - y1)
 
-    # up to two segments per cell, as (start edge, end edge) pairs, -1 where
-    # absent; a cell with two crossings joins them in b, t, l, r order
-    pairs = np.full((len(i), 2, 2), -1)
-    pairs[:, 0, 0] = np.argmax(cross, axis=1)
-    pairs[:, 0, 1] = 3 - np.argmax(cross[:, ::-1], axis=1)
-    saddle = np.flatnonzero(cross.all(axis=1))
+    # segments as (start, end) crossing numbers: a cell with two crossings
+    # s, s + 1 joins them; a saddle cell has four, s ... s + 3 (b, t, l, r),
+    # paired by the sign at the cell centre, and its second segment follows
+    # its first
+    count = np.count_nonzero(cross, axis=1)
+    start = np.cumsum(count) - count
+    end = start + 1
+    saddle = np.flatnonzero(count == 4)
     if len(saddle):
-        # saddle cell: pair the crossings using the sign at the center
-        cx = xs[i[saddle]] + 0.5 * h
-        cy = xs[j[saddle]] + 0.5 * h
-        vc = np.asarray(field(cx, cy), dtype=float)
-        agree = (vc > 0) == s00[i[saddle], j[saddle]]
+        s = start[saddle]
+        h = xs[1] - xs[0]
+        vc = np.asarray(field(xs[i[saddle]] + 0.5 * h, xs[j[saddle]] + 0.5 * h), dtype=float)
+        agree = (vc > 0) == sign[saddle, 0]
         # center agrees with the (0,0) corner: connect b-r and l-t, else b-l and r-t
-        pairs[saddle] = np.where(agree[:, None, None], ((_B, _R), (_L, _T)), ((_B, _L), (_R, _T)))
-    cell, slot = np.nonzero(pairs[:, :, 0] >= 0)
-    e = pairs[cell, slot]
-    seg = np.concatenate((pts[cell, e[:, 0]], pts[cell, e[:, 1]]), axis=1)
-
-    return NodalSet(_clip_to_disk(seg, 1.0))
+        end[saddle] = s + np.where(agree, 3, 2)
+        start = np.insert(start, saddle + 1, s + np.where(agree, 2, 3))
+        end = np.insert(end, saddle + 1, s + 1)
+    return np.column_stack((x.take(start), y.take(start), x.take(end), y.take(end)))
 
 
 def nodal_length(nodal: NodalSet, radius: float) -> float:

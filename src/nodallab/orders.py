@@ -3,9 +3,10 @@
 The order at a nodal point is read off the growth of the circle average: the
 regression slope of 0.5*log(H(r)/r^(N-1)) against log r over a dyadic ladder.
 The admissible orders are the integers 1..beta_q together with the critical
-value 2/(2-q); the raw slope is snapped to the nearest admissible value when
-close enough, with the H^1-norm variant as a cross-check and a nondegeneracy
-ratio along the ladder.
+value 2/(2-q), or, for Laplace's equation (mu lambda_+ = mu lambda_- = 0),
+the integers 1..2 beta_q + 8; the raw slope is snapped to the nearest
+admissible value when close enough, with the H^1-norm variant as a
+cross-check and a nondegeneracy ratio along the ladder.
 """
 
 from __future__ import annotations
@@ -47,7 +48,18 @@ class OrderEstimate:
 
 
 def admissible_orders(params) -> list[float]:
-    return [float(d) for d in range(1, beta_q(params) + 1)] + [gamma_q(params)]
+    """The orders a nodal point of a solution can have: 1 ... beta_q and gamma_q.
+
+    With both coefficients mu lambda_+ and mu lambda_- zero the equation is
+    Laplace's, where every positive integer is an order and gamma_q is none:
+    the integers 1 ... 2 beta_q + 8 (10 at q = 1, 14 at q = 1.5).  The cap
+    keeps a raw slope far above every order the ladder is asked to resolve
+    "inconclusive" rather than snapped.
+    """
+    b = beta_q(params)
+    if params.coefficients == (0.0, 0.0):
+        return [float(d) for d in range(1, 2 * b + 9)]
+    return [float(d) for d in range(1, b + 1)] + [gamma_q(params)]
 
 
 def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:

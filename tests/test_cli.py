@@ -323,6 +323,18 @@ def test_verify_unknown_suite(tmp_path):
     assert run("verify", "--suite", "nope", "--out", str(tmp_path)) == 3
 
 
+def test_verify_profile_refuses_a_grid_file(tmp_path, capsys):
+    # a well-formed NODALLAB file of another kind is refused before any check
+    xs = np.linspace(-1.0, 1.0, 5)
+    fields.save(fields.GridField(np.add.outer(xs, xs)), tmp_path / "grid.txt")
+    assert run("verify", "--suite", "recurrences", "--profile", str(tmp_path / "grid.txt"),
+               "--out", str(tmp_path / "out")) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: verify --profile expects a profile file\n"
+    assert not (tmp_path / "out" / "verify.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("construct", "--q", "1"),                 # missing --k
     ("construct", "--q", "abc", "--k", "5"),   # malformed value

@@ -77,6 +77,15 @@ def test_arc_validation():
         minimize_arc(ProblemParams(q=1.5, mu=0.0), 0.3, 0.6, "plus", 256)
 
 
+def test_minimize_arc_energy_not_negative():
+    # one ulp below 5 sin(pi / 10), the length at which the smallest
+    # eigenvalue of the n = 4 grid's -D2 reaches gamma^2 = 4: the q = 1 linear
+    # solve is positive but huge, and its energy rounds to 0
+    with pytest.raises(SolverError, match=r"^arc energy 0\.0 not negative; "
+                                          r"increase the grid size \(n=4\)$"):
+        minimize_arc(ProblemParams(q=1.0), 1.5450849718747368, 3.0, "plus", 4)
+
+
 def test_arc_smallness_scaling():
     # squared H1 norm of the positive arc scales like t^((2+q)/(2-q))
     p = ProblemParams(q=1.0)

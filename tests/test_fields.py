@@ -350,6 +350,25 @@ def test_grid_field_tensor_outside_hull():
             f._tensor(x, y)
 
 
+@settings(max_examples=25, deadline=None)
+@given(gamma=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]), st.floats(0.1, 6.0)),
+       n=st.integers(3, 600), rows=st.integers(1, 40), data=st.data(), seed=st.integers(0, 2**16))
+def test_homogeneous_field_tensor_matches_meshgrid(gamma, n, rows, data, seed):
+    # a band of grid rows and a run of its columns, as the grid sampler asks
+    # for them: the broadcast polar coordinates, the in-place power (numpy
+    # special-cases the exponents 0.5, 1 and 2) and the in-place product give
+    # the field on the meshgrid bit for bit; odd n puts the origin on the grid
+    rng = np.random.default_rng(seed)
+    f = HomogeneousField(gamma, AngularProfile(rng.standard_normal(64), rng.standard_normal(64)))
+    xs = np.linspace(-1.0, 1.0, n)
+    r0 = data.draw(st.integers(0, n - 1))
+    c0 = data.draw(st.integers(0, n - 1))
+    c1 = data.draw(st.integers(c0 + 1, n))
+    x, y = xs[r0:r0 + rows], xs[c0:c1]
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    assert _same(f._tensor(x, y), f(X, Y))
+
+
 @settings(max_examples=50, deadline=None)
 @given(th=st.floats(-10.0, 10.0), seed=st.integers(0, 2**16))
 def test_catmull_rom_periodic(th, seed):

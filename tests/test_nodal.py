@@ -368,6 +368,35 @@ def test_extract_matches_cell_loop(case, uk_q1):
                                                                  rel=1e-12, abs=0.0)
 
 
+def _row_of_zeros(n, alpha):
+    """(x - xs[m]) sin(3 y + alpha) on the n x n grid xs: the samples of row m
+    are +0.0 and -0.0, so crossings into it interpolate to t = -0.0 or +0.0."""
+    c = np.linspace(-1.0, 1.0, n)[round(alpha / (2 * np.pi) * (n - 1))]
+    return ClosedFormField(lambda x, y: (x - c) * np.sin(3 * y + alpha),
+                           lambda x, y: (np.sin(3 * y + alpha), 3 * (x - c) * np.cos(3 * y + alpha)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(64, 160),
+       kind=st.sampled_from(["monomial", "egg-crate", "homogeneous", "grid-sample", "grid-zeros"]),
+       d=st.integers(1, 5), alpha=st.floats(0.0, 2 * np.pi))
+def test_extract_matches_cell_loop_property(n, kind, d, alpha):
+    # the flat-index extraction is the cell-by-cell loop bit for bit: rotated
+    # monomials, egg crates (saddle cells of both pairings), a homogeneous
+    # field and its grid sample, and a row of signed zero samples
+    th = _angles(64)
+    homog = HomogeneousField(d + alpha / 4, AngularProfile(np.cos(d * th + alpha),
+                                                           -d * np.sin(d * th + alpha)))
+    field = {"monomial": lambda: _rotated_monomial(d, alpha),
+             "egg-crate": lambda: _egg_crate(d + 1.5, alpha),
+             "homogeneous": lambda: homog,
+             "grid-sample": lambda: GridField.sample(homog, 129),
+             "grid-zeros": lambda: _row_of_zeros(n, alpha)}[kind]()
+    got = extract_nodal_set(field, n).segments
+    want = _extract_ref(field, n)
+    assert got.shape == (len(want), 2, 2) and _bits(got) == _bits(want)
+
+
 def _sample_disk_fields():
     th = _angles(64)
     homog = HomogeneousField(2.5, AngularProfile(np.cos(2 * th), -2 * np.sin(2 * th)),

@@ -22,6 +22,24 @@ def uk_q1():
 def test_admissible_orders():
     assert admissible_orders(ProblemParams(q=1.5)) == [1.0, 2.0, 3.0, 4.0]
     assert admissible_orders(ProblemParams(q=1.0)) == [1.0, 2.0]
+    # Laplace's equation: every integer up to 2 beta_q + 8, and no gamma_q
+    assert admissible_orders(ProblemParams(q=1.0, mu=0.0)) == [float(d) for d in range(1, 11)]
+    assert admissible_orders(ProblemParams(q=1.5, mu=0.0)) == [float(d) for d in range(1, 15)]
+    # one coefficient zero is still the two-phase equation's list
+    assert admissible_orders(ProblemParams(q=1.5, lambda_minus=0.0)) == [1.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5])
+@pytest.mark.parametrize("phase", ["cos", "sin"])
+def test_estimate_order_harmonic_monomials_snap_to_degree(q, phase):
+    # with mu = 0 every degree is an order, also above beta_q (1 at q = 1,
+    # 3 at q = 1.5), where the two-phase list would read "inconclusive"
+    for d in range(1, 7):
+        f = monomial_field(d, phase)
+        f.params = ProblemParams(q=q, mu=0.0)
+        est = estimate_order(f, ORIGIN, LADDER)
+        assert est.snapped == float(d) and abs(est.raw_slope - d) < 0.05
+        assert est.nondegeneracy_ratio > 0
 
 
 def test_estimate_order_monomials():
@@ -65,12 +83,14 @@ def test_estimate_order_on_grid_samples(q, lam_minus, k, n):
 
 
 def test_estimate_order_widened_window_counts_each_radius_once():
-    # Re z^3 + Re z^4 under q = 1 grows like r^3, far from the admissible
-    # orders 1 and 2, so the window widens by the ladder's span; the widened
-    # fit counts each radius once, LADDER[0] (= LADDER[-1] / span) included
+    # Re z^3 + Re z^4 grows like r^3, far from the admissible orders 1 and 2
+    # of q = 1 with a source term (mu = 1), so the window widens by the
+    # ladder's span; the widened fit counts each radius once, LADDER[0]
+    # (= LADDER[-1] / span) included
     m3, m4 = monomial_field(3), monomial_field(4)
     f = ClosedFormField(lambda x, y: m3(x, y) + m4(x, y),
-                        lambda x, y: tuple(a + b for a, b in zip(m3.gradf(x, y), m4.gradf(x, y))))
+                        lambda x, y: tuple(a + b for a, b in zip(m3.gradf(x, y), m4.gradf(x, y))),
+                        ProblemParams(q=1.0))
     est = estimate_order(f, ORIGIN, LADDER)
     wide = np.concatenate((LADDER / LADDER[-1] * LADDER[0], LADDER[1:]))
     lad = _ladder(f, ORIGIN, wide, bulk=False)

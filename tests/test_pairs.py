@@ -43,3 +43,15 @@ def test_summarize_rejects_unpaired_runs():
 def test_parse_seeds():
     assert pairs.parse_seeds("11-14") == [11, 12, 13, 14]
     assert pairs.parse_seeds("3,5,8") == [3, 5, 8]
+
+
+def test_raw_pass_wall():
+    # per pass the raw seconds of the untraced ops, whatever their order;
+    # traced records and the calibrated latencies do not count
+    def op(index, raw, traced=False):
+        return {"pass": index, "raw_latency_s": raw, "latency_s": 100.0, "traced": traced}
+
+    doc = {"ops": [op(0, 0.25), op(0, 0.5), op(1, 1.0), op(0, 9.0, True), op(2, 2.0),
+                   op(1, 0.5), op(2, 0.5, True)]}
+    assert pairs.raw_pass_wall(doc) == 1.5  # passes 0.75, 1.5, 2.0
+    assert pairs.raw_pass_wall({"ops": [op(0, 0.25), op(1, 0.75)]}) == 0.5
