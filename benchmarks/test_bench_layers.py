@@ -25,7 +25,7 @@ from nodallab.construct import (
     time_map_t_bar,
 )
 from nodallab.fields import GridField
-from nodallab.functionals import eval_Dt, eval_F, eval_Nt, trace, transition_exponent
+from nodallab.functionals import _THETA, eval_Dt, eval_F, eval_Nt, trace, transition_exponent
 from nodallab.nodal import detect_singular, extract_nodal_set, nodal_length
 from nodallab.orders import estimate_order
 from nodallab.params import ProblemParams
@@ -136,11 +136,11 @@ def test_eval_Nt_uk_r1(benchmark, uk15):
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5])
-def test_eval_F_49x1024(benchmark, uk15, q):
+def test_eval_F_49x1021(benchmark, uk15, q):
     # the values of one bulk-ladder annulus: signs come in runs between the
     # 18 nodal rays, as on every ring the quadrature evaluates
     r = np.linspace(0.02, 1.0, 49)[:, None]
-    th = 2.0 * np.pi * np.arange(1024) / 1024
+    th = _THETA  # the ladder's 1021 angles
     s = uk15(r * np.cos(th), r * np.sin(th))
     p = ProblemParams(q=q, lambda_minus=2.5, mu=0.5)
     f = benchmark(eval_F, p, s)
@@ -149,9 +149,9 @@ def test_eval_F_49x1024(benchmark, uk15, q):
     assert f.shape == s.shape and np.allclose(f, want, rtol=1e-15, atol=0.0)
 
 
-def test_value_and_grad_annulus_49x1024(benchmark, uk15):
+def test_value_and_grad_annulus_49x1021(benchmark, uk15):
     r = np.linspace(0.02, 1.0, 49)[:, None]
-    th = 2.0 * np.pi * np.arange(1024) / 1024
+    th = _THETA
     x, y = r * np.cos(th), r * np.sin(th)
     v, (gx, gy) = benchmark(uk15.value_and_grad, x, y)
     # Euler's identity for a field homogeneous of degree gamma

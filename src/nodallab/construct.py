@@ -184,10 +184,15 @@ def _solve_positive_arc(q, lam, gamma2, length, n):
     h = length / (n + 1)
     off = np.full(n - 1, -1.0 / h**2)
     diag = 2.0 / h**2 - gamma2
+    not_coercive = (f"arc length {length} too close to pi/gamma_q for the grid (n={n}): "
+                    "discrete energy not coercive")
 
     if q == 1.0:
         # the Euler-Lagrange system is linear: (-D2 - gamma^2) phi = lam
-        phi = _solve_tridiagonal(off, np.full(n, diag), off, np.full(n, lam))
+        try:
+            phi = _solve_tridiagonal(off, np.full(n, diag), off, np.full(n, lam))
+        except np.linalg.LinAlgError:
+            raise SolverError(not_coercive) from None
         if np.any(phi <= 0):
             raise SolverError("linear arc solve produced non-positive values")
         return phi
@@ -198,9 +203,7 @@ def _solve_positive_arc(q, lam, gamma2, length, n):
     dpsi = np.diff(np.concatenate(([0.0], psi, [0.0]))) / h
     A = 0.5 * h * (np.sum(dpsi * dpsi) - gamma2 * np.sum(psi * psi))
     if A <= 0:
-        raise SolverError(
-            f"arc length {length} too close to pi/gamma_q for the grid (n={n}): "
-            "discrete energy not coercive")
+        raise SolverError(not_coercive)
     B = h * lam / q * np.sum(psi**q)
     phi = (q * B / (2.0 * A)) ** (1.0 / (2.0 - q)) * psi
 

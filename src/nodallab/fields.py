@@ -18,8 +18,8 @@ in their order, so the values are the same to the bit.  Gradients are never
 sampled on a grid; detection asks ``value_and_grad`` only at its candidate
 pixels, which relies on every field's ``value_and_grad`` returning the value
 of its ``__call__``.
-The rings of the quadrature ladder, the Fourier circle and the probe ring
-(``_probe_ring``) are sampled at their Cartesian points by ``_sample_rings``.
+The rings of the quadrature ladder and the probe ring (``_probe_ring``)
+are sampled at their Cartesian points by ``_sample_rings``.
 A field that is r^gamma phi(theta) about the origin says so through ``separated``:
 a :class:`HomogeneousField` and the harmonic monomials of
 :func:`monomial_field` do, every other field returns None.  The quadrature

@@ -1,4 +1,4 @@
-"""Vanishing-order estimation, blow-up rescaling, leading-harmonic extraction.
+"""Vanishing-order estimation and blow-up rescaling.
 
 The order at a nodal point is read off the growth of the circle average: the
 regression slope of 0.5*log(H(r)/r^(N-1)) against log r over a dyadic ladder.
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PlanarField, _angles, _sample_rings
+from .fields import PlanarField
 from .functionals import N_DIM, _ladder, _ladder_radii, _power_fit, _require_nodal, h1_norm
-from .params import _is_integer, beta_q, gamma_q
+from .params import beta_q, gamma_q
 
 
 class ZeroFieldError(ValueError):
@@ -25,8 +25,6 @@ class ZeroFieldError(ValueError):
 
 
 SNAP_TOL = 0.15
-FIT_TOL = 0.05  # max log-amplitude misfit, relative, of a leading harmonic
-N_FOURIER = 1024  # the angles of the Fourier circle, a power of two for the FFT
 
 
 @dataclass
@@ -130,48 +128,3 @@ def blow_up(field: PlanarField, x0, r) -> RescaledField:
         raise ZeroFieldError(f"vanishing norm at radius {r}")
     return RescaledField(field, x0, r, c)
 
-
-def _fourier_rings(field, x0, radii, max_degree):
-    """Cosine/sine coefficients of degrees 1..max_degree, one row per radius."""
-    if not 1 <= max_degree <= N_FOURIER // 2 - 1:
-        raise ValueError(f"max_degree must be in 1..{N_FOURIER // 2 - 1}, got {max_degree}")
-    coeffs = np.fft.rfft(_sample_rings(field, x0, radii, _angles(N_FOURIER)), axis=1) / N_FOURIER
-    return 2.0 * coeffs.real[:, 1: max_degree + 1], -2.0 * coeffs.imag[:, 1: max_degree + 1]
-
-
-def leading_harmonic(field: PlanarField, x0, radii, max_degree):
-    """Smallest degree d whose circle Fourier amplitude scales like c * r^d.
-
-    Returns {"degree": d, "cos": a, "sin": b, ...} or None when no degree up
-    to max_degree fits (the order is then the critical exponent); the result
-    carries "gamma_q_ambiguous" when the critical exponent is an integer that
-    the harmonic scan cannot separate from a genuine harmonic leading term.
-    """
-    radii = _ladder_radii(radii)
-    _require_nodal(field, x0)
-    a, b = _fourier_rings(field, x0, radii, max_degree)
-    amp = np.hypot(a, b).T  # one row per degree
-    keep = amp > 0
-    slope, intercept = _power_fit(radii, amp, keep)
-    logm = np.log(np.where(keep, amp, 1.0))  # 0 where dropped; misfit and mean skip it
-    misfit = np.abs(logm - (slope[:, None] * np.log(radii) + intercept[:, None]))
-    misfit = np.max(misfit, axis=1, where=keep, initial=0.0)
-    mean = np.sum(logm, axis=1) / np.maximum(np.count_nonzero(keep, axis=1), 1)
-    degrees = np.arange(1, max_degree + 1)
-    # not a noise floor: rounding scales like r^gamma in every harmonic of a homogeneous field
-    fits = ((np.max(amp, axis=1) >= 1e-8 * field.scale()) & (np.abs(slope - degrees) < 0.1)
-            & (misfit / np.maximum(1.0, np.abs(mean)) < FIT_TOL))
-    g = gamma_q(field.params)
-    ambiguous = _is_integer(g)
-    if fits.any():
-        d, mid = int(np.argmax(fits)) + 1, len(radii) // 2
-        return {
-            "degree": d,
-            "cos": float(a[mid, d - 1] / radii[mid] ** d),
-            "sin": float(b[mid, d - 1] / radii[mid] ** d),
-            "amplitude": float(np.exp(intercept[d - 1])),
-            "gamma_q_ambiguous": ambiguous and abs(d - g) < 1e-9,
-        }
-    if ambiguous:
-        return {"degree": None, "gamma_q_ambiguous": True}
-    return None

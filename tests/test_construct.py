@@ -86,6 +86,14 @@ def test_minimize_arc_energy_not_negative():
         minimize_arc(ProblemParams(q=1.0), 1.5450849718747368, 3.0, "plus", 4)
 
 
+def test_minimize_arc_singular_linear_system():
+    # at n = 2 and length 1.5 the q = 1 system -D2 - 4 is [[4, -4], [-4, 4]],
+    # singular: a SolverError, which the CLI reports, not a bare LinAlgError
+    with pytest.raises(SolverError, match=r"^arc length 1\.5 too close to pi/gamma_q for the grid "
+                                          r"\(n=2\): discrete energy not coercive$"):
+        minimize_arc(ProblemParams(q=1.0), 1.5, 3.0, "plus", 2)
+
+
 def test_arc_smallness_scaling():
     # squared H1 norm of the positive arc scales like t^((2+q)/(2-q))
     p = ProblemParams(q=1.0)

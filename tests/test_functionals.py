@@ -11,7 +11,7 @@ from nodallab.functionals import (
     eval_Dt, eval_F, eval_H, eval_Nt, h1_norm, monotonicity_scan, trace, transition_exponent,
 )
 from nodallab.nodal import profile_zero_structure
-from nodallab.orders import estimate_order, leading_harmonic
+from nodallab.orders import estimate_order
 from nodallab.params import ProblemParams, gamma_q, k_bar
 
 ORIGIN = (0.0, 0.0)
@@ -237,7 +237,6 @@ _LADDER_READERS = {
     "check_derivative_identities": lambda f, r: check_derivative_identities(f, ORIGIN, r, 2.5, 2.0),
     "transition_exponent": lambda f, r: transition_exponent(f, ORIGIN, [1.5, 2.5], r),
     "estimate_order": lambda f, r: estimate_order(f, ORIGIN, r),
-    "leading_harmonic": lambda f, r: leading_harmonic(f, ORIGIN, r, 4),
     "FunctionalTrace": lambda f, r: FunctionalTrace(r, np.ones_like(r)),
 }
 
@@ -603,6 +602,18 @@ def test_scaled_rotated_monomial_keeps_the_verdicts_of_c_1(d, alpha, phase, log_
     f = _RotatedMonomial(d, alpha, phase, c)
     assert _outcomes(f, d) == _outcomes(_RotatedMonomial(d, alpha, phase, 1.0), d)
     assert max(_identity_residuals(f)) < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 6), alpha=st.floats(0.0, 2.0 * np.pi), phase=st.sampled_from(["cos", "sin"]),
+       log_c=st.floats(-12.0, 6.0))
+def test_rotated_monomial_order_snaps_to_its_degree(d, alpha, phase, log_c):
+    # with mu = 0 every degree is an admissible order: c Re/Im z^d, at any
+    # angle and scale, has order d, and c moves no verdict
+    ladder = 0.9 * 2.0 ** -np.arange(8.0)[::-1]
+    est = estimate_order(_RotatedMonomial(d, alpha, phase, 10.0**log_c), ORIGIN, ladder)
+    assert est.snapped == float(d)
+    assert estimate_order(_RotatedMonomial(d, alpha, phase, 1.0), ORIGIN, ladder).snapped == est.snapped
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,10 +4,7 @@ import pytest
 from nodallab.construct import construct_uk
 from nodallab.fields import ClosedFormField, GridField, monomial_field
 from nodallab.functionals import _ladder, _power_fit
-from nodallab.orders import (
-    ZeroFieldError, admissible_orders, blow_up, estimate_order,
-    _fourier_rings, leading_harmonic,
-)
+from nodallab.orders import ZeroFieldError, admissible_orders, blow_up, estimate_order
 from nodallab.params import ProblemParams, gamma_q
 
 ORIGIN = (0.0, 0.0)
@@ -138,111 +135,6 @@ def test_blow_up_zero_norm():
                            lambda x, y: (0.0 * x, 0.0 * y))
     with pytest.raises(ZeroFieldError):
         blow_up(zero, ORIGIN, 0.5)
-
-
-def test_fourier_on_circle():
-    f = monomial_field(2)
-    (a,), (b,) = _fourier_rings(f, ORIGIN, [0.5], 3)
-    assert abs(a[1] - 0.25) < 1e-12  # cos 2theta coefficient = r^2
-    assert abs(b[1]) < 1e-12
-    assert abs(a[0]) < 1e-12 and abs(a[2]) < 1e-12
-    # every degree below the Nyquist term 512 of the 1024 angles
-    (a,), (b,) = _fourier_rings(f, ORIGIN, [0.5], 511)
-    assert a.shape == b.shape == (511,) and np.max(np.abs(np.delete(a, 1))) < 1e-12
-
-
-def test_leading_harmonic_mixed():
-    f = ClosedFormField(
-        lambda x, y: x + 0.01 * np.real((x + 1j * y) ** 3),
-        lambda x, y: (1.0 + 0.03 * np.real((x + 1j * y) ** 2),
-                      -0.03 * np.imag((x + 1j * y) ** 2)),
-        ProblemParams(q=1.5))
-    got = leading_harmonic(f, ORIGIN, LADDER, 3)
-    assert got["degree"] == 1
-    assert abs(got["cos"] - 1.0) < 1e-6
-
-
-def test_leading_harmonic_exact():
-    got = leading_harmonic(monomial_field(2), ORIGIN, LADDER, 3)
-    assert got["degree"] == 2
-    assert abs(got["cos"] - 1.0) < 1e-9
-    assert abs(got["sin"]) < 1e-9
-
-
-def test_leading_harmonic_uk_ambiguity(uk_q1):
-    # the k=5 profile has no low harmonics, and gamma_q = 2 is an integer,
-    # so the scan must flag the ambiguity instead of reporting a degree
-    got = leading_harmonic(uk_q1, ORIGIN, LADDER, 2)
-    assert got["degree"] is None
-    assert got["gamma_q_ambiguous"]
-
-
-def test_leading_harmonic_none_below_a_non_integer_order():
-    # u_k at q = 1.25 is homogeneous of order 8/3 with no degree-1 or -2
-    # term; gamma_q is no integer, so nothing is ambiguous and no degree fits
-    uk = construct_uk(ProblemParams(q=1.25), 7).to_field()
-    assert leading_harmonic(uk, ORIGIN, np.geomspace(0.05, 0.4, 8), 2) is None
-
-
-@pytest.mark.parametrize("max_degree", [0, 512, 600])
-def test_max_degree_out_of_range(max_degree):
-    # degree 512 is the Nyquist term of the 1024 angles, which has no sine
-    f = monomial_field(2)
-    msg = f"max_degree must be in 1..511, got {max_degree}"
-    with pytest.raises(ValueError, match=msg):
-        leading_harmonic(f, ORIGIN, LADDER, max_degree)
-    with pytest.raises(ValueError, match=msg):
-        _fourier_rings(f, ORIGIN, [0.5], max_degree)
-
-
-def _leading_harmonic_per_degree(field, x0, radii, max_degree):
-    """The scan as first written: one circle per radius, one np.polyfit per degree."""
-    radii = np.sort(np.asarray(radii, dtype=float))
-    amp = np.empty((len(radii), max_degree))
-    ab = []
-    for i, r in enumerate(radii):
-        (a,), (b,) = _fourier_rings(field, x0, [r], max_degree)
-        amp[i] = np.hypot(a, b)
-        ab.append((a, b))
-    g = gamma_q(field.params)
-    ambiguous = abs(g - round(g)) < 1e-12
-    for d in range(1, max_degree + 1):
-        m = amp[:, d - 1]
-        if np.max(m) < 1e-8 * field.scale():
-            continue
-        logr, logm = np.log(radii), np.log(m + 1e-300)
-        slope, intercept = np.polyfit(logr, logm, 1)
-        rel_err = np.max(np.abs(logm - (slope * logr + intercept))) / max(1.0, abs(np.mean(logm)))
-        if abs(slope - d) < 0.1 and rel_err < 0.05:
-            a_mid, b_mid = ab[len(radii) // 2]
-            rm = radii[len(radii) // 2] ** d
-            return {"degree": d, "cos": a_mid[d - 1] / rm, "sin": b_mid[d - 1] / rm,
-                    "amplitude": np.exp(intercept),
-                    "gamma_q_ambiguous": ambiguous and abs(d - g) < 1e-9}
-    return {"degree": None, "gamma_q_ambiguous": True} if ambiguous else None
-
-
-def test_leading_harmonic_matches_per_degree_scan(uk_q1):
-    mixed = ClosedFormField(
-        lambda x, y: x + 0.01 * np.real((x + 1j * y) ** 3),
-        lambda x, y: (1.0 + 0.03 * np.real((x + 1j * y) ** 2),
-                      -0.03 * np.imag((x + 1j * y) ** 2)),
-        ProblemParams(q=1.5))
-    fields = [uk_q1, mixed] + [monomial_field(d) for d in (1, 2, 3)]
-    fields.append(monomial_field(2, phase="sin"))
-    for f in fields:
-        for radii in (LADDER, np.geomspace(0.02, 0.8, 25)):
-            for max_degree in (2, 3, 6):
-                got = leading_harmonic(f, ORIGIN, radii, max_degree)
-                want = _leading_harmonic_per_degree(f, ORIGIN, radii, max_degree)
-                if want is None or want["degree"] is None:
-                    assert got == want
-                    continue
-                assert got.keys() == want.keys()
-                assert got["degree"] == want["degree"]
-                assert got["gamma_q_ambiguous"] == want["gamma_q_ambiguous"]
-                for key in ("cos", "sin", "amplitude"):
-                    assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key])
 
 
 def test_upper_semicontinuity_smoke(uk_q1):
