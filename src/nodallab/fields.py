@@ -9,12 +9,12 @@ Three kinds of evaluable scalar field on the unit disk:
 
 Any field is sampled on a grid by ``_sample_grid``, in cache-sized bands of
 rows; ``GridField.sample`` and the nodal extraction and detection share it.
-It asks for values alone, one ``_tensor`` call per band on the band's row and
-column coordinates: the base class evaluates the meshgrid, a
-:class:`HomogeneousField` takes the polar coordinates of the broadcast row and
-column coordinates, and a :class:`GridField` computes its interpolation
-weights once per axis and broadcasts them, each with the pointwise operations
-in their order, so the values are the same to the bit.  Gradients are never
+It asks for values alone, one ``__call__`` per band on the band's row
+coordinates as a column and its column coordinates as a row.  Every field
+evaluates broadcast coordinates with the operations it applies to a
+meshgrid, so the values are the same to the bit, and no n x n coordinate
+arrays are built: a :class:`GridField` computes its interpolation weights
+once per axis and broadcasts them.  Gradients are never
 sampled on a grid; detection asks ``value_and_grad`` only at its candidate
 pixels, which relies on every field's ``value_and_grad`` returning the value
 of its ``__call__``.
@@ -159,6 +159,9 @@ class PlanarField:
     params: ProblemParams
 
     def __call__(self, x, y):
+        """The value at the points.  ``x`` and ``y`` broadcast against each
+        other, and a row and a column give the values of their meshgrid to
+        the bit: the grid sampler calls a field that way."""
         raise NotImplementedError
 
     def value_and_grad(self, x, y):
@@ -169,12 +172,6 @@ class PlanarField:
         """``(gamma, phi, phi')`` on ``theta`` when the field is r^gamma phi(theta)
         about the origin; None for a field that declares no such form."""
         return None
-
-    def _tensor(self, x, y):
-        """The value alone at (x[i], y[j]), shaped (len x, len y); the grid
-        sampler's one call per band.  Here the points of the meshgrid."""
-        X, Y = np.meshgrid(x, y, indexing="ij")
-        return self(X, Y)
 
     def scale(self) -> float:
         """Crude magnitude estimate, used for relative tolerances."""
@@ -223,14 +220,7 @@ class HomogeneousField(PlanarField):
 
     def __call__(self, x, y):
         r, th = self._polar(x, y)
-        return r**self.gamma * self.profile(th)
-
-    def _tensor(self, x, y):
-        # the polar coordinates of the broadcast row and column coordinates,
-        # then the power and the product in place: the operations of
-        # ``__call__`` on the meshgrid, in its order
-        r = np.hypot(x[:, None], y[None, :])
-        th = np.arctan2(y[None, :], x[:, None])
+        # in place on the fresh radius array, so the lift allocates nothing more
         r **= self.gamma
         r *= self.profile(th)
         return r
@@ -293,7 +283,8 @@ class GridField(PlanarField):
     def _axis_weights(self, x):
         """Lower node index and offset of each coordinate on one grid axis."""
         x = np.asarray(x, dtype=float)
-        if np.any(np.abs(x) > 1 + 1e-12):
+        # written so that NaN fails the test
+        if not (np.abs(x) <= 1 + 1e-12).all():
             raise DomainError("point outside the grid hull [-1,1]^2")
         f = np.clip((x + 1.0) / self.h, 0, self.n - 1 - 1e-12)
         i = f.astype(int)
@@ -333,13 +324,6 @@ class GridField(PlanarField):
         w = self._weights(x, y)
         return self._blend(self.values, *w), (self._blend(self._gx, *w), self._blend(self._gy, *w))
 
-    def _tensor(self, x, y):
-        # the weights of each axis once, broadcast over the band: the same
-        # operations in the same order as ``__call__`` on the meshgrid
-        i, sx = self._axis_weights(x)
-        j, sy = self._axis_weights(y)
-        return self._blend(self.values, i[:, None] * self.n + j, sx[:, None], sy)
-
     @classmethod
     def sample(cls, f: PlanarField, n: int):
         """``f`` on the n x n grid over [-1, 1]^2, with ``f.params``."""
@@ -358,9 +342,9 @@ def _sample_grid(field, xs, inside):
     Rows are evaluated in bands of about ``_BAND_POINTS`` points; each band
     evaluates only the columns between the first and the last where it meets
     ``inside`` and leaves zeros elsewhere, so callers must not read values
-    outside ``inside``.  A band is one ``field._tensor`` call on its row and
-    column coordinates, so no n x n coordinate arrays are built; a
-    :class:`GridField` computes its interpolation weights once per axis there.
+    outside ``inside``.  A band is one call of the field on its row
+    coordinates as a column and its column coordinates as a row, so no n x n
+    coordinate arrays are built.
     """
     n = len(xs)
     V = np.zeros((n, n))
@@ -370,7 +354,7 @@ def _sample_grid(field, xs, inside):
         if len(cols) == 0:
             continue
         band = np.s_[r0:r0 + rows, cols[0]:cols[-1] + 1]
-        V[band] = field._tensor(xs[band[0]], xs[band[1]])
+        V[band] = field(xs[band[0], None], xs[None, band[1]])
     return V
 
 

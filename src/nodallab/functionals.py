@@ -135,7 +135,18 @@ def eval_F(params: ProblemParams, s):
     return np.abs(s) ** params.q * lam * params.mu
 
 
+def _centre(x0):
+    """The centre of a ladder as a float array.  A NaN passes the disk bound
+    and the nodal test, so a non-finite centre is refused on its own, before
+    any field call."""
+    x0 = np.asarray(x0, dtype=float)
+    if not np.isfinite(x0).all():
+        raise DomainError(f"centre must be finite, got {x0.tolist()}")
+    return x0
+
+
 def _require_nodal(field, x0):
+    x0 = _centre(x0)
     u0 = float(np.abs(field(x0[0], x0[1])))
     if u0 > EPS_U * field.scale():
         raise PreconditionError(f"|u(x0)| = {u0} too large; x0 is not a nodal point")
@@ -263,11 +274,12 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
     one call without ``bulk``; with it, one call per annulus samples its
     GL_NODES panel rings and then the circle r_i.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _centre(x0)
     radii = np.asarray(radii, dtype=float)
     rs, back = np.unique(radii, return_inverse=True)
-    if np.any(rs <= 0):
-        raise DomainError(f"radius must be positive, got {rs[0]}")
+    lo = rs.min(initial=np.inf)
+    if not lo > 0:  # written so that a NaN radius fails
+        raise DomainError(f"radius must be positive, got {lo}")
     if np.hypot(x0[0], x0[1]) + rs.max(initial=0.0) > 1.0 + 1e-12:
         raise DomainError(f"ball B_{rs[-1]}({x0}) escapes the unit disk")
     dth = 2.0 * np.pi / N_THETA

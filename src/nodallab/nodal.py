@@ -24,7 +24,7 @@ from .params import gamma_q
 
 
 class DataError(ValueError):
-    """Field produced non-finite samples on the extraction grid."""
+    """Field produced non-finite samples on the grid of extraction or detection."""
 
 
 # the corners (from, to) of a cell's edges b, t, l, r, corner (di, dj) as
@@ -145,6 +145,18 @@ def _clip_to_disk(seg, radius):
     return out[keep]
 
 
+def _sample_disk(field, xs, radius2):
+    """The disk mask of ``radius2`` on the grid and the field sampled near it,
+    refused with a DataError if any sample is non-finite: extraction and
+    detection both read this grid, and a NaN passes every sign and
+    threshold test."""
+    inside = _disk_mask(xs, radius2)
+    V = _sample_grid(field, xs, inside)
+    if not np.isfinite(V).all():
+        raise DataError("field is non-finite on the sampling grid")
+    return V, inside
+
+
 def check_grid(n: int) -> None:
     """An extraction grid needs at least 64 x 64 points."""
     if n < 64:
@@ -155,10 +167,7 @@ def extract_nodal_set(field: PlanarField, n: int) -> NodalSet:
     """Marching-squares zero set of the field inside the unit disk."""
     check_grid(n)
     xs = np.linspace(-1.0, 1.0, n)
-    inside = _disk_mask(xs, 1.0 + 1e-15)
-    V = _sample_grid(field, xs, inside)
-    if not np.all(np.isfinite(V)):
-        raise DataError("field is non-finite on the extraction grid")
+    V, inside = _sample_disk(field, xs, 1.0 + 1e-15)
     # the cell pass returns before the clip, so their temporaries never coexist
     return NodalSet(_clip_to_disk(_cell_segments(field, xs, V, inside), 1.0))
 
@@ -219,6 +228,8 @@ def _cell_segments(field, xs, V, inside):
 
 def nodal_length(nodal: NodalSet, radius: float) -> float:
     """Total length of the segments clipped to the disk of the given radius."""
+    if not 0.0 <= radius < np.inf:  # written so that NaN fails the test
+        raise ValueError(f"radius must be nonnegative and finite, got {radius}")
     seg = _clip_to_disk(nodal.segments.reshape(-1, 4), radius)
     return float(np.sum(np.hypot(seg[:, 2] - seg[:, 0], seg[:, 3] - seg[:, 1])))
 
@@ -299,8 +310,7 @@ def detect_singular(field: PlanarField, n: int = 256):
     """
     eps_u, eps_g = singular_thresholds(field, n)
     xs = np.linspace(-1.0, 1.0, n)
-    inside = _disk_mask(xs, 1.0)
-    V = _sample_grid(field, xs, inside)
+    V, inside = _sample_disk(field, xs, 1.0)
     cand = inside & (np.abs(V) < eps_u)
     G = _grad_norm_at(field, xs, cand)
     mask = cand & (G < eps_g)

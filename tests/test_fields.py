@@ -94,6 +94,12 @@ def test_grid_field_eval_and_grad():
         assert abs(gx - rx) < 1e-2 and abs(gy - ry) < 1e-2
     with pytest.raises(DomainError):
         f(1.5, 0.0)
+    # NaN lies in no cell: refused like a point outside the hull
+    for x, y in ((np.nan, 0.0), (0.0, np.nan)):
+        with pytest.raises(DomainError):
+            f(x, y)
+        with pytest.raises(DomainError):
+            f.value_and_grad(x, y)
     with pytest.raises(ValueError):
         GridField(np.zeros((4, 5)))
     with pytest.raises(ValueError):
@@ -328,26 +334,48 @@ def test_value_and_grad_value_is_call_bit_for_bit():
             assert _same(f.value_and_grad(x, y)[0], f(x, y))
 
 
+def test_call_broadcasts_bit_for_bit():
+    # the grid sampler calls a field once per band, on the band's row
+    # coordinates as a column and its column coordinates as a row: every
+    # field class must give its values on the meshgrid, to the bit.  The
+    # points include signed zeros, a coordinate whose square underflows and
+    # the nodes of the GridField, where its last cell is clipped to
+    # n - 1 - 1e-12
+    fields = _every_field_class() + [
+        ClosedFormField(lambda x, y: x * y - 0.1, lambda x, y: (y, x))]
+    own = {c for c in _subclasses(PlanarField) if c.__module__.startswith("nodallab.")}
+    assert own <= {type(f) for f in fields}
+    grid = next(f for f in fields if isinstance(f, GridField))
+    nodes = np.linspace(-1.0, 1.0, grid.n)
+    x = np.concatenate((nodes, [0.0, -0.0, 1e-300, 0.37]))
+    y = np.concatenate(([-0.0, 1e-300, 0.0], nodes[::-2], [-0.61]))
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    for f in fields:
+        got = f(x[:, None], y[None, :])
+        assert _same(got, f(X, Y)), type(f).__name__
+
+
 @pytest.mark.parametrize("m, lo, hi", [(33, -1.0, 1.0), (20, -0.45, 0.45), (7, -1.0, 0.3)])
 def test_grid_field_tensor_matches_pointwise(m, lo, hi):
-    # the per-axis weights broadcast over a band give the pointwise blend bit
-    # for bit; m = 33 puts the points on the field's own nodes, where the
-    # last one is clipped to n - 1 - 1e-12
+    # on a tensor-product band (rows as a column, columns as a row) the
+    # per-axis weights broadcast give the pointwise blend bit for bit; m = 33
+    # puts the points on the field's own nodes, where the last one is clipped
+    # to n - 1 - 1e-12
     f = GridField.sample(HomogeneousField(2.5, cos2_profile(64), ProblemParams(q=1.2)), 33)
     x, y = np.linspace(lo, hi, m), np.linspace(-hi, -lo, m + 3)
     X, Y = np.meshgrid(x, y, indexing="ij")
-    got = f._tensor(x, y)
+    got = f(x[:, None], y[None, :])
     assert got.shape == (m, m + 3)
     assert _same(got, f(X, Y)) and _same(got, _grid_ref(f, X, Y)[0])
-    assert _same(got, PlanarField._tensor(f, x, y))
 
 
 def test_grid_field_tensor_outside_hull():
+    # a tensor-product band that leaves the hull along either axis is refused
     f = GridField.sample(monomial_field(2), 33)
     inside = np.linspace(-1.0, 1.0, 5)
     for x, y in ((np.linspace(-1.2, 1.2, 5), inside), (inside, np.linspace(-1.2, 1.2, 5))):
         with pytest.raises(DomainError):
-            f._tensor(x, y)
+            f(x[:, None], y[None, :])
 
 
 @settings(max_examples=25, deadline=None)
@@ -355,9 +383,10 @@ def test_grid_field_tensor_outside_hull():
        n=st.integers(3, 600), rows=st.integers(1, 40), data=st.data(), seed=st.integers(0, 2**16))
 def test_homogeneous_field_tensor_matches_meshgrid(gamma, n, rows, data, seed):
     # a band of grid rows and a run of its columns, as the grid sampler asks
-    # for them: the broadcast polar coordinates, the in-place power (numpy
-    # special-cases the exponents 0.5, 1 and 2) and the in-place product give
-    # the field on the meshgrid bit for bit; odd n puts the origin on the grid
+    # for them: the polar coordinates of the broadcast coordinates give the
+    # field on the meshgrid bit for bit, and the in-place power (numpy
+    # special-cases the exponents 0.5, 1 and 2) and product give the floats
+    # of r**gamma * phi; odd n puts the origin on the grid
     rng = np.random.default_rng(seed)
     f = HomogeneousField(gamma, AngularProfile(rng.standard_normal(64), rng.standard_normal(64)))
     xs = np.linspace(-1.0, 1.0, n)
@@ -366,7 +395,8 @@ def test_homogeneous_field_tensor_matches_meshgrid(gamma, n, rows, data, seed):
     c1 = data.draw(st.integers(c0 + 1, n))
     x, y = xs[r0:r0 + rows], xs[c0:c1]
     X, Y = np.meshgrid(x, y, indexing="ij")
-    assert _same(f._tensor(x, y), f(X, Y))
+    assert _same(f(x[:, None], y[None, :]), f(X, Y))
+    assert _same(f(X, Y), np.hypot(X, Y) ** f.gamma * f.profile(np.arctan2(Y, X)))
 
 
 @settings(max_examples=50, deadline=None)

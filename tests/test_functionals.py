@@ -120,6 +120,13 @@ def test_ball_domain_checks():
         eval_H(f, (0.8, 0.0), 0.5)  # ball escapes the unit disk
     with pytest.raises(DomainError):
         eval_H(f, ORIGIN, -0.1)
+    # a NaN radius passes the disk bound: refused in closed form at the
+    # origin and on Cartesian rings elsewhere
+    for x0 in (ORIGIN, (0.1, 0.0)):
+        for functional in (eval_H, h1_norm, lambda f, x0, r: eval_Dt(f, x0, r, 2.0),
+                           lambda f, x0, r: eval_Nt(f, x0, r, 2.0)):
+            with pytest.raises(DomainError, match="^radius must be positive, got nan$"):
+                functional(f, x0, np.nan)
 
 
 def test_degenerate_sphere():
@@ -232,12 +239,23 @@ def test_monotonicity_scan_large_gamma_does_not_overflow():
 
 
 _LADDER_READERS = {
-    "trace": lambda f, r: trace(f, "W", ORIGIN, r, gamma=2.5, t=2.0),
-    "monotonicity_scan": lambda f, r: monotonicity_scan(f, ORIGIN, 2.5, r),
-    "check_derivative_identities": lambda f, r: check_derivative_identities(f, ORIGIN, r, 2.5, 2.0),
-    "transition_exponent": lambda f, r: transition_exponent(f, ORIGIN, [1.5, 2.5], r),
-    "estimate_order": lambda f, r: estimate_order(f, ORIGIN, r),
+    "trace": lambda f, r, x0=ORIGIN: trace(f, "W", x0, r, gamma=2.5, t=2.0),
+    "monotonicity_scan": lambda f, r, x0=ORIGIN: monotonicity_scan(f, x0, 2.5, r),
+    "check_derivative_identities":
+        lambda f, r, x0=ORIGIN: check_derivative_identities(f, x0, r, 2.5, 2.0),
+    "transition_exponent": lambda f, r, x0=ORIGIN: transition_exponent(f, x0, [1.5, 2.5], r),
+    "estimate_order": lambda f, r, x0=ORIGIN: estimate_order(f, x0, r),
     "FunctionalTrace": lambda f, r: FunctionalTrace(r, np.ones_like(r)),
+}
+
+# every reader that takes a centre: the ladder readers and the one-radius
+# functionals
+_CENTRED_READERS = {
+    **{name: read for name, read in _LADDER_READERS.items() if name != "FunctionalTrace"},
+    "eval_H": lambda f, r, x0: eval_H(f, x0, r[-1]),
+    "eval_Dt": lambda f, r, x0: eval_Dt(f, x0, r[-1], 2.0),
+    "eval_Nt": lambda f, r, x0: eval_Nt(f, x0, r[-1], 2.0),
+    "h1_norm": lambda f, r, x0: h1_norm(f, x0, r[-1]),
 }
 
 
@@ -263,6 +281,37 @@ def test_every_ladder_reader_rejects_a_non_finite_radius(reader, bad):
     r[7] = bad
     with pytest.raises(ValueError, match="^radii must be finite$"):
         read(f, r)
+
+
+class _CallCounting(PlanarField):
+    """A field that records every ``__call__`` and ``value_and_grad``."""
+
+    def __init__(self, base):
+        self.base, self.params, self.calls = base, base.params, []
+
+    def __call__(self, x, y):
+        self.calls.append("value")
+        return self.base(x, y)
+
+    def value_and_grad(self, x, y):
+        self.calls.append("value_and_grad")
+        return self.base.value_and_grad(x, y)
+
+    def scale(self):
+        return self.base.scale()
+
+
+@pytest.mark.parametrize("reader", list(_CENTRED_READERS))
+@pytest.mark.parametrize("x0", [(np.nan, 0.0), (0.0, np.nan)])
+@pytest.mark.parametrize("kind", ["closed-form", "grid"])
+def test_every_centred_reader_rejects_a_nan_centre(reader, x0, kind):
+    # a NaN centre passes the disk bound and the nodal test, so it is refused
+    # on its own, before the field is called
+    base = monomial_field(2) if kind == "closed-form" else GridField.sample(monomial_field(2), 65)
+    f = _CallCounting(base)
+    with pytest.raises(DomainError, match="^centre must be finite"):
+        _CENTRED_READERS[reader](f, np.geomspace(0.02, 0.5, 10), x0)
+    assert f.calls == []
 
 
 def test_trace_checks_the_ladder_before_sampling():

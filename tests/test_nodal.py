@@ -231,14 +231,29 @@ def test_circle_length():
 def test_extract_validation():
     with pytest.raises(ValueError):
         extract_nodal_set(monomial_field(1), 32)
-    bad = ClosedFormField(lambda x, y: np.where(x > 0, np.nan, x),
-                          lambda x, y: (1.0 + 0 * x, 0 * y))
-    with pytest.raises(DataError):
-        extract_nodal_set(bad, 64)
+    # NaN on the right half of the disk; x y has an order-2 point at the
+    # origin, which detection must not report from the finite half alone
+    bad = [ClosedFormField(lambda x, y: np.where(x > 0, np.nan, x),
+                           lambda x, y: (1.0 + 0 * x, 0 * y)),
+           ClosedFormField(lambda x, y: np.where(x > 0, np.nan, x * y),
+                           lambda x, y: (y, x))]
+    for f in bad:
+        with pytest.raises(DataError, match="^field is non-finite on the sampling grid$"):
+            extract_nodal_set(f, 64)
+        with pytest.raises(DataError, match="^field is non-finite on the sampling grid$"):
+            detect_singular(f, 64)
 
 
 def test_empty_nodal_length():
     assert nodal_length(NodalSet([]), 0.5) == 0.0
+
+
+@pytest.mark.parametrize("radius", [-0.5, -1e-300, np.nan, np.inf, -np.inf])
+def test_nodal_length_rejects_a_bad_radius(radius):
+    ns = extract_nodal_set(monomial_field(2), 128)
+    assert nodal_length(ns, 0.0) == 0.0 and nodal_length(ns, 0.5) > 1.9
+    with pytest.raises(ValueError, match="^radius must be nonnegative and finite"):
+        nodal_length(ns, radius)
 
 
 def test_uk_ray_lengths(uk_q1):
