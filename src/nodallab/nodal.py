@@ -234,26 +234,6 @@ def nodal_length(nodal: NodalSet, radius: float) -> float:
     return float(np.sum(np.hypot(seg[:, 2] - seg[:, 0], seg[:, 3] - seg[:, 1])))
 
 
-def singular_thresholds(field: PlanarField, n: int):
-    """Resolution-tracking thresholds (eps_u, eps_g) for singular detection
-    on the n x n grid over [-1, 1]^2.
-
-    Both shrink with the grid spacing h so flat nodal crossings are not
-    misreported: eps_u tracks the local growth rate min(gamma_q, 2), eps_g is
-    linear in h against the gradient scale on the probe ring.  The grid
-    follows extraction's rule (:func:`check_grid`).
-    """
-    check_grid(n)
-    h = 2.0 / (n - 1)
-    g = gamma_q(field.params)
-    scale = field.scale()
-    _, (gx, gy) = _probe_ring(field, grad=True)
-    gscale = float(np.max(np.hypot(gx, gy))) or 1.0
-    eps_u = 10.0 * h ** min(g, 2.0) * scale
-    eps_g = 10.0 * h * gscale
-    return eps_u, eps_g
-
-
 def _grad_norm_at(field, xs, mask):
     """|grad u| at the grid points (xs[i], xs[j]) where ``mask`` holds, from
     one ``value_and_grad`` call on those points alone; inf elsewhere."""
@@ -287,14 +267,22 @@ def detect_singular(field: PlanarField, n: int = 256):
     """Singular points of the unit disk, one per cluster of small |u| and
     |grad u| whose |u| grows faster than the distance.
 
-    A candidate pixel has |u| < eps_u and |grad u| < eps_g, with the
-    thresholds of :func:`singular_thresholds`; a cluster is an 8-connected
-    component of the candidates' one-pixel dilation, and its representative
-    is its grid point of smallest |u| + h*|grad u|.  The grid is sampled for the value alone; the
-    gradient is evaluated only at the pixels with |u| < eps_u (a few per cent
-    of the disk on u_k), and |grad u| is left infinite elsewhere.  A field's
-    ``value_and_grad`` returns the same values as its ``__call__``, so the
-    candidates are those a full value-and-gradient grid would give.
+    The n x n grid over [-1, 1]^2, of spacing h, follows extraction's rule
+    (:func:`check_grid`).  A candidate pixel has |u| < eps_u and
+    |grad u| < eps_g.  Both thresholds shrink with h, so flat nodal crossings
+    are not misreported: eps_u = 10 h^min(gamma_q, 2) max |u| over the disk
+    pixels, read from the grid already sampled, so a field and its grid
+    sample are held to one rule; eps_g = 10 h max |grad u| on the probe ring
+    r = 0.7 (``fields._probe_ring``), or 10 h if that is zero.  A cluster is
+    an 8-connected component of the candidates' one-pixel dilation, and its
+    representative is its grid point of smallest |u| + h*|grad u|.  The grid
+    is sampled for the value alone; the gradient is evaluated only at the
+    pixels with |u| < eps_u (a few per cent of the disk on u_k), and |grad u|
+    is left infinite elsewhere.  A field's ``value_and_grad`` returns the
+    same values as its ``__call__``, so the candidates are those a full
+    value-and-gradient grid would give.  A non-finite value on the grid, or
+    a non-finite gradient on the probe ring or at a candidate, raises
+    DataError: a NaN passes no threshold test and would drop a point.
 
     Near a regular nodal point (vanishing order 1) |u| grows like the
     distance, and a bilinear or flat band along a nodal line can still pass
@@ -308,22 +296,29 @@ def detect_singular(field: PlanarField, n: int = 256):
 
     Returns a list of (x, y, abs_u, abs_grad, growth) tuples.
     """
-    eps_u, eps_g = singular_thresholds(field, n)
+    check_grid(n)
     xs = np.linspace(-1.0, 1.0, n)
+    h = xs[1] - xs[0]
     V, inside = _sample_disk(field, xs, 1.0)
-    cand = inside & (np.abs(V) < eps_u)
+    absV = np.abs(V)
+    eps_u = 10.0 * h ** min(gamma_q(field.params), 2.0) * np.max(absV, where=inside, initial=0.0)
+    cand = inside & (absV < eps_u)
+    _, (gx, gy) = _probe_ring(field, grad=True)
+    ring = np.hypot(gx, gy)
     G = _grad_norm_at(field, xs, cand)
+    if not (np.isfinite(ring).all() and np.isfinite(G[cand]).all()):
+        raise DataError("field gradient is non-finite on the probe ring or at a candidate")
+    eps_g = 10.0 * h * (float(np.max(ring)) or 1.0)
     mask = cand & (G < eps_g)
     # label on a one-pixel dilation with 8-connectivity: sub-cell-wide bands
     # along flat nodal rays must not shed one-pixel satellite clusters
     labels = _label_dilated(mask)
     labels[~mask] = 0
-    h = xs[1] - xs[0]
     # sort the labelled pixels by (label, score); the stable sort keeps row-major
     # order among equal scores, so the first pixel of each label is its first minimum
     i, j = np.nonzero(labels)
     lab = labels[i, j]
-    score = np.abs(V[i, j]) + h * G[i, j]
+    score = absV[i, j] + h * G[i, j]
     order = np.lexsort((score, lab))
     lab = lab[order]
     best = order[np.flatnonzero(np.diff(lab, prepend=0))]
@@ -331,7 +326,7 @@ def detect_singular(field: PlanarField, n: int = 256):
     growth = _growth(V, inside, i, j)
     kept = growth >= _GROWTH_MIN
     i, j = i[kept], j[kept]
-    return list(zip(xs[i].tolist(), xs[j].tolist(), np.abs(V[i, j]).tolist(),
+    return list(zip(xs[i].tolist(), xs[j].tolist(), absV[i, j].tolist(),
                     G[i, j].tolist(), growth[kept].tolist()))
 
 

@@ -10,16 +10,24 @@ from nodallab.fields import (
     _sample_grid, monomial_field,
 )
 from nodallab.nodal import (
-    DataError, _clip_to_disk, _disk_mask, _grad_norm_at, _label_dilated, detect_singular,
-    extract_nodal_set, nodal_length, profile_zero_structure, singular_thresholds,
+    DataError, _clip_to_disk, _disk_mask, _grad_norm_at, _growth, _label_dilated, _sample_disk,
+    detect_singular, extract_nodal_set, nodal_length, profile_zero_structure,
 )
 from nodallab.orders import RescaledField
-from nodallab.params import ProblemParams
+from nodallab.params import ProblemParams, k_bar
 
 
 @pytest.fixture(scope="module")
 def uk_q1():
     return construct_uk(ProblemParams(q=1.0), 5).to_field()
+
+
+@pytest.fixture(scope="module")
+def uk15_grid():
+    # the 513^2 bilinear sample of u_k at q = 1.5, lambda_- = 2.5, k = 10:
+    # flat bands along its nodal rays, one vertex at the origin
+    return GridField.sample(
+        construct_uk(ProblemParams(q=1.5, lambda_minus=2.5), 10).to_field(), 513)
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +127,24 @@ def _growth_ref(V, inside, i0, j0):
 
 def _clusters_ref(field, n):
     """Every cluster of small |u| and |grad u|, before the growth rule."""
-    eps_u, eps_g = singular_thresholds(field, n)
     xs = np.linspace(-1.0, 1.0, n)
+    h = xs[1] - xs[0]
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     V, (GX, GY) = field.value_and_grad(X, Y)
     G = np.hypot(GX, GY)
     inside = X * X + Y * Y <= 1.0
+    # |u| against its largest value on the disk pixels, |grad u| against its
+    # largest value at 64 points of the ring r = 0.7
+    gamma = 2.0 / (2.0 - field.params.q)
+    eps_u = 10.0 * h ** min(gamma, 2.0) * np.abs(V[inside]).max()
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    _, (rx, ry) = field.value_and_grad(0.7 * np.cos(theta), 0.7 * np.sin(theta))
+    eps_g = 10.0 * h * (np.hypot(rx, ry).max() or 1.0)
     mask = inside & (np.abs(V) < eps_u) & (G < eps_g)
     struct = np.ones((3, 3), dtype=int)
     labels, count = ndimage.label(ndimage.binary_dilation(mask, struct), struct)
     labels[~mask] = 0
-    score = np.abs(V) + (xs[1] - xs[0]) * G
+    score = np.abs(V) + h * G
     reps = []
     for lab in range(1, count + 1):
         idx = np.argwhere(labels == lab)
@@ -275,15 +290,15 @@ def test_refinement_improves_length(uk_q1):
 def test_detection_takes_the_extraction_grid_rule(n):
     # a coarse grid divides by zero (n = 1) or reports a cluster off the
     # singular point (n = 10), so detection refuses what extraction refuses
-    f = monomial_field(2)
     with pytest.raises(ValueError, match="^grid must be at least 64 x 64$"):
-        singular_thresholds(f, n)
-    with pytest.raises(ValueError, match="^grid must be at least 64 x 64$"):
-        detect_singular(f, n)
+        detect_singular(monomial_field(2), n)
 
 
 def test_detect_singular_examples(uk_q1):
     assert detect_singular(monomial_field(1), 128) == []
+    # a field zero on the whole disk has a zero |u| threshold
+    zero = ClosedFormField(lambda x, y: 0 * x * y, lambda x, y: (0 * x * y, 0 * x * y))
+    assert detect_singular(zero, 64) == []
     got = detect_singular(monomial_field(2), 128)
     assert len(got) == 1
     assert np.hypot(got[0][0], got[0][1]) < 0.05
@@ -517,7 +532,7 @@ def test_segments_stay_in_disk(n, kind, d, alpha):
     assert np.all(np.hypot(seg[..., 0], seg[..., 1]) <= 1 + 1e-12)
 
 
-def test_detect_singular_matches_cluster_scan(uk_q1):
+def test_detect_singular_matches_cluster_scan(uk_q1, uk15_grid):
     bowl = ClosedFormField(lambda x, y: x * x + y * y, lambda x, y: (2 * x, 2 * y))
     # four grid points tie for the minimum around the origin: the first in
     # row-major order is the representative
@@ -526,16 +541,57 @@ def test_detect_singular_matches_cluster_scan(uk_q1):
     xs = np.linspace(-1.0, 1.0, 128)
     assert got[0][:2] == (xs[63], xs[63])
     _assert_matches_ref(detect_singular(uk_q1, 256), _detect_singular_ref(uk_q1, 256))
-    # the bilinear sample has 8 to 17 clusters of small |u| and |grad u|, all
-    # but one along the flat nodal rays, where |u| grows like the distance;
-    # only the origin is kept
-    grid = GridField.sample(construct_uk(ProblemParams(q=1.5, lambda_minus=2.5), 10).to_field(),
-                            513)
-    growth = sorted(p[4] for p in _clusters_ref(grid, 256))
-    assert 8 <= len(growth) <= 17 and growth[-2] < 1.25 < 3.0 < growth[-1]
-    got = detect_singular(grid, 256)
+    # with |u| held against the sample's own largest value, the bilinear
+    # sample has one cluster of small |u| and |grad u|, at the origin, and
+    # it is kept
+    clusters = _clusters_ref(uk15_grid, 256)
+    assert len(clusters) == 1 and clusters[0][4] > 3.0
+    got = detect_singular(uk15_grid, 256)
     assert len(got) == 1 and np.hypot(got[0][0], got[0][1]) < 0.05
-    _assert_matches_ref(got, _detect_singular_ref(grid, 256))
+    _assert_matches_ref(got, _detect_singular_ref(uk15_grid, 256))
+
+
+def test_growth_tells_the_vertex_from_a_nodal_ray(uk15_grid):
+    # the growth rule reads the bilinear sample right: |u| grows faster than
+    # the distance at the vertex and about like it on the nodal ray
+    # theta = 0, so a flat band along a ray that passed both thresholds
+    # would be dropped
+    xs = np.linspace(-1.0, 1.0, 256)
+    V, inside = _sample_disk(uk15_grid, xs, 1.0)
+    i = np.array([np.argmin(np.abs(xs - x)) for x in (0.0, 0.25, 0.5, 0.75)])
+    j = np.full(4, np.argmin(np.abs(xs)))
+    growth = _growth(V, inside, i, j)
+    ref = [_growth_ref(V, inside, a, b) for a, b in zip(i, j)]
+    np.testing.assert_allclose(growth, ref, rtol=1e-12, atol=0.0)
+    assert growth[0] >= 1.5 and np.all(growth[1:] < 1.25)
+
+
+@pytest.mark.parametrize("q", [1.9, 1.95])
+def test_detect_singular_agrees_on_the_grid_sample_near_q_2(q):
+    # with |u| held against the sampled disk's own largest value, the exact
+    # field and its 257^2 and 513^2 samples all report the origin alone (held
+    # against max |u| on the ring r = 0.7, about 0.7^gamma of it, the samples
+    # gave 29, 32, 9 and 9 points)
+    p = ProblemParams(q=q, lambda_minus=2.0)
+    u = construct_uk(p, k_bar(p) + 1).to_field()
+    for field in (u, GridField.sample(u, 257), GridField.sample(u, 513)):
+        got = detect_singular(field, 256)
+        assert len(got) == 1 and np.hypot(got[0][0], got[0][1]) < 2.0 * 2.0 / 255
+
+
+@pytest.mark.parametrize("nan_at", [lambda x, y: x >= 0, lambda x, y: np.hypot(x, y) < 0.1],
+                         ids=["x >= 0", "r < 0.1"])
+def test_detect_singular_refuses_a_nan_gradient(nan_at):
+    # x y has an order-2 point at the origin; a NaN gradient on the probe
+    # ring (x >= 0), or at the candidate pixels alone (r < 0.1), passes no
+    # threshold test and would drop it
+    good = ClosedFormField(lambda x, y: x * y, lambda x, y: (y, x))
+    got = detect_singular(good, 64)
+    assert len(got) == 1 and np.hypot(got[0][0], got[0][1]) < 2.0 / 63
+    bad = ClosedFormField(lambda x, y: x * y,
+                          lambda x, y: (np.where(nan_at(x, y), np.nan, y), x + 0 * y))
+    with pytest.raises(DataError, match="^field gradient is non-finite"):
+        detect_singular(bad, 64)
 
 
 class _CountingField(PlanarField):
