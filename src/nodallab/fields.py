@@ -257,12 +257,16 @@ class GridField(PlanarField):
         values = np.ascontiguousarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("grid values must be a square 2-d array")
-        if values.shape[0] < 3:
-            raise ValueError("grid needs at least 3 samples per side")
+        self._check_side(values.shape[0])
         self.values = values
         self.n = values.shape[0]
         self.h = 2.0 / (self.n - 1)
         self.params = params or ProblemParams(q=1.0, mu=0.0)
+
+    @staticmethod
+    def _check_side(n):
+        if n < 3:
+            raise ValueError("grid needs at least 3 samples per side")
 
     # the full-grid gradients are built on the first ``value_and_grad``, the
     # only reader, so a grid that is only sampled or extracted never pays them
@@ -326,7 +330,9 @@ class GridField(PlanarField):
 
     @classmethod
     def sample(cls, f: PlanarField, n: int):
-        """``f`` on the n x n grid over [-1, 1]^2, with ``f.params``."""
+        """``f`` on the n x n grid over [-1, 1]^2, with ``f.params``; the
+        size is checked before ``f`` is called."""
+        cls._check_side(n)
         xs = np.linspace(-1.0, 1.0, n)
         return cls(_sample_grid(f, xs, np.ones((n, n), dtype=bool)), f.params)
 

@@ -145,6 +145,17 @@ def _centre(x0):
     return x0
 
 
+def _gammas(gammas):
+    """A gamma, or a grid of them, as a float array.  A NaN passes the
+    critical-homogeneity test and an infinite gamma makes W an inf or a NaN
+    that reads as a verdict, so a non-finite gamma is refused on its own,
+    before any field call."""
+    gammas = np.asarray(gammas, dtype=float)
+    if not np.isfinite(gammas).all():
+        raise ValueError(f"gamma must be finite, got {gammas.tolist()}")
+    return gammas
+
+
 def _require_nodal(field, x0):
     x0 = _centre(x0)
     u0 = float(np.abs(field(x0[0], x0[1])))
@@ -395,11 +406,12 @@ def monotonicity_scan(field, x0, gamma, radii):
     """Check that W(gamma, 2) is nondecreasing along the ladder.
 
     Only meaningful for gamma >= 2/(2-q); smaller gamma raises a
-    PreconditionError.  Returns {"verdict": "monotone"} or the first
+    PreconditionError, and a NaN or infinite one a ValueError.  Returns {"verdict": "monotone"} or the first
     violating radius, with the W values of the ladder under "values".  The
     verdict never overflows; a value W = r^-p (r^p W) whose factor r^-p
     overflows (large gamma at small r) reads +-inf, as does such a drop.
     """
+    gamma = float(_gammas(gamma))
     gq = gamma_q(field.params)
     if gamma < gq - 1e-12:
         raise PreconditionError(f"gamma={gamma} below critical homogeneity {gq}")
@@ -433,11 +445,12 @@ def transition_exponent(field, x0, gammas, radii):
     negative at r_min and log|W| has negative slope against log r (|W| grows
     as r shrinks).  The estimate is the midpoint of the bracketing pair;
     an ambiguous classification raises InconclusiveError with the bracket.
+    A NaN or infinite gamma on the grid raises ValueError.
     """
-    _require_nodal(field, x0)
-    gammas = np.sort(np.asarray(gammas, dtype=float))
+    gammas = np.sort(_gammas(gammas))
     if gammas.size == 0:
         raise ValueError("gammas is empty: the transition needs at least one gamma")
+    _require_nodal(field, x0)
     radii = _ladder_radii(radii)
     lad = _ladder(field, x0, radii)
     # W and its floor share the factor r^-(2 gamma), which overflows at large

@@ -1,4 +1,4 @@
-"""Vanishing-order estimation and blow-up rescaling.
+"""Vanishing-order estimation.
 
 The order at a nodal point is read off the growth of the circle average: the
 regression slope of 0.5*log(H(r)/r^(N-1)) against log r over a dyadic ladder.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PlanarField
-from .functionals import N_DIM, _ladder, _ladder_radii, _power_fit, _require_nodal, h1_norm
+from .functionals import N_DIM, _ladder, _ladder_radii, _power_fit, _require_nodal
 from .params import beta_q, gamma_q
 
 
@@ -98,33 +98,3 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
     return OrderEstimate(raw_slope=raw, snapped=snapped,
                          r_window=(float(radii[0]), float(radii[-1])),
                          nondegeneracy_ratio=ratio, h1_slope=h1_slope)
-
-
-class RescaledField(PlanarField):
-    """u(x0 + r x) / c with the gradient scaled accordingly."""
-
-    def __init__(self, base: PlanarField, x0, r, c):
-        self.base = base
-        self.x0 = np.asarray(x0, dtype=float)
-        self.r = float(r)
-        self.c = float(c)
-        self.params = base.params
-
-    def _base_points(self, x, y):
-        return self.x0[0] + self.r * np.asarray(x), self.x0[1] + self.r * np.asarray(y)
-
-    def __call__(self, x, y):
-        return self.base(*self._base_points(x, y)) / self.c
-
-    def value_and_grad(self, x, y):
-        v, (gx, gy) = self.base.value_and_grad(*self._base_points(x, y))
-        return v / self.c, (self.r / self.c * gx, self.r / self.c * gy)
-
-
-def blow_up(field: PlanarField, x0, r) -> RescaledField:
-    """Rescaled field v_r with unit scale-invariant H^1 norm on the unit ball."""
-    c = h1_norm(field, x0, r)
-    if c <= 0 or not np.isfinite(c):
-        raise ZeroFieldError(f"vanishing norm at radius {r}")
-    return RescaledField(field, x0, r, c)
-

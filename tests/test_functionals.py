@@ -384,6 +384,33 @@ def test_transition_exponent_empty_gammas():
         transition_exponent(monomial_field(2), ORIGIN, [], np.geomspace(0.02, 0.8, 25))
 
 
+def _re_z3_q15():
+    f = monomial_field(3)
+    f.params = ProblemParams(q=1.5, mu=0.0)
+    return _CallCounting(f)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+def test_monotonicity_scan_rejects_a_non_finite_gamma(gamma):
+    # a NaN passes the critical-homogeneity test, and an infinite gamma gives
+    # W values of +-inf or NaN that no drop test reads as a violation
+    f = _re_z3_q15()
+    with pytest.raises(ValueError, match="^gamma must be finite"):
+        monotonicity_scan(f, ORIGIN, gamma, np.geomspace(0.02, 0.8, 25))
+    assert f.calls == []
+
+
+@pytest.mark.parametrize("gammas", [[-np.inf, 3.5], [2.5, np.nan, 3.5], [2.5, 3.5, np.inf],
+                                    [np.nan], [3.5, 4.5, np.nan, 5.5]])
+def test_transition_exponent_rejects_a_non_finite_gamma(gammas):
+    # a -inf gamma would bracket the transition from below, and a NaN or
+    # +inf row reads as a non-monotone classification
+    f = _re_z3_q15()
+    with pytest.raises(ValueError, match="^gamma must be finite"):
+        transition_exponent(f, ORIGIN, gammas, np.geomspace(0.02, 0.8, 25))
+    assert f.calls == []
+
+
 @settings(max_examples=100, deadline=None)
 @given(m=st.integers(2, 30), r0=st.floats(1e-2, 0.2), span=st.floats(4.0, 100.0),
        rows=st.lists(st.tuples(st.floats(0.5, 4.0), st.booleans(), st.floats(0.1, 10.0)),

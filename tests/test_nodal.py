@@ -13,7 +13,6 @@ from nodallab.nodal import (
     DataError, _clip_to_disk, _disk_mask, _grad_norm_at, _growth, _label_dilated, _sample_disk,
     detect_singular, extract_nodal_set, nodal_length, profile_zero_structure,
 )
-from nodallab.orders import RescaledField
 from nodallab.params import ProblemParams, k_bar
 
 
@@ -446,8 +445,7 @@ def _sample_disk_fields():
     th = _angles(64)
     homog = HomogeneousField(2.5, AngularProfile(np.cos(2 * th), -2 * np.sin(2 * th)),
                              ProblemParams(q=1.2))
-    return [monomial_field(3), homog, GridField.sample(homog, 129),
-            RescaledField(homog, (0.1, 0.0), 0.5, 2.0)]
+    return [monomial_field(3), homog, GridField.sample(homog, 129)]
 
 
 @pytest.mark.parametrize("n, band_points", [(64, None), (97, None), (300, None), (512, None),
@@ -577,6 +575,35 @@ def test_detect_singular_agrees_on_the_grid_sample_near_q_2(q):
     for field in (u, GridField.sample(u, 257), GridField.sample(u, 513)):
         got = detect_singular(field, 256)
         assert len(got) == 1 and np.hypot(got[0][0], got[0][1]) < 2.0 * 2.0 / 255
+
+
+def _two_roots():
+    """Re((z - a)^2 (z - b)^3), a = 0.3, b = -0.4 + 0.2i (mu = 0): singular
+    points of orders 2 and 3, with their gradient (Re and Re i of the
+    derivative)."""
+    a, b = 0.3, -0.4 + 0.2j
+
+    def grad(x, y):
+        z = x + 1j * y
+        w = (z - a) * (z - b) ** 2 * (2 * (z - b) + 3 * (z - a))
+        return np.real(w), np.real(1j * w)
+
+    return ClosedFormField(lambda x, y: np.real((x + 1j * y - a) ** 2 * (x + 1j * y - b) ** 3),
+                           grad), (a, b)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "eps_u is 10 h^2 max |u| over the disk, not over the probe ring: at n = 256 "
+    "it is 1.4e-3, and the 2971 candidate pixels along the nodal lines form one "
+    "cluster that holds both roots"))
+def test_detect_singular_finds_both_roots_of_two_factors():
+    # n = 512 finds both points; n = 256 is the regression the mark names
+    field, roots = _two_roots()
+    for f in (field, GridField.sample(field, 513)):
+        got = detect_singular(f, 256)
+        assert len(got) == 2
+        for root in roots:
+            assert min(abs(complex(x, y) - root) for x, y, *_ in got) <= 2.0 * 2.0 / 255
 
 
 @pytest.mark.parametrize("nan_at", [lambda x, y: x >= 0, lambda x, y: np.hypot(x, y) < 0.1],

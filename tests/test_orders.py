@@ -4,7 +4,7 @@ import pytest
 from nodallab.construct import construct_uk
 from nodallab.fields import ClosedFormField, GridField, monomial_field
 from nodallab.functionals import _ladder, _power_fit
-from nodallab.orders import ZeroFieldError, admissible_orders, blow_up, estimate_order
+from nodallab.orders import ZeroFieldError, admissible_orders, estimate_order
 from nodallab.params import ProblemParams, gamma_q
 
 ORIGIN = (0.0, 0.0)
@@ -95,50 +95,3 @@ def test_estimate_order_widened_window_counts_each_radius_once():
     assert est.snapped == "inconclusive"
     assert est.r_window == (wide[0], wide[-1])
     assert abs(est.raw_slope - want) <= 1e-13
-
-
-def test_blow_up_normalization():
-    from nodallab.functionals import h1_norm
-    f = monomial_field(3)
-    v = blow_up(f, ORIGIN, 0.4)
-    assert abs(h1_norm(v, ORIGIN, 1.0) - 1.0) < 1e-8
-
-
-def test_blow_up_linear_oracle():
-    f = monomial_field(1)
-    for r in (0.5, 0.25):
-        v = blow_up(f, ORIGIN, r)
-        assert abs(v(0.3, 0.0) - 0.3 / np.sqrt(2 * np.pi)) < 1e-9
-
-
-def test_blow_up_homogeneous_r_independent(uk_q1):
-    va = blow_up(uk_q1, ORIGIN, 0.5)
-    vb = blow_up(uk_q1, ORIGIN, 0.25)
-    rng = np.random.default_rng(1)
-    pts = rng.uniform(-0.6, 0.6, size=(100, 2))
-    gap = max(abs(va(x, y) - vb(x, y)) for x, y in pts)
-    assert gap < 1e-9
-
-
-def test_blow_up_idempotent(uk_q1):
-    # on homogeneous fields, iterated rescaling equals one rescaling
-    v1 = blow_up(blow_up(uk_q1, ORIGIN, 0.5), ORIGIN, 0.5)
-    v2 = blow_up(uk_q1, ORIGIN, 0.25)
-    rng = np.random.default_rng(2)
-    pts = rng.uniform(-0.6, 0.6, size=(50, 2))
-    gap = max(abs(v1(x, y) - v2(x, y)) for x, y in pts)
-    assert gap < 1e-9
-
-
-def test_blow_up_zero_norm():
-    zero = ClosedFormField(lambda x, y: 0.0 * x,
-                           lambda x, y: (0.0 * x, 0.0 * y))
-    with pytest.raises(ZeroFieldError):
-        blow_up(zero, ORIGIN, 0.5)
-
-
-def test_upper_semicontinuity_smoke(uk_q1):
-    base = estimate_order(uk_q1, ORIGIN, LADDER).raw_slope
-    for r in (0.5, 0.25):
-        member = estimate_order(blow_up(uk_q1, ORIGIN, r), ORIGIN, LADDER)
-        assert base >= member.raw_slope - 0.05
