@@ -235,6 +235,33 @@ def test_detect_singular_grid_sample_n256(benchmark, uk15_grid):
     assert len(reps) == 1 and np.hypot(reps[0][0], reps[0][1]) < 0.05
 
 
+def test_detect_singular_n512(benchmark, uk15):
+    reps = benchmark(detect_singular, uk15, 512)
+    assert len(reps) == 1 and np.hypot(reps[0][0], reps[0][1]) < 0.05
+
+
+def _two_roots(x, y):
+    z = x + 1j * y
+    return (z - 0.3) ** 2 * (z + 0.4 - 0.2j) ** 3
+
+
+def _two_roots_prime(x, y):
+    z = x + 1j * y
+    return (z - 0.3) * (z + 0.4 - 0.2j) ** 2 * (2 * (z + 0.4 - 0.2j) + 3 * (z - 0.3))
+
+
+def test_detect_singular_two_roots_n256(benchmark):
+    # Re((z - 0.3)^2 (z + 0.4 - 0.2i)^3) (mu = 0): two singular points, of
+    # orders 2 and 3, joined by nodal lines whose pixels pass both thresholds
+    field = fields.ClosedFormField(
+        lambda x, y: np.real(_two_roots(x, y)),
+        lambda x, y: (np.real(_two_roots_prime(x, y)), np.real(1j * _two_roots_prime(x, y))))
+    reps = benchmark(detect_singular, field, 256)
+    assert len(reps) == 2
+    for root in (0.3, -0.4 + 0.2j):
+        assert min(abs(complex(x, y) - root) for x, y, *_ in reps) < 0.02
+
+
 def test_save_uk_profile(benchmark, uk15, tmp_path):
     # the profile file `nodallab construct` writes: two lines of about 4100
     # %.17g decimals each

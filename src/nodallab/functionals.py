@@ -145,14 +145,14 @@ def _centre(x0):
     return x0
 
 
-def _gammas(gammas):
-    """A gamma, or a grid of them, as a float array.  A NaN passes the
-    critical-homogeneity test and an infinite gamma makes W an inf or a NaN
-    that reads as a verdict, so a non-finite gamma is refused on its own,
-    before any field call."""
+def _gammas(gammas, name="gamma"):
+    """A gamma or a t, or a grid of them, as a float array.  A NaN passes the
+    critical-homogeneity test and an infinite gamma or t makes W an inf or a
+    NaN that reads as a verdict, so a non-finite one is refused on its own,
+    before any field call; ``name`` names it in the message."""
     gammas = np.asarray(gammas, dtype=float)
     if not np.isfinite(gammas).all():
-        raise ValueError(f"gamma must be finite, got {gammas.tolist()}")
+        raise ValueError(f"{name} must be finite, got {gammas.tolist()}")
     return gammas
 
 
@@ -336,11 +336,13 @@ def eval_H(field: PlanarField, x0, r) -> float:
 
 def eval_Dt(field: PlanarField, x0, r, t) -> float:
     """D_t = integral over B_r of |grad u|^2 - (t/q) F(u)."""
+    _gammas(t, "t")
     return float(_ladder(field, x0, r).D(t))
 
 
 def eval_Nt(field: PlanarField, x0, r, t) -> float:
     """Frequency-like quotient r * D_t / H; needs H above its noise floor."""
+    _gammas(t, "t")
     return float(_ladder(field, x0, r).N(t))
 
 
@@ -369,6 +371,7 @@ def trace(field, functional, x0, radii, gamma=None, t=None):
     for name in needs:
         if given[name] is None:
             raise ValueError(f"trace of {functional!r} needs {name}")
+        _gammas(given[name], name)
     tr = FunctionalTrace(radii, np.zeros(np.size(radii)))  # the ladder rule, before any sampling
     tr.values = view(_ladder(field, x0, tr.radii, bulk=functional != "H"), gamma, t)
     return tr
@@ -382,6 +385,8 @@ def check_derivative_identities(field, x0, radii, gamma, t):
     expression built from circle and bulk integrals, relative to the size of
     W's terms over r (W' itself vanishes on a gamma-homogeneous field).
     """
+    _gammas(gamma)
+    _gammas(t, "t")
     radii = _ladder_radii(radii)
     step = 1e-4 * radii
     # rows r - step, r, r + step, so H[1] is H(r) and H[2] - H[0] its difference

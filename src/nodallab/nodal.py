@@ -16,6 +16,8 @@ the same floats.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .fields import NodalSet, PlanarField, _angles, _probe_ring, _sample_grid
@@ -48,71 +50,17 @@ def _ring_offsets(radii):
 # detection's growth rate reads max |u| on the pixel rings of radii 4 ... 16
 _RING_D = np.arange(4, 17)
 _RING_A, _RING_B, _RING_START = _ring_offsets(_RING_D)
-# a cluster is kept at growth rates from 1.5 up: halfway between order 1 (a
+# a candidate is kept at growth rates from 1.5 up: halfway between order 1 (a
 # regular nodal point) and 2, the smallest order of a singular point
 _GROWTH_MIN = 1.5
+# a candidate is the least score over the 9 x 9 pixel window about it
+_WINDOW = 4
 
 
 def _disk_mask(xs, radius2):
     """Grid points (xs[i], xs[j]) with xs[i]^2 + xs[j]^2 <= radius2."""
     xx = xs * xs
     return xx[:, None] + xx[None, :] <= radius2
-
-
-def _label_dilated(mask):
-    """8-connected components of the one-pixel 8-neighbour dilation of ``mask``.
-
-    The labels equal those of ``ndimage.label`` of
-    ``ndimage.binary_dilation(mask, s)`` with structure s the 3 x 3 block:
-    components numbered from 1 in raster order of their first pixel, 0 off
-    the dilation.  The work is confined to the mask's bounding box: the
-    dilation is an OR of shifted copies, the components come from union-find
-    (hook each root onto the smaller root, then pointer jumping).
-    """
-    labels = np.zeros(mask.shape, dtype=np.int32)
-    rows = np.flatnonzero(mask.any(axis=1))
-    if len(rows) == 0:
-        return labels
-    cols = np.flatnonzero(mask.any(axis=0))
-    # the bounding box grown by the dilation's pixel, clipped to the grid
-    box = np.s_[max(rows[0] - 1, 0):rows[-1] + 2, max(cols[0] - 1, 0):cols[-1] + 2]
-    h, w = mask[box].shape
-    padded = np.pad(mask[box], 1)
-    dil = np.zeros((h, w), dtype=bool)
-    for di in range(3):
-        for dj in range(3):
-            dil |= padded[di:di + h, dj:dj + w]
-
-    # dilated pixels numbered in raster order; edges join each pixel to its
-    # right, lower-left, lower and lower-right neighbours
-    ids = np.full((h, w), -1)
-    count = np.count_nonzero(dil)
-    ids[dil] = np.arange(count)
-    ends = []
-    for a, b in ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, 1:], np.s_[1:, :-1]),
-                 (np.s_[:-1, :], np.s_[1:, :]), (np.s_[:-1, :-1], np.s_[1:, 1:])):
-        both = dil[a] & dil[b]
-        ends.append((ids[a][both], ids[b][both]))
-    u = np.concatenate([e[0] for e in ends])
-    v = np.concatenate([e[1] for e in ends])
-
-    # every pixel points at its root, the smallest id of its tree, which
-    # becomes the component's first pixel once all edges are inside trees
-    parent = np.arange(count)
-    while True:
-        ru, rv = parent[u], parent[v]
-        split = ru != rv
-        if not split.any():
-            break
-        ru, rv = ru[split], rv[split]
-        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                break
-            parent = grand
-    labels[box][dil] = np.cumsum(parent == np.arange(count))[parent]
-    return labels
 
 
 def _clip_to_disk(seg, radius):
@@ -264,37 +212,42 @@ def _growth(V, inside, i, j):
 
 
 def detect_singular(field: PlanarField, n: int = 256):
-    """Singular points of the unit disk, one per cluster of small |u| and
-    |grad u| whose |u| grows faster than the distance.
+    """Singular points of the unit disk, the least |u| + h*|grad u| of their
+    9 x 9 pixel window among small |u| and |grad u|, whose |u| grows faster
+    than the distance.
 
     The n x n grid over [-1, 1]^2, of spacing h, follows extraction's rule
-    (:func:`check_grid`).  A candidate pixel has |u| < eps_u and
+    (:func:`check_grid`).  A mask pixel has |u| < eps_u and
     |grad u| < eps_g.  Both thresholds shrink with h, so flat nodal crossings
     are not misreported: eps_u = 10 h^min(gamma_q, 2) max |u| over the disk
     pixels, read from the grid already sampled, so a field and its grid
     sample are held to one rule; eps_g = 10 h max |grad u| on the probe ring
-    r = 0.7 (``fields._probe_ring``), or 10 h if that is zero.  A cluster is
-    an 8-connected component of the candidates' one-pixel dilation, and its
-    representative is its grid point of smallest |u| + h*|grad u|.  The grid
+    r = 0.7 (``fields._probe_ring``), or 10 h if that is zero.  A candidate
+    is a mask pixel whose score |u| + h*|grad u| is the least over the mask
+    pixels of its 9 x 9 window.  The grid
     is sampled for the value alone; the gradient is evaluated only at the
     pixels with |u| < eps_u (a few per cent of the disk on u_k), and |grad u|
     is left infinite elsewhere.  A field's ``value_and_grad`` returns the
     same values as its ``__call__``, so the candidates are those a full
     value-and-gradient grid would give.  A non-finite value on the grid, or
-    a non-finite gradient on the probe ring or at a candidate, raises
+    a non-finite gradient on the probe ring or at a pixel of small |u|, raises
     DataError: a NaN passes no threshold test and would drop a point.
 
     Near a regular nodal point (vanishing order 1) |u| grows like the
     distance, and a bilinear or flat band along a nodal line can still pass
-    both thresholds.  So each cluster's growth rate is read from the sampled
+    both thresholds.  So each candidate's growth rate is read from the sampled
     values alone, with no further field call: the log-log slope of max |u| on
-    the Euclidean pixel rings of radii 4 ... 16 about the representative.  A
-    cluster is kept if its growth rate is at least 1.5, halfway between order
+    the Euclidean pixel rings of radii 4 ... 16 about it.  A
+    candidate is kept if its growth rate is at least 1.5, halfway between order
     1 and the smallest singular order 2; a NaN rate (fewer than two rings
     with |u| > 0) drops it.  The rate is no order: it reads about 1.8 at an
-    order-2 point and about 3.5 at an order-4 point.
+    order-2 point and about 3.5 at an order-4 point.  Of kept candidates
+    within 16 pixels (the outer ring) of each other, the one of least score
+    stays, the first in raster order on a tie: on a symmetric field the
+    pixels about the point tie.
 
-    Returns a list of (x, y, abs_u, abs_grad, growth) tuples.
+    Returns a list of (x, y, abs_u, abs_grad, growth) tuples, one per kept
+    point, in raster order.
     """
     check_grid(n)
     xs = np.linspace(-1.0, 1.0, n)
@@ -310,21 +263,29 @@ def detect_singular(field: PlanarField, n: int = 256):
         raise DataError("field gradient is non-finite on the probe ring or at a candidate")
     eps_g = 10.0 * h * (float(np.max(ring)) or 1.0)
     mask = cand & (G < eps_g)
-    # label on a one-pixel dilation with 8-connectivity: sub-cell-wide bands
-    # along flat nodal rays must not shed one-pixel satellite clusters
-    labels = _label_dilated(mask)
-    labels[~mask] = 0
-    # sort the labelled pixels by (label, score); the stable sort keeps row-major
-    # order among equal scores, so the first pixel of each label is its first minimum
-    i, j = np.nonzero(labels)
-    lab = labels[i, j]
-    score = absV[i, j] + h * G[i, j]
-    order = np.lexsort((score, lab))
-    lab = lab[order]
-    best = order[np.flatnonzero(np.diff(lab, prepend=0))]
-    i, j = i[best], j[best]
+    rows = np.flatnonzero(mask.any(axis=1))
+    if len(rows) == 0:
+        return []
+    cols = np.flatnonzero(mask.any(axis=0))
+    # the score on the mask's bounding box, inf off the mask, against its least
+    # value over each pixel's window: a separable minimum filter, rows then columns
+    box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    s = np.where(mask[box], absV[box] + h * G[box], np.inf)
+    bh, bw = s.shape
+    low = np.pad(s, _WINDOW, constant_values=np.inf)
+    low = functools.reduce(np.minimum, (low[k:k + bh] for k in range(2 * _WINDOW + 1)))
+    low = functools.reduce(np.minimum, (low[:, k:k + bw] for k in range(2 * _WINDOW + 1)))
+    i, j = np.nonzero(mask[box] & (s == low))
+    score = s[i, j]
+    i, j = i + rows[0], j + cols[0]
     growth = _growth(V, inside, i, j)
-    kept = growth >= _GROWTH_MIN
+    kept = []
+    # least score first; the stable sort keeps raster order among equal scores
+    for c in np.argsort(score, kind="stable"):
+        if growth[c] >= _GROWTH_MIN and all(
+                (i[c] - i[k]) ** 2 + (j[c] - j[k]) ** 2 > _RING_D[-1] ** 2 for k in kept):
+            kept.append(c)
+    kept = sorted(kept)
     i, j = i[kept], j[kept]
     return list(zip(xs[i].tolist(), xs[j].tolist(), absV[i, j].tolist(),
                     G[i, j].tolist(), growth[kept].tolist()))

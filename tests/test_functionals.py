@@ -411,6 +411,28 @@ def test_transition_exponent_rejects_a_non_finite_gamma(gammas):
     assert f.calls == []
 
 
+_RADII = np.geomspace(0.05, 0.8, 9)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("gamma", lambda f: trace(f, "W", ORIGIN, _RADII, gamma=np.nan, t=2.0)),
+    ("t", lambda f: trace(f, "W", ORIGIN, _RADII, gamma=3.0, t=np.nan)),
+    ("t", lambda f: trace(f, "D", ORIGIN, _RADII, t=np.inf)),
+    ("gamma", lambda f: check_derivative_identities(f, ORIGIN, _RADII, np.nan, 2.0)),
+    ("t", lambda f: check_derivative_identities(f, ORIGIN, _RADII, 3.0, -np.inf)),
+    ("t", lambda f: eval_Nt(f, ORIGIN, 0.5, np.nan)),
+    ("t", lambda f: eval_Dt(f, ORIGIN, 0.5, np.inf)),
+], ids=["trace W gamma nan", "trace W t nan", "trace D t inf", "identities gamma nan",
+        "identities t -inf", "eval_Nt t nan", "eval_Dt t inf"])
+def test_non_finite_gamma_or_t_is_refused(name, call):
+    # unchecked, each answers NaN (trace D at t = inf with a RuntimeWarning
+    # too), and the identities a NaN W' residual next to a finite H' one
+    f = _re_z3_q15()
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(f)
+    assert f.calls == []
+
+
 @settings(max_examples=100, deadline=None)
 @given(m=st.integers(2, 30), r0=st.floats(1e-2, 0.2), span=st.floats(4.0, 100.0),
        rows=st.lists(st.tuples(st.floats(0.5, 4.0), st.booleans(), st.floats(0.1, 10.0)),
