@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import construct as cons
-from . import fields, functionals, nodal, orders, params as pm
+from . import __version__, fields, functionals, nodal, orders, params as pm
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -34,12 +34,7 @@ EXIT_IO = 3
 
 def _versions():
     import scipy
-    try:
-        from importlib.metadata import version
-        own = version("nodallab")
-    except Exception:
-        own = "unknown"
-    return {"nodallab": own, "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"nodallab": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def _strict(doc):

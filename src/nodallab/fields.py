@@ -18,8 +18,8 @@ once per axis and broadcasts them.  Gradients are never
 sampled on a grid; detection asks ``value_and_grad`` only at its candidate
 pixels, which relies on every field's ``value_and_grad`` returning the value
 of its ``__call__``.
-The rings of the quadrature ladder and the probe ring (``_probe_ring``)
-are sampled at their Cartesian points by ``_sample_rings``.
+The rings of the quadrature ladder and detection's probe ring are sampled
+at their Cartesian points by ``_sample_rings``.
 A field that is r^gamma phi(theta) about the origin says so through ``separated``:
 a :class:`HomogeneousField` and the harmonic monomials of
 :func:`monomial_field` do, every other field returns None.  The quadrature
@@ -28,6 +28,9 @@ the origin, such a field is integrated in closed form, from angular sums on
 the ladder's angles times powers of r (every ladder row agreed with the
 Cartesian rings to 6.7e-16 of its largest magnitude on u_k and the
 monomials of degree 1 to 5).
+A field's ``noise`` bounds the error of its values for the quadrature
+ladder; None means exact to rounding, and only a :class:`GridField` declares
+one.  A formula field that loses more than rounding (cancellation) must too.
 
 Profiles are interpolated with a periodic Catmull-Rom cubic so evaluation is
 C^1, which the glued circle profiles require.  The cubic coefficients of every
@@ -148,15 +151,15 @@ class AngularProfile:
         both = self._horner(self._coef.take(j, axis=1, mode="clip"), s)
         return both[0], both[1]
 
-    def scale(self) -> float:
-        return float(np.max(np.abs(self.values))) or 1.0
-
 
 class PlanarField:
     """Base interface: the value alone, or value and gradient together, at
     points of the unit disk."""
 
     params: ProblemParams
+    # bound on the absolute error of u for the quadrature ladder; None means
+    # exact to rounding, ``functionals.ROUNDING`` times each circle's RMS
+    noise: float | None = None
 
     def __call__(self, x, y):
         """The value at the points.  ``x`` and ``y`` broadcast against each
@@ -172,16 +175,6 @@ class PlanarField:
         """``(gamma, phi, phi')`` on ``theta`` when the field is r^gamma phi(theta)
         about the origin; None for a field that declares no such form."""
         return None
-
-    def scale(self) -> float:
-        """Crude magnitude estimate, used for relative tolerances."""
-        m = float(np.max(np.abs(_probe_ring(self))))
-        return m if m > 0 else 1.0
-
-    @property
-    def noise(self) -> float:
-        """Bound on the error of u for the quadrature ladder: 2 pi r noise^2 is 1e-14 scale^2 r."""
-        return self.scale() * np.sqrt(1e-14 / (2.0 * np.pi))
 
 
 class ClosedFormField(PlanarField):
@@ -240,9 +233,6 @@ class HomogeneousField(PlanarField):
 
     def separated(self, theta):
         return (self.gamma, *self.profile.value_and_prime(theta))
-
-    def scale(self) -> float:
-        return self.profile.scale()
 
 
 class GridField(PlanarField):
@@ -375,12 +365,6 @@ def _sample_rings(field, x0, rho, theta, grad=False):
     rho = np.asarray(rho, dtype=float)
     X, Y = x0[0] + np.outer(rho, np.cos(theta)), x0[1] + np.outer(rho, np.sin(theta))
     return field.value_and_grad(X, Y) if grad else field(X, Y)
-
-
-def _probe_ring(field, grad=False):
-    """``_sample_rings`` on the ring r = 0.7 about the origin, at 64 angles,
-    which sets a field's ``scale`` and the gradient scale of detection."""
-    return _sample_rings(field, (0.0, 0.0), [0.7], _angles(64), grad)
 
 
 class _HarmonicMonomial(ClosedFormField):

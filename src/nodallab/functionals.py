@@ -21,6 +21,11 @@ radius on each annulus [r_(i-1), r_i] (r_0 = 0).  Cumulative sums of the
 panels give the disk integrals, and one ring at each r_i gives the circle
 integrals.  Every functional below is arithmetic over one such pass.
 
+One error model holds on both paths: a field whose ``noise`` is None is
+exact to rounding, known on each circle to ROUNDING times the circle's RMS
+sqrt(H / (2 pi r)); a ``GridField`` declares its bilinear bound instead.
+Every floor on H and W is read from that bound.
+
 The two-parameter rescaled energy
 
     W(gamma, t; r) = r^(-(N-2+2 gamma)) * D_t(r) - gamma r^(-(N-1+2 gamma)) * H(r)
@@ -75,8 +80,10 @@ def _gauss_legendre(n):
 # Gauss-Legendre nodes mapped to [0, 1], and weights summing to 1
 _GL_T, _GL_W = _gauss_legendre(GL_NODES)
 _GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W
-EPS_U = 1e-6  # |u(x0)| below EPS_U * scale makes x0 nodal: a tolerance on x0, not a noise floor
-ROUNDING = 1e-12  # relative error of u on a closed-form circle: rounding, with room
+# |u(x0)| below EPS_U * the ladder's largest circle RMS makes x0 nodal: a
+# tolerance on x0, not a noise floor
+EPS_U = 1e-6
+ROUNDING = 1e-12  # relative error on a circle of a field with no noise: rounding, with room
 SLOPE_TOL = 0.02  # log-log slope of |W| below -SLOPE_TOL counts as divergent
 
 
@@ -156,10 +163,12 @@ def _gammas(gammas, name="gamma"):
     return gammas
 
 
-def _require_nodal(field, x0):
+def _require_nodal(field, x0, lad):
+    """Refuse x0 unless |u(x0)| is at most EPS_U times the largest circle RMS
+    sqrt(H / (2 pi r)) of ``lad``, the ladder just built about x0."""
     x0 = _centre(x0)
     u0 = float(np.abs(field(x0[0], x0[1])))
-    if u0 > EPS_U * field.scale():
+    if u0 > EPS_U * np.sqrt(np.max(lad.H / (2.0 * np.pi * lad.r))):
         raise PreconditionError(f"|u(x0)| = {u0} too large; x0 is not a nodal point")
 
 
@@ -191,8 +200,9 @@ class _Ladder:
     H, unu2, uunu and f_circle integrate u^2, u_nu^2, u u_nu and F(u) over
     the circle S_r; grad2 and f_bulk integrate |grad u|^2 and F(u) over the
     disk B_r.  A circles-only pass fills H and noise alone.  noise bounds the
-    error of u on each circle (ROUNDING times its RMS sqrt(H / (2 pi r)) in
-    closed form, else ``field.noise``); every floor on H and W is read from it.
+    error of u on each circle (ROUNDING times its RMS sqrt(H / (2 pi r)), or
+    ``field.noise`` where the field declares one); every floor on H and W is
+    read from it.
     """
 
     field: PlanarField
@@ -325,7 +335,8 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
         # rows: H, the disk integrals of |grad u|^2 and F (cumulative sums of
         # the annulus integrals), the circle integrals of u_nu^2, u u_nu and F
         sums = (c * u2, np.cumsum(g2), np.cumsum(fb), c * unu2, c * uunu, c * fc)
-    noise = ROUNDING * np.sqrt(sums[0] / (2.0 * np.pi * rs)) if sep is not None else np.full_like(rs, field.noise)
+    noise = (ROUNDING * np.sqrt(sums[0] / (2.0 * np.pi * rs)) if field.noise is None
+             else np.full_like(rs, field.noise))
     return _Ladder(field, radii, *(row[back].reshape(radii.shape) for row in (sums[0], noise, *sums[1:])))
 
 
@@ -455,9 +466,9 @@ def transition_exponent(field, x0, gammas, radii):
     gammas = np.sort(_gammas(gammas))
     if gammas.size == 0:
         raise ValueError("gammas is empty: the transition needs at least one gamma")
-    _require_nodal(field, x0)
     radii = _ladder_radii(radii)
     lad = _ladder(field, x0, radii)
+    _require_nodal(field, x0, lad)
     # W and its floor share the factor r^-(2 gamma), which overflows at large
     # gamma (0.02^-400) where the verdict is plain: classify r^(2 gamma) W,
     # whose log-log slope is 2 gamma more than W's

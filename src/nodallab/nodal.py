@@ -20,7 +20,7 @@ import functools
 
 import numpy as np
 
-from .fields import NodalSet, PlanarField, _angles, _probe_ring, _sample_grid
+from .fields import NodalSet, PlanarField, _angles, _sample_grid, _sample_rings
 from .functionals import _power_fit
 from .params import gamma_q
 
@@ -57,12 +57,6 @@ _GROWTH_MIN = 1.5
 _WINDOW = 4
 
 
-def _disk_mask(xs, radius2):
-    """Grid points (xs[i], xs[j]) with xs[i]^2 + xs[j]^2 <= radius2."""
-    xx = xs * xs
-    return xx[:, None] + xx[None, :] <= radius2
-
-
 def _clip_to_disk(seg, radius):
     """Portions inside the disk of the given radius of the rows (x1, y1, x2, y2).
 
@@ -93,29 +87,31 @@ def _clip_to_disk(seg, radius):
     return out[keep]
 
 
-def _sample_disk(field, xs, radius2):
-    """The disk mask of ``radius2`` on the grid and the field sampled near it,
-    refused with a DataError if any sample is non-finite: extraction and
-    detection both read this grid, and a NaN passes every sign and
-    threshold test."""
-    inside = _disk_mask(xs, radius2)
-    V = _sample_grid(field, xs, inside)
-    if not np.isfinite(V).all():
-        raise DataError("field is non-finite on the sampling grid")
-    return V, inside
-
-
 def check_grid(n: int) -> None:
     """An extraction grid needs at least 64 x 64 points."""
     if n < 64:
         raise ValueError("grid must be at least 64 x 64")
 
 
-def extract_nodal_set(field: PlanarField, n: int) -> NodalSet:
-    """Marching-squares zero set of the field inside the unit disk."""
+def _sample_disk(field, n):
+    """The one grid of extraction and detection: the coordinates xs of the
+    n x n grid over [-1, 1]^2 (checked by :func:`check_grid` before the
+    field is called), the field sampled near the unit disk, and the disk
+    mask xs[i]^2 + xs[j]^2 <= 1 + 1e-15.  A non-finite sample is refused
+    with a DataError: a NaN passes every sign and threshold test."""
     check_grid(n)
     xs = np.linspace(-1.0, 1.0, n)
-    V, inside = _sample_disk(field, xs, 1.0 + 1e-15)
+    xx = xs * xs
+    inside = xx[:, None] + xx[None, :] <= 1.0 + 1e-15
+    V = _sample_grid(field, xs, inside)
+    if not np.isfinite(V).all():
+        raise DataError("field is non-finite on the sampling grid")
+    return xs, V, inside
+
+
+def extract_nodal_set(field: PlanarField, n: int) -> NodalSet:
+    """Marching-squares zero set of the field inside the unit disk."""
+    xs, V, inside = _sample_disk(field, n)
     # the cell pass returns before the clip, so their temporaries never coexist
     return NodalSet(_clip_to_disk(_cell_segments(field, xs, V, inside), 1.0))
 
@@ -216,13 +212,13 @@ def detect_singular(field: PlanarField, n: int = 256):
     9 x 9 pixel window among small |u| and |grad u|, whose |u| grows faster
     than the distance.
 
-    The n x n grid over [-1, 1]^2, of spacing h, follows extraction's rule
-    (:func:`check_grid`).  A mask pixel has |u| < eps_u and
+    The n x n grid over [-1, 1]^2, of spacing h, and its disk are
+    extraction's (``_sample_disk``).  A mask pixel has |u| < eps_u and
     |grad u| < eps_g.  Both thresholds shrink with h, so flat nodal crossings
     are not misreported: eps_u = 10 h^min(gamma_q, 2) max |u| over the disk
     pixels, read from the grid already sampled, so a field and its grid
-    sample are held to one rule; eps_g = 10 h max |grad u| on the probe ring
-    r = 0.7 (``fields._probe_ring``), or 10 h if that is zero.  A candidate
+    sample are held to one rule; eps_g = 10 h max |grad u| on the probe ring,
+    64 points on r = 0.7 about the origin, or 10 h if that is zero.  A candidate
     is a mask pixel whose score |u| + h*|grad u| is the least over the mask
     pixels of its 9 x 9 window.  The grid
     is sampled for the value alone; the gradient is evaluated only at the
@@ -249,14 +245,12 @@ def detect_singular(field: PlanarField, n: int = 256):
     Returns a list of (x, y, abs_u, abs_grad, growth) tuples, one per kept
     point, in raster order.
     """
-    check_grid(n)
-    xs = np.linspace(-1.0, 1.0, n)
+    xs, V, inside = _sample_disk(field, n)
     h = xs[1] - xs[0]
-    V, inside = _sample_disk(field, xs, 1.0)
     absV = np.abs(V)
     eps_u = 10.0 * h ** min(gamma_q(field.params), 2.0) * np.max(absV, where=inside, initial=0.0)
     cand = inside & (absV < eps_u)
-    _, (gx, gy) = _probe_ring(field, grad=True)
+    _, (gx, gy) = _sample_rings(field, (0.0, 0.0), [0.7], _angles(64), grad=True)
     ring = np.hypot(gx, gy)
     G = _grad_norm_at(field, xs, cand)
     if not (np.isfinite(ring).all() and np.isfinite(G[cand]).all()):

@@ -65,16 +65,16 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
     radii = _ladder_radii(radii)
     if len(radii) < 8:
         raise ValueError("ladder needs at least 8 radii")
-    _require_nodal(field, x0)
 
-    def fit(rs):
-        """Half the slope of H / r^(N-1) over the radii whose H clears its floor, those radii, the ladder."""
-        lad = _ladder(field, x0, rs)
+    def fit(lad):
+        """Half the slope of H / r^(N-1) over the radii whose H clears its floor, and those radii."""
         if not np.any(lad.h_ok):
             raise ZeroFieldError("H below the noise floor on the whole ladder")
-        return 0.5 * float(_power_fit(rs, lad.H / rs ** (N_DIM - 1), lad.h_ok)[0]), lad.h_ok, lad
+        return 0.5 * float(_power_fit(lad.r, lad.H / lad.r ** (N_DIM - 1), lad.h_ok)[0]), lad.h_ok
 
-    raw, kept, lad = fit(radii)
+    lad = _ladder(field, x0, radii)
+    _require_nodal(field, x0, lad)
+    raw, kept = fit(lad)
     cands = admissible_orders(field.params)
     best = min(cands, key=lambda c: abs(c - raw))
     if not abs(best - raw) <= SNAP_TOL:  # a NaN slope widens the window too
@@ -83,7 +83,8 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
         span = radii[-1] / radii[0]
         # radii[-1] / span is radii[0]: unique keeps it once in the fit
         wide = np.unique(np.concatenate([radii, radii / span]))
-        raw, kept, lad = fit(wide)
+        lad = _ladder(field, x0, wide)
+        raw, kept = fit(lad)
         best = min(cands, key=lambda c: abs(c - raw))
         radii = wide
     snapped = best if abs(best - raw) <= SNAP_TOL else "inconclusive"

@@ -256,7 +256,7 @@ def test_criterion_10_singular_set(family):
         ok &= np.hypot(sing[0][0], sing[0][1]) < 0.05
         # profile zeros are nondegenerate: slope at each zero bounded away from 0
         slopes = profile_zero_structure(mr.profile)["slopes"]
-        m = min(abs(s) for s in slopes) / mr.profile.scale()
+        m = min(abs(s) for s in slopes) / np.max(np.abs(mr.profile.values))
         details.append(f"{m:.2f}")
         ok &= m > 1e-3
     report(10, "singular set is exactly the origin; profile slopes nonzero",

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import os
@@ -34,6 +35,19 @@ def test_run_json_reports_versions(construct_dir):
     versions = json.loads((construct_dir / "run.json").read_text())["versions"]
     assert versions["scipy"] == scipy.__version__
     assert versions["numpy"] == np.__version__
+
+
+def test_run_json_reports_the_pyproject_version(construct_dir):
+    # pyproject.toml takes its version from one attribute of the package,
+    # which run.json reports also when nodallab runs from a source tree
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)
+    assert "version" in project["project"]["dynamic"]
+    module, _, name = project["tool"]["setuptools"]["dynamic"]["version"]["attr"].rpartition(".")
+    version = getattr(importlib.import_module(module), name)
+    assert re.fullmatch(r"\d+\.\d+\.\d+", version)
+    assert json.loads((construct_dir / "run.json").read_text())["versions"]["nodallab"] == version
 
 
 def test_construct_outputs(construct_dir):

@@ -42,13 +42,6 @@ def test_profile_validation():
         AngularProfile(np.zeros(32), np.zeros(16))
 
 
-def test_profile_scale():
-    prof = cos2_profile()
-    assert abs(prof.scale() - 1.0) < 1e-12
-    zero = AngularProfile(np.zeros(32), np.zeros(32))
-    assert zero.scale() == 1.0  # falls back so ratios stay finite
-
-
 def test_monomial_field_values():
     f = monomial_field(2)
     assert abs(f(1.0, 0.0) - 1.0) < 1e-15
@@ -256,11 +249,6 @@ def test_nodal_set_array_layout():
     assert NodalSet([]).segments.shape == (0, 2, 2)
     assert ns == NodalSet(np.array(pairs)) and NodalSet() == NodalSet([])
     assert ns != NodalSet(pairs[:1])
-
-
-def test_closed_form_field_scale():
-    f = ClosedFormField(lambda x, y: 3.0 * x, lambda x, y: (3.0, 0.0))
-    assert abs(f.scale() - 2.1) < 1e-12  # max |3x| on the r=0.7 circle
 
 
 def _catmull_rom_ref(values, x):
@@ -536,9 +524,6 @@ class _Undeclared(PlanarField):
 
     def value_and_grad(self, x, y):
         return self.field.value_and_grad(x, y)
-
-    def scale(self):
-        return self.field.scale()
 
 
 # radii in drawn order with the first two repeated

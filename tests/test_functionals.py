@@ -297,9 +297,6 @@ class _CallCounting(PlanarField):
         self.calls.append("value_and_grad")
         return self.base.value_and_grad(x, y)
 
-    def scale(self):
-        return self.base.scale()
-
 
 @pytest.mark.parametrize("reader", list(_CENTRED_READERS))
 @pytest.mark.parametrize("x0", [(np.nan, 0.0), (0.0, np.nan)])
@@ -352,9 +349,13 @@ def test_transition_exponent_inconclusive():
     radii = np.geomspace(0.02, 0.8, 25)
     with pytest.raises(InconclusiveError):
         transition_exponent(f, ORIGIN, np.array([0.5, 1.0, 1.5]), radii)
-    with pytest.raises(PreconditionError):
-        # centered away from the nodal set
-        transition_exponent(f, (0.5, 0.0), np.array([1.5, 2.5]), radii)
+    for x0 in ((0.5, 0.0), (0.5, 0.1)):
+        # centred away from the nodal set: a ladder that escapes the disk is
+        # refused first, and one inside it is refused as not nodal
+        with pytest.raises(DomainError, match="escapes the unit disk"):
+            transition_exponent(f, x0, np.array([1.5, 2.5]), radii)
+        with pytest.raises(PreconditionError, match="not a nodal point"):
+            transition_exponent(f, x0, np.array([1.5, 2.5]), np.geomspace(0.02, 0.4, 25))
 
     # Re z^3 with the q = 1 force on: the bulk term of order r^5 outweighs the
     # Dirichlet term of order r^6 near 0, so for gamma below 3 W changes sign
@@ -471,10 +472,10 @@ def test_power_fit_rows_with_fewer_than_two_points_are_nan():
 def _transition_exponent_per_gamma(field, x0, gammas, radii):
     """The estimator as first written: one W row and one np.polyfit per gamma."""
     x0 = np.asarray(x0, dtype=float)
-    _require_nodal(field, x0)
     gammas = np.sort(np.asarray(gammas, dtype=float))
     radii = np.sort(np.asarray(radii, dtype=float))
     lad = _ladder(field, x0, radii)
+    _require_nodal(field, x0, lad)
     decade = radii <= radii[0] * 10.0 + 1e-300
     if np.count_nonzero(decade) < 3:
         decade = np.zeros_like(decade)
@@ -510,11 +511,14 @@ def _outcome(estimator, *args):
         return "inconclusive", exc.bracket
     except PreconditionError:
         return ("not nodal",)
+    except DomainError:
+        return ("escapes",)
 
 
 def test_transition_exponent_matches_per_gamma_classification():
-    # the criterion-07 fields, monomials up to degree 5, and a centre off the
-    # nodal set; grids around, below and above the order and a coarse one
+    # the criterion-07 fields, monomials up to degree 5, and centres off the
+    # nodal set, whose ladder escapes the disk or stays inside it; grids
+    # around, below and above the order and a coarse one
     cases = [(construct_uk(ProblemParams(q=1.0), 5).to_field(), 2.0),
              (construct_uk(ProblemParams(q=1.5), 9).to_field(), 4.0)]
     for q, top in ((1.0, 5), (1.5, 3)):
@@ -528,13 +532,14 @@ def test_transition_exponent_matches_per_gamma_classification():
                  np.arange(order - 1.5, order - 0.55, 0.05),
                  np.arange(order + 0.55, order + 1.5, 0.05),
                  np.array([0.5, 1.0, 1.5, 2.5, 3.5, 4.5]))
-        runs = [(ORIGIN, g) for g in grids] + [((0.5, 0.1), grids[0])]
-        for radii in (np.geomspace(0.02, 0.8, 6), np.geomspace(0.02, 0.8, 25)):
-            for x0, gammas in runs:
-                got = _outcome(transition_exponent, f, x0, gammas, radii)
-                assert got == _outcome(_transition_exponent_per_gamma, f, x0, gammas, radii)
-                kinds.add(got[0])
-    assert kinds == {"value", "inconclusive", "not nodal"}
+        ladders = (np.geomspace(0.02, 0.8, 6), np.geomspace(0.02, 0.8, 25))
+        runs = [(ORIGIN, g, radii) for g in grids for radii in ladders]
+        runs += [((0.5, 0.1), grids[0], radii) for radii in (*ladders, np.geomspace(0.02, 0.4, 6))]
+        for x0, gammas, radii in runs:
+            got = _outcome(transition_exponent, f, x0, gammas, radii)
+            assert got == _outcome(_transition_exponent_per_gamma, f, x0, gammas, radii)
+            kinds.add(got[0])
+    assert kinds == {"value", "inconclusive", "not nodal", "escapes"}
 
 
 @pytest.fixture(scope="module")
@@ -737,3 +742,45 @@ def test_uk_claims_over_the_range(q, lam_plus, lam_minus, dk):
     for lo, hi in ((0.5, 0.5), (1.0, 0.5), (0.5, 2.0)):
         gammas = np.arange(g - lo, g + hi + 1e-9, 0.05)
         assert abs(transition_exponent(u, ORIGIN, gammas, radii) - g) <= 0.05
+
+
+@pytest.mark.parametrize("q", [1.75, 1.9, 1.95])
+def test_plain_wrapper_of_uk_gets_the_fields_verdicts(q):
+    # behind a wrapper that declares no separated form, u_k is sampled on
+    # Cartesian rings, held to the error model of its closed form: ROUNDING
+    # times each circle's RMS.  So the wrapper reads u_k's own order and
+    # transition exponent near q = 2, where u_k is tiny on the small circles
+    p = ProblemParams(q=q, lambda_minus=2.0)
+    u = construct_uk(p, k_bar(p) + 1).to_field()
+    g = gamma_q(p)
+    ladder = 0.5 * 2.0 ** -np.arange(8.0)[::-1]
+    gammas, radii = np.arange(g - 0.5, g + 0.5001, 0.05), np.geomspace(0.02, 0.8, 25)
+    est = transition_exponent(u, ORIGIN, gammas, radii)
+    assert abs(est - g) <= 0.05
+    assert transition_exponent(_CallCounting(u), ORIGIN, gammas, radii) == est
+    for f in (u, _CallCounting(u)):
+        assert estimate_order(f, ORIGIN, ladder).snapped == g
+
+
+def _monomial_sum(low, high):
+    """Re z^low + 10 Re z^high as a plain closed-form field, q = 1.5 and mu = 0."""
+    a, b = monomial_field(low), monomial_field(high)
+    return ClosedFormField(
+        lambda x, y: a(x, y) + 10.0 * b(x, y),
+        lambda x, y: tuple(ga + 10.0 * gb for ga, gb in zip(a.gradf(x, y), b.gradf(x, y))),
+        ProblemParams(q=1.5, mu=0.0))
+
+
+@pytest.mark.parametrize("low", [2, 3])
+def test_monomial_sum_snaps_to_its_lower_degree(low):
+    # the small circles, where the lower degree shows, clear the H floor, so
+    # the dyadic fit reads the order, not the 10 Re z^(low + 1) that
+    # dominates the large ones
+    est = estimate_order(_monomial_sum(low, low + 1), ORIGIN, 0.5 * 2.0 ** -np.arange(8.0)[::-1])
+    assert est.snapped == float(low)
+
+
+def test_transition_exponent_of_a_monomial_sum():
+    est = transition_exponent(_monomial_sum(3, 5), ORIGIN, np.arange(2.5, 3.5001, 0.05),
+                              np.geomspace(0.02, 0.8, 25))
+    assert abs(est - 3.0) <= 0.05

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodallab import fields
+from nodallab import fields, nodal
 from nodallab.construct import construct_uk
 from nodallab.fields import (
     AngularProfile, ClosedFormField, GridField, HomogeneousField, NodalSet, PlanarField, _angles,
     _sample_grid, monomial_field,
 )
 from nodallab.nodal import (
-    DataError, _clip_to_disk, _disk_mask, _grad_norm_at, _growth, _sample_disk,
+    DataError, _clip_to_disk, _grad_norm_at, _growth, _sample_disk,
     detect_singular, extract_nodal_set, nodal_length, profile_zero_structure,
 )
 from nodallab.params import ProblemParams, k_bar
@@ -132,7 +132,7 @@ def _minima_ref(field, n):
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     V, (GX, GY) = field.value_and_grad(X, Y)
     G = np.hypot(GX, GY)
-    inside = X * X + Y * Y <= 1.0
+    inside = X * X + Y * Y <= 1.0 + 1e-15  # extraction's disk
     # |u| against its largest value on the disk pixels, |grad u| against its
     # largest value at 64 points of the ring r = 0.7
     gamma = 2.0 / (2.0 - field.params.q)
@@ -469,9 +469,14 @@ def test_sample_disk_matches_full_grid(n, radius, band_points, monkeypatch):
         # GridField.sample bands the whole square
         for field in _sample_disk_fields():
             assert _bits(GridField.sample(field, n).values) == _bits(np.asarray(field(X, Y)))
+        # the disk grid of extraction and detection is the full grid's on the disk
+        for field in _sample_disk_fields():
+            got_xs, V, inside = _sample_disk(field, n)
+            assert _bits(got_xs) == _bits(xs)
+            assert np.array_equal(inside, X * X + Y * Y <= 1.0 + 1e-15)
+            assert _bits(V[inside]) == _bits(np.asarray(field(X, Y))[inside])
     for r2 in (radius * radius + 1e-15, radius * radius):
-        inside = _disk_mask(xs, r2)
-        assert np.array_equal(inside, X * X + Y * Y <= r2)
+        inside = X * X + Y * Y <= r2
         for field in _sample_disk_fields():
             V = _sample_grid(field, xs, inside)
             assert _bits(V[inside]) == _bits(np.asarray(field(X, Y))[inside])
@@ -485,7 +490,7 @@ def test_candidate_gradients_match_full_grid(n, radius):
     # for bit, and inf everywhere else
     xs = np.linspace(-radius, radius, n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    inside = _disk_mask(xs, radius * radius)
+    inside = X * X + Y * Y <= radius * radius
     for field in _sample_disk_fields():
         U, (UX, UY) = field.value_and_grad(X, Y)
         for cand in (inside & (np.abs(U) < np.quantile(np.abs(U), 0.05)), inside,
@@ -570,8 +575,7 @@ def test_growth_tells_the_vertex_from_a_nodal_ray(uk15_grid):
     # the distance at the vertex and about like it on the nodal ray
     # theta = 0, so a flat band along a ray that passed both thresholds
     # would be dropped
-    xs = np.linspace(-1.0, 1.0, 256)
-    V, inside = _sample_disk(uk15_grid, xs, 1.0)
+    xs, V, inside = _sample_disk(uk15_grid, 256)
     i = np.array([np.argmin(np.abs(xs - x)) for x in (0.0, 0.25, 0.5, 0.75)])
     j = np.full(4, np.argmin(np.abs(xs)))
     growth = _growth(V, inside, i, j)
@@ -676,9 +680,6 @@ class _CountingField(PlanarField):
         self.grad_points.append(np.size(x))
         return self.base.value_and_grad(x, y)
 
-    def scale(self):
-        return self.base.scale()
-
 
 def test_detect_singular_grads_only_candidates():
     # the grid is sampled for the value alone; the gradient is asked for the
@@ -688,6 +689,25 @@ def test_detect_singular_grads_only_candidates():
     field = _CountingField(uk)
     got = detect_singular(field, 256)
     _assert_matches_ref(got, _detect_singular_ref(uk, 256))
-    disk = np.count_nonzero(_disk_mask(np.linspace(-1.0, 1.0, 256), 1.0))
+    disk = np.count_nonzero(_sample_disk(uk, 256)[2])
     assert field.grad_points[0] == 64 and len(field.grad_points) == 2
     assert 0 < field.grad_points[1] <= 0.05 * disk
+
+
+@pytest.mark.parametrize("n", [71, 101, 256])
+def test_extraction_and_detection_read_one_disk(n, monkeypatch):
+    # at n = 71 and 101 grid points lie on the unit circle, where a disk
+    # test of x^2 + y^2 <= 1 and one of <= 1 + 1e-15 part
+    masks = []
+
+    def recording(field, xs, inside):
+        masks.append(inside)
+        return _sample_grid(field, xs, inside)
+
+    monkeypatch.setattr(nodal, "_sample_grid", recording)
+    f = monomial_field(3)
+    extract_nodal_set(f, n)
+    detect_singular(f, n)
+    xs = np.linspace(-1.0, 1.0, n)
+    assert len(masks) == 2 and np.array_equal(masks[0], masks[1])
+    assert np.array_equal(masks[0], np.add.outer(xs * xs, xs * xs) <= 1.0 + 1e-15)
