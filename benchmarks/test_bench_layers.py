@@ -170,6 +170,18 @@ def test_transition_exponent_uk15(benchmark, uk15):
     assert abs(est - 4.0) <= 0.05 + 1e-12
 
 
+def test_transition_exponent_uk15_cold(benchmark, uk15):
+    # a fresh field about the same profile every round, so each pays for its
+    # angular sums (phi and phi' on the ladder angles) once
+    def fresh():
+        return (fields.HomogeneousField(uk15.gamma, uk15.profile, uk15.params),), {}
+
+    est = benchmark.pedantic(
+        lambda f: transition_exponent(f, (0.0, 0.0), WEISS_GAMMAS, WEISS_GEOMETRIC_LADDER),
+        setup=fresh, rounds=500, warmup_rounds=5)
+    assert abs(est - 4.0) <= 0.05 + 1e-12
+
+
 def test_estimate_order_uk15(benchmark, uk15):
     est = benchmark(estimate_order, uk15, (0.0, 0.0), WEISS_DYADIC_LADDER)
     assert est.snapped == 4.0 and abs(est.raw_slope - 4.0) < 0.05

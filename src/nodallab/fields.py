@@ -27,7 +27,9 @@ ladder (``functionals._ladder``) is the one reader of that form: centred at
 the origin, such a field is integrated in closed form, from angular sums on
 the ladder's angles times powers of r (every ladder row agreed with the
 Cartesian rings to 6.7e-16 of its largest magnitude on u_k and the
-monomials of degree 1 to 5).
+monomials of degree 1 to 5).  The sums are read once per field and params
+and kept on the field, keyed by its ``params``: a reassigned ``params`` is
+read afresh, and a field's separated form must not change otherwise.
 A field's ``noise`` bounds the error of its values for the quadrature
 ladder; None means exact to rounding, and only a :class:`GridField` declares
 one.  A formula field that loses more than rounding (cancellation) must too.
@@ -160,6 +162,7 @@ class PlanarField:
     # bound on the absolute error of u for the quadrature ladder; None means
     # exact to rounding, ``functionals.ROUNDING`` times each circle's RMS
     noise: float | None = None
+    _angular_sums = None  # ``functionals._angular_sums``' memo: (params, its four numbers)
 
     def __call__(self, x, y):
         """The value at the points.  ``x`` and ``y`` broadcast against each

@@ -5,10 +5,12 @@ disk, computed in one pass (``_ladder``) over a radius ladder
 r_1 < ... < r_m.  A field that is r^gamma phi(theta) about x0 = (0, 0) (a
 ``HomogeneousField`` or a harmonic monomial, which declare it through
 ``separated``) is integrated in closed form: every circle and disk integral
-is an angular sum of phi and phi' (trapezoid rule, evaluated once per
-ladder) times a power of r.  On 50 geometric radii in [0.01, 1], every
-ladder row agreed with the Cartesian rings to 6.7e-16 of its largest
-magnitude on u_k at q = 1 to 1.75 and on the monomials of degree 1 to 5;
+is an angular sum of phi and phi' (trapezoid rule) times a power of r.  The
+sums are evaluated once per field and params and kept on the field, so every
+further ladder about its vertex is powers of r alone.  On 50 geometric radii
+in [0.01, 1], every ladder row agreed with the Cartesian rings to 6.7e-16 of
+its largest magnitude on u_k at q = 1 to 1.75 and on the monomials of degree
+1 to 5;
 the H, grad2, unu2 and uunu rows of Re/Im z^d are pi r^(2d+1), pi d r^(2d),
 pi d^2 r^(2d-1) and pi d r^(2d) to 1e-15 at every radius.  The Cartesian
 panel is exact only on polynomials: it misses the integral of rho^2.5 over
@@ -49,6 +51,7 @@ N_DIM = 2
 # is a node (at 1024, u_8's 16 kinks near q = 1 all were, and N_q missed gamma_q by 4.7e-3)
 N_THETA = 1021
 _THETA = _angles(N_THETA)
+_DTH = 2.0 * np.pi / N_THETA
 GL_NODES = 48
 
 
@@ -275,12 +278,34 @@ class _Ladder:
         )
 
 
+def _angular_sums(field):
+    """The four numbers of a separated field's closed-form ladder, or None
+    for a field that declares no separated form: gamma, dtheta sum phi^2,
+    dtheta sum (gamma^2 phi^2 + phi'^2) / (2 gamma) and dtheta sum F(phi)
+    on the ladder's angles.  F reads ``field.params``, which callers
+    reassign, so the numbers are kept on the field keyed by its params:
+    phi and phi' are evaluated once per field and params."""
+    memo = field._angular_sums
+    if memo is not None and memo[0] == field.params:
+        return memo[1]
+    sep = field.separated(_THETA)
+    if sep is not None:
+        g, phi, dphi = sep
+        sep = (g, _DTH * np.sum(phi * phi), _DTH * np.sum(g * g * phi * phi + dphi * dphi) / (2 * g),
+               _DTH * np.sum(eval_F(field.params, phi)))
+    field._angular_sums = (field.params, sep)
+    return sep
+
+
 def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
-    """One quadrature pass over the radii (any shape and order, repeats allowed).
+    """One quadrature pass over the radii (any shape and order, repeats
+    allowed; a strictly increasing 1-d ladder, which every public reader
+    passes, is used as it is, and any other goes through ``np.unique``).
 
     A field that is r^gamma phi(theta) about x0 = (0, 0) (``field.separated``)
-    is integrated in closed form: phi and phi' are evaluated once on the
-    angles, and each row is dtheta times an angular sum times a power of r,
+    is integrated in closed form: each row is dtheta times an angular sum
+    times a power of r, the sums read by ``_angular_sums`` once per field
+    and params,
 
         H:        sum phi^2                                * r^(2 gamma + 1)
         grad2:    sum (gamma^2 phi^2 + phi'^2) / (2 gamma) * r^(2 gamma)
@@ -297,31 +322,29 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
     """
     x0 = _centre(x0)
     radii = np.asarray(radii, dtype=float)
-    rs, back = np.unique(radii, return_inverse=True)
+    # a ladder of ``_ladder_radii`` is its own set of distinct radii
+    plain = radii.ndim == 1 and (radii[1:] > radii[:-1]).all()
+    rs, back = (radii, None) if plain else np.unique(radii, return_inverse=True)
     lo = rs.min(initial=np.inf)
     if not lo > 0:  # written so that a NaN radius fails
         raise DomainError(f"radius must be positive, got {lo}")
     if np.hypot(x0[0], x0[1]) + rs.max(initial=0.0) > 1.0 + 1e-12:
         raise DomainError(f"ball B_{rs[-1]}({x0}) escapes the unit disk")
-    dth = 2.0 * np.pi / N_THETA
-    sep = field.separated(_THETA) if x0[0] == 0.0 and x0[1] == 0.0 else None
+    sep = _angular_sums(field) if x0[0] == 0.0 and x0[1] == 0.0 else None
     if sep is not None:
-        g, phi, dphi = sep
-        p2 = dth * np.sum(phi * phi)
+        g, p2, grad, f = sep
         sums = (p2 * rs ** (2 * g + 1),)
         if bulk:
             gq = g * field.params.q
-            f = dth * np.sum(eval_F(field.params, phi))
-            sums += (dth * np.sum(g * g * phi * phi + dphi * dphi) / (2 * g) * rs ** (2 * g),
-                     f / (gq + 2) * rs ** (gq + 2), g * g * p2 * rs ** (2 * g - 1),
-                     g * p2 * rs ** (2 * g), f * rs ** (gq + 1))
+            sums += (grad * rs ** (2 * g), f / (gq + 2) * rs ** (gq + 2),
+                     g * g * p2 * rs ** (2 * g - 1), g * p2 * rs ** (2 * g), f * rs ** (gq + 1))
     elif not bulk:
-        sums = (rs * dth * np.sum(_sample_rings(field, x0, rs, _THETA) ** 2, axis=1),)
+        sums = (rs * _DTH * np.sum(_sample_rings(field, x0, rs, _THETA) ** 2, axis=1),)
     else:
         # each row of rho: the panel rings of one annulus, then its circle
         lo = np.concatenate(([0.0], rs))[:-1]
         rho = np.column_stack((lo[:, None] + (rs - lo)[:, None] * _GL_T, rs))
-        w = (rs - lo)[:, None] * _GL_W * rho[:, :-1] * dth
+        w = (rs - lo)[:, None] * _GL_W * rho[:, :-1] * _DTH
         ct, st = np.cos(_THETA), np.sin(_THETA)
         u2, g2, fb, unu2, uunu, fc = np.empty((6, len(rs)))
         for i, row in enumerate(rho):
@@ -331,13 +354,16 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
             g2[i] = np.dot(w[i], np.sum(gx * gx + gy * gy, axis=1)[:-1])
             fb[i], fc[i] = np.dot(w[i], f[:-1]), f[-1]
             u2[i], unu2[i], uunu[i] = np.sum(u * u), np.sum(unu * unu), np.sum(u * unu)
-        c = rs * dth
+        c = rs * _DTH
         # rows: H, the disk integrals of |grad u|^2 and F (cumulative sums of
         # the annulus integrals), the circle integrals of u_nu^2, u u_nu and F
         sums = (c * u2, np.cumsum(g2), np.cumsum(fb), c * unu2, c * uunu, c * fc)
     noise = (ROUNDING * np.sqrt(sums[0] / (2.0 * np.pi * rs)) if field.noise is None
              else np.full_like(rs, field.noise))
-    return _Ladder(field, radii, *(row[back].reshape(radii.shape) for row in (sums[0], noise, *sums[1:])))
+    rows = (sums[0], noise, *sums[1:])
+    if not plain:
+        rows = (row[back].reshape(radii.shape) for row in rows)
+    return _Ladder(field, radii, *rows)
 
 
 def eval_H(field: PlanarField, x0, r) -> float:

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -784,3 +786,106 @@ def test_transition_exponent_of_a_monomial_sum():
     est = transition_exponent(_monomial_sum(3, 5), ORIGIN, np.arange(2.5, 3.5001, 0.05),
                               np.geomspace(0.02, 0.8, 25))
     assert abs(est - 3.0) <= 0.05
+
+
+_LADDER_ROWS = ("H", "noise", "grad2", "f_bulk", "unu2", "uunu", "f_circle")
+
+
+def _assert_same_ladder(a, b):
+    """Every row of ladder ``a`` is ``b``'s to the bit."""
+    for name in _LADDER_ROWS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class _SeparatedCounting(_RotatedMonomial):
+    """A separated field that counts its ``separated`` calls."""
+
+    calls = 0
+
+    def separated(self, theta):
+        self.calls += 1
+        return super().separated(theta)
+
+
+def test_angular_sums_follow_params():
+    # the sums are kept on the field keyed by its params: after every
+    # reassignment, A then B then A again, the ladder is a fresh field's
+    radii = np.geomspace(0.02, 0.8, 12)
+    A, B = ProblemParams(q=1.5, lambda_minus=2.0), ProblemParams(q=1.25, mu=0.5)
+    f = monomial_field(3)
+    ladders = {}
+    for p in (A, B, A):
+        f.params = p
+        fresh = monomial_field(3)
+        fresh.params = p
+        ladders[p] = _ladder(f, ORIGIN, radii)
+        _assert_same_ladder(ladders[p], _ladder(fresh, ORIGIN, radii))
+    assert not np.array_equal(ladders[A].f_bulk, ladders[B].f_bulk)
+
+
+def test_separated_is_called_once_per_field_and_params():
+    f = _SeparatedCounting(3, 0.4, "cos", 1.0)
+    f.params = ProblemParams(q=1.5)
+    radii = np.geomspace(0.02, 0.8, 12)
+    first = _ladder(f, ORIGIN, radii)
+    for _ in range(3):
+        _assert_same_ladder(_ladder(f, ORIGIN, radii), first)
+        transition_exponent(f, ORIGIN, np.arange(2.5, 3.5001, 0.05), radii)
+        estimate_order(f, ORIGIN, radii)
+        eval_H(f, ORIGIN, 0.5)
+    assert f.calls == 1
+    # a centre off the origin is sampled on Cartesian rings
+    _ladder(f, (0.1, 0.0), radii[:6], bulk=False)
+    assert f.calls == 1
+    f.params = ProblemParams(q=1.25, lambda_minus=3.0)
+    for _ in range(3):
+        _ladder(f, ORIGIN, radii)
+    assert f.calls == 2
+
+
+@dataclass
+class _DataclassMonomial(PlanarField):
+    """Re z^d as a dataclass: its generated ``__eq__`` leaves it unhashable."""
+
+    d: int
+    params: ProblemParams
+
+    def separated(self, theta):
+        return self.d, np.cos(self.d * theta), -self.d * np.sin(self.d * theta)
+
+    def __call__(self, x, y):
+        return np.real((np.asarray(x) + 1j * np.asarray(y)) ** self.d)
+
+
+def test_unhashable_separated_field_gets_its_closed_form_ladder():
+    p = ProblemParams(q=1.5, lambda_minus=2.0)
+    f = _DataclassMonomial(3, p)
+    with pytest.raises(TypeError):
+        hash(f)
+    mono = monomial_field(3)
+    mono.params = p
+    # it has no value_and_grad, so only the closed form can give its ladder
+    radii = np.geomspace(0.02, 0.8, 12)
+    for _ in range(2):
+        _assert_same_ladder(_ladder(f, ORIGIN, radii), _ladder(mono, ORIGIN, radii))
+
+
+@pytest.mark.parametrize("case", ["mono3", "uk", "uk off the origin", "grid"])
+@pytest.mark.parametrize("bulk", [False, True])
+def test_ladder_without_unique_matches_the_unique_path(cartesian_cases, case, bulk):
+    # a strictly increasing 1-d ladder skips np.unique; the same radii with a
+    # repeat, reversed or as a 3-row stack take it, and give the same rows
+    u, grid = cartesian_cases[0][0], cartesian_cases[1][0]
+    mono = monomial_field(3)
+    mono.params = ProblemParams(q=1.5, lambda_minus=2.0)
+    f, x0 = {"mono3": (mono, ORIGIN), "uk": (u, ORIGIN), "uk off the origin": (u, (0.1, 0.0)),
+             "grid": (grid, ORIGIN)}[case]
+    radii = np.geomspace(0.05, 0.85, 7)
+    lad = _ladder(f, x0, radii, bulk)
+    i = np.arange(len(radii))
+    for idx in (np.insert(i, 3, 3), i[::-1], np.stack([i, i[::-1], i])):
+        got = _ladder(f, x0, radii[idx], bulk)
+        assert np.array_equal(got.r, radii[idx])
+        rows = _LADDER_ROWS if bulk else _LADDER_ROWS[:2]
+        for name in rows:
+            assert np.array_equal(getattr(got, name), getattr(lad, name)[idx]), name
