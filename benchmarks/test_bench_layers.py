@@ -25,7 +25,10 @@ from nodallab.construct import (
     time_map_t_bar,
 )
 from nodallab.fields import GridField
-from nodallab.functionals import _THETA, eval_Dt, eval_F, eval_Nt, trace, transition_exponent
+from nodallab.functionals import (
+    _THETA, InconclusiveError, eval_Dt, eval_F, eval_Nt, monotonicity_scan, trace,
+    transition_exponent,
+)
 from nodallab.nodal import detect_singular, extract_nodal_set, nodal_length
 from nodallab.orders import estimate_order
 from nodallab.params import ProblemParams
@@ -194,6 +197,28 @@ def test_estimate_order_grid_sample(benchmark, uk15_grid):
                                            (0.0, 0.0), WEISS_DYADIC_LADDER))
     # the bound drops the circles where bilinear error swamps H
     assert est.snapped == 4.0 and abs(est.raw_slope - 4.0) < 0.05 and est.nondegeneracy_ratio > 0
+
+
+def _transition_bracket(field):
+    """The bracket of an inconclusive transition exponent; the estimate otherwise."""
+    try:
+        return transition_exponent(field, (0.0, 0.0), WEISS_GAMMAS, WEISS_GEOMETRIC_LADDER)
+    except InconclusiveError as exc:
+        return exc.bracket
+
+
+def test_transition_exponent_grid_sample(benchmark, uk15_grid):
+    # the grid branch of the ladder's error row: the bilinear bound over each
+    # circle's RMS.  On this ladder it keeps every W above the floor bounded,
+    # so the sample reads "no divergent gamma" above the grid's top gamma
+    bracket = benchmark(_transition_bracket, uk15_grid)
+    assert bracket[1] is None and abs(bracket[0] - 4.5) < 1e-9
+
+
+def test_monotonicity_scan_grid_sample(benchmark, uk15_grid):
+    scan = benchmark(monotonicity_scan, uk15_grid, (0.0, 0.0), 4.0, WEISS_GEOMETRIC_LADDER)
+    w = np.asarray(scan["values"])
+    assert scan["verdict"] == "monotone" and np.all(w < 0) and np.all(np.diff(w) > 0)
 
 
 def test_extract_nodal_set_n512(benchmark, uk15):

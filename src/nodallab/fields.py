@@ -32,7 +32,8 @@ and kept on the field, keyed by its ``params``: a reassigned ``params`` is
 read afresh, and a field's separated form must not change otherwise.
 A field's ``noise`` bounds the error of its values for the quadrature
 ladder; None means exact to rounding, and only a :class:`GridField` declares
-one.  A formula field that loses more than rounding (cancellation) must too.
+one.  A formula field that loses more than rounding (cancellation) must too,
+and a wrapper must forward the wrapped field's, or it is held to rounding.
 
 Profiles are interpolated with a periodic Catmull-Rom cubic so evaluation is
 C^1, which the glued circle profiles require.  The cubic coefficients of every
@@ -56,6 +57,7 @@ from .params import ProblemParams
 
 FORMAT_MAGIC = "NODALLAB"
 FORMAT_VERSION = "v1"
+_LAPLACE = ProblemParams(q=1.0, mu=0.0)  # the params of a field given none; frozen, so shared
 
 
 class DomainError(ValueError):
@@ -160,7 +162,7 @@ class PlanarField:
 
     params: ProblemParams
     # bound on the absolute error of u for the quadrature ladder; None means
-    # exact to rounding, ``functionals.ROUNDING`` times each circle's RMS
+    # exact to rounding, a relative error ``functionals.ROUNDING`` on each circle
     noise: float | None = None
     _angular_sums = None  # ``functionals._angular_sums``' memo: (params, its four numbers)
 
@@ -186,7 +188,7 @@ class ClosedFormField(PlanarField):
     def __init__(self, f, gradf, params=None):
         self.f = f
         self.gradf = gradf
-        self.params = params if params is not None else ProblemParams(q=1.0, mu=0.0)
+        self.params = params if params is not None else _LAPLACE
 
     def __call__(self, x, y):
         return self.f(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -206,7 +208,7 @@ class HomogeneousField(PlanarField):
             raise ValueError("gamma must be positive and finite")
         self.gamma = float(gamma)
         self.profile = profile
-        self.params = params or profile.params or ProblemParams(q=1.0, mu=0.0)
+        self.params = params or profile.params or _LAPLACE
 
     @staticmethod
     def _polar(x, y):
@@ -254,7 +256,7 @@ class GridField(PlanarField):
         self.values = values
         self.n = values.shape[0]
         self.h = 2.0 / (self.n - 1)
-        self.params = params or ProblemParams(q=1.0, mu=0.0)
+        self.params = params or _LAPLACE
 
     @staticmethod
     def _check_side(n):

@@ -23,10 +23,10 @@ radius on each annulus [r_(i-1), r_i] (r_0 = 0).  Cumulative sums of the
 panels give the disk integrals, and one ring at each r_i gives the circle
 integrals.  Every functional below is arithmetic over one such pass.
 
-One error model holds on both paths: a field whose ``noise`` is None is
-exact to rounding, known on each circle to ROUNDING times the circle's RMS
-sqrt(H / (2 pi r)); a ``GridField`` declares its bilinear bound instead.
-Every floor on H and W is read from that bound.
+One error model holds on both paths, the ladder row ``rel`` bounding the
+relative error of u on each circle: ROUNDING for a field exact to rounding
+(``noise`` None), a ``GridField``'s bilinear bound over the circle's RMS
+sqrt(H / (2 pi r)) otherwise.  Every floor on H and W is read from it.
 
 The two-parameter rescaled energy
 
@@ -178,9 +178,11 @@ def _require_nodal(field, x0, lad):
 def _scaled(x, r, p):
     """x r^-p as (x r^(-p/2)) r^(-p/2), for every power of r in the ladder's
     views: r^-p alone overflows where the product is a normal double (u_k at
-    q = 1.97, gamma = 135, r = 0.02)."""
-    a = r ** (-p / 2)
-    return x * a * a
+    q = 1.97, gamma = 135, r = 0.02).  Where the product overflows too
+    (gamma = 200 at small r) it reads +-inf, or NaN where x = 0, unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = r ** (-p / 2)
+        return x * a * a
 
 
 def _power_fit(r, v, keep):
@@ -202,16 +204,15 @@ class _Ladder:
 
     H, unu2, uunu and f_circle integrate u^2, u_nu^2, u u_nu and F(u) over
     the circle S_r; grad2 and f_bulk integrate |grad u|^2 and F(u) over the
-    disk B_r.  A circles-only pass fills H and noise alone.  noise bounds the
-    error of u on each circle (ROUNDING times its RMS sqrt(H / (2 pi r)), or
-    ``field.noise`` where the field declares one); every floor on H and W is
-    read from it.
+    disk B_r.  A circles-only pass fills H and rel alone.  rel bounds the
+    relative error of u on each circle, and is NaN where H = 0, which every
+    comparison reads as false; every floor on H and W is read from it.
     """
 
     field: PlanarField
     r: np.ndarray
     H: np.ndarray
-    noise: np.ndarray
+    rel: np.ndarray
     grad2: np.ndarray | None = None
     f_bulk: np.ndarray | None = None
     unu2: np.ndarray | None = None
@@ -223,8 +224,8 @@ class _Ladder:
 
     @property
     def h_ok(self):
-        """Where H clears its floor 2 pi r noise^2, the mass of the error alone."""
-        return self.H > 2.0 * np.pi * self.r * self.noise**2
+        """Where H clears its floor, the mass of the error alone: rel < 1."""
+        return self.rel < 1
 
     def N(self, t):
         low = ~self.h_ok
@@ -249,13 +250,6 @@ class _Ladder:
         """The magnitude of W's own terms, r^-p (int |grad u|^2 + |t/q int F|)
         + gamma r^-(p+1) H with p = N - 2 + 2 gamma."""
         return _scaled(self.rp_size(gamma, t), self.r, N_DIM - 2 + 2 * gamma)
-
-    @property
-    def rel_noise(self):
-        """The relative error of u on each circle; NaN where H = 0, which
-        every comparison reads as false."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.noise / np.sqrt(self.H / (2.0 * np.pi * self.r))
 
     def Phi(self, gamma):
         """Nonnegative bulk term (2N-(N-2)q)/(q r^(N-1+2 gamma)) * int_{B_r} F."""
@@ -358,9 +352,10 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
         # rows: H, the disk integrals of |grad u|^2 and F (cumulative sums of
         # the annulus integrals), the circle integrals of u_nu^2, u u_nu and F
         sums = (c * u2, np.cumsum(g2), np.cumsum(fb), c * unu2, c * uunu, c * fc)
-    noise = (ROUNDING * np.sqrt(sums[0] / (2.0 * np.pi * rs)) if field.noise is None
-             else np.full_like(rs, field.noise))
-    rows = (sums[0], noise, *sums[1:])
+    H = sums[0]  # rel is ROUNDING or the bound over the circle's RMS; NaN where H = 0
+    rel = (np.where(H > 0, ROUNDING, np.nan) if field.noise is None else np.divide(
+        field.noise, np.sqrt(H / (2.0 * np.pi * rs)), out=np.full_like(H, np.nan), where=H > 0))
+    rows = (H, rel, *sums[1:])
     if not plain:
         rows = (row[back].reshape(radii.shape) for row in rows)
     return _Ladder(field, radii, *rows)
@@ -409,9 +404,8 @@ def trace(field, functional, x0, radii, gamma=None, t=None):
         if given[name] is None:
             raise ValueError(f"trace of {functional!r} needs {name}")
         _gammas(given[name], name)
-    tr = FunctionalTrace(radii, np.zeros(np.size(radii)))  # the ladder rule, before any sampling
-    tr.values = view(_ladder(field, x0, tr.radii, bulk=functional != "H"), gamma, t)
-    return tr
+    radii = _ladder_radii(radii)  # the ladder rule, before any sampling
+    return FunctionalTrace(radii, view(_ladder(field, x0, radii, bulk=functional != "H"), gamma, t))
 
 
 def check_derivative_identities(field, x0, radii, gamma, t):
@@ -431,9 +425,9 @@ def check_derivative_identities(field, x0, radii, gamma, t):
     H, W = lad.H, lad.W(gamma, t)
     hp = (H[2] - H[0]) / (2 * step)
     rhs = (N_DIM - 1) / radii * H[1] + 2.0 * lad.D(field.params.q)[1]
-    wp = (W[2] - W[0]) / (2 * step)
     rhs_w = lad.w_prime(gamma, t)[1]
-    with np.errstate(divide="ignore", invalid="ignore"):  # NaN where H vanishes: nothing to compare
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN where H = 0 or W overflows
+        wp = (W[2] - W[0]) / (2 * step)
         res_h, res_w = np.abs(hp - rhs) / np.abs(hp), np.abs(wp - rhs_w) * radii / lad.size(gamma, t)[1]
     return {
         "H_prime_max_residual": float(np.max(res_h)),
@@ -462,17 +456,16 @@ def monotonicity_scan(field, x0, gamma, radii):
     # a drop counts when it exceeds what the two values may be off by
     # together.  W and its floor are r^-p times r^p W and its floor, so the
     # test is made on those times r_j^p: the factor s = (r_j / r_(j+1))^p on
-    # the larger radius lies in (0, 1] and cannot overflow
+    # the larger radius lies in (0, 1] and cannot overflow; the NaN floor
+    # where H = 0 is never a drop
     p = N_DIM - 2 + 2 * gamma
-    rpw = lad.rp_W(gamma, 2.0)
-    with np.errstate(invalid="ignore"):  # 0 * inf where H = 0: a NaN floor, never a drop
-        floor = lad.rp_size(gamma, 2.0) * lad.rel_noise
+    rpw, floor = lad.rp_W(gamma, 2.0), lad.rp_size(gamma, 2.0) * lad.rel
     s = (radii[:-1] / radii[1:]) ** p
     drops = np.flatnonzero(rpw[:-1] - s * rpw[1:] > floor[:-1] + s * floor[1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        ws = _scaled(rpw, radii, p)
-        if len(drops):
-            j = drops[0]
+    ws = _scaled(rpw, radii, p)
+    if len(drops):
+        j = drops[0]
+        with np.errstate(invalid="ignore"):  # inf - inf where both values overflow
             return {"verdict": "violation", "radius": float(radii[j + 1]),
                     "drop": float(ws[j] - ws[j + 1]), "values": ws.tolist()}
     return {"verdict": "monotone", "values": ws.tolist()}
@@ -499,7 +492,7 @@ def transition_exponent(field, x0, gammas, radii):
     # gamma (0.02^-400) where the verdict is plain: classify r^(2 gamma) W,
     # whose log-log slope is 2 gamma more than W's
     g = gammas[:, None]
-    rpW, floor = lad.rp_W(g, 2.0), lad.rp_size(g, 2.0) * lad.rel_noise
+    rpW, floor = lad.rp_W(g, 2.0), lad.rp_size(g, 2.0) * lad.rel
     decade = radii <= radii[0] * 10.0
     if np.count_nonzero(decade) < 3:
         decade = np.arange(len(radii)) < max(3, len(radii) // 3)

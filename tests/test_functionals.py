@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodallab.construct import construct_uk
-from nodallab.fields import (ClosedFormField, DomainError, GridField, PlanarField, _sample_rings,
-                             monomial_field)
+from nodallab.fields import (AngularProfile, ClosedFormField, DomainError, GridField,
+                             HomogeneousField, PlanarField, _sample_rings, monomial_field)
 from nodallab.functionals import (
     _GL_T, _GL_W, N_THETA, DegenerateSphereError, FunctionalTrace, InconclusiveError,
     PreconditionError, _ladder, _power_fit, _require_nodal, check_derivative_identities,
@@ -238,6 +238,66 @@ def test_monotonicity_scan_large_gamma_does_not_overflow():
     w = np.asarray(scan["values"])
     assert np.all(np.isneginf(w[radii < 0.15])) and np.all(np.isfinite(w[radii > 0.17]))
     assert np.all(np.diff(w[np.isfinite(w)]) > 0)
+
+
+@pytest.fixture(scope="module")
+def q199_field():
+    """A gamma_q-homogeneous field at q = 1.99: r^200 cos(2 theta)."""
+    p = ProblemParams(q=1.99)
+    th = 2.0 * np.pi * np.arange(256) / 256
+    return HomogeneousField(gamma_q(p), AngularProfile(np.cos(2 * th), -2 * np.sin(2 * th)), p)
+
+
+@pytest.mark.parametrize("reader", ["W", "Phi", "check_derivative_identities"])
+def test_ladder_views_do_not_warn_at_large_gamma(q199_field, reader):
+    # r^-400 overflows below r = 0.17, and H underflows to 0 at r = 0.02:
+    # W and Phi read 0 or NaN there and the residuals NaN, with no warning
+    # (Tier-1 turns one into an error); the other radii keep their values
+    f, g = q199_field, gamma_q(q199_field.params)
+    radii = np.geomspace(0.02, 0.8, 6)
+    big = radii > 0.17
+    if reader == "check_derivative_identities":
+        rep = check_derivative_identities(f, ORIGIN, radii, g, 2.0)
+        assert np.isnan(rep["H_prime_max_residual"]) and np.isnan(rep["W_prime_max_residual"])
+    else:
+        v = trace(f, reader, ORIGIN, radii, gamma=g, t=2.0).values
+        assert np.isnan(v[0]) and np.all(np.isfinite(v[big]))
+        if reader == "W":  # radius-constant on a gamma-homogeneous field
+            assert v[big] == pytest.approx(np.full(np.count_nonzero(big), v[-1]), rel=1e-9)
+        else:
+            assert np.all(v[big] > 0)
+
+
+def _zeroed_patch(x, y):
+    """(r^2 - 0.04) x y, set to zero on r < 0.2: H = 0 on the small circles."""
+    r2 = x * x + y * y
+    return np.where(r2 < 0.04, 0.0, (r2 - 0.04) * x * y)
+
+
+def _zeroed_patch_grad(x, y):
+    r2 = x * x + y * y
+    return (np.where(r2 < 0.04, 0.0, 2 * x * x * y + (r2 - 0.04) * y),
+            np.where(r2 < 0.04, 0.0, 2 * x * y * y + (r2 - 0.04) * x))
+
+
+@pytest.mark.parametrize("kind, violation_at", [("grid", 9), ("exact", 8)])
+@pytest.mark.parametrize("reader", ["transition_exponent", "monotonicity_scan"])
+def test_zero_circles_give_no_floor_warning(kind, violation_at, reader):
+    # the circles inside the patch have H = 0 and a NaN floor, which no
+    # comparison passes; no 0 * inf is formed there
+    p = ProblemParams(q=1.5, mu=0.0)
+    x = np.linspace(-1.0, 1.0, 257)
+    f = (GridField(_zeroed_patch(x[:, None], x[None, :]), p) if kind == "grid"
+         else ClosedFormField(_zeroed_patch, _zeroed_patch_grad, p))
+    radii = np.geomspace(0.02, 0.8, 12)
+    if reader == "transition_exponent":
+        with pytest.raises(InconclusiveError, match="^no divergent gamma") as exc:
+            transition_exponent(f, ORIGIN, np.arange(1.5, 4, 0.25), radii)
+        assert exc.value.bracket == (3.75, None)
+    else:
+        scan = monotonicity_scan(f, ORIGIN, 4.0, radii)
+        assert scan["verdict"] == "violation" and scan["radius"] == radii[violation_at]
+        assert scan["values"][:7] == [0.0] * 7
 
 
 _LADDER_READERS = {
@@ -487,7 +547,7 @@ def _transition_exponent_per_gamma(field, x0, gammas, radii):
         # each row against its own floor: W's size times the relative error
         # of u on the circle
         with np.errstate(invalid="ignore", over="ignore"):
-            row, floor = lad.W(g, 2.0), lad.size(g, 2.0) * lad.rel_noise
+            row, floor = lad.W(g, 2.0), lad.size(g, 2.0) * lad.rel
         mask = decade & (np.abs(row) > floor)
         if not row[0] <= -floor[0] or np.count_nonzero(mask) < 2:
             return "bounded"
@@ -788,7 +848,7 @@ def test_transition_exponent_of_a_monomial_sum():
     assert abs(est - 3.0) <= 0.05
 
 
-_LADDER_ROWS = ("H", "noise", "grad2", "f_bulk", "unu2", "uunu", "f_circle")
+_LADDER_ROWS = ("H", "rel", "grad2", "f_bulk", "unu2", "uunu", "f_circle")
 
 
 def _assert_same_ladder(a, b):
