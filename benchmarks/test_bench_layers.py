@@ -232,6 +232,14 @@ def test_extract_nodal_set_n256(benchmark, uk15):
     assert abs(nodal_length(ns, 1.0) - 18.0) < 0.05 * 18.0
 
 
+def test_nodal_length_half_n512(benchmark, uk15):
+    # the clip at r = 1/2 cuts every ray of the n = 512 extraction
+    ns = extract_nodal_set(uk15, 512)
+    length = benchmark(nodal_length, ns, 0.5)
+    # 18 rays of length 1/2 inside B_{1/2}
+    assert abs(length - 9.0) < 0.05 * 9.0
+
+
 def test_extract_nodal_set_grid_sample_n512(benchmark, uk15_grid):
     ns = benchmark(extract_nodal_set, uk15_grid, 512)
     # bilinear samples of the 18 rays keep the length within a few per cent

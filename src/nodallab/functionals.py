@@ -175,14 +175,15 @@ def _require_nodal(field, x0, lad):
         raise PreconditionError(f"|u(x0)| = {u0} too large; x0 is not a nodal point")
 
 
-def _scaled(x, r, p):
-    """x r^-p as (x r^(-p/2)) r^(-p/2), for every power of r in the ladder's
-    views: r^-p alone overflows where the product is a normal double (u_k at
-    q = 1.97, gamma = 135, r = 0.02).  Where the product overflows too
-    (gamma = 200 at small r) it reads +-inf, or NaN where x = 0, unwarned."""
+def _scaled(r, p, *xs):
+    """Each x r^-p as (x r^(-p/2)) r^(-p/2), one array per x of ``xs``, with
+    r^(-p/2) computed once; for every power of r in the ladder's views: r^-p
+    alone overflows where the product is a normal double (u_k at q = 1.97,
+    gamma = 135, r = 0.02).  Where the product overflows too (gamma = 200 at
+    small r) it reads +-inf, or NaN where x = 0, unwarned."""
     with np.errstate(over="ignore", invalid="ignore"):
         a = r ** (-p / 2)
-        return x * a * a
+        return [x * a * a for x in xs]
 
 
 def _power_fit(r, v, keep):
@@ -244,17 +245,17 @@ class _Ladder:
         return self.grad2 + np.abs(t / q * self.f_bulk) + gamma / self.r * self.H
 
     def W(self, gamma, t):
-        return _scaled(self.rp_W(gamma, t), self.r, N_DIM - 2 + 2 * gamma)
+        return _scaled(self.r, N_DIM - 2 + 2 * gamma, self.rp_W(gamma, t))[0]
 
     def size(self, gamma, t):
         """The magnitude of W's own terms, r^-p (int |grad u|^2 + |t/q int F|)
         + gamma r^-(p+1) H with p = N - 2 + 2 gamma."""
-        return _scaled(self.rp_size(gamma, t), self.r, N_DIM - 2 + 2 * gamma)
+        return _scaled(self.r, N_DIM - 2 + 2 * gamma, self.rp_size(gamma, t))[0]
 
     def Phi(self, gamma):
         """Nonnegative bulk term (2N-(N-2)q)/(q r^(N-1+2 gamma)) * int_{B_r} F."""
         q = self.field.params.q
-        return (2 * N_DIM - (N_DIM - 2) * q) / q * _scaled(self.f_bulk, self.r, N_DIM - 1 + 2 * gamma)
+        return (2 * N_DIM - (N_DIM - 2) * q) / q * _scaled(self.r, N_DIM - 1 + 2 * gamma, self.f_bulk)[0]
 
     def h1(self):
         return np.sqrt(self.r ** -(N_DIM - 2) * self.grad2 + self.r ** -(N_DIM - 1) * self.H)
@@ -265,10 +266,11 @@ class _Ladder:
         p = N_DIM - 2 + 2 * gamma
         # circle integral of (u_nu - gamma u / r)^2
         sq_term = self.unu2 - 2.0 * gamma / r * self.uunu + (gamma / r) ** 2 * self.H
+        sq, f_circle = _scaled(r, p, sq_term, self.f_circle)
         return (
-            2.0 * _scaled(sq_term, r, p)
-            + (2.0 - t) / q * _scaled(self.f_circle, r, p)
-            + ((N_DIM - 2) * t - 2 * N_DIM + 2 * gamma * (t - q)) / q * _scaled(self.f_bulk, r, p + 1)
+            2.0 * sq
+            + (2.0 - t) / q * f_circle
+            + ((N_DIM - 2) * t - 2 * N_DIM + 2 * gamma * (t - q)) / q * _scaled(r, p + 1, self.f_bulk)[0]
         )
 
 
@@ -462,7 +464,7 @@ def monotonicity_scan(field, x0, gamma, radii):
     rpw, floor = lad.rp_W(gamma, 2.0), lad.rp_size(gamma, 2.0) * lad.rel
     s = (radii[:-1] / radii[1:]) ** p
     drops = np.flatnonzero(rpw[:-1] - s * rpw[1:] > floor[:-1] + s * floor[1:])
-    ws = _scaled(rpw, radii, p)
+    ws = _scaled(radii, p, rpw)[0]
     if len(drops):
         j = drops[0]
         with np.errstate(invalid="ignore"):  # inf - inf where both values overflow

@@ -41,6 +41,8 @@ def _edge_zero_ref(p1, p2, v1, v2):
 
 def _clip_ref(a, b, radius):
     ax, ay = a
+    if ax * ax + ay * ay <= radius * radius and b[0] * b[0] + b[1] * b[1] <= radius * radius:
+        return (a, b)
     dx, dy = b[0] - ax, b[1] - ay
     A = dx * dx + dy * dy
     B = 2.0 * (ax * dx + ay * dy)
@@ -482,6 +484,50 @@ def test_sample_disk_matches_full_grid(n, radius, band_points, monkeypatch):
             assert _bits(V[inside]) == _bits(np.asarray(field(X, Y))[inside])
 
 
+@pytest.mark.parametrize("n", [64, 71, 97, 300])
+def test_disk_is_built_once_and_read_only(n):
+    nodal._disk.cache_clear()
+    xs, inside, cells = nodal._disk(n)
+    assert _bits(xs) == _bits(np.linspace(-1.0, 1.0, n))
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    assert np.array_equal(inside, X * X + Y * Y <= 1.0 + 1e-15)
+    assert np.array_equal(cells, inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:]
+                          & inside[1:, 1:])
+    assert all(a is b for a, b in zip(nodal._disk(n), (xs, inside, cells)))
+    assert _sample_disk(monomial_field(2), n)[0] is xs
+    for a in (xs, inside, cells):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[-1]
+
+
+@pytest.mark.parametrize("ns", [(256, 97, 256), (128, 64, 65, 66, 67, 128)],
+                         ids=["warm", "evicted"])
+def test_extraction_is_the_same_warm_or_cold(ns):
+    # each grid size's extraction and detection after other sizes, from the
+    # cache or rebuilt after eviction, is a cold call's, bit for bit
+    field = _rotated_monomial(3, 0.4)
+    cold = {}
+    for n in set(ns):
+        nodal._disk.cache_clear()
+        cold[n] = extract_nodal_set(field, n).segments, detect_singular(field, n)
+    nodal._disk.cache_clear()
+    for n in ns:
+        seg, reps = extract_nodal_set(field, n).segments, detect_singular(field, n)
+        assert _bits(seg) == _bits(cold[n][0]) and reps == cold[n][1]
+
+
+@pytest.mark.parametrize("n", [256.0, np.float64(256.0)], ids=["float", "float64"])
+def test_float_grid_size_is_refused_warm_or_cold(n):
+    # the cache takes 256.0 for the key 256, so the integer test comes first
+    f = monomial_field(2)
+    nodal._disk.cache_clear()
+    for _ in ("cold", "warm"):
+        for call in (extract_nodal_set, detect_singular):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                call(f, n)
+        extract_nodal_set(f, 256)
+
+
 @pytest.mark.parametrize("n", [64, 97, 300])
 @pytest.mark.parametrize("radius", [1.0, 0.45])
 def test_candidate_gradients_match_full_grid(n, radius):
@@ -516,7 +562,8 @@ def test_egg_crate_has_saddle_cells():
     ((-0.5, 0.5), (0.5, 0.5), 0.5),     # tangent chord ending on the circle: dropped
     ((0.1, 0.2), (0.1, 0.2), 0.5),      # zero length inside: kept whole
     ((0.9, 0.0), (0.9, 0.0), 0.5),      # zero length outside: dropped
-    ((0.1, -0.1), (0.2, 0.3), 0.5),     # wholly inside: both roots outside [0, 1]
+    ((0.1, -0.1), (0.2, 0.3), 0.5),     # wholly inside: kept as given, not as
+                                        # a + 1.0 (b - a) = (0.2, 0.30000000000000004)
     ((-2.0, 0.1), (2.0, 0.2), 1.0),     # crosses the disk: clipped at both ends
     ((0.0, 0.0), (3.0, 0.0), 1.0),      # leaves the disk: clipped at the end
     ((1.5, 0.0), (2.5, 0.0), 1.0),      # on a secant line, beyond the disk: t0 >= t1
