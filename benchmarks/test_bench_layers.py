@@ -275,8 +275,8 @@ def test_detect_singular_n256(benchmark, uk15):
 
 def test_detect_singular_grid_sample_n256(benchmark, uk15_grid):
     reps = benchmark(detect_singular, uk15_grid, 256)
-    # the bilinear sample's clusters along the flat nodal rays grow like the
-    # distance and are dropped: the origin alone is left
+    # the bilinear sample's minima along the flat nodal rays change sign
+    # twice on their ring and are dropped: the origin alone is left
     assert len(reps) == 1 and np.hypot(reps[0][0], reps[0][1]) < 0.05
 
 

@@ -134,7 +134,7 @@ def cmd_analyze(args):
     report["nodal_length_half"] = nodal.nodal_length(ns, 0.5)
     sing = nodal.detect_singular(field, args.grid)
     _write_json(os.path.join(args.out, "singular.json"),
-                [{"x": s[0], "y": s[1], "abs_u": s[2], "abs_grad": s[3], "growth": s[4]}
+                [{"x": s[0], "y": s[1], "abs_u": s[2], "abs_grad": s[3], "branches": s[4]}
                  for s in sing])
     report["singular_clusters"] = len(sing)
     _write_json(os.path.join(args.out, "analysis.json"), report)

@@ -330,7 +330,8 @@ def count_sign_changes(values) -> int:
     signs = signs[signs != 0]
     if len(signs) == 0:
         return 0
-    return int(np.sum(signs * np.roll(signs, -1) < 0))
+    # neighbours, then the last sign against the first around the period
+    return int(np.count_nonzero(signs[1:] * signs[:-1] < 0)) + int(signs[-1] * signs[0] < 0)
 
 
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # scipy's default rtol

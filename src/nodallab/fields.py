@@ -542,12 +542,16 @@ class NodalSet:
     ``segments`` is a float array of shape (m, 2, 2): ``segments[s, e]`` is the
     point (x, y) of end e of segment s.  Any nested sequence of that layout,
     such as a list of ((x1, y1), (x2, y2)) pairs, is converted on construction.
+    A NaN or infinite coordinate raises ValueError: a length would read it as
+    NaN or drop the segment silently.
     """
 
     segments: np.ndarray = field(default_factory=list)
 
     def __post_init__(self):
         self.segments = np.asarray(self.segments, dtype=float).reshape(-1, 2, 2)
+        if not np.isfinite(self.segments).all():
+            raise ValueError("segments must be finite")
 
     def __eq__(self, other):
         # the generated comparison would ask an array for its truth value

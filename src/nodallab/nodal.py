@@ -21,8 +21,8 @@ import operator
 
 import numpy as np
 
+from .construct import count_sign_changes
 from .fields import NodalSet, PlanarField, _angles, _sample_grid, _sample_rings
-from .functionals import _power_fit
 from .params import gamma_q
 
 
@@ -36,24 +36,22 @@ _EDGE_FROM = np.array([0, 2, 0, 1])
 _EDGE_TO = np.array([1, 3, 2, 3])
 
 
-def _ring_offsets(radii):
-    """The Euclidean pixel annuli of the consecutive integer radii: the
-    offsets (a, b) with round(hypot(a, b)) in radii, sorted by that radius
-    (row-major within a ring), and the index where each ring starts."""
-    hi = radii[-1]
-    a, b = np.mgrid[-hi:hi + 1, -hi:hi + 1].reshape(2, -1)
-    d = np.rint(np.hypot(a, b)).astype(int)
-    keep = np.flatnonzero((d >= radii[0]) & (d <= hi))
-    keep = keep[np.argsort(d[keep], kind="stable")]
-    return a[keep], b[keep], np.searchsorted(d[keep], radii)
+def _ring_offsets(radius):
+    """The Euclidean pixel ring of the given integer radius: the offsets
+    (a, b) with round(hypot(a, b)) == radius, in the order of their angle
+    arctan2(b, a)."""
+    a, b = np.mgrid[-radius:radius + 1, -radius:radius + 1].reshape(2, -1)
+    keep = np.flatnonzero(np.rint(np.hypot(a, b)) == radius)
+    keep = keep[np.argsort(np.arctan2(b[keep], a[keep]))]
+    return a[keep], b[keep]
 
 
-# detection's growth rate reads max |u| on the pixel rings of radii 4 ... 16
-_RING_D = np.arange(4, 17)
-_RING_A, _RING_B, _RING_START = _ring_offsets(_RING_D)
-# a candidate is kept at growth rates from 1.5 up: halfway between order 1 (a
-# regular nodal point) and 2, the smallest order of a singular point
-_GROWTH_MIN = 1.5
+# detection counts the sign changes of u on the pixel ring of radius 4, 32
+# pixels, about each candidate
+_RING = 4
+_RING_A, _RING_B = _ring_offsets(_RING)
+# a kept point of larger score than another within 16 pixels of it is dropped
+_TIE = 16
 # a candidate is the least score over the 9 x 9 pixel window about it
 _WINDOW = 4
 
@@ -215,29 +213,21 @@ def _grad_norm_at(field, xs, mask):
     return G
 
 
-def _growth(V, inside, i, j):
-    """Growth rate of |u| at each pixel (i[c], j[c]) of the sampled grid V:
-    the least-squares slope of log max |V| on the pixel rings of radii 4 ... 16
-    about it against log radius.  Only the pixels of ``inside``, the disk
-    mask, count; a ring with none of them, or with |V| all zero there, is
-    dropped, and fewer than two rings left give NaN.  All pixels are fitted
-    in one pass."""
-    n = V.shape[0]
-    # flat gathers: a ring pixel in a row off the grid is clipped to a corner
-    # of the grid, outside the disk; one in a column off the grid would wrap
-    # into the next row, so it is masked out by its column
-    jj = j[:, None] + _RING_B
-    flat = (i * n + j)[:, None] + (_RING_A * n + _RING_B)
-    ok = inside.ravel().take(flat, mode="clip") & (jj >= 0) & (jj < n)
-    ring_max = np.maximum.reduceat(np.where(ok, np.abs(V.ravel().take(flat, mode="clip")), 0.0),
-                                   _RING_START, axis=1)
-    return _power_fit(_RING_D, ring_max, ring_max > 0.0)[0]
+def _branches(V, inside, i, j):
+    """Sign changes of the sampled V around the pixel ring of radius 4 about
+    the pixel (i, j), in angle order, exact zeros skipped; 0 if a ring pixel
+    lies off the disk mask ``inside`` (or off the grid)."""
+    n = len(V)
+    if not (_RING <= i < n - _RING and _RING <= j < n - _RING):
+        return 0
+    a, b = i + _RING_A, j + _RING_B
+    return count_sign_changes(V[a, b]) if inside[a, b].all() else 0
 
 
 def detect_singular(field: PlanarField, n: int = 256):
     """Singular points of the unit disk, the least |u| + h*|grad u| of their
-    9 x 9 pixel window among small |u| and |grad u|, whose |u| grows faster
-    than the distance.
+    9 x 9 pixel window among small |u| and |grad u|, about which u changes
+    sign at least 4 times.
 
     The n x n grid over [-1, 1]^2, of spacing h, and its disk are
     extraction's (``_sample_disk``).  A mask pixel has |u| < eps_u and
@@ -256,21 +246,24 @@ def detect_singular(field: PlanarField, n: int = 256):
     a non-finite gradient on the probe ring or at a pixel of small |u|, raises
     DataError: a NaN passes no threshold test and would drop a point.
 
-    Near a regular nodal point (vanishing order 1) |u| grows like the
-    distance, and a bilinear or flat band along a nodal line can still pass
-    both thresholds.  So each candidate's growth rate is read from the sampled
-    values alone, with no further field call: the log-log slope of max |u| on
-    the Euclidean pixel rings of radii 4 ... 16 about it.  A
-    candidate is kept if its growth rate is at least 1.5, halfway between order
-    1 and the smallest singular order 2; a NaN rate (fewer than two rings
-    with |u| > 0) drops it.  The rate is no order: it reads about 1.8 at an
-    order-2 point and about 3.5 at an order-4 point.  Of kept candidates
-    within 16 pixels (the outer ring) of each other, the one of least score
-    stays, the first in raster order on a tie: on a symmetric field the
-    pixels about the point tie.
+    Near a regular nodal point (vanishing order 1) a bilinear or flat band
+    along a nodal line can still pass both thresholds.  So a candidate is
+    kept only if the sampled V changes sign 4 or more times on the Euclidean
+    pixel ring of radius 4 about it (the 32 offsets (a, b) with
+    round(hypot(a, b)) = 4, in angle order, exact zeros skipped, counted by
+    ``construct.count_sign_changes``), with no further field call.  In the
+    plane a blow-up at a singular point has 2d >= 4 nodal rays (a harmonic
+    polynomial of degree d >= 2) or 2k >= 10 (a threshold u_k); a regular
+    nodal point has 2, and a one-signed zero such as x^2 + y^2, which by the
+    strong maximum principle no solution has, has none.  A candidate whose
+    ring has a pixel off the disk or off the grid is dropped: the points of
+    the analysis are interior.  Of kept candidates within 16 pixels of each
+    other, the one of least score stays, the first in raster order on a tie:
+    on a symmetric field the pixels about the point tie.
 
-    Returns a list of (x, y, abs_u, abs_grad, growth) tuples, one per kept
-    point, in raster order.
+    Returns a list of (x, y, abs_u, abs_grad, branches) tuples, one per kept
+    point, in raster order; ``branches`` is the integer sign count on the
+    point's ring, 2d or 2k where the 32 pixels resolve the rays.
     """
     xs, V, inside = _sample_disk(field, n)
     h = xs[1] - xs[0]
@@ -299,17 +292,17 @@ def detect_singular(field: PlanarField, n: int = 256):
     i, j = np.nonzero(mask[box] & (s == low))
     score = s[i, j]
     i, j = i + rows[0], j + cols[0]
-    growth = _growth(V, inside, i, j)
-    kept = []
+    kept = {}
     # least score first; the stable sort keeps raster order among equal scores
     for c in np.argsort(score, kind="stable"):
-        if growth[c] >= _GROWTH_MIN and all(
-                (i[c] - i[k]) ** 2 + (j[c] - j[k]) ** 2 > _RING_D[-1] ** 2 for k in kept):
-            kept.append(c)
-    kept = sorted(kept)
-    i, j = i[kept], j[kept]
+        if all((i[c] - i[k]) ** 2 + (j[c] - j[k]) ** 2 > _TIE ** 2 for k in kept):
+            count = _branches(V, inside, i[c], j[c])
+            if count >= 4:
+                kept[c] = count
+    c = sorted(kept)
+    i, j = i[c], j[c]
     return list(zip(xs[i].tolist(), xs[j].tolist(), absV[i, j].tolist(),
-                    G[i, j].tolist(), growth[kept].tolist()))
+                    G[i, j].tolist(), [kept[k] for k in c]))
 
 
 def profile_zero_structure(profile):

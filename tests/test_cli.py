@@ -181,10 +181,10 @@ def test_analyze(construct_dir, tmp_path):
     assert doc["profile_zeros"]["count"] == 10
     assert doc["singular_clusters"] == 1
     assert (out / "nodal.csv").exists()
-    # the point at the origin, with its growth rate
+    # the point at the origin, with its branch count
     (point,) = json.loads((out / "singular.json").read_text())
-    assert set(point) == {"x", "y", "abs_u", "abs_grad", "growth"}
-    assert np.hypot(point["x"], point["y"]) < 0.05 and point["growth"] >= 1.5
+    assert set(point) == {"x", "y", "abs_u", "abs_grad", "branches"}
+    assert np.hypot(point["x"], point["y"]) < 0.05 and point["branches"] >= 4
 
 
 def test_analyze_grid_file(tmp_path):
@@ -573,8 +573,8 @@ def test_plot_takes_integer_singular_points(tmp_path):
     src = tmp_path / "in.csv"
     src.write_text("x1,y1,x2,y2\n0,0,0.5,0.5\n")
     sing = tmp_path / "singular.json"
-    # keys other than x and y, such as analyze's growth, are ignored
-    sing.write_text('[{"x": 0, "y": 0.5, "abs_u": 1, "growth": 3.5}]')
+    # keys other than x and y, such as analyze's branches, are ignored
+    sing.write_text('[{"x": 0, "y": 0.5, "abs_u": 1, "branches": 10}]')
     svg = tmp_path / "out.svg"
     assert run("plot", "--input", str(src), "--singular", str(sing), "--out", str(svg)) == 0
     assert '<circle cx="320.000" cy="180.000" r="4"' in svg.read_text()

@@ -251,6 +251,21 @@ def test_nodal_set_array_layout():
     assert ns != NodalSet(pairs[:1])
 
 
+@pytest.mark.parametrize("rows", [
+    [((0.1, 0.1), (np.nan, 0.0))],
+    [((np.nan, 0.1), (0.1, 0.0))],
+    [((0.1, 0.1), (0.2, 0.2)), ((0.1, 0.1), (np.nan, 0.0)), ((np.inf, 0.0), (0.0, 0.0)),
+     ((np.nan, 0.1), (0.1, 0.0)), ((0.0, -np.inf), (0.5, 0.0))],
+], ids=["nan end", "nan start", "mixed with inf"])
+def test_nodal_set_refuses_non_finite_segments(rows):
+    # a NaN end gave a NaN length and a NaN start a silent 0.0; with an inf
+    # row the disk clip also warned
+    with pytest.raises(ValueError, match="^segments must be finite$"):
+        NodalSet(rows)
+    with pytest.raises(ValueError, match="^segments must be finite$"):
+        NodalSet(np.array(rows))
+
+
 def _catmull_rom_ref(values, x):
     """Reference: the per-point stencil that the coefficient table replaced.
 

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodallab import fields, nodal
-from nodallab.construct import construct_uk
+from nodallab.construct import construct_uk, count_sign_changes
 from nodallab.fields import (
     AngularProfile, ClosedFormField, GridField, HomogeneousField, NodalSet, PlanarField, _angles,
     _sample_grid, monomial_field,
 )
 from nodallab.nodal import (
-    DataError, _clip_to_disk, _grad_norm_at, _growth, _sample_disk,
+    DataError, _branches, _clip_to_disk, _grad_norm_at, _sample_disk,
     detect_singular, extract_nodal_set, nodal_length, profile_zero_structure,
 )
 from nodallab.params import ProblemParams, k_bar
@@ -110,25 +110,21 @@ def _length_ref(segments, radius):
     return total
 
 
-def _growth_ref(V, inside, i0, j0):
-    """Slope of log max |V| on the disk pixels at rounded distance d from
-    (i0, j0) against log d, d = 4 ... 16, rings without |V| > 0 dropped."""
+def _branches_ref(V, inside, i0, j0):
+    """Sign changes of V on the pixels at rounded distance 4 from (i0, j0),
+    sorted by angle; 0 unless all 32 of them are on the grid and in the disk."""
     I, J = np.indices(V.shape)
-    dist = np.rint(np.hypot(I - i0, J - j0))
-    rs, ms = [], []
-    for d in range(4, 17):
-        ring = inside & (dist == d)
-        m = np.abs(V[ring]).max() if ring.any() else 0.0
-        if m > 0.0:
-            rs.append(d)
-            ms.append(m)
-    return np.polyfit(np.log(rs), np.log(ms), 1)[0] if len(rs) >= 2 else np.nan
+    ring = np.rint(np.hypot(I - i0, J - j0)) == 4
+    if np.count_nonzero(ring) < 32 or not inside[ring].all():
+        return 0
+    order = np.argsort(np.arctan2(J[ring] - j0, I[ring] - i0))
+    return count_sign_changes(V[ring][order])
 
 
 def _minima_ref(field, n):
     """Every pixel of small |u| and |grad u| whose score |u| + h |grad u| is
     the least over the mask pixels of its 9 x 9 window, in raster order, as
-    (point, score, i, j), before the growth and tie rules."""
+    (point, score, i, j), before the branch and tie rules."""
     xs = np.linspace(-1.0, 1.0, n)
     h = xs[1] - xs[0]
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -149,26 +145,25 @@ def _minima_ref(field, n):
         window = np.s_[max(i - 4, 0):i + 5, max(j - 4, 0):j + 5]
         if score[i, j] <= score[window][mask[window]].min():
             point = (float(X[i, j]), float(Y[i, j]), float(abs(V[i, j])), float(G[i, j]),
-                     float(_growth_ref(V, inside, i, j)))
+                     _branches_ref(V, inside, i, j))
             minima.append((point, score[i, j], i, j))
     return minima
 
 
 def _detect_singular_ref(field, n):
-    """The minima of growth rate 1.5 or more, greedily by least score (raster
-    order on a tie), each dropped within 16 pixels of one kept before it;
-    in raster order."""
+    """The minima with 4 or more sign changes on their ring, greedily by
+    least score (raster order on a tie), each dropped within 16 pixels of one
+    kept before it; in raster order."""
     kept = []
-    for m in sorted((m for m in _minima_ref(field, n) if m[0][4] >= 1.5), key=lambda m: m[1]):
+    for m in sorted((m for m in _minima_ref(field, n) if m[0][4] >= 4), key=lambda m: m[1]):
         if all(np.hypot(m[2] - k[2], m[3] - k[3]) > 16 for k in kept):
             kept.append(m)
     return [m[0] for m in sorted(kept, key=lambda m: (m[2], m[3]))]
 
 
 def _assert_matches_ref(got, ref):
-    # the kept points exactly, their growth rates to rounding
-    assert [p[:4] for p in got] == [p[:4] for p in ref]
-    np.testing.assert_allclose([p[4] for p in got], [p[4] for p in ref], rtol=1e-12, atol=0.0)
+    # the kept points and their branch counts exactly
+    assert got == ref and all(type(p[4]) is int for p in got)
 
 
 def _zero_structure_ref(profile):
@@ -326,7 +321,7 @@ def test_detect_singular_finds_the_monomials_one_point(d, alpha, phase, log_c):
     for field in (f, GridField.sample(f, 513)):
         got = detect_singular(field, 256)
         assert len(got) == 1
-        assert np.hypot(got[0][0], got[0][1]) < 2.0 / 255 and got[0][4] >= 1.5
+        assert np.hypot(got[0][0], got[0][1]) < 2.0 / 255 and got[0][4] == 2 * d
 
 
 @settings(max_examples=25, deadline=None)
@@ -589,46 +584,46 @@ def test_segments_stay_in_disk(n, kind, d, alpha):
 
 
 def test_detect_singular_matches_window_scan(uk_q1, uk15_grid):
-    bowl = ClosedFormField(lambda x, y: x * x + y * y, lambda x, y: (2 * x, 2 * y))
-    # four grid points tie for the minimum around the origin: the first in
-    # raster order is kept
-    got = detect_singular(bowl, 128)
-    _assert_matches_ref(got, _detect_singular_ref(bowl, 128))
+    # x y at n = 128: the four grid points (+-h/2, +-h/2) about the origin tie
+    # for the minimum, and the first in raster order is kept
+    saddle = ClosedFormField(lambda x, y: x * y, lambda x, y: (y, x))
+    got = detect_singular(saddle, 128)
+    _assert_matches_ref(got, _detect_singular_ref(saddle, 128))
     xs = np.linspace(-1.0, 1.0, 128)
-    assert got[0][:2] == (xs[63], xs[63])
+    assert got == [(xs[63], xs[63], xs[63] ** 2, float(np.hypot(xs[63], xs[63])), 4)]
+    # the bowl x^2 + y^2 has the same four minima, but it is one-signed: no
+    # sign change on the ring, so no point (no solution has such a zero)
+    bowl = ClosedFormField(lambda x, y: x * x + y * y, lambda x, y: (2 * x, 2 * y))
+    assert len(_minima_ref(bowl, 128)) == 4 and detect_singular(bowl, 128) == []
     _assert_matches_ref(detect_singular(uk_q1, 256), _detect_singular_ref(uk_q1, 256))
     # with |u| held against the sample's own largest value, the bilinear
     # sample has one window minimum of small |u| and |grad u|, at the
-    # origin, and it is kept
+    # origin, and it is kept with its 2k = 20 branches
     minima = _minima_ref(uk15_grid, 256)
-    assert len(minima) == 1 and minima[0][0][4] > 3.0
+    assert len(minima) == 1 and minima[0][0][4] == 20
     got = detect_singular(uk15_grid, 256)
     assert len(got) == 1 and np.hypot(got[0][0], got[0][1]) < 0.05
     _assert_matches_ref(got, _detect_singular_ref(uk15_grid, 256))
-    # two roots: at n = 256 the growth rule drops 5 of 7 minima; at n = 96
-    # all 3 pass it, and the one at (0.116, 0.095), raster-first but of
-    # larger score than the root 0.3 within 16 pixels, goes; at n = 128 all 4
-    # pass, one goes, and the test below marks the third point that is left
+    # two roots: of 7, 3 and 4 minima at n = 256, 96 and 128, all but the
+    # roots change sign twice and go, among them (-0.071, 0.039) at n = 128
     field = _roots_field(*_TWO_ROOTS)
-    for n, count, kept in ((256, 7, 2), (96, 3, 2), (128, 4, 3)):
+    for n, count in ((256, 7), (96, 3), (128, 4)):
         assert len(_minima_ref(field, n)) == count
         got = detect_singular(field, n)
-        assert len(got) == kept
+        assert len(got) == 2
         _assert_matches_ref(got, _detect_singular_ref(field, n))
 
 
-def test_growth_tells_the_vertex_from_a_nodal_ray(uk15_grid):
-    # the growth rule reads the bilinear sample right: |u| grows faster than
-    # the distance at the vertex and about like it on the nodal ray
+def test_branches_tell_the_vertex_from_a_nodal_ray(uk15_grid):
+    # the branch rule reads the bilinear sample right: u changes sign 2k = 20
+    # times about the vertex and twice about a pixel of the nodal ray
     # theta = 0, so a flat band along a ray that passed both thresholds
     # would be dropped
     xs, V, inside = _sample_disk(uk15_grid, 256)
-    i = np.array([np.argmin(np.abs(xs - x)) for x in (0.0, 0.25, 0.5, 0.75)])
-    j = np.full(4, np.argmin(np.abs(xs)))
-    growth = _growth(V, inside, i, j)
-    ref = [_growth_ref(V, inside, a, b) for a, b in zip(i, j)]
-    np.testing.assert_allclose(growth, ref, rtol=1e-12, atol=0.0)
-    assert growth[0] >= 1.5 and np.all(growth[1:] < 1.25)
+    i = [np.argmin(np.abs(xs - x)) for x in (0.0, 0.25, 0.5, 0.75)]
+    j = np.argmin(np.abs(xs))
+    got = [_branches(V, inside, a, j) for a in i]
+    assert got == [_branches_ref(V, inside, a, j) for a in i] == [20, 2, 2, 2]
 
 
 @pytest.mark.parametrize("q", [1.9, 1.95])
@@ -666,37 +661,58 @@ def _roots_field(*roots):
 _TWO_ROOTS = ((0.3, 2), (-0.4 + 0.2j, 3))
 
 
-def _assert_finds_the_roots(roots, n):
-    # exact and as a 513^2 sample: one point within two pixels of each root
+@pytest.mark.parametrize("roots", [
+    _TWO_ROOTS,
+    ((0.45, 4), (-0.3 - 0.3j, 3)),
+    ((0.3, 2), (-0.4 + 0.2j, 2), (0.1 - 0.5j, 2)),
+], ids=["two roots", "orders 4 and 3", "three of order 2"])
+def test_detect_singular_finds_every_root(roots):
+    # exact and as a 513^2 sample, at every grid size: one point within two
+    # pixels of each root and no other point (one point per connected
+    # cluster found 1 of 2 and 2 of 3 here; the growth rule added a third
+    # point to the two roots at n = 128)
     field = _roots_field(*roots)
     for f in (field, GridField.sample(field, 513)):
-        got = detect_singular(f, n)
-        assert len(got) == len(roots)
-        for root, _ in roots:
-            assert min(abs(complex(x, y) - root) for x, y, *_ in got) <= 2.0 * 2.0 / (n - 1)
+        for n in (64, 96, 128, 192, 256, 512):
+            got = detect_singular(f, n)
+            assert len(got) == len(roots), n
+            for root, _ in roots:
+                assert min(abs(complex(x, y) - root) for x, y, *_ in got) <= 2.0 * 2.0 / (n - 1), n
 
 
-def test_detect_singular_finds_both_roots_of_two_factors():
-    # with eps_u = 10 h^2 max |u| over the disk (1.4e-3 at n = 256), the
-    # pixels of small |u| and |grad u| along the nodal lines join the two
-    # roots, so one point per connected cluster found one of them
-    _assert_finds_the_roots(_TWO_ROOTS, 256)
-
-
-@pytest.mark.parametrize("roots, n", [
-    (((0.45, 4), (-0.3 - 0.3j, 3)), 256),
-    (((0.3, 2), (-0.4 + 0.2j, 2), (0.1 - 0.5j, 2)), 128),
-], ids=["orders 4 and 3", "three of order 2"])
-def test_detect_singular_finds_every_root(roots, n):
-    # one point per connected cluster found 1 of 2 and 2 of 3 here
-    _assert_finds_the_roots(roots, n)
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "at n = 128 a window minimum at (-0.071, 0.039), between the roots, has "
-    "growth rate 1.57 and passes the growth rule"))
 def test_detect_singular_finds_only_the_two_roots_at_n_128():
-    _assert_finds_the_roots(_TWO_ROOTS, 128)
+    # the window minimum at (-0.071, 0.039), between the roots, is a regular
+    # nodal point near a saddle of u: u changes sign twice about it, and it
+    # goes; the roots change sign 4 and 6 times
+    got = detect_singular(_roots_field(*_TWO_ROOTS), 128)
+    assert len(got) == 2 and sorted(p[4] for p in got) == [4, 6]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("phase", ["cos", "sin"])
+def test_detect_singular_counts_the_branches_of_z_d(d, phase):
+    # Re/Im z^d, rotated, has 2d nodal rays at its order-d point: exact and as
+    # a 513^2 sample, one point with 2d sign changes on its ring
+    f = _rotated_monomial(d, 0.3, phase)
+    for field in (f, GridField.sample(f, 513)):
+        got = detect_singular(field, 256)
+        assert len(got) == 1 and got[0][4] == 2 * d
+
+
+def test_detect_singular_drops_a_ring_off_the_disk():
+    # Re (z - a)^3 with a a grid point of the x axis, m pixels from the edge
+    # x = -1 or x = 1 of the n = 129 grid: the root is a window minimum at
+    # every m; its ring of radius 4 leaves the grid at m < 4 and the disk at
+    # m = 4 (the pixels (+-1, +-h)), and it is dropped; from m = 5 it is kept
+    # with its 6 branches
+    n = 129
+    xs = np.linspace(-1.0, 1.0, n)
+    for m in range(1, 9):
+        for i0 in (m, n - 1 - m):
+            field = _roots_field((xs[i0], 3))
+            assert (i0, n // 2) in [(r[2], r[3]) for r in _minima_ref(field, n)]
+            want = [(xs[i0], 0.0, 0.0, 0.0, 6)] if m >= 5 else []
+            assert detect_singular(field, n) == want
 
 
 @pytest.mark.parametrize("nan_at", [lambda x, y: x >= 0, lambda x, y: np.hypot(x, y) < 0.1],
