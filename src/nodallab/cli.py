@@ -386,9 +386,8 @@ def cmd_plot(args):
             for ln in body.splitlines():
                 x1, y1, x2, y2 = (float(tok) for tok in ln.split(","))
                 rows.append((x1, y1, x2, y2))
-            segments = np.array(rows, dtype=float).reshape(-1, 2, 2)
-            if not np.isfinite(segments).all():
-                raise ValueError("non-finite nodal coordinate")
+            # NodalSet refuses a non-finite coordinate
+            segments = fields.NodalSet(rows).segments
             singular = _singular_points(args.singular) if args.singular else []
             _plot_nodal(segments, singular, args.svg)
         elif header == "r,value":

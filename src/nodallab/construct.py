@@ -32,6 +32,7 @@ import numpy as np
 
 from .fields import AngularProfile, HomogeneousField, _angles
 from .functionals import _GL_T, _GL_W, eval_F
+from .nodal import count_sign_changes
 from .params import ProblemParams, gamma_q, k_bar
 
 
@@ -322,16 +323,6 @@ class MatchingResult:
                if f.name not in ("profile", "params")}
         doc.update(asdict(self.params))
         return doc
-
-
-def count_sign_changes(values) -> int:
-    """Sign transitions around the periodic sample array, skipping exact zeros."""
-    signs = np.sign(np.asarray(values, dtype=float))
-    signs = signs[signs != 0]
-    if len(signs) == 0:
-        return 0
-    # neighbours, then the last sign against the first around the period
-    return int(np.count_nonzero(signs[1:] * signs[:-1] < 0)) + int(signs[-1] * signs[0] < 0)
 
 
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # scipy's default rtol

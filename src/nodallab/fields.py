@@ -18,8 +18,8 @@ once per axis and broadcasts them.  Gradients are never
 sampled on a grid; detection asks ``value_and_grad`` only at its candidate
 pixels, which relies on every field's ``value_and_grad`` returning the value
 of its ``__call__``.
-The rings of the quadrature ladder and detection's probe ring are sampled
-at their Cartesian points by ``_sample_rings``.
+The rings of the quadrature ladder are sampled at their Cartesian points by
+``_sample_rings``; detection calls a field only on its grid.
 A field that is r^gamma phi(theta) about the origin says so through ``separated``:
 a :class:`HomogeneousField` and the harmonic monomials of
 :func:`monomial_field` do, every other field returns None.  The quadrature
@@ -366,7 +366,8 @@ def _angles(n):
 
 def _sample_rings(field, x0, rho, theta, grad=False):
     """The field, or ``field.value_and_grad`` when ``grad``, at
-    x0 + rho[i] (cos theta[j], sin theta[j]), shaped (len rho, len theta)."""
+    x0 + rho[i] (cos theta[j], sin theta[j]), shaped (len rho, len theta):
+    the Cartesian rings of the quadrature ladder."""
     rho = np.asarray(rho, dtype=float)
     X, Y = x0[0] + np.outer(rho, np.cos(theta)), x0[1] + np.outer(rho, np.sin(theta))
     return field.value_and_grad(X, Y) if grad else field(X, Y)

@@ -21,8 +21,7 @@ import operator
 
 import numpy as np
 
-from .construct import count_sign_changes
-from .fields import NodalSet, PlanarField, _angles, _sample_grid, _sample_rings
+from .fields import NodalSet, PlanarField, _angles, _sample_grid
 from .params import gamma_q
 
 
@@ -37,17 +36,15 @@ _EDGE_TO = np.array([1, 3, 2, 3])
 
 
 def _ring_offsets(radius):
-    """The Euclidean pixel ring of the given integer radius: the offsets
-    (a, b) with round(hypot(a, b)) == radius, in the order of their angle
-    arctan2(b, a)."""
+    """The offsets (a, b) of the Euclidean pixel ring of the given integer
+    radius, round(hypot(a, b)) == radius, in the order of arctan2(b, a)."""
     a, b = np.mgrid[-radius:radius + 1, -radius:radius + 1].reshape(2, -1)
     keep = np.flatnonzero(np.rint(np.hypot(a, b)) == radius)
     keep = keep[np.argsort(np.arctan2(b[keep], a[keep]))]
     return a[keep], b[keep]
 
 
-# detection counts the sign changes of u on the pixel ring of radius 4, 32
-# pixels, about each candidate
+# detection counts the sign changes of u on the 32-pixel ring of radius 4
 _RING = 4
 _RING_A, _RING_B = _ring_offsets(_RING)
 # a kept point of larger score than another within 16 pixels of it is dropped
@@ -229,37 +226,34 @@ def detect_singular(field: PlanarField, n: int = 256):
     9 x 9 pixel window among small |u| and |grad u|, about which u changes
     sign at least 4 times.
 
-    The n x n grid over [-1, 1]^2, of spacing h, and its disk are
-    extraction's (``_sample_disk``).  A mask pixel has |u| < eps_u and
-    |grad u| < eps_g.  Both thresholds shrink with h, so flat nodal crossings
-    are not misreported: eps_u = 10 h^min(gamma_q, 2) max |u| over the disk
-    pixels, read from the grid already sampled, so a field and its grid
-    sample are held to one rule; eps_g = 10 h max |grad u| on the probe ring,
-    64 points on r = 0.7 about the origin, or 10 h if that is zero.  A candidate
-    is a mask pixel whose score |u| + h*|grad u| is the least over the mask
-    pixels of its 9 x 9 window.  The grid
-    is sampled for the value alone; the gradient is evaluated only at the
-    pixels with |u| < eps_u (a few per cent of the disk on u_k), and |grad u|
-    is left infinite elsewhere.  A field's ``value_and_grad`` returns the
-    same values as its ``__call__``, so the candidates are those a full
-    value-and-gradient grid would give.  A non-finite value on the grid, or
-    a non-finite gradient on the probe ring or at a pixel of small |u|, raises
-    DataError: a NaN passes no threshold test and would drop a point.
+    The n x n grid over [-1, 1]^2, of spacing h, and its disk are extraction's
+    (``_sample_disk``).  A mask pixel has |u| < eps_u = 10 h^min(gamma_q, 2) M
+    and |grad u| < eps_g = 10 h M, with one scale M, max |u| over the disk
+    pixels sampled (for a harmonic u, |grad u(x)| <= (2 / rho) sup |u| over
+    B_rho(x) ties grad u to that scale): a field and its grid sample are held
+    to one rule, both thresholds shrink with h, so flat nodal crossings are not
+    misreported, and M = 0 passes no pixel.  A candidate is a mask pixel whose
+    score |u| + h*|grad u| is the least over the mask pixels of its 9 x 9
+    window.  The grid is sampled for the value alone, and one
+    ``value_and_grad`` call at the pixels with |u| < eps_u (a few per cent of
+    the disk on u_k) gives |grad u|, left infinite elsewhere; it returns the
+    values of ``__call__``, so the candidates are a full value-and-gradient
+    grid's.  A non-finite sample or candidate gradient raises DataError: a NaN
+    passes no threshold test and would drop a point.
 
     Near a regular nodal point (vanishing order 1) a bilinear or flat band
-    along a nodal line can still pass both thresholds.  So a candidate is
-    kept only if the sampled V changes sign 4 or more times on the Euclidean
-    pixel ring of radius 4 about it (the 32 offsets (a, b) with
-    round(hypot(a, b)) = 4, in angle order, exact zeros skipped, counted by
-    ``construct.count_sign_changes``), with no further field call.  In the
-    plane a blow-up at a singular point has 2d >= 4 nodal rays (a harmonic
-    polynomial of degree d >= 2) or 2k >= 10 (a threshold u_k); a regular
-    nodal point has 2, and a one-signed zero such as x^2 + y^2, which by the
-    strong maximum principle no solution has, has none.  A candidate whose
-    ring has a pixel off the disk or off the grid is dropped: the points of
-    the analysis are interior.  Of kept candidates within 16 pixels of each
-    other, the one of least score stays, the first in raster order on a tie:
-    on a symmetric field the pixels about the point tie.
+    along a nodal line can still pass both thresholds.  So a candidate is kept
+    only if the sampled V changes sign 4 or more times on the Euclidean pixel
+    ring of radius 4 about it (the 32 offsets (a, b) with round(hypot(a, b)) =
+    4, in angle order, exact zeros skipped, counted by ``count_sign_changes``),
+    with no further field call.  In the plane a blow-up at a singular point has
+    2d >= 4 nodal rays (a harmonic polynomial of degree d >= 2) or 2k >= 10 (a
+    threshold u_k); a regular nodal point has 2, and a one-signed zero such as
+    x^2 + y^2, which by the strong maximum principle no solution has, has none.
+    A candidate whose ring has a pixel off the disk or off the grid is dropped:
+    the points of the analysis are interior.  Of kept candidates within 16
+    pixels of each other, the one of least score stays, the first in raster
+    order on a tie: on a symmetric field the pixels about the point tie.
 
     Returns a list of (x, y, abs_u, abs_grad, branches) tuples, one per kept
     point, in raster order; ``branches`` is the integer sign count on the
@@ -268,15 +262,12 @@ def detect_singular(field: PlanarField, n: int = 256):
     xs, V, inside = _sample_disk(field, n)
     h = xs[1] - xs[0]
     absV = np.abs(V)
-    eps_u = 10.0 * h ** min(gamma_q(field.params), 2.0) * np.max(absV, where=inside, initial=0.0)
-    cand = inside & (absV < eps_u)
-    _, (gx, gy) = _sample_rings(field, (0.0, 0.0), [0.7], _angles(64), grad=True)
-    ring = np.hypot(gx, gy)
+    M = np.max(absV, where=inside, initial=0.0)
+    cand = inside & (absV < 10.0 * h ** min(gamma_q(field.params), 2.0) * M)
     G = _grad_norm_at(field, xs, cand)
-    if not (np.isfinite(ring).all() and np.isfinite(G[cand]).all()):
-        raise DataError("field gradient is non-finite on the probe ring or at a candidate")
-    eps_g = 10.0 * h * (float(np.max(ring)) or 1.0)
-    mask = cand & (G < eps_g)
+    if not np.isfinite(G[cand]).all():
+        raise DataError("field gradient is non-finite at a candidate")
+    mask = cand & (G < 10.0 * h * M)
     rows = np.flatnonzero(mask.any(axis=1))
     if len(rows) == 0:
         return []
@@ -303,6 +294,14 @@ def detect_singular(field: PlanarField, n: int = 256):
     i, j = i[c], j[c]
     return list(zip(xs[i].tolist(), xs[j].tolist(), absV[i, j].tolist(),
                     G[i, j].tolist(), [kept[k] for k in c]))
+
+
+def count_sign_changes(values) -> int:
+    """Sign transitions around the periodic sample array, skipping exact zeros."""
+    signs = np.sign(np.asarray(values, dtype=float))
+    signs = signs[signs != 0]
+    # each sign against the next, the last against the first
+    return int(np.count_nonzero(signs * np.concatenate((signs[1:], signs[:1])) < 0))
 
 
 def profile_zero_structure(profile):

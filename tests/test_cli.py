@@ -531,8 +531,8 @@ def test_plot_bad_input(tmp_path):
     pytest.param("r,value\n0.1,1\ninf,2\n", "non-finite trace entry", id="inf-r"),
     pytest.param("r,value\n0.1,1\n0.5,nan\n", "non-finite trace entry", id="nan-value"),
     pytest.param("r,value\n0.1,-inf\n0.5,2\n", "non-finite trace entry", id="inf-value"),
-    pytest.param("x1,y1,x2,y2\n0,0,0.5,nan\n", "non-finite nodal coordinate", id="nan-segment"),
-    pytest.param("x1,y1,x2,y2\n0,0,0.5,0.5\ninf,0,0,0\n", "non-finite nodal coordinate",
+    pytest.param("x1,y1,x2,y2\n0,0,0.5,nan\n", "segments must be finite", id="nan-segment"),
+    pytest.param("x1,y1,x2,y2\n0,0,0.5,0.5\ninf,0,0,0\n", "segments must be finite",
                  id="inf-segment"),
 ])
 def test_plot_rejects_bad_numbers(tmp_path, capsys, text, message):
@@ -788,18 +788,28 @@ def test_verify_hamiltonian_nan_drift_fails(tmp_path, monkeypatch):
     assert len(calls) == 10
 
 
+def _loaded_after_import(module, names):
+    """The ``names`` in ``sys.modules`` after ``import module`` in a fresh process."""
+    code = (f"import sys, {module}; "
+            f"print([m for m in {names!r} if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(fields.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.strip()
+
+
 def test_cli_import_loads_no_scipy_subpackage():
     # the scipy subpackages and multiprocessing stay out of a CLI start;
     # dgtsv comes from the _flapack extension alone
     heavy = ["scipy.linalg", "scipy.interpolate", "scipy.optimize", "scipy.ndimage",
              "concurrent.futures.process"]
-    code = ("import sys, nodallab.cli; "
-            f"print([m for m in {heavy!r} if m in sys.modules])")
-    src = os.path.dirname(os.path.dirname(fields.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _loaded_after_import("nodallab.cli", heavy) == "[]"
+
+
+def test_nodal_import_loads_neither_construct_nor_scipy():
+    # the zero-set module needs neither the construction nor scipy
+    assert _loaded_after_import("nodallab.nodal", ["nodallab.construct", "scipy"]) == "[]"
 
 
 def test_sweep_jobs_match_serial(tmp_path):

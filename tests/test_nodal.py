@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodallab import fields, nodal
-from nodallab.construct import construct_uk, count_sign_changes
+from nodallab.construct import construct_uk
 from nodallab.fields import (
     AngularProfile, ClosedFormField, GridField, HomogeneousField, NodalSet, PlanarField, _angles,
     _sample_grid, monomial_field,
 )
 from nodallab.nodal import (
-    DataError, _branches, _clip_to_disk, _grad_norm_at, _sample_disk,
+    DataError, _branches, _clip_to_disk, _grad_norm_at, _sample_disk, count_sign_changes,
     detect_singular, extract_nodal_set, nodal_length, profile_zero_structure,
 )
 from nodallab.params import ProblemParams, k_bar
@@ -131,13 +131,11 @@ def _minima_ref(field, n):
     V, (GX, GY) = field.value_and_grad(X, Y)
     G = np.hypot(GX, GY)
     inside = X * X + Y * Y <= 1.0 + 1e-15  # extraction's disk
-    # |u| against its largest value on the disk pixels, |grad u| against its
-    # largest value at 64 points of the ring r = 0.7
+    # |u| and |grad u| against one scale, the largest |u| on the disk pixels
     gamma = 2.0 / (2.0 - field.params.q)
-    eps_u = 10.0 * h ** min(gamma, 2.0) * np.abs(V[inside]).max()
-    theta = 2.0 * np.pi * np.arange(64) / 64
-    _, (rx, ry) = field.value_and_grad(0.7 * np.cos(theta), 0.7 * np.sin(theta))
-    eps_g = 10.0 * h * (np.hypot(rx, ry).max() or 1.0)
+    M = np.abs(V[inside]).max()
+    eps_u = 10.0 * h ** min(gamma, 2.0) * M
+    eps_g = 10.0 * h * M
     mask = inside & (np.abs(V) < eps_u) & (G < eps_g)
     score = np.abs(V) + h * G
     minima = []
@@ -718,8 +716,8 @@ def test_detect_singular_drops_a_ring_off_the_disk():
 @pytest.mark.parametrize("nan_at", [lambda x, y: x >= 0, lambda x, y: np.hypot(x, y) < 0.1],
                          ids=["x >= 0", "r < 0.1"])
 def test_detect_singular_refuses_a_nan_gradient(nan_at):
-    # x y has an order-2 point at the origin; a NaN gradient on the probe
-    # ring (x >= 0), or at the candidate pixels alone (r < 0.1), passes no
+    # x y has an order-2 point at the origin; a NaN gradient at the candidate
+    # pixels, on the half plane x >= 0 or on r < 0.1 alone, passes no
     # threshold test and would drop it
     good = ClosedFormField(lambda x, y: x * y, lambda x, y: (y, x))
     got = detect_singular(good, 64)
@@ -746,15 +744,34 @@ class _CountingField(PlanarField):
 
 def test_detect_singular_grads_only_candidates():
     # the grid is sampled for the value alone; the gradient is asked for the
-    # candidates of small |u|, a few per cent of the disk, in one call after
-    # the 64-point threshold ring
+    # candidates of small |u|, a few per cent of the disk, in one call, and
+    # for no point off the grid
     uk = construct_uk(ProblemParams(q=1.5, lambda_minus=2.5), 10).to_field()
     field = _CountingField(uk)
     got = detect_singular(field, 256)
     _assert_matches_ref(got, _detect_singular_ref(uk, 256))
     disk = np.count_nonzero(_sample_disk(uk, 256)[2])
-    assert field.grad_points[0] == 64 and len(field.grad_points) == 2
-    assert 0 < field.grad_points[1] <= 0.05 * disk
+    assert len(field.grad_points) == 1
+    assert 0 < field.grad_points[0] <= 0.05 * disk
+
+
+@pytest.mark.parametrize("c", [1e-9, 1.0, 1e3])
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_detect_singular_reads_no_probe_ring(c, n):
+    # c x y (x^2 + y^2 - 0.49)^2 has an order-2 point at the origin, and its
+    # gradient vanishes on the circle r = 0.7 (7.5e-17 there at c = 1, all
+    # rounding): a gradient threshold scaled by that circle passed no pixel;
+    # scaled by the disk's largest |u|, it finds the origin with 4 branches
+    def value(x, y):
+        return c * x * y * (x * x + y * y - 0.49) ** 2
+
+    def grad(x, y):
+        w = x * x + y * y - 0.49
+        return c * y * w * (w + 4 * x * x), c * x * w * (w + 4 * y * y)
+
+    got = detect_singular(ClosedFormField(value, grad), n)
+    assert len(got) == 1 and got[0][4] == 4
+    assert np.hypot(got[0][0], got[0][1]) <= 2.0 * 2.0 / (n - 1)
 
 
 @pytest.mark.parametrize("n", [71, 101, 256])
