@@ -15,11 +15,13 @@ evaluates broadcast coordinates with the operations it applies to a
 meshgrid, so the values are the same to the bit, and no n x n coordinate
 arrays are built: a :class:`GridField` computes its interpolation weights
 once per axis and broadcasts them.  Gradients are never
-sampled on a grid; detection asks ``value_and_grad`` only at its candidate
-pixels, which relies on every field's ``value_and_grad`` returning the value
-of its ``__call__``.
+sampled on a grid: detection reads |grad u| as central differences of its
+value sample and asks no field for a gradient.
 The rings of the quadrature ladder are sampled at their Cartesian points by
-``_sample_rings``; detection calls a field only on its grid.
+``_sample_rings``, for the value alone on a circles-only pass and with
+``value_and_grad`` on a bulk pass; the two agree because every field's
+``value_and_grad`` returns the value of its ``__call__``.  Detection calls a
+field only on its grid.
 A field that is r^gamma phi(theta) about the origin says so through ``separated``:
 a :class:`HomogeneousField` and the harmonic monomials of
 :func:`monomial_field` do, every other field returns None.  The quadrature
@@ -263,8 +265,9 @@ class GridField(PlanarField):
         if n < 3:
             raise ValueError("grid needs at least 3 samples per side")
 
-    # the full-grid gradients are built on the first ``value_and_grad``, the
-    # only reader, so a grid that is only sampled or extracted never pays them
+    # the full-grid gradients are built on the first ``value_and_grad``, which
+    # only the quadrature ladder asks for, so a grid that is only sampled,
+    # extracted or searched for singular points never pays them
     @cached_property
     def _gx(self):
         return np.gradient(self.values, self.h, axis=0, edge_order=2)

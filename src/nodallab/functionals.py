@@ -166,11 +166,10 @@ def _gammas(gammas, name="gamma"):
     return gammas
 
 
-def _require_nodal(field, x0, lad):
-    """Refuse x0 unless |u(x0)| is at most EPS_U times the largest circle RMS
-    sqrt(H / (2 pi r)) of ``lad``, the ladder just built about x0."""
-    x0 = _centre(x0)
-    u0 = float(np.abs(field(x0[0], x0[1])))
+def _require_nodal(lad):
+    """Refuse the centre x0 of ``lad`` unless |u(x0)| is at most EPS_U times
+    the largest circle RMS sqrt(H / (2 pi r)) of the ladder."""
+    u0 = float(np.abs(lad.field(lad.x0[0], lad.x0[1])))
     if u0 > EPS_U * np.sqrt(np.max(lad.H / (2.0 * np.pi * lad.r))):
         raise PreconditionError(f"|u(x0)| = {u0} too large; x0 is not a nodal point")
 
@@ -201,7 +200,7 @@ def _power_fit(r, v, keep):
 
 @dataclass
 class _Ladder:
-    """Circle and disk integrals on a radius ladder, shaped like the radii.
+    """Circle and disk integrals on a radius ladder about x0, shaped like the radii.
 
     H, unu2, uunu and f_circle integrate u^2, u_nu^2, u u_nu and F(u) over
     the circle S_r; grad2 and f_bulk integrate |grad u|^2 and F(u) over the
@@ -211,6 +210,7 @@ class _Ladder:
     """
 
     field: PlanarField
+    x0: np.ndarray
     r: np.ndarray
     H: np.ndarray
     rel: np.ndarray
@@ -360,7 +360,7 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
     rows = (H, rel, *sums[1:])
     if not plain:
         rows = (row[back].reshape(radii.shape) for row in rows)
-    return _Ladder(field, radii, *rows)
+    return _Ladder(field, x0, radii, *rows)
 
 
 def eval_H(field: PlanarField, x0, r) -> float:
@@ -489,7 +489,7 @@ def transition_exponent(field, x0, gammas, radii):
         raise ValueError("gammas is empty: the transition needs at least one gamma")
     radii = _ladder_radii(radii)
     lad = _ladder(field, x0, radii)
-    _require_nodal(field, x0, lad)
+    _require_nodal(lad)
     # W and its floor share the factor r^-(2 gamma), which overflows at large
     # gamma (0.02^-400) where the verdict is plain: classify r^(2 gamma) W,
     # whose log-log slope is 2 gamma more than W's

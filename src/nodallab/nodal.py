@@ -103,16 +103,20 @@ def check_grid(n: int) -> None:
 @functools.lru_cache(maxsize=4)
 def _disk(n):
     """The disk of the n x n grid over [-1, 1]^2, built once per n: the
-    coordinates xs, the pixel mask xs[i]^2 + xs[j]^2 <= 1 + 1e-15, and the
-    mask of the cells whose four corners lie in it.  Every caller shares
-    these arrays, so they are read-only."""
+    coordinates xs, the pixel mask xs[i]^2 + xs[j]^2 <= 1 + 1e-15, the mask
+    of the cells whose four corners lie in it, and the mask of its pixels
+    whose four neighbours lie in it too.  Every caller shares these arrays,
+    so they are read-only."""
     xs = np.linspace(-1.0, 1.0, n)
     xx = xs * xs
     inside = xx[:, None] + xx[None, :] <= 1.0 + 1e-15
     cells = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
-    for a in (xs, inside, cells):
+    core = np.zeros_like(inside)
+    core[1:-1, 1:-1] = (inside[1:-1, 1:-1] & inside[:-2, 1:-1] & inside[2:, 1:-1]
+                        & inside[1:-1, :-2] & inside[1:-1, 2:])
+    for a in (xs, inside, cells, core):
         a.flags.writeable = False
-    return xs, inside, cells
+    return xs, inside, cells, core
 
 
 def _sample_disk(field, n):
@@ -125,7 +129,7 @@ def _sample_disk(field, n):
     and threshold test."""
     check_grid(n)
     # operator.index refuses a float n, which the cache would take for an int
-    xs, inside, _ = _disk(operator.index(n))
+    xs, inside, *_ = _disk(operator.index(n))
     V = _sample_grid(field, xs, inside)
     if not np.isfinite(V).all():
         raise DataError("field is non-finite on the sampling grid")
@@ -200,16 +204,6 @@ def nodal_length(nodal: NodalSet, radius: float) -> float:
     return float(np.sum(np.hypot(seg[:, 2] - seg[:, 0], seg[:, 3] - seg[:, 1])))
 
 
-def _grad_norm_at(field, xs, mask):
-    """|grad u| at the grid points (xs[i], xs[j]) where ``mask`` holds, from
-    one ``value_and_grad`` call on those points alone; inf elsewhere."""
-    i, j = np.nonzero(mask)
-    _, (gx, gy) = field.value_and_grad(xs[i], xs[j])
-    G = np.full(mask.shape, np.inf)
-    G[i, j] = np.hypot(gx, gy)
-    return G
-
-
 def _branches(V, inside, i, j):
     """Sign changes of the sampled V around the pixel ring of radius 4 about
     the pixel (i, j), in angle order, exact zeros skipped; 0 if a ring pixel
@@ -221,53 +215,54 @@ def _branches(V, inside, i, j):
     return count_sign_changes(V[a, b]) if inside[a, b].all() else 0
 
 
-def detect_singular(field: PlanarField, n: int = 256):
+def detect_singular(field: PlanarField, n: int):
     """Singular points of the unit disk, the least |u| + h*|grad u| of their
     9 x 9 pixel window among small |u| and |grad u|, about which u changes
     sign at least 4 times.
 
     The n x n grid over [-1, 1]^2, of spacing h, and its disk are extraction's
-    (``_sample_disk``).  A mask pixel has |u| < eps_u = 10 h^min(gamma_q, 2) M
-    and |grad u| < eps_g = 10 h M, with one scale M, max |u| over the disk
-    pixels sampled (for a harmonic u, |grad u(x)| <= (2 / rho) sup |u| over
-    B_rho(x) ties grad u to that scale): a field and its grid sample are held
-    to one rule, both thresholds shrink with h, so flat nodal crossings are not
-    misreported, and M = 0 passes no pixel.  A candidate is a mask pixel whose
-    score |u| + h*|grad u| is the least over the mask pixels of its 9 x 9
-    window.  The grid is sampled for the value alone, and one
-    ``value_and_grad`` call at the pixels with |u| < eps_u (a few per cent of
-    the disk on u_k) gives |grad u|, left infinite elsewhere; it returns the
-    values of ``__call__``, so the candidates are a full value-and-gradient
-    grid's.  A non-finite sample or candidate gradient raises DataError: a NaN
-    passes no threshold test and would drop a point.
+    (``_sample_disk``), and detection reads nothing else of the field.  A mask
+    pixel has |u| < eps_u = 10 h^min(gamma_q, 2) M and |grad u| < eps_g =
+    10 h M, with one scale M, max |u| over the disk pixels sampled (for a
+    harmonic u, |grad u(x)| <= (2 / rho) sup |u| over B_rho(x) ties grad u to
+    that scale): a field and its grid sample are held to one rule, both
+    thresholds shrink with h, so flat nodal crossings are not misreported, and
+    M = 0 passes no pixel.  |grad u| is the central difference of the sample,
+    hypot(V[i+1, j] - V[i-1, j], V[i, j+1] - V[i, j-1]) / (2h), at the disk
+    pixels whose four neighbours are disk pixels and whose |u| < eps_u (a few
+    per cent of the disk on u_k), and infinite elsewhere.  A candidate is a
+    mask pixel whose score |u| + h*|grad u| is the least over the mask pixels
+    of its 9 x 9 window.  A non-finite sample raises DataError: a NaN passes
+    no threshold test and would drop a point.
 
     Near a regular nodal point (vanishing order 1) a bilinear or flat band
     along a nodal line can still pass both thresholds.  So a candidate is kept
     only if the sampled V changes sign 4 or more times on the Euclidean pixel
     ring of radius 4 about it (the 32 offsets (a, b) with round(hypot(a, b)) =
-    4, in angle order, exact zeros skipped, counted by ``count_sign_changes``),
-    with no further field call.  In the plane a blow-up at a singular point has
-    2d >= 4 nodal rays (a harmonic polynomial of degree d >= 2) or 2k >= 10 (a
-    threshold u_k); a regular nodal point has 2, and a one-signed zero such as
-    x^2 + y^2, which by the strong maximum principle no solution has, has none.
+    4, in angle order, exact zeros skipped, counted by ``count_sign_changes``).
+    In the plane a blow-up at a singular point has 2d >= 4 nodal rays (a
+    harmonic polynomial of degree d >= 2) or 2k >= 10 (a threshold u_k); a
+    regular nodal point has 2, and a one-signed zero such as x^2 + y^2, which
+    by the strong maximum principle no solution has, has none.
     A candidate whose ring has a pixel off the disk or off the grid is dropped:
     the points of the analysis are interior.  Of kept candidates within 16
     pixels of each other, the one of least score stays, the first in raster
     order on a tie: on a symmetric field the pixels about the point tie.
 
     Returns a list of (x, y, abs_u, abs_grad, branches) tuples, one per kept
-    point, in raster order; ``branches`` is the integer sign count on the
-    point's ring, 2d or 2k where the 32 pixels resolve the rays.
+    point, in raster order: the sampled |u| and the central-difference
+    |grad u| the thresholds read, and ``branches``, the integer sign count on
+    the point's ring, 2d or 2k where the 32 pixels resolve the rays.
     """
     xs, V, inside = _sample_disk(field, n)
     h = xs[1] - xs[0]
     absV = np.abs(V)
     M = np.max(absV, where=inside, initial=0.0)
-    cand = inside & (absV < 10.0 * h ** min(gamma_q(field.params), 2.0) * M)
-    G = _grad_norm_at(field, xs, cand)
-    if not np.isfinite(G[cand]).all():
-        raise DataError("field gradient is non-finite at a candidate")
-    mask = cand & (G < 10.0 * h * M)
+    # the neighbours of a core pixel are disk pixels, which the sample holds
+    i, j = np.nonzero(_disk(n)[3] & (absV < 10.0 * h ** min(gamma_q(field.params), 2.0) * M))
+    G = np.full(V.shape, np.inf)
+    G[i, j] = np.hypot(V[i + 1, j] - V[i - 1, j], V[i, j + 1] - V[i, j - 1]) / (2.0 * h)
+    mask = G < 10.0 * h * M
     rows = np.flatnonzero(mask.any(axis=1))
     if len(rows) == 0:
         return []

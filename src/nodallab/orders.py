@@ -73,7 +73,7 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
         return 0.5 * float(_power_fit(lad.r, lad.H / lad.r ** (N_DIM - 1), lad.h_ok)[0]), lad.h_ok
 
     lad = _ladder(field, x0, radii)
-    _require_nodal(field, x0, lad)
+    _require_nodal(lad)
     raw, kept = fit(lad)
     cands = admissible_orders(field.params)
     best = min(cands, key=lambda c: abs(c - raw))

@@ -339,8 +339,9 @@ def _subclasses(cls):
 
 
 def test_value_and_grad_value_is_call_bit_for_bit():
-    # detection samples the grid with __call__ and asks value_and_grad only at
-    # its candidates, so the two must agree to the bit for every field class
+    # the quadrature ladder samples its rings with __call__ on a circles-only
+    # pass and with value_and_grad on a bulk pass, so the two must agree to
+    # the bit for every field class
     fields = _every_field_class() + [
         ClosedFormField(lambda x, y: x * y - 0.1, lambda x, y: (y, x))]
     own = {c for c in _subclasses(PlanarField) if c.__module__.startswith("nodallab.")}

@@ -537,7 +537,7 @@ def _transition_exponent_per_gamma(field, x0, gammas, radii):
     gammas = np.sort(np.asarray(gammas, dtype=float))
     radii = np.sort(np.asarray(radii, dtype=float))
     lad = _ladder(field, x0, radii)
-    _require_nodal(field, x0, lad)
+    _require_nodal(lad)
     decade = radii <= radii[0] * 10.0 + 1e-300
     if np.count_nonzero(decade) < 3:
         decade = np.zeros_like(decade)

@@ -9,7 +9,7 @@ from nodallab.fields import (
     _sample_grid, monomial_field,
 )
 from nodallab.nodal import (
-    DataError, _branches, _clip_to_disk, _grad_norm_at, _sample_disk, count_sign_changes,
+    DataError, _branches, _clip_to_disk, _sample_disk, count_sign_changes,
     detect_singular, extract_nodal_set, nodal_length, profile_zero_structure,
 )
 from nodallab.params import ProblemParams, k_bar
@@ -128,9 +128,14 @@ def _minima_ref(field, n):
     xs = np.linspace(-1.0, 1.0, n)
     h = xs[1] - xs[0]
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    V, (GX, GY) = field.value_and_grad(X, Y)
-    G = np.hypot(GX, GY)
+    V = np.asarray(field(X, Y), dtype=float)
     inside = X * X + Y * Y <= 1.0 + 1e-15  # extraction's disk
+    # |grad u| by central differences of the sample, at the disk pixels whose
+    # four neighbours (off the grid: padded out) are disk pixels; inf elsewhere
+    P, W = np.pad(inside, 1), np.pad(V, 1)
+    core = inside & P[2:, 1:-1] & P[:-2, 1:-1] & P[1:-1, 2:] & P[1:-1, :-2]
+    G = np.where(core, np.hypot(W[2:, 1:-1] - W[:-2, 1:-1], W[1:-1, 2:] - W[1:-1, :-2]) / (2 * h),
+                 np.inf)
     # |u| and |grad u| against one scale, the largest |u| on the disk pixels
     gamma = 2.0 / (2.0 - field.params.q)
     M = np.abs(V[inside]).max()
@@ -480,15 +485,22 @@ def test_sample_disk_matches_full_grid(n, radius, band_points, monkeypatch):
 @pytest.mark.parametrize("n", [64, 71, 97, 300])
 def test_disk_is_built_once_and_read_only(n):
     nodal._disk.cache_clear()
-    xs, inside, cells = nodal._disk(n)
+    xs, inside, cells, core = nodal._disk(n)
     assert _bits(xs) == _bits(np.linspace(-1.0, 1.0, n))
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     assert np.array_equal(inside, X * X + Y * Y <= 1.0 + 1e-15)
     assert np.array_equal(cells, inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:]
                           & inside[1:, 1:])
-    assert all(a is b for a, b in zip(nodal._disk(n), (xs, inside, cells)))
+    # a core pixel and its four neighbours are disk pixels, none on the grid's edge
+    I, J = np.nonzero(inside)
+    on = (I > 0) & (I < n - 1) & (J > 0) & (J < n - 1)
+    I, J = I[on], J[on]
+    want = np.zeros_like(inside)
+    want[I, J] = inside[I + 1, J] & inside[I - 1, J] & inside[I, J + 1] & inside[I, J - 1]
+    assert np.array_equal(core, want)
+    assert all(a is b for a, b in zip(nodal._disk(n), (xs, inside, cells, core)))
     assert _sample_disk(monomial_field(2), n)[0] is xs
-    for a in (xs, inside, cells):
+    for a in (xs, inside, cells, core):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[-1]
 
@@ -519,24 +531,6 @@ def test_float_grid_size_is_refused_warm_or_cold(n):
             with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
                 call(f, n)
         extract_nodal_set(f, 256)
-
-
-@pytest.mark.parametrize("n", [64, 97, 300])
-@pytest.mark.parametrize("radius", [1.0, 0.45])
-def test_candidate_gradients_match_full_grid(n, radius):
-    # detection evaluates the gradient only at its candidates, the disk's
-    # pixels of small |u|: on those points alone it is the full grid's, bit
-    # for bit, and inf everywhere else
-    xs = np.linspace(-radius, radius, n)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    inside = X * X + Y * Y <= radius * radius
-    for field in _sample_disk_fields():
-        U, (UX, UY) = field.value_and_grad(X, Y)
-        for cand in (inside & (np.abs(U) < np.quantile(np.abs(U), 0.05)), inside,
-                     np.zeros_like(inside)):
-            G = _grad_norm_at(field, xs, cand)
-            assert _bits(G[cand]) == _bits(np.hypot(UX, UY)[cand])
-            assert np.all(G[~cand] == np.inf)
 
 
 def test_egg_crate_has_saddle_cells():
@@ -637,6 +631,19 @@ def test_detect_singular_agrees_on_the_grid_sample_near_q_2(q):
         assert len(got) == 1 and np.hypot(got[0][0], got[0][1]) < 2.0 * 2.0 / 255
 
 
+def test_detect_singular_agrees_with_its_grid_sample():
+    # the nodal-grids draws of numpy seeds 11-14: u_k and its 513^2 sample
+    # give one point, the same pixel, as both read |u| and |grad u| from
+    # their own grid sample alone
+    for seed in range(11, 15):
+        rng = np.random.default_rng(seed)
+        for q in (1.0, 1.5):
+            p = ProblemParams(q=q, lambda_minus=float(rng.uniform(1.0, 4.0)))
+            u = construct_uk(p, k_bar(p) + int(rng.integers(1, 4))).to_field()
+            got = [detect_singular(f, 256) for f in (u, GridField.sample(u, 513))]
+            assert len(got[0]) == 1 and got[0][0][:2] == got[1][0][:2], (seed, q)
+
+
 def _roots_field(*roots):
     """Re prod (z - a)^m over the (a, m) of ``roots`` (mu = 0): a singular
     point of order m at each a, with its gradient (Re and Re i of the
@@ -702,57 +709,41 @@ def test_detect_singular_drops_a_ring_off_the_disk():
     # x = -1 or x = 1 of the n = 129 grid: the root is a window minimum at
     # every m; its ring of radius 4 leaves the grid at m < 4 and the disk at
     # m = 4 (the pixels (+-1, +-h)), and it is dropped; from m = 5 it is kept
-    # with its 6 branches
+    # with its 6 branches and the sampled |grad u| = (h^3 - (-h)^3) / 2h = h^2
     n = 129
     xs = np.linspace(-1.0, 1.0, n)
     for m in range(1, 9):
         for i0 in (m, n - 1 - m):
             field = _roots_field((xs[i0], 3))
             assert (i0, n // 2) in [(r[2], r[3]) for r in _minima_ref(field, n)]
-            want = [(xs[i0], 0.0, 0.0, 0.0, 6)] if m >= 5 else []
+            want = [(xs[i0], 0.0, 0.0, 2.0**-12, 6)] if m >= 5 else []
             assert detect_singular(field, n) == want
 
 
-@pytest.mark.parametrize("nan_at", [lambda x, y: x >= 0, lambda x, y: np.hypot(x, y) < 0.1],
-                         ids=["x >= 0", "r < 0.1"])
-def test_detect_singular_refuses_a_nan_gradient(nan_at):
-    # x y has an order-2 point at the origin; a NaN gradient at the candidate
-    # pixels, on the half plane x >= 0 or on r < 0.1 alone, passes no
-    # threshold test and would drop it
-    good = ClosedFormField(lambda x, y: x * y, lambda x, y: (y, x))
-    got = detect_singular(good, 64)
-    assert len(got) == 1 and np.hypot(got[0][0], got[0][1]) < 2.0 / 63
-    bad = ClosedFormField(lambda x, y: x * y,
-                          lambda x, y: (np.where(nan_at(x, y), np.nan, y), x + 0 * y))
-    with pytest.raises(DataError, match="^field gradient is non-finite"):
-        detect_singular(bad, 64)
-
-
-class _CountingField(PlanarField):
-    """A field that records the number of points of every ``value_and_grad`` call."""
+class _NoGradField(PlanarField):
+    """A field whose ``value_and_grad`` raises."""
 
     def __init__(self, base):
-        self.base, self.params, self.grad_points = base, base.params, []
+        self.base, self.params = base, base.params
 
     def __call__(self, x, y):
         return self.base(x, y)
 
     def value_and_grad(self, x, y):
-        self.grad_points.append(np.size(x))
-        return self.base.value_and_grad(x, y)
+        raise AssertionError("value_and_grad called")
 
 
 def test_detect_singular_grads_only_candidates():
-    # the grid is sampled for the value alone; the gradient is asked for the
-    # candidates of small |u|, a few per cent of the disk, in one call, and
-    # for no point off the grid
+    # the gradient at the candidates is the central difference of the grid
+    # sample: detection asks no field for its gradient, and a grid sample
+    # never builds its full-grid gradients
     uk = construct_uk(ProblemParams(q=1.5, lambda_minus=2.5), 10).to_field()
-    field = _CountingField(uk)
-    got = detect_singular(field, 256)
-    _assert_matches_ref(got, _detect_singular_ref(uk, 256))
-    disk = np.count_nonzero(_sample_disk(uk, 256)[2])
-    assert len(field.grad_points) == 1
-    assert 0 < field.grad_points[0] <= 0.05 * disk
+    grid = GridField.sample(uk, 513)
+    for field in (uk, grid):
+        got = detect_singular(_NoGradField(field), 256)
+        assert got == detect_singular(field, 256)
+        _assert_matches_ref(got, _detect_singular_ref(field, 256))
+    assert "_gx" not in vars(grid) and "_gy" not in vars(grid)
 
 
 @pytest.mark.parametrize("c", [1e-9, 1.0, 1e3])
