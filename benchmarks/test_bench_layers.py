@@ -267,6 +267,18 @@ def test_grid_sample_513(benchmark, uk15):
     assert peak < 12 * 2**20
 
 
+def test_homogeneous_band_32x513(benchmark, uk15):
+    # one band of the 513^2 sampler: 32 grid rows as a column, every column
+    # as a row, one broadcast call
+    xs = np.linspace(-1.0, 1.0, 513)
+    x, y = xs[200:232, None], xs[None, :]
+    band = benchmark(uk15, x, y)
+    X, Y = np.meshgrid(xs[200:232], xs, indexing="ij")
+    assert band.shape == (32, 513) and np.array_equal(band, uk15(X, Y))
+    want = np.hypot(X, Y) ** uk15.gamma * uk15.profile(np.arctan2(Y, X))
+    assert np.allclose(band, want, rtol=1e-14, atol=0.0)
+
+
 def test_detect_singular_n256(benchmark, uk15):
     reps = benchmark(detect_singular, uk15, 256)
     # the singular set of u_k is the origin alone

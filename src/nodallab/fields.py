@@ -13,10 +13,12 @@ It asks for values alone, one ``__call__`` per band on the band's row
 coordinates as a column and its column coordinates as a row.  Every field
 evaluates broadcast coordinates with the operations it applies to a
 meshgrid, so the values are the same to the bit, and no n x n coordinate
-arrays are built: a :class:`GridField` computes its interpolation weights
-once per axis and broadcasts them.  Gradients are never
-sampled on a grid: detection reads |grad u| as central differences of its
-value sample and asks no field for a gradient.
+arrays are built: a :class:`HomogeneousField` takes r^gamma as
+(x^2 + y^2)^(gamma/2), with no ``hypot`` (hypot(x, y)^gamma only where
+x^2 + y^2 is below the smallest normal double), and a :class:`GridField`
+computes its interpolation weights once per axis and broadcasts them.
+Gradients are never sampled on a grid: detection reads |grad u| as central
+differences of its value sample and asks no field for a gradient.
 The rings of the quadrature ladder are sampled at their Cartesian points by
 ``_sample_rings``, for the value alone on a circles-only pass and with
 ``value_and_grad`` on a bulk pass; the two agree because every field's
@@ -45,7 +47,8 @@ one gather of whole rows and one Horner step, and ``value_and_prime`` finds
 each angle's interval once for both planes.  The profile keeps read-only
 copies of its sample arrays, so the table cannot go stale.  Files use the
 versioned text container ``NODALLAB v1`` with 17-significant-digit decimal
-samples, so a save/load round trip is bit exact.
+samples, so a save/load round trip is bit exact; a line after the samples
+is refused.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from .params import ProblemParams
 FORMAT_MAGIC = "NODALLAB"
 FORMAT_VERSION = "v1"
 _LAPLACE = ProblemParams(q=1.0, mu=0.0)  # the params of a field given none; frozen, so shared
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 class DomainError(ValueError):
@@ -214,29 +218,59 @@ class HomogeneousField(PlanarField):
 
     @staticmethod
     def _polar(x, y):
-        """The radius and angle of the points."""
+        """The squared radius s = x^2 + y^2 of the points, their angle, and
+        their tiny points: where s is below the smallest normal double the
+        squares have lost precision (below 1e-162 they are 0), so these
+        points keep hypot(x, y) as their radius.  ``tiny`` is the mask
+        of those points and their hypot, or None when there are none.  s is a
+        fresh array, or a scalar for a single point without tiny points.  The
+        points are in the unit disk: beyond |x| or |y| of 1e154 s overflows."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        return np.hypot(x, y), np.arctan2(y, x)
+        s = x * x + y * y
+        tiny = None
+        # a reduction allocates nothing; the mask and hypot only where it finds one
+        if s.min(initial=np.inf) < _TINY:
+            s = np.asarray(s)  # a single point too, so that it can take the mask
+            mask = s < _TINY
+            bx, by = np.broadcast_arrays(x, y)
+            tiny = mask, np.hypot(bx[mask], by[mask])
+        return s, np.arctan2(y, x), tiny
+
+    @staticmethod
+    def _radius_power(s, tiny, p):
+        """r^p from ``_polar``'s s and tiny points, in place on an array s:
+        s^(p/2), and hypot(x, y)^p at the tiny points."""
+        s **= 0.5 * p
+        if tiny is not None:
+            s[tiny[0]] = tiny[1] ** p
+        return s
 
     def __call__(self, x, y):
-        r, th = self._polar(x, y)
-        # in place on the fresh radius array, so the lift allocates nothing more
-        r **= self.gamma
-        r *= self.profile(th)
-        return r
+        s, th, tiny = self._polar(x, y)
+        # in place on the fresh squared radius, so the lift allocates nothing more
+        u = self._radius_power(s, tiny, self.gamma)
+        u *= self.profile(th)
+        return u[()]
 
     def value_and_grad(self, x, y):
-        r, th = self._polar(x, y)
+        s, th, tiny = self._polar(x, y)
         phi, dphi = self.profile.value_and_prime(th)
+        # r > 0: a point of s = 0 is a tiny point, whose hypot decides; an
+        # array also for a single point, so that it can take the tiny points
+        pos = np.asarray(s > 0)
+        if tiny is not None:
+            pos[tiny[0]] = tiny[1] > 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            r_g1 = r ** (self.gamma - 1.0)
+            r_g1 = self._radius_power(s.copy(), tiny, self.gamma - 1.0)
             u_r = self.gamma * r_g1 * phi
             u_t_over_r = r_g1 * dphi
         # gradient vanishes at the origin whenever gamma > 1
-        u_r = np.where(r > 0, u_r, 0.0)
-        u_t_over_r = np.where(r > 0, u_t_over_r, 0.0)
+        u_r = np.where(pos, u_r, 0.0)
+        u_t_over_r = np.where(pos, u_t_over_r, 0.0)
         ct, st = np.cos(th), np.sin(th)
-        return r**self.gamma * phi, (u_r * ct - u_t_over_r * st, u_r * st + u_t_over_r * ct)
+        u = self._radius_power(s, tiny, self.gamma)
+        u *= phi
+        return u[()], (u_r * ct - u_t_over_r * st, u_r * st + u_t_over_r * ct)
 
     def separated(self, theta):
         return (self.gamma, *self.profile.value_and_prime(theta))
@@ -424,6 +458,14 @@ def _fmt_line(values) -> str:
     return " ".join([_FMT] * len(vals)) % tuple(vals)
 
 
+def _fmt_rows(rows) -> str:
+    """The rows of a 2-d array as lines of comma-separated ``_fmt`` decimals,
+    each ended by a newline; one ``%`` format over all rows."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join([_FMT] * rows.shape[1]) + "\n"
+    return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+
+
 def save(obj, path) -> None:
     """Write a profile or field to the NODALLAB v1 text container."""
     lines = []
@@ -478,6 +520,14 @@ def _construct(cls, lineno, *args):
         raise ParseError(f"line {lineno}: {exc}") from None
 
 
+def _check_end(lines, end):
+    """Refuse any line after the samples, which end before ``lines[end]``: a
+    row written twice would otherwise shift the rows after it and drop the
+    last one unseen."""
+    if len(lines) > end:
+        raise ParseError(f"line {end + 1}: unexpected line after the samples")
+
+
 def load(path):
     """Read a NODALLAB v1 file back into a profile or field."""
     with open(path) as fh:
@@ -519,6 +569,7 @@ def load(path):
             raise ParseError(f"line {i + 1}: missing sample lines")
         values = _parse_floats(lines[i], i + 1, n_theta)
         deriv = _parse_floats(lines[i + 1], i + 2, n_theta)
+        _check_end(lines, i + 2)
         profile = _construct(AngularProfile, i + 1, values, deriv, params)
         if kind == "profile":
             return profile
@@ -535,6 +586,7 @@ def load(path):
         if len(lines) - i < n:
             raise ParseError(f"line {len(lines)}: expected {n} sample rows")
         rows = [_parse_floats(lines[i + j], i + j + 1, n) for j in range(n)]
+        _check_end(lines, i + n)
         return _construct(GridField, i + 1, np.array(rows), params)
     raise ParseError(f"line 1: unknown kind {kind!r}")
 
@@ -566,5 +618,4 @@ class NodalSet:
     def save_csv(self, path):
         with open(path, "w") as fh:
             fh.write("x1,y1,x2,y2\n")
-            for x1, y1, x2, y2 in self.segments.reshape(-1, 4).tolist():
-                fh.write(f"{_fmt(x1)},{_fmt(y1)},{_fmt(x2)},{_fmt(y2)}\n")
+            fh.write(_fmt_rows(self.segments.reshape(-1, 4)))

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DomainError, PlanarField, _angles, _fmt, _sample_rings
+from .fields import DomainError, PlanarField, _angles, _fmt_rows, _sample_rings
 from .params import ProblemParams, gamma_q
 
 N_DIM = 2
@@ -133,8 +133,7 @@ class FunctionalTrace:
     def save_csv(self, path):
         with open(path, "w") as fh:
             fh.write("r,value\n")
-            for r, v in zip(self.radii, self.values):
-                fh.write(f"{_fmt(r)},{_fmt(v)}\n")
+            fh.write(_fmt_rows(np.column_stack((self.radii, self.values))))
 
 
 def eval_F(params: ProblemParams, s):

@@ -289,6 +289,11 @@ _COS2 = f"{fields._fmt_line(np.cos(2 * _TH16))}\n{fields._fmt_line(-2 * np.sin(2
                  "line 5: missing n", id="missing-n"),
     pytest.param("NODALLAB v1 grid\n" + _PARAMS + "n=3\n0 1 0\n1 0 1\n",
                  "line 8: expected 3 sample rows", id="too-few-grid-rows"),
+    pytest.param("NODALLAB v1 grid\n" + _PARAMS + "n=3\n0 1 0\n1 0 1\n1 0 1\n0 1 0\n",
+                 "line 10: unexpected line after the samples", id="too-many-grid-rows"),
+    pytest.param("NODALLAB v1 profile\n" + _PARAMS + "n_theta=16\n" + _COS2 + "garbage\n",
+                 "line 9: unexpected line after the samples",
+                 id="line-after-the-profile-samples"),
     pytest.param("NODALLAB v1 blob\n" + _PARAMS, "line 1: unknown kind 'blob'",
                  id="unknown-kind"),
 ])

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from nodallab.fields import (
     AngularProfile, ClosedFormField, DomainError, GridField, HomogeneousField,
-    NodalSet, ParseError, PlanarField, _angles, _sample_rings, load, monomial_field, save,
+    NodalSet, ParseError, PlanarField, _angles, _fmt, _sample_rings, load, monomial_field,
+    save,
 )
 from nodallab.construct import construct_uk
 from nodallab.functionals import _GL_T, _GL_W, _ladder
+from nodallab.nodal import _sample_disk
 from nodallab.params import ProblemParams
 
 
@@ -200,6 +202,22 @@ def test_grid_roundtrip(tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
+def test_load_refuses_a_line_after_the_samples(tmp_path):
+    # a grid row written twice would shift the rows after it and drop the last
+    path = tmp_path / "g.txt"
+    save(GridField.sample(monomial_field(2), 5), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:8] + lines[7:]))
+    with pytest.raises(ParseError, match="^line 12: unexpected line after the samples$"):
+        load(path)
+    # a trailing line after a profile's two sample lines
+    save(cos2_profile(16), path)
+    with open(path, "a") as fh:
+        fh.write("garbage\n")
+    with pytest.raises(ParseError, match="^line 5: unexpected line after the samples$"):
+        load(path)
+
+
 def test_save_refuses_other_objects(tmp_path):
     # a closed-form field has no text form; nothing is written
     path = tmp_path / "f.txt"
@@ -239,6 +257,15 @@ def test_nodal_set_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x1,y1,x2,y2"
     assert len(lines) == 2
+    # one format over all rows writes the bytes of a per-row, per-number one
+    rng = np.random.default_rng(7)
+    segs = rng.standard_normal((300, 2, 2)) * 10.0 ** rng.integers(-20, 20, (300, 2, 2))
+    segs[0] = [[0.0, -0.0], [1 / 3, -2.5e-310]]
+    for ns in (NodalSet(segs), NodalSet([])):
+        ns.save_csv(path)
+        rows = ns.segments.reshape(-1, 4).tolist()
+        want = "x1,y1,x2,y2\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+        assert path.read_bytes() == want.encode()
 
 
 def test_nodal_set_array_layout():
@@ -292,6 +319,14 @@ def _profile_ref(prof, samples, theta):
     return _catmull_rom_ref(samples, x % prof.n_theta)
 
 
+def _radius_power_ref(x, y, p):
+    """r^p as a HomogeneousField defines it: (x^2 + y^2)^(p/2), and
+    hypot(x, y)^p where x^2 + y^2 is below the smallest normal double."""
+    s = x * x + y * y
+    with np.errstate(divide="ignore"):
+        return np.where(s < np.finfo(float).tiny, np.hypot(x, y) ** p, s ** (p / 2))
+
+
 def _homogeneous_ref(f, x, y):
     """Reference value and gradient of u = r^gamma phi through the stencil."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -300,13 +335,14 @@ def _homogeneous_ref(f, x, y):
     both = _profile_ref(prof, np.column_stack((prof.values, prof.derivative)), th)
     phi, dphi = both[..., 0], both[..., 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_g1 = r ** (f.gamma - 1.0)
+        r_g1 = _radius_power_ref(x, y, f.gamma - 1.0)
         u_r = f.gamma * r_g1 * phi
         u_t_over_r = r_g1 * dphi
     u_r = np.where(r > 0, u_r, 0.0)
     u_t_over_r = np.where(r > 0, u_t_over_r, 0.0)
     ct, st_ = np.cos(th), np.sin(th)
-    return r**f.gamma * phi, (u_r * ct - u_t_over_r * st_, u_r * st_ + u_t_over_r * ct)
+    return (_radius_power_ref(x, y, f.gamma) * phi,
+            (u_r * ct - u_t_over_r * st_, u_r * st_ + u_t_over_r * ct))
 
 
 def _same(a, b):
@@ -402,10 +438,11 @@ def test_grid_field_tensor_outside_hull():
        n=st.integers(3, 600), rows=st.integers(1, 40), data=st.data(), seed=st.integers(0, 2**16))
 def test_homogeneous_field_tensor_matches_meshgrid(gamma, n, rows, data, seed):
     # a band of grid rows and a run of its columns, as the grid sampler asks
-    # for them: the polar coordinates of the broadcast coordinates give the
-    # field on the meshgrid bit for bit, and the in-place power (numpy
-    # special-cases the exponents 0.5, 1 and 2) and product give the floats
-    # of r**gamma * phi; odd n puts the origin on the grid
+    # for them: the squared radius and angle of the broadcast coordinates give
+    # the field on the meshgrid bit for bit, and the in-place power (numpy
+    # special-cases the exponents gamma / 2 = 0.5, 1 and 2) and product give
+    # the floats of (x^2 + y^2)^(gamma / 2) * phi; odd n puts the origin on
+    # the grid
     rng = np.random.default_rng(seed)
     f = HomogeneousField(gamma, AngularProfile(rng.standard_normal(64), rng.standard_normal(64)))
     xs = np.linspace(-1.0, 1.0, n)
@@ -415,7 +452,52 @@ def test_homogeneous_field_tensor_matches_meshgrid(gamma, n, rows, data, seed):
     x, y = xs[r0:r0 + rows], xs[c0:c1]
     X, Y = np.meshgrid(x, y, indexing="ij")
     assert _same(f(x[:, None], y[None, :]), f(X, Y))
-    assert _same(f(X, Y), np.hypot(X, Y) ** f.gamma * f.profile(np.arctan2(Y, X)))
+    assert _same(f(X, Y), _radius_power_ref(X, Y, f.gamma) * f.profile(np.arctan2(Y, X)))
+
+
+def _unit_profile():
+    """phi = 1: every Catmull-Rom coefficient but d is 0, so u = r^gamma exactly."""
+    return AngularProfile(np.ones(16), np.zeros(16))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended long double")
+@pytest.mark.parametrize("n", [256, 512, 513])
+def test_homogeneous_radius_power_accuracy(n):
+    # r^gamma sampled on the disk grid against (x^2 + y^2)^(gamma/2) in long
+    # double, in units in the last place of the double: the squared radius
+    # errs less on average than hypot(x, y)^gamma at every gamma, at most as
+    # much for gamma >= 2, and not at all on the dyadic 513^2 nodes at gamma =
+    # 2 and 4, where x^2 + y^2 and its square are exact
+    for gamma in (0.5, 2.0, 8.0 / 3.0, 4.0, 8.0, 20.0):
+        xs, V, inside = _sample_disk(HomogeneousField(gamma, _unit_profile()), n)
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        x, y = X[inside], Y[inside]
+        xl, yl = x.astype(np.longdouble), y.astype(np.longdouble)
+        ref = (xl * xl + yl * yl) ** (np.longdouble(gamma) / 2)
+        ulp = np.spacing(ref.astype(float))
+        err = np.abs(V[inside] - ref) / ulp
+        err_hypot = np.abs(np.hypot(x, y) ** gamma - ref) / ulp
+        assert err.mean() < err_hypot.mean(), gamma
+        if gamma >= 2.0:
+            assert err.max() <= err_hypot.max(), gamma
+        if n == 513 and gamma in (2.0, 4.0):
+            assert err.max() == 0.0, gamma
+
+
+def test_homogeneous_tiny_radius_takes_hypot():
+    # below the smallest normal double x^2 + y^2 has lost precision, and at
+    # (1e-170, 0) it is 0: those points take hypot(x, y) to the power
+    f = HomogeneousField(0.5, _unit_profile())
+    x, y = np.array([3e-160, 1e-170]), np.array([4e-160, 0.0])
+    want = np.hypot(x, y) ** 0.5
+    assert want.min() > 1e-86
+    assert _same(f(x, y), want) and _same(f.value_and_grad(x, y)[0], want)
+    assert _same(f(x[:, None], y[None, :]), np.hypot(x[:, None], y[None, :]) ** 0.5)
+    for k in range(2):
+        assert f(x[k], y[k]) == want[k]
+    # and the gradient r^(gamma - 1) there, not the origin's 0
+    gx, gy = f.value_and_grad(1e-170, 0.0)[1]
+    assert gx == pytest.approx(0.5e85, rel=1e-15) and gy == 0.0
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nodallab.construct import construct_uk
 from nodallab.fields import (AngularProfile, ClosedFormField, DomainError, GridField,
-                             HomogeneousField, PlanarField, _sample_rings, monomial_field)
+                             HomogeneousField, PlanarField, _fmt, _sample_rings, monomial_field)
 from nodallab.functionals import (
     _GL_T, _GL_W, N_THETA, DegenerateSphereError, FunctionalTrace, InconclusiveError,
     PreconditionError, _ladder, _power_fit, _require_nodal, check_derivative_identities,
@@ -177,6 +177,13 @@ def test_trace_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "r,value"
     assert len(lines) == 6
+    # one format over all rows writes the bytes of a per-row, per-number one
+    rs = np.geomspace(1e-3, 1.0, 40)
+    vs = np.random.default_rng(3).standard_normal(40) * 10.0 ** np.arange(-20, 20)
+    vs[:4] = [np.nan, np.inf, -0.0, 1 / 3]
+    FunctionalTrace(rs, vs).save_csv(path)
+    want = "r,value\n" + "".join(f"{_fmt(r)},{_fmt(v)}\n" for r, v in zip(rs, vs))
+    assert path.read_bytes() == want.encode()
     with pytest.raises(ValueError):
         trace(f, "bogus", ORIGIN, radii)
     with pytest.raises(ValueError):
