@@ -29,7 +29,9 @@ from nodallab.functionals import (
     _THETA, InconclusiveError, eval_Dt, eval_F, eval_Nt, monotonicity_scan, trace,
     transition_exponent,
 )
-from nodallab.nodal import detect_singular, extract_nodal_set, nodal_length
+from nodallab.nodal import (
+    _detect, _extract, _sample_disk, detect_singular, extract_nodal_set, nodal_length,
+)
 from nodallab.orders import estimate_order
 from nodallab.params import ProblemParams
 
@@ -277,6 +279,30 @@ def test_homogeneous_band_32x513(benchmark, uk15):
     assert band.shape == (32, 513) and np.array_equal(band, uk15(X, Y))
     want = np.hypot(X, Y) ** uk15.gamma * uk15.profile(np.arctan2(Y, X))
     assert np.allclose(band, want, rtol=1e-14, atol=0.0)
+
+
+def _analyze_nodal_stage(field, n):
+    """The nodal stage of ``nodallab analyze``: one sample of the disk, then
+    extraction, the nodal length in B_{1/2} and detection on that sample."""
+    xs, V, inside = _sample_disk(field, n)
+    ns = _extract(field, xs, V)
+    return nodal_length(ns, 0.5), _detect(field, xs, V, inside)
+
+
+@pytest.mark.parametrize("source", ["u_k", "grid_sample"])
+def test_analyze_nodal_stage_n256(benchmark, uk15, uk15_grid, source):
+    field = uk15 if source == "u_k" else uk15_grid
+    length, reps = benchmark(_analyze_nodal_stage, field, 256)
+    # 18 rays of length 1/2 in B_{1/2}, and the origin as the one singular point
+    assert abs(length - 9.0) < 0.05 * 9.0
+    assert len(reps) == 1 and np.hypot(reps[0][0], reps[0][1]) < 0.05
+
+
+def test_homogeneous_origin_call(benchmark, uk15):
+    # the one scalar call of the nodal test of estimate_order and
+    # transition_exponent at the vertex
+    u0 = benchmark(uk15, 0.0, 0.0)
+    assert u0 == 0.0
 
 
 def test_detect_singular_n256(benchmark, uk15):

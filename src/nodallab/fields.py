@@ -221,15 +221,20 @@ class HomogeneousField(PlanarField):
         """The squared radius s = x^2 + y^2 of the points, their angle, and
         their tiny points: where s is below the smallest normal double the
         squares have lost precision (below 1e-162 they are 0), so these
-        points keep hypot(x, y) as their radius.  ``tiny`` is the mask
-        of those points and their hypot, or None when there are none.  s is a
-        fresh array, or a scalar for a single point without tiny points.  The
-        points are in the unit disk: beyond |x| or |y| of 1e154 s overflows."""
+        points keep hypot(x, y) as their radius.  The origin is not one:
+        there s = 0 = hypot(x, y), so s^(p/2) is hypot(x, y)^p for every p.
+        ``tiny`` is the mask of the tiny points and their hypot (the origin
+        among them when others are there too, to the same effect), or None
+        when there are none.  s is a fresh array, or a scalar for a single
+        point without tiny points.  The points are in the unit disk: beyond
+        |x| or |y| of 1e154 s overflows."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         s = x * x + y * y
         tiny = None
-        # a reduction allocates nothing; the mask and hypot only where it finds one
-        if s.min(initial=np.inf) < _TINY:
+        # a reduction allocates nothing; the mask and hypot only where it
+        # finds a tiny point: 0 < s < _TINY, or s = 0 off the origin
+        lo = s.min(initial=np.inf)
+        if lo < _TINY and (lo > 0 or x.any() or y.any()):
             s = np.asarray(s)  # a single point too, so that it can take the mask
             mask = s < _TINY
             bx, by = np.broadcast_arrays(x, y)

@@ -125,9 +125,13 @@ class FunctionalTrace:
     values: np.ndarray
 
     def __post_init__(self):
-        self.radii = _ladder_radii(self.radii)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.radii.shape != self.values.shape:
+        self._fill(_ladder_radii(self.radii), self.values)
+
+    def _fill(self, radii, values):
+        """Set the radii, which have passed ``_ladder_radii``, and the values
+        as floats of the same shape."""
+        self.radii, self.values = radii, np.asarray(values, dtype=float)
+        if radii.shape != self.values.shape:
             raise ValueError("radii and values must have equal length")
 
     def save_csv(self, path):
@@ -405,8 +409,12 @@ def trace(field, functional, x0, radii, gamma=None, t=None):
         if given[name] is None:
             raise ValueError(f"trace of {functional!r} needs {name}")
         _gammas(given[name], name)
-    radii = _ladder_radii(radii)  # the ladder rule, before any sampling
-    return FunctionalTrace(radii, view(_ladder(field, x0, radii, bulk=functional != "H"), gamma, t))
+    radii = _ladder_radii(radii)  # the ladder rule, once, before any sampling
+    values = view(_ladder(field, x0, radii, bulk=functional != "H"), gamma, t)
+    # built past __post_init__, so the radii are not checked a second time
+    tr = object.__new__(FunctionalTrace)
+    tr._fill(radii, values)
+    return tr
 
 
 def check_derivative_identities(field, x0, radii, gamma, t):

@@ -139,6 +139,12 @@ def _sample_disk(field, n):
 def extract_nodal_set(field: PlanarField, n: int) -> NodalSet:
     """Marching-squares zero set of the field inside the unit disk."""
     xs, V, _ = _sample_disk(field, n)
+    return _extract(field, xs, V)
+
+
+def _extract(field, xs, V):
+    """:func:`extract_nodal_set` on the sample ``xs, V`` of
+    :func:`_sample_disk`, which ``analyze`` shares with :func:`_detect`."""
     # the cell pass returns before the clip, so their temporaries never coexist
     return NodalSet(_clip_to_disk(_cell_segments(field, xs, V), 1.0))
 
@@ -254,7 +260,13 @@ def detect_singular(field: PlanarField, n: int):
     |grad u| the thresholds read, and ``branches``, the integer sign count on
     the point's ring, 2d or 2k where the 32 pixels resolve the rays.
     """
-    xs, V, inside = _sample_disk(field, n)
+    return _detect(field, *_sample_disk(field, n))
+
+
+def _detect(field, xs, V, inside):
+    """:func:`detect_singular` on the sample ``xs, V, inside`` of
+    :func:`_sample_disk`, which ``analyze`` shares with :func:`_extract`."""
+    n = len(xs)
     h = xs[1] - xs[0]
     absV = np.abs(V)
     M = np.max(absV, where=inside, initial=0.0)

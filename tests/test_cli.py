@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
-from nodallab import construct, fields
+from nodallab import cli, construct, fields, nodal
 from nodallab.cli import main
 from nodallab.params import ProblemParams
 
@@ -198,6 +198,36 @@ def test_analyze_grid_file(tmp_path):
     assert doc["order"]["snapped"] == 2.0
     assert doc["singular_clusters"] == 1
     assert "profile_zeros" not in doc
+
+
+@pytest.mark.parametrize("source", ["profile", "grid"])
+def test_analyze_samples_the_disk_once(construct_dir, tmp_path, monkeypatch, source):
+    # extraction and detection read one sample of the disk, and write what
+    # the public extract_nodal_set and detect_singular give
+    path = construct_dir / "profile.txt"
+    if source == "grid":
+        path = tmp_path / "grid.txt"
+        fields.save(fields.GridField.sample(construct.construct_uk(ProblemParams(), 5)
+                                            .to_field(), 129), path)
+    field = cli._field_from_input(str(path))[0]
+    want = tmp_path / "want.csv"
+    nodal.extract_nodal_set(field, 128).save_csv(want)
+    points = [list(point) for point in nodal.detect_singular(field, 128)]
+
+    calls = []
+    sample = nodal._sample_disk
+
+    def counted(field, n):
+        calls.append(n)
+        return sample(field, n)
+
+    monkeypatch.setattr(nodal, "_sample_disk", counted)
+    out = tmp_path / "an"
+    assert run("analyze", "--input", str(path), "--grid", "128", "--out", str(out)) == 0
+    assert calls == [128]
+    assert (out / "nodal.csv").read_bytes() == want.read_bytes()
+    got = json.loads((out / "singular.json").read_text())
+    assert [[p["x"], p["y"], p["abs_u"], p["abs_grad"], p["branches"]] for p in got] == points
 
 
 @pytest.mark.parametrize("q, k", [(1.85, 28), (1.95, 81)])

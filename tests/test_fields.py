@@ -498,6 +498,24 @@ def test_homogeneous_tiny_radius_takes_hypot():
     # and the gradient r^(gamma - 1) there, not the origin's 0
     gx, gy = f.value_and_grad(1e-170, 0.0)[1]
     assert gx == pytest.approx(0.5e85, rel=1e-15) and gy == 0.0
+    # the origin is no tiny point: there x^2 + y^2 = 0 = hypot(x, y), so a
+    # single call skips the mask and hypot, and still gives hypot's value and
+    # gradient bit for bit (0^p is 0, 1 or inf), alone and in an odd-n band
+    # through it; phi(0) < 0, so the value is -0.0
+    assert HomogeneousField._polar(0.0, 0.0)[2] is None
+    assert HomogeneousField._polar(1e-170, 0.0)[2] is not None
+    rng = np.random.default_rng(7)
+    prof = AngularProfile(rng.standard_normal(16) - 3.0, rng.standard_normal(16))
+    xs = np.linspace(-1.0, 1.0, 9)
+    assert xs[4] == 0.0
+    for gamma in (0.5, 1.0, 2.5):
+        f = HomogeneousField(gamma, prof)
+        for x, y in ((0.0, 0.0), (xs[:, None], xs[None, :]), (xs[2:7, None], xs[None, :])):
+            want, (want_x, want_y) = _homogeneous_ref(f, *np.broadcast_arrays(x, y))
+            v, (gx, gy) = f.value_and_grad(x, y)
+            assert _same(f(x, y), want) and _same(v, want), gamma
+            assert _same(gx, want_x) and _same(gy, want_y), gamma
+        assert np.signbit(f(0.0, 0.0))
 
 
 @settings(max_examples=50, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nodallab import functionals
 from nodallab.construct import construct_uk
 from nodallab.fields import (AngularProfile, ClosedFormField, DomainError, GridField,
                              HomogeneousField, PlanarField, _fmt, _sample_rings, monomial_field)
@@ -391,6 +392,35 @@ def test_trace_checks_the_ladder_before_sampling():
     with pytest.raises(ValueError, match="^radii must be strictly increasing$"):
         trace(f, "h1", (0.1, 0.0), [0.5, 0.2])
     assert calls == []
+
+
+@pytest.mark.parametrize("radii, message", [
+    ([0.2, 0.5], None), ([0.5, 0.2], "strictly increasing"), ([0.2, 0.2], "strictly increasing"),
+    ([0.2, np.nan], "finite"), ([np.inf, 0.5], "finite"), ([0.5, np.nan, 0.2], "finite"),
+])
+def test_trace_checks_its_radii_once(radii, message, monkeypatch):
+    # one ladder rule per trace, before the field is called, with its message
+    checks, calls = [], []
+    rule = functionals._ladder_radii
+
+    def counted(radii):
+        checks.append(len(radii))
+        return rule(radii)
+
+    def value(x, y):
+        calls.append(np.size(x))
+        return x * y
+
+    monkeypatch.setattr(functionals, "_ladder_radii", counted)
+    f = ClosedFormField(value, lambda x, y: (y, x))
+    if message is None:
+        tr = trace(f, "D", (0.1, 0.0), radii, t=2.0)
+        assert tr.radii.tolist() == radii and tr.values.shape == (2,) and calls
+    else:
+        with pytest.raises(ValueError, match=f"^radii must be {message}$"):
+            trace(f, "D", (0.1, 0.0), radii, t=2.0)
+        assert calls == []
+    assert checks == [len(radii)]
 
 
 def test_transition_exponent_on_monomials():
