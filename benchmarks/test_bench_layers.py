@@ -26,14 +26,14 @@ from nodallab.construct import (
 )
 from nodallab.fields import GridField
 from nodallab.functionals import (
-    _THETA, InconclusiveError, eval_Dt, eval_F, eval_Nt, monotonicity_scan, trace,
+    _THETA, InconclusiveError, eval_F, eval_Nt, monotonicity_scan, trace,
     transition_exponent,
 )
 from nodallab.nodal import (
     _detect, _extract, _sample_disk, detect_singular, extract_nodal_set, nodal_length,
 )
 from nodallab.orders import estimate_order
-from nodallab.params import ProblemParams
+from nodallab.params import ProblemParams, gamma_q
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +116,7 @@ def test_trace_D_off_origin(benchmark, uk15):
     x0, radii = (0.05, 0.0), np.linspace(0.1, 0.9, 10)
     tr = benchmark(trace, uk15, "D", x0, radii, t=2.0)
     # one panel per radius integrates the same D to quadrature accuracy
-    single = np.array([eval_Dt(uk15, x0, r, 2.0) for r in radii])
+    single = np.array([trace(uk15, "D", x0, [r], t=2.0).values[0] for r in radii])
     assert np.all(np.abs(tr.values - single) < 1e-5 * np.abs(single))
 
 
@@ -130,7 +130,7 @@ def test_trace_D_50_radii_off_origin_nodal(benchmark, uk15):
     # glued profile has kinks on the nodal rays that cross these rings, so the
     # two panel splits differ by about 2e-5 at r = 0.25 and 0.43
     picks = [0, 17, 30, 49]
-    single = np.array([eval_Dt(uk15, x0, r, 2.0) for r in radii[picks]])
+    single = np.array([trace(uk15, "D", x0, [r], t=2.0).values[0] for r in radii[picks]])
     assert np.all(np.abs(tr.values[picks] - single) < 1e-4 * np.abs(single))
 
 
@@ -286,7 +286,7 @@ def _analyze_nodal_stage(field, n):
     extraction, the nodal length in B_{1/2} and detection on that sample."""
     xs, V, inside = _sample_disk(field, n)
     ns = _extract(field, xs, V)
-    return nodal_length(ns, 0.5), _detect(field, xs, V, inside)
+    return nodal_length(ns, 0.5), _detect(gamma_q(field.params), xs, V, inside)
 
 
 @pytest.mark.parametrize("source", ["u_k", "grid_sample"])

@@ -261,6 +261,7 @@ class _Ladder:
         return (2 * N_DIM - (N_DIM - 2) * q) / q * _scaled(self.r, N_DIM - 1 + 2 * gamma, self.f_bulk)[0]
 
     def h1(self):
+        """Scale-invariant H^1 norm: sqrt(r^(2-N) int |grad u|^2 + r^(1-N) int_S u^2)."""
         return np.sqrt(self.r ** -(N_DIM - 2) * self.grad2 + self.r ** -(N_DIM - 1) * self.H)
 
     def w_prime(self, gamma, t):
@@ -298,8 +299,10 @@ def _angular_sums(field):
 
 def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
     """One quadrature pass over the radii (any shape and order, repeats
-    allowed; a strictly increasing 1-d ladder, which every public reader
-    passes, is used as it is, and any other goes through ``np.unique``).
+    allowed).  A strictly increasing 1-d ladder is used as it is; any other
+    goes through ``np.unique``, which two callers need: ``eval_Nt`` passes
+    its one radius as a scalar, and ``check_derivative_identities`` a
+    3 x n stack of r - step, r and r + step.
 
     A field that is r^gamma phi(theta) about x0 = (0, 0) (``field.separated``)
     is integrated in closed form: each row is dtheta times an angular sum
@@ -366,26 +369,10 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
     return _Ladder(field, x0, radii, *rows)
 
 
-def eval_H(field: PlanarField, x0, r) -> float:
-    """Integral of u^2 over the circle of radius r around x0."""
-    return float(_ladder(field, x0, r, bulk=False).H)
-
-
-def eval_Dt(field: PlanarField, x0, r, t) -> float:
-    """D_t = integral over B_r of |grad u|^2 - (t/q) F(u)."""
-    _gammas(t, "t")
-    return float(_ladder(field, x0, r).D(t))
-
-
 def eval_Nt(field: PlanarField, x0, r, t) -> float:
     """Frequency-like quotient r * D_t / H; needs H above its noise floor."""
     _gammas(t, "t")
     return float(_ladder(field, x0, r).N(t))
-
-
-def h1_norm(field: PlanarField, x0, r) -> float:
-    """Scale-invariant H^1 norm: sqrt(r^(2-N) int |grad u|^2 + r^(1-N) int_S u^2)."""
-    return float(_ladder(field, x0, r).h1())
 
 
 # each view: the optional arguments of ``trace`` it reads, and the view

@@ -260,18 +260,20 @@ def detect_singular(field: PlanarField, n: int):
     |grad u| the thresholds read, and ``branches``, the integer sign count on
     the point's ring, 2d or 2k where the 32 pixels resolve the rays.
     """
-    return _detect(field, *_sample_disk(field, n))
+    xs, V, inside = _sample_disk(field, n)
+    return _detect(gamma_q(field.params), xs, V, inside)
 
 
-def _detect(field, xs, V, inside):
+def _detect(gq, xs, V, inside):
     """:func:`detect_singular` on the sample ``xs, V, inside`` of
-    :func:`_sample_disk`, which ``analyze`` shares with :func:`_extract`."""
+    :func:`_sample_disk`, which ``analyze`` shares with :func:`_extract`, for
+    a field of critical homogeneity ``gq`` = gamma_q(field.params)."""
     n = len(xs)
     h = xs[1] - xs[0]
     absV = np.abs(V)
     M = np.max(absV, where=inside, initial=0.0)
     # the neighbours of a core pixel are disk pixels, which the sample holds
-    i, j = np.nonzero(_disk(n)[3] & (absV < 10.0 * h ** min(gamma_q(field.params), 2.0) * M))
+    i, j = np.nonzero(_disk(n)[3] & (absV < 10.0 * h ** min(gq, 2.0) * M))
     G = np.full(V.shape, np.inf)
     G[i, j] = np.hypot(V[i + 1, j] - V[i - 1, j], V[i, j + 1] - V[i, j - 1]) / (2.0 * h)
     mask = G < 10.0 * h * M

@@ -10,15 +10,13 @@ import pytest
 from nodallab.construct import construct_uk, hamiltonian_cauchy, psi
 from nodallab.fields import monomial_field
 from nodallab.functionals import (
-    check_derivative_identities, eval_Dt, eval_H, eval_Nt,
-    transition_exponent,
+    check_derivative_identities, eval_Nt, trace, transition_exponent,
 )
 from nodallab.nodal import (
     detect_singular, extract_nodal_set, nodal_length, profile_zero_structure,
 )
 from nodallab.orders import estimate_order
 from nodallab.params import ProblemParams, beta_k_sequence, beta_q, gamma_q, k_bar, sigma_k_sequence
-from nodallab.functionals import h1_norm
 
 ORIGIN = (0.0, 0.0)
 
@@ -114,13 +112,13 @@ def test_criterion_03_energy_conservation(family):
 
 
 def _w_over_ladder(field, radii, gammas):
-    """W(gamma, 2; r) for every gamma, from one D/H pass per radius."""
+    """W(gamma, 2; r) for every gamma, from one D and one H trace of the ladder."""
+    D = trace(field, "D", ORIGIN, radii, t=2.0).values
+    H = trace(field, "H", ORIGIN, radii).values
     out = np.empty((len(gammas), len(radii)))
     for j, r in enumerate(radii):
-        D = eval_Dt(field, ORIGIN, r, 2.0)
-        H = eval_H(field, ORIGIN, r)
         for i, g in enumerate(gammas):
-            out[i, j] = r ** -(2 * g) * D - g * r ** -(1 + 2 * g) * H
+            out[i, j] = r ** -(2 * g) * D[j] - g * r ** -(1 + 2 * g) * H[j]
     return out
 
 
@@ -192,8 +190,7 @@ def test_criterion_06_order_classification(family):
         ok &= est.snapped == want
         ok &= abs(est.raw_slope - want) < 0.05
         # non-degeneracy: the normalized norm must not decay dyad over dyad
-        ratios = np.array([h1_norm(field, ORIGIN, r) ** 2 / r ** (2 * want)
-                           for r in ladder])
+        ratios = trace(field, "h1", ORIGIN, ladder).values ** 2 / ladder ** (2 * want)
         ok &= bool(np.all(ratios[:-1] / ratios[1:] > 0.9))
         ok &= bool(np.all(ratios > 0))
     report(6, "orders snap to d or gamma_q with bounded nondegeneracy ratio",

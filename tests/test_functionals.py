@@ -11,7 +11,7 @@ from nodallab.fields import (AngularProfile, ClosedFormField, DomainError, GridF
 from nodallab.functionals import (
     _GL_T, _GL_W, N_THETA, DegenerateSphereError, FunctionalTrace, InconclusiveError,
     PreconditionError, _ladder, _power_fit, _require_nodal, check_derivative_identities,
-    eval_Dt, eval_F, eval_H, eval_Nt, h1_norm, monotonicity_scan, trace, transition_exponent,
+    eval_F, eval_Nt, monotonicity_scan, trace, transition_exponent,
 )
 from nodallab.nodal import profile_zero_structure
 from nodallab.orders import estimate_order
@@ -67,13 +67,13 @@ def test_eval_F_one_power_is_two_clips(q, lam_plus, lam_minus, mu, s):
 def test_H_oracle():
     # int over S_r of (r cos)^2 * r dtheta = pi r^3
     f = monomial_field(1)
-    assert abs(eval_H(f, ORIGIN, 1.0) - np.pi) < 1e-12
-    assert abs(eval_H(f, ORIGIN, 0.25) - np.pi / 64.0) < 1e-12
+    assert abs(trace(f, "H", ORIGIN, [1.0]).values[0] - np.pi) < 1e-12
+    assert abs(trace(f, "H", ORIGIN, [0.25]).values[0] - np.pi / 64.0) < 1e-12
 
 
 def test_D_N_oracle():
     f = monomial_field(1)
-    assert abs(eval_Dt(f, ORIGIN, 1.0, 2.0) - np.pi) < 1e-9
+    assert abs(trace(f, "D", ORIGIN, [1.0], t=2.0).values[0] - np.pi) < 1e-9
     assert abs(eval_Nt(f, ORIGIN, 1.0, 2.0) - 1.0) < 1e-9
     g = monomial_field(2)
     assert abs(eval_Nt(g, ORIGIN, 0.7, 2.0) - 2.0) < 1e-9
@@ -114,22 +114,33 @@ def test_h1_norm_oracle():
     f = monomial_field(1)
     # r^(1-N) int_S u^2 + int_B |grad|^2 = pi r^2 + pi r^2
     for r in (0.5, 1.0):
-        assert abs(h1_norm(f, ORIGIN, r) - np.sqrt(2 * np.pi) * r) < 1e-9
+        assert abs(trace(f, "h1", ORIGIN, [r]).values[0] - np.sqrt(2 * np.pi) * r) < 1e-9
+
+
+# the one-radius readers: trace's views on a ladder of one radius, "H" on
+# the circles-only path, and eval_Nt, which takes its radius as a scalar
+_ONE_RADIUS = {
+    "trace H": lambda f, x0, r: trace(f, "H", x0, [r]),
+    "trace D": lambda f, x0, r: trace(f, "D", x0, [r], t=2.0),
+    "eval_Nt": lambda f, x0, r: eval_Nt(f, x0, r, 2.0),
+    "trace h1": lambda f, x0, r: trace(f, "h1", x0, [r]),
+}
 
 
 def test_ball_domain_checks():
     f = monomial_field(1)
-    with pytest.raises(DomainError):
-        eval_H(f, (0.8, 0.0), 0.5)  # ball escapes the unit disk
-    with pytest.raises(DomainError):
-        eval_H(f, ORIGIN, -0.1)
-    # a NaN radius passes the disk bound: refused in closed form at the
-    # origin and on Cartesian rings elsewhere
-    for x0 in (ORIGIN, (0.1, 0.0)):
-        for functional in (eval_H, h1_norm, lambda f, x0, r: eval_Dt(f, x0, r, 2.0),
-                           lambda f, x0, r: eval_Nt(f, x0, r, 2.0)):
-            with pytest.raises(DomainError, match="^radius must be positive, got nan$"):
-                functional(f, x0, np.nan)
+    for name, read in _ONE_RADIUS.items():
+        with pytest.raises(DomainError, match="escapes the unit disk$"):
+            read(f, (0.8, 0.0), 0.5)
+        with pytest.raises(DomainError, match="^radius must be positive, got -0.1$"):
+            read(f, ORIGIN, -0.1)
+        # a NaN radius passes the disk bound: refused in closed form at the
+        # origin and on Cartesian rings elsewhere, and by trace as a ladder
+        error, message = ((DomainError, "^radius must be positive, got nan$") if name == "eval_Nt"
+                          else (ValueError, "^radii must be finite$"))
+        for x0 in (ORIGIN, (0.1, 0.0)):
+            with pytest.raises(error, match=message):
+                read(f, x0, np.nan)
 
 
 def test_degenerate_sphere():
@@ -319,13 +330,10 @@ _LADDER_READERS = {
 }
 
 # every reader that takes a centre: the ladder readers and the one-radius
-# functionals
+# readers at the ladder's largest radius
 _CENTRED_READERS = {
     **{name: read for name, read in _LADDER_READERS.items() if name != "FunctionalTrace"},
-    "eval_H": lambda f, r, x0: eval_H(f, x0, r[-1]),
-    "eval_Dt": lambda f, r, x0: eval_Dt(f, x0, r[-1], 2.0),
-    "eval_Nt": lambda f, r, x0: eval_Nt(f, x0, r[-1], 2.0),
-    "h1_norm": lambda f, r, x0: h1_norm(f, x0, r[-1]),
+    **{name: lambda f, r, x0, read=read: read(f, x0, r[-1]) for name, read in _ONE_RADIUS.items()},
 }
 
 
@@ -521,9 +529,8 @@ _RADII = np.geomspace(0.05, 0.8, 9)
     ("gamma", lambda f: check_derivative_identities(f, ORIGIN, _RADII, np.nan, 2.0)),
     ("t", lambda f: check_derivative_identities(f, ORIGIN, _RADII, 3.0, -np.inf)),
     ("t", lambda f: eval_Nt(f, ORIGIN, 0.5, np.nan)),
-    ("t", lambda f: eval_Dt(f, ORIGIN, 0.5, np.inf)),
 ], ids=["trace W gamma nan", "trace W t nan", "trace D t inf", "identities gamma nan",
-        "identities t -inf", "eval_Nt t nan", "eval_Dt t inf"])
+        "identities t -inf", "eval_Nt t nan"])
 def test_non_finite_gamma_or_t_is_refused(name, call):
     # unchecked, each answers NaN (trace D at t = inf with a RuntimeWarning
     # too), and the identities a NaN W' residual next to a finite H' one
@@ -650,16 +657,13 @@ def uk_q1():
 @given(radii=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6, unique=True).map(sorted),
        which=st.sampled_from(["uk", "mono2", "mono3"]))
 def test_ladder_matches_single_radii(uk_q1, radii, which):
-    # the radial integrands are polynomials here, so every Gauss-Legendre
-    # panel split integrates them exactly and only rounding differs
+    # about the origin each of these fields is integrated in closed form, and
+    # every row is elementwise in r: a ladder is its single radii bit for bit
     f = {"uk": uk_q1, "mono2": monomial_field(2), "mono3": monomial_field(3)}[which]
-    gamma = 2.5
-    for name, one in (("H", lambda r: eval_H(f, ORIGIN, r)),
-                      ("D", lambda r: eval_Dt(f, ORIGIN, r, 2.0)),
-                      ("W", lambda r: _W(f, r, gamma, 2.0))):
-        ladder = trace(f, name, ORIGIN, radii, gamma=gamma, t=2.0).values
-        single = np.array([one(r) for r in radii])
-        assert np.allclose(ladder, single, rtol=1e-12, atol=0.0), name
+    for name in ("H", "D", "W"):
+        ladder = trace(f, name, ORIGIN, radii, gamma=2.5, t=2.0).values
+        single = [trace(f, name, ORIGIN, [r], gamma=2.5, t=2.0).values[0] for r in radii]
+        assert np.array_equal(ladder, single), name
 
 
 def _annulus_loop_ladder(field, x0, radii, bulk):
@@ -929,7 +933,7 @@ def test_separated_is_called_once_per_field_and_params():
         _assert_same_ladder(_ladder(f, ORIGIN, radii), first)
         transition_exponent(f, ORIGIN, np.arange(2.5, 3.5001, 0.05), radii)
         estimate_order(f, ORIGIN, radii)
-        eval_H(f, ORIGIN, 0.5)
+        trace(f, "H", ORIGIN, [0.5])
     assert f.calls == 1
     # a centre off the origin is sampled on Cartesian rings
     _ladder(f, (0.1, 0.0), radii[:6], bulk=False)
