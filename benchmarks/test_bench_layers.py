@@ -33,7 +33,7 @@ from nodallab.nodal import (
     _detect, _extract, _sample_disk, detect_singular, extract_nodal_set, nodal_length,
 )
 from nodallab.orders import estimate_order
-from nodallab.params import ProblemParams, gamma_q
+from nodallab.params import ProblemParams
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +286,7 @@ def _analyze_nodal_stage(field, n):
     extraction, the nodal length in B_{1/2} and detection on that sample."""
     xs, V, inside = _sample_disk(field, n)
     ns = _extract(field, xs, V)
-    return nodal_length(ns, 0.5), _detect(gamma_q(field.params), xs, V, inside)
+    return nodal_length(ns, 0.5), _detect(xs, V, inside)
 
 
 @pytest.mark.parametrize("source", ["u_k", "grid_sample"])

@@ -134,7 +134,7 @@ def cmd_analyze(args):
     ns = nodal._extract(field, xs, V)
     ns.save_csv(os.path.join(args.out, "nodal.csv"))
     report["nodal_length_half"] = nodal.nodal_length(ns, 0.5)
-    sing = nodal._detect(pm.gamma_q(field.params), xs, V, inside)
+    sing = nodal._detect(xs, V, inside)
     _write_json(os.path.join(args.out, "singular.json"),
                 [{"x": s[0], "y": s[1], "abs_u": s[2], "abs_grad": s[3], "branches": s[4]}
                  for s in sing])

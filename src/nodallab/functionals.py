@@ -108,8 +108,10 @@ class InconclusiveError(ValueError):
 
 def _ladder_radii(radii):
     """The radii of a ladder as a float array.  Every reader of a ladder takes
-    it finite and strictly increasing, as given: none sorts it."""
+    it 1-d, finite and strictly increasing, as given: none sorts it."""
     radii = np.array(radii, dtype=float, ndmin=1)
+    if radii.ndim > 1:
+        raise ValueError("radii must be a 1-d ladder")
     if not np.isfinite(radii).all():
         raise ValueError("radii must be finite")
     if not (radii[1:] > radii[:-1]).all():
@@ -203,7 +205,7 @@ def _power_fit(r, v, keep):
 
 @dataclass
 class _Ladder:
-    """Circle and disk integrals on a radius ladder about x0, shaped like the radii.
+    """Circle and disk integrals on a radius ladder about x0, one per radius.
 
     H, unu2, uunu and f_circle integrate u^2, u_nu^2, u u_nu and F(u) over
     the circle S_r; grad2 and f_bulk integrate |grad u|^2 and F(u) over the
@@ -234,7 +236,7 @@ class _Ladder:
     def N(self, t):
         low = ~self.h_ok
         if np.any(low):
-            r, H = self.r[low].flat[0], self.H[low].flat[0]
+            r, H = self.r[low][0], self.H[low][0]
             raise DegenerateSphereError(f"H({r}) = {H} below floor; x0 is a high-order zero")
         return self.r * self.D(t) / self.H
 
@@ -298,11 +300,8 @@ def _angular_sums(field):
 
 
 def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
-    """One quadrature pass over the radii (any shape and order, repeats
-    allowed).  A strictly increasing 1-d ladder is used as it is; any other
-    goes through ``np.unique``, which two callers need: ``eval_Nt`` passes
-    its one radius as a scalar, and ``check_derivative_identities`` a
-    3 x n stack of r - step, r and r + step.
+    """One quadrature pass over a ladder of ``_ladder_radii``: 1-d, finite
+    and strictly increasing, refused otherwise.
 
     A field that is r^gamma phi(theta) about x0 = (0, 0) (``field.separated``)
     is integrated in closed form: each row is dtheta times an angular sum
@@ -318,17 +317,14 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
 
     (F(r^gamma phi) = r^(gamma q) F(phi) holds exactly for r > 0).  Every
     other field or centre is sampled on Cartesian rings by
-    ``fields._sample_rings``: each distinct radius r_i costs one ring, all in
-    one call without ``bulk``; with it, one call per annulus samples its
+    ``fields._sample_rings``: each radius r_i costs one ring, all in one
+    call without ``bulk``; with it, one call per annulus samples its
     GL_NODES panel rings and then the circle r_i.
     """
+    rs = _ladder_radii(radii)
     x0 = _centre(x0)
-    radii = np.asarray(radii, dtype=float)
-    # a ladder of ``_ladder_radii`` is its own set of distinct radii
-    plain = radii.ndim == 1 and (radii[1:] > radii[:-1]).all()
-    rs, back = (radii, None) if plain else np.unique(radii, return_inverse=True)
     lo = rs.min(initial=np.inf)
-    if not lo > 0:  # written so that a NaN radius fails
+    if lo <= 0:
         raise DomainError(f"radius must be positive, got {lo}")
     if np.hypot(x0[0], x0[1]) + rs.max(initial=0.0) > 1.0 + 1e-12:
         raise DomainError(f"ball B_{rs[-1]}({x0}) escapes the unit disk")
@@ -363,16 +359,13 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
     H = sums[0]  # rel is ROUNDING or the bound over the circle's RMS; NaN where H = 0
     rel = (np.where(H > 0, ROUNDING, np.nan) if field.noise is None else np.divide(
         field.noise, np.sqrt(H / (2.0 * np.pi * rs)), out=np.full_like(H, np.nan), where=H > 0))
-    rows = (H, rel, *sums[1:])
-    if not plain:
-        rows = (row[back].reshape(radii.shape) for row in rows)
-    return _Ladder(field, x0, radii, *rows)
+    return _Ladder(field, x0, rs, H, rel, *sums[1:])
 
 
 def eval_Nt(field: PlanarField, x0, r, t) -> float:
     """Frequency-like quotient r * D_t / H; needs H above its noise floor."""
     _gammas(t, "t")
-    return float(_ladder(field, x0, r).N(t))
+    return _ladder(field, x0, [r]).N(t).item()
 
 
 # each view: the optional arguments of ``trace`` it reads, and the view
@@ -396,11 +389,10 @@ def trace(field, functional, x0, radii, gamma=None, t=None):
         if given[name] is None:
             raise ValueError(f"trace of {functional!r} needs {name}")
         _gammas(given[name], name)
-    radii = _ladder_radii(radii)  # the ladder rule, once, before any sampling
-    values = view(_ladder(field, x0, radii, bulk=functional != "H"), gamma, t)
+    lad = _ladder(field, x0, radii, bulk=functional != "H")
     # built past __post_init__, so the radii are not checked a second time
     tr = object.__new__(FunctionalTrace)
-    tr._fill(radii, values)
+    tr._fill(lad.r, view(lad, gamma, t))
     return tr
 
 
@@ -416,15 +408,19 @@ def check_derivative_identities(field, x0, radii, gamma, t):
     _gammas(t, "t")
     radii = _ladder_radii(radii)
     step = 1e-4 * radii
-    # rows r - step, r, r + step, so H[1] is H(r) and H[2] - H[0] its difference
-    lad = _ladder(field, x0, np.stack([radii - step, radii, radii + step]))
+    # the ladder of r - step, r and r + step: at consecutive radii within a
+    # ratio of 1.0002 they interleave or coincide, so it is their distinct
+    # radii, and lo, mid and hi index each one's place in it
+    rs, back = np.unique(np.stack([radii - step, radii, radii + step]), return_inverse=True)
+    lo, mid, hi = back.reshape(3, -1)
+    lad = _ladder(field, x0, rs)
     H, W = lad.H, lad.W(gamma, t)
-    hp = (H[2] - H[0]) / (2 * step)
-    rhs = (N_DIM - 1) / radii * H[1] + 2.0 * lad.D(field.params.q)[1]
-    rhs_w = lad.w_prime(gamma, t)[1]
+    hp = (H[hi] - H[lo]) / (2 * step)
+    rhs = (N_DIM - 1) / radii * H[mid] + 2.0 * lad.D(field.params.q)[mid]
+    rhs_w = lad.w_prime(gamma, t)[mid]
     with np.errstate(divide="ignore", invalid="ignore"):  # NaN where H = 0 or W overflows
-        wp = (W[2] - W[0]) / (2 * step)
-        res_h, res_w = np.abs(hp - rhs) / np.abs(hp), np.abs(wp - rhs_w) * radii / lad.size(gamma, t)[1]
+        wp = (W[hi] - W[lo]) / (2 * step)
+        res_h, res_w = np.abs(hp - rhs) / np.abs(hp), np.abs(wp - rhs_w) * radii / lad.size(gamma, t)[mid]
     return {
         "H_prime_max_residual": float(np.max(res_h)),
         "W_prime_max_residual": float(np.max(res_w)),
@@ -447,8 +443,8 @@ def monotonicity_scan(field, x0, gamma, radii):
     gq = gamma_q(field.params)
     if gamma < gq - 1e-12:
         raise PreconditionError(f"gamma={gamma} below critical homogeneity {gq}")
-    radii = _ladder_radii(radii)
     lad = _ladder(field, x0, radii)
+    radii = lad.r
     # a drop counts when it exceeds what the two values may be off by
     # together.  W and its floor are r^-p times r^p W and its floor, so the
     # test is made on those times r_j^p: the factor s = (r_j / r_(j+1))^p on
@@ -481,8 +477,8 @@ def transition_exponent(field, x0, gammas, radii):
     gammas = np.sort(_gammas(gammas))
     if gammas.size == 0:
         raise ValueError("gammas is empty: the transition needs at least one gamma")
-    radii = _ladder_radii(radii)
     lad = _ladder(field, x0, radii)
+    radii = lad.r
     _require_nodal(lad)
     # W and its floor share the factor r^-(2 gamma), which overflows at large
     # gamma (0.02^-400) where the verdict is plain: classify r^(2 gamma) W,

@@ -22,7 +22,6 @@ import operator
 import numpy as np
 
 from .fields import NodalSet, PlanarField, _angles, _sample_grid
-from .params import gamma_q
 
 
 class DataError(ValueError):
@@ -228,10 +227,10 @@ def detect_singular(field: PlanarField, n: int):
 
     The n x n grid over [-1, 1]^2, of spacing h, and its disk are extraction's
     (``_sample_disk``), and detection reads nothing else of the field.  A mask
-    pixel has |u| < eps_u = 10 h^min(gamma_q, 2) M and |grad u| < eps_g =
-    10 h M, with one scale M, max |u| over the disk pixels sampled (for a
-    harmonic u, |grad u(x)| <= (2 / rho) sup |u| over B_rho(x) ties grad u to
-    that scale): a field and its grid sample are held to one rule, both
+    pixel has |u| < eps_u = 10 h^2 M and |grad u| < eps_g = 10 h M, with one
+    scale M, max |u| over the disk pixels sampled (for a harmonic u,
+    |grad u(x)| <= (2 / rho) sup |u| over B_rho(x) ties grad u to that
+    scale): a field and its grid sample are held to one rule, both
     thresholds shrink with h, so flat nodal crossings are not misreported, and
     M = 0 passes no pixel.  |grad u| is the central difference of the sample,
     hypot(V[i+1, j] - V[i-1, j], V[i, j+1] - V[i, j-1]) / (2h), at the disk
@@ -261,19 +260,18 @@ def detect_singular(field: PlanarField, n: int):
     the point's ring, 2d or 2k where the 32 pixels resolve the rays.
     """
     xs, V, inside = _sample_disk(field, n)
-    return _detect(gamma_q(field.params), xs, V, inside)
+    return _detect(xs, V, inside)
 
 
-def _detect(gq, xs, V, inside):
+def _detect(xs, V, inside):
     """:func:`detect_singular` on the sample ``xs, V, inside`` of
-    :func:`_sample_disk`, which ``analyze`` shares with :func:`_extract`, for
-    a field of critical homogeneity ``gq`` = gamma_q(field.params)."""
+    :func:`_sample_disk`, which ``analyze`` shares with :func:`_extract`."""
     n = len(xs)
     h = xs[1] - xs[0]
     absV = np.abs(V)
     M = np.max(absV, where=inside, initial=0.0)
     # the neighbours of a core pixel are disk pixels, which the sample holds
-    i, j = np.nonzero(_disk(n)[3] & (absV < 10.0 * h ** min(gq, 2.0) * M))
+    i, j = np.nonzero(_disk(n)[3] & (absV < 10.0 * h ** 2.0 * M))
     G = np.full(V.shape, np.inf)
     G[i, j] = np.hypot(V[i + 1, j] - V[i - 1, j], V[i, j + 1] - V[i, j - 1]) / (2.0 * h)
     mask = G < 10.0 * h * M

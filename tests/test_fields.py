@@ -642,9 +642,9 @@ class _Undeclared(PlanarField):
         return self.field.value_and_grad(x, y)
 
 
-# radii in drawn order with the first two repeated
-_LADDER_RADII = st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5).map(
-    lambda rs: np.array(rs + rs[:2]))
+# a ladder: distinct radii, sorted
+_LADDER_RADII = st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5, unique=True).map(
+    lambda rs: np.array(sorted(rs)))
 
 
 def _assert_separated_ladder_matches(f, radii, bulk, f_bulk_tol=1e-13):

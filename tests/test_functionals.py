@@ -80,7 +80,7 @@ def test_D_N_oracle():
 
 
 def _W(field, r, gamma, t):
-    return float(_ladder(field, ORIGIN, r).W(gamma, t))
+    return float(_ladder(field, ORIGIN, [r]).W(gamma, t)[0])
 
 
 def test_W_oracle():
@@ -107,7 +107,7 @@ def test_Phi_oracle():
                         lambda x, y: (0.0 * x, 0.0 * y), p)
     r, gamma = 0.5, 1.0
     want = 4.0 * 3.0 * c**1.5 * np.pi * r**2 / (1.5 * r ** (1 + 2 * gamma))
-    assert abs(float(_ladder(f, ORIGIN, r).Phi(gamma)) - want) < 1e-8 * want
+    assert abs(float(_ladder(f, ORIGIN, [r]).Phi(gamma)[0]) - want) < 1e-8 * want
 
 
 def test_h1_norm_oracle():
@@ -118,7 +118,8 @@ def test_h1_norm_oracle():
 
 
 # the one-radius readers: trace's views on a ladder of one radius, "H" on
-# the circles-only path, and eval_Nt, which takes its radius as a scalar
+# the circles-only path, and eval_Nt, which takes its radius as a scalar and
+# passes it on as a ladder of one radius
 _ONE_RADIUS = {
     "trace H": lambda f, x0, r: trace(f, "H", x0, [r]),
     "trace D": lambda f, x0, r: trace(f, "D", x0, [r], t=2.0),
@@ -129,17 +130,15 @@ _ONE_RADIUS = {
 
 def test_ball_domain_checks():
     f = monomial_field(1)
-    for name, read in _ONE_RADIUS.items():
+    for read in _ONE_RADIUS.values():
         with pytest.raises(DomainError, match="escapes the unit disk$"):
             read(f, (0.8, 0.0), 0.5)
         with pytest.raises(DomainError, match="^radius must be positive, got -0.1$"):
             read(f, ORIGIN, -0.1)
-        # a NaN radius passes the disk bound: refused in closed form at the
-        # origin and on Cartesian rings elsewhere, and by trace as a ladder
-        error, message = ((DomainError, "^radius must be positive, got nan$") if name == "eval_Nt"
-                          else (ValueError, "^radii must be finite$"))
+        # a NaN radius passes the disk bound: refused by the ladder rule, in
+        # closed form at the origin and on Cartesian rings elsewhere
         for x0 in (ORIGIN, (0.1, 0.0)):
-            with pytest.raises(error, match=message):
+            with pytest.raises(ValueError, match="^radii must be finite$"):
                 read(f, x0, np.nan)
 
 
@@ -162,7 +161,7 @@ def _centred_w_prime(field, r, gamma, t, dr):
 
 
 def _w_prime(field, r, gamma, t):
-    return float(_ladder(field, ORIGIN, r).w_prime(gamma, t))
+    return float(_ladder(field, ORIGIN, [r]).w_prime(gamma, t)[0])
 
 
 def test_w_prime_matches_centred_difference():
@@ -320,6 +319,7 @@ def test_zero_circles_give_no_floor_warning(kind, violation_at, reader):
 
 
 _LADDER_READERS = {
+    "_ladder": lambda f, r, x0=ORIGIN: _ladder(f, x0, r),
     "trace": lambda f, r, x0=ORIGIN: trace(f, "W", x0, r, gamma=2.5, t=2.0),
     "monotonicity_scan": lambda f, r, x0=ORIGIN: monotonicity_scan(f, x0, 2.5, r),
     "check_derivative_identities":
@@ -359,6 +359,17 @@ def test_every_ladder_reader_rejects_a_non_finite_radius(reader, bad):
     r[7] = bad
     with pytest.raises(ValueError, match="^radii must be finite$"):
         read(f, r)
+
+
+@pytest.mark.parametrize("reader", list(_LADDER_READERS))
+@pytest.mark.parametrize("shape", [(2, 2), (4, 5), (1, 20, 1)])
+def test_every_ladder_reader_rejects_a_2d_ladder(reader, shape):
+    # a ladder is one row of radii: a stack whose rows increase is refused
+    # too, not read as the set of its radii
+    read, f = _LADDER_READERS[reader], monomial_field(2)
+    r = np.linspace(0.1, 0.9, 20)[:int(np.prod(shape))]
+    with pytest.raises(ValueError, match="^radii must be a 1-d ladder$"):
+        read(f, r.reshape(shape))
 
 
 class _CallCounting(PlanarField):
@@ -666,6 +677,18 @@ def test_ladder_matches_single_radii(uk_q1, radii, which):
         assert np.array_equal(ladder, single), name
 
 
+def test_derivative_identities_on_interleaved_rows(uk_q1):
+    # the r - step, r and r + step rows of 0.3 and 0.30001 interleave, and
+    # are merged into one ladder; about the vertex every row is elementwise
+    # in r, so the ladder's residuals are the largest of its single radii
+    radii = [0.3, 0.30001, 0.5]
+    rep = check_derivative_identities(uk_q1, ORIGIN, radii, 2.0, 2.0)
+    single = [check_derivative_identities(uk_q1, ORIGIN, [r], 2.0, 2.0) for r in radii]
+    for key in ("H_prime_max_residual", "W_prime_max_residual"):
+        assert rep[key] == max(one[key] for one in single), key
+    assert rep["radii"] == radii
+
+
 def _annulus_loop_ladder(field, x0, radii, bulk):
     """The six ladder rows as the earlier loop made them: every ring sampled
     at its Cartesian points, one annulus at a time."""
@@ -710,10 +733,10 @@ def cartesian_cases():
 @pytest.mark.parametrize("bulk", [False, True])
 def test_cartesian_ladder_bit_identical_to_annulus_loop(cartesian_cases, bulk):
     # fields that declare no separated form, and centres off the origin, give
-    # the bits of the annulus loop on unsorted radii with repeats
+    # the bits of the annulus loop
     for f, x0 in cartesian_cases:
         top = 1.0 - np.hypot(*x0)
-        radii = top * np.array([0.9, 0.05, 0.5, 0.05, 1.0, 0.3, 0.9])
+        radii = top * np.array([0.05, 0.3, 0.5, 0.9, 1.0])
         lad = _ladder(f, x0, radii, bulk)
         got = [lad.H, lad.grad2, lad.f_bulk, lad.unu2, lad.uunu, lad.f_circle] if bulk else [lad.H]
         for a, b in zip(got, _annulus_loop_ladder(f, x0, radii, bulk)):
@@ -969,24 +992,3 @@ def test_unhashable_separated_field_gets_its_closed_form_ladder():
     radii = np.geomspace(0.02, 0.8, 12)
     for _ in range(2):
         _assert_same_ladder(_ladder(f, ORIGIN, radii), _ladder(mono, ORIGIN, radii))
-
-
-@pytest.mark.parametrize("case", ["mono3", "uk", "uk off the origin", "grid"])
-@pytest.mark.parametrize("bulk", [False, True])
-def test_ladder_without_unique_matches_the_unique_path(cartesian_cases, case, bulk):
-    # a strictly increasing 1-d ladder skips np.unique; the same radii with a
-    # repeat, reversed or as a 3-row stack take it, and give the same rows
-    u, grid = cartesian_cases[0][0], cartesian_cases[1][0]
-    mono = monomial_field(3)
-    mono.params = ProblemParams(q=1.5, lambda_minus=2.0)
-    f, x0 = {"mono3": (mono, ORIGIN), "uk": (u, ORIGIN), "uk off the origin": (u, (0.1, 0.0)),
-             "grid": (grid, ORIGIN)}[case]
-    radii = np.geomspace(0.05, 0.85, 7)
-    lad = _ladder(f, x0, radii, bulk)
-    i = np.arange(len(radii))
-    for idx in (np.insert(i, 3, 3), i[::-1], np.stack([i, i[::-1], i])):
-        got = _ladder(f, x0, radii[idx], bulk)
-        assert np.array_equal(got.r, radii[idx])
-        rows = _LADDER_ROWS if bulk else _LADDER_ROWS[:2]
-        for name in rows:
-            assert np.array_equal(getattr(got, name), getattr(lad, name)[idx]), name
