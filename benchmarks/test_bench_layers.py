@@ -356,6 +356,22 @@ def test_save_uk_profile(benchmark, uk15, tmp_path):
     assert back.derivative.tobytes() == uk15.profile.derivative.tobytes()
 
 
+def test_save_uk_grid_513(benchmark, uk15_grid, tmp_path):
+    # the 513^2 grid file of u_k (about 6 MB): 513 lines of 513 decimals
+    path = tmp_path / "grid.txt"
+    benchmark(fields.save, uk15_grid, path)
+    assert fields.load(path).values.tobytes() == uk15_grid.values.tobytes()
+
+
+def test_save_csv_nodal_set_n512(benchmark, uk15, tmp_path):
+    # the nodal.csv `analyze --grid 512` writes: four decimals per segment
+    ns = extract_nodal_set(uk15, 512)
+    path = tmp_path / "nodal.csv"
+    benchmark(ns.save_csv, path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert rows.tobytes() == ns.segments.reshape(-1, 4).tobytes()
+
+
 def test_cold_import_cli(benchmark):
     # a fresh interpreter per round, as every nodallab command starts one
     heavy = ["scipy.linalg", "scipy.interpolate", "scipy.optimize", "scipy.ndimage",

@@ -48,13 +48,14 @@ each angle's interval once for both planes.  The profile keeps read-only
 copies of its sample arrays, so the table cannot go stale.  Files use the
 versioned text container ``NODALLAB v1`` with 17-significant-digit decimal
 samples, so a save/load round trip is bit exact; a line after the samples
-is refused.
+is refused.  One vectorised writer, ``_fmt_rows``, spells every sample of
+the files and of the CSV outputs with the bytes of ``_fmt`` (``%.17g``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -454,21 +455,148 @@ _FMT = "%.17g"  # round-trip decimal spelling of every float in the files
 
 
 def _fmt(x: float) -> str:
+    """The spelling of one float in the files: the definition ``_fmt_rows``
+    writes the bytes of, and its fallback."""
     return _FMT % float(x)
 
 
-def _fmt_line(values) -> str:
-    """The samples as one line of space-separated ``_fmt`` decimals."""
-    vals = np.asarray(values, dtype=float).tolist()
-    return " ".join([_FMT] * len(vals)) % tuple(vals)
+_K_MIN, _K_MAX = -256, 307  # the powers 10^k of the writer's table
+_X_MIN, _X_MAX = 16 - _K_MAX, 16 - _K_MIN  # the decimal exponents X they scale
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter
+_TIE = 2.0 ** -30  # a scaled fraction this close to 1/2 is left to ``_fmt``
+_SLOTS = 46  # sign, "0.000", 17 x (digit, point), "e-308", separator
+_BLOCK = 1 << 12  # samples per ``_fmt_block``: its temporaries stay in cache
+_DIGIT = np.arange(17, dtype=np.uint8)[:, None]
 
 
-def _fmt_rows(rows) -> str:
-    """The rows of a 2-d array as lines of comma-separated ``_fmt`` decimals,
-    each ended by a newline; one ``%`` format over all rows."""
+def _split(a):
+    """Veltkamp's split a = hi + lo into halves of at most 26 bits each."""
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@cache
+def _fmt_tables():
+    """The tables of ``_fmt_rows``, built once, on its first call.
+
+    ``pow10``: rows hi, lo and the split halves of hi, where 10^k = hi + lo
+    to about 2^-106, for k = _K_MIN.._K_MAX, from exact integer arithmetic.
+    ``affix``, a column per decimal exponent X = _X_MIN.._X_MAX: the five
+    bytes before the digits ("0." and up to three zeros for -4 <= X < 0)
+    and the five after them (the exponent, outside -4 <= X <= 16), padded
+    with zero bytes.  ``point``, per X: the digit the point may follow (0 in
+    exponent notation), or -1 where the prefix holds it.  ``quad``: the four
+    ASCII digits of c as one uint32, for c = 0..9999.
+    """
+    pow10 = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k >= 0:
+            hi = float(10 ** k)
+            lo = float(10 ** k - int(hi))
+        else:  # hi = a / b, so 10^k - hi = (b - a 10^-k) / (b 10^-k)
+            d = 10 ** -k
+            hi = 1 / d
+            a, b = hi.as_integer_ratio()
+            lo = (b - a * d) / (b * d)
+        pow10.append((hi, lo))
+    hi, lo = np.array(pow10).T
+    # hi * _SPLIT overflows at 10^307: split hi / 2^64 and scale the halves back
+    h1, h2 = _split(hi * 2.0 ** -64)
+    pow10 = np.stack((hi, lo, h1 * 2.0 ** 64, h2 * 2.0 ** 64))
+    affix, point = b"", []
+    for X in range(_X_MIN, _X_MAX + 1):
+        fixed = -4 <= X <= 16
+        pre = "0." + "0" * (-X - 1) if fixed and X < 0 else ""
+        post = "" if fixed else "e%+03d" % X
+        affix += (pre.ljust(5, "\0") + post.ljust(5, "\0")).encode()
+        point.append(-1 if fixed and X < 0 else X if fixed else 0)
+    affix = np.frombuffer(affix, np.uint8).reshape(-1, 10).T
+    c = np.arange(10 ** 4, dtype=np.uint16)[:, None]
+    quad = (c // np.uint16([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    quad = quad.view(np.uint32)[:, 0]
+    return pow10, affix, np.array(point), quad
+
+
+def _digits(a, X):
+    """The 17 digits of each a > 0 at decimal exponent X as one integer
+    D = round(a 10^(16 - X)), whether that rounding is uncertain, and the
+    error of X: +1 where a 10^(16 - X) < 10^16, -1 where D >= 10^17.
+
+    a 10^k is the exact Dekker product of a and hi plus a lo: within about
+    2^-104 of its value, so below 1e-13 for a product under 10^18.  A
+    fraction within ``_TIE`` of 1/2, an exact tie among them, is uncertain.
+    """
+    hi, lo, b1, b2 = _fmt_tables()[0].take(16 - X - _K_MIN, axis=1)
+    a1, a2 = _split(a)
+    p = a * hi  # an integer wherever X is right: the product is above 2^53
+    t = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + a * lo
+    r = np.rint(t)
+    D = p.astype(np.int64) + r.astype(np.int64)
+    low = (p < 1e16) | ((p == 1e16) & (t < 0))
+    return D, np.abs(np.abs(t - r) - 0.5) < _TIE, low.astype(np.int64) - (D >= 10 ** 17)
+
+
+def _fmt_rows(rows, sep: str) -> str:
+    """The rows of a 2-d float array as lines of ``sep``-separated ``_fmt``
+    decimals, each ended by a newline: the bytes of
+    ``"".join(sep.join(map(_fmt, row)) + "\n" for row in rows)``.
+
+    The rows are spelled by ``_fmt_block`` in blocks of about ``_BLOCK``
+    samples, whole rows each, which keeps its temporaries small; the columns
+    of each block's byte matrix are joined and their zero bytes dropped.
+    """
     rows = np.asarray(rows, dtype=float)
-    line = ",".join([_FMT] * rows.shape[1]) + "\n"
-    return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+    step = max(1, _BLOCK // rows.shape[1])
+    return b"".join(_fmt_block(rows[i:i + step], sep).T.tobytes().translate(None, b"\0")
+                    for i in range(0, len(rows), step)).decode("ascii")
+
+
+def _fmt_block(rows, sep):
+    """The spelling of a 2-d float array by ``_fmt_rows`` as a byte matrix of
+    ``_SLOTS`` rows, one column per sample, zero where a slot is unused.
+
+    Each sample gets 17 correctly rounded digits from ``_digits``.  ``_fmt``
+    itself spells what the digits cannot certify: NaN, infinities, |x|
+    outside [1e-288, 1e270], and near-halfway cases such as 2^-25, whose 18th
+    digit is an exact 5.
+    """
+    x = rows.ravel()
+    n = x.size
+    a = np.abs(x)
+    ok = (a >= 1e-288) & (a <= 1e270)  # NaN fails both
+    a[~ok] = 1.0  # zeros spell "1" until mended below, the rest go to _fmt
+    X = np.floor(np.log10(a)).astype(np.int64)
+    D, unsure, off = _digits(a, X)
+    for _ in range(2):  # log10 can miss X by one, and rounding up can carry
+        j = np.flatnonzero(off)
+        if not j.size:
+            break
+        X[j] -= off[j]
+        D[j], unsure[j], off[j] = _digits(a[j], X[j])
+    _, affix, point, quad = _fmt_tables()
+    dig = np.empty((17, n), np.uint8)
+    dig[0] = D // 10 ** 16 + ord("0")
+    for i, m in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1)):  # four digits at a time
+        dig[1 + 4 * i:5 + 4 * i] = quad.take(D // m % 10 ** 4).view(np.uint8).reshape(n, 4).T
+    xi = X - _X_MIN
+    ip = point.take(xi)
+    L = (_DIGIT * (dig != ord("0"))).max(axis=0)  # the last nonzero digit
+    dig *= _DIGIT <= np.maximum(L, ip).astype(np.uint8)  # trailing zeros go
+    M = np.zeros((_SLOTS, n), np.uint8)
+    M[0] = np.signbit(x) * np.uint8(ord("-"))
+    M[1:6], M[40:45] = np.split(affix.take(xi, axis=1), 2)
+    M[6:40:2] = dig
+    j = np.flatnonzero((L > ip) & (ip >= 0))
+    M[7 + 2 * ip[j], j] = ord(".")
+    M[6, x == 0] = ord("0")
+    M[45] = ord(sep)
+    M[45].reshape(rows.shape)[:, -1] = ord("\n")
+    for j in np.flatnonzero((~ok & (x != 0)) | unsure | (off != 0)):
+        s = _fmt(x[j]).encode()
+        M[:45, j] = 0
+        M[:len(s), j] = np.frombuffer(s, np.uint8)
+    return M
 
 
 def save(obj, path) -> None:
@@ -481,17 +609,19 @@ def save(obj, path) -> None:
         lines += _params_lines(obj.params)
         if homogeneous:
             lines.append(f"gamma={_fmt(obj.gamma)}")
-        lines += [f"n_theta={profile.n_theta}", _fmt_line(profile.values),
-                  _fmt_line(profile.derivative)]
+        lines.append(f"n_theta={profile.n_theta}")
+        samples = np.stack((profile.values, profile.derivative))
     elif isinstance(obj, GridField):
         lines.append(f"{FORMAT_MAGIC} {FORMAT_VERSION} grid")
         lines += _params_lines(obj.params)
         lines.append(f"n={obj.n}")
-        lines += [_fmt_line(row) for row in obj.values]
+        samples = obj.values
     else:
         raise TypeError(f"cannot save object of type {type(obj).__name__}")
+    body = _fmt_rows(samples, " ")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+        fh.write(body)
 
 
 def _params_lines(params):
@@ -623,4 +753,4 @@ class NodalSet:
     def save_csv(self, path):
         with open(path, "w") as fh:
             fh.write("x1,y1,x2,y2\n")
-            fh.write(_fmt_rows(self.segments.reshape(-1, 4)))
+            fh.write(_fmt_rows(self.segments.reshape(-1, 4), ","))

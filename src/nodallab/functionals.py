@@ -108,10 +108,12 @@ class InconclusiveError(ValueError):
 
 def _ladder_radii(radii):
     """The radii of a ladder as a float array.  Every reader of a ladder takes
-    it 1-d, finite and strictly increasing, as given: none sorts it."""
+    it 1-d, non-empty, finite and strictly increasing, as given: none sorts it."""
     radii = np.array(radii, dtype=float, ndmin=1)
     if radii.ndim > 1:
         raise ValueError("radii must be a 1-d ladder")
+    if not radii.size:
+        raise ValueError("radii must not be empty")
     if not np.isfinite(radii).all():
         raise ValueError("radii must be finite")
     if not (radii[1:] > radii[:-1]).all():
@@ -139,7 +141,7 @@ class FunctionalTrace:
     def save_csv(self, path):
         with open(path, "w") as fh:
             fh.write("r,value\n")
-            fh.write(_fmt_rows(np.column_stack((self.radii, self.values))))
+            fh.write(_fmt_rows(np.column_stack((self.radii, self.values)), ","))
 
 
 def eval_F(params: ProblemParams, s):

@@ -297,7 +297,7 @@ def test_analyze_rejected_values_exit_3(tmp_path, capsys, body):
 
 _PARAMS = "q=1\nlambda_plus=1\nlambda_minus=1\nmu=1\n"
 _TH16 = fields._angles(16)
-_COS2 = f"{fields._fmt_line(np.cos(2 * _TH16))}\n{fields._fmt_line(-2 * np.sin(2 * _TH16))}\n"
+_COS2 = fields._fmt_rows(np.stack((np.cos(2 * _TH16), -2 * np.sin(2 * _TH16))), " ")
 
 
 @pytest.mark.parametrize("body, message", [
@@ -836,9 +836,10 @@ def _loaded_after_import(module, names):
 
 def test_cli_import_loads_no_scipy_subpackage():
     # the scipy subpackages and multiprocessing stay out of a CLI start;
-    # dgtsv comes from the _flapack extension alone
+    # dgtsv comes from the _flapack extension alone, and the writer's table
+    # of powers of ten from integer arithmetic, without fractions or decimal
     heavy = ["scipy.linalg", "scipy.interpolate", "scipy.optimize", "scipy.ndimage",
-             "concurrent.futures.process"]
+             "concurrent.futures.process", "fractions", "decimal"]
     assert _loaded_after_import("nodallab.cli", heavy) == "[]"
 
 

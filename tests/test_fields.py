@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from nodallab.fields import (
     AngularProfile, ClosedFormField, DomainError, GridField, HomogeneousField,
-    NodalSet, ParseError, PlanarField, _angles, _fmt, _sample_rings, load, monomial_field,
-    save,
+    NodalSet, ParseError, PlanarField, _angles, _fmt, _fmt_rows, _sample_rings, load,
+    monomial_field, save,
 )
 from nodallab.construct import construct_uk
 from nodallab.functionals import _GL_T, _GL_W, _ladder
@@ -202,6 +202,62 @@ def test_grid_roundtrip(tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
+def _reference_rows(rows, sep):
+    """The writer's definition: each sample spelled by ``_fmt`` on its own."""
+    return "".join(sep.join(map(_fmt, row)) + "\n" for row in np.asarray(rows).tolist())
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), nrows=st.integers(1, 4), ncols=st.integers(1, 12),
+       sep=st.sampled_from([" ", ","]))
+def test_fmt_rows_matches_fmt_on_every_float(data, nrows, ncols, sep):
+    # st.floats() draws NaN, +-inf, +-0 and subnormals too
+    vals = data.draw(st.lists(st.floats(), min_size=nrows * ncols, max_size=nrows * ncols))
+    rows = np.array(vals, dtype=float).reshape(nrows, ncols)
+    assert _fmt_rows(rows, sep) == _reference_rows(rows, sep)
+
+
+# the extremes, exact ties in the 18th digit (2^-n), the switch between
+# fixed and exponent notation, and the rounding of 0.1 and 0.5
+_FMT_HARD = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 0.5,
+             *(2.0 ** -n for n in range(20, 61)),
+             *(np.nextafter(v, to) for v in (1e-5, 1e-4, 1e16, 1e17) for to in (0.0, v, np.inf))]
+
+
+@pytest.mark.parametrize("sep", [" ", ","])
+def test_fmt_rows_hard_cases(sep):
+    hard = np.array(_FMT_HARD)
+    for rows in (hard[None, :], np.stack((hard, -hard)), hard[:, None]):
+        assert _fmt_rows(rows, sep) == _reference_rows(rows, sep)
+
+
+def _reference_file(kind, params, extra, rows):
+    """The NODALLAB v1 text of ``save``, spelled sample by sample with ``_fmt``."""
+    head = [f"NODALLAB v1 {kind}", f"q={_fmt(params.q)}",
+            f"lambda_plus={_fmt(params.lambda_plus)}",
+            f"lambda_minus={_fmt(params.lambda_minus)}", f"mu={_fmt(params.mu)}", *extra]
+    return "\n".join(head) + "\n" + _reference_rows(rows, " ")
+
+
+def test_save_writes_the_reference_text(tmp_path):
+    # a u_k profile (phi(0) = 0) and a grid sample with u(0, 0) = 0, each with
+    # a few samples the writer leaves to _fmt; the 129^2 grid is spelled in
+    # several blocks of whole rows
+    prof = construct_uk(ProblemParams(q=1.25), 7).profile
+    vals, der = prof.values.copy(), prof.derivative.copy()
+    vals[1:4] = [2.0 ** -25, 5e-324, -0.0]
+    prof = AngularProfile(vals, der, prof.params)
+    samples = GridField.sample(monomial_field(3), 129).values.copy()
+    samples[1, :3] = [2.0 ** -40, -1e300, 1e-5]
+    grid = GridField(samples, ProblemParams(q=1.5))
+    path = tmp_path / "f.txt"
+    for obj, want in ((prof, _reference_file("profile", prof.params, [f"n_theta={len(vals)}"],
+                                             [vals, der])),
+                      (grid, _reference_file("grid", grid.params, ["n=129"], grid.values))):
+        save(obj, path)
+        assert path.read_text() == want
+
+
 def test_load_refuses_a_line_after_the_samples(tmp_path):
     # a grid row written twice would shift the rows after it and drop the last
     path = tmp_path / "g.txt"
@@ -257,7 +313,7 @@ def test_nodal_set_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x1,y1,x2,y2"
     assert len(lines) == 2
-    # one format over all rows writes the bytes of a per-row, per-number one
+    # the writer spells every row in one call with the bytes of _fmt per number
     rng = np.random.default_rng(7)
     segs = rng.standard_normal((300, 2, 2)) * 10.0 ** rng.integers(-20, 20, (300, 2, 2))
     segs[0] = [[0.0, -0.0], [1 / 3, -2.5e-310]]

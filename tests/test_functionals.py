@@ -188,7 +188,7 @@ def test_trace_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "r,value"
     assert len(lines) == 6
-    # one format over all rows writes the bytes of a per-row, per-number one
+    # the writer spells every row in one call with the bytes of _fmt per number
     rs = np.geomspace(1e-3, 1.0, 40)
     vs = np.random.default_rng(3).standard_normal(40) * 10.0 ** np.arange(-20, 20)
     vs[:4] = [np.nan, np.inf, -0.0, 1 / 3]
@@ -370,6 +370,15 @@ def test_every_ladder_reader_rejects_a_2d_ladder(reader, shape):
     r = np.linspace(0.1, 0.9, 20)[:int(np.prod(shape))]
     with pytest.raises(ValueError, match="^radii must be a 1-d ladder$"):
         read(f, r.reshape(shape))
+
+
+@pytest.mark.parametrize("reader", list(_LADDER_READERS))
+def test_every_ladder_reader_rejects_an_empty_ladder(reader):
+    # no radius is no ladder: a scan of it would read "monotone", a trace
+    # would be empty, and estimate_order's "at least 8 radii" is not reached
+    read, f = _LADDER_READERS[reader], monomial_field(2)
+    with pytest.raises(ValueError, match="^radii must not be empty$"):
+        read(f, np.array([]))
 
 
 class _CallCounting(PlanarField):
