@@ -30,7 +30,7 @@ from nodallab.functionals import (
     transition_exponent,
 )
 from nodallab.nodal import (
-    _detect, _extract, _sample_disk, detect_singular, extract_nodal_set, nodal_length,
+    detect_singular, extract_and_detect, extract_nodal_set, nodal_length,
 )
 from nodallab.orders import estimate_order
 from nodallab.params import ProblemParams
@@ -281,19 +281,14 @@ def test_homogeneous_band_32x513(benchmark, uk15):
     assert np.allclose(band, want, rtol=1e-14, atol=0.0)
 
 
-def _analyze_nodal_stage(field, n):
-    """The nodal stage of ``nodallab analyze``: one sample of the disk, then
-    extraction, the nodal length in B_{1/2} and detection on that sample."""
-    xs, V, inside = _sample_disk(field, n)
-    ns = _extract(field, xs, V)
-    return nodal_length(ns, 0.5), _detect(xs, V, inside)
-
-
 @pytest.mark.parametrize("source", ["u_k", "grid_sample"])
 def test_analyze_nodal_stage_n256(benchmark, uk15, uk15_grid, source):
+    # the nodal stage of ``nodallab analyze``: one sample of the disk, then
+    # extraction and detection on it
     field = uk15 if source == "u_k" else uk15_grid
-    length, reps = benchmark(_analyze_nodal_stage, field, 256)
+    ns, reps = benchmark(extract_and_detect, field, 256)
     # 18 rays of length 1/2 in B_{1/2}, and the origin as the one singular point
+    length = nodal_length(ns, 0.5)
     assert abs(length - 9.0) < 0.05 * 9.0
     assert len(reps) == 1 and np.hypot(reps[0][0], reps[0][1]) < 0.05
 

@@ -129,12 +129,9 @@ def cmd_analyze(args):
                                    "min_abs_slope": (min(abs(s) for s in zs["slopes"])
                                                      if zs["slopes"] else None)}
 
-    # one sample of the disk for both extraction and detection
-    xs, V, inside = nodal._sample_disk(field, args.grid)
-    ns = nodal._extract(field, xs, V)
+    ns, sing = nodal.extract_and_detect(field, args.grid)
     ns.save_csv(os.path.join(args.out, "nodal.csv"))
     report["nodal_length_half"] = nodal.nodal_length(ns, 0.5)
-    sing = nodal._detect(xs, V, inside)
     _write_json(os.path.join(args.out, "singular.json"),
                 [{"x": s[0], "y": s[1], "abs_u": s[2], "abs_grad": s[3], "branches": s[4]}
                  for s in sing])

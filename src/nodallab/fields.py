@@ -54,6 +54,7 @@ the files and of the CSV outputs with the bytes of ``_fmt`` (``%.17g``).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -439,8 +440,10 @@ class _HarmonicMonomial(ClosedFormField):
 
 def monomial_field(d: int, phase: str = "cos") -> ClosedFormField:
     """Harmonic r^d cos(d theta) (the real part of z^d) or, for phase "sin", its sine companion."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
+    # a fractional degree's separated form, cos(d theta) on [0, 2 pi), is not
+    # the field's, which takes theta on (-pi, pi]
+    if not (isinstance(d, numbers.Integral) and d >= 1):
+        raise ValueError(f"degree must be an integer >= 1, got {d!r}")
     if phase not in ("cos", "sin"):
         raise ValueError(f"phase must be 'cos' or 'sin', got {phase!r}")
     return _HarmonicMonomial(d, phase == "cos")

@@ -153,21 +153,27 @@ def eval_F(params: ProblemParams, s):
 
 
 def _centre(x0):
-    """The centre of a ladder as a float array.  A NaN passes the disk bound
-    and the nodal test, so a non-finite centre is refused on its own, before
-    any field call."""
+    """The centre of a ladder, two finite numbers, as a float array.  A NaN
+    passes the disk bound and the nodal test, so a non-finite centre is
+    refused on its own, before any field call, as is one of another shape."""
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (2,):
+        raise DomainError(f"centre must be two numbers, got {x0.tolist()}")
     if not np.isfinite(x0).all():
         raise DomainError(f"centre must be finite, got {x0.tolist()}")
     return x0
 
 
-def _gammas(gammas, name="gamma"):
-    """A gamma or a t, or a grid of them, as a float array.  A NaN passes the
-    critical-homogeneity test and an infinite gamma or t makes W an inf or a
-    NaN that reads as a verdict, so a non-finite one is refused on its own,
-    before any field call; ``name`` names it in the message."""
+def _gammas(gammas, name="gamma", ndim=0):
+    """A gamma or a t (``ndim`` 0), or a 1-d grid of gammas (``ndim`` 1), as a
+    float array.  Another shape is refused, and so is a non-finite value: a
+    NaN passes the critical-homogeneity test and an infinite gamma or t makes
+    W an inf or a NaN that reads as a verdict.  Both checks come before any
+    field call; ``name`` names the argument in the message."""
     gammas = np.asarray(gammas, dtype=float)
+    if gammas.ndim != ndim:
+        shape = "grid must be 1-d" if ndim else "must be a scalar"
+        raise ValueError(f"{name} {shape}, got shape {gammas.shape}")
     if not np.isfinite(gammas).all():
         raise ValueError(f"{name} must be finite, got {gammas.tolist()}")
     return gammas
@@ -325,10 +331,9 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
     """
     rs = _ladder_radii(radii)
     x0 = _centre(x0)
-    lo = rs.min(initial=np.inf)
-    if lo <= 0:
-        raise DomainError(f"radius must be positive, got {lo}")
-    if np.hypot(x0[0], x0[1]) + rs.max(initial=0.0) > 1.0 + 1e-12:
+    if rs[0] <= 0:
+        raise DomainError(f"radius must be positive, got {rs[0]}")
+    if np.hypot(x0[0], x0[1]) + rs[-1] > 1.0 + 1e-12:
         raise DomainError(f"ball B_{rs[-1]}({x0}) escapes the unit disk")
     sep = _angular_sums(field) if x0[0] == 0.0 and x0[1] == 0.0 else None
     if sep is not None:
@@ -342,9 +347,9 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
         sums = (rs * _DTH * np.sum(_sample_rings(field, x0, rs, _THETA) ** 2, axis=1),)
     else:
         # each row of rho: the panel rings of one annulus, then its circle
-        lo = np.concatenate(([0.0], rs))[:-1]
-        rho = np.column_stack((lo[:, None] + (rs - lo)[:, None] * _GL_T, rs))
-        w = (rs - lo)[:, None] * _GL_W * rho[:, :-1] * _DTH
+        inner = np.concatenate(([0.0], rs))[:-1]
+        rho = np.column_stack((inner[:, None] + (rs - inner)[:, None] * _GL_T, rs))
+        w = (rs - inner)[:, None] * _GL_W * rho[:, :-1] * _DTH
         ct, st = np.cos(_THETA), np.sin(_THETA)
         u2, g2, fb, unu2, uunu, fc = np.empty((6, len(rs)))
         for i, row in enumerate(rho):
@@ -436,7 +441,8 @@ def monotonicity_scan(field, x0, gamma, radii):
     """Check that W(gamma, 2) is nondecreasing along the ladder.
 
     Only meaningful for gamma >= 2/(2-q); smaller gamma raises a
-    PreconditionError, and a NaN or infinite one a ValueError.  Returns {"verdict": "monotone"} or the first
+    PreconditionError, and a NaN or infinite one or a non-scalar one a
+    ValueError.  Returns {"verdict": "monotone"} or the first
     violating radius, with the W values of the ladder under "values".  The
     verdict never overflows; a value W = r^-p (r^p W) whose factor r^-p
     overflows (large gamma at small r) reads +-inf, as does such a drop.
@@ -474,9 +480,10 @@ def transition_exponent(field, x0, gammas, radii):
     negative at r_min and log|W| has negative slope against log r (|W| grows
     as r shrinks).  The estimate is the midpoint of the bracketing pair;
     an ambiguous classification raises InconclusiveError with the bracket.
-    A NaN or infinite gamma on the grid raises ValueError.
+    A NaN or infinite gamma on the grid, or a grid that is not 1-d, raises
+    ValueError.
     """
-    gammas = np.sort(_gammas(gammas))
+    gammas = np.sort(_gammas(gammas, ndim=1))
     if gammas.size == 0:
         raise ValueError("gammas is empty: the transition needs at least one gamma")
     lad = _ladder(field, x0, radii)

@@ -119,11 +119,11 @@ def _disk(n):
 
 
 def _sample_disk(field, n):
-    """The one grid of extraction and detection: the coordinates xs of the
-    n x n grid over [-1, 1]^2 (checked by :func:`check_grid` before the
-    field is called), the field sampled near the unit disk, and the disk
-    mask xs[i]^2 + xs[j]^2 <= 1 + 1e-15.  xs and the mask come read-only
-    from :func:`_disk`; n must be an integer, as for ``np.linspace``.  A
+    """The one sample of extraction and detection: the field on the n x n
+    grid over [-1, 1]^2 near the unit disk, n checked by :func:`check_grid`
+    before the field is called.  The grid is :func:`_disk`'s, and every
+    reader of the sample V takes its coordinates and masks, read-only, from
+    ``_disk(len(V))``; n must be an integer, as for ``np.linspace``.  A
     non-finite sample is refused with a DataError: a NaN passes every sign
     and threshold test."""
     check_grid(n)
@@ -132,23 +132,28 @@ def _sample_disk(field, n):
     V = _sample_grid(field, xs, inside)
     if not np.isfinite(V).all():
         raise DataError("field is non-finite on the sampling grid")
-    return xs, V, inside
+    return V
 
 
 def extract_nodal_set(field: PlanarField, n: int) -> NodalSet:
     """Marching-squares zero set of the field inside the unit disk."""
-    xs, V, _ = _sample_disk(field, n)
-    return _extract(field, xs, V)
+    return _extract(field, _sample_disk(field, n))
 
 
-def _extract(field, xs, V):
-    """:func:`extract_nodal_set` on the sample ``xs, V`` of
-    :func:`_sample_disk`, which ``analyze`` shares with :func:`_detect`."""
+def extract_and_detect(field: PlanarField, n: int) -> tuple[NodalSet, list]:
+    """:func:`extract_nodal_set` and :func:`detect_singular` on one sample of
+    the disk: the nodal stage of ``nodallab analyze``."""
+    V = _sample_disk(field, n)
+    return _extract(field, V), _detect(V)
+
+
+def _extract(field, V):
+    """:func:`extract_nodal_set` on the sample ``V`` of :func:`_sample_disk`."""
     # the cell pass returns before the clip, so their temporaries never coexist
-    return NodalSet(_clip_to_disk(_cell_segments(field, xs, V), 1.0))
+    return NodalSet(_clip_to_disk(_cell_segments(field, V), 1.0))
 
 
-def _cell_segments(field, xs, V):
+def _cell_segments(field, V):
     """Marching-squares segments, rows (x1, y1, x2, y2), of the grid cells
     whose four corners lie in the disk of :func:`_disk` and whose samples
     ``V`` change sign, in row-major cell order.
@@ -158,12 +163,13 @@ def _cell_segments(field, xs, V):
     the samples at the ends of its edge.  A saddle cell's crossings are paired
     by the sign of ``field`` at the cell centre.
     """
-    n = len(xs)
+    n = len(V)
+    xs, _, cells, _ = _disk(n)
     S = V > 0
     s00, s10, s01, s11 = S[:-1, :-1], S[1:, :-1], S[:-1, 1:], S[1:, 1:]
     # active cell c = i (n - 1) + j, in row-major order; its (0, 0) corner is
     # the flat sample c + i = i n + j
-    c = np.flatnonzero(_disk(n)[2] & ~((s00 == s10) & (s10 == s01) & (s01 == s11)))
+    c = np.flatnonzero(cells & ~((s00 == s10) & (s10 == s01) & (s01 == s11)))
     i, j = np.divmod(c, n - 1)
     # each cell's corner signs, corner (di, dj) in column di + 2 dj
     sign = S.ravel().take((c + i)[:, None] + (0, n, 1, n + 1))
@@ -209,15 +215,15 @@ def nodal_length(nodal: NodalSet, radius: float) -> float:
     return float(np.sum(np.hypot(seg[:, 2] - seg[:, 0], seg[:, 3] - seg[:, 1])))
 
 
-def _branches(V, inside, i, j):
+def _branches(V, i, j):
     """Sign changes of the sampled V around the pixel ring of radius 4 about
     the pixel (i, j), in angle order, exact zeros skipped; 0 if a ring pixel
-    lies off the disk mask ``inside`` (or off the grid)."""
+    lies off the disk of :func:`_disk` (or off the grid)."""
     n = len(V)
     if not (_RING <= i < n - _RING and _RING <= j < n - _RING):
         return 0
     a, b = i + _RING_A, j + _RING_B
-    return count_sign_changes(V[a, b]) if inside[a, b].all() else 0
+    return count_sign_changes(V[a, b]) if _disk(n)[1][a, b].all() else 0
 
 
 def detect_singular(field: PlanarField, n: int):
@@ -225,17 +231,18 @@ def detect_singular(field: PlanarField, n: int):
     9 x 9 pixel window among small |u| and |grad u|, about which u changes
     sign at least 4 times.
 
-    The n x n grid over [-1, 1]^2, of spacing h, and its disk are extraction's
-    (``_sample_disk``), and detection reads nothing else of the field.  A mask
-    pixel has |u| < eps_u = 10 h^2 M and |grad u| < eps_g = 10 h M, with one
-    scale M, max |u| over the disk pixels sampled (for a harmonic u,
+    The n x n grid over [-1, 1]^2, of spacing h, and its disk come from
+    ``_disk(n)``, as extraction's do, and detection reads the field only
+    through its one sample on them (``_sample_disk``).  A mask pixel has
+    |u| < eps_u = 10 h^2 M and |grad u| < eps_g = 10 h M, with one scale M,
+    max |u| over the disk pixels sampled (for a harmonic u,
     |grad u(x)| <= (2 / rho) sup |u| over B_rho(x) ties grad u to that
     scale): a field and its grid sample are held to one rule, both
     thresholds shrink with h, so flat nodal crossings are not misreported, and
     M = 0 passes no pixel.  |grad u| is the central difference of the sample,
     hypot(V[i+1, j] - V[i-1, j], V[i, j+1] - V[i, j-1]) / (2h), at the disk
     pixels whose four neighbours are disk pixels and whose |u| < eps_u (a few
-    per cent of the disk on u_k), and infinite elsewhere.  A candidate is a
+    per cent of the disk on u_k), and nowhere else.  A candidate is a
     mask pixel whose score |u| + h*|grad u| is the least over the mask pixels
     of its 9 x 9 window.  A non-finite sample raises DataError: a NaN passes
     no threshold test and would drop a point.
@@ -259,48 +266,44 @@ def detect_singular(field: PlanarField, n: int):
     |grad u| the thresholds read, and ``branches``, the integer sign count on
     the point's ring, 2d or 2k where the 32 pixels resolve the rays.
     """
-    xs, V, inside = _sample_disk(field, n)
-    return _detect(xs, V, inside)
+    return _detect(_sample_disk(field, n))
 
 
-def _detect(xs, V, inside):
-    """:func:`detect_singular` on the sample ``xs, V, inside`` of
-    :func:`_sample_disk`, which ``analyze`` shares with :func:`_extract`."""
-    n = len(xs)
+def _detect(V):
+    """:func:`detect_singular` on the sample ``V`` of :func:`_sample_disk`."""
+    xs, inside, _, core = _disk(len(V))
     h = xs[1] - xs[0]
     absV = np.abs(V)
     M = np.max(absV, where=inside, initial=0.0)
     # the neighbours of a core pixel are disk pixels, which the sample holds
-    i, j = np.nonzero(_disk(n)[3] & (absV < 10.0 * h ** 2.0 * M))
-    G = np.full(V.shape, np.inf)
-    G[i, j] = np.hypot(V[i + 1, j] - V[i - 1, j], V[i, j + 1] - V[i, j - 1]) / (2.0 * h)
-    mask = G < 10.0 * h * M
-    rows = np.flatnonzero(mask.any(axis=1))
-    if len(rows) == 0:
+    i, j = np.nonzero(core & (absV < 10.0 * h ** 2.0 * M))
+    g = np.hypot(V[i + 1, j] - V[i - 1, j], V[i, j + 1] - V[i, j - 1]) / (2.0 * h)
+    keep = g < 10.0 * h * M
+    i, j, g = i[keep], j[keep], g[keep]
+    if len(i) == 0:
         return []
-    cols = np.flatnonzero(mask.any(axis=0))
     # the score on the mask's bounding box, inf off the mask, against its least
     # value over each pixel's window: a separable minimum filter, rows then columns
-    box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-    s = np.where(mask[box], absV[box] + h * G[box], np.inf)
+    i0, j0 = i.min(), j.min()
+    s = np.full((i.max() - i0 + 1, j.max() - j0 + 1), np.inf)
+    s[i - i0, j - j0] = score = absV[i, j] + h * g
     bh, bw = s.shape
     low = np.pad(s, _WINDOW, constant_values=np.inf)
     low = functools.reduce(np.minimum, (low[k:k + bh] for k in range(2 * _WINDOW + 1)))
     low = functools.reduce(np.minimum, (low[:, k:k + bw] for k in range(2 * _WINDOW + 1)))
-    i, j = np.nonzero(mask[box] & (s == low))
-    score = s[i, j]
-    i, j = i + rows[0], j + cols[0]
+    least = score == low[i - i0, j - j0]
+    i, j, g, score = i[least], j[least], g[least], score[least]
     kept = {}
     # least score first; the stable sort keeps raster order among equal scores
     for c in np.argsort(score, kind="stable"):
         if all((i[c] - i[k]) ** 2 + (j[c] - j[k]) ** 2 > _TIE ** 2 for k in kept):
-            count = _branches(V, inside, i[c], j[c])
+            count = _branches(V, i[c], j[c])
             if count >= 4:
                 kept[c] = count
     c = sorted(kept)
     i, j = i[c], j[c]
     return list(zip(xs[i].tolist(), xs[j].tolist(), absV[i, j].tolist(),
-                    G[i, j].tolist(), [kept[k] for k in c]))
+                    g[c].tolist(), [kept[k] for k in c]))
 
 
 def count_sign_changes(values) -> int:

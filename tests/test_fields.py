@@ -12,7 +12,7 @@ from nodallab.fields import (
 )
 from nodallab.construct import construct_uk
 from nodallab.functionals import _GL_T, _GL_W, _ladder
-from nodallab.nodal import _sample_disk
+from nodallab.nodal import _disk, _sample_disk
 from nodallab.params import ProblemParams
 
 
@@ -50,8 +50,12 @@ def test_monomial_field_values():
     assert abs(f(0.0, 1.0) + 1.0) < 1e-15  # r^2 cos(2 theta) at theta=pi/2
     g = monomial_field(2, phase="sin")
     assert abs(g(1.0, 1.0) - 2.0) < 1e-15  # Im (x+iy)^2 = 2xy
-    with pytest.raises(ValueError):
-        monomial_field(0)
+    # a degree that is not an integer >= 1 is refused: at d = 2.5 the
+    # separated form cos(d theta), theta in [0, 2 pi), has the field's sign
+    # flipped on the lower half-plane, and NaN built an all-NaN field
+    for d in (0, -1, 2.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^degree must be an integer >= 1, got "):
+            monomial_field(d)
     # a misspelt phase is refused, not read as the sine companion
     with pytest.raises(ValueError, match="phase must be 'cos' or 'sin', got 'cosine'"):
         monomial_field(2, "cosine")
@@ -525,7 +529,8 @@ def test_homogeneous_radius_power_accuracy(n):
     # much for gamma >= 2, and not at all on the dyadic 513^2 nodes at gamma =
     # 2 and 4, where x^2 + y^2 and its square are exact
     for gamma in (0.5, 2.0, 8.0 / 3.0, 4.0, 8.0, 20.0):
-        xs, V, inside = _sample_disk(HomogeneousField(gamma, _unit_profile()), n)
+        xs, inside, *_ = _disk(n)
+        V = _sample_disk(HomogeneousField(gamma, _unit_profile()), n)
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         x, y = X[inside], Y[inside]
         xl, yl = x.astype(np.longdouble), y.astype(np.longdouble)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -397,14 +398,18 @@ class _CallCounting(PlanarField):
 
 
 @pytest.mark.parametrize("reader", list(_CENTRED_READERS))
-@pytest.mark.parametrize("x0", [(np.nan, 0.0), (0.0, np.nan)])
+@pytest.mark.parametrize("x0", [(np.nan, 0.0), (0.0, np.nan),
+                                (0.1, 0.2, 0.3), 0.0, (), [[0.0, 0.0]]])
 @pytest.mark.parametrize("kind", ["closed-form", "grid"])
 def test_every_centred_reader_rejects_a_nan_centre(reader, x0, kind):
     # a NaN centre passes the disk bound and the nodal test, so it is refused
-    # on its own, before the field is called
+    # on its own, before the field is called; so is a centre that is not two
+    # numbers (a third coordinate was ignored, and a scalar, an empty or a
+    # 2-d centre raised IndexError)
     base = monomial_field(2) if kind == "closed-form" else GridField.sample(monomial_field(2), 65)
     f = _CallCounting(base)
-    with pytest.raises(DomainError, match="^centre must be finite"):
+    want = "finite" if np.shape(x0) == (2,) else "two numbers"
+    with pytest.raises(DomainError, match=f"^centre must be {want}"):
         _CENTRED_READERS[reader](f, np.geomspace(0.02, 0.5, 10), x0)
     assert f.calls == []
 
@@ -556,6 +561,33 @@ def test_non_finite_gamma_or_t_is_refused(name, call):
     # too), and the identities a NaN W' residual next to a finite H' one
     f = _re_z3_q15()
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(f)
+    assert f.calls == []
+
+
+@pytest.mark.parametrize("want, call", [
+    ("gamma grid must be 1-d, got shape ()",
+     lambda f: transition_exponent(f, ORIGIN, 2.0, _RADII)),
+    ("gamma grid must be 1-d, got shape (1, 2)",
+     lambda f: transition_exponent(f, ORIGIN, [[2.5, 3.5]], _RADII)),
+    ("gamma must be a scalar, got shape (1,)",
+     lambda f: monotonicity_scan(f, ORIGIN, [3.0], _RADII)),
+    ("gamma must be a scalar, got shape (2,)",
+     lambda f: check_derivative_identities(f, ORIGIN, _RADII, [3.0, 3.5], 2.0)),
+    ("t must be a scalar, got shape (1,)",
+     lambda f: check_derivative_identities(f, ORIGIN, _RADII, 3.0, [2.0])),
+    ("gamma must be a scalar, got shape (1,)",
+     lambda f: trace(f, "W", ORIGIN, _RADII, gamma=[3.0], t=2.0)),
+    ("t must be a scalar, got shape (2,)",
+     lambda f: trace(f, "D", ORIGIN, _RADII, t=[2.0, 2.0])),
+    ("t must be a scalar, got shape (1,)", lambda f: eval_Nt(f, ORIGIN, 0.5, [2.0])),
+], ids=["transition scalar", "transition 2-d", "scan list", "identities gamma list",
+        "identities t list", "trace W gamma list", "trace D t list", "eval_Nt t list"])
+def test_gamma_or_t_of_another_shape_is_refused(want, call):
+    # a scalar grid raised numpy's AxisError and a 2-d one a broadcast error;
+    # a list gamma or t raised a TypeError from inside the ladder views
+    f = _re_z3_q15()
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         call(f)
     assert f.calls == []
 

@@ -471,7 +471,8 @@ def test_sample_disk_matches_full_grid(n, radius, band_points, monkeypatch):
             assert _bits(GridField.sample(field, n).values) == _bits(np.asarray(field(X, Y)))
         # the disk grid of extraction and detection is the full grid's on the disk
         for field in _sample_disk_fields():
-            got_xs, V, inside = _sample_disk(field, n)
+            got_xs, inside, *_ = nodal._disk(n)
+            V = _sample_disk(field, n)
             assert _bits(got_xs) == _bits(xs)
             assert np.array_equal(inside, X * X + Y * Y <= 1.0 + 1e-15)
             assert _bits(V[inside]) == _bits(np.asarray(field(X, Y))[inside])
@@ -499,7 +500,9 @@ def test_disk_is_built_once_and_read_only(n):
     want[I, J] = inside[I + 1, J] & inside[I - 1, J] & inside[I, J + 1] & inside[I, J - 1]
     assert np.array_equal(core, want)
     assert all(a is b for a, b in zip(nodal._disk(n), (xs, inside, cells, core)))
-    assert _sample_disk(monomial_field(2), n)[0] is xs
+    # the sample reads the cached grid: no second build
+    _sample_disk(monomial_field(2), n)
+    assert nodal._disk.cache_info().misses == 1
     for a in (xs, inside, cells, core):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[-1]
@@ -611,10 +614,11 @@ def test_branches_tell_the_vertex_from_a_nodal_ray(uk15_grid):
     # times about the vertex and twice about a pixel of the nodal ray
     # theta = 0, so a flat band along a ray that passed both thresholds
     # would be dropped
-    xs, V, inside = _sample_disk(uk15_grid, 256)
+    xs, inside, *_ = nodal._disk(256)
+    V = _sample_disk(uk15_grid, 256)
     i = [np.argmin(np.abs(xs - x)) for x in (0.0, 0.25, 0.5, 0.75)]
     j = np.argmin(np.abs(xs))
-    got = [_branches(V, inside, a, j) for a in i]
+    got = [_branches(V, a, j) for a in i]
     assert got == [_branches_ref(V, inside, a, j) for a in i] == [20, 2, 2, 2]
 
 
@@ -782,3 +786,14 @@ def test_extraction_and_detection_read_one_disk(n, monkeypatch):
     xs = np.linspace(-1.0, 1.0, n)
     assert len(masks) == 2 and np.array_equal(masks[0], masks[1])
     assert np.array_equal(masks[0], np.add.outer(xs * xs, xs * xs) <= 1.0 + 1e-15)
+
+
+@pytest.mark.parametrize("n", [64, 71, 128])
+def test_extract_and_detect_matches_the_public_calls(n, uk_q1):
+    # one sample of the disk serves both stages, and each gives what it gives
+    # on its own sample, bit for bit; at n = 71 grid points lie on the circle
+    for field in (uk_q1, GridField.sample(uk_q1, 129), _roots_field(*_TWO_ROOTS)):
+        ns, points = nodal.extract_and_detect(field, n)
+        assert _bits(ns.segments) == _bits(extract_nodal_set(field, n).segments)
+        assert points == detect_singular(field, n)
+        assert points and all(type(p[4]) is int for p in points)
