@@ -134,6 +134,17 @@ def test_trace_D_50_radii_off_origin_nodal(benchmark, uk15):
     assert np.all(np.abs(tr.values[picks] - single) < 1e-4 * np.abs(single))
 
 
+def test_trace_D_grid_sample_off_origin(benchmark, uk15, uk15_grid):
+    # the pointwise GridField path: about a nodal point off the origin every
+    # ring of the bulk ladder is one ``value_and_grad`` call at its Cartesian
+    # points, three bilinear blends each
+    x0, radii = (0.3, 0.0), np.geomspace(0.05, 0.6, 10)
+    tr = benchmark(trace, uk15_grid, "D", x0, radii, t=1.5)
+    # the bilinear sample's D is within 1.2 % of the exact field's on this ladder
+    exact = trace(uk15, "D", x0, radii, t=1.5).values
+    assert np.all(np.abs(tr.values - exact) < 0.02 * exact)
+
+
 def test_eval_Nt_uk_r1(benchmark, uk15):
     # the frequency of a gamma_q-homogeneous solution is gamma_q = 4
     nq = benchmark(eval_Nt, uk15, (0.0, 0.0), 1.0, 1.5)

@@ -16,7 +16,8 @@ meshgrid, so the values are the same to the bit, and no n x n coordinate
 arrays are built: a :class:`HomogeneousField` takes r^gamma as
 (x^2 + y^2)^(gamma/2), with no ``hypot`` (hypot(x, y)^gamma only where
 x^2 + y^2 is below the smallest normal double), and a :class:`GridField`
-computes its interpolation weights once per axis and broadcasts them.
+computes its interpolation weights once per axis and blends two grid rows
+per band row.
 Gradients are never sampled on a grid: detection reads |grad u| as central
 differences of its value sample and asks no field for a gradient.
 The rings of the quadrature ladder are sampled at their Cartesian points by
@@ -286,6 +287,15 @@ class HomogeneousField(PlanarField):
 class GridField(PlanarField):
     """Samples on the uniform n x n grid over [-1, 1]^2, bilinear evaluation.
 
+    The blend is a lerp of lerps along x:
+    (1 - sy) ((1 - sx) v00 + sx v10) + sy ((1 - sx) v01 + sx v11).  Points
+    are blended one by one from four flat gathers (``_blend``), except for
+    the grid sampler's call shape, a column of x against a row of y: there
+    the two grid rows under each output row are blended along x once over
+    the band's columns, and two column gathers of that are blended along y
+    (``_band``).  Both paths make the same products and sums, so they agree
+    to the bit, and every node reads back its own sample.
+
     Gradients use central differences in the interior and second-order
     one-sided stencils at the boundary, then bilinear interpolation.
     """
@@ -324,13 +334,16 @@ class GridField(PlanarField):
         return sum(float(np.abs(np.diff(self.values, 2, axis=a)).max()) for a in (0, 1)) / 8.0
 
     def _axis_weights(self, x):
-        """Lower node index and offset of each coordinate on one grid axis."""
+        """Lower node index and offset of each coordinate on one grid axis.
+
+        The last node is reached from the last cell, at offset 1, so every
+        node reads back its own sample."""
         x = np.asarray(x, dtype=float)
         # written so that NaN fails the test
         if not (np.abs(x) <= 1 + 1e-12).all():
             raise DomainError("point outside the grid hull [-1,1]^2")
-        f = np.clip((x + 1.0) / self.h, 0, self.n - 1 - 1e-12)
-        i = f.astype(int)
+        f = np.clip((x + 1.0) / self.h, 0, self.n - 1)
+        i = np.minimum(f.astype(int), self.n - 2)
         return i, f - i
 
     def _weights(self, x, y):
@@ -339,29 +352,48 @@ class GridField(PlanarField):
         j, sy = self._axis_weights(y)
         return i * self.n + j, sx, sy
 
+    @staticmethod
+    def _lerp(a, b, s, t):
+        """t a + s b, in place on the fresh arrays ``a`` and ``b``; t = 1 - s."""
+        a *= t
+        b *= s
+        a += b
+        return a
+
     def _blend(self, arr, k, sx, sy):
-        # bilinear interpolation of the samples arr at the weighted points:
-        # v00 (1 - sx)(1 - sy) + v10 sx (1 - sy) + v01 (1 - sx) sy + v11 sx sy,
-        # multiplied and summed left to right, in place so each corner term
-        # allocates one array.  The corners (i, j), (i + 1, j), (i, j + 1),
-        # (i + 1, j + 1) are the flat indices k, k + n, k + 1, k + n + 1 of
-        # the C-ordered samples, taken as k from views that start n, 1 and
-        # n + 1 samples later
+        # bilinear interpolation of the samples arr at the weighted points, as
+        # a lerp of lerps along x: (1 - sy) ((1 - sx) v00 + sx v10)
+        # + sy ((1 - sx) v01 + sx v11), the formula of ``_band``.  The
+        # corners (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1) are the flat
+        # indices k, k + n, k + 1, k + n + 1 of the C-ordered samples, taken
+        # as k from views that start n, 1 and n + 1 samples later
         flat = arr.ravel()
         n = self.n
-        tx, ty = 1 - sx, 1 - sy
-        out = flat.take(k)
-        out *= tx
-        out *= ty
-        for start, wx, wy in ((n, sx, ty), (1, tx, sy), (n + 1, sx, sy)):
-            term = flat[start:].take(k)
-            term *= wx
-            term *= wy
-            out += term
-        return out
+        tx = 1 - sx
+        lo = self._lerp(flat.take(k), flat[n:].take(k), sx, tx)
+        hi = self._lerp(flat[1:].take(k), flat[n + 1:].take(k), sx, tx)
+        return self._lerp(lo, hi, sy, 1 - sy)
 
     def __call__(self, x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.ndim == y.ndim == 2 and x.shape[1] == y.shape[0] == 1 and x.size and y.size:
+            return self._band(x[:, 0], y[0])
         return self._blend(self.values, *self._weights(x, y))
+
+    def _band(self, x, y):
+        """The values at the meshgrid of the 1-d ``x`` (rows) and ``y``
+        (columns), as the grid sampler asks for a band: under each output row
+        the two grid rows i and i + 1 are blended along x once, over the
+        band's column span, and two column gathers of that blend are blended
+        along y.  The same products and sums as ``_blend``, so the same bits."""
+        i, sx = self._axis_weights(x)
+        j, sy = self._axis_weights(y)
+        j0 = int(j.min())
+        cols = np.s_[j0:int(j.max()) + 2]
+        rows = self._lerp(self.values[i, cols], self.values[i + 1, cols],
+                          sx[:, None], (1 - sx)[:, None])
+        j -= j0
+        return self._lerp(rows.take(j, axis=1), rows.take(j + 1, axis=1), sy, 1 - sy)
 
     def value_and_grad(self, x, y):
         w = self._weights(x, y)

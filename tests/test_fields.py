@@ -135,18 +135,18 @@ def test_grid_field_gradient_exact_on_quadratics():
 
 def _grid_ref(f, x, y):
     """Reference value and gradient of a GridField: the 2-d fancy-index blend
-    that the flat-index gathers replaced."""
+    that the flat-index gathers replaced, a lerp along x at columns j and
+    j + 1, then along y; the last node is the last cell's end, at offset 1."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    fx = np.clip((x + 1.0) / f.h, 0, f.n - 1 - 1e-12)
-    fy = np.clip((y + 1.0) / f.h, 0, f.n - 1 - 1e-12)
-    i, j = fx.astype(int), fy.astype(int)
+    fx = np.clip((x + 1.0) / f.h, 0, f.n - 1)
+    fy = np.clip((y + 1.0) / f.h, 0, f.n - 1)
+    i, j = np.minimum(fx.astype(int), f.n - 2), np.minimum(fy.astype(int), f.n - 2)
     sx, sy = fx - i, fy - j
 
     def blend(arr):
         v00, v10 = arr[i, j], arr[i + 1, j]
         v01, v11 = arr[i, j + 1], arr[i + 1, j + 1]
-        return (v00 * (1 - sx) * (1 - sy) + v10 * sx * (1 - sy)
-                + v01 * (1 - sx) * sy + v11 * sx * sy)
+        return (1 - sy) * ((1 - sx) * v00 + sx * v10) + sy * ((1 - sx) * v01 + sx * v11)
 
     return blend(f.values), (blend(f._gx), blend(f._gy))
 
@@ -454,8 +454,8 @@ def test_call_broadcasts_bit_for_bit():
     # coordinates as a column and its column coordinates as a row: every
     # field class must give its values on the meshgrid, to the bit.  The
     # points include signed zeros, a coordinate whose square underflows and
-    # the nodes of the GridField, where its last cell is clipped to
-    # n - 1 - 1e-12
+    # the nodes of the GridField, whose last one is read from the last cell
+    # at offset 1
     fields = _every_field_class() + [
         ClosedFormField(lambda x, y: x * y - 0.1, lambda x, y: (y, x))]
     own = {c for c in _subclasses(PlanarField) if c.__module__.startswith("nodallab.")}
@@ -470,18 +470,44 @@ def test_call_broadcasts_bit_for_bit():
         assert _same(got, f(X, Y)), type(f).__name__
 
 
-@pytest.mark.parametrize("m, lo, hi", [(33, -1.0, 1.0), (20, -0.45, 0.45), (7, -1.0, 0.3)])
-def test_grid_field_tensor_matches_pointwise(m, lo, hi):
-    # on a tensor-product band (rows as a column, columns as a row) the
-    # per-axis weights broadcast give the pointwise blend bit for bit; m = 33
-    # puts the points on the field's own nodes, where the last one is clipped
-    # to n - 1 - 1e-12
+_NODES33 = np.linspace(-1.0, 1.0, 33)
+_SPAN = np.linspace(-0.8, 0.7, 11)
+
+
+@pytest.mark.parametrize("x, y", [
+    pytest.param(_NODES33, np.linspace(-1.0, 1.0, 36), id="33--1.0-1.0"),
+    pytest.param(np.linspace(-0.45, 0.45, 20), np.linspace(-0.45, 0.45, 23), id="20--0.45-0.45"),
+    pytest.param(np.linspace(-1.0, 0.3, 7), np.linspace(-0.3, 1.0, 10), id="7--1.0-0.3"),
+    pytest.param([0.13], _SPAN, id="one-row"),
+    pytest.param(_SPAN, [-0.29], id="one-column"),
+    pytest.param(_NODES33[-3:], _NODES33[-4:], id="last-rows-and-columns"),
+    pytest.param([1.0], [1.0], id="last-node"),
+    pytest.param(_SPAN, [0.5, -0.3, 0.5, 0.91, -0.3, -1.0, 0.0, 0.0], id="unsorted-repeated-columns"),
+    pytest.param([0.2, -0.7, 0.2, 1.0], [0.33, 0.33, 0.33], id="unsorted-rows-one-column"),
+])
+def test_grid_field_tensor_matches_pointwise(x, y):
+    # on a tensor-product band (rows as a column, columns as a row) the band
+    # path gives the pointwise blend and the fancy-index reference bit for
+    # bit: on the field's own nodes, the last one read from the last cell at
+    # offset 1, on bands of one row or one column, and on unsorted or
+    # repeated coordinates, which the grid sampler never asks for
     f = GridField.sample(HomogeneousField(2.5, cos2_profile(64), ProblemParams(q=1.2)), 33)
-    x, y = np.linspace(lo, hi, m), np.linspace(-hi, -lo, m + 3)
+    x, y = np.asarray(x), np.asarray(y)
     X, Y = np.meshgrid(x, y, indexing="ij")
     got = f(x[:, None], y[None, :])
-    assert got.shape == (m, m + 3)
+    assert got.shape == (len(x), len(y))
     assert _same(got, f(X, Y)) and _same(got, _grid_ref(f, X, Y)[0])
+
+
+@pytest.mark.parametrize("n", [3, 33, 513])
+def test_grid_field_reads_its_own_nodes(n):
+    # a GridField at its own nodes is its samples, the last row and column
+    # too: on these n every node (x + 1) / h is an exact integer
+    rng = np.random.default_rng(n)
+    f = GridField(rng.standard_normal((n, n)))
+    xs = np.linspace(-1.0, 1.0, n)
+    assert _same(f(xs[:, None], xs[None, :]), f.values)
+    assert _same(f(*np.meshgrid(xs, xs, indexing="ij")), f.values)
 
 
 def test_grid_field_tensor_outside_hull():
