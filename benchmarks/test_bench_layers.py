@@ -380,7 +380,7 @@ def test_save_csv_nodal_set_n512(benchmark, uk15, tmp_path):
 
 def test_cold_import_cli(benchmark):
     # a fresh interpreter per round, as every nodallab command starts one
-    heavy = ["scipy.linalg", "scipy.interpolate", "scipy.optimize", "scipy.ndimage",
+    heavy = ["scipy", "scipy.linalg", "scipy.interpolate", "scipy.optimize", "scipy.ndimage",
              "concurrent.futures.process"]
     code = ("import sys, nodallab.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules])")

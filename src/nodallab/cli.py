@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -33,8 +34,20 @@ EXIT_IO = 3
 
 
 def _versions():
-    import scipy
-    return {"nodallab": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"nodallab": __version__, "numpy": np.__version__, "scipy": _scipy_version()}
+
+
+@functools.cache
+def _scipy_version():
+    """The ``version`` of scipy's own ``version.py``, which scipy's
+    ``__init__`` makes its ``__version__``, run from its file as ``_flapack``
+    is, so that a start does not run scipy's package ``__init__``.  If that
+    file is not found, ``import scipy``."""
+    try:
+        return cons._scipy_module("version", [".py"]).version
+    except ImportError:
+        import scipy
+        return scipy.__version__
 
 
 def _strict(doc):

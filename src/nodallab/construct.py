@@ -121,24 +121,39 @@ class ClampedCubic:
                 0.0 + c1 * 2 + c0 * s * 6)
 
 
+def _scipy_module(name, suffixes):
+    """scipy's submodule ``scipy.<name>`` run from its file, the first of
+    ``<name>`` plus one of ``suffixes`` in scipy's package directory.
+
+    ``find_spec`` gives that directory without running scipy's package
+    ``__init__``.  The module is not registered in ``sys.modules``; if scipy
+    or the file is not found, or the file does not load, ImportError."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ModuleNotFoundError("scipy not found")
+    base = os.path.join(spec.submodule_search_locations[0], *name.split("."))
+    path = next((base + s for s in suffixes if os.path.isfile(base + s)), None)
+    if path is None:
+        raise ModuleNotFoundError(f"no file for scipy.{name}")
+    spec = importlib.util.spec_from_file_location(f"scipy.{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _load_dgtsv():
     """LAPACK ``dgtsv`` from scipy's compiled ``_flapack`` extension, loaded
-    from its file: importing ``scipy.linalg`` for this one routine was most of
-    the time of every start.  The module is registered under its own name, so
-    a later ``import scipy.linalg`` reuses it.  If the file is missing or does
-    not load, the routine comes from ``scipy.linalg.lapack``, the same one."""
-    import scipy
-
+    from its file, found by ``find_spec("scipy")``: neither ``scipy.linalg``
+    nor scipy's package ``__init__`` is run for this one routine.  The module
+    is registered under its own name, so a later ``import scipy.linalg``
+    reuses it.  If scipy's directory or the file is not found, or the file
+    does not load, the routine comes from ``scipy.linalg.lapack``, the same
+    one."""
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
-        base = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
         try:
-            path = next(base + s for s in importlib.machinery.EXTENSION_SUFFIXES
-                        if os.path.isfile(base + s))
-            spec = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-        except (StopIteration, ImportError):
+            module = _scipy_module("linalg._flapack", importlib.machinery.EXTENSION_SUFFIXES)
+        except ImportError:
             from scipy.linalg.lapack import dgtsv
             return dgtsv
         # an extension with single-phase init, as f2py builds them, is there

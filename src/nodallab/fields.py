@@ -670,7 +670,13 @@ def _params_lines(params):
     ]
 
 
-def _parse_floats(line: str, lineno: int, expected: int) -> np.ndarray:
+# the largest |sample| of a grid file: the squares of such samples and of
+# their difference quotients, at most 2 (n - 1) |v| in the gradient, stay
+# finite on any grid that fits in memory, so no quadrature sum overflows
+_GRID_LIMIT = 1e100
+
+
+def _parse_floats(line: str, lineno: int, expected: int, limit=np.inf) -> np.ndarray:
     try:
         arr = np.array([float(t) for t in line.split()])
     except ValueError:
@@ -679,6 +685,8 @@ def _parse_floats(line: str, lineno: int, expected: int) -> np.ndarray:
         raise ParseError(f"line {lineno}: expected {expected} samples, got {len(arr)}")
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"line {lineno}: non-finite sample")
+    if (np.abs(arr) > limit).any():
+        raise ParseError(f"line {lineno}: sample above {limit:g} in magnitude")
     return arr
 
 
@@ -755,7 +763,7 @@ def load(path):
             raise ParseError(f"line {i}: missing n")
         if len(lines) - i < n:
             raise ParseError(f"line {len(lines)}: expected {n} sample rows")
-        rows = [_parse_floats(lines[i + j], i + j + 1, n) for j in range(n)]
+        rows = [_parse_floats(lines[i + j], i + j + 1, n, _GRID_LIMIT) for j in range(n)]
         _check_end(lines, i + n)
         return _construct(GridField, i + 1, np.array(rows), params)
     raise ParseError(f"line 1: unknown kind {kind!r}")

@@ -168,6 +168,20 @@ def test_criterion_05_derivative_identities(family):
            f"constructed {max(res_c):.1e}, analytic {max(res_m):.1e}")
 
 
+@pytest.mark.parametrize("t_of_q", [lambda q: q, lambda q: (q + 2) / 2], ids=["t=q", "t=(q+2)/2"])
+def test_criterion_05_w_prime_identity_away_from_t_2(family, t_of_q):
+    # criterion 05's W' identity on its fields and to its bound at t < 2,
+    # where the circle term (2 - t)/q int_S F does not vanish as at t = 2;
+    # also at gamma_q + 0.5, where W is not constant
+    radii = np.linspace(0.3, 0.9, 5)
+    for key in ((1.0, 1.0, 5), (1.5, 1.0, 9)):
+        field = family[key].to_field()
+        g, t = gamma_q(field.params), t_of_q(field.params.q)
+        for gamma in (g, g + 0.5):
+            rep = check_derivative_identities(field, ORIGIN, radii, gamma, t)
+            assert rep["W_prime_max_residual"] < 1e-3, (key, gamma, t)
+
+
 def _criterion6_fields(family):
     cases = []
     for q in (1.0, 1.5):

@@ -295,6 +295,19 @@ def test_analyze_rejected_values_exit_3(tmp_path, capsys, body):
     assert err.startswith("error: line ") and len(err.splitlines()) == 1
 
 
+def test_analyze_takes_grid_samples_at_the_limit(tmp_path, capsys):
+    # rows of +-1e100, the largest magnitude a grid file may hold, load, and
+    # the analysis of their steepest gradients overflows nowhere
+    values = np.full((65, 65), 1e100)
+    values[::2] *= -1
+    fields.save(fields.GridField(values), tmp_path / "g.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("analyze", "--input", str(tmp_path / "g.txt"), "--grid", "64",
+                   "--out", str(tmp_path / "an"))
+    assert code in (0, 1, 2) and len(capsys.readouterr().err.splitlines()) <= 1
+
+
 _PARAMS = "q=1\nlambda_plus=1\nlambda_minus=1\nmu=1\n"
 _TH16 = fields._angles(16)
 _COS2 = fields._fmt_rows(np.stack((np.cos(2 * _TH16), -2 * np.sin(2 * _TH16))), " ")
@@ -321,6 +334,11 @@ _COS2 = fields._fmt_rows(np.stack((np.cos(2 * _TH16), -2 * np.sin(2 * _TH16))), 
                  "line 8: expected 3 sample rows", id="too-few-grid-rows"),
     pytest.param("NODALLAB v1 grid\n" + _PARAMS + "n=3\n0 1 0\n1 0 1\n1 0 1\n0 1 0\n",
                  "line 10: unexpected line after the samples", id="too-many-grid-rows"),
+    # a sample whose gradient overflowed np.gradient with a RuntimeWarning
+    pytest.param("NODALLAB v1 grid\n" + _PARAMS + "n=3\n0 1 0\n1 1e308 1\n0 1 0\n",
+                 "line 8: sample above 1e+100 in magnitude", id="grid-sample-1e308"),
+    pytest.param("NODALLAB v1 grid\n" + _PARAMS + "n=3\n0 1 0\n1 0 1\n0 -1.0000000000000002e100 0\n",
+                 "line 9: sample above 1e+100 in magnitude", id="grid-sample-above-1e100"),
     pytest.param("NODALLAB v1 profile\n" + _PARAMS + "n_theta=16\n" + _COS2 + "garbage\n",
                  "line 9: unexpected line after the samples",
                  id="line-after-the-profile-samples"),
@@ -823,9 +841,10 @@ def test_verify_hamiltonian_nan_drift_fails(tmp_path, monkeypatch):
     assert len(calls) == 10
 
 
-def _loaded_after_import(module, names):
-    """The ``names`` in ``sys.modules`` after ``import module`` in a fresh process."""
-    code = (f"import sys, {module}; "
+def _loaded_after_import(module, names, before="", after=""):
+    """The ``names`` in ``sys.modules`` after ``import module`` in a fresh
+    process, which runs the statements ``before`` first and ``after`` last."""
+    code = (f"{before}\nimport sys, {module}\n{after}\n"
             f"print([m for m in {names!r} if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(fields.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -838,9 +857,44 @@ def test_cli_import_loads_no_scipy_subpackage():
     # the scipy subpackages and multiprocessing stay out of a CLI start;
     # dgtsv comes from the _flapack extension alone, and the writer's table
     # of powers of ten from integer arithmetic, without fractions or decimal
-    heavy = ["scipy.linalg", "scipy.interpolate", "scipy.optimize", "scipy.ndimage",
-             "concurrent.futures.process", "fractions", "decimal"]
+    heavy = ["scipy", "scipy.linalg", "scipy.interpolate", "scipy.optimize",
+             "scipy.ndimage", "concurrent.futures.process", "fractions", "decimal"]
     assert _loaded_after_import("nodallab.cli", heavy) == "[]"
+
+
+# find_spec("scipy") answers None, as if scipy were not on the path
+_NO_SCIPY_SPEC = ("import importlib.util\n"
+                  "find_spec = importlib.util.find_spec\n"
+                  "importlib.util.find_spec = lambda name, *a: None if name == 'scipy' "
+                  "else find_spec(name, *a)")
+
+
+def test_cli_import_without_scipy_spec_takes_the_fallback():
+    # with no spec for scipy, dgtsv comes from scipy.linalg.lapack, as when
+    # the _flapack file is missing
+    names = ["scipy.linalg", "scipy.linalg._flapack"]
+    got = _loaded_after_import("nodallab.cli", names, before=_NO_SCIPY_SPEC,
+                               after="assert nodallab.construct.dgtsv is "
+                                     "sys.modules['scipy.linalg.lapack'].dgtsv")
+    assert got == str(names)
+
+
+@pytest.mark.parametrize("before, loaded", [
+    # _flapack and version.py run from their files, scipy's __init__ not at all
+    ("", "['scipy.linalg._flapack']"),
+    ("import scipy", "['scipy', 'scipy.linalg._flapack']"),
+    # no spec: dgtsv from scipy.linalg.lapack, the version from import scipy
+    (_NO_SCIPY_SPEC, "['scipy', 'scipy.linalg._flapack']"),
+], ids=["fresh", "after-import-scipy", "no-scipy-spec"])
+def test_run_json_scipy_version_in_a_fresh_process(before, loaded, tmp_path):
+    after = (f"assert nodallab.cli.main(['construct', '--q', '1', '--k', '5', '--n', '256', "
+             f"'--out', {str(tmp_path)!r}]) == 0")
+    # the last line: construct prints its summary first
+    names = ["scipy", "scipy.linalg._flapack"]
+    out = _loaded_after_import("nodallab.cli", names, before, after)
+    assert out.splitlines()[-1] == loaded
+    versions = json.loads((tmp_path / "run.json").read_text())["versions"]
+    assert versions["scipy"] == scipy.__version__
 
 
 def test_nodal_import_loads_neither_construct_nor_scipy():

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from nodallab import functionals
 from nodallab.construct import construct_uk
 from nodallab.fields import (AngularProfile, ClosedFormField, DomainError, GridField,
-                             HomogeneousField, PlanarField, _fmt, _sample_rings, monomial_field)
+                             HomogeneousField, PlanarField, _angles, _fmt, _sample_rings,
+                             monomial_field)
 from nodallab.functionals import (
     _GL_T, _GL_W, N_THETA, DegenerateSphereError, FunctionalTrace, InconclusiveError,
     PreconditionError, _ladder, _power_fit, _require_nodal, check_derivative_identities,
@@ -28,6 +29,17 @@ def test_gauss_legendre_panel_exact_to_degree_95():
     assert np.all(np.diff(_GL_T) > 0.0) and 0.0 < _GL_T[0] and _GL_T[-1] < 1.0
     for p in range(96):
         assert abs((p + 1) * np.dot(_GL_W, _GL_T**p) - 1.0) <= 1e-14, p
+
+
+def test_grid_rel_is_noise_over_the_circle_rms():
+    # rel = noise / sqrt(H / (2 pi r)): the grid's bound over the RMS of u on
+    # each circle, here the RMS of 4096 equally spaced samples of the circle
+    grid = GridField.sample(monomial_field(2), 65)
+    radii = np.geomspace(0.05, 0.8, 6)
+    th = _angles(4096)
+    rms = np.sqrt([np.mean(grid(r * np.cos(th), r * np.sin(th)) ** 2) for r in radii])
+    rel = _ladder(grid, ORIGIN, radii).rel
+    assert np.all(np.abs(rel / (grid.noise / rms) - 1) < 1e-5)
 
 
 def test_eval_F_values():
