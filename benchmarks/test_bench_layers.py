@@ -26,8 +26,8 @@ from nodallab.construct import (
 )
 from nodallab.fields import GridField
 from nodallab.functionals import (
-    _THETA, InconclusiveError, eval_F, eval_Nt, monotonicity_scan, trace,
-    transition_exponent,
+    _THETA, InconclusiveError, check_derivative_identities, eval_F, eval_Nt, monotonicity_scan,
+    trace, transition_exponent,
 )
 from nodallab.nodal import (
     detect_singular, extract_and_detect, extract_nodal_set, nodal_length,
@@ -176,8 +176,23 @@ def test_value_and_grad_annulus_49x1021(benchmark, uk15):
 
 # the gamma grid and ladders of the weiss-ladder perfbench workload at order 4
 WEISS_GAMMAS = np.arange(3.5, 4.5001, 0.05)
+WEISS_LINEAR_LADDER = np.linspace(0.1, 1.0, 4)
+WEISS_DERIVATIVE_LADDER = np.array([0.6])
 WEISS_GEOMETRIC_LADDER = np.geomspace(0.02, 0.8, 6)
 WEISS_DYADIC_LADDER = 0.5 * 2.0 ** -np.arange(8.0)[::-1]
+
+
+def test_monotonicity_scan_uk15(benchmark, uk15):
+    scan = benchmark(monotonicity_scan, uk15, (0.0, 0.0), 4.0, WEISS_LINEAR_LADDER)
+    # W(gamma_q, 2) is constant in r, and negative, on a gamma_q-homogeneous solution
+    w = np.asarray(scan["values"])
+    assert scan["verdict"] == "monotone" and np.ptp(w) < 1e-4 * abs(w.mean()) and w.mean() < 0
+
+
+def test_check_derivative_identities_uk15(benchmark, uk15):
+    rep = benchmark(check_derivative_identities, uk15, (0.0, 0.0), WEISS_DERIVATIVE_LADDER, 4.0, 2.0)
+    # criterion 05's bound on u_k: the r -+ step rows are apart, so no sort merges them
+    assert max(rep["H_prime_max_residual"], rep["W_prime_max_residual"]) < 1e-3
 
 
 def test_transition_exponent_uk15(benchmark, uk15):
@@ -305,8 +320,9 @@ def test_analyze_nodal_stage_n256(benchmark, uk15, uk15_grid, source):
 
 
 def test_homogeneous_origin_call(benchmark, uk15):
-    # the one scalar call of the nodal test of estimate_order and
-    # transition_exponent at the vertex
+    # one scalar call at the vertex: what the nodal test of estimate_order
+    # and transition_exponent saves there by taking u(x0) = 0 from the
+    # separated form; at a centre off the vertex it makes one such call
     u0 = benchmark(uk15, 0.0, 0.0)
     assert u0 == 0.0
 

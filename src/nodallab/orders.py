@@ -68,7 +68,7 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
 
     def fit(lad):
         """Half the slope of H / r^(N-1) over the radii whose H clears its floor, and those radii."""
-        if not np.any(lad.h_ok):
+        if not lad.h_ok.any():
             raise ZeroFieldError("H below the noise floor on the whole ladder")
         return 0.5 * float(_power_fit(lad.r, lad.H / lad.r ** (N_DIM - 1), lad.h_ok)[0]), lad.h_ok
 
@@ -81,8 +81,9 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
         # widen the window (double the decade span downward) before giving up;
         # the admissible orders cluster near 2/(2-q) as q approaches 2.
         span = radii[-1] / radii[0]
-        # radii[-1] / span is radii[0]: unique keeps it once in the fit
-        wide = np.unique(np.concatenate([radii, radii / span]))
+        # radii[-1] / span may miss radii[0] by an ulp, and the fit would
+        # count that radius twice: the lower decade stops below it
+        wide = np.unique(np.concatenate([radii[:-1] / span, radii]))
         lad = _ladder(field, x0, wide)
         raw, kept = fit(lad)
         best = min(cands, key=lambda c: abs(c - raw))
@@ -93,7 +94,7 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
     h1_slope = float(_power_fit(radii, norms, kept)[0])
 
     if snapped != "inconclusive":
-        ratio = float(np.min(norms[kept] ** 2 / radii[kept] ** (2.0 * best)))
+        ratio = float((norms[kept] ** 2 / radii[kept] ** (2.0 * best)).min())
     else:
         ratio = float("nan")
     return OrderEstimate(raw_slope=raw, snapped=snapped,

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nodallab import functionals
 from nodallab.construct import construct_uk
@@ -11,8 +11,8 @@ from nodallab.fields import (AngularProfile, ClosedFormField, DomainError, GridF
                              HomogeneousField, PlanarField, _angles, _fmt, _sample_rings,
                              monomial_field)
 from nodallab.functionals import (
-    _GL_T, _GL_W, N_THETA, DegenerateSphereError, FunctionalTrace, InconclusiveError,
-    PreconditionError, _ladder, _power_fit, _require_nodal, check_derivative_identities,
+    _GL_T, _GL_W, EPS_U, N_THETA, DegenerateSphereError, FunctionalTrace, InconclusiveError,
+    PreconditionError, _ladder, _merged_rows, _power_fit, _require_nodal, check_derivative_identities,
     eval_F, eval_Nt, monotonicity_scan, trace, transition_exponent,
 )
 from nodallab.nodal import profile_zero_structure
@@ -742,6 +742,52 @@ def test_derivative_identities_on_interleaved_rows(uk_q1):
     assert rep["radii"] == radii
 
 
+def _next_coinciding(r, target):
+    """The radius r' nearest r / 0.9999 whose row r' - step lands on
+    ``target`` to the bit, or None."""
+    c = target / 0.9999
+    for _ in range(64):
+        c = np.nextafter(c, 0.0)
+    for _ in range(128):
+        if c - 1e-4 * c == target and c > r:
+            return c
+        c = np.nextafter(c, np.inf)
+    return None
+
+
+@st.composite
+def _derivative_ladders(draw):
+    """Ladders whose r - step, r and r + step rows are apart, interleave or
+    coincide (a lower row of one radius equal to a row of the one below)."""
+    radii = [draw(st.floats(0.01, 0.5))]
+    for _ in range(draw(st.integers(0, 5))):
+        r, kind = radii[-1], draw(st.sampled_from(["apart", "interleaved", "on mid", "on hi"]))
+        if kind == "apart":
+            nxt = r * draw(st.floats(1.00021, 1.5))
+        elif kind == "interleaved":
+            nxt = r * draw(st.floats(1.000001, 1.00019))
+        else:
+            nxt = _next_coinciding(r, r if kind == "on mid" else r + 1e-4 * r)
+            assume(nxt is not None)
+        radii.append(nxt)
+    return np.array(radii)
+
+
+@settings(max_examples=100, deadline=None)
+@given(radii=_derivative_ladders())
+def test_merged_rows_are_np_unique(radii):
+    # apart rows interleave into the ladder without a sort; either way the
+    # ladder and the row indices are np.unique's, to the bit
+    step = 1e-4 * radii
+    rows = radii - step, radii, radii + step
+    rs, idx = _merged_rows(*rows)
+    want, back = np.unique(np.stack(rows), return_inverse=True)
+    assert rs.dtype == want.dtype and np.array_equal(rs, want)
+    assert np.array_equal(idx, back.reshape(3, -1))
+    for row, i in zip(rows, idx):
+        assert np.array_equal(rs[i], row)
+
+
 def _annulus_loop_ladder(field, x0, radii, bulk):
     """The six ladder rows as the earlier loop made them: every ring sampled
     at its Cartesian points, one annulus at a time."""
@@ -1045,3 +1091,48 @@ def test_unhashable_separated_field_gets_its_closed_form_ladder():
     radii = np.geomspace(0.02, 0.8, 12)
     for _ in range(2):
         _assert_same_ladder(_ladder(f, ORIGIN, radii), _ladder(mono, ORIGIN, radii))
+
+
+def _nodal_by_evaluation(lad):
+    """The nodal test made by calling the field at the centre."""
+    u0 = abs(float(lad.field(lad.x0[0], lad.x0[1])))
+    return not u0 > EPS_U * np.sqrt((lad.H / (2.0 * np.pi * lad.r)).max())
+
+
+def test_nodal_test_reads_the_largest_circle_rms():
+    # Re z^2 about (a, 0): u(x0) = a^2, and the circle RMS grows from about
+    # a^2 at small radii to r^2 / sqrt(2) at large ones.  At a = 1e-4,
+    # |u(x0)| = 1e-8 lies between EPS_U times the smallest and the largest
+    # RMS, so x0 is nodal; at a = 1e-3 it is above both
+    f = monomial_field(2)
+    radii = np.geomspace(1e-3, 0.5, 8)
+    for a, nodal in ((1e-4, True), (1e-3, False)):
+        lad = _ladder(f, (a, 0.0), radii)
+        rms = np.sqrt(lad.H / (2.0 * np.pi * radii))
+        assert not lad.vertex and _nodal_by_evaluation(lad) == nodal
+        if nodal:
+            assert EPS_U * rms.min() < abs(f(a, 0.0)) <= EPS_U * rms.max()
+            _require_nodal(lad)
+        else:
+            assert EPS_U * rms.max() < abs(f(a, 0.0))
+            with pytest.raises(PreconditionError, match="not a nodal point"):
+                _require_nodal(lad)
+
+
+def test_vertex_nodal_test_agrees_with_evaluating_the_field(uk_q1):
+    # about the vertex of r^gamma phi the test takes u(x0) = 0 from the
+    # separated form, without a field call: on every closed-form ladder of
+    # the test fields, the field called at x0 gives the same verdict
+    fs = [uk_q1, construct_uk(ProblemParams(q=1.5, lambda_minus=2.0), 9).to_field()]
+    fs += [monomial_field(d, phase) for d in range(1, 6) for phase in ("cos", "sin")]
+    fs += [_RotatedMonomial(d, alpha, phase, c) for d in (1, 3, 6) for alpha in (0.0, 0.4, 2.5)
+           for phase in ("cos", "sin") for c in (1e-12, 1.0, 1e6)]
+    ladders = (np.linspace(0.1, 1.0, 4), np.geomspace(0.02, 0.8, 6),
+               0.5 * 2.0 ** -np.arange(8.0)[::-1], [0.6])
+    for f in fs:
+        for radii in ladders:
+            lad = _ladder(f, ORIGIN, radii)
+            assert lad.vertex and _nodal_by_evaluation(lad)
+            _require_nodal(lad)
+        # off the vertex the ladder is Cartesian, and the field is called
+        assert not _ladder(f, (0.1, 0.0), [0.2, 0.5], bulk=False).vertex

@@ -82,16 +82,36 @@ def test_estimate_order_on_grid_samples(q, lam_minus, k, n):
 def test_estimate_order_widened_window_counts_each_radius_once():
     # Re z^3 + Re z^4 grows like r^3, far from the admissible orders 1 and 2
     # of q = 1 with a source term (mu = 1), so the window widens by the
-    # ladder's span; the widened fit counts each radius once, LADDER[0]
-    # (= LADDER[-1] / span) included
+    # ladder's span; the widened fit counts each radius once, radii[0]
+    # included.  On the linear ladder radii[-1] / span misses radii[0] =
+    # 0.012 by one ulp, so a lower decade of radii / span would hold a
+    # second radius one ulp from radii[0]
     m3, m4 = monomial_field(3), monomial_field(4)
     f = ClosedFormField(lambda x, y: m3(x, y) + m4(x, y),
                         lambda x, y: tuple(a + b for a, b in zip(m3.gradf(x, y), m4.gradf(x, y))),
                         ProblemParams(q=1.0))
+    linear = np.linspace(0.012, 0.53, 8)
+    assert linear[-1] / (linear[-1] / linear[0]) != linear[0]
+    for ladder in (LADDER, linear):
+        est = estimate_order(f, ORIGIN, ladder)
+        wide = np.concatenate((ladder[:-1] / ladder[-1] * ladder[0], ladder))
+        lad = _ladder(f, ORIGIN, wide, bulk=False)
+        want = 0.5 * _power_fit(wide, lad.H / wide, lad.h_ok)[0]
+        assert est.snapped == "inconclusive"
+        assert est.r_window == (wide[0], wide[-1])
+        assert abs(est.raw_slope - want) <= 1e-13
+
+
+def test_nondegeneracy_ratio_is_the_smallest_over_the_ladder():
+    # u = Re z^2 + Re z^3 with mu = 0 has order 2, and about the origin its
+    # H^1 norm is closed form: int_B |grad u|^2 = pi (2 r^4 + 3 r^6) and
+    # int_S u^2 = pi (r^5 + r^7), so ||u||^2_H1(r) / r^4 = pi (3 + 4 r^2)
+    # grows with r; the ratio is its value at the smallest radius, not 4 pi
+    m2, m3 = monomial_field(2), monomial_field(3)
+    f = ClosedFormField(lambda x, y: m2(x, y) + m3(x, y),
+                        lambda x, y: tuple(a + b for a, b in zip(m2.gradf(x, y), m3.gradf(x, y))),
+                        ProblemParams(q=1.5, mu=0.0))
     est = estimate_order(f, ORIGIN, LADDER)
-    wide = np.concatenate((LADDER / LADDER[-1] * LADDER[0], LADDER[1:]))
-    lad = _ladder(f, ORIGIN, wide, bulk=False)
-    want = 0.5 * _power_fit(wide, lad.H / wide, lad.h_ok)[0]
-    assert est.snapped == "inconclusive"
-    assert est.r_window == (wide[0], wide[-1])
-    assert abs(est.raw_slope - want) <= 1e-13
+    assert est.snapped == 2.0
+    want = np.pi * (3.0 + 4.0 * LADDER[0] ** 2)
+    assert abs(est.nondegeneracy_ratio - want) < 1e-12 * want
