@@ -367,6 +367,25 @@ def test_detect_singular_two_roots_n256(benchmark):
         assert min(abs(complex(x, y) - root) for x, y, *_ in reps) < 0.02
 
 
+def test_detect_singular_large_k_n256(benchmark):
+    # u_k at q = 1.9, lambda_- = 1, k = 180: 360 rays, closer than a pixel out
+    # to r = 0.45, and one singular point, the vertex
+    field = construct_uk(ProblemParams(q=1.9, lambda_minus=1.0), 180).to_field()
+    reps = benchmark(detect_singular, field, 256)
+    assert len(reps) == 1 and np.hypot(reps[0][0], reps[0][1]) <= 2.0 / 255
+
+
+def test_detect_singular_close_roots_n128(benchmark):
+    # Re((z - 0.1)^2 (z + 0.1)^2): two order-2 points 12.7 pixels apart
+    field = fields.ClosedFormField(
+        lambda x, y: np.real((x + 1j * y - 0.1) ** 2 * (x + 1j * y + 0.1) ** 2),
+        lambda x, y: (0 * x, 0 * y))
+    reps = benchmark(detect_singular, field, 128)
+    assert len(reps) == 2
+    for root in (0.1, -0.1):
+        assert min(abs(complex(x, y) - root) for x, y, *_ in reps) <= 2.0 * 2.0 / 127
+
+
 def test_save_uk_profile(benchmark, uk15, tmp_path):
     # the profile file `nodallab construct` writes: two lines of about 4100
     # %.17g decimals each

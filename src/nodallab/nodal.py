@@ -46,21 +46,22 @@ def _ring_offsets(radius):
 # detection counts the sign changes of u on the 32-pixel ring of radius 4
 _RING = 4
 _RING_A, _RING_B = _ring_offsets(_RING)
-# a kept point of larger score than another within 16 pixels of it is dropped
-_TIE = 16
-# a candidate is the least score over the 9 x 9 pixel window about it
-_WINDOW = 4
+# a candidate is the least score of the 17 x 17 pixel window about it, the first
+# in raster order on a tie: the offsets (a, b) of the window pixels before it
+_WINDOW = 8
+_BEFORE_A, _BEFORE_B = np.indices((2 * _WINDOW + 1,) * 2).reshape(2, -1) - _WINDOW
+_BEFORE_A, _BEFORE_B = _BEFORE_A[:len(_BEFORE_A) // 2], _BEFORE_B[:len(_BEFORE_B) // 2]
 
 
 def _clip_to_disk(seg, radius):
     """Portions inside the disk of the given radius of the rows (x1, y1, x2, y2).
 
     A row with both ends in the closed disk is kept as it is, and ``seg``
-    itself is returned when no row leaves the disk.  For a row with an end
-    outside, solves |a + t d|^2 = radius^2 for t in [0, 1]; one with no
-    proper chord through the disk (zero length, a tangent or missing line, or
-    roots outside [0, 1]) is kept whole when its start lies inside and
-    dropped otherwise. Row order is kept.
+    itself is returned when no row leaves the disk.  A row with an end
+    outside keeps its chord, from solving |a + t d|^2 = radius^2 for t in
+    [0, 1], and is dropped when it has no proper chord through the disk (zero
+    length, a tangent or missing line, or roots outside [0, 1]): then it lies
+    outside the open disk.  Row order is kept.
     """
     sq = seg * seg
     r2 = radius * radius
@@ -86,7 +87,7 @@ def _clip_to_disk(seg, radius):
     out[far[cut]] = np.column_stack((ax[cut] + t0 * dx[cut], ay[cut] + t0 * dy[cut],
                                      ax[cut] + t1 * dx[cut], ay[cut] + t1 * dy[cut]))
     keep = np.ones(len(seg), dtype=bool)
-    keep[far] = C <= 0.0
+    keep[far] = False
     keep[far[cut]] = True
     # np.compress, not out[keep]: a boolean row index took 95 against 14 us
     # on 5781 rows (numpy 2.4.6)
@@ -228,7 +229,7 @@ def _branches(V, i, j):
 
 def detect_singular(field: PlanarField, n: int):
     """Singular points of the unit disk, the least |u| + h*|grad u| of their
-    9 x 9 pixel window among small |u| and |grad u|, about which u changes
+    17 x 17 pixel window among small |u| and |grad u|, about which u changes
     sign at least 4 times.
 
     The n x n grid over [-1, 1]^2, of spacing h, and its disk come from
@@ -244,8 +245,9 @@ def detect_singular(field: PlanarField, n: int):
     pixels whose four neighbours are disk pixels and whose |u| < eps_u (a few
     per cent of the disk on u_k), and nowhere else.  A candidate is a
     mask pixel whose score |u| + h*|grad u| is the least over the mask pixels
-    of its 9 x 9 window.  A non-finite sample raises DataError: a NaN passes
-    no threshold test and would drop a point.
+    of its 17 x 17 window, the first in raster order of equal scores there: on
+    a symmetric field the pixels about the point tie.  A non-finite sample
+    raises DataError: a NaN passes no threshold test and would drop a point.
 
     Near a regular nodal point (vanishing order 1) a bilinear or flat band
     along a nodal line can still pass both thresholds.  So a candidate is kept
@@ -257,9 +259,7 @@ def detect_singular(field: PlanarField, n: int):
     regular nodal point has 2, and a one-signed zero such as x^2 + y^2, which
     by the strong maximum principle no solution has, has none.
     A candidate whose ring has a pixel off the disk or off the grid is dropped:
-    the points of the analysis are interior.  Of kept candidates within 16
-    pixels of each other, the one of least score stays, the first in raster
-    order on a tie: on a symmetric field the pixels about the point tie.
+    the points of the analysis are interior.
 
     Returns a list of (x, y, abs_u, abs_grad, branches) tuples, one per kept
     point, in raster order: the sampled |u| and the central-difference
@@ -282,28 +282,27 @@ def _detect(V):
     i, j, g = i[keep], j[keep], g[keep]
     if len(i) == 0:
         return []
-    # the score on the mask's bounding box, inf off the mask, against its least
-    # value over each pixel's window: a separable minimum filter, rows then columns
-    i0, j0 = i.min(), j.min()
-    s = np.full((i.max() - i0 + 1, j.max() - j0 + 1), np.inf)
-    s[i - i0, j - j0] = score = absV[i, j] + h * g
-    bh, bw = s.shape
-    low = np.pad(s, _WINDOW, constant_values=np.inf)
-    low = functools.reduce(np.minimum, (low[k:k + bh] for k in range(2 * _WINDOW + 1)))
-    low = functools.reduce(np.minimum, (low[:, k:k + bw] for k in range(2 * _WINDOW + 1)))
-    least = score == low[i - i0, j - j0]
-    i, j, g, score = i[least], j[least], g[least], score[least]
-    kept = {}
-    # least score first; the stable sort keeps raster order among equal scores
-    for c in np.argsort(score, kind="stable"):
-        if all((i[c] - i[k]) ** 2 + (j[c] - j[k]) ** 2 > _TIE ** 2 for k in kept):
-            count = _branches(V, i[c], j[c])
-            if count >= 4:
-                kept[c] = count
-    c = sorted(kept)
+    # the score on the mask's bounding box with a margin of _WINDOW, inf off
+    # the mask, and its least over each pixel's window by doubling, rows then
+    # columns (runs of 1, 2, 4, 8, 16, then 17 pixels)
+    i0, j0 = i.min() - _WINDOW, j.min() - _WINDOW
+    s = np.full((i.max() - i0 + _WINDOW + 1, j.max() - j0 + _WINDOW + 1), np.inf)
+    a, b = i - i0, j - j0
+    s[a, b] = score = absV[i, j] + h * g
+    low = s
+    for _ in range(2):
+        width = 1
+        while width < 2 * _WINDOW + 1:
+            step = min(width, 2 * _WINDOW + 1 - width)
+            low = np.minimum(low[:-step], low[step:])
+            width += step
+        low = low.T
+    c = np.flatnonzero(score == low[a - _WINDOW, b - _WINDOW])
+    c = c[(s[a[c, None] + _BEFORE_A, b[c, None] + _BEFORE_B] > score[c, None]).all(axis=1)]
     i, j = i[c], j[c]
-    return list(zip(xs[i].tolist(), xs[j].tolist(), absV[i, j].tolist(),
-                    g[c].tolist(), [kept[k] for k in c]))
+    branches = [_branches(V, ic, jc) for ic, jc in zip(i, j)]
+    return [p for p in zip(xs[i].tolist(), xs[j].tolist(), absV[i, j].tolist(),
+                           g[c].tolist(), branches) if p[4] >= 4]
 
 
 def count_sign_changes(values) -> int:

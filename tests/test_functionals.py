@@ -1099,6 +1099,26 @@ def _nodal_by_evaluation(lad):
     return not u0 > EPS_U * np.sqrt((lad.H / (2.0 * np.pi * lad.r)).max())
 
 
+@pytest.mark.parametrize("t", ["q", 2.0])
+def test_rp_size_is_the_sum_of_the_sizes_of_w_terms(t):
+    # rp_size = int_B |grad u|^2 + |t/q int_B F| + gamma/r H, with the bulk
+    # integrals recovered from two D views: D_t = grad2 - t/q f_bulk, so
+    # f_bulk = q (D_1 - D_2) and grad2 = D_1 + f_bulk / q.  At t = q the F
+    # term is |int_B F| itself, so t = 2 is the case that reads t/q
+    p = ProblemParams(q=1.5, lambda_minus=2.0)
+    u = construct_uk(p, 9).to_field()
+    t = p.q if t == "q" else t
+    gamma = gamma_q(p) + 0.5
+    radii = np.linspace(0.1, 0.6, 6)
+    for field, x0 in ((u, ORIGIN), (u, (0.3, 0.0)), (GridField.sample(u, 129), ORIGIN)):
+        D1, D2, H = (trace(field, name, x0, radii, t=s).values
+                     for name, s in (("D", 1.0), ("D", 2.0), ("H", None)))
+        f_bulk = p.q * (D1 - D2)
+        want = D1 + f_bulk / p.q + np.abs(t / p.q * f_bulk) + gamma / radii * H
+        got = _ladder(field, x0, radii).rp_size(gamma, t)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), x0
+
+
 def test_nodal_test_reads_the_largest_circle_rms():
     # Re z^2 about (a, 0): u(x0) = a^2, and the circle RMS grows from about
     # a^2 at small radii to r^2 / sqrt(2) at large ones.  At a = 1e-4,

@@ -47,16 +47,17 @@ def _clip_ref(a, b, radius):
     A = dx * dx + dy * dy
     B = 2.0 * (ax * dx + ay * dy)
     C = ax * ax + ay * ay - radius * radius
+    # a segment with an end outside and no proper chord lies outside the open disk
     if A == 0.0:
-        return (a, b) if C <= 0.0 else None
+        return None
     disc = B * B - 4.0 * A * C
     if disc <= 0.0:
-        return (a, b) if C <= 0.0 else None
+        return None
     s = np.sqrt(disc)
     t0 = max(0.0, (-B - s) / (2.0 * A))
     t1 = min(1.0, (-B + s) / (2.0 * A))
     if t0 >= t1:
-        return (a, b) if C <= 0.0 else None
+        return None
     return ((ax + t0 * dx, ay + t0 * dy), (ax + t1 * dx, ay + t1 * dy))
 
 
@@ -123,8 +124,9 @@ def _branches_ref(V, inside, i0, j0):
 
 def _minima_ref(field, n):
     """Every pixel of small |u| and |grad u| whose score |u| + h |grad u| is
-    the least over the mask pixels of its 9 x 9 window, in raster order, as
-    (point, score, i, j), before the branch and tie rules."""
+    the least over the mask pixels of its 17 x 17 window, and the first in
+    raster order of the window's pixels with that score, in raster order, as
+    (point, i, j), before the branch rule."""
     xs = np.linspace(-1.0, 1.0, n)
     h = xs[1] - xs[0]
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -137,31 +139,24 @@ def _minima_ref(field, n):
     G = np.where(core, np.hypot(W[2:, 1:-1] - W[:-2, 1:-1], W[1:-1, 2:] - W[1:-1, :-2]) / (2 * h),
                  np.inf)
     # |u| and |grad u| against one scale, the largest |u| on the disk pixels
-    gamma = 2.0 / (2.0 - field.params.q)
     M = np.abs(V[inside]).max()
-    eps_u = 10.0 * h ** min(gamma, 2.0) * M
-    eps_g = 10.0 * h * M
-    mask = inside & (np.abs(V) < eps_u) & (G < eps_g)
-    score = np.abs(V) + h * G
+    mask = inside & (np.abs(V) < 10.0 * h ** 2 * M) & (G < 10.0 * h * M)
+    score = np.where(mask, np.abs(V) + h * G, np.inf)
     minima = []
     for i, j in np.argwhere(mask):
-        window = np.s_[max(i - 4, 0):i + 5, max(j - 4, 0):j + 5]
-        if score[i, j] <= score[window][mask[window]].min():
+        i0, j0 = max(i - 8, 0), max(j - 8, 0)
+        window = score[i0:i + 9, j0:j + 9]
+        # argmin gives the first least entry of the window in raster order
+        if np.unravel_index(np.argmin(window), window.shape) == (i - i0, j - j0):
             point = (float(X[i, j]), float(Y[i, j]), float(abs(V[i, j])), float(G[i, j]),
                      _branches_ref(V, inside, i, j))
-            minima.append((point, score[i, j], i, j))
+            minima.append((point, i, j))
     return minima
 
 
 def _detect_singular_ref(field, n):
-    """The minima with 4 or more sign changes on their ring, greedily by
-    least score (raster order on a tie), each dropped within 16 pixels of one
-    kept before it; in raster order."""
-    kept = []
-    for m in sorted((m for m in _minima_ref(field, n) if m[0][4] >= 4), key=lambda m: m[1]):
-        if all(np.hypot(m[2] - k[2], m[3] - k[3]) > 16 for k in kept):
-            kept.append(m)
-    return [m[0] for m in sorted(kept, key=lambda m: (m[2], m[3]))]
+    """The minima with 4 or more sign changes on their ring, in raster order."""
+    return [m[0] for m in _minima_ref(field, n) if m[0][4] >= 4]
 
 
 def _assert_matches_ref(got, ref):
@@ -557,6 +552,8 @@ def test_egg_crate_has_saddle_cells():
     ((-2.0, 0.1), (2.0, 0.2), 1.0),     # crosses the disk: clipped at both ends
     ((0.0, 0.0), (3.0, 0.0), 1.0),      # leaves the disk: clipped at the end
     ((1.5, 0.0), (2.5, 0.0), 1.0),      # on a secant line, beyond the disk: t0 >= t1
+    ((0.5, 0.0), (0.6, 0.0), 0.5),      # starts on the circle and leaves: t0 >= t1, dropped
+    ((0.0, 0.5), (0.3, 0.5), 0.5),      # tangent from its point of contact: dropped
 ])
 def test_clip_to_disk_matches_scalar_clip(a, b, radius):
     want = _clip_ref(a, b, radius)
@@ -566,6 +563,21 @@ def test_clip_to_disk_matches_scalar_clip(a, b, radius):
     else:
         assert got.tolist() == [[*want[0], *want[1]]]
     assert nodal_length(NodalSet([(a, b)]), radius) == _length_ref([(a, b)], radius)
+
+
+def test_nodal_length_of_a_segment_from_the_circle(uk_q1):
+    # at n = 257 a grid node lies on r = 1/2 on the zero ray theta = 0, so a
+    # segment starts on the circle and leaves it: it adds no length in the
+    # disk, where counted whole it adds one pixel, 2 / 256.  The reference
+    # samples each segment at 201 points and takes the share inside
+    seg = extract_nodal_set(uk_q1, 257).segments
+    assert np.any(np.hypot(seg[..., 0], seg[..., 1]) == 0.5)
+    s = np.linspace(0.0, 1.0, 201)[:, None, None]
+    pts = seg[:, 0] + s * (seg[:, 1] - seg[:, 0])
+    share = np.mean(np.hypot(pts[..., 0], pts[..., 1]) <= 0.5, axis=0)
+    want = np.sum(share * np.hypot(*(seg[:, 1] - seg[:, 0]).T))
+    got = nodal_length(NodalSet(seg), 0.5)
+    assert abs(got - want) < 0.1 * 2.0 / 256
 
 
 @settings(max_examples=25, deadline=None)
@@ -586,10 +598,11 @@ def test_detect_singular_matches_window_scan(uk_q1, uk15_grid):
     _assert_matches_ref(got, _detect_singular_ref(saddle, 128))
     xs = np.linspace(-1.0, 1.0, 128)
     assert got == [(xs[63], xs[63], xs[63] ** 2, float(np.hypot(xs[63], xs[63])), 4)]
-    # the bowl x^2 + y^2 has the same four minima, but it is one-signed: no
-    # sign change on the ring, so no point (no solution has such a zero)
+    # the bowl x^2 + y^2 has the same tie and the same one minimum, but it is
+    # one-signed: no sign change on the ring, so no point (no solution has
+    # such a zero)
     bowl = ClosedFormField(lambda x, y: x * x + y * y, lambda x, y: (2 * x, 2 * y))
-    assert len(_minima_ref(bowl, 128)) == 4 and detect_singular(bowl, 128) == []
+    assert len(_minima_ref(bowl, 128)) == 1 and detect_singular(bowl, 128) == []
     _assert_matches_ref(detect_singular(uk_q1, 256), _detect_singular_ref(uk_q1, 256))
     # with |u| held against the sample's own largest value, the bilinear
     # sample has one window minimum of small |u| and |grad u|, at the
@@ -599,10 +612,10 @@ def test_detect_singular_matches_window_scan(uk_q1, uk15_grid):
     got = detect_singular(uk15_grid, 256)
     assert len(got) == 1 and np.hypot(got[0][0], got[0][1]) < 0.05
     _assert_matches_ref(got, _detect_singular_ref(uk15_grid, 256))
-    # two roots: of 7, 3 and 4 minima at n = 256, 96 and 128, all but the
+    # two roots: of 4, 2 and 4 minima at n = 256, 96 and 128, all but the
     # roots change sign twice and go, among them (-0.071, 0.039) at n = 128
     field = _roots_field(*_TWO_ROOTS)
-    for n, count in ((256, 7), (96, 3), (128, 4)):
+    for n, count in ((256, 4), (96, 2), (128, 4)):
         assert len(_minima_ref(field, n)) == count
         got = detect_singular(field, n)
         assert len(got) == 2
@@ -697,6 +710,30 @@ def test_detect_singular_finds_only_the_two_roots_at_n_128():
     assert len(got) == 2 and sorted(p[4] for p in got) == [4, 6]
 
 
+def test_detect_singular_keeps_two_roots_13_pixels_apart():
+    # Re((z - 0.1)^2 (z + 0.1)^2) at n = 128: the roots are 12.7 pixels apart,
+    # outside each other's 17 x 17 window, and both stay, exact and sampled
+    field = _roots_field((0.1, 2), (-0.1, 2))
+    for f in (field, GridField.sample(field, 513)):
+        got = detect_singular(f, 128)
+        assert len(got) == 2 and [p[4] for p in got] == [4, 4]
+        for root in (0.1, -0.1):
+            assert min(abs(complex(x, y) - root) for x, y, *_ in got) <= 2.0 * 2.0 / 127
+        _assert_matches_ref(got, _detect_singular_ref(f, 128))
+
+
+def test_detect_singular_finds_one_vertex_at_large_k():
+    # u_k at q = 1.9, lambda_- = 1, k = 180 (gamma_q = 20): |u| < eps_u on the
+    # whole disk r < 0.69, and the 360 rays are closer than a pixel out to
+    # r = 0.45; its one singular point is the vertex.  The pixels on the
+    # diagonals 40 pixels from it, with 28 sign changes on their rings, are
+    # the least of their 9 x 9 windows but not of their 17 x 17 ones
+    u = construct_uk(ProblemParams(q=1.9, lambda_minus=1.0), 180).to_field()
+    got = detect_singular(u, 256)
+    assert len(got) == 1 and np.hypot(got[0][0], got[0][1]) <= 2.0 / 255
+    _assert_matches_ref(got, _detect_singular_ref(u, 256))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 @pytest.mark.parametrize("phase", ["cos", "sin"])
 def test_detect_singular_counts_the_branches_of_z_d(d, phase):
@@ -719,7 +756,7 @@ def test_detect_singular_drops_a_ring_off_the_disk():
     for m in range(1, 9):
         for i0 in (m, n - 1 - m):
             field = _roots_field((xs[i0], 3))
-            assert (i0, n // 2) in [(r[2], r[3]) for r in _minima_ref(field, n)]
+            assert (i0, n // 2) in [(r[1], r[2]) for r in _minima_ref(field, n)]
             want = [(xs[i0], 0.0, 0.0, 2.0**-12, 6)] if m >= 5 else []
             assert detect_singular(field, n) == want
 
