@@ -78,11 +78,15 @@ def large_k():
 
 
 def multi_root():
-    for roots in ROOTS:
-        label = " ".join(f"({complex(a):g})^{m}" for a, m in roots)
-        for source, f in _fields(roots_field(roots)):
-            for n in ROOT_NS:
-                yield f"{label} {source} n={n}", f, n, [a for a, _ in roots], 4.0 / (n - 1)
+    # the fields once, then one n at a time: ``nodal._disk`` keeps only four
+    # grid sizes, and cycling through all six for each field missed it on
+    # every call
+    fields = [(" ".join(f"({complex(a):g})^{m}" for a, m in roots), source, f,
+               [a for a, _ in roots])
+              for roots in ROOTS for source, f in _fields(roots_field(roots))]
+    for n in ROOT_NS:
+        for label, source, f, roots in fields:
+            yield f"{label} {source} n={n}", f, n, roots, 4.0 / (n - 1)
 
 
 def nodal_grids():

@@ -65,10 +65,10 @@ class ArcMinimizer:
 
     @property
     def h(self) -> float:
-        return self.length / (self.n + 1)
+        return _arc_spacing(self.length, self.n)
 
     def padded(self) -> np.ndarray:
-        return np.concatenate(([0.0], self.values, [0.0]))
+        return _padded(self.values)
 
     def spline(self, offset=0.0) -> ClampedCubic:
         """Clamped cubic through the samples, shifted to start at `offset`."""
@@ -183,11 +183,20 @@ def _solve_tridiagonal(lower, diag, upper, b):
     return x
 
 
-def _arc_energy(phi_padded, h, gamma2, lam, q):
-    dphi = np.diff(phi_padded) / h
+def _arc_spacing(length, n):
+    """The spacing of n interior nodes between the two ends of an arc."""
+    return length / (n + 1)
+
+
+def _padded(values):
+    """The interior samples of an arc with its two zero ends."""
+    return np.concatenate(([0.0], values, [0.0]))
+
+
+def _arc_energy(phi, h, gamma2, lam, q):
+    dphi = np.diff(_padded(phi)) / h
     kinetic = 0.5 * h * np.sum(dphi * dphi)
-    interior = phi_padded[1:-1]
-    potential = h * np.sum(0.5 * gamma2 * interior**2 + lam / q * np.abs(interior) ** q)
+    potential = h * np.sum(0.5 * gamma2 * phi**2 + lam / q * np.abs(phi) ** q)
     return kinetic - potential
 
 
@@ -197,7 +206,7 @@ _NEWTON_MAXITER = 200
 
 def _solve_positive_arc(q, lam, gamma2, length, n):
     """Interior samples of the positive Dirichlet minimizer on (0, length)."""
-    h = length / (n + 1)
+    h = _arc_spacing(length, n)
     off = np.full(n - 1, -1.0 / h**2)
     diag = 2.0 / h**2 - gamma2
     not_coercive = (f"arc length {length} too close to pi/gamma_q for the grid (n={n}): "
@@ -215,8 +224,8 @@ def _solve_positive_arc(q, lam, gamma2, length, n):
 
     # starting ray: the first Dirichlet eigenfunction psi; the discrete energy
     # along c*psi is c^2 A - c^q B, smallest at c = (qB/2A)^(1/(2-q))
-    psi = np.sin(np.pi * h * np.arange(1, n + 1) / length)
-    dpsi = np.diff(np.concatenate(([0.0], psi, [0.0]))) / h
+    psi = np.sin(np.pi * h * np.arange(n + 2)[1:-1] / length)
+    dpsi = np.diff(_padded(psi)) / h
     A = 0.5 * h * (np.sum(dpsi * dpsi) - gamma2 * np.sum(psi * psi))
     if A <= 0:
         raise SolverError(not_coercive)
@@ -285,10 +294,10 @@ def minimize_arc(params: ProblemParams, t: float, T: float, side: str,
         raise ValueError(f"side {side} needs a positive coefficient")
 
     vals = _solve_positive_arc(params.q, lam, g * g, length, n)
-    h = length / (n + 1)
+    h = _arc_spacing(length, n)
     sl = (4.0 * vals[0] - vals[1]) / (2.0 * h)
     sr = (-4.0 * vals[-1] + vals[-2]) / (2.0 * h)
-    energy = _arc_energy(np.concatenate(([0.0], vals, [0.0])), h, g * g, lam, params.q)
+    energy = _arc_energy(vals, h, g * g, lam, params.q)
     if energy >= 0:
         raise SolverError(
             f"arc energy {energy} not negative; increase the grid size (n={n})")

@@ -404,13 +404,17 @@ class GridField(PlanarField):
         """``f`` on the n x n grid over [-1, 1]^2, with ``f.params``; the
         size is checked before ``f`` is called."""
         cls._check_side(n)
-        xs = np.linspace(-1.0, 1.0, n)
-        return cls(_sample_grid(f, xs, np.ones((n, n), dtype=bool)), f.params)
+        return cls(_sample_grid(f, _grid_axis(n), np.ones((n, n), dtype=bool)), f.params)
 
 
 # points per field call when sampling a grid: the field's temporaries for one
 # band of rows stay cache-sized
 _BAND_POINTS = 16384
+
+
+def _grid_axis(n):
+    """The n nodes on each axis of a ``GridField`` and of the nodal sample."""
+    return np.linspace(-1.0, 1.0, n)
 
 
 def _sample_grid(field, xs, inside):
@@ -699,10 +703,11 @@ def _construct(cls, lineno, *args):
 
 
 def _check_end(lines, end):
-    """Refuse any line after the samples, which end before ``lines[end]``: a
-    row written twice would otherwise shift the rows after it and drop the
-    last one unseen."""
-    if len(lines) > end:
+    """Refuse any line after the samples, which end before ``lines[end]``,
+    but for trailing blank ones, such as an editor's final newline: a row
+    written twice would otherwise shift the rows after it and drop the last
+    one unseen."""
+    if any(line.strip() for line in lines[end:]):
         raise ParseError(f"line {end + 1}: unexpected line after the samples")
 
 

@@ -255,8 +255,12 @@ class _Ladder:
             raise DegenerateSphereError(f"H({r}) = {H} below floor; x0 is a high-order zero")
         return self.r * self.D(t) / self.H
 
+    def p(self, gamma):
+        """The Weiss exponent N - 2 + 2 gamma: W is r^-p times ``rp_W``."""
+        return N_DIM - 2 + 2 * gamma
+
     def rp_W(self, gamma, t):
-        """r^p W(gamma, t) with p = N - 2 + 2 gamma: W without its factor r^-p."""
+        """r^p W(gamma, t): W without its factor r^-p."""
         return self.D(t) - gamma / self.r * self.H
 
     def rp_size(self, gamma, t):
@@ -264,18 +268,22 @@ class _Ladder:
         q = self.field.params.q
         return self.grad2 + np.abs(t / q * self.f_bulk) + gamma / self.r * self.H
 
+    def rp_floor(self, gamma, t):
+        """r^p times W(gamma, t)'s floor, its terms' size times the error rel."""
+        return self.rp_size(gamma, t) * self.rel
+
     def W(self, gamma, t):
-        return _scaled(self.r, N_DIM - 2 + 2 * gamma, self.rp_W(gamma, t))[0]
+        return _scaled(self.r, self.p(gamma), self.rp_W(gamma, t))[0]
 
     def size(self, gamma, t):
         """The magnitude of W's own terms, r^-p (int |grad u|^2 + |t/q int F|)
-        + gamma r^-(p+1) H with p = N - 2 + 2 gamma."""
-        return _scaled(self.r, N_DIM - 2 + 2 * gamma, self.rp_size(gamma, t))[0]
+        + gamma r^-(p+1) H."""
+        return _scaled(self.r, self.p(gamma), self.rp_size(gamma, t))[0]
 
     def Phi(self, gamma):
-        """Nonnegative bulk term (2N-(N-2)q)/(q r^(N-1+2 gamma)) * int_{B_r} F."""
+        """Nonnegative bulk term (2N-(N-2)q)/(q r^(p+1)) * int_{B_r} F."""
         q = self.field.params.q
-        return (2 * N_DIM - (N_DIM - 2) * q) / q * _scaled(self.r, N_DIM - 1 + 2 * gamma, self.f_bulk)[0]
+        return (2 * N_DIM - (N_DIM - 2) * q) / q * _scaled(self.r, self.p(gamma) + 1, self.f_bulk)[0]
 
     def h1(self):
         """Scale-invariant H^1 norm: sqrt(r^(2-N) int |grad u|^2 + r^(1-N) int_S u^2)."""
@@ -283,8 +291,7 @@ class _Ladder:
 
     def w_prime(self, gamma, t):
         """Closed-form derivative of W(gamma, t) with respect to r."""
-        r, q = self.r, self.field.params.q
-        p = N_DIM - 2 + 2 * gamma
+        r, q, p = self.r, self.field.params.q, self.p(gamma)
         # circle integral of (u_nu - gamma u / r)^2
         sq_term = self.unu2 - 2.0 * gamma / r * self.uunu + (gamma / r) ** 2 * self.H
         sq, f_circle = _scaled(r, p, sq_term, self.f_circle)
@@ -474,8 +481,8 @@ def monotonicity_scan(field, x0, gamma, radii):
     # test is made on those times r_j^p: the factor s = (r_j / r_(j+1))^p on
     # the larger radius lies in (0, 1] and cannot overflow; the NaN floor
     # where H = 0 is never a drop
-    p = N_DIM - 2 + 2 * gamma
-    rpw, floor = lad.rp_W(gamma, 2.0), lad.rp_size(gamma, 2.0) * lad.rel
+    p = lad.p(gamma)
+    rpw, floor = lad.rp_W(gamma, 2.0), lad.rp_floor(gamma, 2.0)
     s = (radii[:-1] / radii[1:]) ** p
     drops = np.flatnonzero(rpw[:-1] - s * rpw[1:] > floor[:-1] + s * floor[1:])
     ws = _scaled(radii, p, rpw)[0]
@@ -509,12 +516,12 @@ def transition_exponent(field, x0, gammas, radii):
     # gamma (0.02^-400) where the verdict is plain: classify r^(2 gamma) W,
     # whose log-log slope is 2 gamma more than W's
     g = gammas[:, None]
-    rpW, floor = lad.rp_W(g, 2.0), lad.rp_size(g, 2.0) * lad.rel
+    rpW, floor = lad.rp_W(g, 2.0), lad.rp_floor(g, 2.0)
     decade = radii <= radii[0] * 10.0
     if np.count_nonzero(decade) < 3:
         decade = np.arange(len(radii)) < max(3, len(radii) // 3)
     slope = _power_fit(radii, np.abs(rpW), decade & (np.abs(rpW) > floor))[0]
-    slope -= N_DIM - 2 + 2 * gammas
+    slope -= lad.p(gammas)
     # a NaN slope (fewer than two points above the floor) counts as bounded
     divergent = (rpW[:, 0] <= -floor[:, 0]) & (slope < -SLOPE_TOL)
     if not divergent.any():

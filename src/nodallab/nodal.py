@@ -21,7 +21,7 @@ import operator
 
 import numpy as np
 
-from .fields import NodalSet, PlanarField, _angles, _sample_grid
+from .fields import NodalSet, PlanarField, _angles, _grid_axis, _sample_grid
 
 
 class DataError(ValueError):
@@ -56,9 +56,8 @@ _BEFORE_A, _BEFORE_B = _BEFORE_A[:len(_BEFORE_A) // 2], _BEFORE_B[:len(_BEFORE_B
 def _clip_to_disk(seg, radius):
     """Portions inside the disk of the given radius of the rows (x1, y1, x2, y2).
 
-    A row with both ends in the closed disk is kept as it is, and ``seg``
-    itself is returned when no row leaves the disk.  A row with an end
-    outside keeps its chord, from solving |a + t d|^2 = radius^2 for t in
+    A row with both ends in the closed disk is kept as it is.  A row with an
+    end outside keeps its chord, from solving |a + t d|^2 = radius^2 for t in
     [0, 1], and is dropped when it has no proper chord through the disk (zero
     length, a tangent or missing line, or roots outside [0, 1]): then it lies
     outside the open disk.  Row order is kept.
@@ -67,8 +66,6 @@ def _clip_to_disk(seg, radius):
     r2 = radius * radius
     # a row with a NaN end fails the test and takes the chord path
     far = np.flatnonzero(~((sq[:, 0] + sq[:, 1] <= r2) & (sq[:, 2] + sq[:, 3] <= r2)))
-    if len(far) == 0:
-        return seg
     ax, ay, bx, by = seg.take(far, axis=0).T
     dx, dy = bx - ax, by - ay
     A = dx * dx + dy * dy
@@ -107,7 +104,7 @@ def _disk(n):
     of the cells whose four corners lie in it, and the mask of its pixels
     whose four neighbours lie in it too.  Every caller shares these arrays,
     so they are read-only."""
-    xs = np.linspace(-1.0, 1.0, n)
+    xs = _grid_axis(n)
     xx = xs * xs
     inside = xx[:, None] + xx[None, :] <= 1.0 + 1e-15
     cells = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
@@ -137,21 +134,16 @@ def _sample_disk(field, n):
 
 
 def extract_nodal_set(field: PlanarField, n: int) -> NodalSet:
-    """Marching-squares zero set of the field inside the unit disk."""
-    return _extract(field, _sample_disk(field, n))
+    """Marching-squares zero set of the field in the cells with four corners
+    in the disk of :func:`_disk`; each end, on a cell's edge, lies in it to rounding."""
+    return NodalSet(_cell_segments(field, _sample_disk(field, n)))
 
 
 def extract_and_detect(field: PlanarField, n: int) -> tuple[NodalSet, list]:
     """:func:`extract_nodal_set` and :func:`detect_singular` on one sample of
     the disk: the nodal stage of ``nodallab analyze``."""
     V = _sample_disk(field, n)
-    return _extract(field, V), _detect(V)
-
-
-def _extract(field, V):
-    """:func:`extract_nodal_set` on the sample ``V`` of :func:`_sample_disk`."""
-    # the cell pass returns before the clip, so their temporaries never coexist
-    return NodalSet(_clip_to_disk(_cell_segments(field, V), 1.0))
+    return NodalSet(_cell_segments(field, V)), _detect(V)
 
 
 def _cell_segments(field, V):

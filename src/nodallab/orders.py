@@ -67,17 +67,20 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
         raise ValueError("ladder needs at least 8 radii")
 
     def fit(lad):
-        """Half the slope of H / r^(N-1) over the radii whose H clears its floor, and those radii."""
+        """Half the slope of H / r^(N-1) over the radii whose H clears its
+        floor, those radii, and the admissible order nearest the slope if it
+        is within SNAP_TOL, else "inconclusive", also for a NaN slope."""
         if not lad.h_ok.any():
             raise ZeroFieldError("H below the noise floor on the whole ladder")
-        return 0.5 * float(_power_fit(lad.r, lad.H / lad.r ** (N_DIM - 1), lad.h_ok)[0]), lad.h_ok
+        raw = 0.5 * float(_power_fit(lad.r, lad.H / lad.r ** (N_DIM - 1), lad.h_ok)[0])
+        best = min(cands, key=lambda c: abs(c - raw))
+        return raw, lad.h_ok, best if abs(best - raw) <= SNAP_TOL else "inconclusive"
 
     lad = _ladder(field, x0, radii)
     _require_nodal(lad)
-    raw, kept = fit(lad)
     cands = admissible_orders(field.params)
-    best = min(cands, key=lambda c: abs(c - raw))
-    if not abs(best - raw) <= SNAP_TOL:  # a NaN slope widens the window too
+    raw, kept, snapped = fit(lad)
+    if snapped == "inconclusive":
         # widen the window (double the decade span downward) before giving up;
         # the admissible orders cluster near 2/(2-q) as q approaches 2.
         span = radii[-1] / radii[0]
@@ -85,16 +88,14 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
         # count that radius twice: the lower decade stops below it
         wide = np.unique(np.concatenate([radii[:-1] / span, radii]))
         lad = _ladder(field, x0, wide)
-        raw, kept = fit(lad)
-        best = min(cands, key=lambda c: abs(c - raw))
+        raw, kept, snapped = fit(lad)
         radii = wide
-    snapped = best if abs(best - raw) <= SNAP_TOL else "inconclusive"
 
     norms = lad.h1()
     h1_slope = float(_power_fit(radii, norms, kept)[0])
 
     if snapped != "inconclusive":
-        ratio = float((norms[kept] ** 2 / radii[kept] ** (2.0 * best)).min())
+        ratio = float((norms[kept] ** 2 / radii[kept] ** (2.0 * snapped)).min())
     else:
         ratio = float("nan")
     return OrderEstimate(raw_slope=raw, snapped=snapped,

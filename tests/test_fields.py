@@ -278,6 +278,26 @@ def test_load_refuses_a_line_after_the_samples(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("tail", ["\n", "   \n\n"], ids=["newline", "blank-lines"])
+def test_load_takes_trailing_blank_lines(tmp_path, tail):
+    # an editor's final newline after the samples is no line of data, but a
+    # line after blank ones is, and so is a blank line between two rows
+    path = tmp_path / "g.txt"
+    grid = GridField.sample(monomial_field(2), 4)
+    save(grid, path)
+    text = path.read_text()
+    path.write_text(text + tail)
+    got = load(path)
+    assert np.array_equal(got.values, grid.values) and got.params == grid.params
+    path.write_text(text + tail + "0 0 0 0\n")
+    with pytest.raises(ParseError, match="^line 11: unexpected line after the samples$"):
+        load(path)
+    lines = text.splitlines(keepends=True)
+    path.write_text("".join(lines[:8] + [tail] + lines[8:]))
+    with pytest.raises(ParseError, match="^line 9: expected 4 samples, got 0$"):
+        load(path)
+
+
 def test_save_refuses_other_objects(tmp_path):
     # a closed-form field has no text form; nothing is written
     path = tmp_path / "f.txt"

@@ -259,6 +259,27 @@ def test_monotonicity_scan():
                                            rel=1e-12)
 
 
+def test_monotonicity_scan_counts_a_drop_past_both_floors():
+    # u = Re z^2 + eps r^3 with mu = 0 has W(2, 2) = -pi eps^2 r^2, which falls
+    # as r grows.  On its 129^2 sample a drop of W counts when it exceeds what
+    # the two values may be off by together, the floors of both radii; at
+    # eps = 0.11 the drop from r = 0.4 to 0.8 clears the floor at 0.4 alone
+    # but not the sum
+    radii = [0.4, 0.8]
+    between = []
+    for eps in (0.1, 0.11, 0.12, 0.13):
+        f = ClosedFormField(lambda x, y: x * x - y * y + eps * np.hypot(x, y) ** 3,
+                            lambda x, y: (0 * x, 0 * y), ProblemParams(q=1.0, mu=0.0))
+        grid = GridField.sample(f, 129)
+        lad = _ladder(grid, ORIGIN, radii)
+        w, floor = lad.W(2.0, 2.0), lad.size(2.0, 2.0) * lad.rel
+        drop = w[0] - w[1]
+        verdict = monotonicity_scan(grid, ORIGIN, 2.0, radii)["verdict"]
+        assert (verdict == "violation") == (drop > floor[0] + floor[1]), eps
+        between.append(floor[0] < drop <= floor[0] + floor[1])
+    assert any(between)
+
+
 def test_monotonicity_scan_large_gamma_does_not_overflow():
     # W(200, 2) of Re z^2 is -C r^-396: its factor r^-400 overflows below
     # r = 0.17, so the verdict is decided without it, and only the values
@@ -522,6 +543,22 @@ def test_transition_exponent_short_ladder_reads_its_first_third():
     gammas = np.arange(1.5, 2.5001, 0.05)
     est = transition_exponent(monomial_field(2), ORIGIN, gammas, np.geomspace(0.01, 0.9, 4))
     assert est == pytest.approx(2.025, abs=1e-12)
+
+
+def test_transition_exponent_reads_no_divergence_within_the_floor():
+    # on the 257^2 sample of Re z^2 (mu = 0), r^p W(gamma, 2) at r_min = 0.02
+    # is negative but within its floor for gamma from 2 to 2.4: W there may
+    # be off by more than its own size, so none of those gammas diverges, and
+    # the transition lies above them all
+    grid = GridField.sample(monomial_field(2), 257)
+    radii = np.geomspace(0.02, 0.8, 6)
+    gammas = np.arange(1.5, 2.5001, 0.05)
+    lad = _ladder(grid, ORIGIN, radii)
+    rpW, floor = lad.rp_W(gammas[:, None], 2.0)[:, 0], lad.rp_floor(gammas[:, None], 2.0)[:, 0]
+    within = (rpW < 0) & (rpW > -floor)
+    est = transition_exponent(grid, ORIGIN, gammas, radii)
+    assert np.count_nonzero(within) > 1 and np.all(gammas[within] < est)
+    assert est == _transition_exponent_per_gamma(grid, ORIGIN, gammas, radii)
 
 
 def test_transition_exponent_empty_gammas():
@@ -942,6 +979,19 @@ def test_rotated_monomial_order_snaps_to_its_degree(d, alpha, phase, log_c):
     est = estimate_order(_RotatedMonomial(d, alpha, phase, 10.0**log_c), ORIGIN, ladder)
     assert est.snapped == float(d)
     assert estimate_order(_RotatedMonomial(d, alpha, phase, 1.0), ORIGIN, ladder).snapped == est.snapped
+
+
+@settings(max_examples=15, deadline=None)
+@given(d=st.integers(1, 6), alpha=st.floats(0.0, 2.0 * np.pi), phase=st.sampled_from(["cos", "sin"]))
+def test_rotated_monomial_order_on_its_513_sample(d, alpha, phase):
+    # on a grid sample the order is only as good as the grid: it snaps to d
+    # within criterion 06's tolerance or reads "inconclusive", never another
+    # order.  On criterion 06's ladder the 513^2 sample resolves d <= 5,
+    # where H clears its floor on the circles r = 1/4 and 1/2; at d = 6 only
+    # r = 1/2 is left, also on the widened window, and the slope is NaN
+    grid = GridField.sample(_RotatedMonomial(d, alpha, phase, 1.0), 513)
+    est = estimate_order(grid, ORIGIN, 0.5 * 2.0 ** -np.arange(8.0)[::-1])
+    assert est.snapped == "inconclusive" or (est.snapped == d and abs(est.raw_slope - d) < 0.05)
 
 
 @settings(max_examples=25, deadline=None)

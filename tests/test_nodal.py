@@ -21,11 +21,15 @@ def uk_q1():
 
 
 @pytest.fixture(scope="module")
-def uk15_grid():
+def uk15():
+    return construct_uk(ProblemParams(q=1.5, lambda_minus=2.5), 10).to_field()
+
+
+@pytest.fixture(scope="module")
+def uk15_grid(uk15):
     # the 513^2 bilinear sample of u_k at q = 1.5, lambda_- = 2.5, k = 10:
     # flat bands along its nodal rays, one vertex at the origin
-    return GridField.sample(
-        construct_uk(ProblemParams(q=1.5, lambda_minus=2.5), 10).to_field(), 513)
+    return GridField.sample(uk15, 513)
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +101,7 @@ def _extract_ref(field, n):
                     segments += [(pts["b"], pts["r"]), (pts["l"], pts["t"])]
                 else:
                     segments += [(pts["b"], pts["l"]), (pts["r"], pts["t"])]
-    clipped = [_clip_ref(a, b, 1.0) for a, b in segments]
-    return [seg for seg in clipped if seg is not None]
+    return segments
 
 
 def _length_ref(segments, radius):
@@ -588,6 +591,52 @@ def test_segments_stay_in_disk(n, kind, d, alpha):
     seg = np.asarray(extract_nodal_set(field, n).segments, dtype=float)
     assert len(seg) > 0
     assert np.all(np.hypot(seg[..., 0], seg[..., 1]) <= 1 + 1e-12)
+
+
+def _nodes_past_r_1(n):
+    """The nodes (i, j) of the n x n grid xs of extraction with
+    1 < xs[i]^2 + xs[j]^2 <= 1 + 1e-15: in the disk of ``nodal._disk`` and
+    off the closed unit disk.  Only a node on the circle, where
+    (2 i - n + 1)^2 + (2 j - n + 1)^2 = (n - 1)^2, comes within 1e-15 of it,
+    so the columns nearest y = +-sqrt(1 - x^2) in each row are all it takes."""
+    xs = np.linspace(-1.0, 1.0, n)
+    xx = xs * xs
+    j = np.rint((1.0 + np.sqrt(1.0 - xx)) * (n - 1) / 2).astype(int)
+    i, j = np.concatenate((np.arange(n), np.arange(n))), np.concatenate((j, n - 1 - j))
+    r2 = xx[i] + xx[j]
+    past = (r2 > 1.0) & (r2 <= 1.0 + 1e-15)
+    return i[past], j[past]
+
+
+# the 145 sizes in [64, 1024] where such a node exists, none of them 256 or 512
+_SIZES_PAST_R_1 = [n for n in range(64, 1025) if len(_nodes_past_r_1(n)[0])]
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.sampled_from(_SIZES_PAST_R_1), kind=st.sampled_from(["u_k", "u_k 513^2", "z^d"]),
+       d=st.integers(1, 6), alpha=st.floats(0.0, 2 * np.pi), phase=st.sampled_from(["cos", "sin"]))
+def test_extraction_stays_in_the_disk_of_its_mask(n, kind, d, alpha, phase, uk15, uk15_grid):
+    # every end is a crossing on an edge of a cell whose four corners pass
+    # the mask x^2 + y^2 <= 1 + 1e-15, so it passes it too, up to the
+    # rounding of its interpolation, at the sizes where a corner lies past r = 1
+    field = {"u_k": uk15, "u_k 513^2": uk15_grid,
+             "z^d": _rotated_monomial(d, alpha, phase)}[kind]
+    seg = extract_nodal_set(field, n).segments
+    assert len(seg) and np.all(seg[..., 0] ** 2 + seg[..., 1] ** 2 <= 1.0 + 2e-15)
+
+
+def test_extraction_ends_a_segment_on_a_node_past_r_1():
+    # at n = 71 the node (-0.6000000000000001, 0.8) lies at x^2 + y^2 =
+    # 1 + 2.2e-16, in the disk of the mask: the zero line x = xs[i] through
+    # it ends a segment there, on the node itself
+    n = 71
+    xs = np.linspace(-1.0, 1.0, n)
+    i, j = next((i, j) for i, j in zip(*_nodes_past_r_1(n)) if xs[i] < 0 < xs[j])
+    line = ClosedFormField(lambda x, y: x - xs[i], lambda x, y: (1.0 + 0 * x, 0 * y))
+    ends = extract_nodal_set(line, n).segments.reshape(-1, 2)
+    assert xs[i] ** 2 + xs[j] ** 2 > 1.0
+    assert np.any((ends[:, 0] == xs[i]) & (ends[:, 1] == xs[j]))
+    assert np.all(ends[:, 0] ** 2 + ends[:, 1] ** 2 <= 1.0 + 2e-15)
 
 
 def test_detect_singular_matches_window_scan(uk_q1, uk15_grid):
