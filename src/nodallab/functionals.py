@@ -23,10 +23,8 @@ radius on each annulus [r_(i-1), r_i] (r_0 = 0).  Cumulative sums of the
 panels give the disk integrals, and one ring at each r_i gives the circle
 integrals.  Every functional below is arithmetic over one such pass.
 
-One error model holds on both paths, the ladder row ``rel`` bounding the
-relative error of u on each circle: ROUNDING for a field exact to rounding
-(``noise`` None), a ``GridField``'s bilinear bound over the circle's RMS
-sqrt(H / (2 pi r)) otherwise.  Every floor on H and W is read from it.
+One error model holds on both paths, ``_Ladder.rel``, the bound on the
+relative error of u on each circle.  Every floor on H and W is read from it.
 
 The two-parameter rescaled energy
 
@@ -40,13 +38,13 @@ vanishing order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fields import DomainError, PlanarField, _angles, _fmt_rows, _sample_rings
 from .params import ProblemParams, gamma_q
 
-N_DIM = 2
 # the angles of every ladder ring, a prime count: no zero of a k-fold profile but theta = 0
 # is a node (at 1024, u_8's 16 kinks near q = 1 all were, and N_q missed gamma_q by 4.7e-3)
 N_THETA = 1021
@@ -152,6 +150,22 @@ def eval_F(params: ProblemParams, s):
     return np.abs(s) ** params.q * lam * params.mu
 
 
+def _overflow(what, params):
+    """The error for a quantity that overflows double precision: the
+    coefficients are too large for the field."""
+    return ValueError(f"{what} overflows double precision with mu = {params.mu:g}, "
+                      f"lambda = ({params.lambda_plus:g}, {params.lambda_minus:g})")
+
+
+def _sum_F(params, s, axis=None):
+    """The sum of F(s) along ``axis``, refused where it overflows."""
+    with np.errstate(over="ignore"):
+        f = np.sum(eval_F(params, s), axis=axis)
+    if not np.isfinite(f).all():
+        raise _overflow("F(u)", params)
+    return f
+
+
 def _centre(x0):
     """The centre of a ladder, two finite numbers, as a float array.  A NaN
     passes the disk bound and the nodal test, so a non-finite centre is
@@ -181,13 +195,13 @@ def _gammas(gammas, name="gamma", ndim=0):
 
 def _require_nodal(lad):
     """Refuse the centre x0 of ``lad`` unless |u(x0)| is at most EPS_U times
-    the largest circle RMS sqrt(H / (2 pi r)) of the ladder.  About the
-    vertex of a field r^gamma phi(theta) with gamma > 0 (``lad.vertex``),
-    u(x0) = 0 and the test passes without a field call."""
+    the ladder's largest circle RMS.  About the vertex of a field
+    r^gamma phi(theta) with gamma > 0 (``lad.vertex``), u(x0) = 0 and the
+    test passes without a field call."""
     if lad.vertex:
         return
     u0 = float(np.abs(lad.field(lad.x0[0], lad.x0[1])))
-    if u0 > EPS_U * np.sqrt((lad.H / (2.0 * np.pi * lad.r)).max()):
+    if u0 > EPS_U * lad.rms.max():
         raise PreconditionError(f"|u(x0)| = {u0} too large; x0 is not a nodal point")
 
 
@@ -221,24 +235,36 @@ class _Ladder:
 
     H, unu2, uunu and f_circle integrate u^2, u_nu^2, u u_nu and F(u) over
     the circle S_r; grad2 and f_bulk integrate |grad u|^2 and F(u) over the
-    disk B_r.  A circles-only pass fills H and rel alone.  rel bounds the
-    relative error of u on each circle, and is NaN where H = 0, which every
-    comparison reads as false; every floor on H and W is read from it.
-    ``vertex`` holds on a closed-form ladder about the vertex of a field
-    r^gamma phi(theta) with gamma > 0, where u(x0) = 0.
+    disk B_r.  A circles-only pass fills H alone.  ``vertex`` holds on a
+    closed-form ladder about the vertex of a field r^gamma phi(theta) with
+    gamma > 0, where u(x0) = 0.  ``dim`` is the space dimension N.
     """
 
     field: PlanarField
     x0: np.ndarray
     r: np.ndarray
     H: np.ndarray
-    rel: np.ndarray
     grad2: np.ndarray | None = None
     f_bulk: np.ndarray | None = None
     unu2: np.ndarray | None = None
     uunu: np.ndarray | None = None
     f_circle: np.ndarray | None = None
     vertex: bool = False
+    dim: int = 2
+
+    @property
+    def rms(self):
+        """The RMS sqrt(H / (2 pi r)) of u on each circle: N = 2's measure."""
+        return np.sqrt(self.H / (2.0 * np.pi * self.r))
+
+    @cached_property
+    def rel(self):
+        """The bound on the relative error of u on each circle, which every
+        floor on H and W reads: ROUNDING for a field with no ``noise``, else
+        the noise over the RMS; NaN where H = 0, which compares as false."""
+        H, noise = self.H, self.field.noise
+        return (np.where(H > 0, ROUNDING, np.nan) if noise is None else
+                np.divide(noise, self.rms, out=np.full_like(H, np.nan), where=H > 0))
 
     def D(self, t):
         return self.grad2 - t / self.field.params.q * self.f_bulk
@@ -253,11 +279,15 @@ class _Ladder:
         if low.any():
             r, H = self.r[low][0], self.H[low][0]
             raise DegenerateSphereError(f"H({r}) = {H} below floor; x0 is a high-order zero")
-        return self.r * self.D(t) / self.H
+        with np.errstate(over="ignore"):
+            n = self.r * self.D(t) / self.H
+        if not np.isfinite(n).all():  # H > 0 and the rows are finite: D_t / H overflowed
+            raise _overflow("N_t = r D_t / H", self.field.params)
+        return n
 
     def p(self, gamma):
         """The Weiss exponent N - 2 + 2 gamma: W is r^-p times ``rp_W``."""
-        return N_DIM - 2 + 2 * gamma
+        return self.dim - 2 + 2 * gamma
 
     def rp_W(self, gamma, t):
         """r^p W(gamma, t): W without its factor r^-p."""
@@ -282,23 +312,23 @@ class _Ladder:
 
     def Phi(self, gamma):
         """Nonnegative bulk term (2N-(N-2)q)/(q r^(p+1)) * int_{B_r} F."""
-        q = self.field.params.q
-        return (2 * N_DIM - (N_DIM - 2) * q) / q * _scaled(self.r, self.p(gamma) + 1, self.f_bulk)[0]
+        q, n = self.field.params.q, self.dim
+        return (2 * n - (n - 2) * q) / q * _scaled(self.r, self.p(gamma) + 1, self.f_bulk)[0]
 
     def h1(self):
         """Scale-invariant H^1 norm: sqrt(r^(2-N) int |grad u|^2 + r^(1-N) int_S u^2)."""
-        return np.sqrt(self.r ** -(N_DIM - 2) * self.grad2 + self.r ** -(N_DIM - 1) * self.H)
+        return np.sqrt(self.r ** -(self.dim - 2) * self.grad2 + self.r ** -(self.dim - 1) * self.H)
 
     def w_prime(self, gamma, t):
         """Closed-form derivative of W(gamma, t) with respect to r."""
-        r, q, p = self.r, self.field.params.q, self.p(gamma)
+        r, q, p, n = self.r, self.field.params.q, self.p(gamma), self.dim
         # circle integral of (u_nu - gamma u / r)^2
         sq_term = self.unu2 - 2.0 * gamma / r * self.uunu + (gamma / r) ** 2 * self.H
         sq, f_circle = _scaled(r, p, sq_term, self.f_circle)
         return (
             2.0 * sq
             + (2.0 - t) / q * f_circle
-            + ((N_DIM - 2) * t - 2 * N_DIM + 2 * gamma * (t - q)) / q * _scaled(r, p + 1, self.f_bulk)[0]
+            + ((n - 2) * t - 2 * n + 2 * gamma * (t - q)) / q * _scaled(r, p + 1, self.f_bulk)[0]
         )
 
 
@@ -316,7 +346,7 @@ def _angular_sums(field):
     if sep is not None:
         g, phi, dphi = sep
         sep = (g, _DTH * np.sum(phi * phi), _DTH * np.sum(g * g * phi * phi + dphi * dphi) / (2 * g),
-               _DTH * np.sum(eval_F(field.params, phi)))
+               _DTH * _sum_F(field.params, phi))
     field._angular_sums = (field.params, sep)
     return sep
 
@@ -368,7 +398,7 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
         u2, g2, fb, unu2, uunu, fc = np.empty((6, len(rs)))
         for i, row in enumerate(rho):
             v, (gx, gy) = _sample_rings(field, x0, row, _THETA, grad=True)
-            f = np.sum(eval_F(field.params, v), axis=1)
+            f = _sum_F(field.params, v, axis=1)
             u, unu = v[-1], gx[-1] * ct + gy[-1] * st
             g2[i] = np.dot(w[i], np.sum(gx * gx + gy * gy, axis=1)[:-1])
             fb[i], fc[i] = np.dot(w[i], f[:-1]), f[-1]
@@ -377,10 +407,7 @@ def _ladder(field: PlanarField, x0, radii, bulk=True) -> _Ladder:
         # rows: H, the disk integrals of |grad u|^2 and F (cumulative sums of
         # the annulus integrals), the circle integrals of u_nu^2, u u_nu and F
         sums = (c * u2, np.cumsum(g2), np.cumsum(fb), c * unu2, c * uunu, c * fc)
-    H = sums[0]  # rel is ROUNDING or the bound over the circle's RMS; NaN where H = 0
-    rel = (np.where(H > 0, ROUNDING, np.nan) if field.noise is None else np.divide(
-        field.noise, np.sqrt(H / (2.0 * np.pi * rs)), out=np.full_like(H, np.nan), where=H > 0))
-    return _Ladder(field, x0, rs, H, rel, *sums[1:], vertex=sep is not None and sep[0] > 0)
+    return _Ladder(field, x0, rs, *sums, vertex=sep is not None and sep[0] > 0)
 
 
 def eval_Nt(field: PlanarField, x0, r, t) -> float:
@@ -446,7 +473,7 @@ def check_derivative_identities(field, x0, radii, gamma, t):
     lad = _ladder(field, x0, rs)
     H, W = lad.H, lad.W(gamma, t)
     hp = (H[hi] - H[lo]) / (2 * step)
-    rhs = (N_DIM - 1) / radii * H[mid] + 2.0 * lad.D(field.params.q)[mid]
+    rhs = (lad.dim - 1) / radii * H[mid] + 2.0 * lad.D(field.params.q)[mid]
     rhs_w = lad.w_prime(gamma, t)[mid]
     with np.errstate(divide="ignore", invalid="ignore"):  # NaN where H = 0 or W overflows
         wp = (W[hi] - W[lo]) / (2 * step)
@@ -501,10 +528,14 @@ def transition_exponent(field, x0, gammas, radii):
     smallest ladder decade: on homogeneous data W behaves like C * r^p with
     p = 2 (order - gamma), so W is flagged as diverging negative when it is
     negative at r_min and log|W| has negative slope against log r (|W| grows
-    as r shrinks).  The estimate is the midpoint of the bracketing pair;
-    an ambiguous classification raises InconclusiveError with the bracket.
-    A NaN or infinite gamma on the grid, or a grid that is not 1-d, raises
-    ValueError.
+    as r shrinks).  A gamma below the first divergent one is bounded when
+    |r^p W| at r_min is above its floor, and undecided otherwise: W may be
+    noise there.  The estimate is the midpoint of the last bounded gamma and
+    the first divergent one, with at most one undecided gamma between them
+    (W(d, 2) of a harmonic r^d phi(theta) is 0, its true value).  An ambiguous
+    classification, no bounded gamma or more undecided ones raise
+    InconclusiveError with the bracket.  A NaN or infinite gamma on the grid,
+    or a grid that is not 1-d, raises ValueError.
     """
     gammas = np.sort(_gammas(gammas, ndim=1))
     if gammas.size == 0:
@@ -535,4 +566,11 @@ def transition_exponent(field, x0, gammas, radii):
             f"non-monotone classification near gamma={gammas[bad]}",
             bracket=(float(gammas[first - 1]), float(gammas[first])),
         )
-    return float(0.5 * (gammas[first - 1] + gammas[first]))
+    bounded = np.flatnonzero(np.abs(rpW[:first, 0]) > floor[:first, 0])
+    last = int(bounded[-1]) if bounded.size else None
+    if last is None or first - last > 2:
+        raise InconclusiveError(
+            f"gammas undecided within the floor below gamma={gammas[first]}",
+            bracket=(None if last is None else float(gammas[last]), float(gammas[first])),
+        )
+    return float(0.5 * (gammas[last] + gammas[first]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PlanarField
-from .functionals import N_DIM, _ladder, _ladder_radii, _power_fit, _require_nodal
+from .functionals import _ladder, _ladder_radii, _power_fit, _require_nodal
 from .params import beta_q, gamma_q
 
 
@@ -72,7 +72,7 @@ def estimate_order(field: PlanarField, x0, radii) -> OrderEstimate:
         is within SNAP_TOL, else "inconclusive", also for a NaN slope."""
         if not lad.h_ok.any():
             raise ZeroFieldError("H below the noise floor on the whole ladder")
-        raw = 0.5 * float(_power_fit(lad.r, lad.H / lad.r ** (N_DIM - 1), lad.h_ok)[0])
+        raw = 0.5 * float(_power_fit(lad.r, lad.H / lad.r ** (lad.dim - 1), lad.h_ok)[0])
         best = min(cands, key=lambda c: abs(c - raw))
         return raw, lad.h_ok, best if abs(best - raw) <= SNAP_TOL else "inconclusive"
 

@@ -276,6 +276,34 @@ def test_analyze_nonfinite_gamma_exits_3(tmp_path, capsys, gamma):
     assert re.fullmatch(r"error: line \d+: gamma must be positive and finite\n", err)
 
 
+@pytest.mark.parametrize("source, message", [
+    ("profile", "N_t = r D_t / H overflows double precision with mu = 1e+308, lambda = (1, 2)"),
+    ("grid", "F(u) overflows double precision with mu = 1e+308, lambda = (1, 1)"),
+])
+def test_analyze_overflowing_coefficients_exit_2(tmp_path, capsys, source, message):
+    # mu = 1e308 is a finite coefficient, but with it r D_t / H of a u_k
+    # profile (q = 1.5, lambda_- = 2, k = 9), and the sum of F(u) over a
+    # ladder ring of a grid file, overflow double precision: one error line
+    # and exit 2, not a warning and a null frequency
+    if source == "profile":
+        assert run("construct", "--q", "1.5", "--lambda-minus", "2", "--k", "9",
+                   "--out", str(tmp_path / "c")) == 0
+        text, mu = (tmp_path / "c" / "profile.txt").read_text(), "\nmu=1\n"
+    else:
+        xs = np.linspace(-1.0, 1.0, 65)
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        fields.save(fields.GridField(X**2 - Y**2), tmp_path / "grid.txt")
+        text, mu = (tmp_path / "grid.txt").read_text(), "\nmu=0\n"
+    assert mu in text
+    (tmp_path / "in.txt").write_text(text.replace(mu, "\nmu=1e308\n"))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("analyze", "--input", str(tmp_path / "in.txt"), "--out", str(tmp_path / "an"))
+    assert code == 2 and not caught
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_analyze_missing_input(tmp_path):
     assert run("analyze", "--input", str(tmp_path / "nope.txt"),
                "--out", str(tmp_path)) == 3

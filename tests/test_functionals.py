@@ -500,13 +500,16 @@ def test_transition_exponent_on_monomials():
 
 def test_transition_exponent_does_not_move_with_the_grid_top():
     # each gamma row is held to its own floor, so rows far above the order
-    # do not swallow the ones that diverge just above it
+    # do not swallow the ones that diverge just above it.  u_k's W(gamma_q, 2)
+    # is a negative constant, bounded, so u_k reads gamma_q + 0.025; the
+    # monomial's W(2, 2) is 0 to rounding, undecided, so it reads its order
     radii = np.geomspace(0.02, 0.8, 25)
-    for f, o in ((construct_uk(ProblemParams(q=1.0), 5).to_field(), 2.0),
-                 (construct_uk(ProblemParams(q=1.5), 9).to_field(), 4.0), (monomial_field(2), 2.0)):
+    for f, o, want in ((construct_uk(ProblemParams(q=1.0), 5).to_field(), 2.0, 2.025),
+                       (construct_uk(ProblemParams(q=1.5), 9).to_field(), 4.0, 4.025),
+                       (monomial_field(2), 2.0, 2.0)):
         for top in (0.5, 2.0, 3.0, 4.0):
             est = transition_exponent(f, ORIGIN, np.arange(o - 0.5, o + top + 1e-9, 0.05), radii)
-            assert abs(est - (o + 0.025)) < 1e-9, (o, top)
+            assert abs(est - want) < 1e-9, (o, top)
 
 
 def test_transition_exponent_inconclusive():
@@ -539,26 +542,40 @@ def test_transition_exponent_inconclusive():
 
 def test_transition_exponent_short_ladder_reads_its_first_third():
     # four radii over two decades put two in the smallest decade: the trend
-    # is read on the first three instead
+    # is read on the first three instead, and 2.05 diverges on them
     gammas = np.arange(1.5, 2.5001, 0.05)
     est = transition_exponent(monomial_field(2), ORIGIN, gammas, np.geomspace(0.01, 0.9, 4))
-    assert est == pytest.approx(2.025, abs=1e-12)
+    assert est == pytest.approx(2.0, abs=1e-12)
 
 
 def test_transition_exponent_reads_no_divergence_within_the_floor():
     # on the 257^2 sample of Re z^2 (mu = 0), r^p W(gamma, 2) at r_min = 0.02
     # is negative but within its floor for gamma from 2 to 2.4: W there may
     # be off by more than its own size, so none of those gammas diverges, and
-    # the transition lies above them all
+    # none is bounded either.  With gammas 1.6 ... 2.4 undecided, the reader
+    # says "inconclusive" with the bracket of the last bounded and the first
+    # divergent gamma, which holds the order, rather than a value above them
     grid = GridField.sample(monomial_field(2), 257)
     radii = np.geomspace(0.02, 0.8, 6)
     gammas = np.arange(1.5, 2.5001, 0.05)
     lad = _ladder(grid, ORIGIN, radii)
     rpW, floor = lad.rp_W(gammas[:, None], 2.0)[:, 0], lad.rp_floor(gammas[:, None], 2.0)[:, 0]
     within = (rpW < 0) & (rpW > -floor)
-    est = transition_exponent(grid, ORIGIN, gammas, radii)
-    assert np.count_nonzero(within) > 1 and np.all(gammas[within] < est)
-    assert est == _transition_exponent_per_gamma(grid, ORIGIN, gammas, radii)
+    with pytest.raises(InconclusiveError, match="undecided") as err:
+        transition_exponent(grid, ORIGIN, gammas, radii)
+    lo, hi = err.value.bracket
+    assert np.count_nonzero(within) > 1 and np.all((lo < gammas[within]) & (gammas[within] < hi))
+    assert lo < 2.0 < hi and (lo, hi) == pytest.approx((1.55, 2.45), abs=1e-12)
+    assert _outcome(_transition_exponent_per_gamma, grid, ORIGIN, gammas, radii) == ("inconclusive", (lo, hi))
+    # from 1.6 up no gamma below the first divergent one is bounded
+    with pytest.raises(InconclusiveError, match="undecided") as err:
+        transition_exponent(grid, ORIGIN, gammas[2:], radii)
+    assert err.value.bracket == (None, hi)
+    # at 769^2 only 1.95 and 2 are undecided: one may be W(2, 2) = 0 itself,
+    # two are more than the rule allows
+    with pytest.raises(InconclusiveError, match="undecided") as err:
+        transition_exponent(GridField.sample(monomial_field(2), 769), ORIGIN, gammas, radii)
+    assert err.value.bracket == pytest.approx((1.9, 2.05), abs=1e-12)
 
 
 def test_transition_exponent_empty_gammas():
@@ -677,7 +694,8 @@ def test_power_fit_rows_with_fewer_than_two_points_are_nan():
 
 
 def _transition_exponent_per_gamma(field, x0, gammas, radii):
-    """The estimator as first written: one W row and one np.polyfit per gamma."""
+    """The estimator as first written: one W row and one np.polyfit per gamma,
+    with the undecided gammas of the bracket rule."""
     x0 = np.asarray(x0, dtype=float)
     gammas = np.sort(np.asarray(gammas, dtype=float))
     radii = np.sort(np.asarray(radii, dtype=float))
@@ -694,10 +712,10 @@ def _transition_exponent_per_gamma(field, x0, gammas, radii):
         with np.errstate(invalid="ignore", over="ignore"):
             row, floor = lad.W(g, 2.0), lad.size(g, 2.0) * lad.rel
         mask = decade & (np.abs(row) > floor)
-        if not row[0] <= -floor[0] or np.count_nonzero(mask) < 2:
-            return "bounded"
-        slope = np.polyfit(np.log(radii[mask]), np.log(np.abs(row[mask])), 1)[0]
-        return "divergent" if slope < -0.02 else "bounded"
+        if row[0] <= -floor[0] and np.count_nonzero(mask) >= 2:
+            if np.polyfit(np.log(radii[mask]), np.log(np.abs(row[mask])), 1)[0] < -0.02:
+                return "divergent"
+        return "bounded" if abs(row[0]) > floor[0] else "undecided"
 
     kinds = [classify(g) for g in gammas]
     if "divergent" not in kinds:
@@ -705,10 +723,14 @@ def _transition_exponent_per_gamma(field, x0, gammas, radii):
     first_div = kinds.index("divergent")
     if first_div == 0:
         raise InconclusiveError("every gamma diverges", bracket=(None, gammas[0]))
-    if "bounded" in kinds[first_div:]:
+    if set(kinds[first_div:]) != {"divergent"}:
         raise InconclusiveError("non-monotone classification",
                                 bracket=(float(gammas[first_div - 1]), float(gammas[first_div])))
-    return float(0.5 * (gammas[first_div - 1] + gammas[first_div]))
+    bounded = [i for i in range(first_div) if kinds[i] == "bounded"]
+    if not bounded or first_div - bounded[-1] > 2:
+        raise InconclusiveError("undecided", bracket=(
+            float(gammas[bounded[-1]]) if bounded else None, float(gammas[first_div])))
+    return float(0.5 * (gammas[bounded[-1]] + gammas[first_div]))
 
 
 def _outcome(estimator, *args):

@@ -1,11 +1,13 @@
-"""``benchmarks/test_bench_layers.py`` and ``benchmarks/detections.py`` lie
-outside the Tier-1 ``testpaths``, so a name they import that the package no
-longer has fails no Tier-1 test.  This loads the files, as ``test_pairs``
-loads ``benchmarks/pairs.py``; it runs no benchmark and no detection."""
+"""``benchmarks/test_bench_layers.py``, ``benchmarks/detections.py`` and
+``benchmarks/outputs.py`` lie outside the Tier-1 ``testpaths``, so a name
+they import that the package no longer has fails no Tier-1 test.  This loads
+the files, as ``test_pairs`` loads ``benchmarks/pairs.py``; it runs no
+benchmark, no detection and no digest run."""
 
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 _DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
@@ -35,3 +37,14 @@ def test_detections_script_import():
     assert detections.verdict([point], [0.1], 1e-3)
     assert not detections.verdict([point, point], [0.1], 1e-3)
     assert not detections.verdict([point], [0.2], 1e-3)
+
+
+def test_outputs_script_digests_every_bit():
+    outputs = _load("outputs")
+    # a float by its bits, an array by dtype and shape too, an error by its
+    # type and message, a dict whatever its key order
+    assert outputs.digest(0.1) != outputs.digest(np.nextafter(0.1, 1.0))
+    assert outputs.digest(np.zeros(2)) != outputs.digest(np.zeros(2, dtype=np.float32))
+    assert outputs.digest(np.zeros(2)) != outputs.digest(np.zeros((1, 2)))
+    assert outputs.digest(ValueError("x")) != outputs.digest(TypeError("x"))
+    assert outputs.digest({"a": 1, "b": [2.0]}) == outputs.digest({"b": [2.0], "a": 1})
